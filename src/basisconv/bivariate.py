@@ -140,7 +140,7 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     if u is not None:
         cur = mul_trunc(cur, series_inv(u, n), n)
     cur = eval_seq_inv(cur, spec.g_ops, n)
-    cur = diagonal(cur, [mod.inv(fk) for fk in f])
+    cur = diagonal(cur, mod.batch_inv(f))
     cur = eval_inv_transposed(cur, spec.h_ops, n)
     v = _series_poly(mod, spec.v_coeffs, n)
     if v is not None:

@@ -2,184 +2,196 @@
 transposes, and the four maps evaluating polynomials at exp(x)-1 / log(1+x).
 
 Evaluation and interpolation use a subproduct tree with Newton-inverse
-remaindering, O(M(n) log n).  The transposed maps use the generating-series
-identity sum_i v_i / (1 - p_i x) = N(x) / D(x), where D is the reversal of
-the root polynomial and N is built by an upward combine; the transposed
+remaindering, O(M(n) log n), worked one level at a time.  Level k holds the
+products of (x - p_i) over the blocks [j s, (j+1) s) ∩ [0, n), s = 2^k: all
+monic of degree s but at most one ragged last node.  The full nodes are the
+rows of one (n // s, s) array of their coefficients below x^s, so a level is
+built, reduced by or combined through with a few batched transforms (the row
+images of modfield); the ragged node goes through the 1-D _convolve.  Trees
+are cached per (modulus, n) with their nodes' images and derived data.
+
+The transposed maps use the generating-series identity
+sum_i v_i / (1 - p_i x) = N(x) / D(x), where D is the reversal of the root
+polynomial and N that of the interpolation combine; the transposed
 interpolation recovers the partial-fraction data by evaluating at the
-reciprocal points.  Trees are cached per (modulus, n).
+reciprocal points.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 
-from .modfield import Modulus, Poly, _convolve
+import numpy as np
+
+from .modfield import Modulus, Poly, _convolve, _image, _image_coeffs, _image_mul
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
 from .seriesops import series_inv
 
 _tree_lock = threading.Lock()
 
 
-def _mul(mod, a, b):
-    if not a or not b:
-        return []
-    return _convolve(mod, a, b)
-
-
-def _add(mod, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % mod.p
-    return out
-
-
-class _Node:
-    __slots__ = ("poly", "rev", "left", "right", "lo", "hi", "_rev_inv")
-
-    def __init__(self, poly, left, right, lo, hi):
-        self.poly = poly                      # monic, coefficient list
-        self.rev = list(reversed(poly))       # prod (1 - p_i x), top-padded
-        self.left = left
-        self.right = right
-        self.lo = lo
-        self.hi = hi
-        self._rev_inv = None
-
-    @property
-    def deg(self):
-        return len(self.poly) - 1
-
-    def rev_inv(self, mod, prec):
-        # inverse of the reversed monic polynomial, for Newton remaindering
-        if self._rev_inv is None or len(self._rev_inv) < prec:
-            inv = series_inv(Poly(mod, self.rev, max(prec, 1)), max(prec, 1))
-            self._rev_inv = inv.coeffs
-        return self._rev_inv[:prec]
+def _pairs(rows, nf):
+    # the left and right children of the first nf nodes of the level above
+    return rows[0 : 2 * nf : 2], rows[1 : 2 * nf : 2]
 
 
 class SubproductTree:
-    """Subproduct tree over an arbitrary list of distinct points."""
+    """Subproduct tree over a list of distinct points, stored level by level.
+
+    low[k]: the full nodes of level k without their leading x^s; img[k]:
+    their images at size 2s, below the top level; rag[k]: the coefficient
+    list of the ragged node of level k, or None.
+    """
 
     def __init__(self, mod: Modulus, points):
         self.mod = mod
-        self.points = list(points)
-        self.root = self._build(0, len(self.points))
-        self._weights = None
+        self.n = n = len(points)
+        # residues of p >= 2^31 have products beyond int64: keep Python ints
+        self.dtype = np.int64 if mod._use_numpy else object
+        self.depth = (n - 1).bit_length()      # the top level has one node
+        p = mod.p
+        self.low = [np.array([(-x) % p for x in points], dtype=self.dtype).reshape(n, 1)]
+        self.img, self.rag = [], [None]
+        for k in range(1, self.depth + 1):
+            s, h, nf = 1 << k, 1 << (k - 1), n >> k
+            (a, b), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
+            self.img.append(img)
+            # (x^h + a)(x^h + b) = x^s + x^h (a + b) + a b
+            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
+            cur[:, h:] += a + b
+            self.low.append(cur % p)
+            r, rag = n % s, self.rag[-1]
+            if r >= h:
+                full = self.low[k - 1][2 * nf].tolist() + [1]
+                rag = full if r == h else _convolve(mod, full, rag)
+            self.rag.append(rag if r else None)
+        top = self.rag[-1]
+        self.root = top if top is not None else self.low[-1][0].tolist() + [1]
 
-    def _build(self, lo, hi):
-        if hi - lo == 1:
-            return _Node([(-self.points[lo]) % self.mod.p, 1], None, None, lo, hi)
-        mid = (lo + hi) // 2
-        left = self._build(lo, mid)
-        right = self._build(mid, hi)
-        return _Node(_mul(self.mod, left.poly, right.poly), left, right, lo, hi)
+    @cached_property
+    def _inverses(self):
+        # images at size 2s of 1/rev(node) mod x^s for the full nodes of each
+        # level below the top; per level, 1/rev(node) mod x^s for a ragged
+        # node that is the right child of its parent
+        mod, p, n, dt = self.mod, self.mod.p, self.n, self.dtype
+        iimg = [_image(mod, np.ones((n, 1), dtype=dt), 2)]
+        for k in range(1, self.depth):
+            s, h, nf = 1 << k, 1 << (k - 1), n >> k
+            # the children's inverses multiply to y0, the node's mod x^h;
+            # with g y0 = 1 + x^h e mod x^s, one Newton step gives y0 - x^h y0 e
+            y0 = _image_coeffs(mod, _image_mul(mod, *_pairs(iimg[-1], nf)), h)
+            g = np.concatenate([np.ones((nf, 1), dtype=dt), self.low[k][:, :0:-1]], axis=1)
+            y0_img = _image(mod, y0, s)
+            e = _image_coeffs(mod, _image_mul(mod, _image(mod, g, s), y0_img), s)[:, h:]
+            d = _image_coeffs(mod, _image_mul(mod, y0_img, _image(mod, e, s)), h)
+            iimg.append(_image(mod, np.concatenate([y0, (-d) % p], axis=1), 2 * s))
+        rinv = [
+            series_inv(Poly(mod, rag[::-1], 1 << k), 1 << k).coeffs
+            if rag is not None and (n >> k) & 1 else None
+            for k, rag in enumerate(self.rag)
+        ]
+        return iimg, rinv
 
-    # -- remaindering -----------------------------------------------------
+    def multieval(self, cs):
+        """Values at every point of the polynomial with coefficients cs,
+        len(cs) <= number of points, in point order."""
+        mod, p, n = self.mod, self.mod.p, self.n
+        iimg, rinv = self._inverses
+        rem = np.zeros((1, 1 << self.depth), dtype=self.dtype)
+        rem[0, : len(cs)] = cs
+        for k in range(self.depth - 1, -1, -1):
+            # remainders one level down: by the nodes of level k, of size h
+            h, nf = 1 << k, n >> k
+            par = np.repeat(rem, 2, axis=0)[:nf]
+            q_rev = _image_mul(mod, _image(mod, par[:, : h - 1 : -1], 2 * h), iimg[k])
+            q = _image(mod, _image_coeffs(mod, q_rev, h)[:, ::-1], 2 * h)
+            nxt = (par[:, :h] - _image_coeffs(mod, _image_mul(mod, q, self.img[k]), h)) % p
+            r = n % h
+            if r:
+                last = rem[nf >> 1, :h]
+                if nf & 1:
+                    # the ragged parent has degree h + r; divide by its right child
+                    a = rem[nf >> 1, : h + r].tolist()
+                    q = _convolve(mod, a[: r - 1 : -1], rinv[k])[:h][::-1]
+                    qm1 = _convolve(mod, q, self.rag[k])[:r]
+                    last = [(x - y) % p for x, y in zip(a, qm1)] + [0] * (h - r)
+                nxt = np.vstack([nxt, np.array(last, dtype=self.dtype)])
+            rem = nxt
+        return rem[:, 0].tolist()
 
-    def _rem(self, coeffs, node):
-        """coeffs mod node.poly, for len(coeffs)-1 < 2*deg roughly."""
-        mod = self.mod
-        d = node.deg
-        cs = coeffs
-        top = len(cs) - 1
-        while top >= 0 and cs[top] == 0:
-            top -= 1
-        if top < d:
-            return cs[: top + 1]
-        qlen = top - d + 1
-        rev_a = cs[top::-1]
-        q_rev = _mul(mod, rev_a[:qlen], node.rev_inv(mod, qlen))[:qlen]
-        q = q_rev[::-1]
-        qm = _mul(mod, q, node.poly)
-        return [(cs[i] - qm[i]) % mod.p for i in range(d)]
-
-    def multieval(self, A: Poly):
-        """Values of A at every point, in point order."""
-        out = [0] * len(self.points)
-
-        def descend(coeffs, node):
-            if node.left is None:
-                out[node.lo] = coeffs[0] if coeffs else 0
-                return
-            descend(self._rem(coeffs, node.left), node.left)
-            descend(self._rem(coeffs, node.right), node.right)
-
-        descend(self._rem(A.coeffs, self.root), self.root)
-        return out
-
-    # -- interpolation ----------------------------------------------------
-
+    @cached_property
     def weights(self):
         """1 / M'(p_i) for every point."""
-        if self._weights is None:
-            mod = self.mod
-            deriv = [i * c % mod.p for i, c in enumerate(self.root.poly)][1:]
-            vals = self.multieval(Poly(mod, deriv, max(len(deriv), 1)))
-            self._weights = mod.batch_inv(vals)
-        return self._weights
+        mod = self.mod
+        deriv = [i * c % mod.p for i, c in enumerate(self.root)][1:]
+        return np.array(mod.batch_inv(self.multieval(deriv)), dtype=self.dtype)
 
-    def _combine(self, cs, node):
-        # sum over the node's points of c_i * prod_{j != i} (x - p_j)
-        if node.left is None:
-            return [cs[node.lo]]
-        lv = self._combine(cs, node.left)
-        rv = self._combine(cs, node.right)
-        return _add(
-            self.mod,
-            _mul(self.mod, lv, node.right.poly),
-            _mul(self.mod, rv, node.left.poly),
-        )
+    def combine(self, cs):
+        """sum_i c_i prod_{j != i} (x - p_j) for residues c_i, as an array
+        of length n."""
+        mod, p, n = self.mod, self.mod.p, self.n
+        v = np.asarray(cs, dtype=self.dtype).reshape(n, 1)
+        for k in range(1, self.depth + 1):
+            s, h, nf = 1 << k, 1 << (k - 1), n >> k
+            il, ir = _pairs(self.img[k - 1], nf)
+            vl, vr = _pairs(_image(mod, v[: 2 * nf], s), nf)
+            # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
+            cur = _image_coeffs(mod, (_image_mul(mod, vl, ir) + _image_mul(mod, vr, il)) % p, s)
+            cur[:, h:] += np.add(*_pairs(v, nf))
+            cur %= p
+            r = n % s
+            if r:
+                last = v[2 * nf].tolist()      # the ragged node's only child, if r <= h
+                if r > h:
+                    full = self.low[k - 1][2 * nf].tolist() + [1]
+                    left = _convolve(mod, last, self.rag[k - 1])
+                    right = _convolve(mod, v[2 * nf + 1][: r - h].tolist(), full)
+                    last = [(x + y) % p for x, y in zip(left, right)]
+                cur = np.vstack([cur, np.array(last + [0] * (s - len(last)), dtype=self.dtype)])
+            v = cur
+        return v[0, :n]
 
     def interp(self, values) -> Poly:
         """The unique polynomial of dim n taking the given values."""
-        mod = self.mod
-        cs = [v * w % mod.p for v, w in zip(values, self.weights())]
-        combined = self._combine(cs, self.root)
-        return Poly(mod, combined, len(self.points))
+        p = self.mod.p
+        cs = np.array([v % p for v in values], dtype=self.dtype) * self.weights % p
+        return Poly(self.mod, self.combine(cs).tolist(), self.n)
 
-    def _combine_rev(self, vs, node):
-        # numerator of sum over the node's points of v_i / (1 - p_i x)
-        if node.left is None:
-            return [vs[node.lo]]
-        lv = self._combine_rev(vs, node.left)
-        rv = self._combine_rev(vs, node.right)
-        return _add(
-            self.mod,
-            _mul(self.mod, lv, node.right.rev),
-            _mul(self.mod, rv, node.left.rev),
-        )
+    @cached_property
+    def den_inv(self):
+        """1 / prod(1 - p_i x) mod x^n."""
+        return series_inv(Poly(self.mod, self.root[::-1], self.n), self.n).coeffs
 
-    def numerator_rev(self, values):
-        """N with N / prod(1 - p_i x) = sum v_i / (1 - p_i x); deg N < n."""
-        return self._combine_rev(values, self.root)
+    @cached_property
+    def interp_t_data(self):
+        """Of the grid tree: D = prod_{i=1}^{n-1} (1 - i x), 1 / D[n-1],
+        and -i / D'(1/i) for i = 1..n-1."""
+        mod, p, n = self.mod, self.mod.p, self.n
+        D = self.root[::-1][:n]      # the x - 0 factor of the root reverses into 1
+        Dprime = [i * c % p for i, c in enumerate(D)][1:]
+        dinvs = mod.batch_inv(_recip_tree(mod, n).multieval(Dprime))
+        scale = np.array([(-i) * dinvs[i - 1] % p for i in range(1, n)], dtype=self.dtype)
+        return np.array(D, dtype=self.dtype), mod.inv(D[n - 1]), scale
 
 
-def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
-    key = ("grid", n)
+def _cached_tree(mod: Modulus, key, points) -> SubproductTree:
     tree = mod._grid_trees.get(key)
     if tree is None:
         with _tree_lock:
             tree = mod._grid_trees.get(key)
             if tree is None:
-                tree = SubproductTree(mod, range(n))
-                mod._grid_trees[key] = tree
+                tree = mod._grid_trees[key] = SubproductTree(mod, points())
     return tree
+
+
+def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
+    return _cached_tree(mod, ("grid", n), lambda: range(n))
 
 
 def _recip_tree(mod: Modulus, n: int) -> SubproductTree:
     """Tree over the points 1/1, 1/2, ..., 1/(n-1)."""
-    key = ("recip", n)
-    tree = mod._grid_trees.get(key)
-    if tree is None:
-        with _tree_lock:
-            tree = mod._grid_trees.get(key)
-            if tree is None:
-                pts = mod.inverses(n)[1:]
-                tree = SubproductTree(mod, pts)
-                mod._grid_trees[key] = tree
-    return tree
+    return _cached_tree(mod, ("recip", n), lambda: mod.inverses(n)[1:])
 
 
 def multieval_grid(A: Poly):
@@ -188,7 +200,7 @@ def multieval_grid(A: Poly):
     A.mod.check_precision(n)
     if n == 1:
         return [A.coeffs[0]]
-    return _grid_tree(A.mod, n).multieval(A)
+    return _grid_tree(A.mod, n).multieval(A.coeffs)
 
 
 def interp_grid(mod: Modulus, values) -> Poly:
@@ -208,39 +220,26 @@ def multieval_grid_t(mod: Modulus, values) -> Poly:
     if n == 1:
         return Poly(mod, [values[0]], 1)
     tree = _grid_tree(mod, n)
-    num = tree.numerator_rev(values)
-    den_inv = series_inv(Poly(mod, tree.root.rev, n), n)
-    prod = _mul(mod, num, den_inv.coeffs)
+    # N = sum_i v_i prod_{j != i} (1 - p_j x) is the combine read backwards
+    num = tree.combine([v % mod.p for v in values])[::-1]
+    prod = _convolve(mod, num.tolist(), tree.den_inv)
     return Poly(mod, prod[:n], n)
 
 
 def interp_grid_t(A: Poly):
     """Transposed interpolation: the unique y with
     multieval_grid_t(y) = A."""
-    mod = A.mod
-    n = A.dim
+    mod, n = A.mod, A.dim
     mod.check_precision(n)
     if n == 1:
         return [A.coeffs[0]]
-    tree = _grid_tree(mod, n)
-    # D = prod_{i=1}^{n-1} (1 - i x) is the degree-(n-1) part of the
-    # reversed root polynomial (the x-0 factor reverses into 1)
-    D = tree.root.rev[:n]
-    N = _mul(mod, A.coeffs, D)[:n]
-    while len(N) < n:
-        N.append(0)
-    lead = D[n - 1]
-    y0 = N[n - 1] * mod.inv(lead) % mod.p
-    Nred = [(N[i] - y0 * D[i]) % mod.p for i in range(n)]
-    Dprime = [i * c % mod.p for i, c in enumerate(D)][1:]
-    rtree = _recip_tree(mod, n)
-    nvals = rtree.multieval(Poly(mod, Nred, n))
-    dvals = rtree.multieval(Poly(mod, Dprime, max(len(Dprime), 1)))
-    dinvs = mod.batch_inv(dvals)
-    out = [y0]
-    for i in range(1, n):
-        out.append((-i) * nvals[i - 1] * dinvs[i - 1] % mod.p)
-    return out
+    D, lead_inv, scale = _grid_tree(mod, n).interp_t_data
+    N = np.array(_convolve(mod, A.coeffs, D.tolist())[:n], dtype=D.dtype)
+    y0 = int(N[n - 1]) * lead_inv % mod.p
+    # y0 clears coefficient n - 1, so the rest has fewer terms than points
+    Nred = (N[: n - 1] - y0 * D[: n - 1]) % mod.p
+    nvals = _recip_tree(mod, n).multieval(Nred)
+    return [y0] + (np.array(nvals, dtype=D.dtype) * scale % mod.p).tolist()
 
 
 # -- evaluation at exp(x)-1 and log(1+x) ----------------------------------

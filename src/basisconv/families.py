@@ -557,12 +557,20 @@ FAMILY_BUILDERS = {
 
 
 def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
-    """Build a family descriptor by name."""
-    try:
-        builder = FAMILY_BUILDERS[name]
-    except KeyError:
-        raise SpecViolation(f"unknown family {name!r}") from None
-    return builder(mod, params)
+    """Build a family descriptor by name.
+
+    One descriptor is kept per (name, params) and modulus: the data cached
+    against a descriptor is then found again when a family is parsed again,
+    instead of being cached anew on every call."""
+    key = ("family", name, tuple(sorted(params.items())))
+    fam = mod._memo.get(key)
+    if fam is None:
+        try:
+            builder = FAMILY_BUILDERS[name]
+        except KeyError:
+            raise SpecViolation(f"unknown family {name!r}") from None
+        fam = mod._memo[key] = builder(mod, params)
+    return fam
 
 
 def family_names():

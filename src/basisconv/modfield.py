@@ -8,8 +8,10 @@ len(coeffs) == dim always holds.
 
 The product kernel dispatches between schoolbook convolution (small sizes, or
 moduli without enough roots of unity) and an iterative radix-2 NTT.  For
-p < 2^31 the NTT runs vectorized on int64 numpy arrays; larger primes fall
-back to a scalar big-int NTT.
+p < 2^31 the NTT runs vectorized on the rows of int64 numpy arrays, so one
+call transforms a whole batch of equal-length operands (_convolve_rows); a
+single product is its one-row case.  Larger primes fall back to a scalar
+big-int NTT.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .errors import (
 
 # Below this product length the schoolbook convolution beats transform setup.
 NTT_THRESHOLD = 32
+
+# From this many transform entries on, butterflies reduce by a conditional
+# correction instead of %: cheaper per entry, but more numpy calls per stage.
+CORRECTION_MIN = 4096
 
 # Largest product length we accept for schoolbook when the modulus lacks
 # transform capacity.
@@ -200,9 +206,10 @@ class Modulus:
         idx = self._bitrev.get(size)
         if idx is None:
             bits = size.bit_length() - 1
+            i = np.arange(size, dtype=np.int64)
             idx = np.zeros(size, dtype=np.int64)
-            for i in range(size):
-                idx[i] = int(f"{i:0{bits}b}"[::-1], 2) if bits else 0
+            for b in range(bits):
+                idx |= ((i >> b) & 1) << (bits - 1 - b)
             self._bitrev[size] = idx
         return idx
 
@@ -222,22 +229,37 @@ class Modulus:
         return tw
 
 
-def _ntt_numpy(mod: Modulus, values, size, invert):
+def _ntt_numpy(mod: Modulus, rows, size, invert):
+    """Radix-2 NTT of every row of a 2-D array of residues in [0, p),
+    zero-padded to size columns."""
     p = mod.p
-    a = np.zeros(size, dtype=np.int64)
-    a[: len(values)] = values
-    a = a[mod._bitrev_indices(size)]
+    r = rows.shape[0]
+    a = np.zeros((r, size), dtype=np.int64)
+    a[:, : rows.shape[1]] = rows
+    a = a[:, mod._bitrev_indices(size)]
     length = 2
     while length <= size:
-        ws = mod._stage_twiddles(length, invert)
         half = length // 2
-        a = a.reshape(-1, length)
-        even = a[:, :half].copy()
-        odd = a[:, half:] * ws % p
-        a[:, :half] = (even + odd) % p
-        a[:, half:] = (even - odd) % p
-        a = a.reshape(-1)
+        a = a.reshape(r, size // length, length)
+        even = a[..., :half]
+        odd = a[..., half:]
+        if half > 1:
+            # a residue times a twiddle, both < 2^31, stays below 2^62: exact
+            odd *= mod._stage_twiddles(length, invert)
+            odd %= p
+        diff = even - odd
+        even += odd
+        if a.size < CORRECTION_MIN:
+            even %= p
+            diff %= p
+        else:
+            # x >> 63 is -1 exactly where x < 0
+            even -= p
+            even += (even >> 63) & p
+            diff += (diff >> 63) & p
+        odd[...] = diff
         length *= 2
+    a = a.reshape(r, size)
     if invert:
         a = a * pow(size, p - 2, p) % p
     return a
@@ -279,12 +301,15 @@ def _convolve_schoolbook(a, b, p):
     return [c % p for c in out]
 
 
+def _transforms(mod: Modulus, size):
+    """Whether products mod x^size - 1 run through the vectorized NTT."""
+    return mod._use_numpy and size <= mod.max_ntt_len
+
+
 def _convolve(mod: Modulus, a, b):
-    """Exact cyclic-free product of two coefficient lists."""
+    """Exact cyclic-free product of two lists of residues in [0, p)."""
     out_len = len(a) + len(b) - 1
-    size = 1
-    while size < out_len:
-        size *= 2
+    size = 1 << (out_len - 1).bit_length()
     if out_len < NTT_THRESHOLD or size > mod.max_ntt_len:
         if out_len >= NTT_THRESHOLD and out_len > SCHOOLBOOK_LIMIT:
             raise CapacityExceeded(
@@ -293,17 +318,61 @@ def _convolve(mod: Modulus, a, b):
             )
         return _convolve_schoolbook(a, b, mod.p)
     if mod._use_numpy:
-        fa = _ntt_numpy(mod, a, size, False)
-        fb = _ntt_numpy(mod, b, size, False)
-        fc = fa * fb % mod.p
-        # pointwise product of two residues < 2^31 stays below 2^62: exact
-        res = _ntt_numpy(mod, fc, size, True)
-        return [int(x) for x in res[:out_len]]
+        return _convolve_rows(mod, np.array([a]), np.array([b]))[0].tolist()
     fa = _ntt_scalar(mod, a, size, False)
     fb = _ntt_scalar(mod, b, size, False)
     fc = [x * y % mod.p for x, y in zip(fa, fb)]
     res = _ntt_scalar(mod, fc, size, True)
     return res[:out_len]
+
+
+def _convolve_rows(mod: Modulus, A, B):
+    """Row-wise exact products of two 2-D arrays of residues with equally
+    many rows.
+
+    Where the modulus cannot transform at the needed size the rows go one by
+    one through _convolve.
+    """
+    out_len = A.shape[1] + B.shape[1] - 1
+    size = 1 << (out_len - 1).bit_length()
+    if not _transforms(mod, size):
+        out = [_convolve(mod, a, b) for a, b in zip(A.tolist(), B.tolist())]
+        return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
+    # pointwise product of two residues < 2^31 stays below 2^62: exact
+    fc = _image(mod, A, size) * _image(mod, B, size) % mod.p
+    return _image_coeffs(mod, fc, out_len)
+
+
+# Images: rows in the transform domain of the products mod x^size - 1.  They
+# are the rows' NTTs where the modulus can transform at that size, and the
+# zero-padded rows themselves otherwise, so that callers can keep the images
+# of fixed operands without caring which.
+
+
+def _image(mod: Modulus, A, size):
+    """The image of the coefficient rows of A, each of length <= size."""
+    if _transforms(mod, size):
+        return _ntt_numpy(mod, A, size, False)
+    out = np.zeros((A.shape[0], size), dtype=A.dtype)
+    out[:, : A.shape[1]] = A
+    return out
+
+
+def _image_mul(mod: Modulus, X, Y):
+    """Row-wise product of two images, that is of their rows mod x^size - 1."""
+    size = X.shape[1]
+    if _transforms(mod, size):
+        return X * Y % mod.p
+    out = _convolve_rows(mod, X, Y)
+    out[:, : size - 1] += out[:, size:]
+    return out[:, :size] % mod.p
+
+
+def _image_coeffs(mod: Modulus, X, out_len):
+    """The first out_len coefficients of every row of an image."""
+    if _transforms(mod, X.shape[1]):
+        return _ntt_numpy(mod, X, X.shape[1], True)[:, :out_len]
+    return X[:, :out_len]
 
 
 class Poly:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from basisconv import Poly, PrecisionExceedsModulus
+from basisconv import DEFAULT_PRIME, Modulus, Poly, PrecisionExceedsModulus, evalgrid, modfield
 from basisconv.evalgrid import (
     exp_map,
     exp_map_t,
@@ -14,6 +14,23 @@ from basisconv.evalgrid import (
     multieval_grid_t,
 )
 from basisconv.oracle import stirling_matrices
+
+# 29 * 2^57 + 1: prime, above 2^31, so products take the scalar NTT path
+SCALAR_PRIME = 4179340454199820289
+# ragged sizes on both sides of powers of two; capped below p, and at 100 on
+# the scalar prime, where every product runs in pure Python
+SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[DEFAULT_PRIME, 101, SCALAR_PRIME],
+    ids=["batched-ntt", "schoolbook", "scalar-ntt"],
+)
+def field(request):
+    mod = Modulus(request.param)
+    cap = 100 if request.param == SCALAR_PRIME else mod.p - 1
+    return mod, [n for n in SIZES if n <= cap]
 
 
 def _eval_at(A, x, p):
@@ -29,6 +46,59 @@ def test_multieval_matches_horner(mod101):
         A = Poly(mod101, [rng.randrange(101) for _ in range(n)], n)
         vals = multieval_grid(A)
         assert vals == [_eval_at(A, i, 101) for i in range(n)]
+
+
+def test_multieval_matches_horner_across_primes(field):
+    mod, sizes = field
+    rng = random.Random(41)
+    for n in sizes:
+        A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+        assert multieval_grid(A) == [_eval_at(A, i, mod.p) for i in range(n)], n
+
+
+def test_interp_inverts_multieval_across_primes(field):
+    mod, sizes = field
+    rng = random.Random(42)
+    for n in sizes:
+        A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+        assert interp_grid(mod, multieval_grid(A)) == A, n
+
+
+def test_interp_t_inverts_multieval_t_across_primes(field):
+    mod, sizes = field
+    rng = random.Random(43)
+    for n in sizes:
+        v = [rng.randrange(mod.p) for _ in range(n)]
+        assert interp_grid_t(multieval_grid_t(mod, v)) == v, n
+
+
+def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
+    # a guard against per-node recursion that, unlike a timing, does not
+    # depend on machine load: every level costs a fixed number of calls
+    mod = Modulus(DEFAULT_PRIME)
+    n, log_n = 4096, 12
+    rng = random.Random(44)
+    A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(modfield, "_ntt_numpy", counted(modfield._ntt_numpy))
+    monkeypatch.setattr(modfield, "_convolve", counted(modfield._convolve))
+    monkeypatch.setattr(evalgrid, "_convolve", counted(evalgrid._convolve))
+    # cold: the tree, the inverses of its nodes and one pass
+    vals = multieval_grid(A)
+    assert 0 < calls[0] <= 16 * log_n
+    interp_grid(mod, vals)
+    for run in (lambda: multieval_grid(A), lambda: interp_grid(mod, vals)):
+        calls[0] = 0
+        run()
+        assert 0 < calls[0] <= 8 * log_n
 
 
 def test_interp_round_trip(mod101):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from basisconv import (
@@ -14,7 +15,16 @@ from basisconv import (
     mul_trunc_t,
     poly_mul,
 )
-from basisconv.modfield import _convolve, _convolve_schoolbook, is_prime
+from basisconv.modfield import (
+    NTT_THRESHOLD,
+    _convolve,
+    _convolve_rows,
+    _convolve_schoolbook,
+    _image,
+    _image_coeffs,
+    _image_mul,
+    is_prime,
+)
 
 # 40-bit prime with 2-adicity 20: forces the scalar (non-numpy) NTT path
 P40 = 1099489607681
@@ -73,7 +83,8 @@ def test_precision_guard(mod101):
 
 def test_convolve_matches_schoolbook(mod):
     rng = random.Random(1)
-    for la, lb in [(1, 1), (5, 9), (31, 2), (40, 40), (100, 3), (257, 255)]:
+    # (2000, 100) transforms at size 4096 >= CORRECTION_MIN
+    for la, lb in [(1, 1), (5, 9), (31, 2), (40, 40), (100, 3), (257, 255), (2000, 100)]:
         a = [rng.randrange(mod.p) for _ in range(la)]
         b = [rng.randrange(mod.p) for _ in range(lb)]
         assert _convolve(mod, a, b) == _convolve_schoolbook(a, b, mod.p)
@@ -86,6 +97,49 @@ def test_convolve_scalar_ntt_path():
     a = [rng.randrange(mod.p) for _ in range(70)]
     b = [rng.randrange(mod.p) for _ in range(65)]
     assert _convolve(mod, a, b) == _convolve_schoolbook(a, b, mod.p)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 97, 101, P40])
+def test_convolve_rows_matches_convolve(p):
+    # product lengths on both sides of NTT_THRESHOLD and, for 97 = 3 * 2^5 + 1
+    # and 101 = 25 * 2^2 + 1, of max_ntt_len; P40 takes the scalar path
+    mod = Modulus(p)
+    dtype = np.int64 if mod._use_numpy else object
+    rng = random.Random(5)
+    edges = {NTT_THRESHOLD - 1, NTT_THRESHOLD, NTT_THRESHOLD + 1}
+    edges |= {mod.max_ntt_len, mod.max_ntt_len + 1} if mod.max_ntt_len <= 64 else set()
+    for out_len in sorted(edges | {1, 2, 100}):
+        for la in (1, (out_len + 1) // 2, out_len):
+            lb = out_len + 1 - la
+            A = [[rng.randrange(p) for _ in range(la)] for _ in range(3)]
+            B = [[rng.randrange(p) for _ in range(lb)] for _ in range(3)]
+            rows = _convolve_rows(mod, np.array(A, dtype=dtype), np.array(B, dtype=dtype))
+            want = [_convolve_schoolbook(a, b, p) for a, b in zip(A, B)]
+            assert rows.tolist() == want == [_convolve(mod, a, b) for a, b in zip(A, B)]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101, P40])
+def test_image_products_are_cyclic(p):
+    # images multiply rows mod x^size - 1, with or without a transform
+    mod = Modulus(p)
+    dtype = np.int64 if mod._use_numpy else object
+    rng = random.Random(6)
+    size = 8
+    A = [[rng.randrange(p) for _ in range(size)] for _ in range(2)]
+    B = [[rng.randrange(p) for _ in range(size - 3)] for _ in range(2)]
+    X = _image(mod, np.array(A, dtype=dtype), size)
+    Y = _image(mod, np.array(B, dtype=dtype), size)
+    got = _image_coeffs(mod, _image_mul(mod, X, Y), size).tolist()
+    for row, a, b in zip(got, A, B):
+        lin = _convolve_schoolbook(a, b, p) + [0] * (size + 3)
+        assert row == [(lin[i] + lin[i + size]) % p for i in range(size)]
+
+
+def test_bitrev_indices_reverse_the_bits(mod):
+    for size in (1, 2, 8, 1024):
+        bits = size.bit_length() - 1
+        want = [int(f"{i:0{bits}b}"[::-1], 2) if bits else 0 for i in range(size)]
+        assert mod._bitrev_indices(size).tolist() == want
 
 
 def test_small_prime_fallback_and_capacity(mod101):
