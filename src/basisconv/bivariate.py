@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compseq import (
-    Add,
-    Mul,
-    compute_g,
-    eval_seq,
-    eval_seq_inv,
-    eval_seq_t,
-    reverse_sequence,
-)
-from .errors import NotInvertible, SingularDiagonal, SpecViolation
+from .compseq import _inverse_reduction, _output_series, eval_seq, eval_seq_inv, eval_seq_t
+from .errors import SingularDiagonal, SpecViolation
 from .modfield import Modulus, Poly, mul_trunc, mul_trunc_t
 from .polyops import diagonal, scale, taylor_shift_t, truncate
 from .seriesops import series_inv
@@ -47,43 +39,53 @@ def _series_poly(mod, coeffs_fn, n):
     return Poly(mod, coeffs_fn(n), n)
 
 
-def _output_series(ops, n, mod):
-    if not ops:
-        return Poly.x(mod, max(n, 2))
-    return compute_g(ops, max(n, 2), mod).g[-1]
-
-
 def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
     """Validate the factorization hypotheses numerically at precision n:
     g(0)h(0) = 0 and g'(0), h'(0), u(0), v(0) all nonzero."""
-    key = ("speck", spec, n)
-    if key in mod._memo:
-        return
-    g = _output_series(spec.g_ops, n, mod)
-    h = _output_series(spec.h_ops, n, mod)
-    if g.constant() != 0 and h.constant() != 0:
-        raise SpecViolation("g(0) * h(0) must vanish")
-    if g.dim < 2 or g.coeffs[1] == 0:
-        raise SpecViolation("g'(0) must be nonzero")
-    if h.dim < 2 or h.coeffs[1] == 0:
-        raise SpecViolation("h'(0) must be nonzero")
-    u = _series_poly(mod, spec.u_coeffs, n)
-    if u is not None and u.constant() == 0:
-        raise SpecViolation("u(0) must be nonzero")
-    v = _series_poly(mod, spec.v_coeffs, n)
-    if v is not None and v.constant() == 0:
-        raise SpecViolation("v(0) must be nonzero")
-    mod._memo[key] = True
+
+    def check():
+        g = _output_series(spec.g_ops, n, mod)
+        h = _output_series(spec.h_ops, n, mod)
+        if g.constant() != 0 and h.constant() != 0:
+            raise SpecViolation("g(0) * h(0) must vanish")
+        if g.dim < 2 or g.coeffs[1] == 0:
+            raise SpecViolation("g'(0) must be nonzero")
+        if h.dim < 2 or h.coeffs[1] == 0:
+            raise SpecViolation("h'(0) must be nonzero")
+        _, v, u = _spec_vectors(spec, n, mod)
+        if u is not None and u.constant() == 0:
+            raise SpecViolation("u(0) must be nonzero")
+        if v is not None and v.constant() == 0:
+            raise SpecViolation("v(0) must be nonzero")
+
+    mod.cached(("speck", spec, n), check)
 
 
 def _spec_vectors(spec, n, mod):
-    """(f coefficient list, v as Poly or None) at precision n, cached."""
-    key = ("fv", spec, n)
-    cached = mod._memo.get(key)
-    if cached is None:
-        cached = (spec.f_coeffs(n), _series_poly(mod, spec.v_coeffs, n))
-        mod._memo[key] = cached
-    return cached
+    """(f coefficient list, v and u as Poly or None) at precision n, cached."""
+    return mod.cached(("fvu", spec, n), lambda: (
+        spec.f_coeffs(n),
+        _series_poly(mod, spec.v_coeffs, n),
+        _series_poly(mod, spec.u_coeffs, n),
+    ))
+
+
+def _inverse_vectors(spec, n, mod):
+    """(1/f_k list, 1/u and 1/v as Poly or None) at precision n, cached;
+    raises SingularDiagonal at the first vanishing f_k."""
+
+    def build():
+        f, v, u = _spec_vectors(spec, n, mod)
+        for k, fk in enumerate(f):
+            if fk % mod.p == 0:
+                raise SingularDiagonal(f"f coefficient at index {k} vanishes")
+        return (
+            mod.batch_inv(f),
+            None if u is None else series_inv(u, n),
+            None if v is None else series_inv(v, n),
+        )
+
+    return mod.cached(("finv", spec, n), build)
 
 
 def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
@@ -91,13 +93,12 @@ def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     mod.check_precision(n)
     check_spec(spec, n, mod)
     cur = Poly(mod, list(a), n)
-    f, v = _spec_vectors(spec, n, mod)
+    f, v, u = _spec_vectors(spec, n, mod)
     if v is not None:
         cur = mul_trunc_t(cur, v, n)
     cur = eval_seq_t(cur, spec.h_ops, n)
     cur = diagonal(cur, f)
     cur = eval_seq(cur, spec.g_ops, n)
-    u = _series_poly(mod, spec.u_coeffs, n)
     if u is not None:
         cur = mul_trunc(cur, u, n)
     return cur
@@ -112,18 +113,10 @@ def eval_inv_transposed(A: Poly, h_ops, n: int) -> Poly:
     """
     mod = A.mod
     mod.check_precision(n)
-    probe = _output_series(h_ops, n, mod)
-    h0, h1 = probe.coeffs[0], probe.coeffs[1]
-    if h1 == 0:
-        raise NotInvertible("h'(0) = 0: evaluation map is singular")
-    if h0 == 0 and h1 == 1:
-        ext = tuple(h_ops)
-        cur = truncate(A, n)
-    else:
-        ext = tuple(h_ops) + (Add((-h0) % mod.p), Mul(mod.inv(h1)))
-        cur = scale(taylor_shift_t(truncate(A, n), (-h0) % mod.p), mod.inv(h1))
-    truncs = compute_g(ext, max(n, 2), mod)
-    rev_ops = reverse_sequence(ext, truncs, mod)
+    h0, h1, rev_ops = _inverse_reduction(h_ops, n, mod)
+    cur = truncate(A, n)
+    if (h0, h1) != (0, 1):
+        cur = scale(taylor_shift_t(cur, (-h0) % mod.p), mod.inv(h1))
     return eval_seq_t(cur, rev_ops, n)
 
 
@@ -131,18 +124,13 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     """Exact inverse of eval_bivariate; needs every f_k nonzero (k < n)."""
     mod.check_precision(n)
     check_spec(spec, n, mod)
-    f = spec.f_coeffs(n)
-    for k, fk in enumerate(f):
-        if fk % mod.p == 0:
-            raise SingularDiagonal(f"f coefficient at index {k} vanishes")
+    finv, uinv, vinv = _inverse_vectors(spec, n, mod)
     cur = truncate(A, n)
-    u = _series_poly(mod, spec.u_coeffs, n)
-    if u is not None:
-        cur = mul_trunc(cur, series_inv(u, n), n)
+    if uinv is not None:
+        cur = mul_trunc(cur, uinv, n)
     cur = eval_seq_inv(cur, spec.g_ops, n)
-    cur = diagonal(cur, mod.batch_inv(f))
+    cur = diagonal(cur, finv)
     cur = eval_inv_transposed(cur, spec.h_ops, n)
-    v = _series_poly(mod, spec.v_coeffs, n)
-    if v is not None:
-        cur = mul_trunc_t(cur, series_inv(v, n), n)
+    if vinv is not None:
+        cur = mul_trunc_t(cur, vinv, n)
     return cur.coeffs

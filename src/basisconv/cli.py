@@ -15,7 +15,7 @@ import time
 
 from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequence
 from .densemat import conversion_matrix
-from .errors import AlgebraError
+from .errors import AlgebraError, DomainViolation
 from .families import family_names, from_monomial, parse_family, to_monomial
 from .modfield import DEFAULT_PRIME, Modulus, Poly
 from .oracle import horner_compose, matvec, naive_convert, stirling_matrices
@@ -40,7 +40,10 @@ def _read_vector(args, mod):
         raise UsageError(
             f"input declares modulus {declared}, command uses {mod.p}"
         )
-    return [c % mod.p for c in coeffs]
+    for i, c in enumerate(coeffs):
+        if not 0 <= c < mod.p:
+            raise DomainViolation(f"coefficient {i} = {c} lies outside [0, {mod.p})")
+    return coeffs
 
 
 def _write_vector(args, mod, coeffs):
@@ -120,11 +123,6 @@ def cmd_matrix(args):
     return 0
 
 
-def _bench_naive_matrix(fam, n, mod):
-    """Conversion matrix assembled in one shot; setup for the naive timing."""
-    return conversion_matrix(fam.spec, n, mod)
-
-
 def cmd_bench(args):
     mod = _modulus(args)
     fam = parse_family(mod, args.family)
@@ -140,7 +138,7 @@ def cmd_bench(args):
         fast_s = time.perf_counter() - t0
         if n <= args.naive_max:
             t1 = time.perf_counter()
-            M = _bench_naive_matrix(fam, n, mod)
+            M = conversion_matrix(fam.spec, n, mod)
             setup_s = time.perf_counter() - t1
             cs = fam.prefactor(n)
             b = [a[j] * mod.inv(cs[j]) % mod.p for j in range(n)]

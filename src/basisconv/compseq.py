@@ -38,6 +38,7 @@ from .polyops import (
 from .seriesops import (
     series_add_const,
     series_exp,
+    series_inv,
     series_log,
     series_mul_const,
     series_pow,
@@ -145,8 +146,6 @@ def _apply_op(op, g: Poly, n_out: int, step: int) -> Poly:
     if isinstance(op, Inv):
         if g.constant() == 0:
             raise DomainViolation(f"step {step}: Inv needs g(0) != 0")
-        from .seriesops import series_inv
-
         return series_inv(g, n_out)
     if isinstance(op, Exp):
         if g.constant() != 0:
@@ -171,10 +170,10 @@ def _apply_op(op, g: Poly, n_out: int, step: int) -> Poly:
 def compute_g(ops, n: int, mod: Modulus) -> SequenceTruncations:
     """Truncations of every intermediate series, following the schedule."""
     mod.check_precision(n)
-    key = ("truncs", tuple(ops), n)
-    cached = mod._memo.get(key)
-    if cached is not None:
-        return cached
+    return mod.cached(("truncs", tuple(ops), n), lambda: _truncations(ops, n, mod))
+
+
+def _truncations(ops, n, mod):
     for op in ops:
         _check_op(op, mod)
     sched = precision_schedule(ops, n)
@@ -183,9 +182,7 @@ def compute_g(ops, n: int, mod: Modulus) -> SequenceTruncations:
     for i, op in enumerate(ops):
         g = _apply_op(op, g, sched[i + 1], i + 1)
         out.append(g)
-    result = SequenceTruncations(tuple(out), tuple(sched[1:]))
-    mod._memo[key] = result
-    return result
+    return SequenceTruncations(tuple(out), tuple(sched[1:]))
 
 
 def validate(ops, n: int, mod: Modulus) -> CompositionSequence:
@@ -201,27 +198,32 @@ def _series_at(truncs: SequenceTruncations, mod, ell, n) -> Poly:
     return truncate(truncs.g[ell - 1], n)
 
 
+def _output_series(ops, n, mod) -> Poly:
+    """The output of ops mod x^max(n, 2)."""
+    if not ops:
+        return Poly.x(mod, max(n, 2))
+    return compute_g(ops, max(n, 2), mod).g[-1]
+
+
 def _inv_unit_pow(ops, lp, e, n, truncs, mod):
     """g_lp^e mod x^n; input-independent, cached across evaluations."""
-    key = ("upow", tuple(ops[:lp]), e, n)
-    P = mod._memo.get(key)
-    if P is None:
-        P = unit_pow(_series_at(truncs, mod, lp, n), e, n)
-        mod._memo[key] = P
-    return P
+    return mod.cached(
+        ("upow", tuple(ops[:lp]), e, n),
+        lambda: unit_pow(_series_at(truncs, mod, lp, n), e, n),
+    )
 
 
 def _root_powers(ops, ell, k, n, truncs, mod):
     """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell; cached."""
-    key = ("rootpow", tuple(ops[:ell]), k, n)
-    powers = mod._memo.get(key)
-    if powers is None:
+
+    def build():
         h = _series_at(truncs, mod, ell, n)
         powers = [Poly(mod, [1], n)]
         for _ in range(1, k):
             powers.append(mul_trunc(powers[-1], h, n))
-        mod._memo[key] = powers
-    return powers
+        return powers
+
+    return mod.cached(("rootpow", tuple(ops[:ell]), k, n), build)
 
 
 def _eval_aux(A, m, n, ell, ops, truncs, mod):
@@ -359,24 +361,30 @@ def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
     return tuple(rev)
 
 
+def _inverse_reduction(ops, n: int, mod: Modulus):
+    """(g0, g1, rev_ops) for the output g of ops: its first two coefficients
+    and the sequence reversing (g - g0) / g1, which is tangent to the
+    identity.  Raises NotInvertible if g1 = 0; cached per (ops, n)."""
+    ops = tuple(ops)
+
+    def build():
+        out = _output_series(ops, n, mod)
+        g0, g1 = out.coeffs[0], out.coeffs[1]
+        if g1 == 0:
+            raise NotInvertible("g'(0) = 0: evaluation map is singular")
+        ext = ops if (g0, g1) == (0, 1) else ops + (Add((-g0) % mod.p), Mul(mod.inv(g1)))
+        return g0, g1, reverse_sequence(ext, compute_g(ext, max(n, 2), mod), mod)
+
+    return mod.cached(("invred", ops, n), build)
+
+
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
     mod = A.mod
     mod.check_precision(n)
-    probe = compute_g(ops, max(n, 2), mod)
-    out = probe.g[-1] if ops else Poly.x(mod, 2)
-    g0 = out.coeffs[0]
-    g1 = out.coeffs[1] if out.dim > 1 else 0
-    if g1 == 0:
-        raise NotInvertible("g'(0) = 0: evaluation map is singular")
-    if g0 == 0 and g1 == 1:
-        ext = tuple(ops)
-    else:
-        ext = tuple(ops) + (Add((-g0) % mod.p), Mul(mod.inv(g1)))
-    truncs = compute_g(ext, max(n, 2), mod)
-    rev_ops = reverse_sequence(ext, truncs, mod)
+    g0, g1, rev_ops = _inverse_reduction(ops, n, mod)
     B = eval_seq(truncate(A, n), rev_ops, n)
-    if g0 == 0 and g1 == 1:
+    if (g0, g1) == (0, 1):
         return B
     return taylor_shift(scale(B, mod.inv(g1)), (-g0) % mod.p)
 
@@ -385,11 +393,12 @@ def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
 
 
 def _parse_scalar(token: str, mod: Modulus) -> int:
+    """An integer as written, or a fraction a/b as a residue mod p."""
     token = token.strip()
     if "/" in token:
         num, den = token.split("/", 1)
-        return int(num) * mod.inv(int(den) % mod.p) % mod.p
-    return int(token) % mod.p
+        return int(num) * mod.inv(int(den)) % mod.p
+    return int(token)
 
 
 def parse_sequence(text: str, mod: Modulus):
@@ -406,14 +415,14 @@ def parse_sequence(text: str, mod: Modulus):
         head, _, args = tok.partition(":")
         head = head.strip()
         if head == "A":
-            ops.append(Add(_parse_scalar(args, mod)))
+            ops.append(Add(_parse_scalar(args, mod) % mod.p))
         elif head == "M":
-            ops.append(Mul(_parse_scalar(args, mod)))
+            ops.append(Mul(_parse_scalar(args, mod) % mod.p))
         elif head == "P":
             ops.append(Pow(int(args)))
         elif head == "R":
             k, alpha, r = args.split(",")
-            ops.append(Root(int(k), _parse_scalar(alpha, mod), int(r)))
+            ops.append(Root(int(k), _parse_scalar(alpha, mod) % mod.p, int(r)))
         elif head == "Inv":
             ops.append(Inv())
         elif head == "E":

@@ -7,8 +7,9 @@ products of (x - p_i) over the blocks [j s, (j+1) s) ∩ [0, n), s = 2^k: all
 monic of degree s but at most one ragged last node.  The full nodes are the
 rows of one (n // s, s) array of their coefficients below x^s, so a level is
 built, reduced by or combined through with a few batched transforms (the row
-images of modfield); the ragged node goes through the 1-D _convolve.  Trees
-are cached per (modulus, n) with their nodes' images and derived data.
+images of modfield); the ragged node goes through the 1-D _convolve.  Grid
+and reciprocal trees are kept per n in Modulus.cached with their nodes'
+images; data derived from a tree is computed on first use and kept on it.
 
 The transposed maps use the generating-series identity
 sum_i v_i / (1 - p_i x) = N(x) / D(x), where D is the reversal of the root
@@ -19,7 +20,6 @@ reciprocal points.
 
 from __future__ import annotations
 
-import threading
 from functools import cached_property
 
 import numpy as np
@@ -27,8 +27,6 @@ import numpy as np
 from .modfield import Modulus, Poly, _convolve, _image, _image_coeffs, _image_mul
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
 from .seriesops import series_inv
-
-_tree_lock = threading.Lock()
 
 
 def _pairs(rows, nf):
@@ -47,8 +45,7 @@ class SubproductTree:
     def __init__(self, mod: Modulus, points):
         self.mod = mod
         self.n = n = len(points)
-        # residues of p >= 2^31 have products beyond int64: keep Python ints
-        self.dtype = np.int64 if mod._use_numpy else object
+        self.dtype = mod.dtype
         self.depth = (n - 1).bit_length()      # the top level has one node
         p = mod.p
         self.low = [np.array([(-x) % p for x in points], dtype=self.dtype).reshape(n, 1)]
@@ -175,23 +172,13 @@ class SubproductTree:
         return np.array(D, dtype=self.dtype), mod.inv(D[n - 1]), scale
 
 
-def _cached_tree(mod: Modulus, key, points) -> SubproductTree:
-    tree = mod._grid_trees.get(key)
-    if tree is None:
-        with _tree_lock:
-            tree = mod._grid_trees.get(key)
-            if tree is None:
-                tree = mod._grid_trees[key] = SubproductTree(mod, points())
-    return tree
-
-
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
-    return _cached_tree(mod, ("grid", n), lambda: range(n))
+    return mod.cached(("grid", n), lambda: SubproductTree(mod, range(n)))
 
 
 def _recip_tree(mod: Modulus, n: int) -> SubproductTree:
     """Tree over the points 1/1, 1/2, ..., 1/(n-1)."""
-    return _cached_tree(mod, ("recip", n), lambda: mod.inverses(n)[1:])
+    return mod.cached(("recip", n), lambda: SubproductTree(mod, mod.inverses(n)[1:]))
 
 
 def multieval_grid(A: Poly):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bivariate import BivariateSpec, eval_bivariate, eval_bivariate_inv
-from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, cost_class_of
+from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
 from .errors import SpecViolation, ZeroCoefficient
 from .modfield import Modulus, Poly
 from .seriesops import series_inv, unit_pow
@@ -562,15 +562,14 @@ def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
     One descriptor is kept per (name, params) and modulus: the data cached
     against a descriptor is then found again when a family is parsed again,
     instead of being cached anew on every call."""
-    key = ("family", name, tuple(sorted(params.items())))
-    fam = mod._memo.get(key)
-    if fam is None:
-        try:
-            builder = FAMILY_BUILDERS[name]
-        except KeyError:
-            raise SpecViolation(f"unknown family {name!r}") from None
-        fam = mod._memo[key] = builder(mod, params)
-    return fam
+
+    def build():
+        builder = FAMILY_BUILDERS.get(name)
+        if builder is None:
+            raise SpecViolation(f"unknown family {name!r}")
+        return builder(mod, params)
+
+    return mod.cached(("family", name, tuple(sorted(params.items()))), build)
 
 
 def family_names():
@@ -578,7 +577,8 @@ def family_names():
 
 
 def parse_family(mod: Modulus, text: str) -> FamilyDescriptor:
-    """Parse "name" or "name(key=value, ...)" into a descriptor."""
+    """Parse "name" or "name(key=value, ...)" into a descriptor; a value is an
+    integer, kept unreduced, or a fraction a/b, reduced mod p."""
     text = text.strip()
     if "(" not in text:
         return family(mod, text)
@@ -593,47 +593,37 @@ def parse_family(mod: Modulus, text: str) -> FamilyDescriptor:
         if "=" not in item:
             raise SpecViolation(f"malformed family parameter {item!r}")
         key, val = item.split("=", 1)
-        val = val.strip()
-        if "/" in val:
-            num, den = val.split("/", 1)
-            params[key.strip()] = int(num) * mod.inv(int(den) % mod.p) % mod.p
-        else:
-            params[key.strip()] = int(val)
+        try:
+            params[key.strip()] = _parse_scalar(val, mod)
+        except ValueError:
+            raise SpecViolation(f"malformed family parameter {item!r}") from None
     return family(mod, name.strip(), **params)
 
 
-def _checked_prefactor(fam: FamilyDescriptor, n: int, mod: Modulus):
-    key = ("prefac", fam, n)
-    cs = mod._memo.get(key)
-    if cs is None:
+def _prefactors(fam: FamilyDescriptor, n: int, mod: Modulus):
+    """(c_0..c_{n-1}, their inverses), cached; raises if some c_j vanishes."""
+
+    def build():
         cs = fam.prefactor(n)
         for j, c in enumerate(cs):
             if c % mod.p == 0:
                 raise ZeroCoefficient(
                     f"{fam.name}: prefactor c_{j} vanishes; conversion undefined"
                 )
-        mod._memo[key] = cs
-    return cs
+        return cs, mod.batch_inv(cs)
 
-
-def _prefactor_inverses(fam: FamilyDescriptor, n: int, mod: Modulus):
-    key = ("prefinv", fam, n)
-    cinv = mod._memo.get(key)
-    if cinv is None:
-        cinv = mod.batch_inv(_checked_prefactor(fam, n, mod))
-        mod._memo[key] = cinv
-    return cinv
+    return mod.cached(("prefac", fam, n), build)
 
 
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
     """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n."""
-    cinv = _prefactor_inverses(fam, n, mod)
+    _, cinv = _prefactors(fam, n, mod)
     a = [coeffs[j] * cinv[j] % mod.p if j < len(coeffs) else 0 for j in range(n)]
     return eval_bivariate(a, fam.spec, n, mod)
 
 
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial)."""
-    cs = _checked_prefactor(fam, n, mod)
+    cs, _ = _prefactors(fam, n, mod)
     b = eval_bivariate_inv(A, fam.spec, n, mod)
     return [b[j] * cs[j] % mod.p for j in range(n)]

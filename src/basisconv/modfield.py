@@ -1,20 +1,21 @@
 """Prime-field arithmetic and the polynomial multiplication kernel.
 
 Coefficients are plain Python ints in [0, p).  A Modulus bundles the prime
-with NTT machinery (2-adicity, primitive root, per-size twiddle tables) and
-shared caches (factorials).  A Poly is a dense coefficient list of a fixed
-declared dimension over one modulus; trailing zeros are stored explicitly so
-len(coeffs) == dim always holds.
+with NTT machinery (2-adicity, primitive root, per-size twiddle tables),
+factorials, and one cache for input-independent data (Modulus.cached).  A
+Poly is a dense coefficient list of a fixed declared dimension over one
+modulus; trailing zeros are stored explicitly so len(coeffs) == dim.
 
 The product kernel dispatches between schoolbook convolution (small sizes, or
-moduli without enough roots of unity) and an iterative radix-2 NTT.  For
-p < 2^31 the NTT runs vectorized on the rows of int64 numpy arrays, so one
-call transforms a whole batch of equal-length operands (_convolve_rows); a
-single product is its one-row case.  Larger primes fall back to a scalar
-big-int NTT.
+moduli without enough roots of unity) and an iterative radix-2 NTT on the
+rows of numpy arrays, so one call transforms a whole batch of equal-length
+operands (_convolve_rows); a single product is its one-row case.  Rows hold
+int64 for p < 2^31 and Python ints (dtype object) for larger primes.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def _find_primitive_root(p):
 
 
 class Modulus:
-    """A prime modulus with cached NTT twiddle factors and factorials."""
+    """A prime modulus with its NTT tables, factorials and cached data."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -107,10 +108,11 @@ class Modulus:
         self._bitrev = {}        # size -> np.ndarray
         self._fact = [1]
         self._inv_fact = [1]
-        self._inverses = [0, 1] if p > 2 else [0, 1]
-        self._grid_trees = {}    # used by evalgrid; keyed on point-set tag
-        self._memo = {}          # cross-call cache for input-independent data
-        self._use_numpy = p < (1 << 31)
+        self._inverses = [0, 1]
+        self._cache = {}         # key -> value, see cached()
+        self._lock = threading.RLock()
+        # residues of p >= 2^31 have products beyond int64: keep Python ints
+        self.dtype = np.int64 if p < (1 << 31) else object
 
     def __repr__(self):
         return f"Modulus({self.p})"
@@ -150,6 +152,21 @@ class Modulus:
             return 0 if e else 1
         return pow(a, e % (self.p - 1), self.p)
 
+    def cached(self, key, build):
+        """The value under key of data that depends only on the modulus and
+        the key, made by build() on the first call.  A hit takes no lock; a
+        miss builds under the (reentrant) lock, so each value is built once
+        even across threads.  A build that raises stores nothing.  The same
+        lock guards the growth of the factorial and inverse tables."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
     def check_precision(self, n):
         if n >= self.p:
             raise PrecisionExceedsModulus(f"precision {n} >= modulus {self.p}")
@@ -160,32 +177,35 @@ class Modulus:
         """[0!, 1!, ..., (n-1)!] mod p; requires n <= p."""
         if n > self.p:
             raise PrecisionExceedsModulus(f"factorials up to {n - 1} need p >= {n}")
-        while len(self._fact) < n:
-            k = len(self._fact)
-            self._fact.append(self._fact[-1] * k % self.p)
+        with self._lock:
+            while len(self._fact) < n:
+                k = len(self._fact)
+                self._fact.append(self._fact[-1] * k % self.p)
         return self._fact[:n]
 
     def inv_factorials(self, n):
         fact = self.factorials(n)
-        m = len(self._inv_fact)
-        if m < n:
-            # one inversion, then fill backwards: 1/k! = (k+1) * 1/(k+1)!
-            tail = [0] * (n - m)
-            tail[-1] = self.inv(fact[n - 1])
-            for k in range(n - 2, m - 1, -1):
-                tail[k - m] = tail[k - m + 1] * (k + 1) % self.p
-            self._inv_fact.extend(tail)
+        with self._lock:
+            m = len(self._inv_fact)
+            if m < n:
+                # one inversion, then fill backwards: 1/k! = (k+1) * 1/(k+1)!
+                tail = [0] * (n - m)
+                tail[-1] = self.inv(fact[n - 1])
+                for k in range(n - 2, m - 1, -1):
+                    tail[k - m] = tail[k - m + 1] * (k + 1) % self.p
+                self._inv_fact.extend(tail)
         return self._inv_fact[:n]
 
     def inverses(self, n):
         """[0, 1/1, 1/2, ..., 1/(n-1)] mod p in O(n); requires n <= p."""
         if n > self.p:
             raise PrecisionExceedsModulus(f"inverses up to {n - 1} need p >= {n}")
-        while len(self._inverses) < n:
-            i = len(self._inverses)
-            self._inverses.append(
-                (self.p - self.p // i) * self._inverses[self.p % i] % self.p
-            )
+        with self._lock:
+            while len(self._inverses) < n:
+                i = len(self._inverses)
+                self._inverses.append(
+                    (self.p - self.p // i) * self._inverses[self.p % i] % self.p
+                )
         return self._inverses[:n]
 
     def batch_inv(self, values):
@@ -224,7 +244,7 @@ class Modulus:
             ws = [1] * half
             for i in range(1, half):
                 ws[i] = ws[i - 1] * w % self.p
-            tw = np.array(ws, dtype=np.int64) if self._use_numpy else ws
+            tw = np.array(ws, dtype=self.dtype)
             self._twiddles[key] = tw
         return tw
 
@@ -234,7 +254,7 @@ def _ntt_numpy(mod: Modulus, rows, size, invert):
     zero-padded to size columns."""
     p = mod.p
     r = rows.shape[0]
-    a = np.zeros((r, size), dtype=np.int64)
+    a = np.zeros((r, size), dtype=mod.dtype)
     a[:, : rows.shape[1]] = rows
     a = a[:, mod._bitrev_indices(size)]
     length = 2
@@ -244,16 +264,16 @@ def _ntt_numpy(mod: Modulus, rows, size, invert):
         even = a[..., :half]
         odd = a[..., half:]
         if half > 1:
-            # a residue times a twiddle, both < 2^31, stays below 2^62: exact
+            # int64: a residue times a twiddle, both < 2^31, stays below 2^62
             odd *= mod._stage_twiddles(length, invert)
             odd %= p
         diff = even - odd
         even += odd
-        if a.size < CORRECTION_MIN:
+        if a.size < CORRECTION_MIN or a.dtype == object:
             even %= p
             diff %= p
         else:
-            # x >> 63 is -1 exactly where x < 0
+            # int64 x >> 63 is -1 exactly where x < 0
             even -= p
             even += (even >> 63) & p
             diff += (diff >> 63) & p
@@ -262,33 +282,6 @@ def _ntt_numpy(mod: Modulus, rows, size, invert):
     a = a.reshape(r, size)
     if invert:
         a = a * pow(size, p - 2, p) % p
-    return a
-
-
-def _ntt_scalar(mod: Modulus, values, size, invert):
-    p = mod.p
-    a = [0] * size
-    a[: len(values)] = [v % p for v in values]
-    idx = mod._bitrev_indices(size)
-    a = [a[int(i)] for i in idx]
-    length = 2
-    while length <= size:
-        w = pow(mod.primitive_root, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length // 2
-        for start in range(0, size, length):
-            wk = 1
-            for j in range(half):
-                u = a[start + j]
-                v = a[start + j + half] * wk % p
-                a[start + j] = (u + v) % p
-                a[start + j + half] = (u - v) % p
-                wk = wk * w % p
-        length *= 2
-    if invert:
-        ninv = pow(size, p - 2, p)
-        a = [x * ninv % p for x in a]
     return a
 
 
@@ -303,27 +296,22 @@ def _convolve_schoolbook(a, b, p):
 
 def _transforms(mod: Modulus, size):
     """Whether products mod x^size - 1 run through the vectorized NTT."""
-    return mod._use_numpy and size <= mod.max_ntt_len
+    return size <= mod.max_ntt_len
 
 
 def _convolve(mod: Modulus, a, b):
     """Exact cyclic-free product of two lists of residues in [0, p)."""
     out_len = len(a) + len(b) - 1
     size = 1 << (out_len - 1).bit_length()
-    if out_len < NTT_THRESHOLD or size > mod.max_ntt_len:
-        if out_len >= NTT_THRESHOLD and out_len > SCHOOLBOOK_LIMIT:
+    if out_len < NTT_THRESHOLD or not _transforms(mod, size):
+        if out_len > SCHOOLBOOK_LIMIT:
             raise CapacityExceeded(
                 f"product length {out_len} exceeds transform capacity "
                 f"{mod.max_ntt_len} of p={mod.p}"
             )
         return _convolve_schoolbook(a, b, mod.p)
-    if mod._use_numpy:
-        return _convolve_rows(mod, np.array([a]), np.array([b]))[0].tolist()
-    fa = _ntt_scalar(mod, a, size, False)
-    fb = _ntt_scalar(mod, b, size, False)
-    fc = [x * y % mod.p for x, y in zip(fa, fb)]
-    res = _ntt_scalar(mod, fc, size, True)
-    return res[:out_len]
+    A, B = np.array([a], dtype=mod.dtype), np.array([b], dtype=mod.dtype)
+    return _convolve_rows(mod, A, B)[0].tolist()
 
 
 def _convolve_rows(mod: Modulus, A, B):
@@ -338,7 +326,7 @@ def _convolve_rows(mod: Modulus, A, B):
     if not _transforms(mod, size):
         out = [_convolve(mod, a, b) for a, b in zip(A.tolist(), B.tolist())]
         return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
-    # pointwise product of two residues < 2^31 stays below 2^62: exact
+    # int64: a pointwise product of two residues < 2^31 stays below 2^62
     fc = _image(mod, A, size) * _image(mod, B, size) % mod.p
     return _image_coeffs(mod, fc, out_len)
 

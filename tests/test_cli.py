@@ -154,3 +154,25 @@ def test_selftest_quick():
     proc = run_cli(["selftest", "--quick"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_malformed_family_value_is_domain_error():
+    proc = run_cli(
+        ["convert", "--family", "hermite(x=abc)", "--dir", "to-monomial", "--n", "2"],
+        stdin=vec([1, 2]),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: SpecViolation")
+    assert "Traceback" not in proc.stderr
+
+
+def test_coefficients_outside_field_rejected():
+    for coeffs in (["-1", "2"], ["1", str(P + 4)]):
+        proc = run_cli(
+            ["convert", "--family", "hermite", "--dir", "to-monomial", "--n", "2"],
+            stdin=json.dumps({"modulus": str(P), "coeffs": coeffs}),
+        )
+        assert proc.returncode == 1
+        assert "DomainViolation" in proc.stderr
+        bad = 0 if coeffs[0] == "-1" else 1
+        assert f"coefficient {bad} " in proc.stderr

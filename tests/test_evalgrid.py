@@ -15,10 +15,10 @@ from basisconv.evalgrid import (
 )
 from basisconv.oracle import stirling_matrices
 
-# 29 * 2^57 + 1: prime, above 2^31, so products take the scalar NTT path
+# 29 * 2^57 + 1: prime, above 2^31, so the NTT runs on rows of Python ints
 SCALAR_PRIME = 4179340454199820289
 # ragged sizes on both sides of powers of two; capped below p, and at 100 on
-# the scalar prime, where every product runs in pure Python
+# the big prime, where every product works on Python ints
 SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
 
 

@@ -26,7 +26,7 @@ from basisconv.modfield import (
     is_prime,
 )
 
-# 40-bit prime with 2-adicity 20: forces the scalar (non-numpy) NTT path
+# 40-bit prime with 2-adicity 20: its NTT runs on rows of Python ints
 P40 = 1099489607681
 
 
@@ -92,7 +92,7 @@ def test_convolve_matches_schoolbook(mod):
 
 def test_convolve_scalar_ntt_path():
     mod = Modulus(P40)
-    assert not mod._use_numpy
+    assert mod.dtype is object
     rng = random.Random(2)
     a = [rng.randrange(mod.p) for _ in range(70)]
     b = [rng.randrange(mod.p) for _ in range(65)]
@@ -102,9 +102,9 @@ def test_convolve_scalar_ntt_path():
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 97, 101, P40])
 def test_convolve_rows_matches_convolve(p):
     # product lengths on both sides of NTT_THRESHOLD and, for 97 = 3 * 2^5 + 1
-    # and 101 = 25 * 2^2 + 1, of max_ntt_len; P40 takes the scalar path
+    # and 101 = 25 * 2^2 + 1, of max_ntt_len; P40 transforms rows of Python ints
     mod = Modulus(p)
-    dtype = np.int64 if mod._use_numpy else object
+    dtype = mod.dtype
     rng = random.Random(5)
     edges = {NTT_THRESHOLD - 1, NTT_THRESHOLD, NTT_THRESHOLD + 1}
     edges |= {mod.max_ntt_len, mod.max_ntt_len + 1} if mod.max_ntt_len <= 64 else set()
@@ -122,7 +122,7 @@ def test_convolve_rows_matches_convolve(p):
 def test_image_products_are_cyclic(p):
     # images multiply rows mod x^size - 1, with or without a transform
     mod = Modulus(p)
-    dtype = np.int64 if mod._use_numpy else object
+    dtype = mod.dtype
     rng = random.Random(6)
     size = 8
     A = [[rng.randrange(p) for _ in range(size)] for _ in range(2)]
