@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .compseq import _inverse_reduction, _output_series, eval_seq, eval_seq_inv, eval_seq_t
 from .errors import SingularDiagonal, SpecViolation
-from .modfield import Modulus, Poly, mul_trunc, mul_trunc_t
+from .modfield import Modulus, Poly, _readonly, mul_trunc, mul_trunc_t
 from .polyops import diagonal, scale, taylor_shift_t, truncate
 from .seriesops import series_inv
 
@@ -48,9 +50,9 @@ def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
         h = _output_series(spec.h_ops, n, mod)
         if g.constant() != 0 and h.constant() != 0:
             raise SpecViolation("g(0) * h(0) must vanish")
-        if g.dim < 2 or g.coeffs[1] == 0:
+        if g.dim < 2 or g.arr[1] == 0:
             raise SpecViolation("g'(0) must be nonzero")
-        if h.dim < 2 or h.coeffs[1] == 0:
+        if h.dim < 2 or h.arr[1] == 0:
             raise SpecViolation("h'(0) must be nonzero")
         _, v, u = _spec_vectors(spec, n, mod)
         if u is not None and u.constant() == 0:
@@ -62,25 +64,26 @@ def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
 
 
 def _spec_vectors(spec, n, mod):
-    """(f coefficient list, v and u as Poly or None) at precision n, cached."""
+    """(f_0..f_{n-1} as an array, v and u as Poly or None) at precision n,
+    cached."""
     return mod.cached(("fvu", spec, n), lambda: (
-        spec.f_coeffs(n),
+        Poly(mod, spec.f_coeffs(n), n).arr,
         _series_poly(mod, spec.v_coeffs, n),
         _series_poly(mod, spec.u_coeffs, n),
     ))
 
 
 def _inverse_vectors(spec, n, mod):
-    """(1/f_k list, 1/u and 1/v as Poly or None) at precision n, cached;
+    """(1/f_k array, 1/u and 1/v as Poly or None) at precision n, cached;
     raises SingularDiagonal at the first vanishing f_k."""
 
     def build():
         f, v, u = _spec_vectors(spec, n, mod)
-        for k, fk in enumerate(f):
-            if fk % mod.p == 0:
-                raise SingularDiagonal(f"f coefficient at index {k} vanishes")
+        zeros = np.flatnonzero(f == 0)
+        if len(zeros):
+            raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
         return (
-            mod.batch_inv(f),
+            _readonly(mod.inv_array(f)),
             None if u is None else series_inv(u, n),
             None if v is None else series_inv(v, n),
         )
@@ -92,7 +95,7 @@ def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """sum_j xi_j(x) a_j mod x^n for the series sum_j xi_j t^j = u v f(g h)."""
     mod.check_precision(n)
     check_spec(spec, n, mod)
-    cur = Poly(mod, list(a), n)
+    cur = Poly(mod, a, n)
     f, v, u = _spec_vectors(spec, n, mod)
     if v is not None:
         cur = mul_trunc_t(cur, v, n)

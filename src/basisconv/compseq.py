@@ -325,12 +325,12 @@ def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
     out = truncs.g[-1] if L else None
     if L == 0:
         return ()
-    if out.dim < 2 or out.coeffs[0] != 0 or out.coeffs[1] == 0:
+    if out.dim < 2 or out.arr[0] != 0 or out.arr[1] == 0:
         raise NotTangentToIdentity(
             "sequence output has no compositional inverse (needs valuation 1); "
             "use eval_inv for the general linear-map inverse"
         )
-    g1_inv = mod.inv(out.coeffs[1])
+    g1_inv = mod.inv(int(out.arr[1]))
     rev = []
     for i in range(L, 0, -1):
         op = ops[i - 1]
@@ -354,7 +354,7 @@ def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
                 raise AmbiguousValuation(
                     f"step {i}: zero truncation, cannot reverse powering"
                 )
-            alpha = prev.coeffs[val] * mod.pow(g1_inv, val) % mod.p
+            alpha = int(prev.arr[val]) * mod.pow(g1_inv, val) % mod.p
             rev.append(Root(op.k, alpha, val))
         else:
             raise TypeError(f"unknown operator {op!r}")
@@ -369,7 +369,7 @@ def _inverse_reduction(ops, n: int, mod: Modulus):
 
     def build():
         out = _output_series(ops, n, mod)
-        g0, g1 = out.coeffs[0], out.coeffs[1]
+        g0, g1 = int(out.arr[0]), int(out.arr[1])
         if g1 == 0:
             raise NotInvertible("g'(0) = 0: evaluation map is singular")
         ext = ops if (g0, g1) == (0, 1) else ops + (Add((-g0) % mod.p), Mul(mod.inv(g1)))

@@ -38,8 +38,7 @@ def _power_stack(mod, series, weights, n):
     cur = Poly(mod, [1], n)
     for k in range(n):
         if weights[k]:
-            row = [c * weights[k] % mod.p for c in cur.coeffs]
-            out[k] = row
+            out[k] = cur.arr * weights[k] % mod.p
         if k + 1 < n:
             cur = mul_trunc(cur, series, n)
     return out
@@ -59,6 +58,6 @@ def conversion_matrix(spec, n: int, mod: Modulus):
         v = Poly(mod, spec.v_coeffs(n), n)
         rows = np.zeros_like(M)
         for i in range(n):
-            rows[i] = mul_trunc(Poly(mod, [int(x) for x in M[i]], n), v, n).coeffs
+            rows[i] = mul_trunc(Poly.of(mod, M[i]), v, n).arr
         M = rows
-    return [[int(x) for x in row] for row in M]
+    return M.tolist()

@@ -24,7 +24,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .modfield import Modulus, Poly, _convolve, _image, _image_coeffs, _image_mul
+from .modfield import (
+    Modulus,
+    Poly,
+    _arange,
+    _convolve,
+    _fit,
+    _image,
+    _image_coeffs,
+    _image_mul,
+    _residues,
+)
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
 from .seriesops import series_inv
 
@@ -34,12 +44,18 @@ def _pairs(rows, nf):
     return rows[0 : 2 * nf : 2], rows[1 : 2 * nf : 2]
 
 
+def _monic(low):
+    """The coefficients of x^len(low) + low."""
+    return np.concatenate([low, np.ones(1, dtype=low.dtype)])
+
+
 class SubproductTree:
-    """Subproduct tree over a list of distinct points, stored level by level.
+    """Subproduct tree over an array of distinct points, stored level by
+    level.
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
-    their images at size 2s, below the top level; rag[k]: the coefficient
-    list of the ragged node of level k, or None.
+    their images at size 2s, below the top level; rag[k]: the coefficients
+    of the ragged node of level k, or None.
     """
 
     def __init__(self, mod: Modulus, points):
@@ -48,7 +64,7 @@ class SubproductTree:
         self.dtype = mod.dtype
         self.depth = (n - 1).bit_length()      # the top level has one node
         p = mod.p
-        self.low = [np.array([(-x) % p for x in points], dtype=self.dtype).reshape(n, 1)]
+        self.low = [((-_residues(mod, points)) % p).reshape(n, 1)]
         self.img, self.rag = [], [None]
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
@@ -60,11 +76,11 @@ class SubproductTree:
             self.low.append(cur % p)
             r, rag = n % s, self.rag[-1]
             if r >= h:
-                full = self.low[k - 1][2 * nf].tolist() + [1]
+                full = _monic(self.low[k - 1][2 * nf])
                 rag = full if r == h else _convolve(mod, full, rag)
             self.rag.append(rag if r else None)
         top = self.rag[-1]
-        self.root = top if top is not None else self.low[-1][0].tolist() + [1]
+        self.root = top if top is not None else _monic(self.low[-1][0])
 
     @cached_property
     def _inverses(self):
@@ -84,15 +100,15 @@ class SubproductTree:
             d = _image_coeffs(mod, _image_mul(mod, y0_img, _image(mod, e, s)), h)
             iimg.append(_image(mod, np.concatenate([y0, (-d) % p], axis=1), 2 * s))
         rinv = [
-            series_inv(Poly(mod, rag[::-1], 1 << k), 1 << k).coeffs
+            series_inv(Poly.of(mod, _fit(rag[::-1], 1 << k)), 1 << k).arr
             if rag is not None and (n >> k) & 1 else None
             for k, rag in enumerate(self.rag)
         ]
         return iimg, rinv
 
     def multieval(self, cs):
-        """Values at every point of the polynomial with coefficients cs,
-        len(cs) <= number of points, in point order."""
+        """Values at every point of the polynomial with coefficients cs (an
+        array of residues, len(cs) <= number of points), in point order."""
         mod, p, n = self.mod, self.mod.p, self.n
         iimg, rinv = self._inverses
         rem = np.zeros((1, 1 << self.depth), dtype=self.dtype)
@@ -109,26 +125,24 @@ class SubproductTree:
                 last = rem[nf >> 1, :h]
                 if nf & 1:
                     # the ragged parent has degree h + r; divide by its right child
-                    a = rem[nf >> 1, : h + r].tolist()
+                    a = rem[nf >> 1, : h + r]
                     q = _convolve(mod, a[: r - 1 : -1], rinv[k])[:h][::-1]
-                    qm1 = _convolve(mod, q, self.rag[k])[:r]
-                    last = [(x - y) % p for x, y in zip(a, qm1)] + [0] * (h - r)
-                nxt = np.vstack([nxt, np.array(last, dtype=self.dtype)])
+                    last = _fit((a[:r] - _convolve(mod, q, self.rag[k])[:r]) % p, h)
+                nxt = np.vstack([nxt, last])
             rem = nxt
-        return rem[:, 0].tolist()
+        return rem[:, 0]
 
     @cached_property
     def weights(self):
         """1 / M'(p_i) for every point."""
-        mod = self.mod
-        deriv = [i * c % mod.p for i, c in enumerate(self.root)][1:]
-        return np.array(mod.batch_inv(self.multieval(deriv)), dtype=self.dtype)
+        mod, root = self.mod, self.root
+        return mod.inv_array(self.multieval(root[1:] * _arange(mod, 1, len(root)) % mod.p))
 
     def combine(self, cs):
-        """sum_i c_i prod_{j != i} (x - p_j) for residues c_i, as an array
-        of length n."""
+        """sum_i c_i prod_{j != i} (x - p_j) for an array of residues c_i,
+        as an array of length n."""
         mod, p, n = self.mod, self.mod.p, self.n
-        v = np.asarray(cs, dtype=self.dtype).reshape(n, 1)
+        v = cs.reshape(n, 1)
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             il, ir = _pairs(self.img[k - 1], nf)
@@ -139,55 +153,54 @@ class SubproductTree:
             cur %= p
             r = n % s
             if r:
-                last = v[2 * nf].tolist()      # the ragged node's only child, if r <= h
+                last = v[2 * nf]      # the ragged node's only child, if r <= h
                 if r > h:
-                    full = self.low[k - 1][2 * nf].tolist() + [1]
+                    full = _monic(self.low[k - 1][2 * nf])
                     left = _convolve(mod, last, self.rag[k - 1])
-                    right = _convolve(mod, v[2 * nf + 1][: r - h].tolist(), full)
-                    last = [(x + y) % p for x, y in zip(left, right)]
-                cur = np.vstack([cur, np.array(last + [0] * (s - len(last)), dtype=self.dtype)])
+                    right = _convolve(mod, v[2 * nf + 1][: r - h], full)
+                    last = (left + right) % p
+                cur = np.vstack([cur, _fit(last, s)])
             v = cur
         return v[0, :n]
 
     def interp(self, values) -> Poly:
         """The unique polynomial of dim n taking the given values."""
-        p = self.mod.p
-        cs = np.array([v % p for v in values], dtype=self.dtype) * self.weights % p
-        return Poly(self.mod, self.combine(cs).tolist(), self.n)
+        cs = _residues(self.mod, values) * self.weights % self.mod.p
+        return Poly.of(self.mod, self.combine(cs).copy())
 
     @cached_property
     def den_inv(self):
         """1 / prod(1 - p_i x) mod x^n."""
-        return series_inv(Poly(self.mod, self.root[::-1], self.n), self.n).coeffs
+        return series_inv(Poly.of(self.mod, _fit(self.root[::-1], self.n)), self.n).arr
 
     @cached_property
     def interp_t_data(self):
         """Of the grid tree: D = prod_{i=1}^{n-1} (1 - i x), 1 / D[n-1],
         and -i / D'(1/i) for i = 1..n-1."""
         mod, p, n = self.mod, self.mod.p, self.n
-        D = self.root[::-1][:n]      # the x - 0 factor of the root reverses into 1
-        Dprime = [i * c % p for i, c in enumerate(D)][1:]
-        dinvs = mod.batch_inv(_recip_tree(mod, n).multieval(Dprime))
-        scale = np.array([(-i) * dinvs[i - 1] % p for i in range(1, n)], dtype=self.dtype)
-        return np.array(D, dtype=self.dtype), mod.inv(D[n - 1]), scale
+        D = _fit(self.root[::-1], n)      # the x - 0 factor of the root reverses into 1
+        Dprime = D[1:] * _arange(mod, 1, n) % p
+        dinvs = mod.inv_array(_recip_tree(mod, n).multieval(Dprime))
+        scale = (-_arange(mod, 1, n)) * dinvs % p
+        return D, mod.inv(int(D[n - 1])), scale
 
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
-    return mod.cached(("grid", n), lambda: SubproductTree(mod, range(n)))
+    return mod.cached(("grid", n), lambda: SubproductTree(mod, _arange(mod, 0, n)))
 
 
 def _recip_tree(mod: Modulus, n: int) -> SubproductTree:
     """Tree over the points 1/1, 1/2, ..., 1/(n-1)."""
-    return mod.cached(("recip", n), lambda: SubproductTree(mod, mod.inverses(n)[1:]))
+    return mod.cached(("recip", n), lambda: SubproductTree(mod, mod.table("inverses", n)[1:]))
 
 
 def multieval_grid(A: Poly):
-    """(A(0), ..., A(n-1)) for A of dim n; requires n < p."""
+    """(A(0), ..., A(n-1)) for A of dim n, as an array; requires n < p."""
     n = A.dim
     A.mod.check_precision(n)
     if n == 1:
-        return [A.coeffs[0]]
-    return _grid_tree(A.mod, n).multieval(A.coeffs)
+        return A.arr.copy()
+    return _grid_tree(A.mod, n).multieval(A.arr)
 
 
 def interp_grid(mod: Modulus, values) -> Poly:
@@ -195,7 +208,7 @@ def interp_grid(mod: Modulus, values) -> Poly:
     n = len(values)
     mod.check_precision(n)
     if n == 1:
-        return Poly(mod, [values[0]], 1)
+        return Poly(mod, values, 1)
     return _grid_tree(mod, n).interp(values)
 
 
@@ -205,28 +218,29 @@ def multieval_grid_t(mod: Modulus, values) -> Poly:
     n = len(values)
     mod.check_precision(n)
     if n == 1:
-        return Poly(mod, [values[0]], 1)
+        return Poly(mod, values, 1)
     tree = _grid_tree(mod, n)
     # N = sum_i v_i prod_{j != i} (1 - p_j x) is the combine read backwards
-    num = tree.combine([v % mod.p for v in values])[::-1]
-    prod = _convolve(mod, num.tolist(), tree.den_inv)
-    return Poly(mod, prod[:n], n)
+    num = tree.combine(_residues(mod, values))[::-1]
+    return Poly.of(mod, _fit(_convolve(mod, num, tree.den_inv), n))
 
 
 def interp_grid_t(A: Poly):
-    """Transposed interpolation: the unique y with
-    multieval_grid_t(y) = A."""
+    """Transposed interpolation: the unique y with multieval_grid_t(y) = A,
+    as an array."""
     mod, n = A.mod, A.dim
     mod.check_precision(n)
     if n == 1:
-        return [A.coeffs[0]]
+        return A.arr.copy()
     D, lead_inv, scale = _grid_tree(mod, n).interp_t_data
-    N = np.array(_convolve(mod, A.coeffs, D.tolist())[:n], dtype=D.dtype)
+    N = _convolve(mod, A.arr, D)[:n]
     y0 = int(N[n - 1]) * lead_inv % mod.p
     # y0 clears coefficient n - 1, so the rest has fewer terms than points
     Nred = (N[: n - 1] - y0 * D[: n - 1]) % mod.p
-    nvals = _recip_tree(mod, n).multieval(Nred)
-    return [y0] + (np.array(nvals, dtype=D.dtype) * scale % mod.p).tolist()
+    out = np.empty(n, dtype=D.dtype)
+    out[0] = y0
+    out[1:] = _recip_tree(mod, n).multieval(Nred) * scale % mod.p
+    return out
 
 
 # -- evaluation at exp(x)-1 and log(1+x) ----------------------------------
@@ -237,17 +251,16 @@ def exp_map(A: Poly, n: int) -> Poly:
     mod = A.mod
     mod.check_precision(n)
     B = taylor_shift(truncate(A, n), mod.p - 1)
-    C = multieval_grid_t(mod, B.coeffs)
-    return diagonal(C, mod.inv_factorials(n))
+    C = multieval_grid_t(mod, B.arr)
+    return diagonal(C, mod.table("inv_factorials", n))
 
 
 def log_map(A: Poly, n: int) -> Poly:
     """A(log(1 + x)) mod x^n."""
     mod = A.mod
     mod.check_precision(n)
-    B = diagonal(truncate(A, n), mod.factorials(n))
-    C = interp_grid_t(B)
-    return taylor_shift(Poly(mod, C, n), 1)
+    B = diagonal(truncate(A, n), mod.table("factorials", n))
+    return taylor_shift(Poly.of(mod, interp_grid_t(B)), 1)
 
 
 def exp_map_t(A: Poly, m: int) -> Poly:
@@ -255,9 +268,8 @@ def exp_map_t(A: Poly, m: int) -> Poly:
     mod = A.mod
     n = A.dim
     mod.check_precision(n)
-    B = diagonal(A, mod.inv_factorials(n))
-    vals = multieval_grid(B)
-    C = taylor_shift_t(Poly(mod, vals, n), mod.p - 1)
+    B = diagonal(A, mod.table("inv_factorials", n))
+    C = taylor_shift_t(Poly.of(mod, multieval_grid(B)), mod.p - 1)
     return truncate(C, m)
 
 
@@ -267,5 +279,5 @@ def log_map_t(A: Poly, m: int) -> Poly:
     n = A.dim
     mod.check_precision(n)
     B = taylor_shift_t(A, 1)
-    C = interp_grid(mod, B.coeffs)
-    return truncate(diagonal(C, mod.factorials(n)), m)
+    C = interp_grid(mod, B.arr)
+    return truncate(diagonal(C, mod.table("factorials", n)), m)

@@ -12,12 +12,24 @@ O(M(n) log n).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bivariate import BivariateSpec, eval_bivariate, eval_bivariate_inv
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
-from .errors import SpecViolation, ZeroCoefficient
-from .modfield import Modulus, Poly
+from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoefficient
+from .modfield import (
+    Modulus,
+    Poly,
+    _arange,
+    _fit,
+    _powers,
+    _prefix_products,
+    _readonly,
+    _residues,
+)
 from .seriesops import series_inv, unit_pow
 
 
@@ -37,6 +49,15 @@ class FamilyDescriptor:
 
 
 # -- coefficient generators ------------------------------------------------
+#
+# Each generator is a callable n -> list of n coefficients (BivariateSpec's
+# contract, which the oracle reads too); the arrays behind them are built by
+# vectorized recurrences: a term ratio per index, then running products.
+
+
+def _running_products(mod, ratios):
+    """[1, r_1, r_1 r_2, ...] for an array of residue ratios r_1..r_{n-1}."""
+    return _prefix_products(np.concatenate([np.ones(1, dtype=mod.dtype), ratios]), mod.p)
 
 
 def _ones(mod):
@@ -44,68 +65,59 @@ def _ones(mod):
 
 
 def _inv_fact(mod):
-    return lambda n: list(mod.inv_factorials(n))
+    return mod.inv_factorials
 
 
 def _exp_coeffs(mod, c):
-    def gen(n):
-        invf = mod.inv_factorials(n)
-        out = []
-        acc = 1
-        for k in range(n):
-            out.append(acc * invf[k] % mod.p)
-            acc = acc * c % mod.p
-        return out
+    # c^k / k!
+    return lambda n: (
+        _powers(mod, c % mod.p, n) * mod.table("inv_factorials", n) % mod.p
+    ).tolist()
 
-    return gen
+
+def _binomial_array(mod, c, e, n):
+    """(1 + c t)^e mod t^n for a field-element exponent e: term k is term k-1
+    times c (e - k + 1) / k."""
+    p = mod.p
+    k = _arange(mod, 1, n)
+    ratios = (e % p - k + 1) % p * (c % p) % p * mod.table("inverses", n)[1:] % p
+    return _running_products(mod, ratios)
 
 
 def _binomial_series(mod, c, e):
-    """(1 + c t)^e for a field-element exponent e, via the term recurrence."""
+    return lambda n: _binomial_array(mod, c, e, n).tolist()
 
-    def gen(n):
-        invs = mod.inverses(n)
-        out = [1]
-        for k in range(1, n):
-            term = out[-1] * c % mod.p
-            term = term * ((e - (k - 1)) % mod.p) % mod.p
-            out.append(term * invs[k] % mod.p)
-        return out
 
-    return gen
+def _rising(mod, x, n):
+    """(x + k - 1) mod p for k = 1..n-1, the factors of (x)_(n-1)."""
+    return (x % mod.p + _arange(mod, 0, n - 1)) % mod.p
+
+
+def _nonzero_rising(mod, x, n, message):
+    """_rising(mod, x, n); raises ZeroCoefficient(message(k)) at the first k
+    whose factor vanishes."""
+    d = _rising(mod, x, n)
+    zeros = np.flatnonzero(d == 0)
+    if len(zeros):
+        raise ZeroCoefficient(message(int(zeros[0]) + 1))
+    return d
 
 
 def _hyp2f1_coeffs(mod, a, b, c):
     """Coefficients of 2F1(a, b; c; z): (a)_k (b)_k / ((c)_k k!)."""
 
     def gen(n):
-        out = [1]
-        for k in range(1, n):
-            den = (c + k - 1) % mod.p
-            if den == 0:
-                raise ZeroCoefficient(
-                    f"2F1 lower parameter hits zero at index {k}"
-                )
-            term = out[-1] * ((a + k - 1) % mod.p) % mod.p
-            term = term * ((b + k - 1) % mod.p) % mod.p
-            term = term * mod.inv(den * k % mod.p) % mod.p
-            out.append(term)
-        return out
+        p = mod.p
+        den = _nonzero_rising(mod, c, n, lambda k: f"2F1 lower parameter hits zero at index {k}")
+        num = _rising(mod, a, n) * _rising(mod, b, n) % p
+        return _running_products(mod, num * mod.inv_array(den * _arange(mod, 1, n) % p) % p).tolist()
 
     return gen
 
 
 def _spread_f(mod):
     # z / (1 + 4z): f_0 = 0, f_k = (-4)^(k-1)
-    def gen(n):
-        out = [0]
-        acc = 1
-        for _ in range(1, n):
-            out.append(acc)
-            acc = acc * (-4) % mod.p
-        return out
-
-    return gen
+    return lambda n: [0] + _powers(mod, (-4) % mod.p, n - 1).tolist()
 
 
 def _unit_power_series(mod, base_fn, e):
@@ -120,18 +132,15 @@ def _unit_power_series(mod, base_fn, e):
 
 def _exp_minus_one_over_t(mod):
     # (e^t - 1)/t: coefficient k is 1/(k+1)!
-    def fn(n):
-        invf = mod.inv_factorials(n + 1)
-        return [invf[k + 1] for k in range(n)]
-
-    return fn
+    return lambda n: mod.table("inv_factorials", n + 1)[1:].tolist()
 
 
 def _log_one_plus_over_t(mod):
     # log(1+t)/t: coefficient k is (-1)^k/(k+1)
     def fn(n):
-        invs = mod.inverses(n + 1)
-        return [(-1) ** k * invs[k + 1] % mod.p for k in range(n)]
+        out = mod.table("inverses", n + 1)[1:].copy()
+        out[1::2] = (-out[1::2]) % mod.p
+        return out.tolist()
 
     return fn
 
@@ -150,41 +159,24 @@ def _poch_ratio(mod, num, den):
     """(num)_n / (den)_n; raises if a denominator factor vanishes."""
 
     def gen(n):
-        dens = []
-        for k in range(1, n):
-            d = (den + k - 1) % mod.p
-            if d == 0:
-                raise ZeroCoefficient(f"Pochhammer ({den})_{k} vanishes")
-            dens.append(d)
-        dinvs = mod.batch_inv(dens)
-        out = [1]
-        for k in range(1, n):
-            out.append(out[-1] * ((num + k - 1) % mod.p) % mod.p * dinvs[k - 1] % mod.p)
-        return out
+        d = _nonzero_rising(mod, den, n, lambda k: f"Pochhammer ({den})_{k} vanishes")
+        return _running_products(mod, _rising(mod, num, n) * mod.inv_array(d) % mod.p).tolist()
 
     return gen
 
 
 def _poch_over_fact(mod, beta):
+    # (beta)_n / n!
     def gen(n):
-        invs = mod.inverses(n)
-        out = [1]
-        for k in range(1, n):
-            out.append(out[-1] * ((beta + k - 1) % mod.p) % mod.p * invs[k] % mod.p)
-        return out
+        invs = mod.table("inverses", n)[1:]
+        return _running_products(mod, _rising(mod, beta, n) * invs % mod.p).tolist()
 
     return gen
 
 
 def _binom_prefactor(mod, N):
-    def gen(n):
-        invs = mod.inverses(n)
-        out = [1]
-        for k in range(1, n):
-            out.append(out[-1] * ((N - k + 1) % mod.p) % mod.p * invs[k] % mod.p)
-        return out
-
-    return gen
+    # binom(N, n)
+    return lambda n: _binomial_array(mod, 1, N, n).tolist()
 
 
 # -- composition-sequence builders ----------------------------------------
@@ -292,13 +284,12 @@ def _build_laguerre(mod, params):
 
 def _build_hermite(mod, params):
     def v(n):
-        out = [0] * n
-        invf = mod.inv_factorials(n)
-        sign = 1
-        for j in range(0, (n + 1) // 2):
-            out[2 * j] = sign * invf[j] % mod.p
-            sign = -sign
-        return out
+        # exp(-t^2): coefficient 2j is (-1)^j / j!
+        even = mod.table("inv_factorials", (n + 1) // 2).copy()
+        even[1::2] = (-even[1::2]) % mod.p
+        out = np.zeros(n, dtype=mod.dtype)
+        out[::2] = even
+        return out.tolist()
 
     spec = BivariateSpec(
         f_coeffs=_exp_coeffs(mod, 1), g_ops=(Mul(2),), h_ops=(), v_coeffs=v
@@ -323,7 +314,7 @@ def _build_jacobi(mod, params):
 
 def _build_fibonacci(mod, params):
     def v(n):
-        return [1 if k % 2 == 0 else 0 for k in range(n)]
+        return ([1, 0] * n)[:n]
 
     spec = BivariateSpec(
         f_coeffs=_ones(mod), g_ops=(), h_ops=_fibonacci_h_ops(mod), v_coeffs=v
@@ -336,9 +327,9 @@ def _build_euler(mod, params):
 
     def base(n):
         # (e^t + 1)/2
-        invf = mod.inv_factorials(n)
-        half = mod.inv(2)
-        return [1] + [half * invf[k] % mod.p for k in range(1, n)]
+        out = mod.table("inv_factorials", n) * mod.inv(2) % mod.p
+        out[0] = 1
+        return out.tolist()
 
     spec = BivariateSpec(
         f_coeffs=_exp_coeffs(mod, 1),
@@ -446,13 +437,12 @@ def _build_peters(mod, params):
     mu = _int_param(params, "mu")
 
     def v(n):
-        w = _binomial_series(mod, 1, lam)(n)   # (1+t)^lambda
-        w[0] = (w[0] + 1) % mod.p              # 1 + (1+t)^lambda, constant 2
-        half = mod.inv(2)
-        base = Poly(mod, [c * half % mod.p for c in w], n)
+        w = _binomial_array(mod, 1, lam, n)     # (1+t)^lambda
+        w[0] = (w[0] + 1) % mod.p               # 1 + (1+t)^lambda, constant 2
+        base = Poly.of(mod, w * mod.inv(2) % mod.p)
         body = unit_pow(base, (-mu) % mod.p, n)
-        scalar = mod.pow(2, -mu)               # mu must be a plain integer
-        return [c * scalar % mod.p for c in body.coeffs]
+        scalar = mod.pow(2, -mu)                # mu must be a plain integer
+        return (body.arr * scalar % mod.p).tolist()
 
     spec = BivariateSpec(
         f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=(Log(),), v_coeffs=v
@@ -601,29 +591,51 @@ def parse_family(mod: Modulus, text: str) -> FamilyDescriptor:
 
 
 def _prefactors(fam: FamilyDescriptor, n: int, mod: Modulus):
-    """(c_0..c_{n-1}, their inverses), cached; raises if some c_j vanishes."""
+    """(c_0..c_{n-1}, their inverses) as arrays, cached; raises if some c_j
+    vanishes."""
 
     def build():
-        cs = fam.prefactor(n)
-        for j, c in enumerate(cs):
-            if c % mod.p == 0:
-                raise ZeroCoefficient(
-                    f"{fam.name}: prefactor c_{j} vanishes; conversion undefined"
-                )
-        return cs, mod.batch_inv(cs)
+        cs = _residues(mod, fam.prefactor(n))
+        zeros = np.flatnonzero(cs == 0)
+        if len(zeros):
+            raise ZeroCoefficient(
+                f"{fam.name}: prefactor c_{zeros[0]} vanishes; conversion undefined"
+            )
+        return _readonly(cs), _readonly(mod.inv_array(cs))
 
     return mod.cached(("prefac", fam, n), build)
 
 
+def _input_vector(coeffs, n: int, mod: Modulus):
+    """coeffs as an array of mod.dtype; raises DimensionMismatch for more
+    than n entries and DomainViolation at the first entry outside [0, p)."""
+    if len(coeffs) > n:
+        raise DimensionMismatch(f"{len(coeffs)} coefficients exceed dimension {n}")
+    a = np.asarray(coeffs)
+    if len(a) and a.dtype.kind not in "iu":
+        # integers beyond int64 (dtype object), or entries that are no integers
+        try:
+            a = np.array([operator.index(c) for c in coeffs], dtype=object)
+        except TypeError:
+            raise DomainViolation("coefficients must be integers") from None
+    bad = np.flatnonzero((a < 0) | (a >= mod.p))
+    if len(bad):
+        j = int(bad[0])
+        raise DomainViolation(f"coefficient {j} = {coeffs[j]} lies outside [0, {mod.p})")
+    return a.astype(mod.dtype, copy=False)
+
+
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
-    """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n."""
+    """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n; the
+    n or fewer coefficients must be residues in [0, p)."""
+    a = _input_vector(coeffs, n, mod)
     _, cinv = _prefactors(fam, n, mod)
-    a = [coeffs[j] * cinv[j] % mod.p if j < len(coeffs) else 0 for j in range(n)]
-    return eval_bivariate(a, fam.spec, n, mod)
+    return eval_bivariate(_fit(a, n) * cinv % mod.p, fam.spec, n, mod)
 
 
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
-    """Coefficients of A on the family basis (exact inverse of to_monomial)."""
+    """Coefficients of A on the family basis (exact inverse of to_monomial),
+    as a list of ints."""
     cs, _ = _prefactors(fam, n, mod)
     b = eval_bivariate_inv(A, fam.spec, n, mod)
-    return [b[j] * cs[j] % mod.p for j in range(n)]
+    return (np.asarray(b, dtype=mod.dtype) * cs % mod.p).tolist()

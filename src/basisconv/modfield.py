@@ -1,20 +1,24 @@
 """Prime-field arithmetic and the polynomial multiplication kernel.
 
-Coefficients are plain Python ints in [0, p).  A Modulus bundles the prime
-with NTT machinery (2-adicity, primitive root, per-size twiddle tables),
-factorials, and one cache for input-independent data (Modulus.cached).  A
-Poly is a dense coefficient list of a fixed declared dimension over one
-modulus; trailing zeros are stored explicitly so len(coeffs) == dim.
+A Modulus bundles the prime with NTT machinery (2-adicity, primitive root,
+per-size twiddle tables), factorials, and one cache for input-independent data
+(Modulus.cached).  Residues live in numpy arrays of dtype Modulus.dtype: int64
+for p < 2^31, where a product of two residues stays below 2^62, and object
+(Python ints) for larger primes; the same array expressions serve both.  A
+Poly is a dense polynomial of a fixed declared dimension over one modulus: one
+read-only array of its dim coefficients in [0, p), trailing zeros included.
+Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
+entries mod p and Poly.coeffs reads them back as a list.
 
 The product kernel dispatches between schoolbook convolution (small sizes, or
 moduli without enough roots of unity) and an iterative radix-2 NTT on the
 rows of numpy arrays, so one call transforms a whole batch of equal-length
-operands (_convolve_rows); a single product is its one-row case.  Rows hold
-int64 for p < 2^31 and Python ints (dtype object) for larger primes.
+operands (_convolve_rows); a single product is its one-row case.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -26,8 +30,13 @@ from .errors import (
     PrecisionExceedsModulus,
 )
 
-# Below this product length the schoolbook convolution beats transform setup.
-NTT_THRESHOLD = 32
+# The schoolbook costs about min(la, lb) * (la + lb - 1) element operations
+# (its work), a product by transforms about size log(size) and, on int64 rows,
+# a fixed cost of numpy calls per stage.  The two crossed near work =
+# 2^16 + 16 size on int64 rows and near 16 size on dtype-object rows, measured
+# from 16 x 16 to 64 x 16384 on a 2-core x86-64 machine with numpy 2.4.
+SCHOOLBOOK_WORK_PER_ENTRY = 16
+SCHOOLBOOK_WORK_INT64 = 1 << 16
 
 # From this many transform entries on, butterflies reduce by a conditional
 # correction instead of %: cheaper per entry, but more numpy calls per stage.
@@ -42,8 +51,13 @@ DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Miller-Rabin with the twelve prime bases below 41 is deterministic below
+# this bound (Sorenson & Webster 2015); Modulus refuses primes from it on.
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for n < PRIME_BOUND."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -53,7 +67,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -66,17 +80,52 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_divisor(n):
+    """A proper divisor of the odd composite n: Brent's variant of Pollard's
+    rho, about n^(1/4) steps for the smallest prime factor of n."""
+    for c in range(1, n):
+        f = lambda v: (v * v + c) % n  # noqa: E731
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = f(y)
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = f(y)
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched gcd overshot: redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = f(ys)
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"no divisor found for {n}")
+
+
 def _factorize(n):
-    """Trial-division factorization; fine for the word-size p-1 we see."""
+    """Prime factorization {q: multiplicity} of n < PRIME_BOUND: small primes
+    by trial division, the cofactor split by Pollard-Brent rho."""
     fs = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fs[d] = fs.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        fs[n] = fs.get(n, 0) + 1
+    for q in _SMALL_PRIMES:
+        while n % q == 0:
+            fs[q] = fs.get(q, 0) + 1
+            n //= q
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            fs[m] = fs.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
     return fs
 
 
@@ -94,6 +143,10 @@ class Modulus:
     """A prime modulus with its NTT tables, factorials and cached data."""
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise ValueError(
+                f"modulus {p} is not below {PRIME_BOUND}, the bound of the primality test"
+            )
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
@@ -106,9 +159,6 @@ class Modulus:
         self.primitive_root = _find_primitive_root(p)
         self._twiddles = {}      # (size, invert) -> np.ndarray or list
         self._bitrev = {}        # size -> np.ndarray
-        self._fact = [1]
-        self._inv_fact = [1]
-        self._inverses = [0, 1]
         self._cache = {}         # key -> value, see cached()
         self._lock = threading.RLock()
         # residues of p >= 2^31 have products beyond int64: keep Python ints
@@ -156,8 +206,7 @@ class Modulus:
         """The value under key of data that depends only on the modulus and
         the key, made by build() on the first call.  A hit takes no lock; a
         miss builds under the (reentrant) lock, so each value is built once
-        even across threads.  A build that raises stores nothing.  The same
-        lock guards the growth of the factorial and inverse tables."""
+        even across threads.  A build that raises stores nothing."""
         try:
             return self._cache[key]
         except KeyError:
@@ -173,52 +222,64 @@ class Modulus:
 
     # -- factorial tables -------------------------------------------------
 
+    def table(self, name, n):
+        """The first n entries, for n <= p, of the table name as a read-only
+        array of self.dtype: "factorials" k!, "inv_factorials" 1/k! or
+        "inverses" 1/k (0 at k = 0).  One array per power of two (capped at
+        p) is cached and sliced."""
+        if n > self.p:
+            raise PrecisionExceedsModulus(f"{name} up to {n - 1} need p >= {n}")
+        size = min(1 << max(n - 1, 0).bit_length(), self.p)
+        full = self.cached(("table", name, size), lambda: _readonly(self._table(name, size)))
+        return full[:n]
+
+    def _table(self, name, size):
+        p = self.p
+        if name == "factorials":
+            k = _arange(self, 0, size)
+            k[0] = 1
+            return _prefix_products(k, p)
+        fact = self.table("factorials", size)
+        if name == "inv_factorials":
+            # 1/k! = (k+1) (k+2) ... (size-1) / (size-1)!
+            down = np.concatenate([_arange(self, 1, 2), _arange(self, 1, size)[::-1]])
+            return _prefix_products(down, p)[::-1] * self.inv(int(fact[-1])) % p
+        if name == "inverses":
+            # 1/k = (k-1)! / k!
+            out = np.zeros(size, dtype=self.dtype)
+            out[1:] = fact[:-1] * self.table("inv_factorials", size)[1:] % p
+            return out
+        raise ValueError(f"unknown table {name!r}")
+
     def factorials(self, n):
         """[0!, 1!, ..., (n-1)!] mod p; requires n <= p."""
-        if n > self.p:
-            raise PrecisionExceedsModulus(f"factorials up to {n - 1} need p >= {n}")
-        with self._lock:
-            while len(self._fact) < n:
-                k = len(self._fact)
-                self._fact.append(self._fact[-1] * k % self.p)
-        return self._fact[:n]
+        return self.table("factorials", n).tolist()
 
     def inv_factorials(self, n):
-        fact = self.factorials(n)
-        with self._lock:
-            m = len(self._inv_fact)
-            if m < n:
-                # one inversion, then fill backwards: 1/k! = (k+1) * 1/(k+1)!
-                tail = [0] * (n - m)
-                tail[-1] = self.inv(fact[n - 1])
-                for k in range(n - 2, m - 1, -1):
-                    tail[k - m] = tail[k - m + 1] * (k + 1) % self.p
-                self._inv_fact.extend(tail)
-        return self._inv_fact[:n]
+        """[1/0!, 1/1!, ..., 1/(n-1)!] mod p; requires n <= p."""
+        return self.table("inv_factorials", n).tolist()
 
     def inverses(self, n):
-        """[0, 1/1, 1/2, ..., 1/(n-1)] mod p in O(n); requires n <= p."""
-        if n > self.p:
-            raise PrecisionExceedsModulus(f"inverses up to {n - 1} need p >= {n}")
-        with self._lock:
-            while len(self._inverses) < n:
-                i = len(self._inverses)
-                self._inverses.append(
-                    (self.p - self.p // i) * self._inverses[self.p % i] % self.p
-                )
-        return self._inverses[:n]
+        """[0, 1/1, 1/2, ..., 1/(n-1)] mod p; requires n <= p."""
+        return self.table("inverses", n).tolist()
+
+    def inv_array(self, values):
+        """Inverses of an array of nonzero residues with one field inversion,
+        as an array; raises DivisionByZero if some residue is zero."""
+        if len(values) == 0:
+            return values.copy()
+        p = self.p
+        pre, suf = _prefix_products(values, p), _prefix_products(values[::-1], p)[::-1]
+        out = np.full(len(values), self.inv(int(pre[-1])), dtype=values.dtype)
+        # 1/v_i = v_0..v_{i-1} * v_{i+1}..v_{n-1} / (v_0..v_{n-1})
+        out[1:] = out[1:] * pre[:-1] % p
+        out[:-1] = out[:-1] * suf[1:] % p
+        return out
 
     def batch_inv(self, values):
-        """Inverses of a list of nonzero residues with one field inversion."""
-        prefix = [1] * (len(values) + 1)
-        for i, v in enumerate(values):
-            prefix[i + 1] = prefix[i] * v % self.p
-        acc = self.inv(prefix[-1])
-        out = [0] * len(values)
-        for i in range(len(values) - 1, -1, -1):
-            out[i] = acc * prefix[i] % self.p
-            acc = acc * values[i] % self.p
-        return out
+        """Inverses of a list of nonzero residues with one field inversion,
+        as a list of ints."""
+        return self.inv_array(np.array(values, dtype=self.dtype)).tolist()
 
     # -- NTT tables -------------------------------------------------------
 
@@ -286,12 +347,20 @@ def _ntt_numpy(mod: Modulus, rows, size, invert):
 
 
 def _convolve_schoolbook(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
+    """Exact product of two 1-D residue arrays by direct convolution.
+
+    Row i of a zero-padded (la, la + lb) array holds a_i b mod p; read with a
+    row length one shorter, row i starts i places later, so the column sums
+    are the product's coefficients.  int64: a_i b_j < 2^62 is reduced before
+    any sum, and a column sums min(la, lb) terms below 2^31, which stays
+    below 2^63 for any la < 2^32.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    rows = np.zeros((la, la + lb), dtype=a.dtype)
+    rows[:, :lb] = np.multiply.outer(a, b) % p
+    return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
 def _transforms(mod: Modulus, size):
@@ -299,19 +368,34 @@ def _transforms(mod: Modulus, size):
     return size <= mod.max_ntt_len
 
 
+def _size(out_len):
+    """The transform size of a product of length out_len."""
+    return 1 << (out_len - 1).bit_length()
+
+
+def _by_transform(mod: Modulus, la, lb):
+    """Whether a product of lengths la and lb is cheaper by transforms than
+    by the schoolbook, and the modulus can transform at its size."""
+    out_len = la + lb - 1
+    limit = SCHOOLBOOK_WORK_PER_ENTRY * _size(out_len)
+    if mod.dtype is not object:
+        limit += SCHOOLBOOK_WORK_INT64
+    return min(la, lb) * out_len > limit and _transforms(mod, _size(out_len))
+
+
 def _convolve(mod: Modulus, a, b):
-    """Exact cyclic-free product of two lists of residues in [0, p)."""
+    """Exact product of two 1-D arrays of residues in [0, p), an array of
+    length len(a) + len(b) - 1."""
+    a, b = np.asarray(a, dtype=mod.dtype), np.asarray(b, dtype=mod.dtype)
+    if _by_transform(mod, len(a), len(b)):
+        return _convolve_rows(mod, a[None], b[None])[0]
     out_len = len(a) + len(b) - 1
-    size = 1 << (out_len - 1).bit_length()
-    if out_len < NTT_THRESHOLD or not _transforms(mod, size):
-        if out_len > SCHOOLBOOK_LIMIT:
-            raise CapacityExceeded(
-                f"product length {out_len} exceeds transform capacity "
-                f"{mod.max_ntt_len} of p={mod.p}"
-            )
-        return _convolve_schoolbook(a, b, mod.p)
-    A, B = np.array([a], dtype=mod.dtype), np.array([b], dtype=mod.dtype)
-    return _convolve_rows(mod, A, B)[0].tolist()
+    if out_len > SCHOOLBOOK_LIMIT and not _transforms(mod, _size(out_len)):
+        raise CapacityExceeded(
+            f"product length {out_len} exceeds transform capacity "
+            f"{mod.max_ntt_len} of p={mod.p}"
+        )
+    return _convolve_schoolbook(a, b, mod.p)
 
 
 def _convolve_rows(mod: Modulus, A, B):
@@ -322,9 +406,9 @@ def _convolve_rows(mod: Modulus, A, B):
     one through _convolve.
     """
     out_len = A.shape[1] + B.shape[1] - 1
-    size = 1 << (out_len - 1).bit_length()
+    size = _size(out_len)
     if not _transforms(mod, size):
-        out = [_convolve(mod, a, b) for a, b in zip(A.tolist(), B.tolist())]
+        out = [_convolve(mod, a, b) for a, b in zip(A, B)]
         return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
     # int64: a pointwise product of two residues < 2^31 stays below 2^62
     fc = _image(mod, A, size) * _image(mod, B, size) % mod.p
@@ -363,21 +447,101 @@ def _image_coeffs(mod: Modulus, X, out_len):
     return X[:, :out_len]
 
 
-class Poly:
-    """Dense polynomial in K[x]_dim: coefficient list of length exactly dim."""
+def _fixed_operand(mod: Modulus, b, la):
+    """What products of arrays of length la by the fixed array b keep of b:
+    its image (a 2-D row) where such a product transforms, b itself where it
+    goes to the schoolbook.  Callers cache it; _mul_fixed uses it."""
+    if not _by_transform(mod, la, len(b)):
+        return _readonly(b)
+    return _readonly(_image(mod, b[None], _size(la + len(b) - 1)))
 
-    __slots__ = ("mod", "coeffs")
+
+def _mul_fixed(mod: Modulus, a, fixed, out_len):
+    """The first out_len coefficients of a times the operand kept by
+    _fixed_operand: one forward and one inverse transform."""
+    if fixed.ndim == 1:
+        return _convolve(mod, a, fixed)[:out_len]
+    return _image_coeffs(mod, _image_mul(mod, _image(mod, a[None], fixed.shape[1]), fixed), out_len)[0]
+
+
+# -- array helpers ---------------------------------------------------------
+
+
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _fit(arr, n):
+    """A fresh array of length n: arr truncated or zero-padded."""
+    out = np.zeros(n, dtype=arr.dtype)
+    k = min(n, len(arr))
+    out[:k] = arr[:k]
+    return out
+
+
+def _residues(mod: Modulus, values):
+    """values (a sequence of integers) reduced mod p into a fresh array of
+    mod.dtype."""
+    if isinstance(values, np.ndarray) and values.dtype == mod.dtype:
+        return values % mod.p
+    # through Python ints: entries may be negative, beyond int64 or numpy
+    # scalars, which must not enter an object array
+    return (np.array([int(v) for v in values], dtype=object) % mod.p).astype(mod.dtype)
+
+
+def _arange(mod: Modulus, start, stop):
+    """The integers start..stop-1 as an array of mod.dtype."""
+    return np.arange(start, stop).astype(mod.dtype)
+
+
+def _powers(mod: Modulus, lam, m):
+    """[lam^0, ..., lam^(m-1)] mod p as an array, by doubling."""
+    p = mod.p
+    out = np.ones(m, dtype=mod.dtype)
+    k = 1
+    while k < m:
+        step = min(k, m - k)
+        out[k : k + step] = out[:step] * pow(lam, k, p) % p
+        k *= 2
+    return out
+
+
+def _prefix_products(values, p):
+    """Running products v_0 ... v_i mod p of an array, in log2(n) doubling
+    steps (the Hillis-Steele scan)."""
+    out = values % p
+    k = 1
+    while k < len(out):
+        out[k:] = out[k:] * out[:-k] % p
+        k *= 2
+    return out
+
+
+class Poly:
+    """Dense polynomial in K[x]_dim: a read-only array of exactly dim
+    coefficients in [0, p), of dtype mod.dtype."""
+
+    __slots__ = ("mod", "arr")
 
     def __init__(self, mod: Modulus, coeffs, dim=None):
+        """From a sequence of integers, reduced mod p and truncated or
+        zero-padded to dim (default: its length, at least 1)."""
         if dim is None:
             dim = max(1, len(coeffs))
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
-        cs = [c % mod.p for c in coeffs[:dim]]
-        if len(cs) < dim:
-            cs.extend([0] * (dim - len(cs)))
         self.mod = mod
-        self.coeffs = cs
+        self.arr = _readonly(_fit(_residues(mod, coeffs[:dim]), dim))
+
+    @classmethod
+    def of(cls, mod: Modulus, arr):
+        """The Poly over the non-empty 1-D array arr itself, whose entries
+        must already be residues in [0, p) of dtype mod.dtype: no copy and no
+        reduction.  arr is made read-only."""
+        P = cls.__new__(cls)
+        P.mod, P.arr = mod, _readonly(arr)
+        return P
 
     @classmethod
     def zero(cls, mod, dim):
@@ -389,14 +553,19 @@ class Poly:
         return cls(mod, [0, 1][:dim], dim)
 
     @property
+    def coeffs(self):
+        """The coefficients as a list of ints."""
+        return self.arr.tolist()
+
+    @property
     def dim(self):
-        return len(self.coeffs)
+        return len(self.arr)
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.mod == other.mod
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.arr, other.arr)
         )
 
     def __hash__(self):
@@ -407,27 +576,23 @@ class Poly:
 
     def degree(self):
         """Degree of the stored truncation; -1 for the zero polynomial."""
-        for i in range(self.dim - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
+        nz = np.flatnonzero(self.arr)
+        return int(nz[-1]) if len(nz) else -1
 
     def valuation(self):
         """Index of the first nonzero coefficient; None if all stored are zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        nz = np.flatnonzero(self.arr)
+        return int(nz[0]) if len(nz) else None
 
     def constant(self):
-        return self.coeffs[0]
+        return int(self.arr[0])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     """Exact product; result dim = dim(a) + dim(b) - 1."""
     if a.mod != b.mod:
         raise DimensionMismatch("mixed moduli")
-    return Poly(a.mod, _convolve(a.mod, a.coeffs, b.coeffs))
+    return Poly.of(a.mod, _convolve(a.mod, a.arr, b.arr))
 
 
 def mul_trunc(a: Poly, P: Poly, n: int) -> Poly:
@@ -437,10 +602,8 @@ def mul_trunc(a: Poly, P: Poly, n: int) -> Poly:
     if da < 0 or dp < 0:
         return Poly.zero(mod, n)
     # truncating the inputs to n first keeps the transform size at O(n)
-    ca = a.coeffs[: min(da + 1, n)]
-    cp = P.coeffs[: min(dp + 1, n)]
-    prod = _convolve(mod, ca, cp)
-    return Poly(mod, prod[:n], n)
+    prod = _convolve(mod, a.arr[: min(da + 1, n)], P.arr[: min(dp + 1, n)])
+    return Poly.of(mod, _fit(prod, n))
 
 
 def mul_trunc_t(a: Poly, P: Poly, m: int) -> Poly:
@@ -451,7 +614,7 @@ def mul_trunc_t(a: Poly, P: Poly, m: int) -> Poly:
     """
     mod = a.mod
     d = P.dim - 1
-    rev = list(reversed(P.coeffs))
-    prod = _convolve(mod, a.coeffs, rev) if a.degree() >= 0 and P.degree() >= 0 else []
-    out = prod[d : d + m]
-    return Poly(mod, out, m)
+    if a.degree() < 0 or P.degree() < 0:
+        return Poly.zero(mod, m)
+    prod = _convolve(mod, a.arr, P.arr[::-1])
+    return Poly.of(mod, _fit(prod[d:], m))

@@ -8,8 +8,19 @@ source and target spaces.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DimensionMismatch
-from .modfield import Modulus, Poly, mul_trunc, mul_trunc_t
+from .modfield import (
+    Modulus,
+    Poly,
+    _fit,
+    _fixed_operand,
+    _mul_fixed,
+    _powers,
+    mul_trunc,
+    mul_trunc_t,
+)
 
 
 def power_subst(A: Poly, k: int) -> Poly:
@@ -18,70 +29,65 @@ def power_subst(A: Poly, k: int) -> Poly:
         raise DimensionMismatch("k must be >= 1")
     if k == 1:
         return A
-    m = A.dim
-    out = [0] * (k * (m - 1) + 1)
-    for i, c in enumerate(A.coeffs):
-        out[i * k] = c
-    return Poly(A.mod, out)
+    out = np.zeros(k * (A.dim - 1) + 1, dtype=A.arr.dtype)
+    out[::k] = A.arr
+    return Poly.of(A.mod, out)
 
 
 def power_subst_t(A: Poly, k: int, m: int) -> Poly:
     """Transpose of power_subst: keep coefficients at indices 0, k, 2k, ..."""
     if k < 1:
         raise DimensionMismatch("k must be >= 1")
-    out = [A.coeffs[i * k] if i * k < A.dim else 0 for i in range(m)]
-    return Poly(A.mod, out, m)
+    return Poly.of(A.mod, _fit(A.arr[::k], m))
 
 
 def reverse(A: Poly) -> Poly:
     """x^(m-1) * A(1/x): coefficients reversed within dim m.  Self-transpose."""
-    return Poly(A.mod, list(reversed(A.coeffs)))
+    return Poly.of(A.mod, A.arr[::-1])
 
 
 def truncate(A: Poly, n: int) -> Poly:
     """A mod x^n (drops or zero-pads to dim n).  Transpose is truncate back."""
     if n == A.dim:
         return A
-    return Poly(A.mod, A.coeffs, n)
+    return Poly.of(A.mod, _fit(A.arr, n))
 
 
 def scale(A: Poly, lam: int) -> Poly:
     """A(lambda * x): coefficient i multiplied by lambda^i.  Self-transpose."""
-    p = A.mod.p
-    out = []
-    acc = 1
-    for c in A.coeffs:
-        out.append(c * acc % p)
-        acc = acc * lam % p
-    return Poly(A.mod, out)
+    mod = A.mod
+    return Poly.of(mod, A.arr * _powers(mod, lam % mod.p, A.dim) % mod.p)
 
 
 def diagonal(A: Poly, s) -> Poly:
-    """Pointwise product with the sequence s (list of >= dim values)."""
-    p = A.mod.p
-    return Poly(A.mod, [c * s[i] % p for i, c in enumerate(A.coeffs)])
+    """Pointwise product with the sequence s of >= dim residues."""
+    mod = A.mod
+    s = np.asarray(s[: A.dim], dtype=mod.dtype)
+    return Poly.of(mod, A.arr * s % mod.p)
+
+
+def _shift_operand(mod: Modulus, a, m, transposed):
+    """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!
+    (reversed for the transpose), as _fixed_operand keeps it; cached."""
+
+    def build():
+        P = _powers(mod, a, m) * mod.table("inv_factorials", m) % mod.p
+        return _fixed_operand(mod, P[::-1] if transposed else P, m)
+
+    return mod.cached(("shift", a, m, transposed), build)
 
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
-    mod = A.mod
-    m = A.dim
+    # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
+    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1))
+    mod, m, p = A.mod, A.dim, A.mod.p
     mod.check_precision(m)
-    fact = mod.factorials(m)
-    inv_fact = mod.inv_factorials(m)
-    # P = sum a^i x^i / i!
-    P_coeffs = []
-    acc = 1
-    for i in range(m):
-        P_coeffs.append(acc * inv_fact[i] % mod.p)
-        acc = acc * a % mod.p
-    P = Poly(mod, P_coeffs, m)
-    if not transposed:
-        B = reverse(diagonal(A, fact))
-        C = mul_trunc(B, P, m)
-        return diagonal(reverse(C), inv_fact)
-    B = reverse(diagonal(A, inv_fact))
-    C = mul_trunc_t(B, P, m)
-    return diagonal(reverse(C), fact)
+    fact, inv_fact = mod.table("factorials", m), mod.table("inv_factorials", m)
+    pre, post = (inv_fact, fact) if transposed else (fact, inv_fact)
+    B = (A.arr * pre % p)[::-1]
+    C = _mul_fixed(mod, B, _shift_operand(mod, a % p, m, transposed), 2 * m - 1)
+    C = C[m - 1 :] if transposed else C[:m]
+    return Poly.of(mod, C[::-1] * post % p)
 
 
 def taylor_shift(A: Poly, a: int) -> Poly:
@@ -113,13 +119,12 @@ def find_degrees(m: int, k: int):
 def split(A: Poly, k: int):
     """k-section: A(x) = sum_i parts[i](x^k) * x^i.  No arithmetic."""
     dims = find_degrees(A.dim, k)
-    parts = []
-    for i, di in enumerate(dims):
-        # dims[i] may be 0 when k > m; represent that slice as the zero
-        # polynomial of dim 1 so Poly invariants hold
-        cs = A.coeffs[i::k]
-        parts.append(Poly(A.mod, cs, max(di, 1)) if di else Poly.zero(A.mod, 1))
-    return tuple(parts)
+    # dims[i] is 0 when i >= m; that slice is the zero polynomial of dim 1
+    # so Poly invariants hold
+    return tuple(
+        Poly.of(A.mod, A.arr[i::k]) if di else Poly.zero(A.mod, 1)
+        for i, di in enumerate(dims)
+    )
 
 
 def split_t(parts, m: int) -> Poly:
@@ -127,13 +132,12 @@ def split_t(parts, m: int) -> Poly:
     k = len(parts)
     dims = find_degrees(m, k)
     mod = parts[0].mod
-    out = [0] * m
+    out = np.zeros(m, dtype=mod.dtype)
     for i, (part, di) in enumerate(zip(parts, dims)):
         if part.dim < di:
             raise DimensionMismatch(f"part {i} has dim {part.dim}, expected {di}")
-        for j in range(di):
-            out[i + j * k] = part.coeffs[j]
-    return Poly(mod, out, m)
+        out[i::k] = part.arr[:di]
+    return Poly.of(mod, out)
 
 
 def lincomb(parts, G, n: int) -> Poly:
@@ -141,12 +145,9 @@ def lincomb(parts, G, n: int) -> Poly:
     if len(parts) != len(G):
         raise DimensionMismatch("parts and G must have equal length")
     mod = parts[0].mod
-    acc = [0] * n
-    for part, g in zip(parts, G):
-        term = mul_trunc(part, g, n)
-        for j, c in enumerate(term.coeffs):
-            acc[j] = (acc[j] + c) % mod.p
-    return Poly(mod, acc, n)
+    # int64: each term is a residue, so k terms sum below k * 2^31
+    acc = sum(mul_trunc(part, g, n).arr for part, g in zip(parts, G))
+    return Poly.of(mod, acc % mod.p)
 
 
 def lincomb_t(A: Poly, G):

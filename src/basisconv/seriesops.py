@@ -6,22 +6,24 @@ doubles the precision at each step, so every kernel costs O(M(n)).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainViolation, InvalidOperatorParam, PrecisionExceedsModulus
-from .modfield import Poly, mul_trunc
+from .modfield import Poly, _arange, _fit, mul_trunc
 from .polyops import truncate
 
 
 def series_add_const(g: Poly, a: int) -> Poly:
-    out = list(g.coeffs)
-    out[0] = (out[0] + a) % g.mod.p
-    return Poly(g.mod, out)
+    out = g.arr.copy()
+    out[0] = (int(out[0]) + a) % g.mod.p
+    return Poly.of(g.mod, out)
 
 
 def series_mul_const(g: Poly, lam: int) -> Poly:
-    if lam % g.mod.p == 0:
-        raise InvalidOperatorParam("scaling constant must be nonzero")
     p = g.mod.p
-    return Poly(g.mod, [c * lam % p for c in g.coeffs])
+    if lam % p == 0:
+        raise InvalidOperatorParam("scaling constant must be nonzero")
+    return Poly.of(g.mod, g.arr * (lam % p) % p)
 
 
 def series_inv(g: Poly, n: int) -> Poly:
@@ -29,22 +31,24 @@ def series_inv(g: Poly, n: int) -> Poly:
     mod = g.mod
     if g.constant() == 0:
         raise DomainViolation("series inverse needs a nonzero constant term")
+    p = mod.p
     y = Poly(mod, [mod.inv(g.constant())], 1)
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
         gy = mul_trunc(truncate(g, prec), y, prec)
         # y <- y * (2 - g*y)
-        corr = [(-c) % mod.p for c in gy.coeffs]
-        corr[0] = (corr[0] + 2) % mod.p
-        y = mul_trunc(y, Poly(mod, corr, prec), prec)
+        corr = (-gy.arr) % p
+        corr[0] = (int(corr[0]) + 2) % p
+        y = mul_trunc(y, Poly.of(mod, corr), prec)
     return truncate(y, n)
 
 
 def _derivative(g: Poly) -> Poly:
-    p = g.mod.p
-    out = [i * c % p for i, c in enumerate(g.coeffs)][1:]
-    return Poly(g.mod, out, max(g.dim - 1, 1))
+    mod = g.mod
+    if g.dim == 1:
+        return Poly.zero(mod, 1)
+    return Poly.of(mod, g.arr[1:] * _arange(mod, 1, g.dim) % mod.p)
 
 
 def _integral(g: Poly, n: int) -> Poly:
@@ -52,12 +56,10 @@ def _integral(g: Poly, n: int) -> Poly:
     mod = g.mod
     if n > 1:
         mod.check_precision(n - 1)
-    out = [0] * n
-    invs = mod.inverses(min(g.dim, n - 1) + 1)
-    for i in range(min(g.dim, n - 1)):
-        if g.coeffs[i]:
-            out[i + 1] = g.coeffs[i] * invs[i + 1] % mod.p
-    return Poly(mod, out, n)
+    k = min(g.dim, n - 1)
+    out = np.zeros(n, dtype=mod.dtype)
+    out[1 : k + 1] = g.arr[:k] * mod.table("inverses", k + 1)[1:] % mod.p
+    return Poly.of(mod, out)
 
 
 def series_log(g: Poly, n: int) -> Poly:
@@ -85,12 +87,9 @@ def series_exp(g: Poly, n: int) -> Poly:
     while prec < n:
         prec = min(2 * prec, n)
         ln = series_log(series_add_const(y, -1), prec)
-        corr = [0] * prec
-        for i in range(prec):
-            gi = g.coeffs[i] if i < g.dim else 0
-            corr[i] = (gi - ln.coeffs[i]) % mod.p
-        corr[0] = (corr[0] + 1) % mod.p
-        y = mul_trunc(truncate(y, prec), Poly(mod, corr, prec), prec)
+        corr = (_fit(g.arr, prec) - ln.arr) % mod.p
+        corr[0] = (int(corr[0]) + 1) % mod.p
+        y = mul_trunc(truncate(y, prec), Poly.of(mod, corr), prec)
     return series_add_const(truncate(y, n), -1)
 
 
@@ -101,7 +100,7 @@ def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     if e == 0:
         return Poly(mod, [1], n)
     ln = series_log(series_add_const(truncate(g, n), -1), n)
-    scaled = Poly(mod, [c * e % mod.p for c in ln.coeffs], n)
+    scaled = Poly.of(mod, ln.arr * e % mod.p)
     return series_add_const(series_exp(scaled, n), 1)
 
 
@@ -113,10 +112,9 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")
     ci = mod.inv(c)
-    normalized = Poly(mod, [x * ci % mod.p for x in truncate(g, n).coeffs], n)
+    normalized = Poly.of(mod, truncate(g, n).arr * ci % mod.p)
     body = _unit_pow_field(normalized, e % mod.p, n)
-    lead = mod.pow(c, e)
-    return Poly(mod, [x * lead % mod.p for x in body.coeffs], n)
+    return Poly.of(mod, body.arr * mod.pow(c, e) % mod.p)
 
 
 def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
@@ -135,7 +133,8 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
         raise DomainViolation("root of an identically-zero truncation")
     if val != r * k:
         raise DomainViolation(f"root expects valuation {r * k}, found {val}")
-    if g.coeffs[val] != mod.pow(alpha, k):
+    lead = int(g.arr[val])
+    if lead != mod.pow(alpha, k):
         raise DomainViolation("leading coefficient is not alpha^k")
     if k == 1:
         return truncate(g, n)
@@ -144,14 +143,12 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
     if n <= r:
         return Poly.zero(mod, n)
     # normalize to constant term 1, take the root there, re-attach alpha*x^r
-    lead_inv = mod.inv(g.coeffs[val])
     body_prec = n - r
-    body = [g.coeffs[val + i] * lead_inv % mod.p for i in range(body_prec)]
-    w = _unit_pow_field(Poly(mod, body, body_prec), mod.inv(k), body_prec)
-    out = [0] * n
-    for i in range(body_prec):
-        out[r + i] = alpha * w.coeffs[i] % mod.p
-    return Poly(mod, out, n)
+    body = g.arr[val : val + body_prec] * mod.inv(lead) % mod.p
+    w = _unit_pow_field(Poly.of(mod, body), mod.inv(k), body_prec)
+    out = np.zeros(n, dtype=mod.dtype)
+    out[r:] = w.arr * (alpha % mod.p) % mod.p
+    return Poly.of(mod, out)
 
 
 def series_pow(g: Poly, k: int, n: int) -> Poly:
@@ -175,13 +172,10 @@ def series_pow(g: Poly, k: int, n: int) -> Poly:
         return Poly.zero(mod, n)
     if val == 0:
         return unit_pow(g, k, n)
-    c = g.coeffs[val]
+    c = int(g.arr[val])
     body_prec = n - val * k
-    ci = mod.inv(c)
-    body = Poly(mod, [g.coeffs[val + i] * ci % mod.p for i in range(min(body_prec, g.dim - val))], body_prec)
-    w = _unit_pow_field(body, k % mod.p, body_prec)
-    lead = mod.pow(c, k)
-    out = [0] * n
-    for i in range(body_prec):
-        out[val * k + i] = lead * w.coeffs[i] % mod.p
-    return Poly(mod, out, n)
+    body = _fit(g.arr[val : val + body_prec] * mod.inv(c) % mod.p, body_prec)
+    w = _unit_pow_field(Poly.of(mod, body), k % mod.p, body_prec)
+    out = np.zeros(n, dtype=mod.dtype)
+    out[val * k :] = w.arr * mod.pow(c, k) % mod.p
+    return Poly.of(mod, out)

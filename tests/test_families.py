@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from basisconv import Modulus, Poly, SingularDiagonal, SpecViolation, ZeroCoefficient
+from basisconv import (
+    DEFAULT_PRIME,
+    DimensionMismatch,
+    DomainViolation,
+    Modulus,
+    Poly,
+    SingularDiagonal,
+    SpecViolation,
+    ZeroCoefficient,
+)
 from basisconv.families import (
     family,
     family_names,
@@ -156,6 +165,20 @@ def test_matches_naive_convert(mod):
         assert back == naive_convert(fast, fam, n, "from-monomial", mod), name
 
 
+def test_transform_kernel_matches_naive_convert(transforms_only):
+    # products this small go to the schoolbook by default; here every product
+    # goes through the NTT, cached operands included (a fresh modulus)
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(55)
+    n = 24
+    for fam in all_families(mod):
+        a = [rng.randrange(mod.p) for _ in range(n)]
+        fast = to_monomial(a, fam, n, mod).coeffs
+        assert fast == naive_convert(a, fam, n, "to-monomial", mod), fam.name
+        if fam.name != "spread":    # its diagonal has a zero: no inverse
+            assert from_monomial(Poly(mod, fast, n), fam, n, mod) == a, fam.name
+
+
 def test_small_prime_conversions(mod101):
     rng = random.Random(63)
     n = 20
@@ -212,3 +235,17 @@ def test_parse_family_forms(mod):
         parse_family(mod, "jacobi(alpha=3")
     with pytest.raises(SpecViolation):
         parse_family(mod, "jacobi(3,5)")
+
+
+def test_to_monomial_rejects_malformed_input(mod):
+    fam = parse_family(mod, "hermite")
+    p = mod.p
+    with pytest.raises(DimensionMismatch):
+        to_monomial([1, 2, 3, 4, 5], fam, 4, mod)
+    for bad, j in (([1, -1, 2], 1), ([0, 0, 0, p], 3), ([5, 2**70, 1], 1), ([3, 1, -(2**70)], 2)):
+        with pytest.raises(DomainViolation, match=f"coefficient {j} "):
+            to_monomial(bad, fam, 4, mod)
+    with pytest.raises(DomainViolation):
+        to_monomial([1, 0.5], fam, 4, mod)
+    # in range, shorter than n: zero-padded
+    assert to_monomial([0, 0, 1], fam, 4, mod).coeffs == [p - 2, 0, 4, 0]

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,18 +17,28 @@ from basisconv import (
     poly_mul,
 )
 from basisconv.modfield import (
-    NTT_THRESHOLD,
     _convolve,
     _convolve_rows,
     _convolve_schoolbook,
     _image,
     _image_coeffs,
     _image_mul,
+    _factorize,
     is_prime,
+    PRIME_BOUND,
 )
 
 # 40-bit prime with 2-adicity 20: its NTT runs on rows of Python ints
 P40 = 1099489607681
+
+
+def _school(a, b, p):
+    """The product of two lists by the Python-int schoolbook: the reference."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return [c % p for c in out]
 
 
 def test_is_prime_basics():
@@ -48,6 +59,29 @@ def test_modulus_construction(mod, mod101):
     assert pow(g, 50, 101) != 1 and pow(g, 20, 101) != 1
     with pytest.raises(ValueError):
         Modulus(100)
+
+
+def test_large_modulus_sets_up_fast():
+    # a 61-bit safe prime: p - 1 = 2q with q prime, past any trial division
+    p = 1152921504606849707
+    t0 = time.perf_counter()
+    mod = Modulus(p)
+    assert time.perf_counter() - t0 < 1.0
+    factors = _factorize(p - 1)
+    assert factors == {2: 1, (p - 1) // 2: 1}
+    g = mod.primitive_root
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    # a cofactor of two 30-bit primes needs the rho split
+    a, b = 536870923, 1073741827
+    assert _factorize(12 * a * b) == {2: 2, 3: 1, a: 1, b: 1}
+    assert _factorize(a * a) == {a: 2}
+
+
+def test_modulus_rejects_primes_beyond_the_primality_bound():
+    # 2^89 - 1 is prime, but Miller-Rabin with fixed bases is not proof there
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        Modulus(2**89 - 1)
+    assert Modulus(3317044064679887385961813).p < PRIME_BOUND
 
 
 def test_scalar_arithmetic(mod101):
@@ -87,7 +121,21 @@ def test_convolve_matches_schoolbook(mod):
     for la, lb in [(1, 1), (5, 9), (31, 2), (40, 40), (100, 3), (257, 255), (2000, 100)]:
         a = [rng.randrange(mod.p) for _ in range(la)]
         b = [rng.randrange(mod.p) for _ in range(lb)]
-        assert _convolve(mod, a, b) == _convolve_schoolbook(a, b, mod.p)
+        assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
+def test_schoolbook_exact_on_largest_residues(p):
+    # every product (p-1)^2 is the largest a residue pair gives; a column of
+    # up to 31 of them must not overflow int64 on the way to its residue
+    mod = Modulus(p)
+    for la in range(1, 32):
+        for lb in (1, la, 32 - la):
+            a, b = [p - 1] * la, [p - 1] * lb
+            want = _school(a, b, p)
+            A, B = np.array(a, dtype=mod.dtype), np.array(b, dtype=mod.dtype)
+            assert _convolve_schoolbook(A, B, p).tolist() == want, (la, lb)
+            assert _convolve(mod, A, B).tolist() == want, (la, lb)
 
 
 def test_convolve_scalar_ntt_path():
@@ -96,26 +144,27 @@ def test_convolve_scalar_ntt_path():
     rng = random.Random(2)
     a = [rng.randrange(mod.p) for _ in range(70)]
     b = [rng.randrange(mod.p) for _ in range(65)]
-    assert _convolve(mod, a, b) == _convolve_schoolbook(a, b, mod.p)
+    assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 97, 101, P40])
 def test_convolve_rows_matches_convolve(p):
-    # product lengths on both sides of NTT_THRESHOLD and, for 97 = 3 * 2^5 + 1
-    # and 101 = 25 * 2^2 + 1, of max_ntt_len; P40 transforms rows of Python ints
+    # product lengths that _convolve sends to the schoolbook (all of them for
+    # la = 1) and to transforms (balanced, from about 390 on DEFAULT_PRIME and
+    # 45 on P40), and for 97 = 3 * 2^5 + 1 and 101 = 25 * 2^2 + 1 lengths on
+    # both sides of max_ntt_len; P40 transforms rows of Python ints
     mod = Modulus(p)
     dtype = mod.dtype
     rng = random.Random(5)
-    edges = {NTT_THRESHOLD - 1, NTT_THRESHOLD, NTT_THRESHOLD + 1}
-    edges |= {mod.max_ntt_len, mod.max_ntt_len + 1} if mod.max_ntt_len <= 64 else set()
-    for out_len in sorted(edges | {1, 2, 100}):
+    edges = {mod.max_ntt_len, mod.max_ntt_len + 1} if mod.max_ntt_len <= 64 else {300, 600}
+    for out_len in sorted(edges | {1, 2, 31, 32, 33, 100}):
         for la in (1, (out_len + 1) // 2, out_len):
             lb = out_len + 1 - la
             A = [[rng.randrange(p) for _ in range(la)] for _ in range(3)]
             B = [[rng.randrange(p) for _ in range(lb)] for _ in range(3)]
             rows = _convolve_rows(mod, np.array(A, dtype=dtype), np.array(B, dtype=dtype))
-            want = [_convolve_schoolbook(a, b, p) for a, b in zip(A, B)]
-            assert rows.tolist() == want == [_convolve(mod, a, b) for a, b in zip(A, B)]
+            want = [_school(a, b, p) for a, b in zip(A, B)]
+            assert rows.tolist() == want == [_convolve(mod, a, b).tolist() for a, b in zip(A, B)]
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 101, P40])
@@ -131,7 +180,7 @@ def test_image_products_are_cyclic(p):
     Y = _image(mod, np.array(B, dtype=dtype), size)
     got = _image_coeffs(mod, _image_mul(mod, X, Y), size).tolist()
     for row, a, b in zip(got, A, B):
-        lin = _convolve_schoolbook(a, b, p) + [0] * (size + 3)
+        lin = _school(a, b, p) + [0] * (size + 3)
         assert row == [(lin[i] + lin[i + size]) % p for i in range(size)]
 
 
@@ -147,7 +196,7 @@ def test_small_prime_fallback_and_capacity(mod101):
     # too few roots of unity: schoolbook still gives the exact product
     a = [rng.randrange(101) for _ in range(80)]
     b = [rng.randrange(101) for _ in range(80)]
-    assert _convolve(mod101, a, b) == _convolve_schoolbook(a, b, 101)
+    assert _convolve(mod101, a, b).tolist() == _school(a, b, 101)
     with pytest.raises(CapacityExceeded):
         _convolve(mod101, [1] * 1500, [1] * 1500)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from basisconv import DimensionMismatch, Poly
+from basisconv import DEFAULT_PRIME, DimensionMismatch, Modulus, Poly, modfield
 from basisconv.oracle import horner_compose
 from basisconv.polyops import (
     diagonal,
@@ -76,6 +76,47 @@ def test_taylor_shift_matches_horner(mod101):
         g = Poly(mod101, [a, 1], max(m, 2))   # x + a
         want = horner_compose(A, g, m)
         assert taylor_shift(A, a).coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1099489607681])
+def test_taylor_shift_across_primes(p):
+    # products on both sides of the schoolbook/transform crossover (near
+    # m = 190 on int64 rows, m = 16 on object rows)
+    mod = Modulus(p)
+    rng = random.Random(16)
+    for m in (1, 2, 17, 100, 300):
+        A = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
+        B = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
+        a = rng.randrange(p)
+        g = Poly(mod, [a, 1], max(m, 2))   # x + a
+        shifted = taylor_shift(A, a)
+        assert shifted == horner_compose(A, g, m)
+        lhs = sum(x * y for x, y in zip(shifted.coeffs, B.coeffs)) % p
+        assert lhs == sum(x * y for x, y in zip(A.coeffs, taylor_shift_t(B, a).coeffs)) % p
+
+
+def test_warm_shift_makes_two_transforms(monkeypatch):
+    # the series P of a shift is fixed by (a, m, direction), so a warm shift
+    # keeps P's image: one forward and one inverse transform, no new entry
+    mod = Modulus(DEFAULT_PRIME)
+    m = 4096
+    rng = random.Random(17)
+    A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
+    calls = [0]
+    ntt = modfield._ntt_numpy
+
+    def counted(*args):
+        calls[0] += 1
+        return ntt(*args)
+
+    monkeypatch.setattr(modfield, "_ntt_numpy", counted)
+    for shift in (taylor_shift, taylor_shift_t):
+        cold = shift(A, 12345)
+        size = len(mod._cache)
+        calls[0] = 0
+        assert shift(A, 12345) == cold
+        assert calls[0] == 2
+        assert len(mod._cache) == size
 
 
 def test_taylor_shift_group_law(mod101):
