@@ -17,7 +17,7 @@ from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequen
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DomainViolation
 from .families import family_names, from_monomial, parse_family, to_monomial
-from .modfield import DEFAULT_PRIME, Modulus, Poly
+from .modfield import DEFAULT_PRIME, Modulus, Poly, float_kernel_agrees
 from .oracle import horner_compose, matvec, naive_convert, stirling_matrices
 
 USAGE_ERROR = 2
@@ -174,6 +174,9 @@ def cmd_selftest(args):
         names += ["jacobi(alpha=3,beta=5)", "fibonacci", "mott", "bessel",
                   "charlier(a=2)", "mittag_leffler"]
     failures = 0
+    if not float_kernel_agrees(mod):
+        print("FAIL kernel: float product differs from the NTT")
+        failures += 1
     for name in names:
         fam = parse_family(mod, name)
         for n in sizes:

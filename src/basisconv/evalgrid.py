@@ -9,7 +9,8 @@ rows of one (n // s, s) array of their coefficients below x^s, so a level is
 built, reduced by or combined through with a few batched transforms (the row
 images of modfield); the ragged node goes through the 1-D _convolve.  Grid
 and reciprocal trees are kept per n in Modulus.cached with their nodes'
-images; data derived from a tree is computed on first use and kept on it.
+images, but for float images past modfield.FIXED_IMAGE_BYTES; data derived
+from a tree is computed on first use and kept on it.
 
 The transposed maps use the generating-series identity
 sum_i v_i / (1 - p_i x) = N(x) / D(x), where D is the reversal of the root
@@ -33,6 +34,9 @@ from .modfield import (
     _image,
     _image_coeffs,
     _image_mul,
+    _image_mul_add,
+    _image_size,
+    _keeps_image,
     _residues,
 )
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
@@ -49,13 +53,25 @@ def _monic(low):
     return np.concatenate([low, np.ones(1, dtype=low.dtype)])
 
 
+def _kept(mod, rows, img):
+    """What a tree keeps of the fixed rows whose image is img: img, or the
+    rows themselves where modfield keeps no image (_keeps_image)."""
+    return img if _keeps_image(mod, len(rows), _image_size(img)) else rows
+
+
+def _as_image(mod, kept, size):
+    """The image at size of what _kept kept."""
+    return kept if _keeps_image(mod, len(kept), size) else _image(mod, kept, size)
+
+
 class SubproductTree:
     """Subproduct tree over an array of distinct points, stored level by
     level.
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
-    their images at size 2s, below the top level; rag[k]: the coefficients
-    of the ragged node of level k, or None.
+    their images at size 2s, below the top level, or low[k] itself where
+    modfield keeps no image (_kept); rag[k]: the coefficients of the ragged
+    node of level k, or None.
     """
 
     def __init__(self, mod: Modulus, points):
@@ -69,7 +85,7 @@ class SubproductTree:
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             (a, b), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
-            self.img.append(img)
+            self.img.append(_kept(mod, self.low[-1], img))
             # (x^h + a)(x^h + b) = x^s + x^h (a + b) + a b
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
             cur[:, h:] += a + b
@@ -84,21 +100,25 @@ class SubproductTree:
 
     @cached_property
     def _inverses(self):
-        # images at size 2s of 1/rev(node) mod x^s for the full nodes of each
-        # level below the top; per level, 1/rev(node) mod x^s for a ragged
-        # node that is the right child of its parent
+        # 1/rev(node) mod x^s for the full nodes of each level below the top,
+        # as _kept keeps them beside their images at size 2s; per level,
+        # 1/rev(node) mod x^s for a ragged node that is the right child of
+        # its parent
         mod, p, n, dt = self.mod, self.mod.p, self.n, self.dtype
-        iimg = [_image(mod, np.ones((n, 1), dtype=dt), 2)]
+        img = _image(mod, np.ones((n, 1), dtype=dt), 2)
+        iimg = [img]
         for k in range(1, self.depth):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             # the children's inverses multiply to y0, the node's mod x^h;
             # with g y0 = 1 + x^h e mod x^s, one Newton step gives y0 - x^h y0 e
-            y0 = _image_coeffs(mod, _image_mul(mod, *_pairs(iimg[-1], nf)), h)
+            y0 = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), h)
             g = np.concatenate([np.ones((nf, 1), dtype=dt), self.low[k][:, :0:-1]], axis=1)
             y0_img = _image(mod, y0, s)
             e = _image_coeffs(mod, _image_mul(mod, _image(mod, g, s), y0_img), s)[:, h:]
             d = _image_coeffs(mod, _image_mul(mod, y0_img, _image(mod, e, s)), h)
-            iimg.append(_image(mod, np.concatenate([y0, (-d) % p], axis=1), 2 * s))
+            inv = np.concatenate([y0, (-d) % p], axis=1)
+            img = _image(mod, inv, 2 * s)
+            iimg.append(_kept(mod, inv, img))
         rinv = [
             series_inv(Poly.of(mod, _fit(rag[::-1], 1 << k)), 1 << k).arr
             if rag is not None and (n >> k) & 1 else None
@@ -117,9 +137,12 @@ class SubproductTree:
             # remainders one level down: by the nodes of level k, of size h
             h, nf = 1 << k, n >> k
             par = np.repeat(rem, 2, axis=0)[:nf]
-            q_rev = _image_mul(mod, _image(mod, par[:, : h - 1 : -1], 2 * h), iimg[k])
+            q_rev = _image_mul(
+                mod, _image(mod, par[:, : h - 1 : -1], 2 * h), _as_image(mod, iimg[k], 2 * h)
+            )
             q = _image(mod, _image_coeffs(mod, q_rev, h)[:, ::-1], 2 * h)
-            nxt = (par[:, :h] - _image_coeffs(mod, _image_mul(mod, q, self.img[k]), h)) % p
+            node = _as_image(mod, self.img[k], 2 * h)
+            nxt = (par[:, :h] - _image_coeffs(mod, _image_mul(mod, q, node), h)) % p
             r = n % h
             if r:
                 last = rem[nf >> 1, :h]
@@ -145,10 +168,10 @@ class SubproductTree:
         v = cs.reshape(n, 1)
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            il, ir = _pairs(self.img[k - 1], nf)
+            il, ir = _pairs(_as_image(mod, self.img[k - 1], s), nf)
             vl, vr = _pairs(_image(mod, v[: 2 * nf], s), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
-            cur = _image_coeffs(mod, (_image_mul(mod, vl, ir) + _image_mul(mod, vr, il)) % p, s)
+            cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
             cur %= p
             r = n % s

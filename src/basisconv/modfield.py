@@ -10,10 +10,20 @@ read-only array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
 entries mod p and Poly.coeffs reads them back as a list.
 
-The product kernel dispatches between schoolbook convolution (small sizes, or
-moduli without enough roots of unity) and an iterative radix-2 NTT on the
-rows of numpy arrays, so one call transforms a whole batch of equal-length
-operands (_convolve_rows); a single product is its one-row case.
+Products dispatch by size among three kernels.  Short operands go to the
+schoolbook convolution, by measured work (_by_transform), and so does
+everything for moduli without roots of unity of the needed order.  Longer ones
+are multiplied through images, transforms of the rows of 2-D arrays, so one
+call multiplies a whole batch of equal-length operands (_convolve_rows); a
+single product is its one-row case.  The kind of an image depends on the
+modulus and the size alone (_float):
+- for p < 2^31 and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE, the float FFT on
+  three balanced 11-bit limbs (numpy.fft.rfft), exact because the rounding
+  error bound fft_error_bound stays below FFT_ERROR_MAX there;
+- otherwise the radix-2 NTT (_ntt_numpy): on dtype-object rows for p >= 2^31,
+  below FLOAT_MIN_SIZE, where batches of short rows favour it, and beyond the
+  sizes the bound admits.  It is also the reference the float kernel is
+  checked against (tests, basisconv selftest).
 """
 
 from __future__ import annotations
@@ -45,6 +55,21 @@ CORRECTION_MIN = 4096
 # Largest product length we accept for schoolbook when the modulus lacks
 # transform capacity.
 SCHOOLBOOK_LIMIT = 2048
+
+# Images of int64 rows are float limb spectra from this size on and NTT rows
+# below it.  On single rows and on batches of up to 2^15 entries the float
+# kernel was faster from size 128 on (1.6-6x), but on batches of 2^17 entries
+# the NTT was 1.1-1.8x faster at sizes 64-512; from 1024 on the float kernel
+# won at every batch size (1.2-6x).  Measured on a 2-core x86-64 machine with
+# numpy 2.4 (pocketfft).
+FLOAT_MIN_SIZE = 1024
+
+# A fixed operand keeps its float image only up to this many bytes and its
+# coefficients beyond (_keeps_image).  A float image takes 3x the bytes of an
+# NTT image and 6x those of the coefficients: keeping every one, with the
+# Taylor-shift series at n = 16384 and the grid-tree levels at n = 8192,
+# bought 7-9% more conversions per second for 6-9% more peak memory.
+FIXED_IMAGE_BYTES = 1 << 18
 
 DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
 
@@ -364,8 +389,17 @@ def _convolve_schoolbook(a, b, p):
 
 
 def _transforms(mod: Modulus, size):
-    """Whether products mod x^size - 1 run through the vectorized NTT."""
+    """Whether products mod x^size - 1 run through transforms."""
     return size <= mod.max_ntt_len
+
+
+def _float(mod: Modulus, size):
+    """Whether images at size are float limb spectra rather than NTT rows."""
+    return (
+        mod.dtype is not object
+        and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE
+        and _transforms(mod, size)
+    )
 
 
 def _size(out_len):
@@ -410,50 +444,90 @@ def _convolve_rows(mod: Modulus, A, B):
     if not _transforms(mod, size):
         out = [_convolve(mod, a, b) for a, b in zip(A, B)]
         return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
-    # int64: a pointwise product of two residues < 2^31 stays below 2^62
-    fc = _image(mod, A, size) * _image(mod, B, size) % mod.p
-    return _image_coeffs(mod, fc, out_len)
+    product = _image_mul(mod, _image(mod, A, size), _image(mod, B, size))
+    return _image_coeffs(mod, product, out_len)
 
 
-# Images: rows in the transform domain of the products mod x^size - 1.  They
-# are the rows' NTTs where the modulus can transform at that size, and the
-# zero-padded rows themselves otherwise, so that callers can keep the images
-# of fixed operands without caring which.
+# Images: rows in the transform domain of the products mod x^size - 1.  By
+# size (_float) they are the rows' float limb spectra, their NTTs, or, where
+# the modulus cannot transform, the zero-padded rows themselves, so that
+# callers can keep the images of fixed operands without caring which.  A
+# product image (_image_mul) is what _image_coeffs turns back into rows.
 
 
 def _image(mod: Modulus, A, size):
     """The image of the coefficient rows of A, each of length <= size."""
     if _transforms(mod, size):
-        return _ntt_numpy(mod, A, size, False)
+        return _transform(mod, A, size)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
     out[:, : A.shape[1]] = A
     return out
 
 
+def _image_size(X):
+    """The size of an image or product image: float ones keep the size // 2 + 1
+    frequencies of each limb or class row."""
+    return 2 * (X.shape[2] - 1) if X.ndim == 3 else X.shape[1]
+
+
 def _image_mul(mod: Modulus, X, Y):
     """Row-wise product of two images, that is of their rows mod x^size - 1."""
-    size = X.shape[1]
+    size = _image_size(X)
+    if _float(mod, size):
+        return _class_spectra([(X, Y)])
     if _transforms(mod, size):
+        # int64: a pointwise product of two residues < 2^31 stays below 2^62
         return X * Y % mod.p
     out = _convolve_rows(mod, X, Y)
     out[:, : size - 1] += out[:, size:]
     return out[:, :size] % mod.p
 
 
+def _image_mul_add(mod: Modulus, X, Y, U, V):
+    """The product image of X Y + U V, row-wise, made before any inverse
+    transform: float class spectra add unreduced."""
+    if _float(mod, _image_size(X)):
+        return _class_spectra([(X, Y), (U, V)])
+    return (_image_mul(mod, X, Y) + _image_mul(mod, U, V)) % mod.p
+
+
 def _image_coeffs(mod: Modulus, X, out_len):
-    """The first out_len coefficients of every row of an image."""
-    if _transforms(mod, X.shape[1]):
-        return _ntt_numpy(mod, X, X.shape[1], True)[:, :out_len]
+    """The first out_len coefficients of every row of a product image."""
+    size = _image_size(X)
+    if _transforms(mod, size):
+        return _transform(mod, X, size, out_len)
     return X[:, :out_len]
+
+
+def _transform(mod: Modulus, X, size, out_len=None):
+    """The one entry to the transforms, by the kind _float picks for size:
+    the image of the residue rows X, or, given out_len, the first out_len
+    coefficients of the rows of the product image X."""
+    if not _float(mod, size):
+        if out_len is None:
+            return _ntt_numpy(mod, X, size, False)
+        return _ntt_numpy(mod, X, size, True)[:, :out_len]
+    if out_len is None:
+        return _limb_spectra(X, size)
+    return _limb_coeffs(mod.p, X, size, out_len)
+
+
+def _keeps_image(mod: Modulus, rows, size):
+    """Whether a fixed operand of the given number of rows keeps its image
+    for products at size, rather than its coefficients: always but where its
+    float image, 3 (size // 2 + 1) complex doubles per row, would take more
+    than FIXED_IMAGE_BYTES."""
+    return not _float(mod, size) or 24 * rows * size <= FIXED_IMAGE_BYTES
 
 
 def _fixed_operand(mod: Modulus, b, la):
     """What products of arrays of length la by the fixed array b keep of b:
-    its image (a 2-D row) where such a product transforms, b itself where it
-    goes to the schoolbook.  Callers cache it; _mul_fixed uses it."""
-    if not _by_transform(mod, la, len(b)):
+    its image (of one row) where such a product transforms and _keeps_image
+    allows, b itself otherwise.  Callers cache it; _mul_fixed uses it."""
+    size = _size(la + len(b) - 1)
+    if not (_by_transform(mod, la, len(b)) and _keeps_image(mod, 1, size)):
         return _readonly(b)
-    return _readonly(_image(mod, b[None], _size(la + len(b) - 1)))
+    return _readonly(_image(mod, b[None], size))
 
 
 def _mul_fixed(mod: Modulus, a, fixed, out_len):
@@ -461,7 +535,130 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len):
     _fixed_operand: one forward and one inverse transform."""
     if fixed.ndim == 1:
         return _convolve(mod, a, fixed)[:out_len]
-    return _image_coeffs(mod, _image_mul(mod, _image(mod, a[None], fixed.shape[1]), fixed), out_len)[0]
+    X = _image(mod, a[None], _image_size(fixed))
+    return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
+
+
+# -- the float kernel ------------------------------------------------------
+#
+# For p < 2^31 a residue a splits into three balanced limbs of LIMB_BITS bits,
+# a = a_0 + a_1 2^11 + a_2 2^22 with |a_k| <= 2^10.  The image of a row is the
+# rfft of each of its limb rows; a product image holds the spectra of the five
+# classes c_k = sum_{i+j=k} a_i b_j, k = 0..4, whose inverse transforms round
+# to integers below 2^42, recombined to sum_k c_k 2^(11k) mod p.
+
+LIMB_BITS = 11
+
+# Rounding to the nearest integer is exact while the error stays below 1/2;
+# dispatch asks for a fourfold margin.
+FFT_ERROR_MAX = 1 / 8
+
+# The most product images summed before one inverse transform
+# (_image_mul_add).
+MAX_SUMMED = 2
+
+
+def fft_error_bound(size, products):
+    """A bound on the rounding error of every class coefficient of a sum of
+    `products` float product images at size (a power of two).
+
+    Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
+    x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
+    eps = 2^-53 and twiddle factors accurate to beta, errs by at most
+    |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
+    in every coefficient, |.| the Euclidean norm.  Limb rows of at most size
+    entries of magnitude <= 2^10 give |x| |y| <= 2^20 size; a class sums at
+    most three limb products per product image.  beta is taken as eps.
+    That numpy's FFT errs no more than this model is checked against the
+    NTT by the tests and by basisconv selftest.
+    """
+    n = size.bit_length() - 1
+    eps = 2.0**-53
+    growth = math.expm1(
+        6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
+    )
+    return 3 * products * 2.0 ** (2 * (LIMB_BITS - 1)) * size * growth
+
+
+# The largest size the bound admits for MAX_SUMMED products: 2^19.
+FLOAT_MAX_SIZE = 1 << max(
+    k for k in range(1, 40) if fft_error_bound(1 << k, MAX_SUMMED) <= FFT_ERROR_MAX
+)
+
+
+def _limb_spectra(A, size):
+    """The float image of the residue rows A: shape (rows, 3, size // 2 + 1)."""
+    f = A.astype(np.float64)
+    limbs = np.empty((A.shape[0], 3, A.shape[1]))
+    base = float(1 << LIMB_BITS)
+    for k in range(2):
+        # exact in doubles: a limb is f minus the nearest multiple of 2^11
+        hi = np.rint(f / base)
+        limbs[:, k] = f - hi * base
+        f = hi
+    limbs[:, 2] = f
+    return np.fft.rfft(limbs, size, axis=-1)
+
+
+def _class_spectra(pairs):
+    """The product image of the sum over pairs (X, Y) of float images of
+    the products X Y: the spectra of the classes c_0..c_4."""
+    (X, Y), *more = pairs
+    size = _image_size(X)
+    assert fft_error_bound(size, len(pairs)) <= FFT_ERROR_MAX, (size, len(pairs))
+    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
+    y0, y1, y2 = Y[:, 0], Y[:, 1], Y[:, 2]
+    Z = np.empty((max(len(X), len(Y)), 5, X.shape[2]), dtype=np.complex128)
+    np.multiply(x0, y0, out=Z[:, 0])
+    np.multiply(x0, y1, out=Z[:, 1])
+    Z[:, 1] += x1 * y0
+    np.multiply(x0, y2, out=Z[:, 2])
+    Z[:, 2] += x1 * y1
+    Z[:, 2] += x2 * y0
+    np.multiply(x1, y2, out=Z[:, 3])
+    Z[:, 3] += x2 * y1
+    np.multiply(x2, y2, out=Z[:, 4])
+    for U, V in more:
+        for i in range(3):
+            for j in range(3):
+                Z[:, i + j] += U[:, i] * V[:, j]
+    return Z
+
+
+def _limb_coeffs(p, Z, size, out_len):
+    """The first out_len coefficients mod p of the rows of the float product
+    image Z."""
+    c = np.fft.irfft(Z, size, axis=-1)[..., :out_len]
+    np.rint(c, out=c)
+    # Horner in doubles: acc <= p and |c_k| < 2^42 keep every value below
+    # 2^53, so each step is exact; floor(t / p) is off by one only where p
+    # divides t, which leaves acc = p, mapped to 0 at the end
+    pinv, base = 1.0 / p, float(1 << LIMB_BITS)
+    acc = c[:, 4].copy()
+    for k in (3, 2, 1, 0):
+        acc *= base
+        acc += c[:, k]
+        acc -= np.floor(acc * pinv) * p
+    out = acc.astype(np.int64)
+    out[out == p] = 0
+    return out
+
+
+def float_kernel_agrees(mod: Modulus) -> bool:
+    """Whether a float product at the largest size up to 2^16 that mod admits
+    equals the NTT's, on a random row and a row of p - 1; True where mod has
+    no float size.  Exactness rests on IEEE doubles and an FFT as accurate as
+    the bound assumes, which the numpy build decides."""
+    sizes = [1 << k for k in range(17) if _float(mod, 1 << k)]
+    if not sizes:
+        return True
+    size, p = sizes[-1], mod.p
+    rng = np.random.default_rng(size)
+    A = np.stack([rng.integers(0, p, size // 2), np.full(size // 2, p - 1)])
+    B = np.stack([np.full(size // 2, p - 1), rng.integers(0, p, size // 2)])
+    spectra = _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % p
+    want = _ntt_numpy(mod, spectra, size, True)[:, : size - 1]
+    return np.array_equal(_convolve_rows(mod, A, B), want)
 
 
 # -- array helpers ---------------------------------------------------------

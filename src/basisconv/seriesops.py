@@ -81,15 +81,32 @@ def series_exp(g: Poly, n: int) -> Poly:
     mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("exp needs a series with zero constant term")
-    # Newton coupled with log: y <- y * (1 + g - log y), y(0) = 1
-    y = Poly(mod, [1], 1)
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        ln = series_log(series_add_const(y, -1), prec)
-        corr = (_fit(g.arr, prec) - ln.arr) % mod.p
-        corr[0] = (int(corr[0]) + 1) % mod.p
-        y = mul_trunc(truncate(y, prec), Poly.of(mod, corr), prec)
+    p = mod.p
+    # Newton coupled with log: y <- y (1 + g - log y), y(0) = 1, with
+    # log(y)' = g' + (y' - y g') / y.  Where y = exp(g) mod x^m the numerator
+    # vanishes below x^(m-1), so the quotient mod x^(2m-1) takes 1/y only
+    # mod x^m: z carries 1/y from step to step, one Newton update per step
+    y = z = Poly(mod, [1], 1)
+    m = 1
+    while m < n:
+        new = min(2 * m, n)
+        k = new - m             # the precision z needs, at most 2 z.dim
+        if z.dim < k:
+            # z <- z (2 - y z) mod x^k
+            corr = (-mul_trunc(truncate(y, k), z, k).arr) % p
+            corr[0] = (int(corr[0]) + 2) % p
+            z = mul_trunc(z, Poly.of(mod, corr), k)
+        q = _derivative(truncate(g, new))
+        # deg y' < m - 1, so (y' - y q) / y = -x^(m-1) (y q div x^(m-1)) z
+        yq = mul_trunc(y, q, new - 1).arr
+        w = q.arr.copy()
+        w[m - 1 :] -= mul_trunc(Poly.of(mod, yq[m - 1 :]), z, k).arr
+        ln = _integral(Poly.of(mod, w % p), new)
+        # g - log y vanishes below x^m, so y (1 + g - log y) adds only x^m y d
+        d = (_fit(g.arr, new)[m:] - ln.arr[m:]) % p
+        out = _fit(y.arr, new)
+        out[m:] = mul_trunc(y, Poly.of(mod, d), k).arr
+        y, m = Poly.of(mod, out), new
     return series_add_const(truncate(y, n), -1)
 
 

@@ -16,11 +16,27 @@ def mod101():
 
 
 @pytest.fixture
-def transforms_only(monkeypatch):
-    """Every product the modulus can transform goes through the NTT, however
-    small: the schoolbook is then left to the moduli without the roots."""
+def force_kernel(monkeypatch):
+    """A function that sends every product the modulus can transform through
+    a transform, however small, the schoolbook being left to the moduli
+    without the roots: "ntt" sends them all to the NTT, "float" sends every
+    one the float kernel may take (int64 rows, sizes 2 to FLOAT_MAX_SIZE) to
+    it and the rest to the NTT."""
 
     def by_transform(mod, la, lb):
         return modfield._transforms(mod, 1 << (la + lb - 2).bit_length())
 
-    monkeypatch.setattr(modfield, "_by_transform", by_transform)
+    def force(kernel):
+        monkeypatch.setattr(modfield, "_by_transform", by_transform)
+        # a float image of size 1 has one frequency, which does not tell its size
+        low = {"float": 2, "ntt": modfield.FLOAT_MAX_SIZE + 1}[kernel]
+        monkeypatch.setattr(modfield, "FLOAT_MIN_SIZE", low)
+
+    return force
+
+
+@pytest.fixture(params=["float", "ntt"])
+def transforms_only(request, force_kernel):
+    """Every product through a transform: each kernel in turn (force_kernel)."""
+    force_kernel(request.param)
+    return request.param

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
+from basisconv import cli
+
 P = 2013265921
 
 
@@ -154,6 +158,20 @@ def test_selftest_quick():
     proc = run_cli(["selftest", "--quick"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_selftest_checks_the_float_kernel(monkeypatch, capsys):
+    # an FFT that errs by more than 1/2 (a numpy build off the bound) fails
+    # the kernel check; the conversions of --quick stay below the float sizes
+    import numpy as np
+
+    from basisconv import cli
+
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.75)
+    assert cli.main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL kernel" in out and "selftest: 1 failure(s)" in out
 
 
 def test_malformed_family_value_is_domain_error():

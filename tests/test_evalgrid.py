@@ -14,6 +14,7 @@ from basisconv.evalgrid import (
     multieval_grid_t,
 )
 from basisconv.oracle import stirling_matrices
+from basisconv.polyops import taylor_shift
 
 # 29 * 2^57 + 1: prime, above 2^31, so the NTT runs on rows of Python ints
 SCALAR_PRIME = 4179340454199820289
@@ -88,7 +89,8 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(modfield, "_ntt_numpy", counted(modfield._ntt_numpy))
+    # every transform, float or NTT, enters through _transform
+    monkeypatch.setattr(modfield, "_transform", counted(modfield._transform))
     monkeypatch.setattr(modfield, "_convolve", counted(modfield._convolve))
     monkeypatch.setattr(evalgrid, "_convolve", counted(evalgrid._convolve))
     # cold: the tree, the inverses of its nodes and one pass
@@ -99,6 +101,30 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
         calls[0] = 0
         run()
         assert 0 < calls[0] <= 8 * log_n
+
+
+def test_no_kept_float_images_same_results(monkeypatch):
+    # a fixed operand whose float image would exceed FIXED_IMAGE_BYTES keeps
+    # its coefficients and is transformed at each use (the tree levels and
+    # shift series of large n); with the limit at 0 every float one does
+    n = 3000
+    rng = random.Random(46)
+    coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
+
+    def run():
+        mod = Modulus(DEFAULT_PRIME)
+        A = Poly(mod, coeffs, n)
+        return [
+            multieval_grid(A).tolist(),
+            interp_grid(mod, coeffs).coeffs,
+            multieval_grid_t(mod, coeffs).coeffs,
+            interp_grid_t(A).tolist(),
+            taylor_shift(A, 12345).coeffs,
+        ]
+
+    want = run()
+    monkeypatch.setattr(modfield, "FIXED_IMAGE_BYTES", 0)
+    assert run() == want
 
 
 def test_interp_round_trip(mod101):

@@ -167,7 +167,8 @@ def test_matches_naive_convert(mod):
 
 def test_transform_kernel_matches_naive_convert(transforms_only):
     # products this small go to the schoolbook by default; here every product
-    # goes through the NTT, cached operands included (a fresh modulus)
+    # goes through one transform kernel, cached operands included (a fresh
+    # modulus)
     mod = Modulus(DEFAULT_PRIME)
     rng = random.Random(55)
     n = 24

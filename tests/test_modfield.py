@@ -16,15 +16,24 @@ from basisconv import (
     mul_trunc_t,
     poly_mul,
 )
+from basisconv import modfield
 from basisconv.modfield import (
+    _class_spectra,
     _convolve,
     _convolve_rows,
     _convolve_schoolbook,
     _image,
     _image_coeffs,
     _image_mul,
+    _image_mul_add,
     _factorize,
+    _limb_coeffs,
+    _limb_spectra,
+    _mul_fixed,
+    _ntt_numpy,
+    fft_error_bound,
     is_prime,
+    FLOAT_MIN_SIZE,
     PRIME_BOUND,
 )
 
@@ -258,3 +267,76 @@ def test_mul_trunc_t_is_transpose(mod101):
         for i in range(m):
             for j in range(n):
                 assert bwd[i][j] == fwd[j][i]
+
+
+def _ntt_cyclic(mod, pairs, size):
+    """The NTT's sum of the row-wise products A B mod x^size - 1 over the
+    pairs (A, B): the reference of the float kernel."""
+    spectra = [
+        _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % mod.p
+        for A, B in pairs
+    ]
+    return _ntt_numpy(mod, sum(spectra) % mod.p, size, True)
+
+
+# balanced limbs (-1024, -1024, 479): the largest limb norm below DEFAULT_PRIME
+WORST = 479 * (1 << 22) - 1024 * 2049
+FLOAT_SIZES = [1 << k for k in range(FLOAT_MIN_SIZE.bit_length() - 1, 18)]
+
+
+@pytest.mark.parametrize("size", FLOAT_SIZES)
+def test_float_kernel_exact_on_worst_operands(mod, size):
+    p = mod.p
+    assert modfield._float(mod, size)
+    for value in (WORST, p - 1):
+        half = np.full((2, size // 2), value, dtype=np.int64)
+        full = np.full((2, size), value, dtype=np.int64)
+        want = _ntt_cyclic(mod, [(half, half)], size)[:, : size - 1]
+        # single and batched rows, and a product by a kept fixed operand
+        assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
+        assert np.array_equal(_convolve_rows(mod, half, half), want)
+        fixed = _image(mod, half[:1], size)
+        assert np.array_equal(_mul_fixed(mod, half[0], fixed, size - 1), want[0])
+        # a summed pair of product images of full rows: the largest norms
+        X = _image(mod, full, size)
+        got = _image_coeffs(mod, _image_mul_add(mod, X, X, X, X), size)
+        assert np.array_equal(got, _ntt_cyclic(mod, [(full, full), (full, full)], size))
+        for products in (1, 2):
+            c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
+            assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 998244353])
+def test_float_recombination_reduces_multiples_of_p(p):
+    # a class coefficient t = -q p: for 998244353 and q >= 3 the double
+    # t * fl(1/p) lies below -q, so floor(t / p) falls one short
+    size = FLOAT_MIN_SIZE
+    classes = np.zeros((1, 5, size))
+    classes[0, 0] = -p * np.arange(size, dtype=np.float64)
+    got = _limb_coeffs(p, np.fft.rfft(classes, axis=-1), size, size)
+    assert not got.any()
+
+
+def test_float_kernel_dispatch(mod, monkeypatch):
+    # past the largest admitted size products go to the NTT; the bound is
+    # asserted wherever a float product image is made
+    calls = [0]
+    ntt = modfield._ntt_numpy
+
+    def counted(*args):
+        calls[0] += 1
+        return ntt(*args)
+
+    monkeypatch.setattr(modfield, "_ntt_numpy", counted)
+    monkeypatch.setattr(modfield, "FLOAT_MAX_SIZE", 2 * FLOAT_MIN_SIZE)
+    rng = random.Random(7)
+    for size, ntt_calls in ((2 * FLOAT_MIN_SIZE, 0), (4 * FLOAT_MIN_SIZE, 3)):
+        a = [rng.randrange(mod.p) for _ in range(size // 2)]
+        b = [rng.randrange(mod.p) for _ in range(size // 2)]
+        calls[0] = 0
+        assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
+        assert calls[0] == ntt_calls, size
+    X = _limb_spectra(np.ones((1, 4), dtype=np.int64), FLOAT_MIN_SIZE)
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(FLOAT_MIN_SIZE, 1) / 2)
+    with pytest.raises(AssertionError):
+        _class_spectra([(X, X)])

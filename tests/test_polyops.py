@@ -103,13 +103,14 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
     rng = random.Random(17)
     A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
     calls = [0]
-    ntt = modfield._ntt_numpy
+    transform = modfield._transform
 
     def counted(*args):
         calls[0] += 1
-        return ntt(*args)
+        return transform(*args)
 
-    monkeypatch.setattr(modfield, "_ntt_numpy", counted)
+    # every transform, float or NTT, enters through _transform
+    monkeypatch.setattr(modfield, "_transform", counted)
     for shift in (taylor_shift, taylor_shift_t):
         cold = shift(A, 12345)
         size = len(mod._cache)

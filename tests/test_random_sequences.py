@@ -5,11 +5,11 @@ keeps track of what each operator's domain depends on: the constant term g0
 of the current series, its valuation and its leading coefficient.  It only
 emits operators whose domain holds, so every sequence must evaluate; one
 more operator chosen outside its domain must raise the typed error of
-compseq._apply_op.  Three primes cover the three kernels: 101 (schoolbook
-products), DEFAULT_PRIME (int64 transforms) and a 40-bit prime (transforms on
-dtype-object rows).  Over 101 the sizes stay small: the inverse turns each
-root into a power substitution, which multiplies the dimension by k, and a
-Taylor shift of dimension m needs m < p.
+compseq._apply_op.  Three primes cover the kernels: 101 (schoolbook
+products), DEFAULT_PRIME (int64 transforms: float or NTT) and a 40-bit prime
+(NTT on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
+each root into a power substitution, which multiplies the dimension by k, and
+a Taylor shift of dimension m needs m < p.
 """
 
 import random
@@ -130,12 +130,14 @@ def mod(request):
     return Modulus(request.param)
 
 
-@pytest.fixture(params=["dispatch", "transforms"])
+@pytest.fixture(params=["dispatch", "transforms", "float"])
 def kernel(request):
-    # as dispatched by size, or every product through the NTT where the
-    # modulus allows it
-    if request.param == "transforms":
-        request.getfixturevalue("transforms_only")
+    # as dispatched by size; every product through the NTT where the modulus
+    # allows it ("transforms"); or through the float kernel where it may
+    # take it and through the NTT elsewhere ("float")
+    force = {"transforms": "ntt", "float": "float"}.get(request.param)
+    if force:
+        request.getfixturevalue("force_kernel")(force)
     return request.param
 
 

@@ -3,17 +3,37 @@ import random
 import pytest
 
 from basisconv import (
+    DEFAULT_PRIME,
     DomainViolation,
     InvalidOperatorParam,
+    Modulus,
     Poly,
     mul_trunc,
+    seriesops,
     series_exp,
     series_inv,
     series_log,
     series_pow,
     series_root,
+    truncate,
     unit_pow,
 )
+
+P40 = 1099489607681
+
+
+def _exp_by_log(g, n):
+    """exp(g) - 1 mod x^n by Newton steps y <- y (1 + g - log y), each with
+    a fresh series_log: the reference."""
+    add_const = seriesops.series_add_const
+    y = Poly(g.mod, [1], 1)
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        ln = series_log(add_const(y, -1), prec)
+        corr = Poly.of(g.mod, (truncate(g, prec).arr - ln.arr) % g.mod.p)
+        y = mul_trunc(truncate(y, prec), add_const(corr, 1), prec)
+    return add_const(truncate(y, n), -1)
 
 
 def test_series_inv_geometric(mod101):
@@ -53,6 +73,38 @@ def test_exp_log_mutual_inverse(mod101):
         series_exp(Poly(mod101, [1], 3), 3)
     with pytest.raises(DomainViolation):
         series_log(Poly(mod101, [1], 3), 3)
+
+
+@pytest.mark.parametrize(
+    "p, sizes",
+    [
+        (DEFAULT_PRIME, (1, 2, 3, 17, 64, 1000)),
+        (101, (1, 2, 3, 17, 64)),
+        (P40, (1, 2, 3, 17, 64, 1000)),
+    ],
+)
+def test_series_exp_matches_exp_by_log(p, sizes):
+    mod = Modulus(p)
+    rng = random.Random(24)
+    for n in sizes:
+        g = Poly(mod, [0] + [rng.randrange(p) for _ in range(n - 1)], n)
+        assert series_exp(g, n) == _exp_by_log(g, n), n
+
+
+def test_series_exp_carries_the_inverse(mod, monkeypatch):
+    # 1/y is updated from step to step, not recomputed by series_inv
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return series_inv(*args)
+
+    monkeypatch.setattr(seriesops, "series_inv", counted)
+    rng = random.Random(25)
+    n = 4096
+    g = Poly(mod, [0] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
+    series_exp(g, n)
+    assert calls[0] <= 1
 
 
 def test_unit_pow_small_exponents(mod101):
