@@ -1,22 +1,32 @@
 """Multipoint evaluation and interpolation at the grid 0..n-1, their
 transposes, and the four maps evaluating polynomials at exp(x)-1 / log(1+x).
 
-Evaluation and interpolation use a subproduct tree with Newton-inverse
-remaindering, O(M(n) log n), worked one level at a time.  Level k holds the
-products of (x - p_i) over the blocks [j s, (j+1) s) ∩ [0, n), s = 2^k: all
-monic of degree s but at most one ragged last node.  The full nodes are the
-rows of one (n // s, s) array of their coefficients below x^s, so a level is
-built, reduced by or combined through with a few batched transforms (the row
-images of modfield); the ragged node goes through the 1-D _convolve.  Grid
-and reciprocal trees are kept per n in Modulus.cached with their nodes'
+The four grid maps run on one subproduct tree per n, O(M(n) log n), worked one
+level at a time.  Level k holds the products of (x - p_i) over the blocks
+[j s, (j+1) s) ∩ [0, n), s = 2^k: all monic of degree s but at most one ragged
+last node.  The full nodes are the rows of one (n // s, s) array of their
+coefficients below x^s, so a level is built or passed through with a few
+batched transforms (the row images of modfield); the ragged node goes through
+the 1-D _convolve.  Trees are kept per n in Modulus.cached with their nodes'
 images, but for float images past modfield.FIXED_IMAGE_BYTES; data derived
 from a tree is computed on first use and kept on it.
 
-The transposed maps use the generating-series identity
-sum_i v_i / (1 - p_i x) = N(x) / D(x), where D is the reversal of the root
-polynomial and N that of the interpolation combine; the transposed
-interpolation recovers the partial-fraction data by evaluating at the
-reciprocal points.
+A tree serves two passes, each the transpose of the other (Tellegen's
+principle; Bostan, Lecerf & Schost, ISSAC 2003):
+- combine, bottom-up, c -> sum_i c_i prod_{j != i} (x - p_j): a node of
+  degree s = 2h takes V_L low_R + V_R low_L + x^h (V_L + V_R) from its
+  children's values, low the nodes without their leading x^h;
+- combine_t, top-down: a child takes W[j + h] + sum_t low_S[t] W[t + j], j < h,
+  from its parent's W, S its sibling.  That middle product wraps into none of
+  the coefficients it reads at cyclic size s, where it is a product by the
+  sibling's image read backwards (modfield._image_rev).
+
+With D = prod_i (1 - p_i x), the reversal of the root, and the weights
+w_i = 1 / M'(p_i), the identity sum_i v_i / (1 - p_i x) = rev(combine(v)) / D
+gives multieval_t(v) = rev(combine(v)) / D mod x^n and interp(v) =
+combine(w v), and by transposition
+- multieval(A) = combine_t(rev(mul_trunc_t(A, 1/D, n)));
+- interp_t(A) = w combine_t(A).
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .modfield import (
     _image_coeffs,
     _image_mul,
     _image_mul_add,
+    _image_rev,
     _image_size,
     _keeps_image,
     _residues,
@@ -70,8 +81,8 @@ class SubproductTree:
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
     their images at size 2s, below the top level, or low[k] itself where
-    modfield keeps no image (_kept); rag[k]: the coefficients of the ragged
-    node of level k, or None.
+    modfield keeps no image (_kept), read by both passes; rag[k]: the
+    coefficients of the ragged node of level k, or None.
     """
 
     def __init__(self, mod: Modulus, points):
@@ -98,62 +109,16 @@ class SubproductTree:
         top = self.rag[-1]
         self.root = top if top is not None else _monic(self.low[-1][0])
 
-    @cached_property
-    def _inverses(self):
-        # 1/rev(node) mod x^s for the full nodes of each level below the top,
-        # as _kept keeps them beside their images at size 2s; per level,
-        # 1/rev(node) mod x^s for a ragged node that is the right child of
-        # its parent
-        mod, p, n, dt = self.mod, self.mod.p, self.n, self.dtype
-        img = _image(mod, np.ones((n, 1), dtype=dt), 2)
-        iimg = [img]
-        for k in range(1, self.depth):
-            s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            # the children's inverses multiply to y0, the node's mod x^h;
-            # with g y0 = 1 + x^h e mod x^s, one Newton step gives y0 - x^h y0 e
-            y0 = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), h)
-            g = np.concatenate([np.ones((nf, 1), dtype=dt), self.low[k][:, :0:-1]], axis=1)
-            y0_img = _image(mod, y0, s)
-            e = _image_coeffs(mod, _image_mul(mod, _image(mod, g, s), y0_img), s)[:, h:]
-            d = _image_coeffs(mod, _image_mul(mod, y0_img, _image(mod, e, s)), h)
-            inv = np.concatenate([y0, (-d) % p], axis=1)
-            img = _image(mod, inv, 2 * s)
-            iimg.append(_kept(mod, inv, img))
-        rinv = [
-            series_inv(Poly.of(mod, _fit(rag[::-1], 1 << k)), 1 << k).arr
-            if rag is not None and (n >> k) & 1 else None
-            for k, rag in enumerate(self.rag)
-        ]
-        return iimg, rinv
-
     def multieval(self, cs):
         """Values at every point of the polynomial with coefficients cs (an
-        array of residues, len(cs) <= number of points), in point order."""
-        mod, p, n = self.mod, self.mod.p, self.n
-        iimg, rinv = self._inverses
-        rem = np.zeros((1, 1 << self.depth), dtype=self.dtype)
-        rem[0, : len(cs)] = cs
-        for k in range(self.depth - 1, -1, -1):
-            # remainders one level down: by the nodes of level k, of size h
-            h, nf = 1 << k, n >> k
-            par = np.repeat(rem, 2, axis=0)[:nf]
-            q_rev = _image_mul(
-                mod, _image(mod, par[:, : h - 1 : -1], 2 * h), _as_image(mod, iimg[k], 2 * h)
-            )
-            q = _image(mod, _image_coeffs(mod, q_rev, h)[:, ::-1], 2 * h)
-            node = _as_image(mod, self.img[k], 2 * h)
-            nxt = (par[:, :h] - _image_coeffs(mod, _image_mul(mod, q, node), h)) % p
-            r = n % h
-            if r:
-                last = rem[nf >> 1, :h]
-                if nf & 1:
-                    # the ragged parent has degree h + r; divide by its right child
-                    a = rem[nf >> 1, : h + r]
-                    q = _convolve(mod, a[: r - 1 : -1], rinv[k])[:h][::-1]
-                    last = _fit((a[:r] - _convolve(mod, q, self.rag[k])[:r]) % p, h)
-                nxt = np.vstack([nxt, last])
-            rem = nxt
-        return rem[:, 0]
+        array of residues, len(cs) <= number of points), in point order.
+
+        The transpose of multieval_t(v) = rev(combine(v)) / D mod x^n: the
+        transposed product by 1/D, a middle product, read backwards into
+        combine_t."""
+        n = self.n
+        mid = _fit(_convolve(self.mod, cs, self.den_inv[::-1])[n - 1 :], n)
+        return self.combine_t(mid[::-1])
 
     @cached_property
     def weights(self):
@@ -186,6 +151,35 @@ class SubproductTree:
             v = cur
         return v[0, :n]
 
+    def combine_t(self, W):
+        """The transpose of combine: coefficient i of the result is
+        sum_j W[j] [x^j] prod_{l != i} (x - p_l), for an array W of n
+        residues."""
+        mod, p, n = self.mod, self.mod.p, self.n
+        w = _fit(W, 1 << self.depth).reshape(1, -1)
+        for k in range(self.depth, 0, -1):
+            s, h, nf = 1 << k, 1 << (k - 1), n >> k
+            nxt = np.empty((-(-n // h), h), dtype=self.dtype)
+            if nf:
+                rev = _image_rev(_as_image(mod, self.img[k - 1], s)[: 2 * nf])
+                wimg = np.repeat(_image(mod, w[:nf], s), 2, axis=0)
+                # row 2i correlates with the left child: W_R of node i
+                mid = _image_coeffs(mod, _image_mul(mod, wimg, rev), h)
+                nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
+                nxt[1 : 2 * nf : 2] = mid[0::2] + w[:nf, h:]
+            r = n % s
+            if r:
+                last = w[nf]     # to the ragged node's only child, if r <= h
+                if r <= h:
+                    nxt[2 * nf :] = last[:h]
+                else:
+                    full = _monic(self.low[k - 1][2 * nf])
+                    nxt[2 * nf] = _convolve(mod, last[:r], self.rag[k - 1][::-1])[r - h : r]
+                    nxt[2 * nf + 1] = _fit(_convolve(mod, last[:r], full[::-1])[h:r], h)
+            nxt %= p
+            w = nxt
+        return w[:, 0]
+
     def interp(self, values) -> Poly:
         """The unique polynomial of dim n taking the given values."""
         cs = _residues(self.mod, values) * self.weights % self.mod.p
@@ -196,25 +190,9 @@ class SubproductTree:
         """1 / prod(1 - p_i x) mod x^n."""
         return series_inv(Poly.of(self.mod, _fit(self.root[::-1], self.n)), self.n).arr
 
-    @cached_property
-    def interp_t_data(self):
-        """Of the grid tree: D = prod_{i=1}^{n-1} (1 - i x), 1 / D[n-1],
-        and -i / D'(1/i) for i = 1..n-1."""
-        mod, p, n = self.mod, self.mod.p, self.n
-        D = _fit(self.root[::-1], n)      # the x - 0 factor of the root reverses into 1
-        Dprime = D[1:] * _arange(mod, 1, n) % p
-        dinvs = mod.inv_array(_recip_tree(mod, n).multieval(Dprime))
-        scale = (-_arange(mod, 1, n)) * dinvs % p
-        return D, mod.inv(int(D[n - 1])), scale
-
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
     return mod.cached(("grid", n), lambda: SubproductTree(mod, _arange(mod, 0, n)))
-
-
-def _recip_tree(mod: Modulus, n: int) -> SubproductTree:
-    """Tree over the points 1/1, 1/2, ..., 1/(n-1)."""
-    return mod.cached(("recip", n), lambda: SubproductTree(mod, mod.table("inverses", n)[1:]))
 
 
 def multieval_grid(A: Poly):
@@ -255,15 +233,8 @@ def interp_grid_t(A: Poly):
     mod.check_precision(n)
     if n == 1:
         return A.arr.copy()
-    D, lead_inv, scale = _grid_tree(mod, n).interp_t_data
-    N = _convolve(mod, A.arr, D)[:n]
-    y0 = int(N[n - 1]) * lead_inv % mod.p
-    # y0 clears coefficient n - 1, so the rest has fewer terms than points
-    Nred = (N[: n - 1] - y0 * D[: n - 1]) % mod.p
-    out = np.empty(n, dtype=D.dtype)
-    out[0] = y0
-    out[1:] = _recip_tree(mod, n).multieval(Nred) * scale % mod.p
-    return out
+    tree = _grid_tree(mod, n)
+    return tree.weights * tree.combine_t(A.arr) % mod.p
 
 
 # -- evaluation at exp(x)-1 and log(1+x) ----------------------------------

@@ -11,19 +11,21 @@ Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
 entries mod p and Poly.coeffs reads them back as a list.
 
 Products dispatch by size among three kernels.  Short operands go to the
-schoolbook convolution, by measured work (_by_transform), and so does
-everything for moduli without roots of unity of the needed order.  Longer ones
-are multiplied through images, transforms of the rows of 2-D arrays, so one
-call multiplies a whole batch of equal-length operands (_convolve_rows); a
-single product is its one-row case.  The kind of an image depends on the
-modulus and the size alone (_float):
+schoolbook convolution, by measured work (_by_transform), and so does every
+product at a size neither transform can take (_transforms).  Longer ones are
+multiplied through images, transforms of the rows of 2-D arrays, so one call
+multiplies a whole batch of equal-length operands (_convolve_rows); a single
+product is its one-row case.  The kind of an image depends on the modulus and
+the size alone (_float):
 - for p < 2^31 and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE, the float FFT on
   three balanced 11-bit limbs (numpy.fft.rfft), exact because the rounding
-  error bound fft_error_bound stays below FFT_ERROR_MAX there;
-- otherwise the radix-2 NTT (_ntt_numpy): on dtype-object rows for p >= 2^31,
-  below FLOAT_MIN_SIZE, where batches of short rows favour it, and beyond the
-  sizes the bound admits.  It is also the reference the float kernel is
-  checked against (tests, basisconv selftest).
+  error bound fft_error_bound stays below FFT_ERROR_MAX there; it needs no
+  roots of unity, so every p < 2^31 takes it;
+- otherwise the radix-2 NTT (_ntt_numpy), where p has roots of unity of order
+  size: on dtype-object rows for p >= 2^31, below FLOAT_MIN_SIZE, where
+  batches of short rows favour it, and beyond the sizes the bound admits.  It
+  is also the reference the float kernel is checked against (tests, basisconv
+  selftest).
 """
 
 from __future__ import annotations
@@ -388,18 +390,16 @@ def _convolve_schoolbook(a, b, p):
     return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
-def _transforms(mod: Modulus, size):
-    """Whether products mod x^size - 1 run through transforms."""
-    return size <= mod.max_ntt_len
-
-
 def _float(mod: Modulus, size):
-    """Whether images at size are float limb spectra rather than NTT rows."""
-    return (
-        mod.dtype is not object
-        and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE
-        and _transforms(mod, size)
-    )
+    """Whether images at size are float limb spectra: on int64 rows at the
+    sizes the float kernel takes, which needs no roots of unity."""
+    return mod.dtype is not object and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE
+
+
+def _transforms(mod: Modulus, size):
+    """Whether products mod x^size - 1 run through transforms: the float
+    kernel (_float) or the NTT, which needs roots of unity of order size."""
+    return _float(mod, size) or size <= mod.max_ntt_len
 
 
 def _size(out_len):
@@ -483,6 +483,17 @@ def _image_mul(mod: Modulus, X, Y):
     return out[:, :size] % mod.p
 
 
+def _image_rev(X):
+    """The image of the rows of the image X read backwards, coefficient k
+    moved to -k mod size, so that a product with it is a correlation: the
+    conjugate of a float limb spectrum (its limb rows are real), and NTT rows
+    or raw rows read at index -k mod size."""
+    if X.ndim == 3:
+        return np.conj(X)
+    size = X.shape[1]
+    return X[:, -np.arange(size) % size]
+
+
 def _image_mul_add(mod: Modulus, X, Y, U, V):
     """The product image of X Y + U V, row-wise, made before any inverse
     transform: float class spectra add unreduced."""
@@ -537,6 +548,17 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len):
         return _convolve(mod, a, fixed)[:out_len]
     X = _image(mod, a[None], _image_size(fixed))
     return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
+
+
+def _mul_cyclic(mod: Modulus, a, b, size, out_len):
+    """The first out_len coefficients of a b mod x^size - 1 for 1-D a and b
+    of length <= size: through images at size, or where _by_transform picks
+    the schoolbook, the linear product folded."""
+    if _by_transform(mod, len(a), len(b)):
+        X, Y = _image(mod, a[None], size), _image(mod, b[None], size)
+        return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
+    c = _fit(_convolve(mod, a, b), 2 * size)
+    return (c[:out_len] + c[size : size + out_len]) % mod.p
 
 
 # -- the float kernel ------------------------------------------------------
@@ -645,19 +667,24 @@ def _limb_coeffs(p, Z, size, out_len):
 
 
 def float_kernel_agrees(mod: Modulus) -> bool:
-    """Whether a float product at the largest size up to 2^16 that mod admits
-    equals the NTT's, on a random row and a row of p - 1; True where mod has
-    no float size.  Exactness rests on IEEE doubles and an FFT as accurate as
-    the bound assumes, which the numpy build decides."""
+    """Whether a float product equals the NTT's at the largest size up to
+    2^16 where mod admits both, or else the schoolbook's at the least float
+    size, on a random row and a row of p - 1; True where mod has no float
+    size.  Exactness rests on IEEE doubles and an FFT as accurate as the
+    bound assumes, which the numpy build decides."""
     sizes = [1 << k for k in range(17) if _float(mod, 1 << k)]
     if not sizes:
         return True
-    size, p = sizes[-1], mod.p
+    ntt = [size for size in sizes if size <= mod.max_ntt_len]
+    size, p = (ntt or sizes[:1])[-1], mod.p
     rng = np.random.default_rng(size)
     A = np.stack([rng.integers(0, p, size // 2), np.full(size // 2, p - 1)])
     B = np.stack([np.full(size // 2, p - 1), rng.integers(0, p, size // 2)])
-    spectra = _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % p
-    want = _ntt_numpy(mod, spectra, size, True)[:, : size - 1]
+    if ntt:
+        spectra = _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % p
+        want = _ntt_numpy(mod, spectra, size, True)[:, : size - 1]
+    else:
+        want = np.stack([_convolve_schoolbook(a, b, p) for a, b in zip(A, B)])
     return np.array_equal(_convolve_rows(mod, A, B), want)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainViolation, InvalidOperatorParam, PrecisionExceedsModulus
-from .modfield import Poly, _arange, _fit, mul_trunc
+from .modfield import Poly, _arange, _fit, _mul_cyclic, _size, mul_trunc
 from .polyops import truncate
 
 
@@ -31,17 +31,24 @@ def series_inv(g: Poly, n: int) -> Poly:
     mod = g.mod
     if g.constant() == 0:
         raise DomainViolation("series inverse needs a nonzero constant term")
-    p = mod.p
-    y = Poly(mod, [mod.inv(g.constant())], 1)
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        gy = mul_trunc(truncate(g, prec), y, prec)
-        # y <- y * (2 - g*y)
-        corr = (-gy.arr) % p
-        corr[0] = (int(corr[0]) + 2) % p
-        y = mul_trunc(y, Poly.of(mod, corr), prec)
-    return truncate(y, n)
+    y = np.array([mod.inv(g.constant())], dtype=mod.dtype)
+    while len(y) < n:
+        y = _newton_inv(g, y, min(2 * len(y), n))
+    return Poly.of(mod, y)
+
+
+def _newton_inv(g: Poly, y, prec):
+    """1/g mod x^prec from the array y = 1/g mod x^h, h = len(y) >= prec / 2.
+
+    With g y = 1 + x^h e, one Newton step gives y - x^h (y e mod x^(prec - h)).
+    Both products run mod x^L - 1, L = _size(prec): g y mod x^prec wraps only
+    into its known coefficients below x^h, and y e mod x^(prec - h) does not
+    wrap.
+    """
+    mod, h, size = g.mod, len(y), _size(prec)
+    e = _mul_cyclic(mod, _fit(g.arr, prec), y, size, prec)[h:]
+    d = _mul_cyclic(mod, y, e, size, prec - h)
+    return np.concatenate([y, (-d) % mod.p])
 
 
 def _derivative(g: Poly) -> Poly:
@@ -92,10 +99,7 @@ def series_exp(g: Poly, n: int) -> Poly:
         new = min(2 * m, n)
         k = new - m             # the precision z needs, at most 2 z.dim
         if z.dim < k:
-            # z <- z (2 - y z) mod x^k
-            corr = (-mul_trunc(truncate(y, k), z, k).arr) % p
-            corr[0] = (int(corr[0]) + 2) % p
-            z = mul_trunc(z, Poly.of(mod, corr), k)
+            z = Poly.of(mod, _newton_inv(y, z.arr, k))
         q = _derivative(truncate(g, new))
         # deg y' < m - 1, so (y' - y q) / y = -x^(m-1) (y q div x^(m-1)) z
         yq = mul_trunc(y, q, new - 1).arr

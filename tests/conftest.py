@@ -18,10 +18,10 @@ def mod101():
 @pytest.fixture
 def force_kernel(monkeypatch):
     """A function that sends every product the modulus can transform through
-    a transform, however small, the schoolbook being left to the moduli
-    without the roots: "ntt" sends them all to the NTT, "float" sends every
-    one the float kernel may take (int64 rows, sizes 2 to FLOAT_MAX_SIZE) to
-    it and the rest to the NTT."""
+    a transform, however small: "ntt" sends them all to the NTT, the
+    schoolbook being left to the sizes past the roots of unity of p; "float"
+    sends every one the float kernel may take (int64 rows, sizes 2 to
+    FLOAT_MAX_SIZE) to it, roots of unity or not, and the rest to the NTT."""
 
     def by_transform(mod, la, lb):
         return modfield._transforms(mod, 1 << (la + lb - 2).bit_length())

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from basisconv import DEFAULT_PRIME, Modulus, Poly, PrecisionExceedsModulus, evalgrid, modfield
@@ -21,6 +22,8 @@ SCALAR_PRIME = 4179340454199820289
 # ragged sizes on both sides of powers of two; capped below p, and at 100 on
 # the big prime, where every product works on Python ints
 SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
+# 2 * 500001 + 1: no roots of unity of order 4, so float images only
+NO_ROOTS_PRIME = 1000003
 
 
 @pytest.fixture(
@@ -101,6 +104,48 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
         calls[0] = 0
         run()
         assert 0 < calls[0] <= 8 * log_n
+
+
+@pytest.mark.parametrize(
+    "p", [DEFAULT_PRIME, 101, NO_ROOTS_PRIME, SCALAR_PRIME],
+    ids=["float-and-ntt", "raw-rows", "float-no-roots", "scalar-ntt"],
+)
+def test_combine_t_is_the_transpose_of_combine(p):
+    # <combine(c), W> = <c, combine_t(W)>: on float spectra (conjugated), NTT
+    # rows and raw rows (read at -k), and the ragged nodes of every size
+    mod = Modulus(p)
+    cap = 100 if p == SCALAR_PRIME else p - 1
+    rng = random.Random(47)
+    for n in [n for n in SIZES if n <= cap]:
+        tree = evalgrid.SubproductTree(mod, modfield._arange(mod, 0, n))
+        c, W = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        lhs = sum(a * b for a, b in zip(tree.combine(np.array(c, dtype=mod.dtype)).tolist(), W))
+        rhs = sum(a * b for a, b in zip(c, tree.combine_t(np.array(W, dtype=mod.dtype)).tolist()))
+        assert lhs % p == rhs % p, n
+
+
+def test_transposed_passes_make_few_transforms(monkeypatch):
+    # multieval and interp_t are each one top-down pass of combine_t: two
+    # transforms a level, and one tree per n, with no tree over 1/i
+    mod = Modulus(DEFAULT_PRIME)
+    n, log_n = 4096, 12
+    rng = random.Random(48)
+    A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+    calls = [0]
+    transform = modfield._transform
+
+    def counted(*args):
+        calls[0] += 1
+        return transform(*args)
+
+    monkeypatch.setattr(modfield, "_transform", counted)
+    for run in (lambda: multieval_grid(A), lambda: interp_grid_t(A)):
+        run()
+        calls[0] = 0
+        run()
+        assert 0 < calls[0] <= 3 * log_n
+    trees = [k for k, v in mod._cache.items() if isinstance(v, evalgrid.SubproductTree)]
+    assert trees == [("grid", n)]
 
 
 def test_no_kept_float_images_same_results(monkeypatch):

@@ -22,6 +22,9 @@ from basisconv.families import (
 from basisconv.oracle import naive_convert, stirling_matrices
 from catalog_data import FAMILY_STRINGS, all_families
 
+# 2 * 500001 + 1: no roots of unity of order 4
+NO_ROOTS_PRIME = 1000003
+
 M_TABLE = {
     "laguerre", "hermite", "jacobi", "fibonacci", "euler", "bernoulli",
     "mott", "spread", "bessel",
@@ -168,16 +171,42 @@ def test_matches_naive_convert(mod):
 def test_transform_kernel_matches_naive_convert(transforms_only):
     # products this small go to the schoolbook by default; here every product
     # goes through one transform kernel, cached operands included (a fresh
-    # modulus)
-    mod = Modulus(DEFAULT_PRIME)
+    # modulus); the float kernel also over a prime without roots of unity
+    primes = [DEFAULT_PRIME] + [NO_ROOTS_PRIME] * (transforms_only == "float")
     rng = random.Random(55)
     n = 24
-    for fam in all_families(mod):
+    for mod in map(Modulus, primes):
+        for fam in _families_over(mod):
+            a = [rng.randrange(mod.p) for _ in range(n)]
+            fast = to_monomial(a, fam, n, mod).coeffs
+            assert fast == naive_convert(a, fam, n, "to-monomial", mod), (mod, fam.name)
+            if fam.name != "spread":    # its diagonal has a zero: no inverse
+                assert from_monomial(Poly(mod, fast, n), fam, n, mod) == a, (mod, fam.name)
+
+
+def _families_over(mod):
+    """The catalog families that exist over mod: all but meixner_pollaczek,
+    which needs a square root of -1, where p % 4 == 3."""
+    if mod.p % 4 == 1:
+        return all_families(mod)
+    names = [s for s in FAMILY_STRINGS if not s.startswith("meixner_pollaczek")]
+    with pytest.raises(SpecViolation):
+        parse_family(mod, "meixner_pollaczek(lambda=3,s=5)")
+    return [parse_family(mod, s) for s in names]
+
+
+@pytest.mark.parametrize("n", [1100, 2100])
+def test_round_trip_without_roots_of_unity(n):
+    # past the schoolbook's limit products of p < 2^31 go to the float
+    # kernel, which needs no roots of unity
+    mod = Modulus(NO_ROOTS_PRIME)
+    assert mod.max_ntt_len == 2
+    rng = random.Random(n)
+    for name in ("hermite", "bell"):
+        fam = parse_family(mod, name)
         a = [rng.randrange(mod.p) for _ in range(n)]
-        fast = to_monomial(a, fam, n, mod).coeffs
-        assert fast == naive_convert(a, fam, n, "to-monomial", mod), fam.name
-        if fam.name != "spread":    # its diagonal has a zero: no inverse
-            assert from_monomial(Poly(mod, fast, n), fam, n, mod) == a, fam.name
+        A = to_monomial(a, fam, n, mod)
+        assert from_monomial(A, fam, n, mod) == a, name
 
 
 def test_small_prime_conversions(mod101):

@@ -39,6 +39,9 @@ from basisconv.modfield import (
 
 # 40-bit prime with 2-adicity 20: its NTT runs on rows of Python ints
 P40 = 1099489607681
+# primes of 2-adicity 1: the NTT goes no further than size 2
+NO_ROOTS_PRIME = 1000003
+OBJECT_PRIME_NO_ROOTS = 2147483659
 
 
 def _school(a, b, p):
@@ -206,8 +209,28 @@ def test_small_prime_fallback_and_capacity(mod101):
     a = [rng.randrange(101) for _ in range(80)]
     b = [rng.randrange(101) for _ in range(80)]
     assert _convolve(mod101, a, b).tolist() == _school(a, b, 101)
+    # past the schoolbook's limit the float kernel, which needs no roots
+    a = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
+    b = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
+    assert np.array_equal(_convolve(mod101, a, b), _convolve_schoolbook(a, b, 101))
+    # capacity ends past FLOAT_MAX_SIZE, and at once on rows of Python ints
+    ones = np.ones(modfield.FLOAT_MAX_SIZE // 2 + 1, dtype=np.int64)
     with pytest.raises(CapacityExceeded):
-        _convolve(mod101, [1] * 1500, [1] * 1500)
+        _convolve(mod101, ones, ones)
+    with pytest.raises(CapacityExceeded):
+        _convolve(Modulus(OBJECT_PRIME_NO_ROOTS), [1] * 1500, [1] * 1500)
+
+
+def test_float_kernel_needs_no_roots():
+    # 1000003 = 2 * 500001 + 1 has no roots of unity of order 4, but every
+    # float size
+    mod = Modulus(NO_ROOTS_PRIME)
+    assert mod.max_ntt_len == 2 and modfield._float(mod, 2048)
+    rng = np.random.default_rng(8)
+    a, b = rng.integers(0, mod.p, (2, 1100))
+    assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
+    # basisconv selftest checks such a modulus against the schoolbook
+    assert modfield.float_kernel_agrees(mod)
 
 
 def test_poly_invariants(mod101):

@@ -8,6 +8,7 @@ from basisconv import (
     InvalidOperatorParam,
     Modulus,
     Poly,
+    modfield,
     mul_trunc,
     seriesops,
     series_exp,
@@ -105,6 +106,57 @@ def test_series_exp_carries_the_inverse(mod, monkeypatch):
     g = Poly(mod, [0] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     series_exp(g, n)
     assert calls[0] <= 1
+
+
+def _inv_by_full_products(g, n):
+    """1/g mod x^n by Newton steps on linear products: the reference."""
+    mod, p = g.mod, g.mod.p
+    y = Poly(mod, [mod.inv(g.constant())], 1)
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        corr = (-mul_trunc(truncate(g, prec), y, prec).arr) % p
+        corr[0] = (int(corr[0]) + 2) % p
+        y = mul_trunc(y, Poly.of(mod, corr), prec)
+    return truncate(y, n)
+
+
+@pytest.mark.parametrize(
+    "p, sizes",
+    [
+        (DEFAULT_PRIME, (1, 2, 3, 17, 64, 1000)),
+        (101, (1, 2, 3, 17, 64)),
+        (P40, (1, 2, 3, 17, 64, 1000)),
+    ],
+)
+def test_series_inv_matches_full_products(p, sizes):
+    mod = Modulus(p)
+    rng = random.Random(27)
+    for n in sizes:
+        g = Poly(mod, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)], n)
+        assert series_inv(g, n) == _inv_by_full_products(g, n), n
+        # and from a shorter g, zero-padded
+        assert series_inv(truncate(g, n // 2 + 1), n) == _inv_by_full_products(
+            truncate(g, n // 2 + 1), n
+        ), n
+
+
+def test_series_inv_transforms_at_its_precision(mod, monkeypatch):
+    # each Newton step reads both its products mod x^L - 1, L >= prec, not
+    # from linear products at twice that size
+    sizes = []
+    transform = modfield._transform
+
+    def recorded(m, X, size, out_len=None):
+        sizes.append(size)
+        return transform(m, X, size, out_len)
+
+    monkeypatch.setattr(modfield, "_transform", recorded)
+    rng = random.Random(28)
+    n = 4096
+    g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
+    series_inv(g, n)
+    assert sizes and max(sizes) == n
 
 
 def test_unit_pow_small_exponents(mod101):
