@@ -9,7 +9,9 @@ coefficients below x^s, so a level is built or passed through with a few
 batched transforms (the row images of modfield); the ragged node goes through
 the 1-D _convolve.  Trees are kept per n in Modulus.cached with their nodes'
 images, but for float images past modfield.FIXED_IMAGE_BYTES; data derived
-from a tree is computed on first use and kept on it.
+from a tree is computed on first use and kept on it.  Each level's image has
+the kind modfield picks for its batch shape, float or NTT, and the values a
+pass multiplies by it take that kind.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
@@ -41,13 +43,14 @@ from .modfield import (
     _arange,
     _convolve,
     _fit,
+    _fixed_operand,
     _image,
     _image_coeffs,
     _image_mul,
     _image_mul_add,
     _image_rev,
-    _image_size,
     _keeps_image,
+    _mul_fixed,
     _residues,
 )
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
@@ -64,25 +67,14 @@ def _monic(low):
     return np.concatenate([low, np.ones(1, dtype=low.dtype)])
 
 
-def _kept(mod, rows, img):
-    """What a tree keeps of the fixed rows whose image is img: img, or the
-    rows themselves where modfield keeps no image (_keeps_image)."""
-    return img if _keeps_image(mod, len(rows), _image_size(img)) else rows
-
-
-def _as_image(mod, kept, size):
-    """The image at size of what _kept kept."""
-    return kept if _keeps_image(mod, len(kept), size) else _image(mod, kept, size)
-
-
 class SubproductTree:
     """Subproduct tree over an array of distinct points, stored level by
     level.
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
-    their images at size 2s, below the top level, or low[k] itself where
-    modfield keeps no image (_kept), read by both passes; rag[k]: the
-    coefficients of the ragged node of level k, or None.
+    their images at size 2s, below the top level, or None where modfield
+    keeps no image (_keeps_image), read by both passes through _level_image;
+    rag[k]: the coefficients of the ragged node of level k, or None.
     """
 
     def __init__(self, mod: Modulus, points):
@@ -96,7 +88,7 @@ class SubproductTree:
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             (a, b), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
-            self.img.append(_kept(mod, self.low[-1], img))
+            self.img.append(img if _keeps_image(img) else None)
             # (x^h + a)(x^h + b) = x^s + x^h (a + b) + a b
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
             cur[:, h:] += a + b
@@ -117,8 +109,13 @@ class SubproductTree:
         transposed product by 1/D, a middle product, read backwards into
         combine_t."""
         n = self.n
-        mid = _fit(_convolve(self.mod, cs, self.den_inv[::-1])[n - 1 :], n)
+        mid = _fit(_mul_fixed(self.mod, cs, self.den_fixed, n, transposed=True), n)
         return self.combine_t(mid[::-1])
+
+    def _level_image(self, k):
+        """The image of the full nodes of level k at size 2^(k+1)."""
+        img = self.img[k]
+        return img if img is not None else _image(self.mod, self.low[k], 2 << k)
 
     @cached_property
     def weights(self):
@@ -133,8 +130,9 @@ class SubproductTree:
         v = cs.reshape(n, 1)
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            il, ir = _pairs(_as_image(mod, self.img[k - 1], s), nf)
-            vl, vr = _pairs(_image(mod, v[: 2 * nf], s), nf)
+            img = self._level_image(k - 1)
+            il, ir = _pairs(img, nf)
+            vl, vr = _pairs(_image(mod, v[: 2 * nf], s, like=img), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
             cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
@@ -161,8 +159,8 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                rev = _image_rev(_as_image(mod, self.img[k - 1], s)[: 2 * nf])
-                wimg = np.repeat(_image(mod, w[:nf], s), 2, axis=0)
+                rev = _image_rev(self._level_image(k - 1)[: 2 * nf])
+                wimg = np.repeat(_image(mod, w[:nf], s, like=rev), 2, axis=0)
                 # row 2i correlates with the left child: W_R of node i
                 mid = _image_coeffs(mod, _image_mul(mod, wimg, rev), h)
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
@@ -189,6 +187,12 @@ class SubproductTree:
     def den_inv(self):
         """1 / prod(1 - p_i x) mod x^n."""
         return series_inv(Poly.of(self.mod, _fit(self.root[::-1], self.n)), self.n).arr
+
+    @cached_property
+    def den_fixed(self):
+        """What products of length-n arrays by den_inv keep of it
+        (modfield._fixed_operand)."""
+        return _fixed_operand(self.mod, self.den_inv, self.n)
 
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
@@ -223,7 +227,7 @@ def multieval_grid_t(mod: Modulus, values) -> Poly:
     tree = _grid_tree(mod, n)
     # N = sum_i v_i prod_{j != i} (1 - p_j x) is the combine read backwards
     num = tree.combine(_residues(mod, values))[::-1]
-    return Poly.of(mod, _fit(_convolve(mod, num, tree.den_inv), n))
+    return Poly.of(mod, _mul_fixed(mod, num, tree.den_fixed, n))
 
 
 def interp_grid_t(A: Poly):

@@ -10,22 +10,26 @@ read-only array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
 entries mod p and Poly.coeffs reads them back as a list.
 
-Products dispatch by size among three kernels.  Short operands go to the
-schoolbook convolution, by measured work (_by_transform), and so does every
-product at a size neither transform can take (_transforms).  Longer ones are
-multiplied through images, transforms of the rows of 2-D arrays, so one call
-multiplies a whole batch of equal-length operands (_convolve_rows); a single
-product is its one-row case.  The kind of an image depends on the modulus and
-the size alone (_float):
-- for p < 2^31 and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE, the float FFT on
-  three balanced 11-bit limbs (numpy.fft.rfft), exact because the rounding
-  error bound fft_error_bound stays below FFT_ERROR_MAX there; it needs no
-  roots of unity, so every p < 2^31 takes it;
+Products dispatch among three kernels.  Short operands go to the schoolbook
+convolution, by measured work (_by_transform), and so does every product at a
+size neither transform can take (_transforms).  Longer ones are multiplied
+through images, transforms of the rows of 2-D arrays, so one call multiplies a
+whole batch of equal-length operands (_convolve_rows); a single product is its
+one-row case.  The kind of an image is picked per batch, from the modulus, the
+size and the number of rows (_float), by a measured crossover:
+- on int64 rows (p < 2^31), the float FFT on three balanced 11-bit limbs
+  (numpy.fft.rfft), exact at every size up to FLOAT_MAX_SIZE because the
+  rounding error bound fft_error_bound stays below FFT_ERROR_MAX there.  It
+  needs no roots of unity and takes every size the NTT cannot; where the NTT
+  can, it takes batches from FLOAT_MIN_SIZE on of at most FLOAT_MAX_ROWS
+  rows whose float image fits in FIXED_IMAGE_BYTES, and every batch from
+  FLOAT_ANY_ROWS_SIZE on;
 - otherwise the radix-2 NTT (_ntt_numpy), where p has roots of unity of order
-  size: on dtype-object rows for p >= 2^31, below FLOAT_MIN_SIZE, where
-  batches of short rows favour it, and beyond the sizes the bound admits.  It
-  is also the reference the float kernel is checked against (tests, basisconv
-  selftest).
+  size: on dtype-object rows for p >= 2^31, on short sizes and tall batches
+  of short rows, and beyond the sizes the bound admits.  It is also the
+  reference the float kernel is checked against (tests, basisconv selftest).
+An image carries its kind in its shape (float spectra are 3-D), and a batch
+multiplied by a kept image takes that image's kind, so kinds never mix.
 """
 
 from __future__ import annotations
@@ -42,13 +46,28 @@ from .errors import (
     PrecisionExceedsModulus,
 )
 
-# The schoolbook costs about min(la, lb) * (la + lb - 1) element operations
-# (its work), a product by transforms about size log(size) and, on int64 rows,
-# a fixed cost of numpy calls per stage.  The two crossed near work =
-# 2^16 + 16 size on int64 rows and near 16 size on dtype-object rows, measured
-# from 16 x 16 to 64 x 16384 on a 2-core x86-64 machine with numpy 2.4.
+# The schoolbook costs about m (la + lb - 1) element operations, m = min(la,
+# lb) (its work), a product by transforms about size log(size) and, on int64
+# rows, a fixed cost of numpy calls per stage.  Products go to transforms past
+# work = SCHOOLBOOK_WORK_INT64 + 16 size on int64 rows and 16 size on
+# dtype-object rows.  On int64 rows, schoolbook time over transform time (of
+# the kind _float picks) of an m x (out_len + 1 - m) product, median of 7 on a
+# 2-core x86-64 machine with numpy 2.4:
+#
+#   out_len \ m     8    16    24    32    48    64    96
+#        256      0.24  0.36  0.50  0.34  0.50  0.88  1.28
+#        512      0.17  0.31  0.86  1.04  2.81  2.74  3.84
+#       1024      0.40  0.54  0.63  3.72  3.61  4.98  9.51
+#       2048      0.49  0.93  1.32  1.80  6.29  6.95 12.95
+#       8192      0.47  0.98  1.50  1.99  7.77  8.00 12.73
+#      16384      0.50  0.73  1.57  2.00  5.39  4.49  8.37
+#
+# so the limit picks the schoolbook up to m = 48, 32, 24, 20, 17, 16 on these
+# rows.  Every product of out_len <= 128 stays on the schoolbook, which was
+# faster at all of them (0.47 for 64 x 65).  On dtype-object rows the limit
+# was measured from 16 x 16 to 64 x 16384.
 SCHOOLBOOK_WORK_PER_ENTRY = 16
-SCHOOLBOOK_WORK_INT64 = 1 << 16
+SCHOOLBOOK_WORK_INT64 = 1 << 13
 
 # From this many transform entries on, butterflies reduce by a conditional
 # correction instead of %: cheaper per entry, but more numpy calls per stage.
@@ -58,13 +77,31 @@ CORRECTION_MIN = 4096
 # transform capacity.
 SCHOOLBOOK_LIMIT = 2048
 
-# Images of int64 rows are float limb spectra from this size on and NTT rows
-# below it.  On single rows and on batches of up to 2^15 entries the float
-# kernel was faster from size 128 on (1.6-6x), but on batches of 2^17 entries
-# the NTT was 1.1-1.8x faster at sizes 64-512; from 1024 on the float kernel
-# won at every batch size (1.2-6x).  Measured on a 2-core x86-64 machine with
-# numpy 2.4 (pocketfft).
-FLOAT_MIN_SIZE = 1024
+# Images of a fresh batch of int64 rows are float limb spectra or NTT rows by
+# the batch's size and row count (_float).  NTT time over float time of a
+# product with a kept image (one forward transform, the product, one inverse),
+# median of 7 on a 2-core x86-64 machine with numpy 2.4 (pocketfft):
+#
+#   size \ rows    1     8    32    64   128   256   512
+#        8       1.07  1.04  0.99  0.80  0.60  0.74  0.56
+#       16       1.52  1.31  1.35  1.25  1.27  0.95  0.51
+#       32       1.84  1.53  1.52  1.84  1.30  0.78  0.64
+#       64       2.40  2.19  2.24  1.80  1.50  0.79  0.65
+#      128       2.89  2.77  2.12  1.84  1.48  0.70  0.69
+#      256       3.62  3.35  2.20  1.49  1.41  0.81  0.83
+#      512       4.02  2.78  2.10  1.68  1.35  1.02  0.98
+#     1024       5.25  3.24  2.01  1.50  1.52  1.32     -
+#     2048       5.19  2.43  1.70  1.44  1.32     -     -
+#
+# So batches go to the float kernel from FLOAT_MIN_SIZE on in at most
+# FLOAT_MAX_ROWS rows, and from FLOAT_ANY_ROWS_SIZE on in any number of rows
+# (at 2^17 entries the float kernel still won by 1.04-1.2x there).  Below
+# FLOAT_ANY_ROWS_SIZE a float batch must also fit in FIXED_IMAGE_BYTES, so a
+# kept tree level never trades its NTT image for a float image it cannot keep:
+# the grid-tree levels at n = 8192 (2^14 entries each) stay on the NTT.
+FLOAT_MIN_SIZE = 16
+FLOAT_MAX_ROWS = 128
+FLOAT_ANY_ROWS_SIZE = 1024
 
 # A fixed operand keeps its float image only up to this many bytes and its
 # coefficients beyond (_keeps_image).  A float image takes 3x the bytes of an
@@ -390,16 +427,22 @@ def _convolve_schoolbook(a, b, p):
     return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
-def _float(mod: Modulus, size):
-    """Whether images at size are float limb spectra: on int64 rows at the
-    sizes the float kernel takes, which needs no roots of unity."""
-    return mod.dtype is not object and FLOAT_MIN_SIZE <= size <= FLOAT_MAX_SIZE
+def _float(mod: Modulus, size, rows):
+    """Whether a fresh batch of rows at size gets float limb spectra for
+    images: on int64 rows at every size the float kernel takes where the NTT
+    cannot (it needs no roots of unity), and where the NTT can, at the batch
+    shapes where the float kernel was measured faster."""
+    if mod.dtype is object or not 2 <= size <= FLOAT_MAX_SIZE:
+        return False
+    if size > mod.max_ntt_len or size >= FLOAT_ANY_ROWS_SIZE:
+        return True
+    return size >= FLOAT_MIN_SIZE and rows <= FLOAT_MAX_ROWS and _fits(rows, size)
 
 
 def _transforms(mod: Modulus, size):
-    """Whether products mod x^size - 1 run through transforms: the float
-    kernel (_float) or the NTT, which needs roots of unity of order size."""
-    return _float(mod, size) or size <= mod.max_ntt_len
+    """Whether products mod x^size - 1 run through transforms: the NTT, which
+    needs roots of unity of order size, or else the float kernel (_float)."""
+    return size <= mod.max_ntt_len or _float(mod, size, 1)
 
 
 def _size(out_len):
@@ -436,28 +479,42 @@ def _convolve_rows(mod: Modulus, A, B):
     """Row-wise exact products of two 2-D arrays of residues with equally
     many rows.
 
-    Where the modulus cannot transform at the needed size the rows go one by
-    one through _convolve.
+    Where the modulus cannot transform at the needed size, which for int64
+    rows is only past FLOAT_MAX_SIZE, the rows go one by one through
+    _convolve.
     """
     out_len = A.shape[1] + B.shape[1] - 1
     size = _size(out_len)
     if not _transforms(mod, size):
         out = [_convolve(mod, a, b) for a, b in zip(A, B)]
         return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
-    product = _image_mul(mod, _image(mod, A, size), _image(mod, B, size))
-    return _image_coeffs(mod, product, out_len)
+    return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
 
 
-# Images: rows in the transform domain of the products mod x^size - 1.  By
-# size (_float) they are the rows' float limb spectra, their NTTs, or, where
-# the modulus cannot transform, the zero-padded rows themselves, so that
-# callers can keep the images of fixed operands without caring which.  A
-# product image (_image_mul) is what _image_coeffs turns back into rows.
+def _product_image(mod: Modulus, A, B, size):
+    """The product image at size of the rows of A and B, the image of B of
+    the kind of that of A.  Neither image outlives the call."""
+    X = _image(mod, A, size)
+    return _image_mul(mod, X, _image(mod, B, size, like=X))
 
 
-def _image(mod: Modulus, A, size):
-    """The image of the coefficient rows of A, each of length <= size."""
-    if _transforms(mod, size):
+# Images: rows in the transform domain of the products mod x^size - 1.  An
+# image carries its kind: float limb spectra are 3-D, (rows, 3 limbs, size // 2
+# + 1 frequencies); NTT rows and, where the modulus cannot transform, the
+# zero-padded rows themselves are 2-D, told apart by size alone (NTT rows where
+# size <= max_ntt_len).  A fresh batch takes its kind from its shape (_float),
+# or, to meet a kept image, from that image (like=), so callers keep the images
+# of fixed operands without caring which kind they are.  A product image
+# (_image_mul) is what _image_coeffs turns back into rows.
+
+
+def _image(mod: Modulus, A, size, like=None):
+    """The image of the coefficient rows of A, each of length <= size: of the
+    kind of the image like if given, else of the kind _float picks."""
+    use_float = _float(mod, size, len(A)) if like is None else like.ndim == 3
+    if use_float:
+        return _transform(mod, _limbs(A), size)
+    if size <= mod.max_ntt_len:
         return _transform(mod, A, size)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
     out[:, : A.shape[1]] = A
@@ -471,11 +528,12 @@ def _image_size(X):
 
 
 def _image_mul(mod: Modulus, X, Y):
-    """Row-wise product of two images, that is of their rows mod x^size - 1."""
-    size = _image_size(X)
-    if _float(mod, size):
+    """Row-wise product of two images of one kind, that is of their rows mod
+    x^size - 1."""
+    if X.ndim == 3:
         return _class_spectra([(X, Y)])
-    if _transforms(mod, size):
+    size = X.shape[1]
+    if size <= mod.max_ntt_len:
         # int64: a pointwise product of two residues < 2^31 stays below 2^62
         return X * Y % mod.p
     out = _convolve_rows(mod, X, Y)
@@ -495,59 +553,69 @@ def _image_rev(X):
 
 
 def _image_mul_add(mod: Modulus, X, Y, U, V):
-    """The product image of X Y + U V, row-wise, made before any inverse
-    transform: float class spectra add unreduced."""
-    if _float(mod, _image_size(X)):
+    """The product image of X Y + U V, row-wise, for images of one kind, made
+    before any inverse transform: float class spectra add unreduced."""
+    if X.ndim == 3:
         return _class_spectra([(X, Y), (U, V)])
     return (_image_mul(mod, X, Y) + _image_mul(mod, U, V)) % mod.p
 
 
 def _image_coeffs(mod: Modulus, X, out_len):
     """The first out_len coefficients of every row of a product image."""
-    size = _image_size(X)
-    if _transforms(mod, size):
-        return _transform(mod, X, size, out_len)
+    if X.ndim == 3 or X.shape[1] <= mod.max_ntt_len:
+        return _transform(mod, X, _image_size(X), out_len)
     return X[:, :out_len]
 
 
 def _transform(mod: Modulus, X, size, out_len=None):
-    """The one entry to the transforms, by the kind _float picks for size:
-    the image of the residue rows X, or, given out_len, the first out_len
-    coefficients of the rows of the product image X."""
-    if not _float(mod, size):
+    """The one entry to the transforms, of the kind X carries: the image of
+    the rows X, residue rows (2-D) to NTT rows and limb rows (3-D, _limbs) to
+    their float spectra; or, given out_len, the first out_len coefficients of
+    the rows of the product image X."""
+    if X.ndim == 3:
         if out_len is None:
-            return _ntt_numpy(mod, X, size, False)
-        return _ntt_numpy(mod, X, size, True)[:, :out_len]
+            return np.fft.rfft(X, size, axis=-1)
+        return _limb_coeffs(mod.p, X, size, out_len)
     if out_len is None:
-        return _limb_spectra(X, size)
-    return _limb_coeffs(mod.p, X, size, out_len)
+        return _ntt_numpy(mod, X, size, False)
+    return _ntt_numpy(mod, X, size, True)[:, :out_len]
 
 
-def _keeps_image(mod: Modulus, rows, size):
-    """Whether a fixed operand of the given number of rows keeps its image
-    for products at size, rather than its coefficients: always but where its
-    float image, 3 (size // 2 + 1) complex doubles per row, would take more
-    than FIXED_IMAGE_BYTES."""
-    return not _float(mod, size) or 24 * rows * size <= FIXED_IMAGE_BYTES
+def _keeps_image(X):
+    """Whether a fixed operand keeps its image X for its products, rather than
+    its coefficients: always but where X is float and does not _fit."""
+    return X.ndim == 2 or _fits(len(X), _image_size(X))
+
+
+def _fits(rows, size):
+    """Whether a float image of rows at size, 3 (size // 2 + 1) complex
+    doubles per row, fits in FIXED_IMAGE_BYTES."""
+    return 24 * rows * size <= FIXED_IMAGE_BYTES
 
 
 def _fixed_operand(mod: Modulus, b, la):
-    """What products of arrays of length la by the fixed array b keep of b:
-    its image (of one row) where such a product transforms and _keeps_image
-    allows, b itself otherwise.  Callers cache it; _mul_fixed uses it."""
+    """What products of arrays of length <= la by the fixed array b keep of
+    b: its image (of one row) where such a product transforms and the image
+    would be kept (_keeps_image), b itself otherwise.  Callers cache it;
+    _mul_fixed uses it."""
     size = _size(la + len(b) - 1)
-    if not (_by_transform(mod, la, len(b)) and _keeps_image(mod, 1, size)):
-        return _readonly(b)
-    return _readonly(_image(mod, b[None], size))
+    if _by_transform(mod, la, len(b)) and (not _float(mod, size, 1) or _fits(1, size)):
+        return _readonly(_image(mod, b[None], size))
+    return _readonly(b)
 
 
-def _mul_fixed(mod: Modulus, a, fixed, out_len):
-    """The first out_len coefficients of a times the operand kept by
-    _fixed_operand: one forward and one inverse transform."""
+def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
+    """The first out_len coefficients of a times the operand b kept by
+    _fixed_operand: one forward and one inverse transform.  transposed: of
+    the middle product, a times b read backwards from x^(len(b) - 1) on (the
+    product by b of mul_trunc_t), as a correlation with b's image."""
     if fixed.ndim == 1:
+        if transposed:
+            return _convolve(mod, a, fixed[::-1])[len(fixed) - 1 :][:out_len]
         return _convolve(mod, a, fixed)[:out_len]
-    X = _image(mod, a[None], _image_size(fixed))
-    return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
+    X = _image(mod, a[None], _image_size(fixed), like=fixed)
+    Y = _image_rev(fixed) if transposed else fixed
+    return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
 
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):
@@ -555,8 +623,7 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
     of length <= size: through images at size, or where _by_transform picks
     the schoolbook, the linear product folded."""
     if _by_transform(mod, len(a), len(b)):
-        X, Y = _image(mod, a[None], size), _image(mod, b[None], size)
-        return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
+        return _image_coeffs(mod, _product_image(mod, a[None], b[None], size), out_len)[0]
     c = _fit(_convolve(mod, a, b), 2 * size)
     return (c[:out_len] + c[size : size + out_len]) % mod.p
 
@@ -608,8 +675,9 @@ FLOAT_MAX_SIZE = 1 << max(
 )
 
 
-def _limb_spectra(A, size):
-    """The float image of the residue rows A: shape (rows, 3, size // 2 + 1)."""
+def _limbs(A):
+    """The balanced limb rows of the residue rows A, the input of a float
+    image (_transform): shape (rows, 3, A.shape[1])."""
     f = A.astype(np.float64)
     limbs = np.empty((A.shape[0], 3, A.shape[1]))
     base = float(1 << LIMB_BITS)
@@ -619,7 +687,7 @@ def _limb_spectra(A, size):
         limbs[:, k] = f - hi * base
         f = hi
     limbs[:, 2] = f
-    return np.fft.rfft(limbs, size, axis=-1)
+    return limbs
 
 
 def _class_spectra(pairs):
@@ -667,25 +735,35 @@ def _limb_coeffs(p, Z, size, out_len):
 
 
 def float_kernel_agrees(mod: Modulus) -> bool:
-    """Whether a float product equals the NTT's at the largest size up to
-    2^16 where mod admits both, or else the schoolbook's at the least float
-    size, on a random row and a row of p - 1; True where mod has no float
-    size.  Exactness rests on IEEE doubles and an FFT as accurate as the
-    bound assumes, which the numpy build decides."""
-    sizes = [1 << k for k in range(17) if _float(mod, 1 << k)]
+    """Whether float products equal exact ones, on a random row and a row of
+    p - 1, at two sizes: the least the float kernel takes for one row, and
+    the largest up to 2^16 where mod admits the NTT too, or, where it admits
+    the NTT at no float size, the largest up to SCHOOLBOOK_LIMIT / 2.  The
+    NTT checks them where mod admits it, the schoolbook elsewhere.  True
+    where mod has no float size.  Exactness rests on IEEE doubles and an FFT
+    as accurate as the bound assumes, which the numpy build decides."""
+    sizes = [1 << k for k in range(1, 17) if _float(mod, 1 << k, 1)]
     if not sizes:
         return True
-    ntt = [size for size in sizes if size <= mod.max_ntt_len]
-    size, p = (ntt or sizes[:1])[-1], mod.p
+    top = [s for s in sizes if s <= mod.max_ntt_len] or [
+        s for s in sizes if s <= SCHOOLBOOK_LIMIT // 2
+    ]
+    return all(_float_agrees(mod, size) for size in {sizes[0], top[-1]})
+
+
+def _float_agrees(mod: Modulus, size):
+    """float_kernel_agrees at one size."""
+    p = mod.p
     rng = np.random.default_rng(size)
     A = np.stack([rng.integers(0, p, size // 2), np.full(size // 2, p - 1)])
     B = np.stack([np.full(size // 2, p - 1), rng.integers(0, p, size // 2)])
-    if ntt:
+    if size <= mod.max_ntt_len:
         spectra = _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % p
         want = _ntt_numpy(mod, spectra, size, True)[:, : size - 1]
     else:
         want = np.stack([_convolve_schoolbook(a, b, p) for a, b in zip(A, B)])
-    return np.array_equal(_convolve_rows(mod, A, B), want)
+    X, Y = (_transform(mod, _limbs(R), size) for R in (A, B))
+    return np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y), size - 1), want)
 
 
 # -- array helpers ---------------------------------------------------------

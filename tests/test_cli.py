@@ -162,7 +162,8 @@ def test_selftest_quick():
 
 def test_selftest_checks_the_float_kernel(monkeypatch, capsys):
     # an FFT that errs by more than 1/2 (a numpy build off the bound) fails
-    # the kernel check; the conversions of --quick stay below the float sizes
+    # the kernel check; the small products of the --quick conversions go
+    # through the float kernel too, so some of them fail as well
     import numpy as np
 
     from basisconv import cli
@@ -171,7 +172,7 @@ def test_selftest_checks_the_float_kernel(monkeypatch, capsys):
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.75)
     assert cli.main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL kernel" in out and "selftest: 1 failure(s)" in out
+    assert out.startswith("FAIL kernel")
 
 
 def test_malformed_family_value_is_domain_error():

@@ -148,6 +148,74 @@ def test_transposed_passes_make_few_transforms(monkeypatch):
     assert trees == [("grid", n)]
 
 
+def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
+    # multieval (a middle product) and multieval_t multiply by the same fixed
+    # series 1/D: its kept image saves one transform per warm call
+    mod = Modulus(DEFAULT_PRIME)
+    n = 1024
+    rng = random.Random(49)
+    A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+    calls = [0]
+    transform = modfield._transform
+
+    def counted(*args):
+        calls[0] += 1
+        return transform(*args)
+
+    monkeypatch.setattr(modfield, "_transform", counted)
+
+    def warm(run):
+        run()
+        calls[0] = 0
+        out = run().tolist()
+        return calls[0], out
+
+    runs = (lambda: multieval_grid(A), lambda: multieval_grid_t(mod, A.arr).arr)
+    kept = [warm(run) for run in runs]
+    tree = evalgrid._grid_tree(mod, n)
+    assert tree.den_fixed.ndim == 3
+    tree.den_fixed = tree.den_inv      # the coefficients, transformed at each use
+    for (k, out), (f, want) in zip(kept, [warm(run) for run in runs]):
+        assert k == f - 1 and out == want
+
+
+def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
+    # at n = 3000 the level images at sizes 2-8, and at 16-32 with more than
+    # FLOAT_MAX_ROWS nodes, are NTT rows and those from size 64 on float
+    # spectra; every product takes the kind of the image it meets, and the
+    # passes equal those with every level on the NTT
+    n = 3000
+    rng = random.Random(50)
+    coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
+
+    def run():
+        mod = Modulus(DEFAULT_PRIME)
+        A = Poly(mod, coeffs, n)
+        out = [
+            multieval_grid(A).tolist(),
+            interp_grid(mod, coeffs).coeffs,
+            multieval_grid_t(mod, coeffs).coeffs,
+            interp_grid_t(A).tolist(),
+        ]
+        return out, [img.ndim for img in evalgrid._grid_tree(mod, n).img]
+
+    def one_kind(fn):
+        def product(mod, X, *images):
+            assert all(Y.ndim == X.ndim for Y in images)
+            return fn(mod, X, *images)
+
+        return product
+
+    for name in ("_image_mul", "_image_mul_add"):
+        monkeypatch.setattr(evalgrid, name, one_kind(getattr(evalgrid, name)))
+    monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
+    got, kinds = run()
+    assert kinds == [2] * 5 + [3] * 7
+    force_kernel("ntt")
+    want, kinds = run()
+    assert kinds == [2] * 12 and got == want
+
+
 def test_no_kept_float_images_same_results(monkeypatch):
     # a fixed operand whose float image would exceed FIXED_IMAGE_BYTES keeps
     # its coefficients and is transformed at each use (the tree levels and

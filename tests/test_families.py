@@ -11,6 +11,7 @@ from basisconv import (
     SingularDiagonal,
     SpecViolation,
     ZeroCoefficient,
+    modfield,
 )
 from basisconv.families import (
     family,
@@ -207,6 +208,48 @@ def test_round_trip_without_roots_of_unity(n):
         a = [rng.randrange(mod.p) for _ in range(n)]
         A = to_monomial(a, fam, n, mod)
         assert from_monomial(A, fam, n, mod) == a, name
+
+
+def test_no_roots_rows_need_no_row_loop(monkeypatch):
+    # over a prime without roots of unity the float kernel takes every int64
+    # size, so _convolve_rows never falls back to one _convolve per row; with
+    # float images by size alone, from 1024 on, it did so on every grid-tree
+    # level below that size, to the same outputs
+    n = 300
+    looped, inside = [0], [0]
+    convolve, convolve_rows = modfield._convolve, modfield._convolve_rows
+
+    def rows(*args):
+        inside[0] += 1
+        try:
+            return convolve_rows(*args)
+        finally:
+            inside[0] -= 1
+
+    def conv(*args):
+        looped[0] += inside[0] > 0
+        return convolve(*args)
+
+    monkeypatch.setattr(modfield, "_convolve_rows", rows)
+    monkeypatch.setattr(modfield, "_convolve", conv)
+    a = random.Random(64).sample(range(NO_ROOTS_PRIME), n)
+
+    def round_trip():
+        mod = Modulus(NO_ROOTS_PRIME)
+        fam = parse_family(mod, "bell")
+        A = to_monomial(a, fam, n, mod)
+        return A.coeffs, from_monomial(A, fam, n, mod)
+
+    looped[0] = 0
+    got = round_trip()
+    assert looped[0] == 0 and got[1] == a
+
+    def by_size_alone(mod, size, rows):
+        return mod.dtype is not object and 1024 <= size <= modfield.FLOAT_MAX_SIZE
+
+    monkeypatch.setattr(modfield, "_float", by_size_alone)
+    assert round_trip() == got
+    assert looped[0] > 100
 
 
 def test_small_prime_conversions(mod101):

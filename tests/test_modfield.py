@@ -28,9 +28,10 @@ from basisconv.modfield import (
     _image_mul_add,
     _factorize,
     _limb_coeffs,
-    _limb_spectra,
+    _limbs,
     _mul_fixed,
     _ntt_numpy,
+    _transform,
     fft_error_bound,
     is_prime,
     FLOAT_MIN_SIZE,
@@ -162,7 +163,7 @@ def test_convolve_scalar_ntt_path():
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 97, 101, P40])
 def test_convolve_rows_matches_convolve(p):
     # product lengths that _convolve sends to the schoolbook (all of them for
-    # la = 1) and to transforms (balanced, from about 390 on DEFAULT_PRIME and
+    # la = 1) and to transforms (balanced, from about 160 on DEFAULT_PRIME and
     # 45 on P40), and for 97 = 3 * 2^5 + 1 and 101 = 25 * 2^2 + 1 lengths on
     # both sides of max_ntt_len; P40 transforms rows of Python ints
     mod = Modulus(p)
@@ -223,9 +224,10 @@ def test_small_prime_fallback_and_capacity(mod101):
 
 def test_float_kernel_needs_no_roots():
     # 1000003 = 2 * 500001 + 1 has no roots of unity of order 4, but every
-    # float size
+    # float size, in batches of any shape
     mod = Modulus(NO_ROOTS_PRIME)
-    assert mod.max_ntt_len == 2 and modfield._float(mod, 2048)
+    assert mod.max_ntt_len == 2
+    assert all(modfield._float(mod, 1 << k, 1 << 12) for k in range(2, 12))
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
@@ -309,8 +311,9 @@ FLOAT_SIZES = [1 << k for k in range(FLOAT_MIN_SIZE.bit_length() - 1, 18)]
 
 @pytest.mark.parametrize("size", FLOAT_SIZES)
 def test_float_kernel_exact_on_worst_operands(mod, size):
+    # from the least size the float kernel takes on; every image here is float
     p = mod.p
-    assert modfield._float(mod, size)
+    assert modfield._float(mod, size, 2)
     for value in (WORST, p - 1):
         half = np.full((2, size // 2), value, dtype=np.int64)
         full = np.full((2, size), value, dtype=np.int64)
@@ -319,6 +322,7 @@ def test_float_kernel_exact_on_worst_operands(mod, size):
         assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
         assert np.array_equal(_convolve_rows(mod, half, half), want)
         fixed = _image(mod, half[:1], size)
+        assert fixed.ndim == 3
         assert np.array_equal(_mul_fixed(mod, half[0], fixed, size - 1), want[0])
         # a summed pair of product images of full rows: the largest norms
         X = _image(mod, full, size)
@@ -327,6 +331,33 @@ def test_float_kernel_exact_on_worst_operands(mod, size):
         for products in (1, 2):
             c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
             assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products)
+
+
+@pytest.mark.parametrize(
+    "size, rows, kind",
+    [
+        (8, 1, "ntt"),
+        (FLOAT_MIN_SIZE, 1, "float"),
+        (16, modfield.FLOAT_MAX_ROWS, "float"),
+        (16, 2 * modfield.FLOAT_MAX_ROWS, "ntt"),
+        (512, 16, "float"),
+        (512, 32, "ntt"),
+        (modfield.FLOAT_ANY_ROWS_SIZE, 256, "float"),
+    ],
+)
+def test_batch_kernel_by_size_and_rows(mod, size, rows, kind):
+    # a batch's kind follows its size and row count across the crossover;
+    # its products are exact either way
+    rng = random.Random(size * rows)
+    A = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
+    B = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
+    A_, B_ = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    assert _image(mod, A_, size).ndim == {"float": 3, "ntt": 2}[kind]
+    got = _convolve_rows(mod, A_, B_)
+    for i in {0, rows - 1}:
+        assert got[i].tolist() == _school(A[i], B[i], mod.p)
+    want = [_convolve_schoolbook(a, b, mod.p) for a, b in zip(A_, B_)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 998244353])
@@ -351,15 +382,15 @@ def test_float_kernel_dispatch(mod, monkeypatch):
         return ntt(*args)
 
     monkeypatch.setattr(modfield, "_ntt_numpy", counted)
-    monkeypatch.setattr(modfield, "FLOAT_MAX_SIZE", 2 * FLOAT_MIN_SIZE)
+    monkeypatch.setattr(modfield, "FLOAT_MAX_SIZE", 2048)
     rng = random.Random(7)
-    for size, ntt_calls in ((2 * FLOAT_MIN_SIZE, 0), (4 * FLOAT_MIN_SIZE, 3)):
+    for size, ntt_calls in ((2048, 0), (4096, 3)):
         a = [rng.randrange(mod.p) for _ in range(size // 2)]
         b = [rng.randrange(mod.p) for _ in range(size // 2)]
         calls[0] = 0
         assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
         assert calls[0] == ntt_calls, size
-    X = _limb_spectra(np.ones((1, 4), dtype=np.int64), FLOAT_MIN_SIZE)
+    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64)), FLOAT_MIN_SIZE)
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(FLOAT_MIN_SIZE, 1) / 2)
     with pytest.raises(AssertionError):
         _class_spectra([(X, X)])

@@ -81,7 +81,7 @@ def test_taylor_shift_matches_horner(mod101):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1099489607681])
 def test_taylor_shift_across_primes(p):
     # products on both sides of the schoolbook/transform crossover (near
-    # m = 190 on int64 rows, m = 16 on object rows)
+    # m = 80 on int64 rows, m = 16 on object rows)
     mod = Modulus(p)
     rng = random.Random(16)
     for m in (1, 2, 17, 100, 300):
