@@ -16,7 +16,7 @@ import numpy as np
 from .compseq import _inverse_reduction, _output_series, eval_seq, eval_seq_inv, eval_seq_t
 from .errors import SingularDiagonal, SpecViolation
 from .modfield import Modulus, Poly, _readonly, mul_trunc, mul_trunc_t
-from .polyops import diagonal, scale, taylor_shift_t, truncate
+from .polyops import diagonal, taylor_shift_t, truncate
 from .seriesops import series_inv
 
 
@@ -44,8 +44,14 @@ def _series_poly(mod, coeffs_fn, n):
 def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
     """Validate the factorization hypotheses numerically at precision n:
     g(0)h(0) = 0 and g'(0), h'(0), u(0), v(0) all nonzero."""
+    _spec_vectors(spec, n, mod)
 
-    def check():
+
+def _spec_vectors(spec, n, mod):
+    """(f_0..f_{n-1} as an array, v and u as Poly or None) at precision n,
+    built once, after the checks of check_spec."""
+
+    def build():
         g = _output_series(spec.g_ops, n, mod)
         h = _output_series(spec.h_ops, n, mod)
         if g.constant() != 0 and h.constant() != 0:
@@ -54,23 +60,16 @@ def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
             raise SpecViolation("g'(0) must be nonzero")
         if h.dim < 2 or h.arr[1] == 0:
             raise SpecViolation("h'(0) must be nonzero")
-        _, v, u = _spec_vectors(spec, n, mod)
+        f = Poly(mod, spec.f_coeffs(n), n).arr
+        v = _series_poly(mod, spec.v_coeffs, n)
+        u = _series_poly(mod, spec.u_coeffs, n)
         if u is not None and u.constant() == 0:
             raise SpecViolation("u(0) must be nonzero")
         if v is not None and v.constant() == 0:
             raise SpecViolation("v(0) must be nonzero")
+        return f, v, u
 
-    mod.cached(("speck", spec, n), check)
-
-
-def _spec_vectors(spec, n, mod):
-    """(f_0..f_{n-1} as an array, v and u as Poly or None) at precision n,
-    cached."""
-    return mod.cached(("fvu", spec, n), lambda: (
-        Poly(mod, spec.f_coeffs(n), n).arr,
-        _series_poly(mod, spec.v_coeffs, n),
-        _series_poly(mod, spec.u_coeffs, n),
-    ))
+    return mod.cached(("fvu", spec, n), build)
 
 
 def _inverse_vectors(spec, n, mod):
@@ -110,17 +109,14 @@ def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
 def eval_inv_transposed(A: Poly, h_ops, n: int) -> Poly:
     """Transpose of the inverse evaluation map at the series output by h_ops.
 
-    Obtained by transposing the inverse's factorization: the reversed
-    sequence is evaluated transposed, after the transposed shift/scale
-    prefactors of the general-case reduction.
+    The inverse is the reversed sequence's evaluation followed by one Taylor
+    shift by -h(0) (compseq._inverse_reduction), so its transpose is the
+    transposed shift followed by the reversed sequence evaluated transposed.
     """
     mod = A.mod
     mod.check_precision(n)
-    h0, h1, rev_ops = _inverse_reduction(h_ops, n, mod)
-    cur = truncate(A, n)
-    if (h0, h1) != (0, 1):
-        cur = scale(taylor_shift_t(cur, (-h0) % mod.p), mod.inv(h1))
-    return eval_seq_t(cur, rev_ops, n)
+    h0, rev_ops = _inverse_reduction(h_ops, n, mod)
+    return eval_seq_t(taylor_shift_t(truncate(A, n), -h0 % mod.p), rev_ops, n)
 
 
 def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):

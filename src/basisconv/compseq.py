@@ -5,7 +5,9 @@ root, inverse, exp, log) that, applied in order starting from the identity
 series x, builds a target series g.  This module computes the staggered
 truncations of every intermediate series, evaluates the linear map
 A -> A(g) mod x^n by structural recursion over the sequence, and provides
-the transposed and inverse maps.
+the transposed and inverse maps.  The inverse evaluates the reversed
+sequence, which computes the compositional inverse of g - g(0) from the
+truncations of g, and then shifts by -g(0): no other reduction is needed.
 """
 
 from __future__ import annotations
@@ -205,19 +207,19 @@ def _output_series(ops, n, mod) -> Poly:
     return compute_g(ops, max(n, 2), mod).g[-1]
 
 
-def _inv_unit_pow(ops, lp, e, n, truncs, mod):
+def _inv_unit_pow(ops, lp, e, n, mod):
     """g_lp^e mod x^n; input-independent, cached across evaluations."""
     return mod.cached(
         ("upow", tuple(ops[:lp]), e, n),
-        lambda: unit_pow(_series_at(truncs, mod, lp, n), e, n),
+        lambda: unit_pow(_series_at(compute_g(ops, n, mod), mod, lp, n), e, n),
     )
 
 
-def _root_powers(ops, ell, k, n, truncs, mod):
+def _root_powers(ops, ell, k, n, mod):
     """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell; cached."""
 
     def build():
-        h = _series_at(truncs, mod, ell, n)
+        h = _series_at(compute_g(ops, n, mod), mod, ell, n)
         powers = [Poly(mod, [1], n)]
         for _ in range(1, k):
             powers.append(mul_trunc(powers[-1], h, n))
@@ -226,113 +228,114 @@ def _root_powers(ops, ell, k, n, truncs, mod):
     return mod.cached(("rootpow", tuple(ops[:ell]), k, n), build)
 
 
-def _eval_aux(A, m, n, ell, ops, truncs, mod):
+def _eval_aux(A, m, n, ell, ops, mod):
     if ell == 0:
         return truncate(A, n)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        return _eval_aux(scale(A, op.lam), m, n, lp, ops, truncs, mod)
+        return _eval_aux(scale(A, op.lam), m, n, lp, ops, mod)
     if isinstance(op, Add):
-        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, truncs, mod)
+        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, mod)
     if isinstance(op, Pow):
         B = power_subst(A, op.k)
-        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, truncs, mod)
+        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, mod)
     if isinstance(op, Inv):
         B = reverse(A)
-        C = _eval_aux(B, m, n, lp, ops, truncs, mod)
-        return mul_trunc(C, _inv_unit_pow(ops, lp, 1 - m, n, truncs, mod), n)
+        C = _eval_aux(B, m, n, lp, ops, mod)
+        return mul_trunc(C, _inv_unit_pow(ops, lp, 1 - m, n, mod), n)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _root_powers(ops, ell, op.k, n, truncs, mod)
+        powers = _root_powers(ops, ell, op.k, n, mod)
         parts = split(A, op.k)
         outs = [
-            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, truncs, mod)
+            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, mod)
             for i in range(op.k)
         ]
         return lincomb(outs, powers, n)
     if isinstance(op, Exp):
-        return _eval_aux(exp_map(A, n), n, n, lp, ops, truncs, mod)
+        return _eval_aux(exp_map(A, n), n, n, lp, ops, mod)
     if isinstance(op, Log):
-        return _eval_aux(log_map(A, n), n, n, lp, ops, truncs, mod)
+        return _eval_aux(log_map(A, n), n, n, lp, ops, mod)
     raise TypeError(f"unknown operator {op!r}")
 
 
-def eval_seq(A: Poly, ops, n: int, truncs: SequenceTruncations | None = None) -> Poly:
-    """A(g) mod x^n where g is the series output by the sequence."""
+def eval_seq(A: Poly, ops, n: int) -> Poly:
+    """A(g) mod x^n where g is the series output by the sequence; raises as
+    compute_g does where the sequence is not defined at precision n."""
     mod = A.mod
-    mod.check_precision(n)
-    if truncs is None:
-        truncs = compute_g(ops, n, mod)
-    return _eval_aux(truncate(A, n), n, n, len(ops), ops, truncs, mod)
+    compute_g(ops, n, mod)
+    return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod)
 
 
-def _eval_aux_t(A, m, n, ell, ops, truncs, mod):
+def _eval_aux_t(A, m, n, ell, ops, mod):
     if ell == 0:
         return truncate(A, m)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        B = _eval_aux_t(A, m, n, lp, ops, truncs, mod)
+        B = _eval_aux_t(A, m, n, lp, ops, mod)
         return scale(B, op.lam)
     if isinstance(op, Add):
-        B = _eval_aux_t(A, m, n, lp, ops, truncs, mod)
+        B = _eval_aux_t(A, m, n, lp, ops, mod)
         return taylor_shift_t(B, op.a)
     if isinstance(op, Pow):
-        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, truncs, mod)
+        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, mod)
         return power_subst_t(B, op.k, m)
     if isinstance(op, Inv):
-        B = mul_trunc_t(A, _inv_unit_pow(ops, lp, 1 - m, n, truncs, mod), n)
-        C = _eval_aux_t(B, m, n, lp, ops, truncs, mod)
+        B = mul_trunc_t(A, _inv_unit_pow(ops, lp, 1 - m, n, mod), n)
+        C = _eval_aux_t(B, m, n, lp, ops, mod)
         return reverse(C)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _root_powers(ops, ell, op.k, n, truncs, mod)
+        powers = _root_powers(ops, ell, op.k, n, mod)
         parts = lincomb_t(A, powers)
         outs = [
-            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, truncs, mod)
+            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, mod)
             for i in range(op.k)
         ]
         return split_t(outs, m)
     if isinstance(op, Exp):
-        B = _eval_aux_t(A, n, n, lp, ops, truncs, mod)
+        B = _eval_aux_t(A, n, n, lp, ops, mod)
         return exp_map_t(B, m)
     if isinstance(op, Log):
-        B = _eval_aux_t(A, n, n, lp, ops, truncs, mod)
+        B = _eval_aux_t(A, n, n, lp, ops, mod)
         return log_map_t(B, m)
     raise TypeError(f"unknown operator {op!r}")
 
 
-def eval_seq_t(A: Poly, ops, n: int, truncs: SequenceTruncations | None = None) -> Poly:
+def eval_seq_t(A: Poly, ops, n: int) -> Poly:
     """Transpose of eval_seq(., ops, n)."""
     mod = A.mod
-    mod.check_precision(n)
-    if truncs is None:
-        truncs = compute_g(ops, n, mod)
-    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, truncs, mod)
+    compute_g(ops, n, mod)
+    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod)
 
 
 def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
     """The sequence computing the compositional inverse of the output series.
 
     Requires the output g to have valuation exactly 1 (g(0)=0, g'(0)!=0);
-    the compositional inverse exists precisely then.  Power operators
-    reverse into roots: the intermediate the root acts on is the forward
-    intermediate composed with the inverse series, which scales its leading
-    coefficient by g'(0)^(-val).
+    the compositional inverse exists precisely then.
     """
-    L = len(ops)
-    out = truncs.g[-1] if L else None
-    if L == 0:
+    if not ops:
         return ()
+    out = truncs.g[-1]
     if out.dim < 2 or out.arr[0] != 0 or out.arr[1] == 0:
         raise NotTangentToIdentity(
             "sequence output has no compositional inverse (needs valuation 1); "
             "use eval_inv for the general linear-map inverse"
         )
-    g1_inv = mod.inv(int(out.arr[1]))
+    return _reversed_ops(ops, truncs, int(out.arr[1]), mod)
+
+
+def _reversed_ops(ops, truncs, g1, mod):
+    """The operators of ops inverted, last first, for the inverse of a series
+    with g'(0) = g1.  Power operators reverse into roots: the intermediate
+    the root acts on is the forward intermediate composed with the inverse
+    series, which scales its leading coefficient by g1^(-val)."""
+    g1_inv = mod.inv(g1)
     rev = []
-    for i in range(L, 0, -1):
+    for i in range(len(ops), 0, -1):
         op = ops[i - 1]
         if isinstance(op, Add):
             rev.append(Add((-op.a) % mod.p))
@@ -362,18 +365,22 @@ def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
 
 
 def _inverse_reduction(ops, n: int, mod: Modulus):
-    """(g0, g1, rev_ops) for the output g of ops: its first two coefficients
-    and the sequence reversing (g - g0) / g1, which is tangent to the
-    identity.  Raises NotInvertible if g1 = 0; cached per (ops, n)."""
+    """(g0, rev_ops) for the output g of ops: g0 = g(0) and the sequence of
+    the compositional inverse of g - g0, led by Add(g0) where g0 != 0.  As
+    A(g) is A(x + g0) evaluated at g - g0, the inverse of eval_seq is eval_seq
+    at rev_ops and then one Taylor shift by -g0.  Raises NotInvertible if
+    g'(0) = 0; cached per (ops, n)."""
     ops = tuple(ops)
 
     def build():
-        out = _output_series(ops, n, mod)
-        g0, g1 = int(out.arr[0]), int(out.arr[1])
+        if not ops:
+            return 0, ()
+        truncs = compute_g(ops, max(n, 2), mod)
+        g0, g1 = int(truncs.g[-1].arr[0]), int(truncs.g[-1].arr[1])
         if g1 == 0:
             raise NotInvertible("g'(0) = 0: evaluation map is singular")
-        ext = ops if (g0, g1) == (0, 1) else ops + (Add((-g0) % mod.p), Mul(mod.inv(g1)))
-        return g0, g1, reverse_sequence(ext, compute_g(ext, max(n, 2), mod), mod)
+        rev = _reversed_ops(ops, truncs, g1, mod)
+        return g0, ((Add(g0),) + rev if g0 else rev)
 
     return mod.cached(("invred", ops, n), build)
 
@@ -382,11 +389,8 @@ def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
     mod = A.mod
     mod.check_precision(n)
-    g0, g1, rev_ops = _inverse_reduction(ops, n, mod)
-    B = eval_seq(truncate(A, n), rev_ops, n)
-    if (g0, g1) == (0, 1):
-        return B
-    return taylor_shift(scale(B, mod.inv(g1)), (-g0) % mod.p)
+    g0, rev_ops = _inverse_reduction(ops, n, mod)
+    return taylor_shift(eval_seq(truncate(A, n), rev_ops, n), -g0 % mod.p)
 
 
 # -- sequence mini-language ------------------------------------------------

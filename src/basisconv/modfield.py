@@ -1,12 +1,13 @@
 """Prime-field arithmetic and the polynomial multiplication kernel.
 
-A Modulus bundles the prime with NTT machinery (2-adicity, primitive root,
-per-size twiddle tables), factorials, and one cache for input-independent data
-(Modulus.cached).  Residues live in numpy arrays of dtype Modulus.dtype: int64
-for p < 2^31, where a product of two residues stays below 2^62, and object
-(Python ints) for larger primes; the same array expressions serve both.  A
-Poly is a dense polynomial of a fixed declared dimension over one modulus: one
-read-only array of its dim coefficients in [0, p), trailing zeros included.
+A Modulus bundles the prime with its 2-adicity and primitive root and one
+cache for input-independent data (Modulus.cached), which also holds its NTT
+tables (bit reversals, per-stage twiddles) and factorial tables.  Residues
+live in numpy arrays of dtype Modulus.dtype: int64 for p < 2^31, where a
+product of two residues stays below 2^62, and object (Python ints) for
+larger primes; the same array expressions serve both.  A Poly is a dense
+polynomial of a fixed declared dimension over one modulus: one read-only
+array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
 entries mod p and Poly.coeffs reads them back as a list.
 
@@ -221,8 +222,6 @@ class Modulus:
             two_adicity += 1
         self.max_ntt_len = 1 << two_adicity
         self.primitive_root = _find_primitive_root(p)
-        self._twiddles = {}      # (size, invert) -> np.ndarray or list
-        self._bitrev = {}        # size -> np.ndarray
         self._cache = {}         # key -> value, see cached()
         self._lock = threading.RLock()
         # residues of p >= 2^31 have products beyond int64: keep Python ints
@@ -348,30 +347,27 @@ class Modulus:
     # -- NTT tables -------------------------------------------------------
 
     def _bitrev_indices(self, size):
-        idx = self._bitrev.get(size)
-        if idx is None:
+        """The bit-reversal permutation of range(size); cached."""
+
+        def build():
             bits = size.bit_length() - 1
             i = np.arange(size, dtype=np.int64)
             idx = np.zeros(size, dtype=np.int64)
             for b in range(bits):
                 idx |= ((i >> b) & 1) << (bits - 1 - b)
-            self._bitrev[size] = idx
-        return idx
+            return _readonly(idx)
+
+        return self.cached(("bitrev", size), build)
 
     def _stage_twiddles(self, length, invert):
-        key = (length, invert)
-        tw = self._twiddles.get(key)
-        if tw is None:
+        """w^0 .. w^(length/2 - 1) for the root of unity w of order length,
+        or its inverse; cached."""
+
+        def build():
             w = pow(self.primitive_root, (self.p - 1) // length, self.p)
-            if invert:
-                w = pow(w, self.p - 2, self.p)
-            half = length // 2
-            ws = [1] * half
-            for i in range(1, half):
-                ws[i] = ws[i - 1] * w % self.p
-            tw = np.array(ws, dtype=self.dtype)
-            self._twiddles[key] = tw
-        return tw
+            return _readonly(_powers(self, self.inv(w) if invert else w, length // 2))
+
+        return self.cached(("twiddles", length, invert), build)
 
 
 def _ntt_numpy(mod: Modulus, rows, size, invert):

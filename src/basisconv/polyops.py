@@ -66,27 +66,26 @@ def diagonal(A: Poly, s) -> Poly:
     return Poly.of(mod, A.arr * s % mod.p)
 
 
-def _shift_operand(mod: Modulus, a, m, transposed):
-    """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!
-    (reversed for the transpose), as _fixed_operand keeps it; cached."""
+def _shift_operand(mod: Modulus, a, m):
+    """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!, as
+    _fixed_operand keeps it; cached, and read backwards by the transpose."""
 
     def build():
         P = _powers(mod, a, m) * mod.table("inv_factorials", m) % mod.p
-        return _fixed_operand(mod, P[::-1] if transposed else P, m)
+        return _fixed_operand(mod, P, m)
 
-    return mod.cached(("shift", a, m, transposed), build)
+    return mod.cached(("shift", a, m), build)
 
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
-    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1))
+    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1)), a middle product
     mod, m, p = A.mod, A.dim, A.mod.p
     mod.check_precision(m)
     fact, inv_fact = mod.table("factorials", m), mod.table("inv_factorials", m)
     pre, post = (inv_fact, fact) if transposed else (fact, inv_fact)
     B = (A.arr * pre % p)[::-1]
-    C = _mul_fixed(mod, B, _shift_operand(mod, a % p, m, transposed), 2 * m - 1)
-    C = C[m - 1 :] if transposed else C[:m]
+    C = _mul_fixed(mod, B, _shift_operand(mod, a % p, m), m, transposed)
     return Poly.of(mod, C[::-1] * post % p)
 
 

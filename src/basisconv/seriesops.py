@@ -125,6 +125,19 @@ def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     return series_add_const(series_exp(scaled, n), 1)
 
 
+def _normalized_pow(g: Poly, val: int, e: int, c: int, shift: int, n: int) -> Poly:
+    """c x^shift (g / (g_val x^val))^e mod x^n for g_val = g[val] != 0 and a
+    field-element exponent e: the body of g from x^val on, divided by its
+    leading coefficient, raised by _unit_pow_field and scaled by c."""
+    mod = g.mod
+    prec = n - shift
+    body = _fit(g.arr[val : val + prec], prec) * mod.inv(int(g.arr[val])) % mod.p
+    w = _unit_pow_field(Poly.of(mod, body), e, prec)
+    out = np.zeros(n, dtype=mod.dtype)
+    out[shift:] = w.arr * c % mod.p
+    return Poly.of(mod, out)
+
+
 def unit_pow(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0) != 0 and any integer exponent e (possibly huge
     or negative); the scalar part uses Fermat exponentiation."""
@@ -132,10 +145,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     c = g.constant()
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")
-    ci = mod.inv(c)
-    normalized = Poly.of(mod, truncate(g, n).arr * ci % mod.p)
-    body = _unit_pow_field(normalized, e % mod.p, n)
-    return Poly.of(mod, body.arr * mod.pow(c, e) % mod.p)
+    return _normalized_pow(g, 0, e, mod.pow(c, e), 0, n)
 
 
 def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
@@ -164,12 +174,7 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
     if n <= r:
         return Poly.zero(mod, n)
     # normalize to constant term 1, take the root there, re-attach alpha*x^r
-    body_prec = n - r
-    body = g.arr[val : val + body_prec] * mod.inv(lead) % mod.p
-    w = _unit_pow_field(Poly.of(mod, body), mod.inv(k), body_prec)
-    out = np.zeros(n, dtype=mod.dtype)
-    out[r:] = w.arr * (alpha % mod.p) % mod.p
-    return Poly.of(mod, out)
+    return _normalized_pow(g, val, mod.inv(k), alpha % mod.p, r, n)
 
 
 def series_pow(g: Poly, k: int, n: int) -> Poly:
@@ -191,12 +196,4 @@ def series_pow(g: Poly, k: int, n: int) -> Poly:
     val = truncate(g, n).valuation()
     if val is None or val * k >= n:
         return Poly.zero(mod, n)
-    if val == 0:
-        return unit_pow(g, k, n)
-    c = int(g.arr[val])
-    body_prec = n - val * k
-    body = _fit(g.arr[val : val + body_prec] * mod.inv(c) % mod.p, body_prec)
-    w = _unit_pow_field(Poly.of(mod, body), k % mod.p, body_prec)
-    out = np.zeros(n, dtype=mod.dtype)
-    out[val * k :] = w.arr * mod.pow(c, k) % mod.p
-    return Poly.of(mod, out)
+    return _normalized_pow(g, val, k, mod.pow(int(g.arr[val]), k), val * k, n)

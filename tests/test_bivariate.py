@@ -47,6 +47,22 @@ def test_check_spec_violations(mod101):
         check_spec(bad3, 8, mod101)
 
 
+def test_check_spec_keeps_one_entry(mod101):
+    n = 8
+    # g(0) h(0) != 0 and u(0) = 0: the first check reports, nothing is kept
+    bad = BivariateSpec(
+        f_coeffs=_exp_f(mod101), g_ops=(Add(1),), h_ops=(Add(1),),
+        u_coeffs=lambda n: [0] * n,
+    )
+    with pytest.raises(SpecViolation, match=r"g\(0\) \* h\(0\)"):
+        check_spec(bad, n, mod101)
+    assert not [k for k in mod101._cache if len(k) > 1 and k[1] is bad]
+    # a valid spec keeps its f, v, u series, the entry eval_bivariate reads
+    spec = BivariateSpec(f_coeffs=_exp_f(mod101), g_ops=(Add(1),), h_ops=())
+    check_spec(spec, n, mod101)
+    assert [k for k in mod101._cache if len(k) > 1 and k[1] is spec] == [("fvu", spec, n)]
+
+
 def test_trivial_n1(mod101):
     spec = BivariateSpec(
         f_coeffs=lambda n: [7] * n, g_ops=(), h_ops=(),

@@ -82,6 +82,26 @@ def test_warm_from_monomial_recomputes_nothing(monkeypatch):
         assert not calls, (g_ops, h_ops, dict(calls))
 
 
+def test_inverses_reuse_the_forward_truncations():
+    # the inverse of A -> A(g) is the reversed sequence of g - g(0) and one
+    # Taylor shift: it truncates no sequence but g_ops, h_ops and their
+    # reversals
+    n = 256
+    rng = random.Random(10)
+    for name in ("jacobi(alpha=3,beta=5)", "mott", "laguerre(alpha=3)"):
+        mod = Modulus(DEFAULT_PRIME)
+        fam = parse_family(mod, name)
+        A = Poly(mod, _random_vector(rng, mod, n), n)
+        from_monomial(A, fam, n, mod)
+        allowed = set()
+        for ops in (fam.spec.g_ops, fam.spec.h_ops):
+            allowed |= {ops, compseq._inverse_reduction(ops, n, mod)[-1]}
+        keys = [k for k in mod._cache if k[0] == "truncs"]
+        assert keys, name
+        for key in keys:
+            assert key[1] in allowed and key[2] == n, (name, key)
+
+
 def _run_threads(work, count=4):
     """work() in count threads started together, more threads than cores,
     switching often so that they interleave; their results."""

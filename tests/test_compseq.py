@@ -157,6 +157,16 @@ def test_eval_t_bilinear_and_matrix(mod):
             assert T[i][j] == F[j][i]
 
 
+def test_eval_of_an_undefined_sequence_raises(mod101):
+    # log(1 + g) and exp(g) - 1 need g(0) = 0; no Inv or Root makes the
+    # evaluation read a truncation, so the sequence is checked up front
+    A = Poly(mod101, [1, 2, 3, 4], 4)
+    for ops in ((Add(1), Log()), (Add(1), Exp())):
+        for fn in (eval_seq, eval_seq_t, eval_seq_inv):
+            with pytest.raises(DomainViolation, match="step 2:"):
+                fn(A, ops, 4)
+
+
 def test_reverse_sequence_jacobi(mod101):
     seq = parse_sequence("A:1;Inv;M:-2;A:1;P:2;M:-1;A:1;M:1/2", mod101)
     n = 16

@@ -204,6 +204,24 @@ def test_bitrev_indices_reverse_the_bits(mod):
         assert mod._bitrev_indices(size).tolist() == want
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
+def test_stage_twiddles_are_powers_of_a_root_of_unity(p):
+    mod = Modulus(p)
+    for k in range(1, 13):
+        length = 1 << k
+        for invert in (False, True):
+            w = pow(mod.primitive_root, (p - 1) // length, p)
+            if invert:
+                w = pow(w, p - 2, p)
+            want = [1]
+            for _ in range(1, length // 2):
+                want.append(want[-1] * w % p)
+            tw = mod._stage_twiddles(length, invert)
+            assert [int(t) for t in tw] == want
+            # the table is kept in the modulus's one cache
+            assert mod._cache[("twiddles", length, invert)] is tw
+
+
 def test_small_prime_fallback_and_capacity(mod101):
     rng = random.Random(3)
     # too few roots of unity: schoolbook still gives the exact product

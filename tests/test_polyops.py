@@ -96,8 +96,8 @@ def test_taylor_shift_across_primes(p):
 
 
 def test_warm_shift_makes_two_transforms(monkeypatch):
-    # the series P of a shift is fixed by (a, m, direction), so a warm shift
-    # keeps P's image: one forward and one inverse transform, no new entry
+    # the series P of a shift is fixed by (a, m), so a warm shift keeps P's
+    # image: one forward and one inverse transform, no new entry
     mod = Modulus(DEFAULT_PRIME)
     m = 4096
     rng = random.Random(17)
@@ -111,13 +111,16 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
 
     # every transform, float or NTT, enters through _transform
     monkeypatch.setattr(modfield, "_transform", counted)
+    sizes = []
     for shift in (taylor_shift, taylor_shift_t):
         cold = shift(A, 12345)
-        size = len(mod._cache)
+        sizes.append(len(mod._cache))
         calls[0] = 0
         assert shift(A, 12345) == cold
         assert calls[0] == 2
-        assert len(mod._cache) == size
+        assert len(mod._cache) == sizes[-1]
+    # the cold transpose added nothing: it reads the forward shift's operand
+    assert sizes[0] == sizes[1]
 
 
 def test_taylor_shift_group_law(mod101):
