@@ -16,8 +16,9 @@ import time
 from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequence
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DomainViolation
+from .evalgrid import LEAF_SIZE
 from .families import family_names, from_monomial, parse_family, to_monomial
-from .modfield import DEFAULT_PRIME, Modulus, Poly, float_kernel_agrees
+from .modfield import DEFAULT_PRIME, Modulus, Poly, dense_product_agrees, float_kernel_agrees
 from .oracle import horner_compose, matvec, naive_convert, stirling_matrices
 
 USAGE_ERROR = 2
@@ -176,6 +177,9 @@ def cmd_selftest(args):
     failures = 0
     if not float_kernel_agrees(mod):
         print("FAIL kernel: float product differs from the NTT")
+        failures += 1
+    if not dense_product_agrees(mod, LEAF_SIZE):
+        print("FAIL kernel: dense leaf product differs from the integer product")
         failures += 1
     for name in names:
         fam = parse_family(mod, name)

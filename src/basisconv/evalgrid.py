@@ -2,7 +2,7 @@
 transposes, and the four maps evaluating polynomials at exp(x)-1 / log(1+x).
 
 The four grid maps run on one subproduct tree per n, O(M(n) log n), worked one
-level at a time.  Level k holds the products of (x - p_i) over the blocks
+level at a time.  Level k holds the products of (x - i) over the blocks
 [j s, (j+1) s) ∩ [0, n), s = 2^k: all monic of degree s but at most one ragged
 last node.  The full nodes are the rows of one (n // s, s) array of their
 coefficients below x^s, so a level is built or passed through with a few
@@ -15,7 +15,7 @@ pass multiplies by it take that kind.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
-- combine, bottom-up, c -> sum_i c_i prod_{j != i} (x - p_j): a node of
+- combine, bottom-up, c -> sum_i c_i prod_{j != i} (x - j): a node of
   degree s = 2h takes V_L low_R + V_R low_L + x^h (V_L + V_R) from its
   children's values, low the nodes without their leading x^h;
 - combine_t, top-down: a child takes W[j + h] + sum_t low_S[t] W[t + j], j < h,
@@ -23,10 +23,27 @@ principle; Bostan, Lecerf & Schost, ISSAC 2003):
   the coefficients it reads at cyclic size s, where it is a product by the
   sibling's image read backwards (modfield._image_rev).
 
-With D = prod_i (1 - p_i x), the reversal of the root, and the weights
-w_i = 1 / M'(p_i), the identity sum_i v_i / (1 - p_i x) = rev(combine(v)) / D
-gives multieval_t(v) = rev(combine(v)) / D mod x^n and interp(v) =
-combine(w v), and by transposition
+Both passes stop at the leaf level K = log2 b, b = min(LEAF_SIZE, 2^depth), on
+int64 rows; on dtype-object rows b = 1 and they run to the points.  On the
+grid the node of block j of level K is a translate of that of block 0,
+N_j(x) = N_0(x - jb) (Bostan & Schost, J. Complexity 21, 2005), so the leaf
+map c -> sum_i c_i N_j(x) / (x - jb - i) of block j is one b x b matrix,
+M_j = M0 diag(a^t) B diag(a^-s), a = -jb: M0 holds in row i the coefficients
+of N_0(x) / (x - i), and B, the Pascal matrix C(t, s) mod p, with the two
+diagonals makes the Taylor shift by a.  The leaf of combine is
+((C M0) ⊙ a^t) B ⊙ a^-s on the rows C of all blocks at once, block 0
+unshifted, and that of combine_t its transpose; a ragged last block of r
+points has its own r x r matrix.  M0 and B are kept once per modulus and b,
+the powers a^t and a^-s (2n residues) on the tree, and no level below K.
+Each product by a leaf matrix is one float64 GEMM of the balanced 11-bit limbs
+of the rows (modfield._dense_mul), exact while every partial sum, at most
+b 2^10 (p - 1) in magnitude, stays below 2^53: b <= 2^12 for p < 2^31, which
+each product asserts.
+
+With D = prod_i (1 - i x), the reversal of the root, and the weights
+w_i = 1 / M'(i) = (-1)^(n-1-i) / (i! (n-1-i)!), the identity
+sum_i v_i / (1 - i x) = rev(combine(v)) / D gives multieval_t(v) =
+rev(combine(v)) / D mod x^n and interp(v) = combine(w v), and by transposition
 - multieval(A) = combine_t(rev(mul_trunc_t(A, 1/D, n)));
 - interp_t(A) = w combine_t(A).
 """
@@ -42,6 +59,7 @@ from .modfield import (
     Poly,
     _arange,
     _convolve,
+    _dense_mul,
     _fit,
     _fixed_operand,
     _image,
@@ -51,10 +69,29 @@ from .modfield import (
     _image_rev,
     _keeps_image,
     _mul_fixed,
+    _prefix_products,
     _residues,
 )
 from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
 from .seriesops import series_inv
+
+
+# Both passes end at level K = log2 b, b = min(LEAF_SIZE, 2^depth), on int64
+# rows.  Warm combine + combine_t time in ms at n by b, median of 3 runs of
+# best of 15 on a 2-core x86-64 machine with numpy 2.4 (OpenBLAS, one thread);
+# b = 1 is the tree run to its points:
+#
+#   n \ b       1     32     64    128    256    512   1024
+#    1024      4.4    2.5    2.2    2.3    1.4    1.9    2.6
+#    4096     14.8   12.4   10.4    9.3    7.6    8.8   11.5
+#    8192     41.8   35.9   34.5   28.6   26.6   18.0   21.2
+#   16384     82.5   67.2   65.6   56.1   58.5   53.7   53.6
+#
+# 256 is fastest up to n = 4096.  512 is faster from n = 8192 on, but the two
+# b x b matrices take 16 b^2 bytes per modulus, 4 MB at 512: on the
+# sheffer_large benchmark (n = 8192) it made 66 conversions per second against
+# 52 at 256, and raised peak memory from 55.3 to 58.5 MB, which 256 keeps flat.
+LEAF_SIZE = 256
 
 
 def _pairs(rows, nf):
@@ -67,43 +104,91 @@ def _monic(low):
     return np.concatenate([low, np.ones(1, dtype=low.dtype)])
 
 
+def _quotients(mod: Modulus, node, points):
+    """The float64 matrix whose row i holds the coefficients of
+    node / (x - points[i]), for the monic node whose roots are the points:
+    the synthetic divisions of all rows at once, one column per step."""
+    p, m = mod.p, len(points)
+    Qt, q = np.empty((m, m)), np.ones(m, dtype=np.int64)
+    Qt[m - 1] = q
+    for k in range(m - 1, 0, -1):
+        q = (node[k] + points * q) % p
+        Qt[k - 1] = q
+    return Qt.T
+
+
+def _pascal(p, b):
+    """The float64 matrix of binomials C(t, s) mod p, t, s < b, row by row
+    (sums of two residues are exact in doubles)."""
+    B = np.zeros((b, b))
+    B[:, 0] = 1
+    for t in range(1, b):
+        B[t, 1 : t + 1] = (B[t - 1, 1 : t + 1] + B[t - 1, :t]) % p
+    return B
+
+
+def _power_rows(mod: Modulus, base, m):
+    """Row j: base[j]^0 .. base[j]^(m-1) mod p."""
+    rows = np.ones((len(base), m), dtype=mod.dtype)
+    rows[:, 1:] = base[:, None]
+    return _prefix_products(rows, mod.p)
+
+
 class SubproductTree:
-    """Subproduct tree over an array of distinct points, stored level by
-    level.
+    """Subproduct tree over the grid 0..n-1, stored level by level from the
+    leaf level K = leaf up.
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
     their images at size 2s, below the top level, or None where modfield
     keeps no image (_keeps_image), read by both passes through _level_image;
-    rag[k]: the coefficients of the ragged node of level k, or None.
+    rag[k]: the coefficients of the ragged node of level k, or None.  All
+    three are None below K.  The leaf of the blocks of b = 2^K points: m0
+    (M0) for the first of them, pascal (B) and pows, the powers a^t and
+    a^-s of a = -jb as rows, for blocks j >= 1, and rag_mat for a ragged last
+    block.
     """
 
-    def __init__(self, mod: Modulus, points):
+    def __init__(self, mod: Modulus, n: int):
         self.mod = mod
-        self.n = n = len(points)
+        self.n = n
         self.dtype = mod.dtype
         self.depth = (n - 1).bit_length()      # the top level has one node
         p = mod.p
-        self.low = [((-_residues(mod, points)) % p).reshape(n, 1)]
+        b = 1 if mod.dtype is object else min(LEAF_SIZE, 1 << self.depth)
+        self.leaf = K = b.bit_length() - 1
+        self.low = [((-_arange(mod, 0, n)) % p).reshape(n, 1)]
         self.img, self.rag = [], [None]
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            (a, b), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
+            (lo_l, lo_r), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
             self.img.append(img if _keeps_image(img) else None)
-            # (x^h + a)(x^h + b) = x^s + x^h (a + b) + a b
+            # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
-            cur[:, h:] += a + b
+            cur[:, h:] += lo_l + lo_r
             self.low.append(cur % p)
             r, rag = n % s, self.rag[-1]
             if r >= h:
                 full = _monic(self.low[k - 1][2 * nf])
                 rag = full if r == h else _convolve(mod, full, rag)
             self.rag.append(rag if r else None)
+            if k <= K:      # no pass reads below the leaf level
+                self.low[k - 1] = self.img[k - 1] = self.rag[k - 1] = None
         top = self.rag[-1]
         self.root = top if top is not None else _monic(self.low[-1][0])
+        self.blocks, r = divmod(n, b)
+        if self.blocks and K:
+            node, pts = _monic(self.low[K][0]), _arange(mod, 0, b)
+            self.m0 = mod.cached(("grid leaf", b), lambda: _quotients(mod, node, pts))
+        if self.blocks > 1 and K:
+            self.pascal = mod.cached(("pascal", b), lambda: _pascal(p, b))
+            a = (-b * _arange(mod, 1, self.blocks)) % p
+            self.pows = [_power_rows(mod, base, b) for base in (a, mod.inv_array(a))]
+        if r and K:
+            self.rag_mat = _quotients(mod, self.rag[K], _arange(mod, n - r, n))
 
     def multieval(self, cs):
         """Values at every point of the polynomial with coefficients cs (an
-        array of residues, len(cs) <= number of points), in point order.
+        array of residues, len(cs) <= n), in point order.
 
         The transpose of multieval_t(v) = rev(combine(v)) / D mod x^n: the
         transposed product by 1/D, a middle product, read backwards into
@@ -119,16 +204,53 @@ class SubproductTree:
 
     @cached_property
     def weights(self):
-        """1 / M'(p_i) for every point."""
-        mod, root = self.mod, self.root
-        return mod.inv_array(self.multieval(root[1:] * _arange(mod, 1, len(root)) % mod.p))
+        """1 / M'(i) = (-1)^(n-1-i) / (i! (n-1-i)!) for every point i."""
+        p, inv_fact = self.mod.p, self.mod.table("inv_factorials", self.n)
+        w = inv_fact * inv_fact[::-1] % p
+        w[-2::-2] = (-w[-2::-2]) % p
+        return w
+
+    def _leaf_rows(self, cs):
+        """combine at level K: the values of every block as the rows of the
+        level, c_j M_j with M_j = M0 diag(a^t) B diag(a^-s) for block j >= 1
+        (a = -jb), c_j M0 for block 0 and c M_r for a ragged last block."""
+        mod, p, nb, b = self.mod, self.mod.p, self.blocks, 1 << self.leaf
+        r = self.n - nb * b
+        C = _fit(cs, -(-self.n // b) * b).reshape(-1, b)
+        if b == 1:
+            return C
+        if nb:
+            C[:nb] = _dense_mul(mod, C[:nb], self.m0)
+        if nb > 1:
+            at, a_s = self.pows
+            C[1:nb] = _dense_mul(mod, C[1:nb] * at % p, self.pascal) * a_s % p
+        if r:
+            C[nb, :r] = _dense_mul(mod, C[nb:, :r], self.rag_mat)[0]
+        return C
+
+    def _leaf_t(self, w):
+        """The transpose of _leaf_rows: the coefficients M_j w_j of every
+        block, from the rows w of level K, as an array of length n."""
+        mod, p, nb, b = self.mod, self.mod.p, self.blocks, 1 << self.leaf
+        r = self.n - nb * b
+        if b == 1:
+            return w[:, 0]
+        out = np.empty(self.n, dtype=self.dtype)
+        if nb > 1:
+            at, a_s = self.pows
+            w[1:nb] = _dense_mul(mod, w[1:nb] * a_s % p, self.pascal.T) * at % p
+        if nb:
+            out[: nb * b] = _dense_mul(mod, w[:nb], self.m0.T).reshape(-1)
+        if r:
+            out[nb * b :] = _dense_mul(mod, w[nb:, :r], self.rag_mat.T)[0]
+        return out
 
     def combine(self, cs):
-        """sum_i c_i prod_{j != i} (x - p_j) for an array of residues c_i,
+        """sum_i c_i prod_{j != i} (x - i) for an array of residues c_i,
         as an array of length n."""
         mod, p, n = self.mod, self.mod.p, self.n
-        v = cs.reshape(n, 1)
-        for k in range(1, self.depth + 1):
+        v = self._leaf_rows(cs)
+        for k in range(self.leaf + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             img = self._level_image(k - 1)
             il, ir = _pairs(img, nf)
@@ -151,11 +273,11 @@ class SubproductTree:
 
     def combine_t(self, W):
         """The transpose of combine: coefficient i of the result is
-        sum_j W[j] [x^j] prod_{l != i} (x - p_l), for an array W of n
+        sum_j W[j] [x^j] prod_{l != i} (x - l), for an array W of n
         residues."""
         mod, p, n = self.mod, self.mod.p, self.n
         w = _fit(W, 1 << self.depth).reshape(1, -1)
-        for k in range(self.depth, 0, -1):
+        for k in range(self.depth, self.leaf, -1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
@@ -176,7 +298,7 @@ class SubproductTree:
                     nxt[2 * nf + 1] = _fit(_convolve(mod, last[:r], full[::-1])[h:r], h)
             nxt %= p
             w = nxt
-        return w[:, 0]
+        return self._leaf_t(w)
 
     def interp(self, values) -> Poly:
         """The unique polynomial of dim n taking the given values."""
@@ -196,7 +318,7 @@ class SubproductTree:
 
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
-    return mod.cached(("grid", n), lambda: SubproductTree(mod, _arange(mod, 0, n)))
+    return mod.cached(("grid", n), lambda: SubproductTree(mod, n))
 
 
 def multieval_grid(A: Poly):

@@ -243,7 +243,14 @@ def _bessel_h_ops(mod):
 
 def _log_ratio_ops(mod, a, b, c, d):
     """log((a t + b)/(c t + d)) with b = d (so the value at 0 is log 1 = 0)."""
-    return moebius_ops(mod, a, b, c, d) + (Add(mod.p - 1), Log())
+    ops = list(moebius_ops(mod, a, b, c, d))
+    # Log takes log(1 + y): subtract 1, folded into the final Add(f) if any
+    shift = mod.p - 1
+    if isinstance(ops[-1], Add):
+        shift = (ops.pop().a - 1) % mod.p
+    if shift:
+        ops.append(Add(shift))
+    return (*ops, Log())
 
 
 def _mittag_leffler_h_ops(mod):

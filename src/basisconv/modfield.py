@@ -31,6 +31,12 @@ size and the number of rows (_float), by a measured crossover:
   reference the float kernel is checked against (tests, basisconv selftest).
 An image carries its kind in its shape (float spectra are 3-D), and a batch
 multiplied by a kept image takes that image's kind, so kinds never mix.
+
+Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
+tree) take one float64 matrix product of their limbs (_dense_mul), exact
+while its partial sums stay below 2^53 (_dense_exact); it too rests on the
+numpy build, and dense_product_agrees checks it as float_kernel_agrees checks
+the float FFT.
 """
 
 from __future__ import annotations
@@ -98,8 +104,11 @@ SCHOOLBOOK_LIMIT = 2048
 # FLOAT_MAX_ROWS rows, and from FLOAT_ANY_ROWS_SIZE on in any number of rows
 # (at 2^17 entries the float kernel still won by 1.04-1.2x there).  Below
 # FLOAT_ANY_ROWS_SIZE a float batch must also fit in FIXED_IMAGE_BYTES, so a
-# kept tree level never trades its NTT image for a float image it cannot keep:
-# the grid-tree levels at n = 8192 (2^14 entries each) stay on the NTT.
+# kept tree level never trades its NTT image for a float image it cannot keep.
+# At n = 8192 one grid-tree level is left below it, above evalgrid's leaf
+# blocks: size 512 in 32 rows.  Its kept NTT image beat a float image made
+# at each pass there: warm combine 11.3 against 12.4 ms, combine_t 13.3
+# against 16.5 ms (medians of 9 runs of best of 15).
 FLOAT_MIN_SIZE = 16
 FLOAT_MAX_ROWS = 128
 FLOAT_ANY_ROWS_SIZE = 1024
@@ -730,6 +739,44 @@ def _limb_coeffs(p, Z, size, out_len):
     return out
 
 
+def _dense_exact(b, p):
+    """Whether a row of b limbs (|limb| <= 2^10) times a column of b residues
+    below p sums exactly in doubles: every partial sum stays below 2^53."""
+    return b * (p - 1) << (LIMB_BITS - 1) < 1 << 53
+
+
+def _dense_mul(mod: Modulus, A, M):
+    """The int64 rows A times the float64 matrix M of residues, mod p, as
+    int64 rows of residues: one GEMM of the balanced limbs of A (_limbs) by M,
+    exact while _dense_exact(len(M), p) holds (asserted), rounded, reduced
+    and recombined mod p in int64."""
+    p, (r, b) = mod.p, A.shape
+    assert _dense_exact(b, p), (b, p)
+    c = np.rint(np.matmul(_limbs(A).reshape(3 * r, b), M)).astype(np.int64)
+    c = c.reshape(r, 3, M.shape[1])
+    # |c_k| < 2^53 and out < 2^31: each step stays below 2^54 in int64
+    out = c[:, 2] % p
+    for k in (1, 0):
+        out = ((out << LIMB_BITS) + c[:, k]) % p
+    return out
+
+
+def dense_product_agrees(mod: Modulus, b) -> bool:
+    """Whether _dense_mul at inner dimension b equals the exact integer
+    product, on the worst case of its bound: rows of p - 1 and rows whose
+    limbs are all -2^10, times a matrix of p - 1.  Exactness rests on the
+    BLAS of the numpy build summing doubles as IEEE arithmetic does.  True
+    on dtype-object rows, which never take it."""
+    if mod.dtype is object:
+        return True
+    p, low = mod.p, -(1 << (LIMB_BITS - 1))
+    all_low = low * (1 + (1 << LIMB_BITS) + (1 << 2 * LIMB_BITS))
+    A = np.stack([np.full(b, p - 1), np.full(b, all_low)])
+    M = np.full((b, b), p - 1, dtype=np.int64)
+    want = (A.astype(object) @ M.astype(object)) % p
+    return np.array_equal(_dense_mul(mod, A, M.astype(np.float64)), want.astype(np.int64))
+
+
 def float_kernel_agrees(mod: Modulus) -> bool:
     """Whether float products equal exact ones, on a random row and a row of
     p - 1, at two sizes: the least the float kernel takes for one row, and
@@ -806,12 +853,12 @@ def _powers(mod: Modulus, lam, m):
 
 
 def _prefix_products(values, p):
-    """Running products v_0 ... v_i mod p of an array, in log2(n) doubling
-    steps (the Hillis-Steele scan)."""
+    """Running products v_0 ... v_i mod p along the last axis of an array, in
+    log2(n) doubling steps (the Hillis-Steele scan)."""
     out = values % p
     k = 1
-    while k < len(out):
-        out[k:] = out[k:] * out[:-k] % p
+    while k < out.shape[-1]:
+        out[..., k:] = out[..., k:] * out[..., :-k] % p
         k *= 2
     return out
 

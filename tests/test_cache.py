@@ -163,9 +163,9 @@ def test_threads_share_one_modulus(monkeypatch):
     builds = []
     init = evalgrid.SubproductTree.__init__
 
-    def counted_init(self, mod, points):
-        builds.append(len(points))
-        init(self, mod, points)
+    def counted_init(self, mod, n):
+        builds.append(n)
+        init(self, mod, n)
 
     monkeypatch.setattr(evalgrid.SubproductTree, "__init__", counted_init)
     mod = Modulus(DEFAULT_PRIME)

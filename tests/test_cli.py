@@ -175,6 +175,21 @@ def test_selftest_checks_the_float_kernel(monkeypatch, capsys):
     assert out.startswith("FAIL kernel")
 
 
+def test_selftest_checks_the_dense_leaf_product(monkeypatch, capsys):
+    # a matrix product off by 3/4 (a BLAS that does not sum doubles exactly)
+    # fails the leaf-product check; the --quick conversions, whose grid trees
+    # are all leaf, fail as well
+    import numpy as np
+
+    from basisconv import cli
+
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: matmul(*args, **kw) + 0.75)
+    assert cli.main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL kernel: dense leaf product")
+
+
 def test_malformed_family_value_is_domain_error():
     proc = run_cli(
         ["convert", "--family", "hermite(x=abc)", "--dir", "to-monomial", "--n", "2"],

@@ -117,11 +117,82 @@ def test_combine_t_is_the_transpose_of_combine(p):
     cap = 100 if p == SCALAR_PRIME else p - 1
     rng = random.Random(47)
     for n in [n for n in SIZES if n <= cap]:
-        tree = evalgrid.SubproductTree(mod, modfield._arange(mod, 0, n))
+        tree = evalgrid.SubproductTree(mod, n)
         c, W = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
         lhs = sum(a * b for a, b in zip(tree.combine(np.array(c, dtype=mod.dtype)).tolist(), W))
         rhs = sum(a * b for a, b in zip(c, tree.combine_t(np.array(W, dtype=mod.dtype)).tolist()))
         assert lhs % p == rhs % p, n
+
+
+def _leaf_sizes(p):
+    """Sizes around the leaf blocks of b = LEAF_SIZE points on int64 rows;
+    below 101 on 101 and below 100 on object rows, where b = 1."""
+    if p == 101:
+        return (2, 5, 31, 32, 33, 64, 100)
+    if p == SCALAR_PRIME:
+        return (2, 5, 33, 100)
+    b = evalgrid.LEAF_SIZE
+    return (b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, 3 * b + 5, 4097)
+
+
+def _dot(u, v, p):
+    return sum(a * b for a, b in zip(u, v)) % p
+
+
+@pytest.mark.parametrize(
+    "p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101, SCALAR_PRIME],
+    ids=["float-and-ntt", "float-no-roots", "raw-rows", "scalar-ntt"],
+)
+def test_six_grid_maps_across_leaf_blocks(p):
+    # whole blocks, a ragged last block, a lone ragged block and the tree run
+    # to its leaves (b = 1): multieval by Horner, the round trips of interp
+    # and interp_t, and each of the three transposed maps by <F x, y> =
+    # <x, F^t y>
+    mod = Modulus(p)
+    rng = random.Random(51)
+    for n in _leaf_sizes(p):
+        A, v, c, W = ([rng.randrange(p) for _ in range(n)] for _ in range(4))
+        x = np.arange(n, dtype=mod.dtype)
+        horner = np.zeros(n, dtype=mod.dtype)
+        for a in reversed(A):
+            horner = (horner * x + a) % p
+        vals = multieval_grid(Poly(mod, A, n))
+        assert vals.tolist() == horner.tolist(), n
+        assert interp_grid(mod, vals).coeffs == A, n
+        assert interp_grid_t(multieval_grid_t(mod, v)).tolist() == v, n
+        assert _dot(vals.tolist(), v, p) == _dot(A, multieval_grid_t(mod, v).coeffs, p), n
+        interp_t = interp_grid_t(Poly(mod, W, n)).tolist()
+        assert _dot(interp_grid(mod, v).coeffs, W, p) == _dot(v, interp_t, p), n
+        tree = evalgrid._grid_tree(mod, n)
+        combined = tree.combine(np.array(c, dtype=mod.dtype)).tolist()
+        combined_t = tree.combine_t(np.array(W, dtype=mod.dtype)).tolist()
+        assert _dot(combined, W, p) == _dot(c, combined_t, p), n
+
+
+def test_tree_keeps_nothing_below_the_leaf(monkeypatch):
+    # at n = 8192 the tree keeps the levels from K = log2 LEAF_SIZE up, the
+    # leaf's two matrices and its powers, in fewer bytes than the tree run to
+    # its leaves (LEAF_SIZE = 1)
+    def nbytes(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (list, tuple)):
+            return sum(map(nbytes, value))
+        return 0
+
+    n = 8192
+    tree = evalgrid.SubproductTree(Modulus(DEFAULT_PRIME), n)
+    K = evalgrid.LEAF_SIZE.bit_length() - 1
+    assert tree.leaf == K and tree.blocks == n >> K
+    for levels in (tree.low, tree.img, tree.rag):
+        assert levels[:K] == [None] * K and len(levels) >= tree.depth
+    assert tree.low[K].shape == (n >> K, 1 << K)
+    assert tree.m0.shape == tree.pascal.shape == (1 << K, 1 << K)
+    assert sum(map(nbytes, tree.pows)) == 2 * (n - (1 << K)) * 8
+    monkeypatch.setattr(evalgrid, "LEAF_SIZE", 1)
+    full = evalgrid.SubproductTree(Modulus(DEFAULT_PRIME), n)
+    assert full.leaf == 0 and all(low is not None for low in full.low)
+    assert nbytes(list(vars(tree).values())) < nbytes(list(vars(full).values()))
 
 
 def test_transposed_passes_make_few_transforms(monkeypatch):
@@ -180,11 +251,11 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
 
 
 def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
-    # at n = 3000 the level images at sizes 2-8, and at 16-32 with more than
-    # FLOAT_MAX_ROWS nodes, are NTT rows and those from size 64 on float
-    # spectra; every product takes the kind of the image it meets, and the
-    # passes equal those with every level on the NTT
-    n = 3000
+    # at n = 6000 the levels above the leaf have images of both kinds: NTT
+    # rows at size 512 (23 nodes, whose float image would not be kept) and
+    # float spectra from size 1024 on; every product takes the kind of the
+    # image it meets, and the passes equal those with every level on the NTT
+    n = 6000
     rng = random.Random(50)
     coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
 
@@ -197,7 +268,8 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
             multieval_grid_t(mod, coeffs).coeffs,
             interp_grid_t(A).tolist(),
         ]
-        return out, [img.ndim for img in evalgrid._grid_tree(mod, n).img]
+        tree = evalgrid._grid_tree(mod, n)
+        return out, [tree._level_image(k).ndim for k in range(tree.leaf, tree.depth)]
 
     def one_kind(fn):
         def product(mod, X, *images):
@@ -210,10 +282,10 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
         monkeypatch.setattr(evalgrid, name, one_kind(getattr(evalgrid, name)))
     monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
     got, kinds = run()
-    assert kinds == [2] * 5 + [3] * 7
+    assert kinds == [2] + [3] * 4
     force_kernel("ntt")
     want, kinds = run()
-    assert kinds == [2] * 12 and got == want
+    assert kinds == [2] * 5 and got == want
 
 
 def test_no_kept_float_images_same_results(monkeypatch):

@@ -51,6 +51,15 @@ def test_cost_classes(mod):
         assert fam.cost_class == want, fam.name
 
 
+def test_no_two_adjacent_adds(mod):
+    # two Taylor shifts in a row are one shift by the sum: each Add costs a
+    # product per conversion
+    for fam in all_families(mod):
+        for ops in (fam.spec.g_ops, fam.spec.h_ops):
+            kinds = [type(op).__name__ for op in ops]
+            assert ("Add", "Add") not in zip(kinds, kinds[1:]), (fam.name, ops)
+
+
 def test_hermite_frozen(mod):
     p = mod.p
     # H_0=1, H_1=2x, H_2=4x^2-2, H_3=8x^3-12x

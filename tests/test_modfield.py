@@ -17,6 +17,7 @@ from basisconv import (
     poly_mul,
 )
 from basisconv import modfield
+from basisconv.evalgrid import LEAF_SIZE
 from basisconv.modfield import (
     _class_spectra,
     _convolve,
@@ -349,6 +350,30 @@ def test_float_kernel_exact_on_worst_operands(mod, size):
         for products in (1, 2):
             c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
             assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products)
+
+
+def test_dense_product_exact_on_worst_operands(mod):
+    # rows of p - 1, of WORST and of limbs all -1024 (not a residue) times
+    # columns of p - 1 sum every term with one sign: at the leaf size and at
+    # the largest b the bound admits for DEFAULT_PRIME
+    p = mod.p
+    b_max = max(1 << k for k in range(16) if modfield._dense_exact(1 << k, p))
+    assert b_max == 4096
+    for b in (LEAF_SIZE, b_max):
+        A = np.array([[v] * b for v in (p - 1, WORST, -1024 * 4196353)], dtype=np.int64)
+        assert (_limbs(A[2:]) == -1024).all()
+        want = A.astype(object).sum(axis=1) * (p - 1) % p
+        got = modfield._dense_mul(mod, A, np.full((b, 2), p - 1.0))
+        assert (got == want.astype(np.int64)[:, None]).all(), b
+    assert modfield.dense_product_agrees(mod, LEAF_SIZE)
+    # random operands against the integer product
+    rng = np.random.default_rng(52)
+    A, M = rng.integers(0, p, (5, LEAF_SIZE)), rng.integers(0, p, (LEAF_SIZE, 300))
+    want = (A.astype(object) @ M.astype(object)) % p
+    assert np.array_equal(modfield._dense_mul(mod, A, M.astype(np.float64)), want.astype(np.int64))
+    # past the bound the product refuses to run
+    with pytest.raises(AssertionError):
+        modfield._dense_mul(mod, np.ones((1, 2 * b_max), dtype=np.int64), np.zeros((2 * b_max, 1)))
 
 
 @pytest.mark.parametrize(
