@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compseq import _inverse_reduction, _output_series, eval_seq, eval_seq_inv, eval_seq_t
+from .compseq import _inverse_reduction, _leads, eval_seq, eval_seq_inv, eval_seq_t
 from .errors import SingularDiagonal, SpecViolation
-from .modfield import Modulus, Poly, _readonly, mul_trunc, mul_trunc_t
+from .modfield import Modulus, Poly, _fixed_operand, _readonly, mul_trunc, mul_trunc_t
 from .polyops import diagonal, taylor_shift_t, truncate
 from .seriesops import series_inv
 
@@ -41,6 +41,11 @@ def _series_poly(mod, coeffs_fn, n):
     return Poly(mod, coeffs_fn(n), n)
 
 
+def _fixed(mod, P, n):
+    """P kept for products of length <= n (modfield._fixed_operand)."""
+    return None if P is None else _fixed_operand(mod, P.arr, n)
+
+
 def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
     """Validate the factorization hypotheses numerically at precision n:
     g(0)h(0) = 0 and g'(0), h'(0), u(0), v(0) all nonzero."""
@@ -48,17 +53,19 @@ def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
 
 
 def _spec_vectors(spec, n, mod):
-    """(f_0..f_{n-1} as an array, v and u as Poly or None) at precision n,
-    built once, after the checks of check_spec."""
+    """(f_0..f_{n-1} as an array, then v, u, 1/v and 1/u kept for their
+    products or None) at precision n, built once, after the checks of
+    check_spec.  The inverses are made while v and u are at hand, so that
+    neither series is made twice."""
 
     def build():
-        g = _output_series(spec.g_ops, n, mod)
-        h = _output_series(spec.h_ops, n, mod)
-        if g.constant() != 0 and h.constant() != 0:
+        g0, g1 = _leads(spec.g_ops, n, mod)
+        h0, h1 = _leads(spec.h_ops, n, mod)
+        if g0 != 0 and h0 != 0:
             raise SpecViolation("g(0) * h(0) must vanish")
-        if g.dim < 2 or g.arr[1] == 0:
+        if g1 == 0:
             raise SpecViolation("g'(0) must be nonzero")
-        if h.dim < 2 or h.arr[1] == 0:
+        if h1 == 0:
             raise SpecViolation("h'(0) must be nonzero")
         f = Poly(mod, spec.f_coeffs(n), n).arr
         v = _series_poly(mod, spec.v_coeffs, n)
@@ -67,25 +74,22 @@ def _spec_vectors(spec, n, mod):
             raise SpecViolation("u(0) must be nonzero")
         if v is not None and v.constant() == 0:
             raise SpecViolation("v(0) must be nonzero")
-        return f, v, u
+        inverses = [None if P is None else series_inv(P, n) for P in (v, u)]
+        return (f, *(_fixed(mod, P, n) for P in (v, u, *inverses)))
 
     return mod.cached(("fvu", spec, n), build)
 
 
-def _inverse_vectors(spec, n, mod):
-    """(1/f_k array, 1/u and 1/v as Poly or None) at precision n, cached;
-    raises SingularDiagonal at the first vanishing f_k."""
+def _inverse_f(spec, n, mod):
+    """The array of the 1/f_k at precision n, cached; raises
+    SingularDiagonal at the first vanishing f_k."""
 
     def build():
-        f, v, u = _spec_vectors(spec, n, mod)
+        f = _spec_vectors(spec, n, mod)[0]
         zeros = np.flatnonzero(f == 0)
         if len(zeros):
             raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
-        return (
-            _readonly(mod.inv_array(f)),
-            None if u is None else series_inv(u, n),
-            None if v is None else series_inv(v, n),
-        )
+        return _readonly(mod.inv_array(f))
 
     return mod.cached(("finv", spec, n), build)
 
@@ -95,7 +99,7 @@ def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     mod.check_precision(n)
     check_spec(spec, n, mod)
     cur = Poly(mod, a, n)
-    f, v, u = _spec_vectors(spec, n, mod)
+    f, v, u = _spec_vectors(spec, n, mod)[:3]
     if v is not None:
         cur = mul_trunc_t(cur, v, n)
     cur = eval_seq_t(cur, spec.h_ops, n)
@@ -123,7 +127,8 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     """Exact inverse of eval_bivariate; needs every f_k nonzero (k < n)."""
     mod.check_precision(n)
     check_spec(spec, n, mod)
-    finv, uinv, vinv = _inverse_vectors(spec, n, mod)
+    vinv, uinv = _spec_vectors(spec, n, mod)[3:]
+    finv = _inverse_f(spec, n, mod)
     cur = truncate(A, n)
     if uinv is not None:
         cur = mul_trunc(cur, uinv, n)

@@ -8,6 +8,11 @@ A -> A(g) mod x^n by structural recursion over the sequence, and provides
 the transposed and inverse maps.  The inverse evaluates the reversed
 sequence, which computes the compositional inverse of g - g(0) from the
 truncations of g, and then shifts by -g(0): no other reduction is needed.
+
+The evaluation reads the truncations only through input-independent operands:
+the unit powers of Inv, the root powers of Root and the inverse reduction.
+The first use of a sequence at a precision (_prepare) builds all of them from
+one set of truncations, which it then drops.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import (
     NotTangentToIdentity,
 )
 from .evalgrid import exp_map, exp_map_t, log_map, log_map_t
-from .modfield import Modulus, Poly, mul_trunc, mul_trunc_t
+from .modfield import Modulus, Poly, _fixed_operand, mul_trunc, mul_trunc_t
 from .polyops import (
     find_degrees,
     lincomb,
@@ -170,9 +175,10 @@ def _apply_op(op, g: Poly, n_out: int, step: int) -> Poly:
 
 
 def compute_g(ops, n: int, mod: Modulus) -> SequenceTruncations:
-    """Truncations of every intermediate series, following the schedule."""
+    """Truncations of every intermediate series, following the schedule;
+    made afresh on each call and not cached (see _prepare)."""
     mod.check_precision(n)
-    return mod.cached(("truncs", tuple(ops), n), lambda: _truncations(ops, n, mod))
+    return _truncations(ops, n, mod)
 
 
 def _truncations(ops, n, mod):
@@ -207,23 +213,80 @@ def _output_series(ops, n, mod) -> Poly:
     return compute_g(ops, max(n, 2), mod).g[-1]
 
 
-def _inv_unit_pow(ops, lp, e, n, mod):
-    """g_lp^e mod x^n; input-independent, cached across evaluations."""
-    return mod.cached(
-        ("upow", tuple(ops[:lp]), e, n),
-        lambda: unit_pow(_series_at(compute_g(ops, n, mod), mod, lp, n), e, n),
-    )
-
-
-def _root_powers(ops, ell, k, n, mod):
-    """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell; cached."""
+def _prepare(ops, n: int, mod: Modulus):
+    """(lead, reduction) for ops at precision n, cached: raises as compute_g
+    does where ops is not defined at n.  On the first call it builds every
+    operand the evaluation at n reads (_inv_unit_pow, _root_powers) from one
+    set of truncations, and then drops them.  Where n >= 2, lead is
+    (g(0), g'(0)) of the output g and reduction the value of
+    _inverse_reduction, or None where that raises; else both are None."""
+    ops = tuple(ops)
 
     def build():
-        h = _series_at(compute_g(ops, n, mod), mod, ell, n)
+        truncs = compute_g(ops, n, mod)
+        for ell, m in _steps(ops, n):
+            op = ops[ell - 1]
+            if isinstance(op, Inv):
+                _inv_unit_pow(ops, ell - 1, 1 - m, n, mod, truncs)
+            elif isinstance(op, Root):
+                _root_powers(ops, ell, op.k, n, mod, truncs)
+        if n < 2:
+            return None, None
+        out = truncs.g[-1] if ops else Poly.x(mod, 2)
+        try:
+            reduction = _reduction(ops, truncs, mod)
+        except (NotInvertible, AmbiguousValuation):
+            reduction = None
+        return (int(out.arr[0]), int(out.arr[1])), reduction
+
+    return mod.cached(("seq", ops, n), build)
+
+
+def _steps(ops, n):
+    """The pairs (ell, m), ell >= 1, at which the evaluation at precision n,
+    forward or transposed, applies operator ell to K[x]_m."""
+    seen, todo = set(), [(len(ops), n)]
+    while todo:
+        ell, m = todo.pop()
+        if ell == 0 or (ell, m) in seen:
+            continue
+        seen.add((ell, m))
+        op = ops[ell - 1]
+        if isinstance(op, Pow):
+            todo.append((ell - 1, op.k * (m - 1) + 1))
+        elif isinstance(op, Root):
+            todo += [(ell - 1, max(d, 1)) for d in find_degrees(m, op.k)]
+        else:
+            todo.append((ell - 1, n if isinstance(op, (Exp, Log)) else m))
+    return seen
+
+
+def _leads(ops, n, mod):
+    """(g(0), g'(0)) of the output g of ops."""
+    return _prepare(ops, max(n, 2), mod)[0]
+
+
+def _inv_unit_pow(ops, lp, e, n, mod, truncs=None):
+    """g_lp^e mod x^n, kept for products of length <= n (_fixed_operand);
+    cached, built by _prepare from its truncations (afresh without them)."""
+
+    def build():
+        g = _series_at(truncs or compute_g(ops, n, mod), mod, lp, n)
+        return _fixed_operand(mod, unit_pow(g, e, n).arr, n)
+
+    return mod.cached(("upow", tuple(ops[:lp]), e, n), build)
+
+
+def _root_powers(ops, ell, k, n, mod, truncs=None):
+    """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell, kept for
+    products of length <= n; cached, built as _inv_unit_pow."""
+
+    def build():
+        h = _series_at(truncs or compute_g(ops, n, mod), mod, ell, n)
         powers = [Poly(mod, [1], n)]
         for _ in range(1, k):
             powers.append(mul_trunc(powers[-1], h, n))
-        return powers
+        return tuple(_fixed_operand(mod, P.arr, n) for P in powers)
 
     return mod.cached(("rootpow", tuple(ops[:ell]), k, n), build)
 
@@ -264,7 +327,7 @@ def eval_seq(A: Poly, ops, n: int) -> Poly:
     """A(g) mod x^n where g is the series output by the sequence; raises as
     compute_g does where the sequence is not defined at precision n."""
     mod = A.mod
-    compute_g(ops, n, mod)
+    _prepare(ops, n, mod)
     return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod)
 
 
@@ -307,7 +370,7 @@ def _eval_aux_t(A, m, n, ell, ops, mod):
 def eval_seq_t(A: Poly, ops, n: int) -> Poly:
     """Transpose of eval_seq(., ops, n)."""
     mod = A.mod
-    compute_g(ops, n, mod)
+    _prepare(ops, n, mod)
     return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod)
 
 
@@ -369,20 +432,24 @@ def _inverse_reduction(ops, n: int, mod: Modulus):
     the compositional inverse of g - g0, led by Add(g0) where g0 != 0.  As
     A(g) is A(x + g0) evaluated at g - g0, the inverse of eval_seq is eval_seq
     at rev_ops and then one Taylor shift by -g0.  Raises NotInvertible if
-    g'(0) = 0; cached per (ops, n)."""
-    ops = tuple(ops)
+    g'(0) = 0; kept by _prepare per (ops, max(n, 2))."""
+    prec = max(n, 2)
+    reduction = _prepare(ops, prec, mod)[1]
+    if reduction is None:
+        # raises what _prepare caught
+        reduction = _reduction(tuple(ops), compute_g(ops, prec, mod), mod)
+    return reduction
 
-    def build():
-        if not ops:
-            return 0, ()
-        truncs = compute_g(ops, max(n, 2), mod)
-        g0, g1 = int(truncs.g[-1].arr[0]), int(truncs.g[-1].arr[1])
-        if g1 == 0:
-            raise NotInvertible("g'(0) = 0: evaluation map is singular")
-        rev = _reversed_ops(ops, truncs, g1, mod)
-        return g0, ((Add(g0),) + rev if g0 else rev)
 
-    return mod.cached(("invred", ops, n), build)
+def _reduction(ops, truncs, mod):
+    """_inverse_reduction from the truncations of ops at a precision >= 2."""
+    if not ops:
+        return 0, ()
+    g0, g1 = int(truncs.g[-1].arr[0]), int(truncs.g[-1].arr[1])
+    if g1 == 0:
+        raise NotInvertible("g'(0) = 0: evaluation map is singular")
+    rev = _reversed_ops(ops, truncs, g1, mod)
+    return g0, ((Add(g0),) + rev if g0 else rev)
 
 
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bivariate import _output_series
+from .compseq import _output_series
 from .modfield import Modulus, Poly, mul_trunc
 
 

@@ -31,6 +31,10 @@ size and the number of rows (_float), by a measured crossover:
   reference the float kernel is checked against (tests, basisconv selftest).
 An image carries its kind in its shape (float spectra are 3-D), and a batch
 multiplied by a kept image takes that image's kind, so kinds never mix.
+A fixed operand, a series every product by which is input-independent, keeps
+its one-row image wherever its products transform (_fixed_operand): each
+product by it then costs one forward and one inverse transform.  mul_trunc
+and mul_trunc_t take such an operand in place of a Poly.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -113,11 +117,14 @@ FLOAT_MIN_SIZE = 16
 FLOAT_MAX_ROWS = 128
 FLOAT_ANY_ROWS_SIZE = 1024
 
-# A fixed operand keeps its float image only up to this many bytes and its
-# coefficients beyond (_keeps_image).  A float image takes 3x the bytes of an
-# NTT image and 6x those of the coefficients: keeping every one, with the
-# Taylor-shift series at n = 16384 and the grid-tree levels at n = 8192,
-# bought 7-9% more conversions per second for 6-9% more peak memory.
+# A multi-row image, a kept grid-tree level or a fresh batch below
+# FLOAT_ANY_ROWS_SIZE, is float only up to this many bytes (_fits): a kept
+# level keeps its coefficients beyond (_keeps_image).  One-row images of fixed
+# operands are kept at every size (_fixed_operand).  A float image takes 3x
+# the bytes of an NTT image and 6x those of the coefficients: keeping the
+# grid-tree levels at n = 8192 past this limit too, with the Taylor-shift
+# series at n = 16384 (measured before those were kept), bought 7-9% more
+# conversions per second for 6-9% more peak memory.
 FIXED_IMAGE_BYTES = 1 << 18
 
 DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
@@ -287,6 +294,18 @@ class Modulus:
             if key not in self._cache:
                 self._cache[key] = build()
             return self._cache[key]
+
+    def cache_bytes(self):
+        """{kind: (entries, bytes)} over the cache, the kind of an entry the
+        first field of its key and its bytes those of the numpy arrays its
+        value holds (_array_bytes); an array two entries share counts once."""
+        with self._lock:
+            items = list(self._cache.items())
+        seen, out = set(), {}
+        for key, value in items:
+            entries, size = out.get(key[0], (0, 0))
+            out[key[0]] = (entries + 1, size + _array_bytes(value, seen))
+        return out
 
     def check_precision(self, n):
         if n >= self.p:
@@ -587,8 +606,8 @@ def _transform(mod: Modulus, X, size, out_len=None):
 
 
 def _keeps_image(X):
-    """Whether a fixed operand keeps its image X for its products, rather than
-    its coefficients: always but where X is float and does not _fit."""
+    """Whether a grid-tree level keeps its image X for its products, rather
+    than its coefficients: always but where X is float and does not _fit."""
     return X.ndim == 2 or _fits(len(X), _image_size(X))
 
 
@@ -600,13 +619,14 @@ def _fits(rows, size):
 
 def _fixed_operand(mod: Modulus, b, la):
     """What products of arrays of length <= la by the fixed array b keep of
-    b: its image (of one row) where such a product transforms and the image
-    would be kept (_keeps_image), b itself otherwise.  Callers cache it;
-    _mul_fixed uses it."""
-    size = _size(la + len(b) - 1)
-    if _by_transform(mod, la, len(b)) and (not _float(mod, size, 1) or _fits(1, size)):
-        return _readonly(_image(mod, b[None], size))
-    return _readonly(b)
+    b, trimmed to its degree: its image (of one row) where such a product
+    transforms, its coefficients otherwise.  Callers cache it; _mul_fixed,
+    mul_trunc and mul_trunc_t use it."""
+    nz = np.flatnonzero(b)
+    lb = int(nz[-1]) + 1 if len(nz) else 1
+    if _by_transform(mod, la, lb):
+        return _readonly(_image(mod, b[None, :lb], _size(la + lb - 1)))
+    return _readonly(b[:lb].copy())
 
 
 def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
@@ -615,9 +635,11 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     the middle product, a times b read backwards from x^(len(b) - 1) on (the
     product by b of mul_trunc_t), as a correlation with b's image."""
     if fixed.ndim == 1:
+        # the product reads b below out_len (transposed: below len(a)) only
         if transposed:
-            return _convolve(mod, a, fixed[::-1])[len(fixed) - 1 :][:out_len]
-        return _convolve(mod, a, fixed)[:out_len]
+            b = fixed[: len(a)]
+            return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
+        return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
     X = _image(mod, a[None], _image_size(fixed), like=fixed)
     Y = _image_rev(fixed) if transposed else fixed
     return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
@@ -812,6 +834,26 @@ def _float_agrees(mod: Modulus, size):
 # -- array helpers ---------------------------------------------------------
 
 
+def _array_bytes(value, seen):
+    """The bytes of the numpy arrays value holds, in its containers, Polys and
+    object attributes, but for those whose id is in seen, which it joins; a
+    Modulus counts nothing."""
+    if id(value) in seen or isinstance(value, Modulus):
+        return 0
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, Poly):
+        return _array_bytes(value.arr, seen)
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "__dict__") and not callable(value):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list)):
+        return sum(_array_bytes(v, seen) for v in value)
+    return 0
+
+
 def _readonly(arr):
     arr.flags.writeable = False
     return arr
@@ -940,9 +982,12 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return Poly.of(a.mod, _convolve(a.mod, a.arr, b.arr))
 
 
-def mul_trunc(a: Poly, P: Poly, n: int) -> Poly:
-    """a * P mod x^n, result dim n."""
+def mul_trunc(a: Poly, P, n: int) -> Poly:
+    """a * P mod x^n, result dim n.  P is a Poly, or an operand kept by
+    _fixed_operand for products of length <= n."""
     mod = a.mod
+    if isinstance(P, np.ndarray):
+        return Poly.of(mod, _mul_fixed(mod, a.arr[:n], P, n))
     da, dp = a.degree(), P.degree()
     if da < 0 or dp < 0:
         return Poly.zero(mod, n)
@@ -951,15 +996,18 @@ def mul_trunc(a: Poly, P: Poly, n: int) -> Poly:
     return Poly.of(mod, _fit(prod, n))
 
 
-def mul_trunc_t(a: Poly, P: Poly, m: int) -> Poly:
-    """Transpose of mul_trunc(., P, n) for n = dim(a); result dim m.
+def mul_trunc_t(a: Poly, P, m: int) -> Poly:
+    """Transpose of mul_trunc(., P, n) for n = dim(a); result dim m.  P is a
+    Poly, or an operand kept by _fixed_operand for products of length <= n.
 
-    Realized as the middle product (a * Rev(P) mod x^{n+d}) div x^d with
-    d the stored degree bound of P.
+    Realized as the middle product (a * Rev(P) mod x^(m+e)) div x^e, e the
+    degree of P, which reads a below x^(m+e) only.
     """
     mod = a.mod
-    d = P.dim - 1
-    if a.degree() < 0 or P.degree() < 0:
+    if isinstance(P, np.ndarray):
+        return Poly.of(mod, _mul_fixed(mod, a.arr, P, m, transposed=True))
+    e = P.degree()
+    if a.degree() < 0 or e < 0:
         return Poly.zero(mod, m)
-    prod = _convolve(mod, a.arr, P.arr[::-1])
-    return Poly.of(mod, _fit(prod[d:], m))
+    prod = _convolve(mod, a.arr[: m + e], P.arr[e::-1])
+    return Poly.of(mod, _fit(prod[e:], m))

@@ -37,7 +37,7 @@ def bivariate_matrix(spec, n: int, mod: Modulus):
     Column j holds the monomial coefficients of the basis image of x^j:
     entry [i][j] = [x^i t^j] u(x) v(t) f(g(x) h(t)).
     """
-    from .bivariate import _output_series
+    from .compseq import _output_series
 
     g = _output_series(spec.g_ops, n, mod).coeffs[:n]
     h = _output_series(spec.h_ops, n, mod).coeffs[:n]

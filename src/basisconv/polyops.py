@@ -18,6 +18,7 @@ from .modfield import (
     _fixed_operand,
     _mul_fixed,
     _powers,
+    _size,
     mul_trunc,
     mul_trunc_t,
 )
@@ -68,13 +69,17 @@ def diagonal(A: Poly, s) -> Poly:
 
 def _shift_operand(mod: Modulus, a, m):
     """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!, as
-    _fixed_operand keeps it; cached, and read backwards by the transpose."""
+    _fixed_operand keeps it; read backwards by the transpose.  A shift on
+    K[x]_m reads P below x^m only, so one operand, cached, serves every m of
+    one transform size: P below x^L, L the longest such m (at most p)."""
+    size = _size(2 * m - 1)
 
     def build():
-        P = _powers(mod, a, m) * mod.table("inv_factorials", m) % mod.p
-        return _fixed_operand(mod, P, m)
+        L = min((size + 1) // 2, mod.p)
+        P = _powers(mod, a, L) * mod.table("inv_factorials", L) % mod.p
+        return _fixed_operand(mod, P, L)
 
-    return mod.cached(("shift", a, m), build)
+    return mod.cached(("shift", a, size), build)
 
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
@@ -140,7 +145,8 @@ def split_t(parts, m: int) -> Poly:
 
 
 def lincomb(parts, G, n: int) -> Poly:
-    """sum_i parts[i] * G[i] mod x^n."""
+    """sum_i parts[i] * G[i] mod x^n; each G[i] a Poly or an operand kept
+    for products of length <= n (modfield._fixed_operand)."""
     if len(parts) != len(G):
         raise DimensionMismatch("parts and G must have equal length")
     mod = parts[0].mod
@@ -150,6 +156,7 @@ def lincomb(parts, G, n: int) -> Poly:
 
 
 def lincomb_t(A: Poly, G):
-    """Transpose of lincomb: component-wise transposed truncated products."""
+    """Transpose of lincomb: component-wise transposed truncated products,
+    each G[i] as lincomb takes it for n = dim(A)."""
     n = A.dim
     return tuple(mul_trunc_t(A, g, n) for g in G)

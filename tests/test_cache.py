@@ -6,7 +6,7 @@ import threading
 from collections import Counter
 
 from basisconv import DEFAULT_PRIME, Add, BivariateSpec, Exp, Inv, Log, Modulus, Mul, Poly
-from basisconv import bivariate, compseq, evalgrid, families, seriesops
+from basisconv import bivariate, compseq, evalgrid, families, modfield, polyops, seriesops
 from basisconv.families import FamilyDescriptor, from_monomial, parse_family, to_monomial
 
 NAMES = ["hermite", "jacobi(alpha=3,beta=5)", "bell", "charlier(a=2)", "laguerre(alpha=1/2)"]
@@ -82,24 +82,48 @@ def test_warm_from_monomial_recomputes_nothing(monkeypatch):
         assert not calls, (g_ops, h_ops, dict(calls))
 
 
-def test_inverses_reuse_the_forward_truncations():
+def _counted_truncations(monkeypatch):
+    """A Counter of the truncation sets built from now on, by (ops, n)."""
+    builds = Counter()
+    truncations = compseq._truncations
+
+    def counted(ops, n, mod):
+        builds[tuple(ops), n] += 1
+        return truncations(ops, n, mod)
+
+    monkeypatch.setattr(compseq, "_truncations", counted)
+    return builds
+
+
+def _holds_truncations(mod):
+    return any(isinstance(v, compseq.SequenceTruncations) for v in mod._cache.values())
+
+
+def test_inverses_reuse_the_forward_truncations(monkeypatch):
     # the inverse of A -> A(g) is the reversed sequence of g - g(0) and one
-    # Taylor shift: it truncates no sequence but g_ops, h_ops and their
-    # reversals
+    # Taylor shift.  Every operand of a sequence at n comes from one set of
+    # its truncations, dropped once they are built: g_ops, h_ops and their
+    # reversals are truncated once each, whichever direction runs first
     n = 256
     rng = random.Random(10)
-    for name in ("jacobi(alpha=3,beta=5)", "mott", "laguerre(alpha=3)"):
-        mod = Modulus(DEFAULT_PRIME)
-        fam = parse_family(mod, name)
-        A = Poly(mod, _random_vector(rng, mod, n), n)
-        from_monomial(A, fam, n, mod)
-        allowed = set()
-        for ops in (fam.spec.g_ops, fam.spec.h_ops):
-            allowed |= {ops, compseq._inverse_reduction(ops, n, mod)[-1]}
-        keys = [k for k in mod._cache if k[0] == "truncs"]
-        assert keys, name
-        for key in keys:
-            assert key[1] in allowed and key[2] == n, (name, key)
+    builds = _counted_truncations(monkeypatch)
+    for name in ("jacobi(alpha=3,beta=5)", "mott", "laguerre(alpha=3)", "fibonacci"):
+        for first in (to_monomial, from_monomial):
+            mod = Modulus(DEFAULT_PRIME)
+            fam = parse_family(mod, name)
+            a = _random_vector(rng, mod, n)
+            builds.clear()
+            if first is to_monomial:
+                a = to_monomial(a, fam, n, mod).coeffs
+            assert not _holds_truncations(mod), name
+            for _ in range(2):
+                b = from_monomial(Poly(mod, a, n), fam, n, mod)
+                assert to_monomial(b, fam, n, mod).coeffs == a
+            assert not _holds_truncations(mod), name
+            seqs = set()
+            for ops in (fam.spec.g_ops, fam.spec.h_ops):
+                seqs |= {ops, compseq._inverse_reduction(ops, n, mod)[-1]}
+            assert builds == {(ops, n): 1 for ops in seqs}, (name, first)
 
 
 def _run_threads(work, count=4):
@@ -172,3 +196,95 @@ def test_threads_share_one_modulus(monkeypatch):
     assert _run_threads(lambda: convert(mod)) == [want] * 4
     trees = [v for v in mod._cache.values() if isinstance(v, evalgrid.SubproductTree)]
     assert builds and len(builds) == len(trees)
+
+
+def test_threads_build_and_drop_truncations_once(monkeypatch):
+    # cold conversions of two families with Inv and Root operators on one
+    # modulus, while the first of them builds every operand and drops the
+    # truncations, give the single-thread results
+    n = 512
+    names = ["fibonacci", "mott"]
+    rng = random.Random(11)
+    vectors = {name: _random_vector(rng, Modulus(DEFAULT_PRIME), n) for name in names}
+
+    def convert(mod):
+        out = {}
+        for name, a in vectors.items():
+            fam = parse_family(mod, name)
+            A = to_monomial(a, fam, n, mod)
+            out[name] = (A.coeffs, from_monomial(A, fam, n, mod))
+        return out
+
+    want = convert(Modulus(DEFAULT_PRIME))
+    assert all(back == vectors[name] for name, (_, back) in want.items())
+    builds = _counted_truncations(monkeypatch)
+    mod = Modulus(DEFAULT_PRIME)
+    assert _run_threads(lambda: convert(mod)) == [want] * 4
+    assert builds and set(builds.values()) == {1}
+    assert not _holds_truncations(mod)
+
+
+def _warm_transforms(monkeypatch, name, n):
+    """_transform calls of a warm to_monomial and from_monomial of name at n,
+    and those of each warm product by a kept fixed operand (modfield._mul_fixed
+    with an image)."""
+    mod = Modulus(DEFAULT_PRIME)
+    fam = parse_family(mod, name)
+    a = _random_vector(random.Random(12), mod, n)
+    A = to_monomial(a, fam, n, mod)
+    from_monomial(A, fam, n, mod)
+    calls, per_fixed = [0], []
+    transform, mul_fixed = modfield._transform, modfield._mul_fixed
+
+    def counted(*args):
+        calls[0] += 1
+        return transform(*args)
+
+    def fixed_product(mod, a, fixed, *args, **kwargs):
+        before = calls[0]
+        out = mul_fixed(mod, a, fixed, *args, **kwargs)
+        if fixed.ndim > 1:
+            per_fixed.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(modfield, "_transform", counted)
+    for module in (modfield, polyops, evalgrid):
+        monkeypatch.setattr(module, "_mul_fixed", fixed_product)
+    counts = []
+    for convert, x in ((to_monomial, a), (from_monomial, A)):
+        calls[0] = 0
+        convert(x, fam, n, mod)
+        counts.append(calls[0])
+    return tuple(counts), per_fixed
+
+
+def test_warm_transform_counts(monkeypatch):
+    # at n = 8192 the float image of a product operand takes 768 KB, past
+    # FIXED_IMAGE_BYTES; every unit power, root power, shift series and the
+    # v, 1/v series keep it, so each product by one of them makes one forward
+    # and one inverse transform.  Keeping only coefficients past 256 KB, the
+    # counts were fibonacci 31/43 and mott 40/28
+    want = {"fibonacci": (20, 26), "mott": (26, 18)}
+    for name, counts in want.items():
+        got, per_fixed = _warm_transforms(monkeypatch, name, 8192)
+        assert got == counts, name
+        assert per_fixed and set(per_fixed) == {2}, name
+
+
+def test_cache_bytes_hold_no_truncations():
+    mod = Modulus(DEFAULT_PRIME)
+    mod.table("factorials", 8)
+    assert mod.cache_bytes() == {"table": (1, 64)}
+    n = 1024
+    rng = random.Random(13)
+    for name in ("fibonacci", "mott"):
+        fam = parse_family(mod, name)
+        A = to_monomial(_random_vector(rng, mod, n), fam, n, mod)
+        from_monomial(A, fam, n, mod)
+    census = mod.cache_bytes()
+    assert "truncs" not in census and not _holds_truncations(mod)
+    # the kept operands: unit and root powers, shift series, f, u and v
+    for kind in ("upow", "rootpow", "shift", "fvu", "finv"):
+        entries, size = census[kind]
+        assert entries > 0 and size > 0, kind
+    assert sum(e for e, _ in census.values()) == len(mod._cache)

@@ -289,9 +289,10 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
 
 
 def test_no_kept_float_images_same_results(monkeypatch):
-    # a fixed operand whose float image would exceed FIXED_IMAGE_BYTES keeps
-    # its coefficients and is transformed at each use (the tree levels and
-    # shift series of large n); with the limit at 0 every float one does
+    # a tree level whose float image would exceed FIXED_IMAGE_BYTES keeps
+    # its coefficients and is transformed at each use (at large n); with the
+    # limit at 0 every float one does, while one-row fixed operands such as
+    # the shift series keep their images whatever the limit
     n = 3000
     rng = random.Random(46)
     coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]

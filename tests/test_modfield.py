@@ -313,6 +313,58 @@ def test_mul_trunc_t_is_transpose(mod101):
                 assert bwd[i][j] == fwd[j][i]
 
 
+def _counted_transforms(monkeypatch):
+    """A one-element list counting the _transform calls made from now on:
+    every transform, float or NTT, enters through it."""
+    calls = [0]
+    transform = modfield._transform
+
+    def counted(*args):
+        calls[0] += 1
+        return transform(*args)
+
+    monkeypatch.setattr(modfield, "_transform", counted)
+    return calls
+
+
+def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, monkeypatch):
+    # the transpose reads P up to its degree e only: by (1 - t)^4 at n = 4096
+    # it is a 4096 x 5 schoolbook product, given as a Poly or kept
+    n = 4096
+    rng = np.random.default_rng(60)
+    a = Poly.of(mod, rng.integers(0, mod.p, n))
+    binom = [1, -4, 6, -4, 1]
+    P = Poly(mod, binom, n)
+    # coefficient j of the transpose is sum_t a_(j+t) P_t
+    want = np.zeros(n, dtype=np.int64)
+    for t, c in enumerate(binom):
+        want[: n - t] += a.arr[t:] * (c % mod.p) % mod.p
+    want %= mod.p
+    fixed = modfield._fixed_operand(mod, P.arr, n)
+    assert fixed.ndim == 1 and len(fixed) == 5
+    calls = _counted_transforms(monkeypatch)
+    assert np.array_equal(mul_trunc_t(a, P, n).arr, want)
+    assert np.array_equal(mul_trunc_t(a, fixed, n).arr, want)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n", [300, 4096, 16384])
+def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
+    # a product by a kept operand, forward or transposed, makes one forward
+    # and one inverse transform at every size, past 256 KB of float image too
+    rng = np.random.default_rng(n)
+    a = Poly.of(mod, rng.integers(0, mod.p, n))
+    P = Poly.of(mod, rng.integers(0, mod.p, n))
+    want = mul_trunc(a, P, n), mul_trunc_t(a, P, n)
+    fixed = modfield._fixed_operand(mod, P.arr, n)
+    assert fixed.ndim > 1
+    calls = _counted_transforms(monkeypatch)
+    for product, ref in zip((mul_trunc, mul_trunc_t), want):
+        calls[0] = 0
+        assert product(a, fixed, n) == ref
+        assert calls[0] == 2
+
+
 def _ntt_cyclic(mod, pairs, size):
     """The NTT's sum of the row-wise products A B mod x^size - 1 over the
     pairs (A, B): the reference of the float kernel."""

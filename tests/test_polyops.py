@@ -96,8 +96,9 @@ def test_taylor_shift_across_primes(p):
 
 
 def test_warm_shift_makes_two_transforms(monkeypatch):
-    # the series P of a shift is fixed by (a, m), so a warm shift keeps P's
-    # image: one forward and one inverse transform, no new entry
+    # the series P of a shift is fixed by a and the transform size, so a
+    # warm shift keeps P's image: one forward and one inverse transform, no
+    # new entry
     mod = Modulus(DEFAULT_PRIME)
     m = 4096
     rng = random.Random(17)
@@ -121,6 +122,26 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
         assert len(mod._cache) == sizes[-1]
     # the cold transpose added nothing: it reads the forward shift's operand
     assert sizes[0] == sizes[1]
+
+
+def test_shifts_of_one_transform_size_share_one_operand(mod101):
+    # the shift series is kept per (a, transform size), built at the size's
+    # longest m, at most p - 1: every m of one size reads it, both ways
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(18)
+    for m in (64, 40, 33):
+        A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
+        assert taylor_shift(A, 7) == horner_compose(A, Poly(mod, [7, 1], m), m)
+        _transpose_check(
+            lambda B: taylor_shift(B, 7), lambda B: taylor_shift_t(B, 7), m, m, mod
+        )
+    assert [k for k in mod._cache if k[0] == "shift"] == [("shift", 7, 128)]
+    for m in (16384, 16383):
+        taylor_shift_t(taylor_shift(Poly(mod, [1] * m, m), 12345), 12345)
+    keys = [k for k in mod._cache if k[:2] == ("shift", 12345)]
+    assert keys == [("shift", 12345, 32768)] and mod._cache[keys[0]].ndim == 3
+    A = Poly(mod101, [rng.randrange(101) for _ in range(100)], 100)
+    assert taylor_shift(A, 5) == horner_compose(A, Poly(mod101, [5, 1], 100), 100)
 
 
 def test_taylor_shift_group_law(mod101):
