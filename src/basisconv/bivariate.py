@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compseq import _inverse_reduction, _leads, eval_seq, eval_seq_inv, eval_seq_t
+from .compseq import _inverse_reduction, _leads, _prepare, eval_seq, eval_seq_inv, eval_seq_t
 from .errors import SingularDiagonal, SpecViolation
 from .modfield import Modulus, Poly, _fixed_operand, _readonly, mul_trunc, mul_trunc_t
 from .polyops import diagonal, taylor_shift_t, truncate
@@ -53,10 +53,8 @@ def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
 
 
 def _spec_vectors(spec, n, mod):
-    """(f_0..f_{n-1} as an array, then v, u, 1/v and 1/u kept for their
-    products or None) at precision n, built once, after the checks of
-    check_spec.  The inverses are made while v and u are at hand, so that
-    neither series is made twice."""
+    """(f_0..f_{n-1} as an array, v and u as Poly or None) at precision n,
+    built once, after the checks of check_spec."""
 
     def build():
         g0, g1 = _leads(spec.g_ops, n, mod)
@@ -74,22 +72,34 @@ def _spec_vectors(spec, n, mod):
             raise SpecViolation("u(0) must be nonzero")
         if v is not None and v.constant() == 0:
             raise SpecViolation("v(0) must be nonzero")
-        inverses = [None if P is None else series_inv(P, n) for P in (v, u)]
-        return (f, *(_fixed(mod, P, n) for P in (v, u, *inverses)))
+        return f, v, u
 
     return mod.cached(("fvu", spec, n), build)
 
 
-def _inverse_f(spec, n, mod):
-    """The array of the 1/f_k at precision n, cached; raises
-    SingularDiagonal at the first vanishing f_k."""
+def _forward_vectors(spec, n, mod):
+    """(v, u) kept for their products or None at precision n, cached."""
 
     def build():
-        f = _spec_vectors(spec, n, mod)[0]
+        v, u = _spec_vectors(spec, n, mod)[1:]
+        return _fixed(mod, v, n), _fixed(mod, u, n)
+
+    return mod.cached(("vu", spec, n), build)
+
+
+def _inverse_vectors(spec, n, mod):
+    """(1/f_k array, then 1/u and 1/v kept for their products or None) at
+    precision n, cached; raises SingularDiagonal at the first vanishing f_k."""
+
+    def build():
+        f, v, u = _spec_vectors(spec, n, mod)
         zeros = np.flatnonzero(f == 0)
         if len(zeros):
             raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
-        return _readonly(mod.inv_array(f))
+        return (
+            _readonly(mod.inv_array(f)),
+            *(None if P is None else _fixed(mod, series_inv(P, n), n) for P in (u, v)),
+        )
 
     return mod.cached(("finv", spec, n), build)
 
@@ -97,9 +107,14 @@ def _inverse_f(spec, n, mod):
 def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """sum_j xi_j(x) a_j mod x^n for the series sum_j xi_j t^j = u v f(g h)."""
     mod.check_precision(n)
+    # the operands of both evaluations and the leading coefficients that
+    # check_spec reads come from one set of truncations of each sequence
+    _prepare(spec.g_ops, n, mod)
+    _prepare(spec.h_ops, n, mod)
     check_spec(spec, n, mod)
     cur = Poly(mod, a, n)
-    f, v, u = _spec_vectors(spec, n, mod)[:3]
+    f = _spec_vectors(spec, n, mod)[0]
+    v, u = _forward_vectors(spec, n, mod)
     if v is not None:
         cur = mul_trunc_t(cur, v, n)
     cur = eval_seq_t(cur, spec.h_ops, n)
@@ -127,8 +142,7 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     """Exact inverse of eval_bivariate; needs every f_k nonzero (k < n)."""
     mod.check_precision(n)
     check_spec(spec, n, mod)
-    vinv, uinv = _spec_vectors(spec, n, mod)[3:]
-    finv = _inverse_f(spec, n, mod)
+    finv, uinv, vinv = _inverse_vectors(spec, n, mod)
     cur = truncate(A, n)
     if uinv is not None:
         cur = mul_trunc(cur, uinv, n)

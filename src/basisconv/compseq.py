@@ -9,15 +9,18 @@ the transposed and inverse maps.  The inverse evaluates the reversed
 sequence, which computes the compositional inverse of g - g(0) from the
 truncations of g, and then shifts by -g(0): no other reduction is needed.
 
-The evaluation reads the truncations only through input-independent operands:
-the unit powers of Inv, the root powers of Root and the inverse reduction.
-The first use of a sequence at a precision (_prepare) builds all of them from
-one set of truncations, which it then drops.
+The evaluation reads the truncations only through input-independent operands,
+the unit powers of Inv and the root powers of Root: the first evaluation of a
+sequence at a precision (_prepare) builds all of them from one set of
+truncations, which it then drops.  The leading coefficients and the inverse
+reduction are kept apart (_lead_info), so that the inverse alone builds no
+operand of the forward evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     AmbiguousValuation,
@@ -214,12 +217,11 @@ def _output_series(ops, n, mod) -> Poly:
 
 
 def _prepare(ops, n: int, mod: Modulus):
-    """(lead, reduction) for ops at precision n, cached: raises as compute_g
-    does where ops is not defined at n.  On the first call it builds every
-    operand the evaluation at n reads (_inv_unit_pow, _root_powers) from one
-    set of truncations, and then drops them.  Where n >= 2, lead is
-    (g(0), g'(0)) of the output g and reduction the value of
-    _inverse_reduction, or None where that raises; else both are None."""
+    """Build, on the first evaluation of ops at precision n, every operand it
+    reads (the unit powers of Inv, the root powers of Root) from one set of
+    truncations, which is then dropped; _lead_info at n comes from the same
+    set where n >= 2 and it is not kept yet.  Raises as compute_g does where
+    ops is not defined at n."""
     ops = tuple(ops)
 
     def build():
@@ -227,19 +229,16 @@ def _prepare(ops, n: int, mod: Modulus):
         for ell, m in _steps(ops, n):
             op = ops[ell - 1]
             if isinstance(op, Inv):
-                _inv_unit_pow(ops, ell - 1, 1 - m, n, mod, truncs)
+                key = _unit_pow_key(ops, ell - 1, 1 - m, n)
+                mod.cached(key, partial(_inv_unit_pow, truncs, ell - 1, 1 - m, n, mod))
             elif isinstance(op, Root):
-                _root_powers(ops, ell, op.k, n, mod, truncs)
-        if n < 2:
-            return None, None
-        out = truncs.g[-1] if ops else Poly.x(mod, 2)
-        try:
-            reduction = _reduction(ops, truncs, mod)
-        except (NotInvertible, AmbiguousValuation):
-            reduction = None
-        return (int(out.arr[0]), int(out.arr[1])), reduction
+                key = _root_powers_key(ops, ell, op.k, n)
+                mod.cached(key, partial(_root_powers, truncs, ell, op.k, n, mod))
+        if n >= 2:
+            mod.cached(("lead", ops, n), partial(_lead_summary, ops, truncs, mod))
+        return True
 
-    return mod.cached(("seq", ops, n), build)
+    mod.cached(("seq", ops, n), build)
 
 
 def _steps(ops, n):
@@ -261,34 +260,68 @@ def _steps(ops, n):
     return seen
 
 
+def _lead_info(ops, n, mod):
+    """(lead, reduction) for ops at precision max(n, 2), cached, from one set
+    of truncations made for it alone where no evaluation at that precision
+    has made it (_prepare): raises as compute_g does where ops is not
+    defined there.  lead is (g(0), g'(0)) of the output g and reduction the
+    value of _inverse_reduction, or the exception it raises."""
+    ops, prec = tuple(ops), max(n, 2)
+
+    def build():
+        return _lead_summary(ops, compute_g(ops, prec, mod), mod)
+
+    return mod.cached(("lead", ops, prec), build)
+
+
+def _lead_summary(ops, truncs, mod):
+    """_lead_info from the truncations of ops at a precision >= 2."""
+    out = truncs.g[-1] if ops else Poly.x(mod, 2)
+    try:
+        reduction = _reduction(ops, truncs, mod)
+    except (NotInvertible, AmbiguousValuation) as exc:
+        reduction = exc.with_traceback(None)
+    return (int(out.arr[0]), int(out.arr[1])), reduction
+
+
 def _leads(ops, n, mod):
     """(g(0), g'(0)) of the output g of ops."""
-    return _prepare(ops, max(n, 2), mod)[0]
+    return _lead_info(ops, n, mod)[0]
 
 
-def _inv_unit_pow(ops, lp, e, n, mod, truncs=None):
-    """g_lp^e mod x^n, kept for products of length <= n (_fixed_operand);
-    cached, built by _prepare from its truncations (afresh without them)."""
-
-    def build():
-        g = _series_at(truncs or compute_g(ops, n, mod), mod, lp, n)
-        return _fixed_operand(mod, unit_pow(g, e, n).arr, n)
-
-    return mod.cached(("upow", tuple(ops[:lp]), e, n), build)
+def _unit_pow_key(ops, lp, e, n):
+    return "upow", tuple(ops[:lp]), e, n
 
 
-def _root_powers(ops, ell, k, n, mod, truncs=None):
-    """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell, kept for
-    products of length <= n; cached, built as _inv_unit_pow."""
+def _root_powers_key(ops, ell, k, n):
+    return "rootpow", tuple(ops[:ell]), k, n
 
-    def build():
-        h = _series_at(truncs or compute_g(ops, n, mod), mod, ell, n)
-        powers = [Poly(mod, [1], n)]
-        for _ in range(1, k):
-            powers.append(mul_trunc(powers[-1], h, n))
-        return tuple(_fixed_operand(mod, P.arr, n) for P in powers)
 
-    return mod.cached(("rootpow", tuple(ops[:ell]), k, n), build)
+def _inv_unit_pow(truncs, lp, e, n, mod):
+    """g_lp^e mod x^n from the truncations, kept for products of length <= n
+    (_fixed_operand)."""
+    g = _series_at(truncs, mod, lp, n)
+    return _fixed_operand(mod, unit_pow(g, e, n).arr, n)
+
+
+def _root_powers(truncs, ell, k, n, mod):
+    """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell, from the
+    truncations, kept as _inv_unit_pow."""
+    h = _series_at(truncs, mod, ell, n)
+    powers = [Poly(mod, [1], n)]
+    for _ in range(1, k):
+        powers.append(mul_trunc(powers[-1], h, n))
+    return tuple(_fixed_operand(mod, P.arr, n) for P in powers)
+
+
+def _kept(mod, key):
+    """The operand _prepare built under key.  The evaluation reads only the
+    pairs _steps lists, so a miss is an error of _steps, and raises."""
+
+    def missing():
+        raise LookupError(f"operand {key!r} not built by _prepare")
+
+    return mod.cached(key, missing)
 
 
 def _eval_aux(A, m, n, ell, ops, mod):
@@ -306,10 +339,10 @@ def _eval_aux(A, m, n, ell, ops, mod):
     if isinstance(op, Inv):
         B = reverse(A)
         C = _eval_aux(B, m, n, lp, ops, mod)
-        return mul_trunc(C, _inv_unit_pow(ops, lp, 1 - m, n, mod), n)
+        return mul_trunc(C, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _root_powers(ops, ell, op.k, n, mod)
+        powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
         parts = split(A, op.k)
         outs = [
             _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, mod)
@@ -346,12 +379,12 @@ def _eval_aux_t(A, m, n, ell, ops, mod):
         B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, mod)
         return power_subst_t(B, op.k, m)
     if isinstance(op, Inv):
-        B = mul_trunc_t(A, _inv_unit_pow(ops, lp, 1 - m, n, mod), n)
+        B = mul_trunc_t(A, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
         C = _eval_aux_t(B, m, n, lp, ops, mod)
         return reverse(C)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _root_powers(ops, ell, op.k, n, mod)
+        powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
         parts = lincomb_t(A, powers)
         outs = [
             _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, mod)
@@ -432,12 +465,10 @@ def _inverse_reduction(ops, n: int, mod: Modulus):
     the compositional inverse of g - g0, led by Add(g0) where g0 != 0.  As
     A(g) is A(x + g0) evaluated at g - g0, the inverse of eval_seq is eval_seq
     at rev_ops and then one Taylor shift by -g0.  Raises NotInvertible if
-    g'(0) = 0; kept by _prepare per (ops, max(n, 2))."""
-    prec = max(n, 2)
-    reduction = _prepare(ops, prec, mod)[1]
-    if reduction is None:
-        # raises what _prepare caught
-        reduction = _reduction(tuple(ops), compute_g(ops, prec, mod), mod)
+    g'(0) = 0; kept by _lead_info."""
+    reduction = _lead_info(ops, n, mod)[1]
+    if isinstance(reduction, Exception):
+        raise type(reduction)(*reduction.args)
     return reduction
 
 

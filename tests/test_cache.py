@@ -102,8 +102,11 @@ def _holds_truncations(mod):
 def test_inverses_reuse_the_forward_truncations(monkeypatch):
     # the inverse of A -> A(g) is the reversed sequence of g - g(0) and one
     # Taylor shift.  Every operand of a sequence at n comes from one set of
-    # its truncations, dropped once they are built: g_ops, h_ops and their
-    # reversals are truncated once each, whichever direction runs first
+    # its truncations, dropped once they are built.  Run first, the inverse
+    # truncates g_ops and h_ops for their leading coefficients and reduction
+    # alone and builds none of their operands, so a forward conversion after
+    # it truncates them again; run after the forward conversion, it reuses
+    # what that kept, and every sequence is truncated once
     n = 256
     rng = random.Random(10)
     builds = _counted_truncations(monkeypatch)
@@ -111,19 +114,26 @@ def test_inverses_reuse_the_forward_truncations(monkeypatch):
         for first in (to_monomial, from_monomial):
             mod = Modulus(DEFAULT_PRIME)
             fam = parse_family(mod, name)
+            forward = {fam.spec.g_ops, fam.spec.h_ops}
             a = _random_vector(rng, mod, n)
             builds.clear()
             if first is to_monomial:
                 a = to_monomial(a, fam, n, mod).coeffs
+            else:
+                from_monomial(Poly(mod, a, n), fam, n, mod)
+                reversals = {compseq._inverse_reduction(ops, n, mod)[-1] for ops in forward}
+                prepared = {k[1] for k in mod._cache if k[0] == "seq"}
+                assert prepared == reversals, name
             assert not _holds_truncations(mod), name
             for _ in range(2):
                 b = from_monomial(Poly(mod, a, n), fam, n, mod)
                 assert to_monomial(b, fam, n, mod).coeffs == a
             assert not _holds_truncations(mod), name
-            seqs = set()
-            for ops in (fam.spec.g_ops, fam.spec.h_ops):
-                seqs |= {ops, compseq._inverse_reduction(ops, n, mod)[-1]}
-            assert builds == {(ops, n): 1 for ops in seqs}, (name, first)
+            seqs = set(forward)
+            for ops in forward:
+                seqs.add(compseq._inverse_reduction(ops, n, mod)[-1])
+            again = forward if first is from_monomial else set()
+            assert builds == {(ops, n): 1 + (ops in again) for ops in seqs}, (name, first)
 
 
 def _run_threads(work, count=4):
@@ -284,7 +294,7 @@ def test_cache_bytes_hold_no_truncations():
     census = mod.cache_bytes()
     assert "truncs" not in census and not _holds_truncations(mod)
     # the kept operands: unit and root powers, shift series, f, u and v
-    for kind in ("upow", "rootpow", "shift", "fvu", "finv"):
+    for kind in ("upow", "rootpow", "shift", "fvu", "vu", "finv"):
         entries, size = census[kind]
         assert entries > 0 and size > 0, kind
     assert sum(e for e, _ in census.values()) == len(mod._cache)

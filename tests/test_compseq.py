@@ -10,6 +10,7 @@ from basisconv import (
     Inv,
     InvalidOperatorParam,
     Log,
+    Modulus,
     Mul,
     NotInvertible,
     NotTangentToIdentity,
@@ -29,6 +30,7 @@ from basisconv import (
     series_inv,
     validate,
 )
+from basisconv import compseq
 from basisconv.oracle import horner_compose
 from catalog_data import catalog_sequences
 
@@ -165,6 +167,18 @@ def test_eval_of_an_undefined_sequence_raises(mod101):
     for ops in ((Add(1), Log()), (Add(1), Exp())):
         for fn in (eval_seq, eval_seq_t, eval_seq_inv) * 2:
             with pytest.raises(DomainViolation, match="step 2:"):
+                fn(A, ops, 4)
+
+
+def test_an_operand_that_steps_misses_raises(monkeypatch):
+    # the evaluation reads the unit and root powers that _prepare built for
+    # the pairs _steps lists; one it did not list raises, not built afresh
+    mod = Modulus(101)
+    A = Poly(mod, [1, 2, 3, 4], 4)
+    monkeypatch.setattr(compseq, "_steps", lambda ops, n: set())
+    for ops in ((Add(1), Inv()), (Pow(2), Root(2, 1, 1))):
+        for fn in (eval_seq, eval_seq_t):
+            with pytest.raises(LookupError, match="not built by _prepare"):
                 fn(A, ops, 4)
 
 
