@@ -7,11 +7,10 @@ level at a time.  Level k holds the products of (x - i) over the blocks
 last node.  The full nodes are the rows of one (n // s, s) array of their
 coefficients below x^s, so a level is built or passed through with a few
 batched transforms (the row images of modfield); the ragged node goes through
-the 1-D _convolve.  Trees are kept per n in Modulus.cached with their nodes'
-images, but for float images past modfield.FIXED_IMAGE_BYTES; data derived
-from a tree is computed on first use and kept on it.  Each level's image has
-the kind modfield picks for its batch shape, float or NTT, and the values a
-pass multiplies by it take that kind.
+the 1-D _convolve.  Trees are kept per n in Modulus.cached with the images
+of their levels, of the one kind modfield picks for their size (float limb
+spectra on int64 rows); data derived from a tree is computed on first use and
+kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
@@ -67,7 +66,6 @@ from .modfield import (
     _image_mul,
     _image_mul_add,
     _image_rev,
-    _keeps_image,
     _mul_fixed,
     _prefix_products,
     _residues,
@@ -139,8 +137,7 @@ class SubproductTree:
     leaf level K = leaf up.
 
     low[k]: the full nodes of level k without their leading x^s; img[k]:
-    their images at size 2s, below the top level, or None where modfield
-    keeps no image (_keeps_image), read by both passes through _level_image;
+    their images at size 2s, below the top level, read by both passes;
     rag[k]: the coefficients of the ragged node of level k, or None.  All
     three are None below K.  The leaf of the blocks of b = 2^K points: m0
     (M0) for the first of them, pascal (B) and pows, the powers a^t and
@@ -161,7 +158,7 @@ class SubproductTree:
         for k in range(1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             (lo_l, lo_r), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
-            self.img.append(img if _keeps_image(img) else None)
+            self.img.append(img)
             # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
             cur[:, h:] += lo_l + lo_r
@@ -196,11 +193,6 @@ class SubproductTree:
         n = self.n
         mid = _fit(_mul_fixed(self.mod, cs, self.den_fixed, n, transposed=True), n)
         return self.combine_t(mid[::-1])
-
-    def _level_image(self, k):
-        """The image of the full nodes of level k at size 2^(k+1)."""
-        img = self.img[k]
-        return img if img is not None else _image(self.mod, self.low[k], 2 << k)
 
     @cached_property
     def weights(self):
@@ -252,9 +244,8 @@ class SubproductTree:
         v = self._leaf_rows(cs)
         for k in range(self.leaf + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            img = self._level_image(k - 1)
-            il, ir = _pairs(img, nf)
-            vl, vr = _pairs(_image(mod, v[: 2 * nf], s, like=img), nf)
+            il, ir = _pairs(self.img[k - 1], nf)
+            vl, vr = _pairs(_image(mod, v[: 2 * nf], s), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
             cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
@@ -281,8 +272,8 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                rev = _image_rev(self._level_image(k - 1)[: 2 * nf])
-                wimg = np.repeat(_image(mod, w[:nf], s, like=rev), 2, axis=0)
+                rev = _image_rev(self.img[k - 1][: 2 * nf])
+                wimg = np.repeat(_image(mod, w[:nf], s), 2, axis=0)
                 # row 2i correlates with the left child: W_R of node i
                 mid = _image_coeffs(mod, _image_mul(mod, wimg, rev), h)
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]

@@ -16,21 +16,18 @@ convolution, by measured work (_by_transform), and so does every product at a
 size neither transform can take (_transforms).  Longer ones are multiplied
 through images, transforms of the rows of 2-D arrays, so one call multiplies a
 whole batch of equal-length operands (_convolve_rows); a single product is its
-one-row case.  The kind of an image is picked per batch, from the modulus, the
-size and the number of rows (_float), by a measured crossover:
+one-row case.  The kind of an image follows from the modulus and the size
+alone (_float), whatever the number of rows:
 - on int64 rows (p < 2^31), the float FFT on three balanced 11-bit limbs
-  (numpy.fft.rfft), exact at every size up to FLOAT_MAX_SIZE because the
-  rounding error bound fft_error_bound stays below FFT_ERROR_MAX there.  It
-  needs no roots of unity and takes every size the NTT cannot; where the NTT
-  can, it takes batches from FLOAT_MIN_SIZE on of at most FLOAT_MAX_ROWS
-  rows whose float image fits in FIXED_IMAGE_BYTES, and every batch from
-  FLOAT_ANY_ROWS_SIZE on;
+  (numpy.fft.rfft) at every size from 2 to FLOAT_MAX_SIZE, exact there
+  because the rounding error bound fft_error_bound stays below FFT_ERROR_MAX.
+  It needs no roots of unity;
 - otherwise the radix-2 NTT (_ntt_numpy), where p has roots of unity of order
-  size: on dtype-object rows for p >= 2^31, on short sizes and tall batches
-  of short rows, and beyond the sizes the bound admits.  It is also the
-  reference the float kernel is checked against (tests, basisconv selftest).
-An image carries its kind in its shape (float spectra are 3-D), and a batch
-multiplied by a kept image takes that image's kind, so kinds never mix.
+  size: on dtype-object rows for p >= 2^31, and past FLOAT_MAX_SIZE.  It is
+  also the reference the float kernel is checked against (tests, basisconv
+  selftest).
+An image carries its kind in its shape (float spectra are 3-D), and every
+image at one size of one modulus has the same kind, so kinds never mix.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
@@ -61,9 +58,9 @@ from .errors import (
 # lb) (its work), a product by transforms about size log(size) and, on int64
 # rows, a fixed cost of numpy calls per stage.  Products go to transforms past
 # work = SCHOOLBOOK_WORK_INT64 + 16 size on int64 rows and 16 size on
-# dtype-object rows.  On int64 rows, schoolbook time over transform time (of
-# the kind _float picks) of an m x (out_len + 1 - m) product, median of 7 on a
-# 2-core x86-64 machine with numpy 2.4:
+# dtype-object rows.  On int64 rows, schoolbook time over float transform time
+# of an m x (out_len + 1 - m) product, median of 7 on a 2-core x86-64 machine
+# with numpy 2.4:
 #
 #   out_len \ m     8    16    24    32    48    64    96
 #        256      0.24  0.36  0.50  0.34  0.50  0.88  1.28
@@ -87,45 +84,6 @@ CORRECTION_MIN = 4096
 # Largest product length we accept for schoolbook when the modulus lacks
 # transform capacity.
 SCHOOLBOOK_LIMIT = 2048
-
-# Images of a fresh batch of int64 rows are float limb spectra or NTT rows by
-# the batch's size and row count (_float).  NTT time over float time of a
-# product with a kept image (one forward transform, the product, one inverse),
-# median of 7 on a 2-core x86-64 machine with numpy 2.4 (pocketfft):
-#
-#   size \ rows    1     8    32    64   128   256   512
-#        8       1.07  1.04  0.99  0.80  0.60  0.74  0.56
-#       16       1.52  1.31  1.35  1.25  1.27  0.95  0.51
-#       32       1.84  1.53  1.52  1.84  1.30  0.78  0.64
-#       64       2.40  2.19  2.24  1.80  1.50  0.79  0.65
-#      128       2.89  2.77  2.12  1.84  1.48  0.70  0.69
-#      256       3.62  3.35  2.20  1.49  1.41  0.81  0.83
-#      512       4.02  2.78  2.10  1.68  1.35  1.02  0.98
-#     1024       5.25  3.24  2.01  1.50  1.52  1.32     -
-#     2048       5.19  2.43  1.70  1.44  1.32     -     -
-#
-# So batches go to the float kernel from FLOAT_MIN_SIZE on in at most
-# FLOAT_MAX_ROWS rows, and from FLOAT_ANY_ROWS_SIZE on in any number of rows
-# (at 2^17 entries the float kernel still won by 1.04-1.2x there).  Below
-# FLOAT_ANY_ROWS_SIZE a float batch must also fit in FIXED_IMAGE_BYTES, so a
-# kept tree level never trades its NTT image for a float image it cannot keep.
-# At n = 8192 one grid-tree level is left below it, above evalgrid's leaf
-# blocks: size 512 in 32 rows.  Its kept NTT image beat a float image made
-# at each pass there: warm combine 11.3 against 12.4 ms, combine_t 13.3
-# against 16.5 ms (medians of 9 runs of best of 15).
-FLOAT_MIN_SIZE = 16
-FLOAT_MAX_ROWS = 128
-FLOAT_ANY_ROWS_SIZE = 1024
-
-# A multi-row image, a kept grid-tree level or a fresh batch below
-# FLOAT_ANY_ROWS_SIZE, is float only up to this many bytes (_fits): a kept
-# level keeps its coefficients beyond (_keeps_image).  One-row images of fixed
-# operands are kept at every size (_fixed_operand).  A float image takes 3x
-# the bytes of an NTT image and 6x those of the coefficients: keeping the
-# grid-tree levels at n = 8192 past this limit too, with the Taylor-shift
-# series at n = 16384 (measured before those were kept), bought 7-9% more
-# conversions per second for 6-9% more peak memory.
-FIXED_IMAGE_BYTES = 1 << 18
 
 DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
 
@@ -451,22 +409,17 @@ def _convolve_schoolbook(a, b, p):
     return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
-def _float(mod: Modulus, size, rows):
-    """Whether a fresh batch of rows at size gets float limb spectra for
-    images: on int64 rows at every size the float kernel takes where the NTT
-    cannot (it needs no roots of unity), and where the NTT can, at the batch
-    shapes where the float kernel was measured faster."""
-    if mod.dtype is object or not 2 <= size <= FLOAT_MAX_SIZE:
-        return False
-    if size > mod.max_ntt_len or size >= FLOAT_ANY_ROWS_SIZE:
-        return True
-    return size >= FLOAT_MIN_SIZE and rows <= FLOAT_MAX_ROWS and _fits(rows, size)
+def _float(mod: Modulus, size):
+    """Whether images at size are float limb spectra: on int64 rows at every
+    size from 2 to FLOAT_MAX_SIZE (a float image of size 1 has one frequency,
+    which does not tell its size)."""
+    return mod.dtype is not object and 2 <= size <= FLOAT_MAX_SIZE
 
 
 def _transforms(mod: Modulus, size):
     """Whether products mod x^size - 1 run through transforms: the NTT, which
     needs roots of unity of order size, or else the float kernel (_float)."""
-    return size <= mod.max_ntt_len or _float(mod, size, 1)
+    return size <= mod.max_ntt_len or _float(mod, size)
 
 
 def _size(out_len):
@@ -516,27 +469,23 @@ def _convolve_rows(mod: Modulus, A, B):
 
 
 def _product_image(mod: Modulus, A, B, size):
-    """The product image at size of the rows of A and B, the image of B of
-    the kind of that of A.  Neither image outlives the call."""
-    X = _image(mod, A, size)
-    return _image_mul(mod, X, _image(mod, B, size, like=X))
+    """The product image at size of the rows of A and B.  Neither image
+    outlives the call."""
+    return _image_mul(mod, _image(mod, A, size), _image(mod, B, size))
 
 
 # Images: rows in the transform domain of the products mod x^size - 1.  An
 # image carries its kind: float limb spectra are 3-D, (rows, 3 limbs, size // 2
 # + 1 frequencies); NTT rows and, where the modulus cannot transform, the
 # zero-padded rows themselves are 2-D, told apart by size alone (NTT rows where
-# size <= max_ntt_len).  A fresh batch takes its kind from its shape (_float),
-# or, to meet a kept image, from that image (like=), so callers keep the images
-# of fixed operands without caring which kind they are.  A product image
-# (_image_mul) is what _image_coeffs turns back into rows.
+# size <= max_ntt_len).  The kind follows from the size (_float), so callers
+# keep the images of fixed operands without caring which kind they are.  A
+# product image (_image_mul) is what _image_coeffs turns back into rows.
 
 
-def _image(mod: Modulus, A, size, like=None):
-    """The image of the coefficient rows of A, each of length <= size: of the
-    kind of the image like if given, else of the kind _float picks."""
-    use_float = _float(mod, size, len(A)) if like is None else like.ndim == 3
-    if use_float:
+def _image(mod: Modulus, A, size):
+    """The image of the coefficient rows of A, each of length <= size."""
+    if _float(mod, size):
         return _transform(mod, _limbs(A), size)
     if size <= mod.max_ntt_len:
         return _transform(mod, A, size)
@@ -605,18 +554,6 @@ def _transform(mod: Modulus, X, size, out_len=None):
     return _ntt_numpy(mod, X, size, True)[:, :out_len]
 
 
-def _keeps_image(X):
-    """Whether a grid-tree level keeps its image X for its products, rather
-    than its coefficients: always but where X is float and does not _fit."""
-    return X.ndim == 2 or _fits(len(X), _image_size(X))
-
-
-def _fits(rows, size):
-    """Whether a float image of rows at size, 3 (size // 2 + 1) complex
-    doubles per row, fits in FIXED_IMAGE_BYTES."""
-    return 24 * rows * size <= FIXED_IMAGE_BYTES
-
-
 def _fixed_operand(mod: Modulus, b, la):
     """What products of arrays of length <= la by the fixed array b keep of
     b, trimmed to its degree: its image (of one row) where such a product
@@ -640,7 +577,7 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    X = _image(mod, a[None], _image_size(fixed), like=fixed)
+    X = _image(mod, a[None], _image_size(fixed))
     Y = _image_rev(fixed) if transposed else fixed
     return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
 
@@ -801,18 +738,16 @@ def dense_product_agrees(mod: Modulus, b) -> bool:
 
 def float_kernel_agrees(mod: Modulus) -> bool:
     """Whether float products equal exact ones, on a random row and a row of
-    p - 1, at two sizes: the least the float kernel takes for one row, and
-    the largest up to 2^16 where mod admits the NTT too, or, where it admits
-    the NTT at no float size, the largest up to SCHOOLBOOK_LIMIT / 2.  The
-    NTT checks them where mod admits it, the schoolbook elsewhere.  True
-    where mod has no float size.  Exactness rests on IEEE doubles and an FFT
-    as accurate as the bound assumes, which the numpy build decides."""
-    sizes = [1 << k for k in range(1, 17) if _float(mod, 1 << k, 1)]
+    p - 1, at two sizes: 2, the least the float kernel takes, and the largest
+    up to 2^16 where mod admits the NTT too, or up to SCHOOLBOOK_LIMIT / 2
+    where that is larger.  The NTT checks them where mod admits it, the
+    schoolbook elsewhere.  True where mod has no float size.  Exactness rests
+    on IEEE doubles and an FFT as accurate as the bound assumes, which the
+    numpy build decides."""
+    sizes = [1 << k for k in range(1, 17) if _float(mod, 1 << k)]
     if not sizes:
         return True
-    top = [s for s in sizes if s <= mod.max_ntt_len] or [
-        s for s in sizes if s <= SCHOOLBOOK_LIMIT // 2
-    ]
+    top = [s for s in sizes if s <= max(mod.max_ntt_len, SCHOOLBOOK_LIMIT // 2)]
     return all(_float_agrees(mod, size) for size in {sizes[0], top[-1]})
 
 

@@ -18,23 +18,19 @@ def mod101():
 @pytest.fixture
 def force_kernel(monkeypatch):
     """A function that sends every product the modulus can transform through
-    a transform, however small and whatever its batch shape: "ntt" sends them
-    all to the NTT, the
-    schoolbook being left to the sizes past the roots of unity of p; "float"
-    sends every one the float kernel may take (int64 rows, sizes 2 to
-    FLOAT_MAX_SIZE) to it, roots of unity or not, and the rest to the NTT."""
+    a transform, however small: "ntt" sends them all to the NTT, the reference,
+    the schoolbook being left to the sizes past the roots of unity of p;
+    "float" leaves the kind of each to its size, float limb spectra on int64
+    rows at sizes 2 to FLOAT_MAX_SIZE, roots of unity or not, and the NTT
+    elsewhere."""
 
     def by_transform(mod, la, lb):
         return modfield._transforms(mod, 1 << (la + lb - 2).bit_length())
 
-    def float_always(mod, size, rows):
-        # a float image of size 1 has one frequency, which does not tell its size
-        return mod.dtype is not object and 2 <= size <= modfield.FLOAT_MAX_SIZE
-
     def force(kernel):
         monkeypatch.setattr(modfield, "_by_transform", by_transform)
-        use_float = {"float": float_always, "ntt": lambda mod, size, rows: False}[kernel]
-        monkeypatch.setattr(modfield, "_float", use_float)
+        if kernel == "ntt":
+            monkeypatch.setattr(modfield, "_float", lambda mod, size: False)
 
     return force
 

@@ -15,7 +15,6 @@ from basisconv.evalgrid import (
     multieval_grid_t,
 )
 from basisconv.oracle import stirling_matrices
-from basisconv.polyops import taylor_shift
 
 # 29 * 2^57 + 1: prime, above 2^31, so the NTT runs on rows of Python ints
 SCALAR_PRIME = 4179340454199820289
@@ -251,10 +250,9 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
 
 
 def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
-    # at n = 6000 the levels above the leaf have images of both kinds: NTT
-    # rows at size 512 (23 nodes, whose float image would not be kept) and
-    # float spectra from size 1024 on; every product takes the kind of the
-    # image it meets, and the passes equal those with every level on the NTT
+    # at n = 6000 every level above the leaf keeps a float image, of 23 nodes
+    # at size 512 up to one node at size 8192; every product meets images of
+    # its own kind, and the passes equal those with every level on the NTT
     n = 6000
     rng = random.Random(50)
     coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
@@ -269,7 +267,7 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
             interp_grid_t(A).tolist(),
         ]
         tree = evalgrid._grid_tree(mod, n)
-        return out, [tree._level_image(k).ndim for k in range(tree.leaf, tree.depth)]
+        return out, [tree.img[k].ndim for k in range(tree.leaf, tree.depth)]
 
     def one_kind(fn):
         def product(mod, X, *images):
@@ -282,35 +280,10 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
         monkeypatch.setattr(evalgrid, name, one_kind(getattr(evalgrid, name)))
     monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
     got, kinds = run()
-    assert kinds == [2] + [3] * 4
+    assert kinds == [3] * 5
     force_kernel("ntt")
     want, kinds = run()
     assert kinds == [2] * 5 and got == want
-
-
-def test_no_kept_float_images_same_results(monkeypatch):
-    # a tree level whose float image would exceed FIXED_IMAGE_BYTES keeps
-    # its coefficients and is transformed at each use (at large n); with the
-    # limit at 0 every float one does, while one-row fixed operands such as
-    # the shift series keep their images whatever the limit
-    n = 3000
-    rng = random.Random(46)
-    coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
-
-    def run():
-        mod = Modulus(DEFAULT_PRIME)
-        A = Poly(mod, coeffs, n)
-        return [
-            multieval_grid(A).tolist(),
-            interp_grid(mod, coeffs).coeffs,
-            multieval_grid_t(mod, coeffs).coeffs,
-            interp_grid_t(A).tolist(),
-            taylor_shift(A, 12345).coeffs,
-        ]
-
-    want = run()
-    monkeypatch.setattr(modfield, "FIXED_IMAGE_BYTES", 0)
-    assert run() == want
 
 
 def test_interp_round_trip(mod101):

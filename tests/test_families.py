@@ -222,8 +222,8 @@ def test_round_trip_without_roots_of_unity(n):
 def test_no_roots_rows_need_no_row_loop(monkeypatch):
     # over a prime without roots of unity the float kernel takes every int64
     # size, so _convolve_rows never falls back to one _convolve per row; with
-    # float images by size alone, from 1024 on, it did so on every grid-tree
-    # level below that size, to the same outputs
+    # float images only from size 1024 on, it did so on every grid-tree level
+    # below that size, to the same outputs
     n = 300
     looped, inside = [0], [0]
     convolve, convolve_rows = modfield._convolve, modfield._convolve_rows
@@ -253,10 +253,10 @@ def test_no_roots_rows_need_no_row_loop(monkeypatch):
     got = round_trip()
     assert looped[0] == 0 and got[1] == a
 
-    def by_size_alone(mod, size, rows):
+    def float_from_1024(mod, size):
         return mod.dtype is not object and 1024 <= size <= modfield.FLOAT_MAX_SIZE
 
-    monkeypatch.setattr(modfield, "_float", by_size_alone)
+    monkeypatch.setattr(modfield, "_float", float_from_1024)
     assert round_trip() == got
     assert looped[0] > 100
 

@@ -35,7 +35,6 @@ from basisconv.modfield import (
     _transform,
     fft_error_bound,
     is_prime,
-    FLOAT_MIN_SIZE,
     PRIME_BOUND,
 )
 
@@ -241,17 +240,24 @@ def test_small_prime_fallback_and_capacity(mod101):
         _convolve(Modulus(OBJECT_PRIME_NO_ROOTS), [1] * 1500, [1] * 1500)
 
 
-def test_float_kernel_needs_no_roots():
+def test_float_kernel_needs_no_roots(monkeypatch):
     # 1000003 = 2 * 500001 + 1 has no roots of unity of order 4, but every
-    # float size, in batches of any shape
+    # float size
     mod = Modulus(NO_ROOTS_PRIME)
     assert mod.max_ntt_len == 2
-    assert all(modfield._float(mod, 1 << k, 1 << 12) for k in range(2, 12))
+    assert all(modfield._float(mod, 1 << k) for k in range(1, 12))
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
-    # basisconv selftest checks such a modulus against the schoolbook
+    # basisconv selftest checks the least float size, 2, and such a modulus
+    # up to 1024 against the schoolbook, the default prime up to 2^16
+    checked, agrees = [], modfield._float_agrees
+    monkeypatch.setattr(
+        modfield, "_float_agrees", lambda mod, size: checked.append(size) or agrees(mod, size)
+    )
     assert modfield.float_kernel_agrees(mod)
+    assert modfield.float_kernel_agrees(Modulus(DEFAULT_PRIME))
+    assert sorted(checked) == [2, 2, 1024, 1 << 16]
 
 
 def test_poly_invariants(mod101):
@@ -351,7 +357,7 @@ def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, monkeypatch):
 @pytest.mark.parametrize("n", [300, 4096, 16384])
 def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
     # a product by a kept operand, forward or transposed, makes one forward
-    # and one inverse transform at every size, past 256 KB of float image too
+    # and one inverse transform at every size, 768 KB of float image at 16384 too
     rng = np.random.default_rng(n)
     a = Poly.of(mod, rng.integers(0, mod.p, n))
     P = Poly.of(mod, rng.integers(0, mod.p, n))
@@ -377,14 +383,14 @@ def _ntt_cyclic(mod, pairs, size):
 
 # balanced limbs (-1024, -1024, 479): the largest limb norm below DEFAULT_PRIME
 WORST = 479 * (1 << 22) - 1024 * 2049
-FLOAT_SIZES = [1 << k for k in range(FLOAT_MIN_SIZE.bit_length() - 1, 18)]
+FLOAT_SIZES = [1 << k for k in range(1, 18)]
 
 
 @pytest.mark.parametrize("size", FLOAT_SIZES)
 def test_float_kernel_exact_on_worst_operands(mod, size):
     # from the least size the float kernel takes on; every image here is float
     p = mod.p
-    assert modfield._float(mod, size, 2)
+    assert modfield._float(mod, size)
     for value in (WORST, p - 1):
         half = np.full((2, size // 2), value, dtype=np.int64)
         full = np.full((2, size), value, dtype=np.int64)
@@ -431,23 +437,30 @@ def test_dense_product_exact_on_worst_operands(mod):
 @pytest.mark.parametrize(
     "size, rows, kind",
     [
-        (8, 1, "ntt"),
-        (FLOAT_MIN_SIZE, 1, "float"),
-        (16, modfield.FLOAT_MAX_ROWS, "float"),
-        (16, 2 * modfield.FLOAT_MAX_ROWS, "ntt"),
+        (8, 1, "float"),
+        (16, 1, "float"),
+        (16, 128, "float"),
+        (16, 256, "float"),
         (512, 16, "float"),
+        (512, 32, "float"),
+        (1024, 256, "float"),
+        (8, 1, "ntt"),
+        (16, 256, "ntt"),
         (512, 32, "ntt"),
-        (modfield.FLOAT_ANY_ROWS_SIZE, 256, "float"),
     ],
 )
-def test_batch_kernel_by_size_and_rows(mod, size, rows, kind):
-    # a batch's kind follows its size and row count across the crossover;
-    # its products are exact either way
+def test_batch_kernel_by_size_and_rows(size, rows, kind):
+    # a batch's kind follows the dtype of its rows and its size, whatever its
+    # row count: float on int64 rows, the NTT on dtype-object rows (P40).
+    # Its products are exact, also on int64 rows at (8, 1), (16, 256) and
+    # (512, 32), which once went to the NTT
+    mod = Modulus({"float": DEFAULT_PRIME, "ntt": P40}[kind])
     rng = random.Random(size * rows)
     A = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     B = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
-    A_, B_ = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-    assert _image(mod, A_, size).ndim == {"float": 3, "ntt": 2}[kind]
+    A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
+    want_ndim = {"float": 3, "ntt": 2}[kind]
+    assert _image(mod, A_, size).ndim == _image(mod, A_[:1], size).ndim == want_ndim
     got = _convolve_rows(mod, A_, B_)
     for i in {0, rows - 1}:
         assert got[i].tolist() == _school(A[i], B[i], mod.p)
@@ -459,7 +472,7 @@ def test_batch_kernel_by_size_and_rows(mod, size, rows, kind):
 def test_float_recombination_reduces_multiples_of_p(p):
     # a class coefficient t = -q p: for 998244353 and q >= 3 the double
     # t * fl(1/p) lies below -q, so floor(t / p) falls one short
-    size = FLOAT_MIN_SIZE
+    size = 16
     classes = np.zeros((1, 5, size))
     classes[0, 0] = -p * np.arange(size, dtype=np.float64)
     got = _limb_coeffs(p, np.fft.rfft(classes, axis=-1), size, size)
@@ -485,7 +498,7 @@ def test_float_kernel_dispatch(mod, monkeypatch):
         calls[0] = 0
         assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
         assert calls[0] == ntt_calls, size
-    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64)), FLOAT_MIN_SIZE)
-    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(FLOAT_MIN_SIZE, 1) / 2)
+    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64)), 16)
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1) / 2)
     with pytest.raises(AssertionError):
         _class_spectra([(X, X)])
