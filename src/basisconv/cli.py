@@ -16,10 +16,10 @@ import time
 from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequence
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DomainViolation
-from .evalgrid import LEAF_SIZE
 from .families import family_names, from_monomial, parse_family, to_monomial
 from .modfield import DEFAULT_PRIME, Modulus, Poly, dense_product_agrees, float_kernel_agrees
 from .oracle import horner_compose, matvec, naive_convert, stirling_matrices
+from .polyops import LEAF_SIZE
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1

@@ -4,12 +4,13 @@ transposes, and the four maps evaluating polynomials at exp(x)-1 / log(1+x).
 The four grid maps run on one subproduct tree per n, O(M(n) log n), worked one
 level at a time.  Level k holds the products of (x - i) over the blocks
 [j s, (j+1) s) ∩ [0, n), s = 2^k: all monic of degree s but at most one ragged
-last node.  The full nodes are the rows of one (n // s, s) array of their
-coefficients below x^s, so a level is built or passed through with a few
-batched transforms (the row images of modfield); the ragged node goes through
-the 1-D _convolve.  Trees are kept per n in Modulus.cached with the images
-of their levels, of the one kind modfield picks for their size (float limb
-spectra on int64 rows); data derived from a tree is computed on first use and
+last node.  The full nodes, as the rows of one (n // s, s) array of their
+coefficients below x^s, are built or passed through with a few batched
+transforms (the row images of modfield); the ragged node goes through the 1-D
+_convolve.  Trees are kept per n in Modulus.cached with the images of their
+levels, of the one kind modfield picks for their size (float limb spectra on
+int64 rows), and of their coefficients only the ragged nodes and the full
+left child of each; data derived from a tree is computed on first use and
 kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
@@ -19,8 +20,8 @@ principle; Bostan, Lecerf & Schost, ISSAC 2003):
   children's values, low the nodes without their leading x^h;
 - combine_t, top-down: a child takes W[j + h] + sum_t low_S[t] W[t + j], j < h,
   from its parent's W, S its sibling.  That middle product wraps into none of
-  the coefficients it reads at cyclic size s, where it is a product by the
-  sibling's image read backwards (modfield._image_rev).
+  the coefficients it reads at cyclic size s, where W read backwards
+  (modfield._backwards) times the sibling's kept image gives it reversed.
 
 Both passes stop at the leaf level K = log2 b, b = min(LEAF_SIZE, 2^depth), on
 int64 rows; on dtype-object rows b = 1 and they run to the points.  On the
@@ -32,8 +33,13 @@ of N_0(x) / (x - i), and B, the Pascal matrix C(t, s) mod p, with the two
 diagonals makes the Taylor shift by a.  The leaf of combine is
 ((C M0) ⊙ a^t) B ⊙ a^-s on the rows C of all blocks at once, block 0
 unshifted, and that of combine_t its transpose; a ragged last block of r
-points has its own r x r matrix.  M0 and B are kept once per modulus and b,
-the powers a^t and a^-s (2n residues) on the tree, and no level below K.
+points has its own r x r matrix.  M0 is kept once per modulus and b, B is
+the top-left block of the one Pascal matrix per modulus that the dense Taylor
+shifts read too (polyops._pascal), the powers a^t and a^-s (2n residues) are
+kept on the tree, and no level below K is ever made: the build takes
+N_0 = prod_{i < b} (x - i) by halving (_falling), and the other nodes of
+level K from it by the same Pascal product, plus a^b C(b, t) a^-t from the
+leading x^b.
 Each product by a leaf matrix is one float64 GEMM of the balanced 11-bit limbs
 of the rows (modfield._dense_mul), exact while every partial sum, at most
 b 2^10 (p - 1) in magnitude, stays below 2^53: b <= 2^12 for p < 2^31, which
@@ -57,6 +63,7 @@ from .modfield import (
     Modulus,
     Poly,
     _arange,
+    _backwards,
     _convolve,
     _dense_mul,
     _fit,
@@ -65,31 +72,12 @@ from .modfield import (
     _image_coeffs,
     _image_mul,
     _image_mul_add,
-    _image_rev,
     _mul_fixed,
     _prefix_products,
     _residues,
 )
-from .polyops import diagonal, taylor_shift, taylor_shift_t, truncate
+from .polyops import LEAF_SIZE, _pascal, diagonal, taylor_shift, taylor_shift_t, truncate
 from .seriesops import series_inv
-
-
-# Both passes end at level K = log2 b, b = min(LEAF_SIZE, 2^depth), on int64
-# rows.  Warm combine + combine_t time in ms at n by b, median of 3 runs of
-# best of 15 on a 2-core x86-64 machine with numpy 2.4 (OpenBLAS, one thread);
-# b = 1 is the tree run to its points:
-#
-#   n \ b       1     32     64    128    256    512   1024
-#    1024      4.4    2.5    2.2    2.3    1.4    1.9    2.6
-#    4096     14.8   12.4   10.4    9.3    7.6    8.8   11.5
-#    8192     41.8   35.9   34.5   28.6   26.6   18.0   21.2
-#   16384     82.5   67.2   65.6   56.1   58.5   53.7   53.6
-#
-# 256 is fastest up to n = 4096.  512 is faster from n = 8192 on, but the two
-# b x b matrices take 16 b^2 bytes per modulus, 4 MB at 512: on the
-# sheffer_large benchmark (n = 8192) it made 66 conversions per second against
-# 52 at 256, and raised peak memory from 55.3 to 58.5 MB, which 256 keeps flat.
-LEAF_SIZE = 256
 
 
 def _pairs(rows, nf):
@@ -115,14 +103,18 @@ def _quotients(mod: Modulus, node, points):
     return Qt.T
 
 
-def _pascal(p, b):
-    """The float64 matrix of binomials C(t, s) mod p, t, s < b, row by row
-    (sums of two residues are exact in doubles)."""
-    B = np.zeros((b, b))
-    B[:, 0] = 1
-    for t in range(1, b):
-        B[t, 1 : t + 1] = (B[t - 1, 1 : t + 1] + B[t - 1, :t]) % p
-    return B
+def _falling(mod: Modulus, r):
+    """The r + 1 coefficients of prod_{i < r} (x - i) mod p, r >= 1: the
+    product of its lower half and of the lower half's Taylor shift by -h."""
+    if r == 1:
+        return np.array([0, 1], dtype=mod.dtype)
+    h = r // 2
+    half = _falling(mod, h)
+    node = _convolve(mod, half, taylor_shift(Poly.of(mod, half), -h).arr)
+    if r % 2:
+        # times x - (r - 1)
+        node = (np.append(0, node) - (r - 1) * np.append(node, 0)) % mod.p
+    return node
 
 
 def _power_rows(mod: Modulus, base, m):
@@ -136,13 +128,15 @@ class SubproductTree:
     """Subproduct tree over the grid 0..n-1, stored level by level from the
     leaf level K = leaf up.
 
-    low[k]: the full nodes of level k without their leading x^s; img[k]:
-    their images at size 2s, below the top level, read by both passes;
-    rag[k]: the coefficients of the ragged node of level k, or None.  All
-    three are None below K.  The leaf of the blocks of b = 2^K points: m0
-    (M0) for the first of them, pascal (B) and pows, the powers a^t and
-    a^-s of a = -jb as rows, for blocks j >= 1, and rag_mat for a ragged last
-    block.
+    img[k]: the images at size 2s of the full nodes of level k without
+    their leading x^s, below the top level, read by both passes; full[k]:
+    the coefficients of the last full node of level k where it is the left
+    child of a ragged node with more points, the one full node whose
+    coefficients the passes read, or None; rag[k]: the coefficients of the
+    ragged node of level k, or None.  All three are None below K.  The leaf
+    of the blocks of b = 2^K points: m0 (M0) for the first of them, pascal
+    (B) and pows, the powers a^t and a^-s of a = -jb as rows, for blocks
+    j >= 1, and rag_mat for a ragged last block.
     """
 
     def __init__(self, mod: Modulus, n: int):
@@ -153,35 +147,55 @@ class SubproductTree:
         p = mod.p
         b = 1 if mod.dtype is object else min(LEAF_SIZE, 1 << self.depth)
         self.leaf = K = b.bit_length() - 1
-        self.low = [((-_arange(mod, 0, n)) % p).reshape(n, 1)]
-        self.img, self.rag = [], [None]
-        for k in range(1, self.depth + 1):
+        self.blocks, r = divmod(n, b)
+        if K:
+            low, rag = self._leaf_level(b, r)
+        else:
+            low, rag = ((-_arange(mod, 0, n)) % p).reshape(n, 1), None
+        self.img, self.full, self.rag = [None] * K, [None] * K, [None] * K + [rag]
+        for k in range(K + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            (lo_l, lo_r), img = _pairs(self.low[-1], nf), _image(mod, self.low[-1], s)
+            img = _image(mod, low, s)
             self.img.append(img)
             # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
-            cur[:, h:] += lo_l + lo_r
-            self.low.append(cur % p)
+            cur[:, h:] += np.add(*_pairs(low, nf))
             r, rag = n % s, self.rag[-1]
-            if r >= h:
-                full = _monic(self.low[k - 1][2 * nf])
+            full = _monic(low[2 * nf]) if r >= h else None
+            self.full.append(full if r > h else None)
+            if full is not None:
                 rag = full if r == h else _convolve(mod, full, rag)
             self.rag.append(rag if r else None)
-            if k <= K:      # no pass reads below the leaf level
-                self.low[k - 1] = self.img[k - 1] = self.rag[k - 1] = None
+            low = cur % p
         top = self.rag[-1]
-        self.root = top if top is not None else _monic(self.low[-1][0])
-        self.blocks, r = divmod(n, b)
-        if self.blocks and K:
-            node, pts = _monic(self.low[K][0]), _arange(mod, 0, b)
-            self.m0 = mod.cached(("grid leaf", b), lambda: _quotients(mod, node, pts))
-        if self.blocks > 1 and K:
-            self.pascal = mod.cached(("pascal", b), lambda: _pascal(p, b))
-            a = (-b * _arange(mod, 1, self.blocks)) % p
-            self.pows = [_power_rows(mod, base, b) for base in (a, mod.inv_array(a))]
-        if r and K:
-            self.rag_mat = _quotients(mod, self.rag[K], _arange(mod, n - r, n))
+        self.root = top if top is not None else _monic(low[0])
+
+    def _leaf_level(self, b, r):
+        """The full nodes of level K without their leading x^b, as rows, and
+        its ragged node or None; also the leaf's matrices and powers.  Node j
+        is N_j(x) = N0(x + a), a = -jb, N0 = prod_{i < b} (x - i): below x^b,
+        ((N0 ⊙ a^s) B) ⊙ a^-t, the Taylor shift of N0's low part, plus
+        a^b C(b, t) a^-t from its x^b."""
+        mod, p, n, nb = self.mod, self.mod.p, self.n, self.blocks
+        low = np.empty((nb, b), dtype=self.dtype)
+        if nb:
+            N0, pts = _falling(mod, b), _arange(mod, 0, b)
+            low[0] = N0[:b]
+            self.m0 = mod.cached(("grid leaf", b), lambda: _quotients(mod, N0, pts))
+        if nb > 1:
+            self.pascal = B = _pascal(mod, b)
+            a = (-b * _arange(mod, 1, nb)) % p
+            self.pows = at, a_s = [_power_rows(mod, base, b) for base in (a, mod.inv_array(a))]
+            # C(b, t) = C(b - 1, t) + C(b - 1, t - 1), t < b
+            last = B[b - 1].astype(np.int64)
+            binom = (last + np.append(0, last[:-1])) % p
+            lead = at[:, -1] * a % p
+            low[1:] = (_dense_mul(mod, low[0] * at % p, B) + lead[:, None] * binom % p) * a_s % p
+        if not r:
+            return low, None
+        rag = taylor_shift(Poly.of(mod, _falling(mod, r)), r - n).arr
+        self.rag_mat = _quotients(mod, rag, _arange(mod, n - r, n))
+        return low, rag
 
     def multieval(self, cs):
         """Values at every point of the polynomial with coefficients cs (an
@@ -254,9 +268,8 @@ class SubproductTree:
             if r:
                 last = v[2 * nf]      # the ragged node's only child, if r <= h
                 if r > h:
-                    full = _monic(self.low[k - 1][2 * nf])
                     left = _convolve(mod, last, self.rag[k - 1])
-                    right = _convolve(mod, v[2 * nf + 1][: r - h], full)
+                    right = _convolve(mod, v[2 * nf + 1][: r - h], self.full[k - 1])
                     last = (left + right) % p
                 cur = np.vstack([cur, _fit(last, s)])
             v = cur
@@ -272,10 +285,10 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                rev = _image_rev(self.img[k - 1][: 2 * nf])
-                wimg = np.repeat(_image(mod, w[:nf], s), 2, axis=0)
+                img = self.img[k - 1][: 2 * nf]
+                wimg = np.repeat(_image(mod, _backwards(w[:nf], s, h), s), 2, axis=0)
                 # row 2i correlates with the left child: W_R of node i
-                mid = _image_coeffs(mod, _image_mul(mod, wimg, rev), h)
+                mid = _image_coeffs(mod, _image_mul(mod, wimg, img), h)[:, ::-1]
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
                 nxt[1 : 2 * nf : 2] = mid[0::2] + w[:nf, h:]
             r = n % s
@@ -284,9 +297,8 @@ class SubproductTree:
                 if r <= h:
                     nxt[2 * nf :] = last[:h]
                 else:
-                    full = _monic(self.low[k - 1][2 * nf])
                     nxt[2 * nf] = _convolve(mod, last[:r], self.rag[k - 1][::-1])[r - h : r]
-                    nxt[2 * nf + 1] = _fit(_convolve(mod, last[:r], full[::-1])[h:r], h)
+                    nxt[2 * nf + 1] = _fit(_convolve(mod, last[:r], self.full[k - 1][::-1])[h:r], h)
             nxt %= p
             w = nxt
         return self._leaf_t(w)

@@ -514,15 +514,19 @@ def _image_mul(mod: Modulus, X, Y):
     return out[:, :size] % mod.p
 
 
-def _image_rev(X):
-    """The image of the rows of the image X read backwards, coefficient k
-    moved to -k mod size, so that a product with it is a correlation: the
-    conjugate of a float limb spectrum (its limb rows are real), and NTT rows
-    or raw rows read at index -k mod size."""
-    if X.ndim == 3:
-        return np.conj(X)
-    size = X.shape[1]
-    return X[:, -np.arange(size) % size]
+def _backwards(A, size, out_len):
+    """The rows to transform in place of the rows A (each of length <= size)
+    so that their products by b mod x^size - 1, first out_len coefficients
+    reversed, are those of A by b read backwards (coefficient k of b moved to
+    -k mod size): A zero-padded to size and read from index out_len - 1
+    downwards, cyclically.  A correlation with a kept image thus reads it as
+    it is."""
+    (rows, la), k = A.shape, min(A.shape[1], out_len)
+    out = np.zeros((rows, size), dtype=A.dtype)
+    out[:, out_len - k : out_len] = A[:, k - 1 :: -1]
+    if la > out_len:
+        out[:, size + out_len - la :] = A[:, : out_len - 1 : -1]
+    return out
 
 
 def _image_mul_add(mod: Modulus, X, Y, U, V):
@@ -577,9 +581,12 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    X = _image(mod, a[None], _image_size(fixed))
-    Y = _image_rev(fixed) if transposed else fixed
-    return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
+    size = _image_size(fixed)
+    if transposed:
+        X = _image(mod, _backwards(a[None], size, out_len), size)
+        return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0, ::-1]
+    X = _image(mod, a[None], size)
+    return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
 
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):
@@ -771,13 +778,14 @@ def _float_agrees(mod: Modulus, size):
 
 def _array_bytes(value, seen):
     """The bytes of the numpy arrays value holds, in its containers, Polys and
-    object attributes, but for those whose id is in seen, which it joins; a
-    Modulus counts nothing."""
+    object attributes, a view counted as its base, but for those whose id is
+    in seen, which it joins; a Modulus counts nothing."""
     if id(value) in seen or isinstance(value, Modulus):
         return 0
     seen.add(id(value))
     if isinstance(value, np.ndarray):
-        return value.nbytes
+        # a view holds the memory of its base
+        return value.nbytes if value.base is None else _array_bytes(value.base, seen)
     if isinstance(value, Poly):
         return _array_bytes(value.arr, seen)
     if isinstance(value, dict):

@@ -4,6 +4,11 @@ diagonal, Taylor shift, split and linear combination, plus every transpose.
 All operators are pure functions Poly -> Poly (or tuples of Polys).  Dimension
 metadata travels with each Poly, so a transposed operator knows both its
 source and target spaces.
+
+A Taylor shift on K[x]_m is one exact GEMM (modfield._dense_mul) by the
+Pascal matrix on int64 rows with DENSE_MIN <= m <= LEAF_SIZE, and otherwise a
+product by a series kept per (a, transform size).  Its diagonals, like those
+of scale, slice rows of powers kept per base and power-of-two size.
 """
 
 from __future__ import annotations
@@ -14,14 +19,49 @@ from .errors import DimensionMismatch
 from .modfield import (
     Modulus,
     Poly,
+    _dense_mul,
     _fit,
     _fixed_operand,
     _mul_fixed,
     _powers,
+    _readonly,
     _size,
     mul_trunc,
     mul_trunc_t,
 )
+
+# The grid tree's leaf blocks (evalgrid) have b <= LEAF_SIZE points; they
+# and the dense shifts read blocks of one Pascal matrix per modulus (_pascal).
+# Warm combine + combine_t time in ms at n by b, median of 3 runs of best of 15
+# on a 2-core x86-64 machine with numpy 2.4 (OpenBLAS, one thread); b = 1 is
+# the tree run to its points:
+#
+#   n \ b       1     32     64    128    256    512   1024
+#    1024      4.4    2.5    2.2    2.3    1.4    1.9    2.6
+#    4096     14.8   12.4   10.4    9.3    7.6    8.8   11.5
+#    8192     41.8   35.9   34.5   28.6   26.6   18.0   21.2
+#   16384     82.5   67.2   65.6   56.1   58.5   53.7   53.6
+#
+# 256 is fastest up to n = 4096.  512 is faster from n = 8192 on, but the two
+# b x b matrices take 16 b^2 bytes per modulus, 4 MB at 512: on the
+# sheffer_large benchmark (n = 8192) it made 66 conversions per second against
+# 52 at 256, and raised peak memory from 55.3 to 58.5 MB, which 256 keeps flat.
+LEAF_SIZE = 256
+
+# A dense shift on K[x]_m costs about twenty numpy calls and one (3 x m) by
+# (m x m) GEMM, the factorial/convolution kernel a schoolbook or transform
+# product of length about 2m.  Time in us per shift by a = 12345 on int64 rows,
+# forward / transposed, median of 9 runs of best of 100 on a 2-core x86-64
+# machine with numpy 2.4 (OpenBLAS, one thread):
+#
+#   m               16     24     32     40     48     64    128    256
+#   dense          36/36  35/36  36/36  37/37  40/39  39/39  48/46  71/65
+#   factorial      28/29  31/32  34/35  39/40  43/45  55/57 112/115 132/138
+#
+# so shifts from m = 32 on are dense; a second run gave 23/24 against 24/25
+# at m = 32 and 25/25 against 28/30 at m = 40.  At m = 512 (with a Pascal
+# matrix of that size) the dense shift took 294/366 against 171/129.
+DENSE_MIN = 32
 
 
 def power_subst(A: Poly, k: int) -> Poly:
@@ -54,10 +94,21 @@ def truncate(A: Poly, n: int) -> Poly:
     return Poly.of(A.mod, _fit(A.arr, n))
 
 
+def _power_row(mod: Modulus, lam, m, sign=1):
+    """lam^(sign i) mod p for i < m, sign 1 or -1 (lam != 0), read-only: a
+    slice of the row kept per (lam, sign, power-of-two size)."""
+    size = _size(m)
+
+    def build():
+        return _readonly(_powers(mod, lam if sign == 1 else mod.inv(lam), size))
+
+    return mod.cached(("powers", lam, sign, size), build)[:m]
+
+
 def scale(A: Poly, lam: int) -> Poly:
     """A(lambda * x): coefficient i multiplied by lambda^i.  Self-transpose."""
     mod = A.mod
-    return Poly.of(mod, A.arr * _powers(mod, lam % mod.p, A.dim) % mod.p)
+    return Poly.of(mod, A.arr * _power_row(mod, lam % mod.p, A.dim) % mod.p)
 
 
 def diagonal(A: Poly, s) -> Poly:
@@ -82,30 +133,54 @@ def _shift_operand(mod: Modulus, a, m):
     return mod.cached(("shift", a, size), build)
 
 
+def _pascal(mod: Modulus, b):
+    """The float64 matrix of binomials C(t, s) mod p, t, s < b <= LEAF_SIZE,
+    read-only: the top-left block of the one kept at LEAF_SIZE (sums of two
+    residues are exact in doubles)."""
+
+    def build():
+        B = np.zeros((LEAF_SIZE, LEAF_SIZE))
+        B[:, 0] = 1
+        for t in range(1, LEAF_SIZE):
+            B[t, 1 : t + 1] = (B[t - 1, 1 : t + 1] + B[t - 1, :t]) % mod.p
+        return _readonly(B)
+
+    return mod.cached(("pascal", LEAF_SIZE), build)[:b, :b]
+
+
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
-    # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
-    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1)), a middle product
     mod, m, p = A.mod, A.dim, A.mod.p
     mod.check_precision(m)
+    if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
+        # A(x + a) = ((A ⊙ a^s) B) ⊙ a^-t, B the Pascal matrix C(s, t): one
+        # exact GEMM, and ((A ⊙ a^-t) B^T) ⊙ a^s its transpose
+        up, down, B = _power_row(mod, a, m), _power_row(mod, a, m, -1), _pascal(mod, m)
+        if transposed:
+            up, down, B = down, up, B.T
+        return Poly.of(mod, _dense_mul(mod, (A.arr * up % p)[None], B)[0] * down % p)
+    # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
+    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1)), a middle product
     fact, inv_fact = mod.table("factorials", m), mod.table("inv_factorials", m)
     pre, post = (inv_fact, fact) if transposed else (fact, inv_fact)
     B = (A.arr * pre % p)[::-1]
-    C = _mul_fixed(mod, B, _shift_operand(mod, a % p, m), m, transposed)
+    C = _mul_fixed(mod, B, _shift_operand(mod, a, m), m, transposed)
     return Poly.of(mod, C[::-1] * post % p)
 
 
 def taylor_shift(A: Poly, a: int) -> Poly:
-    """A(x + a) via the factorial/convolution factorization; cost M(m)+O(m)."""
+    """A(x + a): one product by the Pascal matrix on int64 rows with
+    DENSE_MIN <= m <= LEAF_SIZE, else the factorial/convolution
+    factorization, cost M(m) + O(m)."""
     if a % A.mod.p == 0:
         return A
-    return _shift_kernel(A, a, transposed=False)
+    return _shift_kernel(A, a % A.mod.p, transposed=False)
 
 
 def taylor_shift_t(A: Poly, a: int) -> Poly:
     """Transpose of taylor_shift(., a) on K[x]_m."""
     if a % A.mod.p == 0:
         return A
-    return _shift_kernel(A, a, transposed=True)
+    return _shift_kernel(A, a % A.mod.p, transposed=True)
 
 
 def find_degrees(m: int, k: int):

@@ -306,3 +306,16 @@ def test_cache_bytes_hold_no_truncations():
         entries, size = census[kind]
         assert entries > 0 and size > 0, kind
     assert sum(e for e, _ in census.values()) == len(mod._cache)
+
+
+def test_one_pascal_matrix_per_modulus():
+    # the dense Taylor shifts and the leaf blocks of every grid tree read the
+    # top-left blocks of one Pascal matrix, kept at LEAF_SIZE
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(14)
+    for n in (64, 256, 8192):
+        for name in ("bell", "charlier(a=2)"):
+            fam = parse_family(mod, name)
+            from_monomial(to_monomial(_random_vector(rng, mod, n), fam, n, mod), fam, n, mod)
+    assert [k for k in mod._cache if k[0] == "pascal"] == [("pascal", polyops.LEAF_SIZE)]
+    assert mod.cache_bytes()["pascal"] == (1, 8 * polyops.LEAF_SIZE**2)

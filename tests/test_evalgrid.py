@@ -23,6 +23,9 @@ SCALAR_PRIME = 4179340454199820289
 SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
 # 2 * 500001 + 1: no roots of unity of order 4, so float images only
 NO_ROOTS_PRIME = 1000003
+# 2^31 + 11: dtype object with roots of unity of order 2 only, so every image
+# of size >= 4 is the raw rows, zero-padded
+RAW_PRIME = 2147483659
 
 
 @pytest.fixture(
@@ -106,14 +109,15 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p", [DEFAULT_PRIME, 101, NO_ROOTS_PRIME, SCALAR_PRIME],
-    ids=["float-and-ntt", "raw-rows", "float-no-roots", "scalar-ntt"],
+    "p", [DEFAULT_PRIME, 101, NO_ROOTS_PRIME, SCALAR_PRIME, RAW_PRIME],
+    ids=["float-and-ntt", "small-prime", "float-no-roots", "scalar-ntt", "raw-rows"],
 )
 def test_combine_t_is_the_transpose_of_combine(p):
-    # <combine(c), W> = <c, combine_t(W)>: on float spectra (conjugated), NTT
-    # rows and raw rows (read at -k), and the ragged nodes of every size
+    # <combine(c), W> = <c, combine_t(W)>: on float spectra, NTT rows and raw
+    # rows, each correlated with the kept image through the input read
+    # backwards, and the ragged nodes of every size
     mod = Modulus(p)
-    cap = 100 if p == SCALAR_PRIME else p - 1
+    cap = 100 if mod.dtype is object else p - 1
     rng = random.Random(47)
     for n in [n for n in SIZES if n <= cap]:
         tree = evalgrid.SubproductTree(mod, n)
@@ -128,7 +132,7 @@ def _leaf_sizes(p):
     below 101 on 101 and below 100 on object rows, where b = 1."""
     if p == 101:
         return (2, 5, 31, 32, 33, 64, 100)
-    if p == SCALAR_PRIME:
+    if p in (SCALAR_PRIME, RAW_PRIME):
         return (2, 5, 33, 100)
     b = evalgrid.LEAF_SIZE
     return (b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, 3 * b + 5, 4097)
@@ -139,8 +143,8 @@ def _dot(u, v, p):
 
 
 @pytest.mark.parametrize(
-    "p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101, SCALAR_PRIME],
-    ids=["float-and-ntt", "float-no-roots", "raw-rows", "scalar-ntt"],
+    "p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101, SCALAR_PRIME, RAW_PRIME],
+    ids=["float-and-ntt", "float-no-roots", "small-prime", "scalar-ntt", "raw-rows"],
 )
 def test_six_grid_maps_across_leaf_blocks(p):
     # whole blocks, a ragged last block, a lone ragged block and the tree run
@@ -169,9 +173,9 @@ def test_six_grid_maps_across_leaf_blocks(p):
 
 
 def test_tree_keeps_nothing_below_the_leaf(monkeypatch):
-    # at n = 8192 the tree keeps the levels from K = log2 LEAF_SIZE up, the
-    # leaf's two matrices and its powers, in fewer bytes than the tree run to
-    # its leaves (LEAF_SIZE = 1)
+    # at n = 8192 the tree keeps the level images from K = log2 LEAF_SIZE up,
+    # the leaf's two matrices and its powers, in fewer bytes than the tree run
+    # to its leaves (LEAF_SIZE = 1)
     def nbytes(value):
         if isinstance(value, np.ndarray):
             return value.nbytes
@@ -183,15 +187,32 @@ def test_tree_keeps_nothing_below_the_leaf(monkeypatch):
     tree = evalgrid.SubproductTree(Modulus(DEFAULT_PRIME), n)
     K = evalgrid.LEAF_SIZE.bit_length() - 1
     assert tree.leaf == K and tree.blocks == n >> K
-    for levels in (tree.low, tree.img, tree.rag):
+    for levels in (tree.full, tree.img, tree.rag):
         assert levels[:K] == [None] * K and len(levels) >= tree.depth
-    assert tree.low[K].shape == (n >> K, 1 << K)
+    assert tree.img[K].shape[0] == n >> K
     assert tree.m0.shape == tree.pascal.shape == (1 << K, 1 << K)
     assert sum(map(nbytes, tree.pows)) == 2 * (n - (1 << K)) * 8
     monkeypatch.setattr(evalgrid, "LEAF_SIZE", 1)
     full = evalgrid.SubproductTree(Modulus(DEFAULT_PRIME), n)
-    assert full.leaf == 0 and all(low is not None for low in full.low)
+    assert full.leaf == 0 and all(img is not None for img in full.img)
     assert nbytes(list(vars(tree).values())) < nbytes(list(vars(full).values()))
+
+
+@pytest.mark.parametrize("n", [8192, 6000])
+def test_tree_keeps_one_coefficient_row_per_level(n):
+    # a level keeps its full nodes as their image only: the passes read the
+    # coefficients of the full left child of a ragged node alone, so a level
+    # keeps that one row or none, and none where n is a power of two
+    mod = Modulus(DEFAULT_PRIME)
+    tree = evalgrid._grid_tree(mod, n)
+    for k, row in enumerate(tree.full):
+        assert row is None or row.shape == ((1 << k) + 1,), k
+    rows = [a for a in tree.full + tree.rag if a is not None]
+    assert (rows == []) == (n & (n - 1) == 0)
+    kept = [img for img in tree.img if img is not None] + tree.pows + rows + [tree.root]
+    if n % (1 << tree.leaf):
+        kept.append(tree.rag_mat)
+    assert mod.cache_bytes()["grid"] == (1, sum({id(a): a.nbytes for a in kept}.values()))
 
 
 def test_transposed_passes_make_few_transforms(monkeypatch):

@@ -11,6 +11,7 @@ from basisconv import (
     SingularDiagonal,
     SpecViolation,
     ZeroCoefficient,
+    evalgrid,
     modfield,
 )
 from basisconv.families import (
@@ -223,8 +224,10 @@ def test_no_roots_rows_need_no_row_loop(monkeypatch):
     # over a prime without roots of unity the float kernel takes every int64
     # size, so _convolve_rows never falls back to one _convolve per row; with
     # float images only from size 1024 on, it did so on every grid-tree level
-    # below that size, to the same outputs
+    # below that size, to the same outputs.  The trees run to their points
+    # (LEAF_SIZE = 1), so that they have levels of every size from 2 on
     n = 300
+    monkeypatch.setattr(evalgrid, "LEAF_SIZE", 1)
     looped, inside = [0], [0]
     convolve, convolve_rows = modfield._convolve, modfield._convolve_rows
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from basisconv import DEFAULT_PRIME, DimensionMismatch, Modulus, Poly, modfield
+from basisconv import DEFAULT_PRIME, DimensionMismatch, Modulus, Poly, modfield, polyops
 from basisconv.oracle import horner_compose
 from basisconv.polyops import (
+    DENSE_MIN,
     diagonal,
     find_degrees,
     lincomb,
@@ -28,6 +29,10 @@ def _matrix_of(fn, n_in, n_out, mod):
         e[j] = 1
         cols.append(fn(Poly(mod, e, n_in)).coeffs)
     return [[cols[j][i] for j in range(n_in)] for i in range(n_out)]
+
+
+def _dot(A, B):
+    return sum(x * y for x, y in zip(A.coeffs, B.coeffs)) % A.mod.p
 
 
 def _transpose_check(fwd, bwd, n_in, n_out, mod):
@@ -124,9 +129,71 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
     assert sizes[0] == sizes[1]
 
 
+# 2 * 500001 + 1: no roots of unity of order 4; above 2^31, dtype object
+NO_ROOTS_PRIME, P40 = 1000003, 1099489607681
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101, P40])
+def test_dense_shift_across_the_cut(p, monkeypatch):
+    # shifts on int64 rows at DENSE_MIN <= m <= LEAF_SIZE are one product by
+    # the Pascal matrix, the others the factorial/convolution kernel: both
+    # sides of each cut equal Horner's rule, and each transpose passes
+    # <F x, y> = <x, F^t y>; dtype-object rows never take the dense product
+    mod = Modulus(p)
+    rng = random.Random(19)
+    calls = [0]
+    dense_mul = polyops._dense_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return dense_mul(*args)
+
+    monkeypatch.setattr(polyops, "_dense_mul", counted)
+    for m in (DENSE_MIN - 1, DENSE_MIN, DENSE_MIN + 1, 255, 256, 257):
+        if m >= p:
+            continue
+        A, B = (Poly(mod, [rng.randrange(p) for _ in range(m)], m) for _ in range(2))
+        a = rng.randrange(1, p)
+        calls[0] = 0
+        shifted = taylor_shift(A, a)
+        assert shifted == horner_compose(A, Poly(mod, [a, 1], 2), m), m
+        assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), m
+        dense = mod.dtype is not object and DENSE_MIN <= m <= polyops.LEAF_SIZE
+        assert calls[0] == 2 * dense, m
+
+
+def test_warm_dense_shift_makes_no_transform(monkeypatch):
+    # a warm dense shift reads the Pascal matrix and two power rows, all
+    # kept: one GEMM, no transform and no new cache entry, both ways
+    mod = Modulus(DEFAULT_PRIME)
+    m = 128
+    rng = random.Random(20)
+    A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
+    calls = {"_transform": 0, "_dense_mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(modfield, "_transform", counted("_transform", modfield._transform))
+    monkeypatch.setattr(polyops, "_dense_mul", counted("_dense_mul", polyops._dense_mul))
+    for shift in (taylor_shift, taylor_shift_t):
+        cold = shift(A, 12345)
+        entries = len(mod._cache)
+        calls.update(_transform=0, _dense_mul=0)
+        assert shift(A, 12345) == cold
+        assert calls == {"_transform": 0, "_dense_mul": 1}
+        assert len(mod._cache) == entries
+    assert [k for k in mod._cache if k[0] == "pascal"] == [("pascal", polyops.LEAF_SIZE)]
+
+
 def test_shifts_of_one_transform_size_share_one_operand(mod101):
     # the shift series is kept per (a, transform size), built at the size's
-    # longest m, at most p - 1: every m of one size reads it, both ways
+    # longest m, at most p - 1: every m of one size past LEAF_SIZE reads it,
+    # both ways; shifts at 33 <= m <= 64 are dense and keep no series
     mod = Modulus(DEFAULT_PRIME)
     rng = random.Random(18)
     for m in (64, 40, 33):
@@ -135,7 +202,13 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101):
         _transpose_check(
             lambda B: taylor_shift(B, 7), lambda B: taylor_shift_t(B, 7), m, m, mod
         )
-    assert [k for k in mod._cache if k[0] == "shift"] == [("shift", 7, 128)]
+    assert [k for k in mod._cache if k[0] == "shift"] == []
+    for m in (1024, 700, 513):
+        A, B = (Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m) for _ in range(2))
+        shifted = taylor_shift(A, 7)
+        assert shifted == horner_compose(A, Poly(mod, [7, 1], 2), m)
+        assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, 7))
+    assert [k for k in mod._cache if k[0] == "shift"] == [("shift", 7, 2048)]
     for m in (16384, 16383):
         taylor_shift_t(taylor_shift(Poly(mod, [1] * m, m), 12345), 12345)
     keys = [k for k in mod._cache if k[:2] == ("shift", 12345)]
