@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compseq import _inverse_reduction, _leads, _prepare, eval_seq, eval_seq_inv, eval_seq_t
+from .compseq import (
+    _inverse_reduction,
+    _leads,
+    _prepare,
+    _shifts_cancel,
+    eval_seq,
+    eval_seq_inv,
+    eval_seq_t,
+)
 from .errors import SingularDiagonal, SpecViolation
 from .modfield import Modulus, Poly, _fixed_operand, _readonly, mul_trunc, mul_trunc_t
 from .polyops import diagonal, taylor_shift_t, truncate
@@ -130,16 +138,26 @@ def eval_inv_transposed(A: Poly, h_ops, n: int) -> Poly:
 
     The inverse is the reversed sequence's evaluation followed by one Taylor
     shift by -h(0) (compseq._inverse_reduction), so its transpose is the
-    transposed shift followed by the reversed sequence evaluated transposed.
+    transposed shift followed by the reversed sequence evaluated transposed;
+    where the shift cancels the sequence's leading Add(h(0))
+    (compseq._shifts_cancel), the evaluation starts after that Add instead.
     """
     mod = A.mod
     mod.check_precision(n)
     h0, rev_ops = _inverse_reduction(h_ops, n, mod)
+    if _shifts_cancel(h0, rev_ops):
+        return eval_seq_t(A, rev_ops, n, start=1)
     return eval_seq_t(taylor_shift_t(truncate(A, n), -h0 % mod.p), rev_ops, n)
 
 
 def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
-    """Exact inverse of eval_bivariate; needs every f_k nonzero (k < n)."""
+    """Exact inverse of eval_bivariate, as a list of ints; needs every f_k
+    nonzero (k < n)."""
+    return _bivariate_inv(A, spec, n, mod).coeffs
+
+
+def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
+    """eval_bivariate_inv as a Poly."""
     mod.check_precision(n)
     check_spec(spec, n, mod)
     finv, uinv, vinv = _inverse_vectors(spec, n, mod)
@@ -151,4 +169,4 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     cur = eval_inv_transposed(cur, spec.h_ops, n)
     if vinv is not None:
         cur = mul_trunc_t(cur, vinv, n)
-    return cur.coeffs
+    return cur

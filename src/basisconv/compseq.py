@@ -8,6 +8,8 @@ A -> A(g) mod x^n by structural recursion over the sequence, and provides
 the transposed and inverse maps.  The inverse evaluates the reversed
 sequence, which computes the compositional inverse of g - g(0) from the
 truncations of g, and then shifts by -g(0): no other reduction is needed.
+Where that sequence is Add(g(0)) followed by Add, Mul, Exp and Log alone, the
+shift undoes the leading Add exactly, and the evaluation starts after it.
 
 The evaluation reads the truncations only through input-independent operands,
 the unit powers of Inv and the root powers of Root: the first evaluation of a
@@ -324,87 +326,90 @@ def _kept(mod, key):
     return mod.cached(key, missing)
 
 
-def _eval_aux(A, m, n, ell, ops, mod):
-    if ell == 0:
+def _eval_aux(A, m, n, ell, ops, mod, start):
+    if ell == start:
         return truncate(A, n)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        return _eval_aux(scale(A, op.lam), m, n, lp, ops, mod)
+        return _eval_aux(scale(A, op.lam), m, n, lp, ops, mod, start)
     if isinstance(op, Add):
-        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, mod)
+        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, mod, start)
     if isinstance(op, Pow):
         B = power_subst(A, op.k)
-        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, mod)
+        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, mod, start)
     if isinstance(op, Inv):
         B = reverse(A)
-        C = _eval_aux(B, m, n, lp, ops, mod)
+        C = _eval_aux(B, m, n, lp, ops, mod, start)
         return mul_trunc(C, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
         powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
         parts = split(A, op.k)
         outs = [
-            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, mod)
+            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, mod, start)
             for i in range(op.k)
         ]
         return lincomb(outs, powers, n)
     if isinstance(op, Exp):
-        return _eval_aux(exp_map(A, n), n, n, lp, ops, mod)
+        return _eval_aux(exp_map(A, n), n, n, lp, ops, mod, start)
     if isinstance(op, Log):
-        return _eval_aux(log_map(A, n), n, n, lp, ops, mod)
+        return _eval_aux(log_map(A, n), n, n, lp, ops, mod, start)
     raise TypeError(f"unknown operator {op!r}")
 
 
-def eval_seq(A: Poly, ops, n: int) -> Poly:
+def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
     """A(g) mod x^n where g is the series output by the sequence; raises as
-    compute_g does where the sequence is not defined at precision n."""
+    compute_g does where the sequence is not defined at precision n.  With
+    start = s, only the operators after the first s run, as though g_s
+    were x: the B with B(g_s) = A(g) mod x^n where they are all Add, Mul, Exp
+    or Log (compseq._shifts_cancel)."""
     mod = A.mod
     _prepare(ops, n, mod)
-    return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod)
+    return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod, start)
 
 
-def _eval_aux_t(A, m, n, ell, ops, mod):
-    if ell == 0:
+def _eval_aux_t(A, m, n, ell, ops, mod, start):
+    if ell == start:
         return truncate(A, m)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        B = _eval_aux_t(A, m, n, lp, ops, mod)
+        B = _eval_aux_t(A, m, n, lp, ops, mod, start)
         return scale(B, op.lam)
     if isinstance(op, Add):
-        B = _eval_aux_t(A, m, n, lp, ops, mod)
+        B = _eval_aux_t(A, m, n, lp, ops, mod, start)
         return taylor_shift_t(B, op.a)
     if isinstance(op, Pow):
-        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, mod)
+        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, mod, start)
         return power_subst_t(B, op.k, m)
     if isinstance(op, Inv):
         B = mul_trunc_t(A, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
-        C = _eval_aux_t(B, m, n, lp, ops, mod)
+        C = _eval_aux_t(B, m, n, lp, ops, mod, start)
         return reverse(C)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
         powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
         parts = lincomb_t(A, powers)
         outs = [
-            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, mod)
+            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, mod, start)
             for i in range(op.k)
         ]
         return split_t(outs, m)
     if isinstance(op, Exp):
-        B = _eval_aux_t(A, n, n, lp, ops, mod)
+        B = _eval_aux_t(A, n, n, lp, ops, mod, start)
         return exp_map_t(B, m)
     if isinstance(op, Log):
-        B = _eval_aux_t(A, n, n, lp, ops, mod)
+        B = _eval_aux_t(A, n, n, lp, ops, mod, start)
         return log_map_t(B, m)
     raise TypeError(f"unknown operator {op!r}")
 
 
-def eval_seq_t(A: Poly, ops, n: int) -> Poly:
-    """Transpose of eval_seq(., ops, n)."""
+def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
+    """Transpose of eval_seq(., ops, n, start)."""
     mod = A.mod
     _prepare(ops, n, mod)
-    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod)
+    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod, start)
 
 
 def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
@@ -483,11 +488,24 @@ def _reduction(ops, truncs, mod):
     return g0, ((Add(g0),) + rev if g0 else rev)
 
 
+def _shifts_cancel(g0, rev_ops):
+    """Whether the shift by -g0 after rev_ops undoes its leading Add(g0)
+    exactly, so that the evaluation can start after that Add (eval_seq's
+    start = 1).  It does where every operator is Add, Mul, Exp or Log: each
+    maps K[x]_n to itself before the inner evaluation, with no product after
+    it (Inv, Root) and no change of dimension (Pow), so the evaluation is
+    T_g0 of the one that starts after the Add, and T_-g0 T_g0 is the identity
+    on K[x]_n."""
+    return g0 != 0 and all(isinstance(op, (Add, Mul, Exp, Log)) for op in rev_ops)
+
+
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
     mod = A.mod
     mod.check_precision(n)
     g0, rev_ops = _inverse_reduction(ops, n, mod)
+    if _shifts_cancel(g0, rev_ops):
+        return eval_seq(A, rev_ops, n, start=1)
     return taylor_shift(eval_seq(truncate(A, n), rev_ops, n), -g0 % mod.p)
 
 

@@ -1,6 +1,14 @@
 """Multipoint evaluation and interpolation at the grid 0..n-1, their
 transposes, and the four maps evaluating polynomials at exp(x)-1 / log(1+x).
 
+On K[x]_n with n <= LEAF_SIZE, on int64 rows, each of the four exp/log maps is
+one exact GEMM (modfield._dense_mul) by the top-left n x n block of a matrix
+kept once per modulus and kind, E[j, k] = [x^k] (e^x - 1)^j or
+L[j, k] = [x^k] log(1 + x)^j, built from the Stirling numbers (_stirling), and
+their transposes read its transpose.  From n = LEAF_SIZE + 1, and on
+dtype-object rows, they are a Taylor shift, a product by 1/D and a pass over
+the grid tree below (Bostan & Schost, J. Complexity 21, 2005).
+
 The four grid maps run on one subproduct tree per n, O(M(n) log n), worked one
 level at a time.  Level k holds the products of (x - i) over the blocks
 [j s, (j+1) s) ∩ [0, n), s = 2^k: all monic of degree s but at most one ragged
@@ -74,6 +82,7 @@ from .modfield import (
     _image_mul_add,
     _mul_fixed,
     _prefix_products,
+    _readonly,
     _residues,
 )
 from .polyops import LEAF_SIZE, _pascal, diagonal, taylor_shift, taylor_shift_t, truncate
@@ -369,10 +378,47 @@ def interp_grid_t(A: Poly):
 # -- evaluation at exp(x)-1 and log(1+x) ----------------------------------
 
 
+def _stirling(mod: Modulus, kind, n):
+    """The top-left n x n block, read-only, of the float64 matrix of exp_map
+    (kind "exp"), E[j, k] = [x^k] (e^x - 1)^j = j! S(k, j) / k!, or of log_map
+    ("log"), L[j, k] = [x^k] log(1 + x)^j = j! s(k, j) / k!, with S and s the
+    Stirling numbers of the second and signed first kind: one kept per kind at
+    b = min(LEAF_SIZE, p), so that the factorials below b exist."""
+
+    def build():
+        p, b = mod.p, min(LEAF_SIZE, mod.p)
+        j = np.arange(b)
+        S = np.zeros((b, b), dtype=np.int64)
+        S[0, 0] = 1
+        for k in range(1, b):
+            # S(k, j) = S(k-1, j-1) + j S(k-1, j), s(k, j) = s(k-1, j-1) - (k-1) s(k-1, j)
+            S[k, 1:] = S[k - 1, :-1]
+            S[k] = (S[k] + (j if kind == "exp" else 1 - k) * S[k - 1]) % p
+        fact, inv_fact = mod.table("factorials", b), mod.table("inv_factorials", b)
+        return _readonly((fact[:, None] * S.T % p * inv_fact % p).astype(np.float64))
+
+    return mod.cached(("stirling", kind), build)[:n, :n]
+
+
+def _dense(mod: Modulus, n):
+    """Whether the maps on K[x]_n are one product by a block of a kept Stirling
+    matrix (_stirling): on int64 rows with n <= LEAF_SIZE."""
+    return mod.dtype is not object and n <= LEAF_SIZE
+
+
+def _stirling_mul(A: Poly, kind, transposed):
+    """A times the matrix _stirling(kind) of dim(A), or its transpose: one
+    exact GEMM (modfield._dense_mul)."""
+    M = _stirling(A.mod, kind, A.dim)
+    return Poly.of(A.mod, _dense_mul(A.mod, A.arr[None], M.T if transposed else M)[0])
+
+
 def exp_map(A: Poly, n: int) -> Poly:
     """A(exp(x) - 1) mod x^n."""
     mod = A.mod
     mod.check_precision(n)
+    if _dense(mod, n):
+        return _stirling_mul(truncate(A, n), "exp", False)
     B = taylor_shift(truncate(A, n), mod.p - 1)
     C = multieval_grid_t(mod, B.arr)
     return diagonal(C, mod.table("inv_factorials", n))
@@ -382,6 +428,8 @@ def log_map(A: Poly, n: int) -> Poly:
     """A(log(1 + x)) mod x^n."""
     mod = A.mod
     mod.check_precision(n)
+    if _dense(mod, n):
+        return _stirling_mul(truncate(A, n), "log", False)
     B = diagonal(truncate(A, n), mod.table("factorials", n))
     return taylor_shift(Poly.of(mod, interp_grid_t(B)), 1)
 
@@ -391,6 +439,8 @@ def exp_map_t(A: Poly, m: int) -> Poly:
     mod = A.mod
     n = A.dim
     mod.check_precision(n)
+    if _dense(mod, n):
+        return truncate(_stirling_mul(A, "exp", True), m)
     B = diagonal(A, mod.table("inv_factorials", n))
     C = taylor_shift_t(Poly.of(mod, multieval_grid(B)), mod.p - 1)
     return truncate(C, m)
@@ -401,6 +451,8 @@ def log_map_t(A: Poly, m: int) -> Poly:
     mod = A.mod
     n = A.dim
     mod.check_precision(n)
+    if _dense(mod, n):
+        return truncate(_stirling_mul(A, "log", True), m)
     B = taylor_shift_t(A, 1)
     C = interp_grid(mod, B.arr)
     return truncate(diagonal(C, mod.table("factorials", n)), m)

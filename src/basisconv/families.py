@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import BivariateSpec, eval_bivariate, eval_bivariate_inv
+from .bivariate import BivariateSpec, _bivariate_inv, eval_bivariate
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
 from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoefficient
 from .modfield import (
@@ -644,5 +644,4 @@ def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
     as a list of ints."""
     cs, _ = _prefactors(fam, n, mod)
-    b = eval_bivariate_inv(A, fam.spec, n, mod)
-    return (np.asarray(b, dtype=mod.dtype) * cs % mod.p).tolist()
+    return (_bivariate_inv(A, fam.spec, n, mod).arr * cs % mod.p).tolist()

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from basisconv import (
+    DEFAULT_PRIME,
     Add,
     BivariateSpec,
     Inv,
+    Modulus,
     Mul,
     NotInvertible,
     Poly,
@@ -17,8 +19,11 @@ from basisconv import (
     eval_bivariate_inv,
     eval_inv_transposed,
     eval_seq,
+    eval_seq_inv,
+    parse_sequence,
 )
-from basisconv.families import parse_family
+from basisconv import compseq, polyops
+from basisconv.families import from_monomial, parse_family, to_monomial
 from basisconv.oracle import bivariate_matrix, matrix_inverse, matvec
 
 
@@ -146,3 +151,40 @@ def test_singular_diagonal(mod):
     fam = parse_family(mod, "spread")
     with pytest.raises(SingularDiagonal):
         eval_bivariate_inv(Poly(mod, [1, 2, 3], 3), fam.spec, 3, mod)
+
+
+@pytest.mark.parametrize("text", ["E;A:1", "M:3;L;A:2;M:5", "A:1;Inv"])
+def test_inverse_maps_where_the_reduction_shifts_cancel(mod, text):
+    # where the reversed sequence has Add, Mul, Exp and Log alone, the
+    # inverse and its transpose start after its leading Add(g(0)) instead of
+    # shifting by g(0) and back; with an Inv they still shift
+    n = 64
+    ops = parse_sequence(text, mod)
+    assert compseq._shifts_cancel(*compseq._inverse_reduction(ops, n, mod)) == ("Inv" not in text)
+    rng = random.Random(17)
+    A, B = (Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n) for _ in range(2))
+    assert eval_seq_inv(eval_seq(A, ops, n), ops, n) == A
+    lhs = sum(a * b for a, b in zip(eval_seq_inv(A, ops, n).coeffs, B.coeffs))
+    rhs = sum(a * b for a, b in zip(A.coeffs, eval_inv_transposed(B, ops, n).coeffs))
+    assert lhs % mod.p == rhs % mod.p
+
+
+@pytest.mark.parametrize("n", [64, 16384])
+def test_jacobi_inverse_makes_one_forward_shift(n, monkeypatch):
+    # jacobi's g = x + 1 reverses into (Add(1), Add(-1)): from_monomial makes
+    # the one shift by -1 on K[x]_n, not also the shift by 1 and back
+    mod = Modulus(DEFAULT_PRIME)
+    fam = parse_family(mod, "jacobi(alpha=3,beta=5)")
+    rng = random.Random(18)
+    a = [rng.randrange(mod.p) for _ in range(n)]
+    A = to_monomial(a, fam, n, mod)
+    shifts, kernel = [], polyops._shift_kernel
+
+    def counted(P, shift, transposed):
+        if not transposed and P.dim == n:
+            shifts.append(shift)
+        return kernel(P, shift, transposed)
+
+    monkeypatch.setattr(polyops, "_shift_kernel", counted)
+    assert from_monomial(A, fam, n, mod) == a
+    assert shifts == [mod.p - 1]

@@ -178,20 +178,21 @@ def test_threads_grow_tables_once():
     assert mod.inverses(4000) == ref.inverses(4000)
 
 
+def _convert_all(mod, vectors, n):
+    out = {}
+    for name, a in vectors.items():
+        A = to_monomial(a, parse_family(mod, name), n, mod)
+        out[name] = (A.coeffs, from_monomial(A, parse_family(mod, name), n, mod))
+    return out
+
+
 def test_threads_share_one_modulus(monkeypatch):
-    n = 256
+    # above LEAF_SIZE the Exp/Log maps run on grid trees, each built once
+    n = 512
     names = ["bell", "jacobi(alpha=3,beta=5)"]
     rng = random.Random(9)
     vectors = {name: _random_vector(rng, Modulus(DEFAULT_PRIME), n) for name in names}
-
-    def convert(mod):
-        out = {}
-        for name, a in vectors.items():
-            A = to_monomial(a, parse_family(mod, name), n, mod)
-            out[name] = (A.coeffs, from_monomial(A, parse_family(mod, name), n, mod))
-        return out
-
-    want = convert(Modulus(DEFAULT_PRIME))
+    want = _convert_all(Modulus(DEFAULT_PRIME), vectors, n)
     assert all(back == vectors[name] for name, (_, back) in want.items())
 
     builds = []
@@ -203,9 +204,19 @@ def test_threads_share_one_modulus(monkeypatch):
 
     monkeypatch.setattr(evalgrid.SubproductTree, "__init__", counted_init)
     mod = Modulus(DEFAULT_PRIME)
-    assert _run_threads(lambda: convert(mod)) == [want] * 4
+    assert _run_threads(lambda: _convert_all(mod, vectors, n)) == [want] * 4
     trees = [v for v in mod._cache.values() if isinstance(v, evalgrid.SubproductTree)]
     assert builds and len(builds) == len(trees)
+
+    # at n = 256 they read the kept Stirling matrices, one entry per kind
+    n = 256
+    vectors = {"bell": _random_vector(rng, mod, n)}
+    want = _convert_all(Modulus(DEFAULT_PRIME), vectors, n)
+    mod = Modulus(DEFAULT_PRIME)
+    assert _run_threads(lambda: _convert_all(mod, vectors, n)) == [want] * 4
+    assert sorted(k for k in mod._cache if k[0] == "stirling") == [
+        ("stirling", "exp"), ("stirling", "log"),
+    ]
 
 
 def test_threads_build_and_drop_truncations_once(monkeypatch):
@@ -319,3 +330,22 @@ def test_one_pascal_matrix_per_modulus():
             from_monomial(to_monomial(_random_vector(rng, mod, n), fam, n, mod), fam, n, mod)
     assert [k for k in mod._cache if k[0] == "pascal"] == [("pascal", polyops.LEAF_SIZE)]
     assert mod.cache_bytes()["pascal"] == (1, 8 * polyops.LEAF_SIZE**2)
+
+
+def test_one_stirling_matrix_per_kind_per_modulus():
+    # the Exp/Log maps up to LEAF_SIZE read the top-left blocks of one matrix
+    # per kind, kept at LEAF_SIZE; above it they build no such matrix
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(15)
+    for n in (64, 256, 8192):
+        for name in ("bell", "falling"):
+            fam = parse_family(mod, name)
+            from_monomial(to_monomial(_random_vector(rng, mod, n), fam, n, mod), fam, n, mod)
+    assert sorted(k for k in mod._cache if k[0] == "stirling") == [
+        ("stirling", "exp"), ("stirling", "log"),
+    ]
+    assert mod.cache_bytes()["stirling"] == (2, 2 * 8 * polyops.LEAF_SIZE**2)
+    big = Modulus(DEFAULT_PRIME)
+    fam = parse_family(big, "bell")
+    from_monomial(to_monomial(_random_vector(rng, big, 8192), fam, 8192, big), fam, 8192, big)
+    assert "stirling" not in big.cache_bytes()

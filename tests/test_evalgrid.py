@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from basisconv.evalgrid import (
     multieval_grid,
     multieval_grid_t,
 )
+from basisconv.families import from_monomial, parse_family, to_monomial
 from basisconv.oracle import stirling_matrices
 
 # 29 * 2^57 + 1: prime, above 2^31, so the NTT runs on rows of Python ints
@@ -410,3 +412,79 @@ def test_trivial_dimension_one(mod101):
     assert log_map(A, 1).coeffs == [7]
     assert exp_map_t(A, 1).coeffs == [7]
     assert log_map_t(A, 1).coeffs == [7]
+
+
+def _map_matrix(fn, mod, n):
+    """Row j: fn(x^j, n), the matrix of a map on K[x]_n."""
+    return np.array([fn(Poly(mod, [0] * j + [1], n), n).coeffs for j in range(n)], dtype=object)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101])
+def test_dense_maps_across_the_cut(p, monkeypatch):
+    # up to LEAF_SIZE the four maps are one product by a block of a kept
+    # Stirling matrix; they equal E[j, k] = j! S(k, j) / k! and
+    # L[j, k] = j! s(k, j) / k! from the oracle, the transposes their
+    # transposes, and on random inputs the tree path, forced at the same n
+    mod = Modulus(p)
+    rng = random.Random(54)
+    sizes = [n for n in (1, 2, 31, 32, 255, 256, 257) if n < p]
+    top = sizes[-1]
+    s, S = (np.array(M, dtype=object) for M in stirling_matrices(mod, top))
+    fact = np.array(mod.factorials(top), dtype=object)
+    inv_fact = np.array(mod.inv_factorials(top), dtype=object)
+    E, L = (fact[:, None] * M.T * inv_fact[None, :] % p for M in (S, s))
+    for n in sizes:
+        for fwd, bwd, want in ((exp_map, exp_map_t, E), (log_map, log_map_t, L)):
+            assert _map_matrix(fwd, mod, n).tolist() == want[:n, :n].tolist(), (fwd.__name__, n)
+            assert _map_matrix(bwd, mod, n).tolist() == want[:n, :n].T.tolist(), (bwd.__name__, n)
+            xs = [Poly(mod, [rng.randrange(p) for _ in range(n)], n) for _ in range(3)]
+            dense = [fn(x, n) for fn in (fwd, bwd) for x in xs]
+            with monkeypatch.context() as m:
+                m.setattr(evalgrid, "_dense", lambda mod, n: False)
+                assert [fn(x, n) for fn in (fwd, bwd) for x in xs] == dense, (fwd.__name__, n)
+    assert mod.cache_bytes()["stirling"] == (2, 2 * 8 * min(evalgrid.LEAF_SIZE, p) ** 2)
+
+
+@pytest.mark.parametrize("n", [32, 200, 256])
+def test_dense_maps_pair_with_their_transposes(n):
+    # <F x, y> = <x, F^t y> for F: K[x]_m -> K[x]_n, m on both sides of n
+    mod = Modulus(DEFAULT_PRIME)
+    p = mod.p
+    rng = random.Random(52)
+    for m in (n - 7, n, n + 9):
+        for fwd, bwd in ((exp_map, exp_map_t), (log_map, log_map_t)):
+            x, y = ([rng.randrange(p) for _ in range(d)] for d in (m, n))
+            lhs = _dot(fwd(Poly(mod, x, m), n).coeffs, y, p)
+            assert lhs == _dot(x, bwd(Poly(mod, y, n), m).coeffs, p), (fwd.__name__, m)
+
+
+def test_warm_dense_maps_make_no_transform(monkeypatch):
+    # a warm transposed map at n <= LEAF_SIZE is one GEMM and no transform;
+    # round trips of families with Exp or Log build no grid tree there
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(53)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(modfield, "_transform", counted("transform", modfield._transform))
+    monkeypatch.setattr(evalgrid, "_dense_mul", counted("dense", evalgrid._dense_mul))
+    for n in (64, 256):
+        A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
+        for fn in (exp_map_t, log_map_t):
+            fn(A, n)
+            calls.clear()
+            size = len(mod._cache)
+            fn(A, n)
+            assert calls == {"dense": 1} and len(mod._cache) == size, (fn.__name__, n)
+    for name in ("bell", "falling", "charlier(a=2)"):
+        for n in (64, 256):
+            fam = parse_family(mod, name)
+            a = [rng.randrange(mod.p) for _ in range(n)]
+            assert from_monomial(to_monomial(a, fam, n, mod), fam, n, mod) == a
+    assert not [k for k in mod._cache if k[0] in ("grid", "grid leaf")]

@@ -93,7 +93,7 @@ def test_taylor_shift_across_primes(p):
         A = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
         B = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
         a = rng.randrange(p)
-        g = Poly(mod, [a, 1], max(m, 2))   # x + a
+        g = Poly(mod, [a, 1], 2)   # x + a
         shifted = taylor_shift(A, a)
         assert shifted == horner_compose(A, g, m)
         lhs = sum(x * y for x, y in zip(shifted.coeffs, B.coeffs)) % p
