@@ -29,7 +29,8 @@ principle; Bostan, Lecerf & Schost, ISSAC 2003):
 - combine_t, top-down: a child takes W[j + h] + sum_t low_S[t] W[t + j], j < h,
   from its parent's W, S its sibling.  That middle product wraps into none of
   the coefficients it reads at cyclic size s, where W read backwards
-  (modfield._backwards) times the sibling's kept image gives it reversed.
+  (modfield._backwards) times the sibling's kept image gives it reversed;
+  one image of W meets the images of both children.
 
 Both passes stop at the leaf level K = log2 b, b = min(LEAF_SIZE, 2^depth), on
 int64 rows; on dtype-object rows b = 1 and they run to the points.  On the
@@ -268,7 +269,7 @@ class SubproductTree:
         for k in range(self.leaf + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             il, ir = _pairs(self.img[k - 1], nf)
-            vl, vr = _pairs(_image(mod, v[: 2 * nf], s), nf)
+            vl, vr = _pairs(_image(mod, v[: 2 * nf], s, "image"), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
             cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
@@ -294,10 +295,11 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                img = self.img[k - 1][: 2 * nf]
-                wimg = np.repeat(_image(mod, _backwards(w[:nf], s, h), s), 2, axis=0)
-                # row 2i correlates with the left child: W_R of node i
-                mid = _image_coeffs(mod, _image_mul(mod, wimg, img), h)[:, ::-1]
+                wimg = _image(mod, _backwards(w[:nf], s, h), s, "image")
+                # row i of wimg meets both children of node i, and row 2i of
+                # the product, with the left child, is W_R of node i
+                mid = _image_coeffs(mod, _image_mul(mod, wimg, self.img[k - 1][: 2 * nf]), h)
+                mid = mid[:, ::-1]
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
                 nxt[1 : 2 * nf : 2] = mid[0::2] + w[:nf, h:]
             r = n % s

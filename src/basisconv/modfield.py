@@ -38,6 +38,18 @@ tree) take one float64 matrix product of their limbs (_dense_mul), exact
 while its partial sums stay below 2^53 (_dense_exact); it too rests on the
 numpy build, and dense_product_agrees checks it as float_kernel_agrees checks
 the float FFT.
+
+The float kernel writes the transient arrays of a product into work arrays
+that each thread keeps and reuses (_work_array): the limb rows (_limbs, which
+_dense_mul reads too), the spectra of its operands, its class spectra with
+their temporaries, and its class coefficients, on which the recombination
+runs in place.  They grow only, to the largest product the thread has run,
+so warm products map no fresh pages.  Kept images (_fixed_operand, the levels
+of evalgrid's trees), every row array a product returns and every cached
+value are fresh arrays, never work arrays.  After a warm pass of each of the
+benchmark's workloads a thread holds (work_bytes) 0.11 MB on catalog_small
+(n <= 256), 1.8 MB on sheffer_large (n = 8192) and 7.3 MB on algebraic_large
+(n = 16384).
 """
 
 from __future__ import annotations
@@ -469,9 +481,9 @@ def _convolve_rows(mod: Modulus, A, B):
 
 
 def _product_image(mod: Modulus, A, B, size):
-    """The product image at size of the rows of A and B.  Neither image
-    outlives the call."""
-    return _image_mul(mod, _image(mod, A, size), _image(mod, B, size))
+    """The product image at size of the rows of A and B, whose images are
+    work arrays (_work_array) that do not outlive the call."""
+    return _image_mul(mod, _image(mod, A, size, "image"), _image(mod, B, size, "image2"))
 
 
 # Images: rows in the transform domain of the products mod x^size - 1.  An
@@ -483,10 +495,12 @@ def _product_image(mod: Modulus, A, B, size):
 # product image (_image_mul) is what _image_coeffs turns back into rows.
 
 
-def _image(mod: Modulus, A, size):
-    """The image of the coefficient rows of A, each of length <= size."""
+def _image(mod: Modulus, A, size, slot=None):
+    """The image of the coefficient rows of A, each of length <= size.  A
+    float image is fresh, or given a slot, the calling thread's work array of
+    that slot (_work_array), for a product to read before the next one."""
     if _float(mod, size):
-        return _transform(mod, _limbs(A), size)
+        return _transform(mod, _limbs(A), size, None, slot)
     if size <= mod.max_ntt_len:
         return _transform(mod, A, size)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
@@ -502,9 +516,12 @@ def _image_size(X):
 
 def _image_mul(mod: Modulus, X, Y):
     """Row-wise product of two images of one kind, that is of their rows mod
-    x^size - 1."""
+    x^size - 1.  Where Y has m times as many rows as X, row i of X multiplies
+    rows i m to i m + m - 1 of Y.  A float product image is a work array."""
     if X.ndim == 3:
         return _class_spectra([(X, Y)])
+    if 0 < len(X) < len(Y):
+        X = np.repeat(X, len(Y) // len(X), axis=0)
     size = X.shape[1]
     if size <= mod.max_ntt_len:
         # int64: a pointwise product of two residues < 2^31 stays below 2^62
@@ -544,14 +561,16 @@ def _image_coeffs(mod: Modulus, X, out_len):
     return X[:, :out_len]
 
 
-def _transform(mod: Modulus, X, size, out_len=None):
+def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     """The one entry to the transforms, of the kind X carries: the image of
     the rows X, residue rows (2-D) to NTT rows and limb rows (3-D, _limbs) to
-    their float spectra; or, given out_len, the first out_len coefficients of
-    the rows of the product image X."""
+    their float spectra, these in the work array of slot if one is given; or,
+    given out_len, the first out_len coefficients of the rows of the product
+    image X."""
     if X.ndim == 3:
         if out_len is None:
-            return np.fft.rfft(X, size, axis=-1)
+            out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
+            return np.fft.rfft(X, size, axis=-1, out=out)
         return _limb_coeffs(mod.p, X, size, out_len)
     if out_len is None:
         return _ntt_numpy(mod, X, size, False)
@@ -583,9 +602,9 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
     size = _image_size(fixed)
     if transposed:
-        X = _image(mod, _backwards(a[None], size, out_len), size)
+        X = _image(mod, _backwards(a[None], size, out_len), size, "image")
         return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0, ::-1]
-    X = _image(mod, a[None], size)
+    X = _image(mod, a[None], size, "image")
     return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
 
 
@@ -646,60 +665,135 @@ FLOAT_MAX_SIZE = 1 << max(
 )
 
 
+# Work arrays.  The transient arrays of a product, its limb rows, the spectra
+# of its operands, its class spectra with their temporaries and its class
+# coefficients, are written into arrays each thread keeps (_work_array).  They
+# grow only, to the largest product the thread has run, so repeated products
+# reuse memory already mapped instead of faulting in fresh pages.  A slot names
+# one kind of array and the buffer it lives in: slots on one buffer are never
+# live at once within a product.  The limb rows are transformed before the
+# class spectra are made, and the first operand's spectra are read before its
+# class coefficients are written.  Images that callers keep and every row array
+# a product returns are fresh.
+_WORK_SLOTS = {
+    "limbs": (0, np.float64),
+    "classes": (0, np.complex128),
+    "image": (1, np.complex128),
+    "coeffs": (1, np.float64),
+    "image2": (2, np.complex128),
+    "term": (3, np.complex128),
+}
+
+# The most views a thread keeps at once; past it they are dropped and made
+# again on use.
+WORK_VIEWS_MAX = 256
+
+
+class _Work(threading.local):
+    """One thread's work buffers, by number, and its views of them, by (slot,
+    shape)."""
+
+    def __init__(self):
+        self.buffers = {}
+        self.views = {}
+
+
+_work = _Work()
+
+
+def _work_array(slot, shape):
+    """The calling thread's work array of slot at shape, of the slot's dtype,
+    with whatever content its last use left."""
+    try:
+        return _work.views[slot, shape]
+    except KeyError:
+        pass
+    number, dtype = _WORK_SLOTS[slot]
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = _work.buffers.get(number)
+    if buf is None or buf.nbytes < nbytes:
+        # 16-byte aligned, as complex128 needs
+        _work.buffers[number] = buf = np.empty(-(-nbytes // 16), np.complex128).view(np.uint8)
+        old = _work.views.items()
+        _work.views = {k: v for k, v in old if _WORK_SLOTS[k[0]][0] != number}
+    if len(_work.views) >= WORK_VIEWS_MAX:
+        _work.views.clear()
+    view = _work.views[slot, shape] = buf[:nbytes].view(dtype).reshape(shape)
+    return view
+
+
+def work_bytes():
+    """The bytes the calling thread's work arrays hold."""
+    return sum(buf.nbytes for buf in _work.buffers.values())
+
+
 def _limbs(A):
     """The balanced limb rows of the residue rows A, the input of a float
-    image (_transform): shape (rows, 3, A.shape[1])."""
-    f = A.astype(np.float64)
-    limbs = np.empty((A.shape[0], 3, A.shape[1]))
-    base = float(1 << LIMB_BITS)
+    image (_transform): shape (rows, 3, A.shape[1]), a work array."""
+    limbs = _work_array("limbs", (A.shape[0], 3, A.shape[1]))
+    inv_base, base = 1.0 / (1 << LIMB_BITS), float(1 << LIMB_BITS)
+    np.copyto(limbs[:, 0], A)
     for k in range(2):
-        # exact in doubles: a limb is f minus the nearest multiple of 2^11
-        hi = np.rint(f / base)
-        limbs[:, k] = f - hi * base
-        f = hi
-    limbs[:, 2] = f
+        # exact in doubles: limb k is f minus the nearest multiple hi 2^11 of
+        # f, and hi, the next f, goes to row k + 1
+        f, hi = limbs[:, k], limbs[:, k + 1]
+        np.multiply(f, inv_base, out=hi)
+        np.rint(hi, out=hi)
+        hi *= base
+        f -= hi
+        hi *= inv_base
     return limbs
 
 
 def _class_spectra(pairs):
     """The product image of the sum over pairs (X, Y) of float images of
-    the products X Y: the spectra of the classes c_0..c_4."""
-    (X, Y), *more = pairs
-    size = _image_size(X)
-    assert fft_error_bound(size, len(pairs)) <= FFT_ERROR_MAX, (size, len(pairs))
-    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
-    y0, y1, y2 = Y[:, 0], Y[:, 1], Y[:, 2]
-    Z = np.empty((max(len(X), len(Y)), 5, X.shape[2]), dtype=np.complex128)
-    np.multiply(x0, y0, out=Z[:, 0])
-    np.multiply(x0, y1, out=Z[:, 1])
-    Z[:, 1] += x1 * y0
-    np.multiply(x0, y2, out=Z[:, 2])
-    Z[:, 2] += x1 * y1
-    Z[:, 2] += x2 * y0
-    np.multiply(x1, y2, out=Z[:, 3])
-    Z[:, 3] += x2 * y1
-    np.multiply(x2, y2, out=Z[:, 4])
-    for U, V in more:
+    the products X Y: the spectra of the classes c_0..c_4, a work array.
+    Where Y has m times as many rows as X, the same m for every pair, row i
+    of X multiplies rows i m to i m + m - 1 of Y."""
+    X, Y = pairs[0]
+    rows, f = max(len(X), len(Y)), X.shape[-1]
+    assert fft_error_bound(2 * (f - 1), len(pairs)) <= FFT_ERROR_MAX, (f, len(pairs))
+    Z, T = _work_array("classes", (rows, 5, f)), _work_array("term", (rows, f))
+    if 0 < len(X) < len(Y):
+        # (rows / m, 1) against (rows / m, m): each row of X serves m rows
+        lead = (len(X), len(Y) // len(X))
+        Z, T = Z.reshape(lead + (5, f)), T.reshape(lead + (f,))
+        pairs = [(X[:, None], Y.reshape(lead + (3, f))) for X, Y in pairs]
+    z = [Z[..., k, :] for k in range(5)]
+    for n, (X, Y) in enumerate(pairs):
+        ys = [Y[..., j, :] for j in range(3)]
         for i in range(3):
-            for j in range(3):
-                Z[:, i + j] += U[:, i] * V[:, j]
-    return Z
+            x = X[..., i, :]
+            for j, y in enumerate(ys):
+                # (i, j) with i = 0 or j = 2 is the first term of class i + j
+                if n == 0 and (i == 0 or j == 2):
+                    np.multiply(x, y, out=z[i + j])
+                else:
+                    np.multiply(x, y, out=T)
+                    z[i + j] += T
+    return Z.reshape(rows, 5, f)
 
 
 def _limb_coeffs(p, Z, size, out_len):
     """The first out_len coefficients mod p of the rows of the float product
     image Z."""
-    c = np.fft.irfft(Z, size, axis=-1)[..., :out_len]
+    c = np.fft.irfft(Z, size, axis=-1, out=_work_array("coeffs", Z.shape[:2] + (size,)))
+    c = c[..., :out_len]
     np.rint(c, out=c)
-    # Horner in doubles: acc <= p and |c_k| < 2^42 keep every value below
-    # 2^53, so each step is exact; floor(t / p) is off by one only where p
-    # divides t, which leaves acc = p, mapped to 0 at the end
+    # Horner in doubles, in place on c_4: acc <= p and |c_k| < 2^42 keep
+    # every value below 2^53, so each step is exact; floor(t / p) is off by
+    # one only where p divides t, which leaves acc = p, mapped to 0 at the
+    # end.  Once added, c_k holds the step's multiple of p
     pinv, base = 1.0 / p, float(1 << LIMB_BITS)
-    acc = c[:, 4].copy()
+    acc = c[:, 4]
     for k in (3, 2, 1, 0):
         acc *= base
         acc += c[:, k]
-        acc -= np.floor(acc * pinv) * p
+        t = c[:, k]
+        np.multiply(acc, pinv, out=t)
+        np.floor(t, out=t)
+        t *= p
+        acc -= t
     out = acc.astype(np.int64)
     out[out == p] = 0
     return out

@@ -187,14 +187,11 @@ def _convert_all(mod, vectors, n):
 
 
 def test_threads_share_one_modulus(monkeypatch):
-    # above LEAF_SIZE the Exp/Log maps run on grid trees, each built once
-    n = 512
+    # above LEAF_SIZE the Exp/Log maps run on grid trees, each built once;
+    # at n = 4096 products up to size 8192 run through each thread's own
+    # work arrays (modfield._work_array)
     names = ["bell", "jacobi(alpha=3,beta=5)"]
     rng = random.Random(9)
-    vectors = {name: _random_vector(rng, Modulus(DEFAULT_PRIME), n) for name in names}
-    want = _convert_all(Modulus(DEFAULT_PRIME), vectors, n)
-    assert all(back == vectors[name] for name, (_, back) in want.items())
-
     builds = []
     init = evalgrid.SubproductTree.__init__
 
@@ -203,10 +200,15 @@ def test_threads_share_one_modulus(monkeypatch):
         init(self, mod, n)
 
     monkeypatch.setattr(evalgrid.SubproductTree, "__init__", counted_init)
-    mod = Modulus(DEFAULT_PRIME)
-    assert _run_threads(lambda: _convert_all(mod, vectors, n)) == [want] * 4
-    trees = [v for v in mod._cache.values() if isinstance(v, evalgrid.SubproductTree)]
-    assert builds and len(builds) == len(trees)
+    for n in (512, 4096):
+        vectors = {name: _random_vector(rng, Modulus(DEFAULT_PRIME), n) for name in names}
+        want = _convert_all(Modulus(DEFAULT_PRIME), vectors, n)
+        assert all(back == vectors[name] for name, (_, back) in want.items())
+        builds.clear()
+        mod = Modulus(DEFAULT_PRIME)
+        assert _run_threads(lambda: _convert_all(mod, vectors, n)) == [want] * 4
+        trees = [v for v in mod._cache.values() if isinstance(v, evalgrid.SubproductTree)]
+        assert builds and len(builds) == len(trees), n
 
     # at n = 256 they read the kept Stirling matrices, one entry per kind
     n = 256

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from basisconv import (
     mul_trunc_t,
     poly_mul,
 )
-from basisconv import modfield
+from basisconv import evalgrid, modfield
 from basisconv.evalgrid import LEAF_SIZE
 from basisconv.modfield import (
     _class_spectra,
@@ -369,6 +370,59 @@ def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
         calls[0] = 0
         assert product(a, fixed, n) == ref
         assert calls[0] == 2
+
+
+def test_warm_products_by_a_kept_operand_stay_small(mod):
+    # a warm product writes its transients into the thread's work arrays:
+    # a transposed product of a length-16384 row by a kept operand peaks
+    # below 4 n doubles (fresh transients took 3.7 MB)
+    n = 16384
+    rng = np.random.default_rng(61)
+    a = Poly.of(mod, rng.integers(0, mod.p, n))
+    fixed = modfield._fixed_operand(mod, rng.integers(0, mod.p, n), n)
+    want = mul_trunc_t(a, fixed, n)
+    tracemalloc.start()
+    try:
+        got = mul_trunc_t(a, fixed, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 4 * n * 8, peak
+
+
+def test_kept_images_and_results_never_alias_the_work_arrays(mod):
+    # after products at the same size by other operands, the kept images (a
+    # fixed operand's and each grid-tree level's) and every returned row
+    # array share no memory with the thread's work arrays, and hold what
+    # they held
+    n = 4096
+    rng = np.random.default_rng(62)
+    A, B, C = (Poly.of(mod, rng.integers(0, mod.p, n)) for _ in range(3))
+    fixed = modfield._fixed_operand(mod, B.arr, n)
+    tree = evalgrid._grid_tree(mod, n)
+    kept = [fixed, tree.den_fixed] + tree.img[tree.leaf :]
+    assert all(X.ndim == 3 for X in kept)
+    rows = [
+        mul_trunc(A, fixed, n).arr,
+        mul_trunc_t(A, fixed, n).arr,
+        poly_mul(A, B).arr,
+        evalgrid.multieval_grid(A),
+        evalgrid.interp_grid(mod, A.arr).arr,
+        evalgrid.multieval_grid_t(mod, A.arr).arr,
+        evalgrid.interp_grid_t(A),
+    ]
+    saved = [X.copy() for X in kept + rows]
+    other = modfield._fixed_operand(mod, C.arr, n)
+    for P in (B, C):
+        for args in ((A, other, n), (P, fixed, n), (A, P, n)):
+            mul_trunc(*args), mul_trunc_t(*args)
+        poly_mul(P, A), evalgrid.multieval_grid(P), evalgrid.interp_grid_t(P)
+    work = list(modfield._work.buffers.values())
+    assert work and modfield.work_bytes() == sum(w.nbytes for w in work)
+    for X, was in zip(kept + rows, saved):
+        assert not any(np.shares_memory(X, w) for w in work)
+        assert np.array_equal(X, was)
 
 
 def _ntt_cyclic(mod, pairs, size):

@@ -147,9 +147,9 @@ def test_series_inv_transforms_at_its_precision(mod, monkeypatch):
     sizes = []
     transform = modfield._transform
 
-    def recorded(m, X, size, out_len=None):
+    def recorded(m, X, size, *args):
         sizes.append(size)
-        return transform(m, X, size, out_len)
+        return transform(m, X, size, *args)
 
     monkeypatch.setattr(modfield, "_transform", recorded)
     rng = random.Random(28)
