@@ -17,8 +17,15 @@ from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequen
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DomainViolation
 from .families import family_names, from_monomial, parse_family, to_monomial
-from .modfield import DEFAULT_PRIME, Modulus, Poly, dense_product_agrees, float_kernel_agrees
-from .oracle import horner_compose, matvec, naive_convert, stirling_matrices
+from .modfield import DEFAULT_PRIME, Modulus, Poly
+from .oracle import (
+    dense_product_agrees,
+    float_kernel_agrees,
+    horner_compose,
+    matvec,
+    naive_convert,
+    stirling_matrices,
+)
 from .polyops import LEAF_SIZE
 
 USAGE_ERROR = 2
@@ -133,7 +140,7 @@ def cmd_bench(args):
     n = 16
     while n <= args.n_max:
         a = [rng.randrange(mod.p) for _ in range(n)]
-        to_monomial(a, fam, n, mod)       # warm caches (trees, twiddles)
+        to_monomial(a, fam, n, mod)       # warm caches (trees, kept images)
         t0 = time.perf_counter()
         to_monomial(a, fam, n, mod)
         fast_s = time.perf_counter() - t0
@@ -176,7 +183,7 @@ def cmd_selftest(args):
                   "charlier(a=2)", "mittag_leffler"]
     failures = 0
     if not float_kernel_agrees(mod):
-        print("FAIL kernel: float product differs from the NTT")
+        print("FAIL kernel: float product differs from the exact product")
         failures += 1
     if not dense_product_agrees(mod, LEAF_SIZE):
         print("FAIL kernel: dense leaf product differs from the integer product")

@@ -10,7 +10,9 @@ class DivisionByZero(AlgebraError):
 
 
 class CapacityExceeded(AlgebraError):
-    """Product length exceeds both the transform capacity and the schoolbook limit."""
+    """A product too long for the multiplication kernel.  Nothing raises it
+    any more, since every prime multiplies at every size; it stays exported
+    for callers that catch it."""
 
 
 class PrecisionExceedsModulus(AlgebraError):

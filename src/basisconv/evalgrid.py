@@ -16,10 +16,10 @@ last node.  The full nodes, as the rows of one (n // s, s) array of their
 coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
-levels, of the one kind modfield picks for their size (float limb spectra on
-int64 rows), and of their coefficients only the ragged nodes and the full
-left child of each; data derived from a tree is computed on first use and
-kept on it.
+levels, of the one kind modfield picks for their size (float limb spectra up
+to Modulus.float_max), and of their coefficients only the ragged nodes and
+the full left child of each; data derived from a tree is computed on first
+use and kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):

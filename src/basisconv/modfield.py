@@ -1,33 +1,29 @@
 """Prime-field arithmetic and the polynomial multiplication kernel.
 
-A Modulus bundles the prime with its 2-adicity and primitive root and one
-cache for input-independent data (Modulus.cached), which also holds its NTT
-tables (bit reversals, per-stage twiddles) and factorial tables.  Residues
-live in numpy arrays of dtype Modulus.dtype: int64 for p < 2^31, where a
-product of two residues stays below 2^62, and object (Python ints) for
-larger primes; the same array expressions serve both.  A Poly is a dense
-polynomial of a fixed declared dimension over one modulus: one read-only
-array of its dim coefficients in [0, p), trailing zeros included.
+A Modulus bundles the prime with the limb count and float size limit of its
+products, its factorial tables and one cache for input-independent data
+(Modulus.cached).  Residues live in numpy arrays of dtype Modulus.dtype: int64
+for p < 2^31, where a product of two residues stays below 2^62, and object
+(Python ints) for larger primes; the same array expressions serve both.  A
+Poly is a dense polynomial of a fixed declared dimension over one modulus: one
+read-only array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
 entries mod p and Poly.coeffs reads them back as a list.
 
-Products dispatch among three kernels.  Short operands go to the schoolbook
-convolution, by measured work (_by_transform), and so does every product at a
-size neither transform can take (_transforms).  Longer ones are multiplied
-through images, transforms of the rows of 2-D arrays, so one call multiplies a
-whole batch of equal-length operands (_convolve_rows); a single product is its
-one-row case.  The kind of an image follows from the modulus and the size
-alone (_float), whatever the number of rows:
-- on int64 rows (p < 2^31), the float FFT on three balanced 11-bit limbs
-  (numpy.fft.rfft) at every size from 2 to FLOAT_MAX_SIZE, exact there
-  because the rounding error bound fft_error_bound stays below FFT_ERROR_MAX.
-  It needs no roots of unity;
-- otherwise the radix-2 NTT (_ntt_numpy), where p has roots of unity of order
-  size: on dtype-object rows for p >= 2^31, and past FLOAT_MAX_SIZE.  It is
-  also the reference the float kernel is checked against (tests, basisconv
-  selftest).
-An image carries its kind in its shape (float spectra are 3-D), and every
-image at one size of one modulus has the same kind, so kinds never mix.
+Short operands go to the schoolbook convolution, by measured work
+(_by_transform).  Longer ones are multiplied through images, transforms of the
+rows of 2-D arrays, so one call multiplies a whole batch of equal-length
+operands (_convolve_rows); a single product is its one-row case.  There is one
+transform, the float FFT (numpy.fft.rfft) on L balanced 11-bit limbs of each
+residue, L = Modulus.limbs from p, for every prime and dtype.  It is exact at
+sizes from 2 to Modulus.float_max, where the rounding error bound
+fft_error_bound stays below FFT_ERROR_MAX, and needs no roots of unity.  Past
+that size a product makes one Karatsuba split into three products of half the
+length, each dispatched again, so every prime converts at every size.  An
+image carries its kind in its shape and the kind follows from the modulus and
+the size alone (_float), so kinds never mix: float limb spectra (3-D) from
+size 2 to float_max, and beyond it the zero-padded coefficient rows (2-D),
+whose products are the exact ones of _convolve_rows.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
@@ -36,8 +32,8 @@ and mul_trunc_t take such an operand in place of a Poly.
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
 while its partial sums stay below 2^53 (_dense_exact); it too rests on the
-numpy build, and dense_product_agrees checks it as float_kernel_agrees checks
-the float FFT.
+numpy build, and oracle.dense_product_agrees checks it as
+oracle.float_kernel_agrees checks the float FFT.
 
 The float kernel writes the transient arrays of a product into work arrays
 that each thread keeps and reuses (_work_array): the limb rows (_limbs, which
@@ -54,17 +50,13 @@ benchmark's workloads a thread holds (work_bytes) 0.11 MB on catalog_small
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
 import numpy as np
 
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    DivisionByZero,
-    PrecisionExceedsModulus,
-)
+from .errors import DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
 
 # The schoolbook costs about m (la + lb - 1) element operations, m = min(la,
 # lb) (its work), a product by transforms about size log(size) and, on int64
@@ -85,17 +77,10 @@ from .errors import (
 # so the limit picks the schoolbook up to m = 48, 32, 24, 20, 17, 16 on these
 # rows.  Every product of out_len <= 128 stays on the schoolbook, which was
 # faster at all of them (0.47 for 64 x 65).  On dtype-object rows the limit
-# was measured from 16 x 16 to 64 x 16384.
+# was measured from 16 x 16 to 64 x 16384, against the radix-2 NTT that
+# multiplied those rows before the float kernel took them.
 SCHOOLBOOK_WORK_PER_ENTRY = 16
 SCHOOLBOOK_WORK_INT64 = 1 << 13
-
-# From this many transform entries on, butterflies reduce by a conditional
-# correction instead of %: cheaper per entry, but more numpy calls per stage.
-CORRECTION_MIN = 4096
-
-# Largest product length we accept for schoolbook when the modulus lacks
-# transform capacity.
-SCHOOLBOOK_LIMIT = 2048
 
 DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
 
@@ -191,7 +176,10 @@ def _find_primitive_root(p):
 
 
 class Modulus:
-    """A prime modulus with its NTT tables, factorials and cached data."""
+    """A prime modulus with the shape of its float products, its factorial
+    tables and cached data: limbs, the number L of balanced 11-bit limbs that
+    hold every residue (_limbs), and float_max, the largest size of a float
+    image that the rounding error bound admits for L limbs (_float_max)."""
 
     def __init__(self, p: int):
         if p >= PRIME_BOUND:
@@ -201,20 +189,24 @@ class Modulus:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        two_adicity = 0
-        m = p - 1
-        while m % 2 == 0:
-            m //= 2
-            two_adicity += 1
-        self.max_ntt_len = 1 << two_adicity
-        self.primitive_root = _find_primitive_root(p)
         self._cache = {}         # key -> value, see cached()
         self._lock = threading.RLock()
         # residues of p >= 2^31 have products beyond int64: keep Python ints
         self.dtype = np.int64 if p < (1 << 31) else object
+        # the fewest limbs whose top one stays within 2^10 like the others,
+        # which holds residues below 2^(11 L - 1): ceil(bits(p) / 11) but
+        # where bits(p) is a multiple of 11
+        self.limbs = (p - 1).bit_length() // LIMB_BITS + 1
+        self.float_max = _float_max(self.limbs)
 
     def __repr__(self):
         return f"Modulus({self.p})"
+
+    @functools.cached_property
+    def primitive_root(self):
+        """The least primitive root mod p, found on first use: it factors
+        p - 1."""
+        return _find_primitive_root(self.p)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p
@@ -342,67 +334,6 @@ class Modulus:
         as a list of ints."""
         return self.inv_array(np.array(values, dtype=self.dtype)).tolist()
 
-    # -- NTT tables -------------------------------------------------------
-
-    def _bitrev_indices(self, size):
-        """The bit-reversal permutation of range(size); cached."""
-
-        def build():
-            bits = size.bit_length() - 1
-            i = np.arange(size, dtype=np.int64)
-            idx = np.zeros(size, dtype=np.int64)
-            for b in range(bits):
-                idx |= ((i >> b) & 1) << (bits - 1 - b)
-            return _readonly(idx)
-
-        return self.cached(("bitrev", size), build)
-
-    def _stage_twiddles(self, length, invert):
-        """w^0 .. w^(length/2 - 1) for the root of unity w of order length,
-        or its inverse; cached."""
-
-        def build():
-            w = pow(self.primitive_root, (self.p - 1) // length, self.p)
-            return _readonly(_powers(self, self.inv(w) if invert else w, length // 2))
-
-        return self.cached(("twiddles", length, invert), build)
-
-
-def _ntt_numpy(mod: Modulus, rows, size, invert):
-    """Radix-2 NTT of every row of a 2-D array of residues in [0, p),
-    zero-padded to size columns."""
-    p = mod.p
-    r = rows.shape[0]
-    a = np.zeros((r, size), dtype=mod.dtype)
-    a[:, : rows.shape[1]] = rows
-    a = a[:, mod._bitrev_indices(size)]
-    length = 2
-    while length <= size:
-        half = length // 2
-        a = a.reshape(r, size // length, length)
-        even = a[..., :half]
-        odd = a[..., half:]
-        if half > 1:
-            # int64: a residue times a twiddle, both < 2^31, stays below 2^62
-            odd *= mod._stage_twiddles(length, invert)
-            odd %= p
-        diff = even - odd
-        even += odd
-        if a.size < CORRECTION_MIN or a.dtype == object:
-            even %= p
-            diff %= p
-        else:
-            # int64 x >> 63 is -1 exactly where x < 0
-            even -= p
-            even += (even >> 63) & p
-            diff += (diff >> 63) & p
-        odd[...] = diff
-        length *= 2
-    a = a.reshape(r, size)
-    if invert:
-        a = a * pow(size, p - 2, p) % p
-    return a
-
 
 def _convolve_schoolbook(a, b, p):
     """Exact product of two 1-D residue arrays by direct convolution.
@@ -422,16 +353,10 @@ def _convolve_schoolbook(a, b, p):
 
 
 def _float(mod: Modulus, size):
-    """Whether images at size are float limb spectra: on int64 rows at every
-    size from 2 to FLOAT_MAX_SIZE (a float image of size 1 has one frequency,
-    which does not tell its size)."""
-    return mod.dtype is not object and 2 <= size <= FLOAT_MAX_SIZE
-
-
-def _transforms(mod: Modulus, size):
-    """Whether products mod x^size - 1 run through transforms: the NTT, which
-    needs roots of unity of order size, or else the float kernel (_float)."""
-    return size <= mod.max_ntt_len or _float(mod, size)
+    """Whether images at size are float limb spectra: at every size from 2 to
+    mod.float_max (a float image of size 1 has one frequency, which does not
+    tell its size)."""
+    return 2 <= size <= mod.float_max
 
 
 def _size(out_len):
@@ -441,12 +366,12 @@ def _size(out_len):
 
 def _by_transform(mod: Modulus, la, lb):
     """Whether a product of lengths la and lb is cheaper by transforms than
-    by the schoolbook, and the modulus can transform at its size."""
+    by the schoolbook."""
     out_len = la + lb - 1
     limit = SCHOOLBOOK_WORK_PER_ENTRY * _size(out_len)
     if mod.dtype is not object:
         limit += SCHOOLBOOK_WORK_INT64
-    return min(la, lb) * out_len > limit and _transforms(mod, _size(out_len))
+    return min(la, lb) * out_len > limit
 
 
 def _convolve(mod: Modulus, a, b):
@@ -455,29 +380,44 @@ def _convolve(mod: Modulus, a, b):
     a, b = np.asarray(a, dtype=mod.dtype), np.asarray(b, dtype=mod.dtype)
     if _by_transform(mod, len(a), len(b)):
         return _convolve_rows(mod, a[None], b[None])[0]
-    out_len = len(a) + len(b) - 1
-    if out_len > SCHOOLBOOK_LIMIT and not _transforms(mod, _size(out_len)):
-        raise CapacityExceeded(
-            f"product length {out_len} exceeds transform capacity "
-            f"{mod.max_ntt_len} of p={mod.p}"
-        )
     return _convolve_schoolbook(a, b, mod.p)
 
 
 def _convolve_rows(mod: Modulus, A, B):
     """Row-wise exact products of two 2-D arrays of residues with equally
-    many rows.
+    many rows: through float images up to mod.float_max (_float), and past it
+    by one Karatsuba split,
+    A B = A0 B0 + x^m ((A0 + A1)(B0 + B1) - A0 B0 - A1 B1) + x^2m A1 B1
+    for A = A0 + x^m A1 and B = B0 + x^m B1, into three products of about
+    half the length, each dispatched again.  Where one operand is no longer
+    than m it has no A1, and A1 B1 is zero."""
+    (rows, la), lb = A.shape, B.shape[1]
+    out_len = la + lb - 1
+    # a float image has at least size 2
+    size = max(_size(out_len), 2)
+    if _float(mod, size):
+        return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
+    p, m = mod.p, (max(la, lb) + 1) // 2
+    (A0, A1), (B0, B1) = (A[:, :m], A[:, m:]), (B[:, :m], B[:, m:])
+    low = _convolve_rows(mod, A0, B0)
+    mid = _convolve_rows(mod, _add_rows(A0, A1, p), _add_rows(B0, B1, p))
+    mid[:, : low.shape[1]] -= low
+    out = np.zeros((rows, out_len), dtype=A.dtype)
+    out[:, : low.shape[1]] = low
+    if A1.shape[1] and B1.shape[1]:
+        high = _convolve_rows(mod, A1, B1)
+        mid[:, : high.shape[1]] -= high
+        out[:, 2 * m :] = high
+    w = min(mid.shape[1], out_len - m)
+    out[:, m : m + w] += mid[:, :w]
+    return out % p
 
-    Where the modulus cannot transform at the needed size, which for int64
-    rows is only past FLOAT_MAX_SIZE, the rows go one by one through
-    _convolve.
-    """
-    out_len = A.shape[1] + B.shape[1] - 1
-    size = _size(out_len)
-    if not _transforms(mod, size):
-        out = [_convolve(mod, a, b) for a, b in zip(A, B)]
-        return np.array(out, dtype=A.dtype).reshape(len(out), out_len)
-    return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
+
+def _add_rows(X0, X1, p):
+    """X0 + X1 mod p, row-wise, for rows X1 no longer than those of X0."""
+    out = X0.copy()
+    out[:, : X1.shape[1]] += X1
+    return out % p
 
 
 def _product_image(mod: Modulus, A, B, size):
@@ -487,10 +427,9 @@ def _product_image(mod: Modulus, A, B, size):
 
 
 # Images: rows in the transform domain of the products mod x^size - 1.  An
-# image carries its kind: float limb spectra are 3-D, (rows, 3 limbs, size // 2
-# + 1 frequencies); NTT rows and, where the modulus cannot transform, the
-# zero-padded rows themselves are 2-D, told apart by size alone (NTT rows where
-# size <= max_ntt_len).  The kind follows from the size (_float), so callers
+# image carries its kind: float limb spectra are 3-D, (rows, L limbs, size // 2
+# + 1 frequencies); past mod.float_max, the zero-padded coefficient rows
+# themselves are 2-D.  The kind follows from the size (_float), so callers
 # keep the images of fixed operands without caring which kind they are.  A
 # product image (_image_mul) is what _image_coeffs turns back into rows.
 
@@ -500,9 +439,7 @@ def _image(mod: Modulus, A, size, slot=None):
     float image is fresh, or given a slot, the calling thread's work array of
     that slot (_work_array), for a product to read before the next one."""
     if _float(mod, size):
-        return _transform(mod, _limbs(A), size, None, slot)
-    if size <= mod.max_ntt_len:
-        return _transform(mod, A, size)
+        return _transform(mod, _limbs(A, mod.limbs), size, None, slot)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
     out[:, : A.shape[1]] = A
     return out
@@ -523,12 +460,17 @@ def _image_mul(mod: Modulus, X, Y):
     if 0 < len(X) < len(Y):
         X = np.repeat(X, len(Y) // len(X), axis=0)
     size = X.shape[1]
-    if size <= mod.max_ntt_len:
-        # int64: a pointwise product of two residues < 2^31 stays below 2^62
-        return X * Y % mod.p
-    out = _convolve_rows(mod, X, Y)
-    out[:, : size - 1] += out[:, size:]
-    return out[:, :size] % mod.p
+    # the product of the rows up to their last nonzero columns, folded
+    c = _convolve_rows(mod, _trim(X), _trim(Y))
+    out = np.zeros((len(c), 2 * size), dtype=c.dtype)
+    out[:, : c.shape[1]] = c
+    return (out[:, :size] + out[:, size:]) % mod.p
+
+
+def _trim(X):
+    """The rows X up to their last column with a nonzero entry, or the first."""
+    nz = np.flatnonzero(X.any(axis=0))
+    return X[:, : nz[-1] + 1 if len(nz) else 1]
 
 
 def _backwards(A, size, out_len):
@@ -556,25 +498,19 @@ def _image_mul_add(mod: Modulus, X, Y, U, V):
 
 def _image_coeffs(mod: Modulus, X, out_len):
     """The first out_len coefficients of every row of a product image."""
-    if X.ndim == 3 or X.shape[1] <= mod.max_ntt_len:
+    if X.ndim == 3:
         return _transform(mod, X, _image_size(X), out_len)
     return X[:, :out_len]
 
 
 def _transform(mod: Modulus, X, size, out_len=None, slot=None):
-    """The one entry to the transforms, of the kind X carries: the image of
-    the rows X, residue rows (2-D) to NTT rows and limb rows (3-D, _limbs) to
-    their float spectra, these in the work array of slot if one is given; or,
-    given out_len, the first out_len coefficients of the rows of the product
-    image X."""
-    if X.ndim == 3:
-        if out_len is None:
-            out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
-            return np.fft.rfft(X, size, axis=-1, out=out)
-        return _limb_coeffs(mod.p, X, size, out_len)
+    """The one entry to the float transforms: the spectra of the limb rows X
+    (_limbs), in the work array of slot if one is given; or, given out_len,
+    the first out_len coefficients of the rows of the product image X."""
     if out_len is None:
-        return _ntt_numpy(mod, X, size, False)
-    return _ntt_numpy(mod, X, size, True)[:, :out_len]
+        out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
+        return np.fft.rfft(X, size, axis=-1, out=out)
+    return _limb_coeffs(mod.p, X, size, out_len)
 
 
 def _fixed_operand(mod: Modulus, b, la):
@@ -620,11 +556,12 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 
 # -- the float kernel ------------------------------------------------------
 #
-# For p < 2^31 a residue a splits into three balanced limbs of LIMB_BITS bits,
-# a = a_0 + a_1 2^11 + a_2 2^22 with |a_k| <= 2^10.  The image of a row is the
-# rfft of each of its limb rows; a product image holds the spectra of the five
-# classes c_k = sum_{i+j=k} a_i b_j, k = 0..4, whose inverse transforms round
-# to integers below 2^42, recombined to sum_k c_k 2^(11k) mod p.
+# A residue a splits into L = Modulus.limbs balanced limbs of LIMB_BITS bits,
+# a = sum_k a_k 2^(11k) with |a_k| <= 2^10: three for DEFAULT_PRIME, four for
+# a 40-bit prime, eight below PRIME_BOUND.  The image of a row is the rfft of
+# each of its limb rows; a product image holds the spectra of the 2L - 1
+# classes c_k = sum_{i+j=k} a_i b_j, whose inverse transforms round to
+# integers of magnitude at most 2^42, recombined to sum_k c_k 2^(11k) mod p.
 
 LIMB_BITS = 11
 
@@ -637,9 +574,10 @@ FFT_ERROR_MAX = 1 / 8
 MAX_SUMMED = 2
 
 
-def fft_error_bound(size, products):
+def fft_error_bound(size, products, limbs):
     """A bound on the rounding error of every class coefficient of a sum of
-    `products` float product images at size (a power of two).
+    `products` float product images of `limbs` limbs at size (a power of
+    two).
 
     Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
     x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
@@ -647,22 +585,25 @@ def fft_error_bound(size, products):
     |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
     in every coefficient, |.| the Euclidean norm.  Limb rows of at most size
     entries of magnitude <= 2^10 give |x| |y| <= 2^20 size; a class sums at
-    most three limb products per product image.  beta is taken as eps.
-    That numpy's FFT errs no more than this model is checked against the
-    NTT by the tests and by basisconv selftest.
+    most `limbs` limb products per product image.  beta is taken as eps.
+    That numpy's FFT errs no more than this model is checked against exact
+    products (oracle.kronecker_mul) by the tests and by basisconv selftest.
     """
     n = size.bit_length() - 1
     eps = 2.0**-53
     growth = math.expm1(
         6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
     )
-    return 3 * products * 2.0 ** (2 * (LIMB_BITS - 1)) * size * growth
+    return limbs * products * 2.0 ** (2 * (LIMB_BITS - 1)) * size * growth
 
 
-# The largest size the bound admits for MAX_SUMMED products: 2^19.
-FLOAT_MAX_SIZE = 1 << max(
-    k for k in range(1, 40) if fft_error_bound(1 << k, MAX_SUMMED) <= FFT_ERROR_MAX
-)
+@functools.cache
+def _float_max(limbs):
+    """The largest size the bound admits for MAX_SUMMED products of `limbs`
+    limbs: 2^20 for one limb, 2^19 for two to four, 2^18 for five to eight."""
+    return 1 << max(
+        k for k in range(1, 40) if fft_error_bound(1 << k, MAX_SUMMED, limbs) <= FFT_ERROR_MAX
+    )
 
 
 # Work arrays.  The transient arrays of a product, its limb rows, the spectra
@@ -727,66 +668,92 @@ def work_bytes():
     return sum(buf.nbytes for buf in _work.buffers.values())
 
 
-def _limbs(A):
-    """The balanced limb rows of the residue rows A, the input of a float
-    image (_transform): shape (rows, 3, A.shape[1]), a work array."""
-    limbs = _work_array("limbs", (A.shape[0], 3, A.shape[1]))
+# Residues of dtype object enter the limb split in chunks of CHUNK_LIMBS limbs,
+# 44 bits, each exact in doubles.
+CHUNK_LIMBS = 4
+
+
+def _limbs(A, L):
+    """The L balanced limb rows of the residue rows A, the input of a float
+    image (_transform): shape (rows, L, A.shape[1]), a work array."""
+    limbs = _work_array("limbs", (A.shape[0], L, A.shape[1]))
     inv_base, base = 1.0 / (1 << LIMB_BITS), float(1 << LIMB_BITS)
-    np.copyto(limbs[:, 0], A)
-    for k in range(2):
+    chunks = [A]
+    if A.dtype == object:
+        bits, mask = CHUNK_LIMBS * LIMB_BITS, (1 << CHUNK_LIMBS * LIMB_BITS) - 1
+        chunks = [(A >> s & mask).astype(np.float64) for s in range(0, L * LIMB_BITS, bits)]
+    np.copyto(limbs[:, 0], chunks[0])
+    for k in range(L - 1):
         # exact in doubles: limb k is f minus the nearest multiple hi 2^11 of
-        # f, and hi, the next f, goes to row k + 1
+        # f, and hi, the next f, goes to row k + 1, where the next chunk of a
+        # residue of dtype object joins it
         f, hi = limbs[:, k], limbs[:, k + 1]
         np.multiply(f, inv_base, out=hi)
         np.rint(hi, out=hi)
         hi *= base
         f -= hi
         hi *= inv_base
+        if (k + 1) % CHUNK_LIMBS == 0:
+            hi += chunks[(k + 1) // CHUNK_LIMBS]
     return limbs
 
 
 def _class_spectra(pairs):
     """The product image of the sum over pairs (X, Y) of float images of
-    the products X Y: the spectra of the classes c_0..c_4, a work array.
+    the products X Y: the spectra of the classes c_0..c_(2L-2), a work array.
     Where Y has m times as many rows as X, the same m for every pair, row i
     of X multiplies rows i m to i m + m - 1 of Y."""
     X, Y = pairs[0]
-    rows, f = max(len(X), len(Y)), X.shape[-1]
-    assert fft_error_bound(2 * (f - 1), len(pairs)) <= FFT_ERROR_MAX, (f, len(pairs))
-    Z, T = _work_array("classes", (rows, 5, f)), _work_array("term", (rows, f))
+    rows, (L, f) = max(len(X), len(Y)), X.shape[1:]
+    assert fft_error_bound(2 * (f - 1), len(pairs), L) <= FFT_ERROR_MAX, (f, L, len(pairs))
+    Z, T = _work_array("classes", (rows, 2 * L - 1, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
         # (rows / m, 1) against (rows / m, m): each row of X serves m rows
         lead = (len(X), len(Y) // len(X))
-        Z, T = Z.reshape(lead + (5, f)), T.reshape(lead + (f,))
-        pairs = [(X[:, None], Y.reshape(lead + (3, f))) for X, Y in pairs]
-    z = [Z[..., k, :] for k in range(5)]
+        Z, T = Z.reshape(lead + (2 * L - 1, f)), T.reshape(lead + (f,))
+        pairs = [(X[:, None], Y.reshape(lead + (L, f))) for X, Y in pairs]
+    z = [Z[..., k, :] for k in range(2 * L - 1)]
     for n, (X, Y) in enumerate(pairs):
-        ys = [Y[..., j, :] for j in range(3)]
-        for i in range(3):
+        ys = [Y[..., j, :] for j in range(L)]
+        for i in range(L):
             x = X[..., i, :]
             for j, y in enumerate(ys):
-                # (i, j) with i = 0 or j = 2 is the first term of class i + j
-                if n == 0 and (i == 0 or j == 2):
+                # (i, j) with i = 0 or j = L - 1 is the first term of class i + j
+                if n == 0 and (i == 0 or j == L - 1):
                     np.multiply(x, y, out=z[i + j])
                 else:
                     np.multiply(x, y, out=T)
                     z[i + j] += T
-    return Z.reshape(rows, 5, f)
+    return Z.reshape(rows, 2 * L - 1, f)
 
 
 def _limb_coeffs(p, Z, size, out_len):
     """The first out_len coefficients mod p of the rows of the float product
-    image Z."""
+    image Z, of dtype object for p >= 2^31."""
     c = np.fft.irfft(Z, size, axis=-1, out=_work_array("coeffs", Z.shape[:2] + (size,)))
     c = c[..., :out_len]
     np.rint(c, out=c)
-    # Horner in doubles, in place on c_4: acc <= p and |c_k| < 2^42 keep
-    # every value below 2^53, so each step is exact; floor(t / p) is off by
-    # one only where p divides t, which leaves acc = p, mapped to 0 at the
-    # end.  Once added, c_k holds the step's multiple of p
+    if p >> 31:
+        # Horner in Python ints over words c_2j + c_(2j+1) 2^11, added in
+        # int64: |c_k| <= 2^42 keeps them below 2^54
+        w = c.astype(np.int64)
+        w[:, :-1:2] += w[:, 1::2] << LIMB_BITS
+        acc = w[:, -1].astype(object)
+        for k in range(w.shape[1] - 3, -1, -2):
+            acc = (acc << 2 * LIMB_BITS) + w[:, k]
+        return acc % p
+    if c.shape[1] == 1:
+        # one limb (p < 2^10): the class is the product itself
+        return c[:, 0].astype(np.int64) % p
+    # Horner in doubles, in place on the top class: acc <= p and |c_k| < 2^42
+    # (at most three limbs) keep every value below 2^53, and so does the
+    # first step, from a top class below 2^41 (top limbs of at most 2^10 at
+    # sizes up to 2^19);
+    # floor(t / p) is off by one only where p divides t, which leaves acc = p,
+    # mapped to 0 at the end.  Once added, c_k holds the step's multiple of p
     pinv, base = 1.0 / p, float(1 << LIMB_BITS)
-    acc = c[:, 4]
-    for k in (3, 2, 1, 0):
+    acc = c[:, -1]
+    for k in range(c.shape[1] - 2, -1, -1):
         acc *= base
         acc += c[:, k]
         t = c[:, k]
@@ -810,61 +777,15 @@ def _dense_mul(mod: Modulus, A, M):
     int64 rows of residues: one GEMM of the balanced limbs of A (_limbs) by M,
     exact while _dense_exact(len(M), p) holds (asserted), rounded, reduced
     and recombined mod p in int64."""
-    p, (r, b) = mod.p, A.shape
+    p, (r, b), L = mod.p, A.shape, mod.limbs
     assert _dense_exact(b, p), (b, p)
-    c = np.rint(np.matmul(_limbs(A).reshape(3 * r, b), M)).astype(np.int64)
-    c = c.reshape(r, 3, M.shape[1])
+    c = np.rint(np.matmul(_limbs(A, L).reshape(L * r, b), M)).astype(np.int64)
+    c = c.reshape(r, L, M.shape[1])
     # |c_k| < 2^53 and out < 2^31: each step stays below 2^54 in int64
-    out = c[:, 2] % p
-    for k in (1, 0):
+    out = c[:, L - 1] % p
+    for k in range(L - 2, -1, -1):
         out = ((out << LIMB_BITS) + c[:, k]) % p
     return out
-
-
-def dense_product_agrees(mod: Modulus, b) -> bool:
-    """Whether _dense_mul at inner dimension b equals the exact integer
-    product, on the worst case of its bound: rows of p - 1 and rows whose
-    limbs are all -2^10, times a matrix of p - 1.  Exactness rests on the
-    BLAS of the numpy build summing doubles as IEEE arithmetic does.  True
-    on dtype-object rows, which never take it."""
-    if mod.dtype is object:
-        return True
-    p, low = mod.p, -(1 << (LIMB_BITS - 1))
-    all_low = low * (1 + (1 << LIMB_BITS) + (1 << 2 * LIMB_BITS))
-    A = np.stack([np.full(b, p - 1), np.full(b, all_low)])
-    M = np.full((b, b), p - 1, dtype=np.int64)
-    want = (A.astype(object) @ M.astype(object)) % p
-    return np.array_equal(_dense_mul(mod, A, M.astype(np.float64)), want.astype(np.int64))
-
-
-def float_kernel_agrees(mod: Modulus) -> bool:
-    """Whether float products equal exact ones, on a random row and a row of
-    p - 1, at two sizes: 2, the least the float kernel takes, and the largest
-    up to 2^16 where mod admits the NTT too, or up to SCHOOLBOOK_LIMIT / 2
-    where that is larger.  The NTT checks them where mod admits it, the
-    schoolbook elsewhere.  True where mod has no float size.  Exactness rests
-    on IEEE doubles and an FFT as accurate as the bound assumes, which the
-    numpy build decides."""
-    sizes = [1 << k for k in range(1, 17) if _float(mod, 1 << k)]
-    if not sizes:
-        return True
-    top = [s for s in sizes if s <= max(mod.max_ntt_len, SCHOOLBOOK_LIMIT // 2)]
-    return all(_float_agrees(mod, size) for size in {sizes[0], top[-1]})
-
-
-def _float_agrees(mod: Modulus, size):
-    """float_kernel_agrees at one size."""
-    p = mod.p
-    rng = np.random.default_rng(size)
-    A = np.stack([rng.integers(0, p, size // 2), np.full(size // 2, p - 1)])
-    B = np.stack([np.full(size // 2, p - 1), rng.integers(0, p, size // 2)])
-    if size <= mod.max_ntt_len:
-        spectra = _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % p
-        want = _ntt_numpy(mod, spectra, size, True)[:, : size - 1]
-    else:
-        want = np.stack([_convolve_schoolbook(a, b, p) for a, b in zip(A, B)])
-    X, Y = (_transform(mod, _limbs(R), size) for R in (A, B))
-    return np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y), size - 1), want)
 
 
 # -- array helpers ---------------------------------------------------------

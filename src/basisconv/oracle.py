@@ -1,14 +1,21 @@
 """Slow reference implementations used to cross-check the fast paths.
 
-Everything here is deliberately quadratic (or worse) and touches none of the
-transform machinery: schoolbook products, explicit matrices, Gaussian
-elimination.  Tests freeze values produced by these routines.
+The references touch none of the transform machinery: schoolbook products,
+explicit matrices and Gaussian elimination, all quadratic or worse, and exact
+products by Kronecker substitution through Python ints.  Tests freeze values
+produced by these routines.  The two kernel checks of basisconv selftest
+(float_kernel_agrees, dense_product_agrees) compare the fast kernels of
+modfield with these exact products.
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
+
 from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
-from .modfield import Modulus, Poly
+from .modfield import LIMB_BITS, Modulus, Poly, _convolve_rows, _dense_mul
 
 
 def _school_mul(mod, a, b, n):
@@ -145,3 +152,63 @@ def stirling_matrices(mod: Modulus, n: int):
             belowS = S[i - 1][j - 1] if j else 0
             S[i][j] = (belowS + j * S[i - 1][j]) % mod.p
     return s, S
+
+
+def kronecker_mul(p, A, B):
+    """Row-wise exact products mod p of the rows of A and B, sequences of
+    equally many rows of residues in [0, p), as lists of ints.
+
+    Kronecker substitution through Python ints: each row packed into one int
+    of fixed-width slots (int.to_bytes), each slot wider than any coefficient
+    of the product, the two ints multiplied and the product's slots read
+    back.  CPython multiplies by Karatsuba: two rows of 2^15 residues of
+    DEFAULT_PRIME take about 0.8 s.
+    """
+    out = []
+    for a, b in zip(A, B):
+        a, b = [int(v) for v in a], [int(v) for v in b]
+        width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1
+        x, y = (
+            int.from_bytes(b"".join(v.to_bytes(width, "little") for v in row), "little")
+            for row in (a, b)
+        )
+        z = (x * y).to_bytes((len(a) + len(b)) * width, "little")
+        out.append([
+            int.from_bytes(z[i * width : (i + 1) * width], "little") % p
+            for i in range(len(a) + len(b) - 1)
+        ])
+    return out
+
+
+def float_kernel_agrees(mod: Modulus) -> bool:
+    """Whether float products over mod equal exact ones (kronecker_mul), on
+    a random row times a row of p - 1 and the reverse, at size 2, the least
+    the float kernel takes, and at size 2^14.  Exactness rests on IEEE
+    doubles and an FFT as accurate as the bound assumes, which the numpy
+    build decides."""
+    return all(_float_agrees(mod, size) for size in (2, 1 << 14))
+
+
+def _float_agrees(mod: Modulus, size):
+    """float_kernel_agrees at one size."""
+    p, rng, h = mod.p, random.Random(size), size // 2
+    r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
+    A, B = [r, [p - 1] * h], [[p - 1] * h, s]
+    got = _convolve_rows(mod, np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype))
+    return got.tolist() == kronecker_mul(p, A, B)
+
+
+def dense_product_agrees(mod: Modulus, b) -> bool:
+    """Whether modfield._dense_mul at inner dimension b equals the exact
+    integer product, on the worst case of its bound: rows of p - 1 and rows
+    whose limbs are all -2^10, times a matrix of p - 1.  Exactness rests on
+    the BLAS of the numpy build summing doubles as IEEE arithmetic does.
+    True on dtype-object rows, which never take it."""
+    if mod.dtype is object:
+        return True
+    p, low = mod.p, -(1 << (LIMB_BITS - 1))
+    all_low = low * sum(1 << LIMB_BITS * k for k in range(mod.limbs))
+    A = np.stack([np.full(b, p - 1), np.full(b, all_low)])
+    M = np.full((b, b), p - 1, dtype=np.int64)
+    want = (A.astype(object) @ M.astype(object)) % p
+    return np.array_equal(_dense_mul(mod, A, M.astype(np.float64)), want.astype(np.int64))

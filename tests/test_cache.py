@@ -285,21 +285,12 @@ def test_warm_transform_counts(monkeypatch):
     # at n = 8192 every unit power, root power, shift series and the v, 1/v
     # series keep their float image, so each product by one of them makes one
     # forward and one inverse transform; bell and mittag_leffler also run the
-    # grid trees, whose levels keep their float images too.  No product takes
-    # the NTT
+    # grid trees, whose levels keep their float images too
     want = {"fibonacci": (20, 26), "mott": (26, 18), "bell": (14, 12), "mittag_leffler": (18, 20)}
-    ntt_calls, ntt = [0], modfield._ntt_numpy
-
-    def counted_ntt(*args):
-        ntt_calls[0] += 1
-        return ntt(*args)
-
-    monkeypatch.setattr(modfield, "_ntt_numpy", counted_ntt)
     for name, counts in want.items():
         got, per_fixed = _warm_transforms(monkeypatch, name, 8192)
         assert got == counts, name
         assert per_fixed and set(per_fixed) == {2}, name
-    assert ntt_calls[0] == 0
 
 
 def test_cache_bytes_hold_no_truncations():

@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from basisconv import cli
 
 P = 2013265921
+P40 = 1099489607681
 
 
 def run_cli(args, stdin=None):
@@ -154,8 +156,11 @@ def test_usage_errors():
     assert proc.returncode == 2
 
 
-def test_selftest_quick():
-    proc = run_cli(["selftest", "--quick"])
+@pytest.mark.parametrize("p", [P, P40])
+def test_selftest_quick(p):
+    # the kernel checks and conversions on int64 rows and on rows of Python
+    # ints (four limbs)
+    proc = run_cli(["selftest", "--quick", "--modulus", str(p)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
 

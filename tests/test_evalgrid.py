@@ -18,15 +18,16 @@ from basisconv.evalgrid import (
 from basisconv.families import from_monomial, parse_family, to_monomial
 from basisconv.oracle import stirling_matrices
 
-# 29 * 2^57 + 1: prime, above 2^31, so the NTT runs on rows of Python ints
+# 29 * 2^57 + 1: prime, above 2^31, so products take six limbs of rows of
+# Python ints
 SCALAR_PRIME = 4179340454199820289
 # ragged sizes on both sides of powers of two; capped below p, and at 100 on
 # the big prime, where every product works on Python ints
 SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
 # 2 * 500001 + 1: no roots of unity of order 4, so float images only
 NO_ROOTS_PRIME = 1000003
-# 2^31 + 11: dtype object with roots of unity of order 2 only, so every image
-# of size >= 4 is the raw rows, zero-padded
+# 2^31 + 11: the least prime of dtype object, with roots of unity of order 2
+# only: three limbs of rows of Python ints
 RAW_PRIME = 2147483659
 
 
@@ -96,7 +97,7 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
 
         return wrapper
 
-    # every transform, float or NTT, enters through _transform
+    # every transform enters through _transform
     monkeypatch.setattr(modfield, "_transform", counted(modfield._transform))
     monkeypatch.setattr(modfield, "_convolve", counted(modfield._convolve))
     monkeypatch.setattr(evalgrid, "_convolve", counted(evalgrid._convolve))
@@ -115,9 +116,9 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
     ids=["float-and-ntt", "small-prime", "float-no-roots", "scalar-ntt", "raw-rows"],
 )
 def test_combine_t_is_the_transpose_of_combine(p):
-    # <combine(c), W> = <c, combine_t(W)>: on float spectra, NTT rows and raw
-    # rows, each correlated with the kept image through the input read
-    # backwards, and the ragged nodes of every size
+    # <combine(c), W> = <c, combine_t(W)>: on float spectra of int64 rows and
+    # of rows of Python ints, each correlated with the kept image through the
+    # input read backwards, and the ragged nodes of every size
     mod = Modulus(p)
     cap = 100 if mod.dtype is object else p - 1
     rng = random.Random(47)
@@ -272,16 +273,18 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
         assert k == f - 1 and out == want
 
 
-def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
+def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
     # at n = 6000 every level above the leaf keeps a float image, of 23 nodes
     # at size 512 up to one node at size 8192; every product meets images of
-    # its own kind, and the passes equal those with every level on the NTT
+    # its own kind, and the passes equal those with the levels past a float
+    # maximum lowered to 2048 on coefficient rows
     n = 6000
     rng = random.Random(50)
     coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
 
-    def run():
+    def run(float_max=None):
         mod = Modulus(DEFAULT_PRIME)
+        mod.float_max = float_max or mod.float_max
         A = Poly(mod, coeffs, n)
         out = [
             multieval_grid(A).tolist(),
@@ -304,9 +307,8 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch, force_kernel):
     monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
     got, kinds = run()
     assert kinds == [3] * 5
-    force_kernel("ntt")
-    want, kinds = run()
-    assert kinds == [2] * 5 and got == want
+    want, kinds = run(2048)
+    assert kinds == [3, 3, 3, 2, 2] and got == want
 
 
 def test_interp_round_trip(mod101):

@@ -181,9 +181,10 @@ def test_matches_naive_convert(mod):
 
 def test_transform_kernel_matches_naive_convert(transforms_only):
     # products this small go to the schoolbook by default; here every product
-    # goes through one transform kernel, cached operands included (a fresh
-    # modulus); the float kernel also over a prime without roots of unity
-    primes = [DEFAULT_PRIME] + [NO_ROOTS_PRIME] * (transforms_only == "float")
+    # goes through transforms, cached operands included (a fresh modulus):
+    # float images, or past size 16 Karatsuba splits and coefficient rows,
+    # also over a prime without roots of unity
+    primes = [DEFAULT_PRIME, NO_ROOTS_PRIME]
     rng = random.Random(55)
     n = 24
     for mod in map(Modulus, primes):
@@ -208,10 +209,9 @@ def _families_over(mod):
 
 @pytest.mark.parametrize("n", [1100, 2100])
 def test_round_trip_without_roots_of_unity(n):
-    # past the schoolbook's limit products of p < 2^31 go to the float
-    # kernel, which needs no roots of unity
+    # long products go to the float kernel, which needs no roots of unity
     mod = Modulus(NO_ROOTS_PRIME)
-    assert mod.max_ntt_len == 2
+    assert mod.p % 4 == 3
     rng = random.Random(n)
     for name in ("hermite", "bell"):
         fam = parse_family(mod, name)
@@ -221,11 +221,10 @@ def test_round_trip_without_roots_of_unity(n):
 
 
 def test_no_roots_rows_need_no_row_loop(monkeypatch):
-    # over a prime without roots of unity the float kernel takes every int64
-    # size, so _convolve_rows never falls back to one _convolve per row; with
-    # float images only from size 1024 on, it did so on every grid-tree level
-    # below that size, to the same outputs.  The trees run to their points
-    # (LEAF_SIZE = 1), so that they have levels of every size from 2 on
+    # over a prime without roots of unity the float kernel takes every size,
+    # so _convolve_rows never falls back to one _convolve per row.  The trees
+    # run to their points (LEAF_SIZE = 1), so that they have levels of every
+    # size from 2 on
     n = 300
     monkeypatch.setattr(evalgrid, "LEAF_SIZE", 1)
     looped, inside = [0], [0]
@@ -255,13 +254,6 @@ def test_no_roots_rows_need_no_row_loop(monkeypatch):
     looped[0] = 0
     got = round_trip()
     assert looped[0] == 0 and got[1] == a
-
-    def float_from_1024(mod, size):
-        return mod.dtype is not object and 1024 <= size <= modfield.FLOAT_MAX_SIZE
-
-    monkeypatch.setattr(modfield, "_float", float_from_1024)
-    assert round_trip() == got
-    assert looped[0] > 100
 
 
 def test_small_prime_conversions(mod101):

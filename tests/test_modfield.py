@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from basisconv import (
-    CapacityExceeded,
     DEFAULT_PRIME,
     DivisionByZero,
     Modulus,
@@ -17,7 +16,7 @@ from basisconv import (
     mul_trunc_t,
     poly_mul,
 )
-from basisconv import evalgrid, modfield
+from basisconv import evalgrid, families, modfield, oracle
 from basisconv.evalgrid import LEAF_SIZE
 from basisconv.modfield import (
     _class_spectra,
@@ -32,16 +31,16 @@ from basisconv.modfield import (
     _limb_coeffs,
     _limbs,
     _mul_fixed,
-    _ntt_numpy,
     _transform,
     fft_error_bound,
     is_prime,
     PRIME_BOUND,
 )
+from basisconv.oracle import kronecker_mul
 
-# 40-bit prime with 2-adicity 20: its NTT runs on rows of Python ints
+# 40-bit prime: four limbs on rows of Python ints
 P40 = 1099489607681
-# primes of 2-adicity 1: the NTT goes no further than size 2
+# primes of 2-adicity 1: no roots of unity past order 2
 NO_ROOTS_PRIME = 1000003
 OBJECT_PRIME_NO_ROOTS = 2147483659
 
@@ -65,8 +64,9 @@ def test_is_prime_basics():
 
 
 def test_modulus_construction(mod, mod101):
-    assert mod.max_ntt_len == 1 << 27
-    assert mod101.max_ntt_len == 1 << 2
+    # limbs and the largest float size follow from p alone
+    assert (mod.limbs, mod.float_max) == (3, 1 << 19)
+    assert (mod101.limbs, mod101.float_max) == (1, 1 << 20)
     # primitive root: order p-1 exactly
     g = mod101.primitive_root
     assert pow(g, 100, 101) == 1
@@ -89,6 +89,24 @@ def test_large_modulus_sets_up_fast():
     a, b = 536870923, 1073741827
     assert _factorize(12 * a * b) == {2: 2, 3: 1, a: 1, b: 1}
     assert _factorize(a * a) == {a: 2}
+
+
+def test_modulus_finds_its_primitive_root_on_first_use(monkeypatch):
+    # building a Modulus factors nothing; only meixner_pollaczek's default i
+    # reads the root, and the square roots of -1 it gives are pinned, since
+    # the catalog's outputs depend on them
+    calls = []
+    factorize = modfield._factorize
+    monkeypatch.setattr(modfield, "_factorize", lambda n: calls.append(n) or factorize(n))
+    p = 1152921504606849707
+    mod = Modulus(p)
+    assert calls == [] and "primitive_root" not in vars(mod)
+    assert (mod.limbs, mod.float_max) == (6, 1 << 18)
+    default = Modulus(DEFAULT_PRIME)
+    assert families._sqrt_minus_one(default) == 1728404513
+    assert families._sqrt_minus_one(Modulus(P40)) == 874192144897
+    assert calls == [DEFAULT_PRIME - 1, P40 - 1]
+    assert default.primitive_root == 31
 
 
 def test_modulus_rejects_primes_beyond_the_primality_bound():
@@ -131,7 +149,7 @@ def test_precision_guard(mod101):
 
 def test_convolve_matches_schoolbook(mod):
     rng = random.Random(1)
-    # (2000, 100) transforms at size 4096 >= CORRECTION_MIN
+    # (257, 255) and (2000, 100) transform, at sizes 512 and 4096
     for la, lb in [(1, 1), (5, 9), (31, 2), (40, 40), (100, 3), (257, 255), (2000, 100)]:
         a = [rng.randrange(mod.p) for _ in range(la)]
         b = [rng.randrange(mod.p) for _ in range(lb)]
@@ -152,7 +170,7 @@ def test_schoolbook_exact_on_largest_residues(p):
             assert _convolve(mod, A, B).tolist() == want, (la, lb)
 
 
-def test_convolve_scalar_ntt_path():
+def test_convolve_on_object_rows():
     mod = Modulus(P40)
     assert mod.dtype is object
     rng = random.Random(2)
@@ -165,13 +183,11 @@ def test_convolve_scalar_ntt_path():
 def test_convolve_rows_matches_convolve(p):
     # product lengths that _convolve sends to the schoolbook (all of them for
     # la = 1) and to transforms (balanced, from about 160 on DEFAULT_PRIME and
-    # 45 on P40), and for 97 = 3 * 2^5 + 1 and 101 = 25 * 2^2 + 1 lengths on
-    # both sides of max_ntt_len; P40 transforms rows of Python ints
+    # 45 on P40); 97 and 101 take one limb, P40 four on rows of Python ints
     mod = Modulus(p)
     dtype = mod.dtype
     rng = random.Random(5)
-    edges = {mod.max_ntt_len, mod.max_ntt_len + 1} if mod.max_ntt_len <= 64 else {300, 600}
-    for out_len in sorted(edges | {1, 2, 31, 32, 33, 100}):
+    for out_len in (1, 2, 31, 32, 33, 100, 300, 600):
         for la in (1, (out_len + 1) // 2, out_len):
             lb = out_len + 1 - la
             A = [[rng.randrange(p) for _ in range(la)] for _ in range(3)]
@@ -198,67 +214,45 @@ def test_image_products_are_cyclic(p):
         assert row == [(lin[i] + lin[i + size]) % p for i in range(size)]
 
 
-def test_bitrev_indices_reverse_the_bits(mod):
-    for size in (1, 2, 8, 1024):
-        bits = size.bit_length() - 1
-        want = [int(f"{i:0{bits}b}"[::-1], 2) if bits else 0 for i in range(size)]
-        assert mod._bitrev_indices(size).tolist() == want
-
-
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
-def test_stage_twiddles_are_powers_of_a_root_of_unity(p):
-    mod = Modulus(p)
-    for k in range(1, 13):
-        length = 1 << k
-        for invert in (False, True):
-            w = pow(mod.primitive_root, (p - 1) // length, p)
-            if invert:
-                w = pow(w, p - 2, p)
-            want = [1]
-            for _ in range(1, length // 2):
-                want.append(want[-1] * w % p)
-            tw = mod._stage_twiddles(length, invert)
-            assert [int(t) for t in tw] == want
-            # the table is kept in the modulus's one cache
-            assert mod._cache[("twiddles", length, invert)] is tw
-
-
 def test_small_prime_fallback_and_capacity(mod101):
     rng = random.Random(3)
-    # too few roots of unity: schoolbook still gives the exact product
+    # short products take the schoolbook, longer ones the float kernel
     a = [rng.randrange(101) for _ in range(80)]
     b = [rng.randrange(101) for _ in range(80)]
     assert _convolve(mod101, a, b).tolist() == _school(a, b, 101)
-    # past the schoolbook's limit the float kernel, which needs no roots
     a = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
     b = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
     assert np.array_equal(_convolve(mod101, a, b), _convolve_schoolbook(a, b, 101))
-    # capacity ends past FLOAT_MAX_SIZE, and at once on rows of Python ints
-    ones = np.ones(modfield.FLOAT_MAX_SIZE // 2 + 1, dtype=np.int64)
-    with pytest.raises(CapacityExceeded):
-        _convolve(mod101, ones, ones)
-    with pytest.raises(CapacityExceeded):
-        _convolve(Modulus(OBJECT_PRIME_NO_ROOTS), [1] * 1500, [1] * 1500)
+    # past the float maximum the Karatsuba split: coefficient k of the square
+    # of l ones is min(k + 1, 2 l - 1 - k)
+    for mod in (mod101, Modulus(DEFAULT_PRIME)):
+        l = mod.float_max // 2 + 1
+        ones = np.ones(l, dtype=np.int64)
+        k = np.arange(2 * l - 1)
+        assert np.array_equal(_convolve(mod, ones, ones), np.minimum(k + 1, 2 * l - 1 - k) % mod.p)
+    # and every size on rows of Python ints
+    mod = Modulus(OBJECT_PRIME_NO_ROOTS)
+    a, b = ([rng.randrange(mod.p) for _ in range(1500)] for _ in range(2))
+    assert _convolve(mod, a, b).tolist() == kronecker_mul(mod.p, [a], [b])[0]
 
 
 def test_float_kernel_needs_no_roots(monkeypatch):
     # 1000003 = 2 * 500001 + 1 has no roots of unity of order 4, but every
     # float size
     mod = Modulus(NO_ROOTS_PRIME)
-    assert mod.max_ntt_len == 2
     assert all(modfield._float(mod, 1 << k) for k in range(1, 12))
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
-    # basisconv selftest checks the least float size, 2, and such a modulus
-    # up to 1024 against the schoolbook, the default prime up to 2^16
-    checked, agrees = [], modfield._float_agrees
+    # basisconv selftest checks the least float size, 2, and 2^14 against
+    # the Kronecker product, on int64 rows and on rows of Python ints
+    checked, agrees = [], oracle._float_agrees
     monkeypatch.setattr(
-        modfield, "_float_agrees", lambda mod, size: checked.append(size) or agrees(mod, size)
+        oracle, "_float_agrees", lambda mod, size: checked.append(size) or agrees(mod, size)
     )
-    assert modfield.float_kernel_agrees(mod)
-    assert modfield.float_kernel_agrees(Modulus(DEFAULT_PRIME))
-    assert sorted(checked) == [2, 2, 1024, 1 << 16]
+    for p in (NO_ROOTS_PRIME, P40):
+        assert oracle.float_kernel_agrees(Modulus(p))
+    assert sorted(checked) == [2, 2, 1 << 14, 1 << 14]
 
 
 def test_poly_invariants(mod101):
@@ -322,7 +316,7 @@ def test_mul_trunc_t_is_transpose(mod101):
 
 def _counted_transforms(monkeypatch):
     """A one-element list counting the _transform calls made from now on:
-    every transform, float or NTT, enters through it."""
+    every transform enters through it."""
     calls = [0]
     transform = modfield._transform
 
@@ -425,43 +419,59 @@ def test_kept_images_and_results_never_alias_the_work_arrays(mod):
         assert np.array_equal(X, was)
 
 
-def _ntt_cyclic(mod, pairs, size):
-    """The NTT's sum of the row-wise products A B mod x^size - 1 over the
-    pairs (A, B): the reference of the float kernel."""
-    spectra = [
-        _ntt_numpy(mod, A, size, False) * _ntt_numpy(mod, B, size, False) % mod.p
-        for A, B in pairs
-    ]
-    return _ntt_numpy(mod, sum(spectra) % mod.p, size, True)
+def _worst(p, L):
+    """The residue below p whose balanced limbs are -2^10 but the top one,
+    the largest that keeps it below p: the largest limb norm below p."""
+    low = -1024 * ((1 << 11 * (L - 1)) - 1) // 2047
+    return ((p - 1 - low) >> 11 * (L - 1) << 11 * (L - 1)) + low
 
 
-# balanced limbs (-1024, -1024, 479): the largest limb norm below DEFAULT_PRIME
-WORST = 479 * (1 << 22) - 1024 * 2049
+# (-1024, -1024, 480)
+WORST = _worst(DEFAULT_PRIME, 3)
 FLOAT_SIZES = [1 << k for k in range(1, 18)]
+# one prime of each limb count and row dtype, up to PRIME_BOUND: L = 3 on
+# int64 and on object rows, 4, 6 and 8
+LIMB_PRIMES = [
+    DEFAULT_PRIME,
+    OBJECT_PRIME_NO_ROOTS,
+    P40,
+    1152921504606849707,
+    3317044064679887385961813,
+]
 
 
-@pytest.mark.parametrize("size", FLOAT_SIZES)
-def test_float_kernel_exact_on_worst_operands(mod, size):
-    # from the least size the float kernel takes on; every image here is float
-    p = mod.p
+@pytest.mark.parametrize(
+    "p, size",
+    [pytest.param(DEFAULT_PRIME, size, id=str(size)) for size in FLOAT_SIZES]
+    + [pytest.param(p, None, id=f"{p}-largest") for p in LIMB_PRIMES],
+)
+def test_float_kernel_exact_on_worst_operands(p, size):
+    # from the least size the float kernel takes on to the largest each limb
+    # count admits; every image here is float.  Constant rows have a closed
+    # form: coefficient k of the square of l ones is min(k + 1, 2 l - 1 - k),
+    # and the cyclic square of `size` ones is `size` everywhere.  It stands in
+    # for the Kronecker product, which takes seconds on the largest rows
+    mod = Modulus(p)
+    size = size or mod.float_max
     assert modfield._float(mod, size)
-    for value in (WORST, p - 1):
-        half = np.full((2, size // 2), value, dtype=np.int64)
-        full = np.full((2, size), value, dtype=np.int64)
-        want = _ntt_cyclic(mod, [(half, half)], size)[:, : size - 1]
-        # single and batched rows, and a product by a kept fixed operand
-        assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
-        assert np.array_equal(_convolve_rows(mod, half, half), want)
-        fixed = _image(mod, half[:1], size)
-        assert fixed.ndim == 3
-        assert np.array_equal(_mul_fixed(mod, half[0], fixed, size - 1), want[0])
-        # a summed pair of product images of full rows: the largest norms
-        X = _image(mod, full, size)
-        got = _image_coeffs(mod, _image_mul_add(mod, X, X, X, X), size)
-        assert np.array_equal(got, _ntt_cyclic(mod, [(full, full), (full, full)], size))
-        for products in (1, 2):
-            c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
-            assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products)
+    values = np.array([[_worst(p, mod.limbs)], [p - 1]], dtype=mod.dtype)
+    half = np.repeat(values, size // 2, axis=1)
+    full = np.repeat(values, size, axis=1)
+    k = np.arange(size - 1)
+    want = values * values % p * np.minimum(k + 1, size - 1 - k).astype(mod.dtype) % p
+    # single and batched rows, and a product by a kept fixed operand
+    assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
+    assert np.array_equal(_convolve_rows(mod, half, half), want)
+    fixed = _image(mod, half[1:], size)
+    assert fixed.ndim == 3
+    assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
+    # a summed pair of product images of full rows: the largest norms
+    X = _image(mod, full, size)
+    got = _image_coeffs(mod, _image_mul_add(mod, X, X, X, X), size)
+    assert (got == 2 * size * values % p * values % p).all()
+    for products in (1, 2):
+        c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
+        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, mod.limbs)
 
 
 def test_dense_product_exact_on_worst_operands(mod):
@@ -473,11 +483,11 @@ def test_dense_product_exact_on_worst_operands(mod):
     assert b_max == 4096
     for b in (LEAF_SIZE, b_max):
         A = np.array([[v] * b for v in (p - 1, WORST, -1024 * 4196353)], dtype=np.int64)
-        assert (_limbs(A[2:]) == -1024).all()
+        assert (_limbs(A[2:], 3) == -1024).all()
         want = A.astype(object).sum(axis=1) * (p - 1) % p
         got = modfield._dense_mul(mod, A, np.full((b, 2), p - 1.0))
         assert (got == want.astype(np.int64)[:, None]).all(), b
-    assert modfield.dense_product_agrees(mod, LEAF_SIZE)
+    assert oracle.dense_product_agrees(mod, LEAF_SIZE)
     # random operands against the integer product
     rng = np.random.default_rng(52)
     A, M = rng.integers(0, p, (5, LEAF_SIZE)), rng.integers(0, p, (LEAF_SIZE, 300))
@@ -498,23 +508,22 @@ def test_dense_product_exact_on_worst_operands(mod):
         (512, 16, "float"),
         (512, 32, "float"),
         (1024, 256, "float"),
-        (8, 1, "ntt"),
-        (16, 256, "ntt"),
-        (512, 32, "ntt"),
+        (8, 1, "object"),
+        (16, 256, "object"),
+        (512, 32, "object"),
     ],
 )
 def test_batch_kernel_by_size_and_rows(size, rows, kind):
-    # a batch's kind follows the dtype of its rows and its size, whatever its
-    # row count: float on int64 rows, the NTT on dtype-object rows (P40).
-    # Its products are exact, also on int64 rows at (8, 1), (16, 256) and
-    # (512, 32), which once went to the NTT
-    mod = Modulus({"float": DEFAULT_PRIME, "ntt": P40}[kind])
+    # a batch's images are float limb spectra whatever its row count and the
+    # dtype of its rows: three limbs on int64 rows, four on dtype-object rows
+    # (P40).  Its products are exact
+    mod = Modulus({"float": DEFAULT_PRIME, "object": P40}[kind])
     rng = random.Random(size * rows)
     A = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     B = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
-    want_ndim = {"float": 3, "ntt": 2}[kind]
-    assert _image(mod, A_, size).ndim == _image(mod, A_[:1], size).ndim == want_ndim
+    assert _image(mod, A_, size).shape[:2] == (rows, mod.limbs)
+    assert _image(mod, A_[:1], size).ndim == 3
     got = _convolve_rows(mod, A_, B_)
     for i in {0, rows - 1}:
         assert got[i].tolist() == _school(A[i], B[i], mod.p)
@@ -533,26 +542,28 @@ def test_float_recombination_reduces_multiples_of_p(p):
     assert not got.any()
 
 
-def test_float_kernel_dispatch(mod, monkeypatch):
-    # past the largest admitted size products go to the NTT; the bound is
-    # asserted wherever a float product image is made
+def test_float_kernel_dispatch(monkeypatch):
+    # past the largest admitted size a product makes one Karatsuba split into
+    # three float products of half the size; the bound is asserted wherever a
+    # float product image is made
+    mod = Modulus(DEFAULT_PRIME)
+    mod.float_max = 2048
     calls = [0]
-    ntt = modfield._ntt_numpy
+    product_image = modfield._product_image
 
     def counted(*args):
         calls[0] += 1
-        return ntt(*args)
+        return product_image(*args)
 
-    monkeypatch.setattr(modfield, "_ntt_numpy", counted)
-    monkeypatch.setattr(modfield, "FLOAT_MAX_SIZE", 2048)
+    monkeypatch.setattr(modfield, "_product_image", counted)
     rng = random.Random(7)
-    for size, ntt_calls in ((2048, 0), (4096, 3)):
+    for size, products in ((2048, 1), (4096, 3)):
         a = [rng.randrange(mod.p) for _ in range(size // 2)]
         b = [rng.randrange(mod.p) for _ in range(size // 2)]
         calls[0] = 0
         assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
-        assert calls[0] == ntt_calls, size
-    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64)), 16)
-    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1) / 2)
+        assert calls[0] == products, size
+    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64), 3), 16)
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, 3) / 2)
     with pytest.raises(AssertionError):
         _class_spectra([(X, X)])

@@ -115,7 +115,7 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
         calls[0] += 1
         return transform(*args)
 
-    # every transform, float or NTT, enters through _transform
+    # every transform enters through _transform
     monkeypatch.setattr(modfield, "_transform", counted)
     sizes = []
     for shift in (taylor_shift, taylor_shift_t):

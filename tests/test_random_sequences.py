@@ -6,8 +6,8 @@ of the current series, its valuation and its leading coefficient.  It only
 emits operators whose domain holds, so every sequence must evaluate; one
 more operator chosen outside its domain must raise the typed error of
 compseq._apply_op.  Three primes cover the kernels: 101 (schoolbook
-products), DEFAULT_PRIME (int64 transforms: float or NTT) and a 40-bit prime
-(NTT on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
+products, one limb), DEFAULT_PRIME (three limbs on int64 rows) and a 40-bit
+prime (four limbs on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
 each root into a power substitution, which multiplies the dimension by k, and
 a Taylor shift of dimension m needs m < p.
 """
@@ -132,10 +132,10 @@ def mod(request):
 
 @pytest.fixture(params=["dispatch", "transforms", "float"])
 def kernel(request):
-    # as dispatched by size; every product through the NTT where the modulus
-    # allows it ("transforms"); or through the float kernel where it may
-    # take it and through the NTT elsewhere ("float")
-    force = {"transforms": "ntt", "float": "float"}.get(request.param)
+    # as dispatched by size; every product through the float kernel
+    # ("float"); or every product through a transform, past size 16 by the
+    # Karatsuba split and coefficient-row images ("transforms")
+    force = {"transforms": "rows", "float": "float"}.get(request.param)
     if force:
         request.getfixturevalue("force_kernel")(force)
     return request.param
