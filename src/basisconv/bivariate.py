@@ -15,15 +15,26 @@ import numpy as np
 
 from .compseq import (
     _inverse_reduction,
+    _inverse_row_maps,
     _leads,
     _prepare,
+    _row_maps,
     _shifts_cancel,
     eval_seq,
     eval_seq_inv,
     eval_seq_t,
 )
 from .errors import SingularDiagonal, SpecViolation
-from .modfield import Modulus, Poly, _fixed_operand, _readonly, mul_trunc, mul_trunc_t
+from .modfield import (
+    Modulus,
+    Poly,
+    _fixed_operand,
+    _readonly,
+    _times,
+    _toeplitz,
+    mul_trunc,
+    mul_trunc_t,
+)
 from .polyops import diagonal, taylor_shift_t, truncate
 from .seriesops import series_inv
 
@@ -95,19 +106,22 @@ def _forward_vectors(spec, n, mod):
     return mod.cached(("vu", spec, n), build)
 
 
+def _inverse_series(spec, n, mod):
+    """(1/f_k array, then 1/u and 1/v as Poly or None) at precision n, made
+    afresh; raises SingularDiagonal at the first vanishing f_k."""
+    f, v, u = _spec_vectors(spec, n, mod)
+    zeros = np.flatnonzero(f == 0)
+    if len(zeros):
+        raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
+    return mod.inv_array(f), *(None if P is None else series_inv(P, n) for P in (u, v))
+
+
 def _inverse_vectors(spec, n, mod):
-    """(1/f_k array, then 1/u and 1/v kept for their products or None) at
-    precision n, cached; raises SingularDiagonal at the first vanishing f_k."""
+    """_inverse_series with 1/u and 1/v kept for their products, cached."""
 
     def build():
-        f, v, u = _spec_vectors(spec, n, mod)
-        zeros = np.flatnonzero(f == 0)
-        if len(zeros):
-            raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
-        return (
-            _readonly(mod.inv_array(f)),
-            *(None if P is None else _fixed(mod, series_inv(P, n), n) for P in (u, v)),
-        )
+        finv, uinv, vinv = _inverse_series(spec, n, mod)
+        return _readonly(finv), _fixed(mod, uinv, n), _fixed(mod, vinv, n)
 
     return mod.cached(("finv", spec, n), build)
 
@@ -170,3 +184,56 @@ def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     if vinv is not None:
         cur = mul_trunc_t(cur, vinv, n)
     return cur
+
+
+# The same maps on the rows of an int64 array, for n <= LEAF_SIZE: each factor
+# is one exact GEMM (modfield._dense_mul) of all rows at once, by a Toeplitz
+# matrix for the products by u, v and their inverses (modfield._toeplitz), or
+# a few such products for an evaluation (compseq._row_maps).  On the rows of a
+# diagonal they give the n x n matrices of the maps, which families keeps for
+# n <= MATRIX_MAX.  They make none of the operands that the evaluations above
+# keep (compseq._prepare, _forward_vectors, _inverse_vectors), and raise what
+# those raise.
+
+
+def _bivariate_rows(X, spec: BivariateSpec, n: int, mod: Modulus):
+    """The int64 rows X of n residues (or those of Diag(X), for a 1-D X;
+    modfield._times) each mapped by eval_bivariate at n: X times the
+    matrices of mul_trunc_t by v, eval_seq_t at h, Diag(f), eval_seq at g and
+    mul_trunc by u."""
+    mod.check_precision(n)
+    g_maps = _row_maps(spec.g_ops, n, mod)
+    h_maps = _row_maps(spec.h_ops, n, mod, transposed=True)
+    check_spec(spec, n, mod)
+    f, v, u = _spec_vectors(spec, n, mod)
+    if v is not None:
+        X = _times(mod, X, _toeplitz(v.arr, n).T)
+    for step in h_maps:
+        X = step(X)
+    X = X * f % mod.p
+    for step in g_maps:
+        X = step(X)
+    if u is not None:
+        X = _times(mod, X, _toeplitz(u.arr, n))
+    return X
+
+
+def _bivariate_inv_rows(X, spec: BivariateSpec, n: int, mod: Modulus):
+    """The int64 rows X of n residues (or those of Diag(X), for a 1-D X)
+    each mapped by eval_bivariate_inv at n, the factors as _bivariate_inv
+    applies them: X times the matrices of mul_trunc by 1/u, eval_seq_inv at
+    g, Diag(1/f), the transpose of eval_seq_inv at h and mul_trunc_t by
+    1/v."""
+    mod.check_precision(n)
+    check_spec(spec, n, mod)
+    finv, uinv, vinv = _inverse_series(spec, n, mod)
+    if uinv is not None:
+        X = _times(mod, X, _toeplitz(uinv.arr, n))
+    for step in _inverse_row_maps(spec.g_ops, n, mod):
+        X = step(X)
+    X = X * finv % mod.p
+    for step in _inverse_row_maps(spec.h_ops, n, mod, transposed=True):
+        X = step(X)
+    if vinv is not None:
+        X = _times(mod, X, _toeplitz(vinv.arr, n).T)
+    return X

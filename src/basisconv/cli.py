@@ -13,10 +13,11 @@ import random
 import sys
 import time
 
+from .bivariate import eval_bivariate
 from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequence
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DomainViolation
-from .families import family_names, from_monomial, parse_family, to_monomial
+from .families import MATRIX_MAX, family_names, from_monomial, parse_family, to_monomial
 from .modfield import DEFAULT_PRIME, Modulus, Poly
 from .oracle import (
     dense_product_agrees,
@@ -175,8 +176,9 @@ def cmd_bench(args):
 def cmd_selftest(args):
     mod = _modulus(args)
     rng = random.Random(2024)
-    # 37 is odd: its grid trees have a ragged last node on most levels
-    sizes = [8, 24, 37] if args.quick else [8, 24, 37, 48, 64]
+    # 37 is odd: its grid trees have a ragged last node on most levels; up to
+    # MATRIX_MAX the conversions are kept matrices, past it the fast chain
+    sizes = [8, 24, 37] if args.quick else [8, 24, 37, 48, MATRIX_MAX, MATRIX_MAX + 32]
     names = ["laguerre(alpha=3)", "hermite", "falling", "bell"]
     if not args.quick:
         names += ["jacobi(alpha=3,beta=5)", "fibonacci", "mott", "bessel",
@@ -200,9 +202,15 @@ def cmd_selftest(args):
             if fast.coeffs != slow.coeffs:
                 print(f"FAIL eval oracle {name} n={n}")
                 failures += 1
-            # round trip through the basis conversion
+            # the conversion against the fast chain, eval_bivariate, and
+            # the round trip through the basis conversion
             try:
                 A = to_monomial(a, fam, n, mod)
+                cinv = mod.batch_inv(fam.prefactor(n))
+                b = [x * c % mod.p for x, c in zip(a, cinv)]
+                if A != eval_bivariate(b, fam.spec, n, mod):
+                    print(f"FAIL conversion differs from the chain {name} n={n}")
+                    failures += 1
                 back = from_monomial(A, fam, n, mod)
                 if back != a:
                     print(f"FAIL round-trip {name} n={n}")

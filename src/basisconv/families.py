@@ -7,7 +7,8 @@ polynomials P_n: the prefactor diagonal is applied internally.
 
 Families whose g/h sequences avoid exp and log convert in O(M(n)); the
 Sheffer-type families (h built from a logarithm or exponential) convert in
-O(M(n) log n).
+O(M(n) log n).  For p < 2^31 and n <= MATRIX_MAX a conversion is instead one
+product by its n x n matrix, kept per family, n and direction.
 """
 
 from __future__ import annotations
@@ -17,13 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import BivariateSpec, _bivariate_inv, eval_bivariate
+from .bivariate import (
+    BivariateSpec,
+    _bivariate_inv,
+    _bivariate_inv_rows,
+    _bivariate_rows,
+    eval_bivariate,
+)
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
 from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoefficient
 from .modfield import (
     Modulus,
     Poly,
     _arange,
+    _dense_mul,
     _fit,
     _powers,
     _prefix_products,
@@ -632,16 +640,65 @@ def _input_vector(coeffs, n: int, mod: Modulus):
     return a.astype(mod.dtype, copy=False)
 
 
+# On int64 rows a conversion at n <= MATRIX_MAX is one exact GEMM
+# (modfield._dense_mul) of the input row by the n x n matrix of the conversion,
+# prefactors folded in, kept per (family, n, direction) (_conversion_matrix):
+# 32 KB at n = 64.  The first conversion builds it from the factors of the
+# chain (bivariate._bivariate_rows).  Time in ms of the 39 conversions of the
+# 20 catalog families (spread one way), warm best of 20 summed, and cold on a
+# fresh modulus, median of 5, three runs on a 2-core x86-64 machine with
+# numpy 2.4 (OpenBLAS, one thread):
+#
+#   n       warm matrix   warm chain    cold matrix   cold chain
+#   16       1.0-1.3       4.6-5.0        40-52         55-65
+#   32       1.0-1.3       6.1-7.0        49-76         59-68
+#   64       1.2-1.3       7.0-12.3       70-85         70-119
+#   128      1.5-2.5      13.0-19.0      147-238        96-189
+#
+# so up to 64 the build costs no more than the cold chain it replaces; at 128
+# it costs more, and each matrix takes 128 KB.
+MATRIX_MAX = 64
+
+
+def _by_matrix(mod: Modulus, n):
+    """Whether conversions at n are one product by a kept matrix."""
+    return mod.dtype is not object and 1 <= n <= MATRIX_MAX
+
+
+def _conversion_matrix(fam: FamilyDescriptor, n: int, mod: Modulus, inverse: bool):
+    """The float64 n x n matrix, read-only, by which a row of n residues is
+    converted to the monomial basis (or from it, with inverse), built on first
+    use on the rows of Diag(1/c) (of the identity, then times Diag(c)), kept
+    per (family, n, direction); raises what the conversion raises.  The rows
+    of a diagonal enter as its 1-D array (modfield._times), so that the first
+    factor is no GEMM."""
+
+    def build():
+        cs, cinv = _prefactors(fam, n, mod)
+        if inverse:
+            M = _bivariate_inv_rows(np.ones(n, dtype=np.int64), fam.spec, n, mod) * cs % mod.p
+        else:
+            M = _bivariate_rows(cinv, fam.spec, n, mod)
+        return _readonly((np.diag(M) if M.ndim == 1 else M).astype(np.float64))
+
+    return mod.cached(("matrix", fam, n, "from" if inverse else "to"), build)
+
+
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
     """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n; the
     n or fewer coefficients must be residues in [0, p)."""
-    a = _input_vector(coeffs, n, mod)
+    a = _fit(_input_vector(coeffs, n, mod), n)
+    if _by_matrix(mod, n):
+        return Poly.of(mod, _dense_mul(mod, a[None], _conversion_matrix(fam, n, mod, False))[0])
     _, cinv = _prefactors(fam, n, mod)
-    return eval_bivariate(_fit(a, n) * cinv % mod.p, fam.spec, n, mod)
+    return eval_bivariate(a * cinv % mod.p, fam.spec, n, mod)
 
 
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
     as a list of ints."""
+    if _by_matrix(mod, n):
+        M = _conversion_matrix(fam, n, mod, True)
+        return _dense_mul(mod, _fit(A.arr, n)[None], M)[0].tolist()
     cs, _ = _prefactors(fam, n, mod)
     return (_bivariate_inv(A, fam.spec, n, mod).arr * cs % mod.p).tolist()

@@ -39,12 +39,13 @@ The float kernel writes the transient arrays of a product into work arrays
 that each thread keeps and reuses (_work_array): the limb rows (_limbs, which
 _dense_mul reads too), the spectra of its operands, its class spectra with
 their temporaries, and its class coefficients, on which the recombination
-runs in place.  They grow only, to the largest product the thread has run,
-so warm products map no fresh pages.  Kept images (_fixed_operand, the levels
+runs in place; the schoolbook keeps its large int64 rows there too.  They
+grow only, to the largest product the thread has run, so warm products map
+no fresh pages.  Kept images (_fixed_operand, the levels
 of evalgrid's trees), every row array a product returns and every cached
 value are fresh arrays, never work arrays.  After a warm pass of each of the
-benchmark's workloads a thread holds (work_bytes) 0.11 MB on catalog_small
-(n <= 256), 1.8 MB on sheffer_large (n = 8192) and 7.3 MB on algebraic_large
+benchmark's workloads a thread holds (work_bytes) 0.17 MB on catalog_small
+(n <= 256), 1.8 MB on sheffer_large (n = 8192) and 8.7 MB on algebraic_large
 (n = 16384).
 """
 
@@ -61,10 +62,10 @@ from .errors import DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
 # The schoolbook costs about m (la + lb - 1) element operations, m = min(la,
 # lb) (its work), a product by transforms about size log(size) and, on int64
 # rows, a fixed cost of numpy calls per stage.  Products go to transforms past
-# work = SCHOOLBOOK_WORK_INT64 + 16 size on int64 rows and 16 size on
-# dtype-object rows.  On int64 rows, schoolbook time over float transform time
-# of an m x (out_len + 1 - m) product, median of 7 on a 2-core x86-64 machine
-# with numpy 2.4:
+# work = SCHOOLBOOK_WORK_INT64 + 16 size on int64 rows and past
+# SCHOOLBOOK_WORK_OBJECT on dtype-object rows.  On int64 rows, schoolbook time
+# over float transform time of an m x (out_len + 1 - m) product, median of 7
+# on a 2-core x86-64 machine with numpy 2.4:
 #
 #   out_len \ m     8    16    24    32    48    64    96
 #        256      0.24  0.36  0.50  0.34  0.50  0.88  1.28
@@ -76,11 +77,25 @@ from .errors import DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
 #
 # so the limit picks the schoolbook up to m = 48, 32, 24, 20, 17, 16 on these
 # rows.  Every product of out_len <= 128 stays on the schoolbook, which was
-# faster at all of them (0.47 for 64 x 65).  On dtype-object rows the limit
-# was measured from 16 x 16 to 64 x 16384, against the radix-2 NTT that
-# multiplied those rows before the float kernel took them.
+# faster at all of them (0.47 for 64 x 65).  On dtype-object rows, where the
+# schoolbook multiplies Python ints, the same ratio for p = 1099489607681
+# (four limbs), same machine (an m past (out_len + 1) / 2 multiplies
+# out_len + 1 - m by m):
+#
+#   out_len \ m     4      8     16     24     32     48     64
+#         64      0.33   0.61   1.01   1.13   1.33   1.04   0.11
+#        128      0.50   0.89   1.67   2.13   2.82   3.65   4.35
+#        256      0.76   1.48   2.69   4.01   5.05   7.43   8.44
+#        512      1.02   1.94   3.57   5.51   6.97  10.70  13.66
+#       1024      1.09   2.22   4.11   6.91   9.43  14.88  20.43
+#       2048      1.16   2.37   5.20   6.85  11.64  17.39  21.65
+#       4096      1.21   2.62   5.43   8.73  12.06  24.85  20.38
+#
+# so there the schoolbook wins up to a work of about 1024 at every size (m = 4
+# to out_len 256, 8 to 128, 16 at 64) and loses beyond it.
 SCHOOLBOOK_WORK_PER_ENTRY = 16
 SCHOOLBOOK_WORK_INT64 = 1 << 13
+SCHOOLBOOK_WORK_OBJECT = 1 << 10
 
 DEFAULT_PRIME = 2013265921  # 15 * 2^27 + 1, primitive root 31
 
@@ -335,6 +350,15 @@ class Modulus:
         return self.inv_array(np.array(values, dtype=self.dtype)).tolist()
 
 
+# int64 schoolbook rows of at least this many entries (256 KB) live in a work
+# array (_work_array); smaller ones are fresh arrays, which malloc serves
+# from memory already mapped.  Time in us, best of 300, fresh arrays / work
+# array, on a 2-core x86-64 machine with numpy 2.4: 10 x 512 39 / 54,
+# 10 x 2048 142 / 152, 16 x 2048 347 / 231, 10 x 4096 409 / 233 and
+# 16 x 8192 1485 / 693.
+SCHOOLBOOK_ROWS_KEPT = 1 << 15
+
+
 def _convolve_schoolbook(a, b, p):
     """Exact product of two 1-D residue arrays by direct convolution.
 
@@ -347,8 +371,15 @@ def _convolve_schoolbook(a, b, p):
     if len(a) > len(b):
         a, b = b, a
     la, lb = len(a), len(b)
-    rows = np.zeros((la, la + lb), dtype=a.dtype)
-    rows[:, :lb] = np.multiply.outer(a, b) % p
+    if a.dtype == object or la * (la + lb) < SCHOOLBOOK_ROWS_KEPT:
+        rows = np.zeros((la, la + lb), dtype=a.dtype)
+        rows[:, :lb] = np.multiply.outer(a, b) % p
+    else:
+        # the calling thread's work array (_work_array), pad columns zeroed
+        rows = _work_array("school", (la, la + lb))
+        np.multiply.outer(a, b, out=rows[:, :lb])
+        np.remainder(rows[:, :lb], p, out=rows[:, :lb])
+        rows[:, lb:] = 0
     return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
@@ -368,10 +399,10 @@ def _by_transform(mod: Modulus, la, lb):
     """Whether a product of lengths la and lb is cheaper by transforms than
     by the schoolbook."""
     out_len = la + lb - 1
-    limit = SCHOOLBOOK_WORK_PER_ENTRY * _size(out_len)
-    if mod.dtype is not object:
-        limit += SCHOOLBOOK_WORK_INT64
-    return min(la, lb) * out_len > limit
+    work = min(la, lb) * out_len
+    if mod.dtype is object:
+        return work > SCHOOLBOOK_WORK_OBJECT
+    return work > SCHOOLBOOK_WORK_PER_ENTRY * _size(out_len) + SCHOOLBOOK_WORK_INT64
 
 
 def _convolve(mod: Modulus, a, b):
@@ -608,7 +639,9 @@ def _float_max(limbs):
 
 # Work arrays.  The transient arrays of a product, its limb rows, the spectra
 # of its operands, its class spectra with their temporaries and its class
-# coefficients, are written into arrays each thread keeps (_work_array).  They
+# coefficients, and the large rows of a schoolbook product on int64 rows
+# (_convolve_schoolbook), are written into arrays each thread keeps
+# (_work_array).  They
 # grow only, to the largest product the thread has run, so repeated products
 # reuse memory already mapped instead of faulting in fresh pages.  A slot names
 # one kind of array and the buffer it lives in: slots on one buffer are never
@@ -623,6 +656,7 @@ _WORK_SLOTS = {
     "coeffs": (1, np.float64),
     "image2": (2, np.complex128),
     "term": (3, np.complex128),
+    "school": (4, np.int64),
 }
 
 # The most views a thread keeps at once; past it they are dropped and made
@@ -776,16 +810,42 @@ def _dense_mul(mod: Modulus, A, M):
     """The int64 rows A times the float64 matrix M of residues, mod p, as
     int64 rows of residues: one GEMM of the balanced limbs of A (_limbs) by M,
     exact while _dense_exact(len(M), p) holds (asserted), rounded, reduced
-    and recombined mod p in int64."""
+    and recombined mod p in int64.  The limbs are split from A read as one
+    row, so that each limb of all rows is one contiguous block: limb-major
+    rows, where the limb rows of many rows of A would each be a short
+    strided slice."""
     p, (r, b), L = mod.p, A.shape, mod.limbs
     assert _dense_exact(b, p), (b, p)
-    c = np.rint(np.matmul(_limbs(A, L).reshape(L * r, b), M)).astype(np.int64)
-    c = c.reshape(r, L, M.shape[1])
+    limbs = _limbs(A.reshape(1, r * b), L).reshape(L * r, b)
+    c = np.rint(np.matmul(limbs, M)).astype(np.int64).reshape(L, r, M.shape[1])
     # |c_k| < 2^53 and out < 2^31: each step stays below 2^54 in int64
-    out = c[:, L - 1] % p
+    out = c[L - 1] % p
     for k in range(L - 2, -1, -1):
-        out = ((out << LIMB_BITS) + c[:, k]) % p
+        out = ((out << LIMB_BITS) + c[k]) % p
     return out
+
+
+def _times(mod: Modulus, X, M):
+    """X M mod p for int64 rows X and a float64 matrix M of residues
+    (_dense_mul); a 1-D X stands for the rows of Diag(X), whose product is M
+    with its rows scaled, and no GEMM."""
+    if X.ndim == 1:
+        return X[:, None] * M.astype(np.int64) % mod.p
+    return _dense_mul(mod, X, M)
+
+
+def _toeplitz(s, n):
+    """The n x n float64 matrix U[i, j] = s_(j - i), 0 for j < i, of the
+    residues s, as a read-only view of one row of 2n - 1 entries: rows times
+    U (_dense_mul) are their products by s mod x^n (mul_trunc), and rows times
+    its transpose the transposed products (mul_trunc_t)."""
+    w = np.zeros(2 * n - 1)
+    k = min(len(s), n)
+    w[n - 1 : n - 1 + k] = s[:k]
+    step = w.strides[0]
+    # row i starts at w[n - 1 - i]
+    U = np.lib.stride_tricks.as_strided(w[n - 1 :], (n, n), (-step, step))
+    return _readonly(U)
 
 
 # -- array helpers ---------------------------------------------------------

@@ -148,16 +148,23 @@ def _pascal(mod: Modulus, b):
     return mod.cached(("pascal", LEAF_SIZE), build)[:b, :b]
 
 
+def _dense_shift(mod: Modulus, X, a: int, transposed: bool):
+    """The int64 rows X of m <= LEAF_SIZE residues, each shifted by a != 0 (or
+    by the transpose): A(x + a) = ((A ⊙ a^s) B) ⊙ a^-t, B the Pascal matrix
+    C(s, t), one exact GEMM for all rows, and ((A ⊙ a^-t) B^T) ⊙ a^s its
+    transpose."""
+    p, m = mod.p, X.shape[1]
+    up, down, B = _power_row(mod, a, m), _power_row(mod, a, m, -1), _pascal(mod, m)
+    if transposed:
+        up, down, B = down, up, B.T
+    return _dense_mul(mod, X * up % p, B) * down % p
+
+
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod, m, p = A.mod, A.dim, A.mod.p
     mod.check_precision(m)
     if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
-        # A(x + a) = ((A ⊙ a^s) B) ⊙ a^-t, B the Pascal matrix C(s, t): one
-        # exact GEMM, and ((A ⊙ a^-t) B^T) ⊙ a^s its transpose
-        up, down, B = _power_row(mod, a, m), _power_row(mod, a, m, -1), _pascal(mod, m)
-        if transposed:
-            up, down, B = down, up, B.T
-        return Poly.of(mod, _dense_mul(mod, (A.arr * up % p)[None], B)[0] * down % p)
+        return Poly.of(mod, _dense_shift(mod, A.arr[None], a, transposed)[0])
     # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
     # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1)), a middle product
     fact, inv_fact = mod.table("factorials", m), mod.table("inv_factorials", m)

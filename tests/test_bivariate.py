@@ -23,6 +23,7 @@ from basisconv import (
     parse_sequence,
 )
 from basisconv import compseq, polyops
+from basisconv.bivariate import _bivariate_inv
 from basisconv.families import from_monomial, parse_family, to_monomial
 from basisconv.oracle import bivariate_matrix, matrix_inverse, matvec
 
@@ -171,13 +172,16 @@ def test_inverse_maps_where_the_reduction_shifts_cancel(mod, text):
 
 @pytest.mark.parametrize("n", [64, 16384])
 def test_jacobi_inverse_makes_one_forward_shift(n, monkeypatch):
-    # jacobi's g = x + 1 reverses into (Add(1), Add(-1)): from_monomial makes
-    # the one shift by -1 on K[x]_n, not also the shift by 1 and back
+    # jacobi's g = x + 1 reverses into (Add(1), Add(-1)): the inverse chain
+    # makes the one shift by -1 on K[x]_n, not also the shift by 1 and back.
+    # The chain is called directly: at n <= MATRIX_MAX from_monomial is one
+    # product by a kept matrix
     mod = Modulus(DEFAULT_PRIME)
     fam = parse_family(mod, "jacobi(alpha=3,beta=5)")
     rng = random.Random(18)
     a = [rng.randrange(mod.p) for _ in range(n)]
     A = to_monomial(a, fam, n, mod)
+    cs = fam.prefactor(n)
     shifts, kernel = [], polyops._shift_kernel
 
     def counted(P, shift, transposed):
@@ -186,5 +190,6 @@ def test_jacobi_inverse_makes_one_forward_shift(n, monkeypatch):
         return kernel(P, shift, transposed)
 
     monkeypatch.setattr(polyops, "_shift_kernel", counted)
-    assert from_monomial(A, fam, n, mod) == a
+    b = _bivariate_inv(A, fam.spec, n, mod).coeffs
+    assert [x * c % mod.p for x, c in zip(b, cs)] == a
     assert shifts == [mod.p - 1]

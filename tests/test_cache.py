@@ -8,6 +8,7 @@ from collections import Counter
 from basisconv import DEFAULT_PRIME, Add, BivariateSpec, Exp, Inv, Log, Modulus, Mul, Poly
 from basisconv import bivariate, compseq, evalgrid, families, modfield, polyops, seriesops
 from basisconv.families import FamilyDescriptor, from_monomial, parse_family, to_monomial
+from catalog_data import FAMILY_STRINGS as CATALOG
 
 NAMES = ["hermite", "jacobi(alpha=3,beta=5)", "bell", "charlier(a=2)", "laguerre(alpha=1/2)"]
 
@@ -51,13 +52,14 @@ def test_warm_from_monomial_recomputes_nothing(monkeypatch):
 
     for module in (bivariate, compseq, evalgrid, families, seriesops):
         monkeypatch.setattr(module, "series_inv", series_inv, raising=False)
-    # Inv and Root operators in h, Log and Exp through the grid trees, u and v
+    # Inv and Root operators in h, Log and Exp through the Stirling matrices,
+    # u and v; above MATRIX_MAX, so that the conversions run the fast chain
     cases = [
         ((Add(1), Inv(), Add(p - 1)), families._fibonacci_h_ops(mod)),
         ((), (Log(),)),
         ((Mul(2),), (Exp(),)),
     ]
-    n = 64
+    n = families.MATRIX_MAX + 32
     rng = random.Random(8)
     for k, (g_ops, h_ops) in enumerate(cases):
         spec = BivariateSpec(
@@ -219,6 +221,54 @@ def test_threads_share_one_modulus(monkeypatch):
     assert sorted(k for k in mod._cache if k[0] == "stirling") == [
         ("stirling", "exp"), ("stirling", "log"),
     ]
+
+
+def test_threads_build_each_conversion_matrix_once(monkeypatch):
+    # cold conversions at n <= MATRIX_MAX on one modulus: each (family, n,
+    # direction) builds its matrix once, and every thread gets the
+    # single-thread results
+    names = ["jacobi(alpha=3,beta=5)", "fibonacci", "bell", "meixner(beta=5,c=7)"]
+    rng = random.Random(16)
+    vectors = {name: _random_vector(rng, Modulus(DEFAULT_PRIME), 64) for name in names}
+    sized = {n: {k: a[:n] for k, a in vectors.items()} for n in (17, 64)}
+    want = {n: _convert_all(Modulus(DEFAULT_PRIME), sized[n], n) for n in sized}
+    builds = Counter()
+    for name in ("_bivariate_rows", "_bivariate_inv_rows"):
+        rows = getattr(families, name)
+
+        def counted(X, spec, n, mod, rows=rows, name=name):
+            builds[name, spec, n] += 1
+            return rows(X, spec, n, mod)
+
+        monkeypatch.setattr(families, name, counted)
+    mod = Modulus(DEFAULT_PRIME)
+
+    def work():
+        return {n: _convert_all(mod, sized[n], n) for n in sized}
+
+    assert _run_threads(work) == [want] * 4
+    assert len(builds) == 2 * len(names) * 2 and set(builds.values()) == {1}
+    keys = [k for k in mod._cache if k[0] == "matrix"]
+    assert len(keys) == len(builds)
+
+
+def test_small_conversions_keep_only_their_matrices():
+    # after one round trip of every catalog family at n = 64 the cache holds
+    # one 64 x 64 float64 matrix per (family, direction), and none of the
+    # operands of the fast chain
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(17)
+    n = 64
+    for text in CATALOG:
+        fam = parse_family(mod, text)
+        A = to_monomial(_random_vector(rng, mod, n), fam, n, mod)
+        if fam.name != "spread":
+            from_monomial(A, fam, n, mod)
+    census = mod.cache_bytes()
+    assert census["matrix"] == (39, 39 * 8 * n * n)
+    for kind in ("seq", "vu", "finv", "upow", "rootpow", "shift", "grid"):
+        assert kind not in census, kind
+    assert not _holds_truncations(mod)
 
 
 def test_threads_build_and_drop_truncations_once(monkeypatch):

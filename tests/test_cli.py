@@ -195,6 +195,25 @@ def test_selftest_checks_the_dense_leaf_product(monkeypatch, capsys):
     assert out.startswith("FAIL kernel: dense leaf product")
 
 
+def test_selftest_checks_the_conversion_matrices(monkeypatch, capsys):
+    # a kept matrix with one wrong entry, up to MATRIX_MAX, differs from the
+    # fast chain; the round trip alone would not tell a wrong forward matrix
+    # from an inverse built from the same factors
+    from basisconv import cli, families
+
+    build = families._conversion_matrix
+
+    def wrong(fam, n, mod, inverse):
+        M = build(fam, n, mod, inverse).copy()
+        M[0, 0] = (M[0, 0] + 1) % mod.p
+        return M
+
+    monkeypatch.setattr(families, "_conversion_matrix", wrong)
+    assert cli.main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL conversion differs from the chain laguerre(alpha=3) n=8" in out
+
+
 def test_malformed_family_value_is_domain_error():
     proc = run_cli(
         ["convert", "--family", "hermite(x=abc)", "--dir", "to-monomial", "--n", "2"],

@@ -14,7 +14,21 @@ from basisconv import (
     evalgrid,
     modfield,
 )
+from basisconv import (
+    Add,
+    AmbiguousValuation,
+    BivariateSpec,
+    Inv,
+    Log,
+    Mul,
+    PrecisionExceedsModulus,
+    eval_bivariate,
+)
+from basisconv.bivariate import _bivariate_inv
 from basisconv.families import (
+    MATRIX_MAX,
+    FamilyDescriptor,
+    _prefactors,
     family,
     family_names,
     from_monomial,
@@ -183,17 +197,130 @@ def test_transform_kernel_matches_naive_convert(transforms_only):
     # products this small go to the schoolbook by default; here every product
     # goes through transforms, cached operands included (a fresh modulus):
     # float images, or past size 16 Karatsuba splits and coefficient rows,
-    # also over a prime without roots of unity
+    # also over a prime without roots of unity.  The fast chain is called
+    # directly: at n <= MATRIX_MAX the conversions are kept matrices
     primes = [DEFAULT_PRIME, NO_ROOTS_PRIME]
     rng = random.Random(55)
     n = 24
     for mod in map(Modulus, primes):
         for fam in _families_over(mod):
             a = [rng.randrange(mod.p) for _ in range(n)]
-            fast = to_monomial(a, fam, n, mod).coeffs
+            fast = _chain_to(a, fam, n, mod)
             assert fast == naive_convert(a, fam, n, "to-monomial", mod), (mod, fam.name)
             if fam.name != "spread":    # its diagonal has a zero: no inverse
-                assert from_monomial(Poly(mod, fast, n), fam, n, mod) == a, (mod, fam.name)
+                assert _chain_from(fast, fam, n, mod) == a, (mod, fam.name)
+
+
+def _chain_to(a, fam, n, mod):
+    """to_monomial of a by the fast chain, eval_bivariate(a / c), as a list."""
+    _, cinv = _prefactors(fam, n, mod)
+    return eval_bivariate(Poly(mod, a, n).arr * cinv % mod.p, fam.spec, n, mod).coeffs
+
+
+def _chain_from(A, fam, n, mod):
+    """from_monomial of the coefficients A by the fast chain, _bivariate_inv."""
+    cs, _ = _prefactors(fam, n, mod)
+    return (_bivariate_inv(Poly(mod, A, n), fam.spec, n, mod).arr * cs % mod.p).tolist()
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the AlgebraError it raised."""
+    try:
+        return fn()
+    except (AmbiguousValuation, PrecisionExceedsModulus, SingularDiagonal) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
+def test_matrix_path_matches_naive_convert(p):
+    # at n <= MATRIX_MAX (int64 rows) each conversion is one product by a
+    # matrix kept per (family, n, direction); n = 65 takes the fast chain.
+    # Where they differ from the oracle, both paths raise as the chain does:
+    # fibonacci and mott at n = 1 (a zero truncation before a Root), spread's
+    # from_monomial (a zero f_k); over 101, past MATRIX_MAX, the chain's
+    # transposed Taylor shifts of dimension 2n - 1 >= p, which the matrices
+    # do not make (they convert up to n = 64 there)
+    mod = Modulus(p)
+    rng = random.Random(56)
+    chain_limit = {
+        ("jacobi", "to-monomial"), ("spread", "to-monomial"), ("bessel", "from-monomial"),
+    }
+    for fam in all_families(mod):
+        for n in (1, 2, 3, 17, 32, 63, 64, 65):
+            a = [rng.randrange(p) for _ in range(n)]
+            for direction in ("to-monomial", "from-monomial"):
+                if direction == "to-monomial":
+                    got = _outcome(lambda: to_monomial(a, fam, n, mod).coeffs)
+                else:
+                    got = _outcome(lambda: from_monomial(Poly(mod, a, n), fam, n, mod))
+                want = _outcome(lambda: naive_convert(a, fam, n, direction, mod))
+                if n == 1 and fam.name in ("fibonacci", "mott"):
+                    want = AmbiguousValuation
+                elif p == 101 and n > MATRIX_MAX and (fam.name, direction) in chain_limit:
+                    want = PrecisionExceedsModulus
+                assert got == want, (fam.name, n, direction)
+
+
+def test_matrix_path_matches_the_chain():
+    # both directions at every n up to MATRIX_MAX, on a fresh modulus each,
+    # against eval_bivariate and _bivariate_inv called directly, exceptions
+    # included; the last family has a u, a v and an Inv in g
+    rng = random.Random(57)
+    names = ["laguerre(alpha=3)", "jacobi(alpha=3,beta=5)", "fibonacci", "mott", "mittag_leffler"]
+
+    def with_u(mod):
+        spec = BivariateSpec(
+            f_coeffs=lambda n: mod.inv_factorials(n),
+            g_ops=(Add(1), Inv(), Mul(3), Add(mod.p - 3)),
+            h_ops=(Mul(2), Log()),
+            u_coeffs=lambda n: ([1, 3] + [0] * n)[:n],
+            v_coeffs=lambda n: [2] + [1] * (n - 1),
+        )
+        return FamilyDescriptor("with_u", {}, spec, lambda n: list(range(1, n + 1)))
+
+    for n in range(1, MATRIX_MAX + 1):
+        a = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
+        for name in names + [with_u]:
+            chain, matrix = Modulus(DEFAULT_PRIME), Modulus(DEFAULT_PRIME)
+            fams = [name(m) if callable(name) else parse_family(m, name) for m in (chain, matrix)]
+            want = _outcome(lambda: _chain_to(a, fams[0], n, chain))
+            assert _outcome(lambda: to_monomial(a, fams[1], n, matrix).coeffs) == want, (name, n)
+            want = _outcome(lambda: _chain_from(a, fams[0], n, chain))
+            got = _outcome(lambda: from_monomial(Poly(matrix, a, n), fams[1], n, matrix))
+            assert got == want, (name, n)
+            assert [k for k in matrix._cache if k[0] in ("seq", "vu", "finv")] == [], (name, n)
+
+
+@pytest.mark.parametrize("n", [MATRIX_MAX, MATRIX_MAX + 1])
+def test_matrix_path_raises_as_the_chain(n, mod):
+    # the errors of both sides of MATRIX_MAX, each on every call
+    rng = random.Random(58)
+    a = [rng.randrange(mod.p) for _ in range(n)]
+    spread = parse_family(mod, "spread")
+    for _ in range(2):
+        with pytest.raises(SingularDiagonal):
+            from_monomial(to_monomial(a, spread, n, mod), spread, n, mod)
+        with pytest.raises(ZeroCoefficient):
+            to_monomial(a, parse_family(mod, "krawtchouk(p=1/3,N=4)"), n, mod)
+        with pytest.raises(ZeroCoefficient):
+            from_monomial(Poly(mod, a, n), parse_family(mod, "krawtchouk(p=1/3,N=4)"), n, mod)
+    hermite = parse_family(mod, "hermite")
+    with pytest.raises(DomainViolation, match=f"coefficient {n - 1} "):
+        to_monomial(a[:-1] + [mod.p], hermite, n, mod)
+    with pytest.raises(DimensionMismatch):
+        to_monomial(a + [1], hermite, n, mod)
+
+
+@pytest.mark.parametrize("n, p", [(61, 61), (64, 61), (67, 67), (70, 67)])
+def test_precision_exceeds_modulus_on_both_sides(n, p):
+    # n = p is refused by check_precision, n > p already by the tables
+    mod = Modulus(p)
+    for name in ("hermite", "bell"):
+        fam = parse_family(mod, name)
+        with pytest.raises(PrecisionExceedsModulus):
+            to_monomial([1] * n, fam, n, mod)
+        with pytest.raises(PrecisionExceedsModulus):
+            from_monomial(Poly(mod, [1] * n, n), fam, n, mod)
 
 
 def _families_over(mod):

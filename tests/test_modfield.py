@@ -156,6 +156,24 @@ def test_convolve_matches_schoolbook(mod):
         assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
 
 
+def test_schoolbook_rows_reuse_a_zeroed_work_array():
+    # on int64 rows the schoolbook writes rows of SCHOOLBOOK_ROWS_KEPT entries
+    # or more into the thread's work array; after a larger product has left
+    # nonzero entries there, shorter ones still read zero pad columns, and
+    # the array does not grow
+    mod = Modulus(DEFAULT_PRIME)
+    rng = random.Random(21)
+    a, b = ([rng.randrange(1, mod.p) for _ in range(k)] for k in (16, 4096))
+    _convolve_schoolbook(np.array(a), np.array(b), mod.p)
+    held = modfield.work_bytes()
+    assert 16 * (16 + 4096) >= modfield.SCHOOLBOOK_ROWS_KEPT > 10 * 3000
+    for la, lb in ((3, 7), (10, 3300), (12, 2800), (16, 4096)):
+        a, b = ([rng.randrange(mod.p) for _ in range(k)] for k in (la, lb))
+        got = _convolve_schoolbook(np.array(a), np.array(b), mod.p)
+        assert got.tolist() == _school(a, b, mod.p), (la, lb)
+    assert modfield.work_bytes() == held
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
 def test_schoolbook_exact_on_largest_residues(p):
     # every product (p-1)^2 is the largest a residue pair gives; a column of
