@@ -234,13 +234,14 @@ def _output_series(ops, n, mod) -> Poly:
 def _prepare(ops, n: int, mod: Modulus):
     """Build, on the first evaluation of ops at precision n, every operand it
     reads (the unit powers of Inv, the root powers of Root) from one set of
-    truncations, which is then dropped; _lead_info at n comes from the same
-    set where n >= 2 and it is not kept yet.  Raises as compute_g does where
-    ops is not defined at n."""
-    ops = tuple(ops)
+    truncations at precision max(n, 2), which is then dropped; _lead_info at
+    n comes from the same set where it is not kept yet.  Raises as compute_g
+    does where ops is not defined at max(n, 2): at n = 1 a truncation at
+    precision 1 before a Root can be zero where the series is not."""
+    ops, prec = tuple(ops), max(n, 2)
 
     def build():
-        truncs = compute_g(ops, n, mod)
+        truncs = compute_g(ops, prec, mod)
         for ell, m in _steps(ops, n):
             op = ops[ell - 1]
             if isinstance(op, Inv):
@@ -249,8 +250,7 @@ def _prepare(ops, n: int, mod: Modulus):
             elif isinstance(op, Root):
                 key = _root_powers_key(ops, ell, op.k, n)
                 mod.cached(key, partial(_root_powers, truncs, ell, op.k, n, mod))
-        if n >= 2:
-            mod.cached(("lead", ops, n), partial(_lead_summary, ops, truncs, mod))
+        mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
         return True
 
     mod.cached(("seq", ops, n), build)
@@ -540,20 +540,19 @@ def _row_maps(ops, n: int, mod: Modulus, transposed=False):
     """The maps on int64 rows of n residues whose composition, in list order,
     is X -> X P for P the matrix of eval_seq(., ops, n), or X -> X P^T with
     transposed; a map takes a 1-D X for the rows of Diag(X) (modfield._times).
-    Raises as eval_seq does.  The truncations of ops at n are made once and
-    give _lead_info at n where n >= 2: none where no power stack is needed
-    and _lead_info at n is kept."""
-    ops = tuple(ops)
+    Raises as eval_seq does.  The truncations of ops at max(n, 2) are made
+    once, as _prepare makes them, and give _lead_info at n: none where no
+    power stack is needed and _lead_info at n is kept."""
+    ops, prec = tuple(ops), max(n, 2)
     j = max((i + 1 for i, op in enumerate(ops) if isinstance(op, (Pow, Root, Inv))), default=0)
-    if j or n < 2:
-        truncs = compute_g(ops, n, mod)
-        if n >= 2:
-            mod.cached(("lead", ops, n), partial(_lead_summary, ops, truncs, mod))
+    if j:
+        truncs = compute_g(ops, prec, mod)
+        mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
     else:
         _lead_info(ops, n, mod)
     maps = [partial(_op_rows, op, mod, transposed) for op in ops[j:]]
     if j:
-        P = _power_stack(truncs.g[j - 1], n, mod).astype(np.float64)
+        P = _power_stack(_series_at(truncs, mod, j, n), n, mod).astype(np.float64)
         maps.insert(0, partial(_times, mod, M=P.T if transposed else P))
     return maps if transposed else maps[::-1]
 

@@ -49,10 +49,11 @@ kept on the tree, and no level below K is ever made: the build takes
 N_0 = prod_{i < b} (x - i) by halving (_falling), and the other nodes of
 level K from it by the same Pascal product, plus a^b C(b, t) a^-t from the
 leading x^b.
-Each product by a leaf matrix is one float64 GEMM of the balanced 11-bit limbs
-of the rows (modfield._dense_mul), exact while every partial sum, at most
-b 2^10 (p - 1) in magnitude, stays below 2^53: b <= 2^12 for p < 2^31, which
-each product asserts.
+Each product by a leaf matrix is one float64 GEMM of the balanced limbs of
+the rows (modfield._dense_mul), in the fewest limbs of w bits for which every
+partial sum, at most b 2^(w-1) (p - 1) in magnitude, stays below 2^53, which
+each product asserts: for DEFAULT_PRIME two 16-bit limbs up to b = 136 and
+three 11-bit ones up to b = 4369.
 
 With D = prod_i (1 - i x), the reversal of the root, and the weights
 w_i = 1 / M'(i) = (-1)^(n-1-i) / (i! (n-1-i)!), the identity

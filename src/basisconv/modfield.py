@@ -14,16 +14,20 @@ Short operands go to the schoolbook convolution, by measured work
 (_by_transform).  Longer ones are multiplied through images, transforms of the
 rows of 2-D arrays, so one call multiplies a whole batch of equal-length
 operands (_convolve_rows); a single product is its one-row case.  There is one
-transform, the float FFT (numpy.fft.rfft) on L balanced 11-bit limbs of each
-residue, L = Modulus.limbs from p, for every prime and dtype.  It is exact at
-sizes from 2 to Modulus.float_max, where the rounding error bound
-fft_error_bound stays below FFT_ERROR_MAX, and needs no roots of unity.  Past
-that size a product makes one Karatsuba split into three products of half the
-length, each dispatched again, so every prime converts at every size.  An
-image carries its kind in its shape and the kind follows from the modulus and
-the size alone (_float), so kinds never mix: float limb spectra (3-D) from
-size 2 to float_max, and beyond it the zero-padded coefficient rows (2-D),
-whose products are the exact ones of _convolve_rows.
+transform, the float FFT (numpy.fft.rfft) on L balanced limbs of w bits of each
+residue, for every prime and dtype.  The layout (L, w) follows from p and the
+size by one rule (Modulus.layout): the fewest limbs, and the narrowest width
+that holds every residue in them, whose rounding error bound (fft_error_bound)
+stays below FFT_ERROR_MAX; two 16-bit limbs up to size 2^10 and three 11-bit
+limbs beyond for the default prime.  It is exact at sizes from 2 to
+Modulus.float_max, the largest size 11-bit limbs admit, and needs no roots of
+unity.  Past that size a product makes one Karatsuba split into three
+products of half the length, each dispatched again, so every prime converts
+at every size.  An image carries its kind in its shape and the kind, with its
+layout, follows from the modulus and the size alone (_float), so kinds never
+mix: float limb spectra (3-D) from size 2 to float_max, and beyond it the
+zero-padded coefficient rows (2-D), whose products are the exact ones of
+_convolve_rows.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
@@ -31,7 +35,8 @@ and mul_trunc_t take such an operand in place of a Poly.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
-while its partial sums stay below 2^53 (_dense_exact); it too rests on the
+while its partial sums stay below 2^53 (_dense_exact), with the layout the
+same rule gives for that bound and the inner dimension; it too rests on the
 numpy build, and oracle.dense_product_agrees checks it as
 oracle.float_kernel_agrees checks the float FFT.
 
@@ -44,7 +49,7 @@ grow only, to the largest product the thread has run, so warm products map
 no fresh pages.  Kept images (_fixed_operand, the levels
 of evalgrid's trees), every row array a product returns and every cached
 value are fresh arrays, never work arrays.  After a warm pass of each of the
-benchmark's workloads a thread holds (work_bytes) 0.17 MB on catalog_small
+benchmark's workloads a thread holds (work_bytes) 0.11 MB on catalog_small
 (n <= 256), 1.8 MB on sheffer_large (n = 8192) and 8.7 MB on algebraic_large
 (n = 16384).
 """
@@ -191,10 +196,9 @@ def _find_primitive_root(p):
 
 
 class Modulus:
-    """A prime modulus with the shape of its float products, its factorial
-    tables and cached data: limbs, the number L of balanced 11-bit limbs that
-    hold every residue (_limbs), and float_max, the largest size of a float
-    image that the rounding error bound admits for L limbs (_float_max)."""
+    """A prime modulus with the limb layouts of its products (layout), its
+    factorial tables and cached data; float_max is the largest size of a
+    float image that the rounding error bound admits for any layout."""
 
     def __init__(self, p: int):
         if p >= PRIME_BOUND:
@@ -208,14 +212,21 @@ class Modulus:
         self._lock = threading.RLock()
         # residues of p >= 2^31 have products beyond int64: keep Python ints
         self.dtype = np.int64 if p < (1 << 31) else object
-        # the fewest limbs whose top one stays within 2^10 like the others,
-        # which holds residues below 2^(11 L - 1): ceil(bits(p) / 11) but
-        # where bits(p) is a multiple of 11
-        self.limbs = (p - 1).bit_length() // LIMB_BITS + 1
-        self.float_max = _float_max(self.limbs)
+        self._layouts = _layouts(p)
+        self.float_max = max(size for _, _, size, _ in self._layouts)
 
     def __repr__(self):
         return f"Modulus({self.p})"
+
+    def layout(self, size, dense=False):
+        """(L, w) of products at size: L balanced limbs of w bits (_limbs),
+        the fewest whose exactness bound admits size (_layouts), for float
+        images of that size or, dense, for _dense_mul at inner dimension
+        size; None where no layout does."""
+        for L, w, float_size, dense_size in self._layouts:
+            if size <= (dense_size if dense else float_size):
+                return L, w
+        return None
 
     @functools.cached_property
     def primitive_root(self):
@@ -470,7 +481,7 @@ def _image(mod: Modulus, A, size, slot=None):
     float image is fresh, or given a slot, the calling thread's work array of
     that slot (_work_array), for a product to read before the next one."""
     if _float(mod, size):
-        return _transform(mod, _limbs(A, mod.limbs), size, None, slot)
+        return _transform(mod, _limbs(A, *mod.layout(size)), size, None, slot)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
     out[:, : A.shape[1]] = A
     return out
@@ -487,7 +498,7 @@ def _image_mul(mod: Modulus, X, Y):
     x^size - 1.  Where Y has m times as many rows as X, row i of X multiplies
     rows i m to i m + m - 1 of Y.  A float product image is a work array."""
     if X.ndim == 3:
-        return _class_spectra([(X, Y)])
+        return _class_spectra(mod.p, [(X, Y)])
     if 0 < len(X) < len(Y):
         X = np.repeat(X, len(Y) // len(X), axis=0)
     size = X.shape[1]
@@ -523,7 +534,7 @@ def _image_mul_add(mod: Modulus, X, Y, U, V):
     """The product image of X Y + U V, row-wise, for images of one kind, made
     before any inverse transform: float class spectra add unreduced."""
     if X.ndim == 3:
-        return _class_spectra([(X, Y), (U, V)])
+        return _class_spectra(mod.p, [(X, Y), (U, V)])
     return (_image_mul(mod, X, Y) + _image_mul(mod, U, V)) % mod.p
 
 
@@ -587,12 +598,39 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 
 # -- the float kernel ------------------------------------------------------
 #
-# A residue a splits into L = Modulus.limbs balanced limbs of LIMB_BITS bits,
-# a = sum_k a_k 2^(11k) with |a_k| <= 2^10: three for DEFAULT_PRIME, four for
-# a 40-bit prime, eight below PRIME_BOUND.  The image of a row is the rfft of
-# each of its limb rows; a product image holds the spectra of the 2L - 1
-# classes c_k = sum_{i+j=k} a_i b_j, whose inverse transforms round to
-# integers of magnitude at most 2^42, recombined to sum_k c_k 2^(11k) mod p.
+# A residue a splits into L balanced limbs of w bits, a = sum_k a_k 2^(wk)
+# with |a_k| <= 2^(w-1).  The image of a row is the rfft of each of its limb
+# rows; a product image holds the spectra of the 2L - 1 classes
+# c_k = sum_{i+j=k} a_i b_j, whose inverse transforms round to integers of
+# magnitude below 2^47 (the bound admits no more), recombined to
+# sum_k c_k 2^(wk) mod p.
+#
+# The layout (L, w) of a product follows from p and its size by one rule
+# (_layouts): the fewest limbs L whose exactness bound admits the size, each
+# of the narrowest width w >= LIMB_BITS that holds every residue below p in L
+# limbs.  For float images the bound is fft_error_bound(size, MAX_SUMMED, L,
+# w) <= FFT_ERROR_MAX, for _dense_mul at inner dimension b it is
+# b 2^(w-1) (p - 1) < 2^53 (_dense_exact).  Fewer limbs take fewer
+# transforms: L limbs cost L forward and 2L - 1 inverse FFTs and L^2 spectrum
+# products.  For DEFAULT_PRIME the rule gives two 16-bit limbs for float
+# images up to size 2^10 and for dense products up to b = 136, three 11-bit
+# limbs beyond; for a 40-bit prime, three 14-bit limbs up to 2^13 and four
+# 11-bit ones beyond.  Past the size that 11-bit limbs admit, a product
+# splits (_convolve_rows) rather than take narrower limbs.  One warm product
+# by _convolve_rows of a row of size / 2 residues of DEFAULT_PRIME by
+# another, or of 32 such pairs, in us, two 16-bit limbs / three 11-bit limbs
+# (one product image: two limbs pass the bound at 2048 only for that), best
+# of 300 interleaved on a 2-core x86-64 machine with numpy 2.4:
+#
+#    size        1 row            32 rows
+#      64     80 /  121        243 /  450
+#     128     85 /  127        380 /  666
+#     256     95 /  137        636 / 1077
+#     512    115 /  164       1290 / 2123
+#    1024    150 /  210       2614 / 3545
+#    2048    175 /  229       6182 / 8245
+#
+# so two limbs are faster wherever the bound admits them.
 
 LIMB_BITS = 11
 
@@ -605,36 +643,59 @@ FFT_ERROR_MAX = 1 / 8
 MAX_SUMMED = 2
 
 
-def fft_error_bound(size, products, limbs):
+def fft_error_bound(size, products, limbs, width):
     """A bound on the rounding error of every class coefficient of a sum of
-    `products` float product images of `limbs` limbs at size (a power of
-    two).
+    `products` float product images of `limbs` limbs of `width` bits at size
+    (a power of two).
 
     Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
     x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
     eps = 2^-53 and twiddle factors accurate to beta, errs by at most
     |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
     in every coefficient, |.| the Euclidean norm.  Limb rows of at most size
-    entries of magnitude <= 2^10 give |x| |y| <= 2^20 size; a class sums at
-    most `limbs` limb products per product image.  beta is taken as eps.
-    That numpy's FFT errs no more than this model is checked against exact
-    products (oracle.kronecker_mul) by the tests and by basisconv selftest.
+    entries of magnitude <= 2^(w - 1) give |x| |y| <= 2^(2w - 2) size; a
+    class sums at most `limbs` limb products per product image.  beta is
+    taken as eps.  That numpy's FFT errs no more than this model is checked
+    against exact products (oracle.kronecker_mul) by the tests and by
+    basisconv selftest.
     """
     n = size.bit_length() - 1
     eps = 2.0**-53
     growth = math.expm1(
         6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
     )
-    return limbs * products * 2.0 ** (2 * (LIMB_BITS - 1)) * size * growth
+    return limbs * products * 2.0 ** (2 * (width - 1)) * size * growth
 
 
-@functools.cache
-def _float_max(limbs):
-    """The largest size the bound admits for MAX_SUMMED products of `limbs`
-    limbs: 2^20 for one limb, 2^19 for two to four, 2^18 for five to eight."""
-    return 1 << max(
-        k for k in range(1, 40) if fft_error_bound(1 << k, MAX_SUMMED, limbs) <= FFT_ERROR_MAX
-    )
+def _width(p, L):
+    """The narrowest width w >= LIMB_BITS whose L balanced limbs hold every
+    residue below p: the top limb stays within 2^(w-1) like the others for
+    residues below 2^(wL - 1)."""
+    return max(LIMB_BITS, -(-((p - 1).bit_length() + 1) // L))
+
+
+def _dense_exact(b, p, w):
+    """Whether a row of b limbs of w bits (|limb| <= 2^(w-1)) times a column
+    of b residues below p sums exactly in doubles: every partial sum stays
+    below 2^53."""
+    return b * (p - 1) << (w - 1) < 1 << 53
+
+
+def _layouts(p):
+    """(L, w, float size, dense size) for each limb count L from one to that
+    of LIMB_BITS-bit limbs, w = _width(p, L): the largest size of a float
+    image and the largest inner dimension of _dense_mul the bounds admit for
+    L limbs of w bits (0 for none)."""
+    out = []
+    for L in range(1, (p - 1).bit_length() // LIMB_BITS + 2):
+        w = _width(p, L)
+        float_size = max(
+            (1 << k for k in range(1, 40)
+             if fft_error_bound(1 << k, MAX_SUMMED, L, w) <= FFT_ERROR_MAX),
+            default=0,
+        )
+        out.append((L, w, float_size, ((1 << 53) - 1) // ((p - 1) << (w - 1))))
+    return tuple(out)
 
 
 # Work arrays.  The transient arrays of a product, its limb rows, the spectra
@@ -702,23 +763,20 @@ def work_bytes():
     return sum(buf.nbytes for buf in _work.buffers.values())
 
 
-# Residues of dtype object enter the limb split in chunks of CHUNK_LIMBS limbs,
-# 44 bits, each exact in doubles.
-CHUNK_LIMBS = 4
-
-
-def _limbs(A, L):
-    """The L balanced limb rows of the residue rows A, the input of a float
-    image (_transform): shape (rows, L, A.shape[1]), a work array."""
+def _limbs(A, L, w):
+    """The L balanced limb rows of w bits of the residue rows A, the input of
+    a float image (_transform): shape (rows, L, A.shape[1]), a work array.
+    Residues of dtype object enter in chunks of whole limbs, each below 2^53
+    and so exact in doubles."""
     limbs = _work_array("limbs", (A.shape[0], L, A.shape[1]))
-    inv_base, base = 1.0 / (1 << LIMB_BITS), float(1 << LIMB_BITS)
-    chunks = [A]
+    inv_base, base = 1.0 / (1 << w), float(1 << w)
+    chunks, per_chunk = [A], 53 // w
     if A.dtype == object:
-        bits, mask = CHUNK_LIMBS * LIMB_BITS, (1 << CHUNK_LIMBS * LIMB_BITS) - 1
-        chunks = [(A >> s & mask).astype(np.float64) for s in range(0, L * LIMB_BITS, bits)]
+        bits = per_chunk * w
+        chunks = [(A >> s & (1 << bits) - 1).astype(np.float64) for s in range(0, L * w, bits)]
     np.copyto(limbs[:, 0], chunks[0])
     for k in range(L - 1):
-        # exact in doubles: limb k is f minus the nearest multiple hi 2^11 of
+        # exact in doubles: limb k is f minus the nearest multiple hi 2^w of
         # f, and hi, the next f, goes to row k + 1, where the next chunk of a
         # residue of dtype object joins it
         f, hi = limbs[:, k], limbs[:, k + 1]
@@ -727,19 +785,20 @@ def _limbs(A, L):
         hi *= base
         f -= hi
         hi *= inv_base
-        if (k + 1) % CHUNK_LIMBS == 0:
-            hi += chunks[(k + 1) // CHUNK_LIMBS]
+        if (k + 1) % per_chunk == 0:
+            hi += chunks[(k + 1) // per_chunk]
     return limbs
 
 
-def _class_spectra(pairs):
+def _class_spectra(p, pairs):
     """The product image of the sum over pairs (X, Y) of float images of
     the products X Y: the spectra of the classes c_0..c_(2L-2), a work array.
     Where Y has m times as many rows as X, the same m for every pair, row i
     of X multiplies rows i m to i m + m - 1 of Y."""
     X, Y = pairs[0]
     rows, (L, f) = max(len(X), len(Y)), X.shape[1:]
-    assert fft_error_bound(2 * (f - 1), len(pairs), L) <= FFT_ERROR_MAX, (f, L, len(pairs))
+    bound = fft_error_bound(2 * (f - 1), len(pairs), L, _width(p, L))
+    assert bound <= FFT_ERROR_MAX, (f, L, len(pairs))
     Z, T = _work_array("classes", (rows, 2 * L - 1, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
         # (rows / m, 1) against (rows / m, m): each row of X serves m rows
@@ -767,25 +826,32 @@ def _limb_coeffs(p, Z, size, out_len):
     c = np.fft.irfft(Z, size, axis=-1, out=_work_array("coeffs", Z.shape[:2] + (size,)))
     c = c[..., :out_len]
     np.rint(c, out=c)
+    L = (c.shape[1] + 1) // 2
+    w = _width(p, L)
+    # a class sums at most L limb products of size terms each per product
+    # image, the top class one: |c_k| <= L top
+    top = MAX_SUMMED * size << 2 * w - 2
     if p >> 31:
-        # Horner in Python ints over words c_2j + c_(2j+1) 2^11, added in
-        # int64: |c_k| <= 2^42 keeps them below 2^54
-        w = c.astype(np.int64)
-        w[:, :-1:2] += w[:, 1::2] << LIMB_BITS
-        acc = w[:, -1].astype(object)
-        for k in range(w.shape[1] - 3, -1, -2):
-            acc = (acc << 2 * LIMB_BITS) + w[:, k]
+        # Horner in Python ints over words of g classes c_k 2^(w i), i < g,
+        # added in int64: g - 1 = (62 - bits(L top)) // w keeps them below 2^63
+        g = (62 - (L * top).bit_length()) // w + 1
+        ci = c.astype(np.int64)
+        words = [
+            sum(ci[:, k + i] << w * i for i in range(min(g, c.shape[1] - k)))
+            for k in range(0, c.shape[1], g)
+        ]
+        acc = words[-1].astype(object)
+        for word in words[-2::-1]:
+            acc = (acc << g * w) + word
         return acc % p
-    if c.shape[1] == 1:
-        # one limb (p < 2^10): the class is the product itself
-        return c[:, 0].astype(np.int64) % p
-    # Horner in doubles, in place on the top class: acc <= p and |c_k| < 2^42
-    # (at most three limbs) keep every value below 2^53, and so does the
-    # first step, from a top class below 2^41 (top limbs of at most 2^10 at
-    # sizes up to 2^19);
+    if L == 1 or top * ((1 << w) + 2) >= 1 << 53:
+        # the first step of Horner in doubles, top 2^w + 2 top, would pass 2^53
+        return _recombine(c.astype(np.int64).swapaxes(0, 1), w, p)
+    # Horner in doubles, in place on the top class: acc <= p and |c_k| < 2^47
+    # keep every step after the first below 2^53;
     # floor(t / p) is off by one only where p divides t, which leaves acc = p,
     # mapped to 0 at the end.  Once added, c_k holds the step's multiple of p
-    pinv, base = 1.0 / p, float(1 << LIMB_BITS)
+    pinv, base = 1.0 / p, float(1 << w)
     acc = c[:, -1]
     for k in range(c.shape[1] - 2, -1, -1):
         acc *= base
@@ -800,29 +866,31 @@ def _limb_coeffs(p, Z, size, out_len):
     return out
 
 
-def _dense_exact(b, p):
-    """Whether a row of b limbs (|limb| <= 2^10) times a column of b residues
-    below p sums exactly in doubles: every partial sum stays below 2^53."""
-    return b * (p - 1) << (LIMB_BITS - 1) < 1 << 53
+def _recombine(c, w, p):
+    """sum_k c[k] 2^(wk) mod p for int64 classes c[0..] below 2^53 in
+    magnitude and p < 2^31, by Horner in int64: each step stays below
+    2^(31 + w) + 2^53 < 2^63."""
+    out = c[-1] % p
+    for k in range(len(c) - 2, -1, -1):
+        out = ((out << w) + c[k]) % p
+    return out
 
 
 def _dense_mul(mod: Modulus, A, M):
     """The int64 rows A times the float64 matrix M of residues, mod p, as
-    int64 rows of residues: one GEMM of the balanced limbs of A (_limbs) by M,
-    exact while _dense_exact(len(M), p) holds (asserted), rounded, reduced
-    and recombined mod p in int64.  The limbs are split from A read as one
-    row, so that each limb of all rows is one contiguous block: limb-major
-    rows, where the limb rows of many rows of A would each be a short
-    strided slice."""
-    p, (r, b), L = mod.p, A.shape, mod.limbs
-    assert _dense_exact(b, p), (b, p)
-    limbs = _limbs(A.reshape(1, r * b), L).reshape(L * r, b)
+    int64 rows of residues: one GEMM of the balanced limbs of A (_limbs), in
+    the layout mod.layout gives for inner dimension b = len(M), by M, exact
+    while _dense_exact holds (asserted), rounded and recombined mod p in
+    int64 (_recombine).  The limbs are split from A read as one row, so that
+    each limb of all rows is one contiguous block: limb-major rows, where the
+    limb rows of many rows of A would each be a short strided slice."""
+    p, (r, b) = mod.p, A.shape
+    layout = mod.layout(b, dense=True)
+    assert layout and _dense_exact(b, p, layout[1]), (b, p)
+    L, w = layout
+    limbs = _limbs(A.reshape(1, r * b), L, w).reshape(L * r, b)
     c = np.rint(np.matmul(limbs, M)).astype(np.int64).reshape(L, r, M.shape[1])
-    # |c_k| < 2^53 and out < 2^31: each step stays below 2^54 in int64
-    out = c[L - 1] % p
-    for k in range(L - 2, -1, -1):
-        out = ((out << LIMB_BITS) + c[k]) % p
-    return out
+    return _recombine(c, w, p)
 
 
 def _times(mod: Modulus, X, M):

@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
-from .modfield import LIMB_BITS, Modulus, Poly, _convolve_rows, _dense_mul
+from .modfield import Modulus, Poly, _convolve_rows, _dense_mul
 
 
 def _school_mul(mod, a, b, n):
@@ -180,34 +180,62 @@ def kronecker_mul(p, A, B):
     return out
 
 
+def worst_residue(p, limbs, width):
+    """The residue below p whose balanced limbs of `width` bits are all
+    -2^(width - 1) but the top one, the largest that keeps it below p: the
+    largest limb norm below p in that layout."""
+    low = -(1 << width - 1) * sum(1 << width * k for k in range(limbs - 1))
+    top = width * (limbs - 1)
+    return ((p - 1 - low) >> top << top) + low
+
+
+def _largest_per_layout(mod: Modulus, sizes, dense=False):
+    """The largest of the increasing sizes that each layout (Modulus.layout)
+    serves."""
+    out = {mod.layout(size, dense): size for size in sizes}
+    out.pop(None, None)
+    return sorted(out.values())
+
+
 def float_kernel_agrees(mod: Modulus) -> bool:
-    """Whether float products over mod equal exact ones (kronecker_mul), on
-    a random row times a row of p - 1 and the reverse, at size 2, the least
-    the float kernel takes, and at size 2^14.  Exactness rests on IEEE
-    doubles and an FFT as accurate as the bound assumes, which the numpy
-    build decides."""
-    return all(_float_agrees(mod, size) for size in (2, 1 << 14))
+    """Whether float products over mod equal exact ones (kronecker_mul) at
+    size 2, the least the float kernel takes, and at the largest size of
+    each limb layout up to 2^14 (2^10 and 2^14 for DEFAULT_PRIME): a random
+    row times a row of p - 1 and the reverse, and the square of a row of the
+    layout's worst residue (worst_residue).  Exactness rests on IEEE doubles
+    and an FFT as accurate as the bound assumes, which the numpy build
+    decides."""
+    sizes = {2, *_largest_per_layout(mod, [1 << k for k in range(1, 15)])}
+    return all(_float_agrees(mod, size) for size in sorted(sizes))
 
 
 def _float_agrees(mod: Modulus, size):
     """float_kernel_agrees at one size."""
     p, rng, h = mod.p, random.Random(size), size // 2
     r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
-    A, B = [r, [p - 1] * h], [[p - 1] * h, s]
+    worst = [worst_residue(p, *mod.layout(size))] * h
+    A, B = [r, [p - 1] * h, worst], [[p - 1] * h, s, worst]
     got = _convolve_rows(mod, np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype))
     return got.tolist() == kronecker_mul(p, A, B)
 
 
-def dense_product_agrees(mod: Modulus, b) -> bool:
-    """Whether modfield._dense_mul at inner dimension b equals the exact
-    integer product, on the worst case of its bound: rows of p - 1 and rows
-    whose limbs are all -2^10, times a matrix of p - 1.  Exactness rests on
-    the BLAS of the numpy build summing doubles as IEEE arithmetic does.
-    True on dtype-object rows, which never take it."""
+def dense_product_agrees(mod: Modulus, b_max) -> bool:
+    """Whether modfield._dense_mul equals the exact integer product at the
+    largest inner dimension b <= b_max of each limb layout (136 and 256 for
+    DEFAULT_PRIME and b_max = 256), on the worst case of its bound: rows of
+    p - 1 and rows whose limbs are all -2^(w - 1), times a matrix of p - 1.
+    Exactness rests on the BLAS of the numpy build summing doubles as IEEE
+    arithmetic does.  True on dtype-object rows, which never take it."""
     if mod.dtype is object:
         return True
-    p, low = mod.p, -(1 << (LIMB_BITS - 1))
-    all_low = low * sum(1 << LIMB_BITS * k for k in range(mod.limbs))
+    sizes = _largest_per_layout(mod, range(1, b_max + 1), dense=True)
+    return all(_dense_agrees(mod, b) for b in sizes)
+
+
+def _dense_agrees(mod, b):
+    """dense_product_agrees at one inner dimension."""
+    p, (L, w) = mod.p, mod.layout(b, dense=True)
+    all_low = -(1 << w - 1) * sum(1 << w * k for k in range(L))
     A = np.stack([np.full(b, p - 1), np.full(b, all_low)])
     M = np.full((b, b), p - 1, dtype=np.int64)
     want = (A.astype(object) @ M.astype(object)) % p

@@ -159,7 +159,7 @@ def test_usage_errors():
 @pytest.mark.parametrize("p", [P, P40])
 def test_selftest_quick(p):
     # the kernel checks and conversions on int64 rows and on rows of Python
-    # ints (four limbs)
+    # ints (two to four limbs)
     proc = run_cli(["selftest", "--quick", "--modulus", str(p)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
@@ -193,6 +193,30 @@ def test_selftest_checks_the_dense_leaf_product(monkeypatch, capsys):
     assert cli.main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL kernel: dense leaf product")
+
+
+def test_selftest_checks_the_two_limb_layout(monkeypatch, capsys):
+    # a split into 16-bit limbs that goes wrong only at the edge of their
+    # range, +-2^15, passes random operands and rows of p - 1 but not the
+    # worst residues of the two-limb layout, which the kernel checks square
+    # at its largest float size and multiply at its largest dense one
+    import numpy as np
+
+    from basisconv import cli, modfield
+
+    limbs = modfield._limbs
+
+    def broken(A, L, w):
+        out = limbs(A, L, w)
+        if w == 16:
+            np.clip(out, 1 - (1 << 15), (1 << 15) - 1, out=out)
+        return out
+
+    monkeypatch.setattr(modfield, "_limbs", broken)
+    assert cli.main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL kernel: float product")
+    assert "FAIL kernel: dense leaf product" in out
 
 
 def test_selftest_checks_the_conversion_matrices(monkeypatch, capsys):

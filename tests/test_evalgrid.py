@@ -18,8 +18,8 @@ from basisconv.evalgrid import (
 from basisconv.families import from_monomial, parse_family, to_monomial
 from basisconv.oracle import stirling_matrices
 
-# 29 * 2^57 + 1: prime, above 2^31, so products take six limbs of rows of
-# Python ints
+# 29 * 2^57 + 1: prime, above 2^31, so products take three to six limbs of
+# rows of Python ints
 SCALAR_PRIME = 4179340454199820289
 # ragged sizes on both sides of powers of two; capped below p, and at 100 on
 # the big prime, where every product works on Python ints
@@ -27,7 +27,7 @@ SIZES = (1, 2, 3, 5, 31, 32, 33, 100, 1000, 2049)
 # 2 * 500001 + 1: no roots of unity of order 4, so float images only
 NO_ROOTS_PRIME = 1000003
 # 2^31 + 11: the least prime of dtype object, with roots of unity of order 2
-# only: three limbs of rows of Python ints
+# only: two or three limbs of rows of Python ints
 RAW_PRIME = 2147483659
 
 

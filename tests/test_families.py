@@ -236,10 +236,9 @@ def test_matrix_path_matches_naive_convert(p):
     # at n <= MATRIX_MAX (int64 rows) each conversion is one product by a
     # matrix kept per (family, n, direction); n = 65 takes the fast chain.
     # Where they differ from the oracle, both paths raise as the chain does:
-    # fibonacci and mott at n = 1 (a zero truncation before a Root), spread's
-    # from_monomial (a zero f_k); over 101, past MATRIX_MAX, the chain's
-    # transposed Taylor shifts of dimension 2n - 1 >= p, which the matrices
-    # do not make (they convert up to n = 64 there)
+    # spread's from_monomial (a zero f_k); over 101, past MATRIX_MAX, the
+    # chain's transposed Taylor shifts of dimension 2n - 1 >= p, which the
+    # matrices do not make (they convert up to n = 64 there)
     mod = Modulus(p)
     rng = random.Random(56)
     chain_limit = {
@@ -254,9 +253,7 @@ def test_matrix_path_matches_naive_convert(p):
                 else:
                     got = _outcome(lambda: from_monomial(Poly(mod, a, n), fam, n, mod))
                 want = _outcome(lambda: naive_convert(a, fam, n, direction, mod))
-                if n == 1 and fam.name in ("fibonacci", "mott"):
-                    want = AmbiguousValuation
-                elif p == 101 and n > MATRIX_MAX and (fam.name, direction) in chain_limit:
+                if p == 101 and n > MATRIX_MAX and (fam.name, direction) in chain_limit:
                     want = PrecisionExceedsModulus
                 assert got == want, (fam.name, n, direction)
 

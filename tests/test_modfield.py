@@ -31,14 +31,14 @@ from basisconv.modfield import (
     _limb_coeffs,
     _limbs,
     _mul_fixed,
-    _transform,
     fft_error_bound,
     is_prime,
     PRIME_BOUND,
 )
-from basisconv.oracle import kronecker_mul
+from basisconv.oracle import kronecker_mul, worst_residue
 
-# 40-bit prime: four limbs on rows of Python ints
+# 40-bit prime: rows of Python ints, three 14-bit limbs up to size 2^13
+# and four 11-bit limbs beyond
 P40 = 1099489607681
 # primes of 2-adicity 1: no roots of unity past order 2
 NO_ROOTS_PRIME = 1000003
@@ -64,9 +64,18 @@ def test_is_prime_basics():
 
 
 def test_modulus_construction(mod, mod101):
-    # limbs and the largest float size follow from p alone
-    assert (mod.limbs, mod.float_max) == (3, 1 << 19)
-    assert (mod101.limbs, mod101.float_max) == (1, 1 << 20)
+    # the limb layouts and the largest float size follow from p alone: the
+    # fewest limbs, of the narrowest width of at least 11 bits, whose bound
+    # admits the size of a float image or the inner dimension of a dense
+    # product
+    assert mod.float_max == 1 << 19
+    assert [mod.layout(1 << k) for k in (1, 10, 11, 19, 20)] == [
+        (2, 16), (2, 16), (3, 11), (3, 11), None,
+    ]
+    assert [mod.layout(b, dense=True) for b in (1, 136, 137, 4369, 4370)] == [
+        (2, 16), (2, 16), (3, 11), (3, 11), None,
+    ]
+    assert (mod101.layout(1 << 20), mod101.float_max) == ((1, 11), 1 << 20)
     # primitive root: order p-1 exactly
     g = mod101.primitive_root
     assert pow(g, 100, 101) == 1
@@ -101,7 +110,7 @@ def test_modulus_finds_its_primitive_root_on_first_use(monkeypatch):
     p = 1152921504606849707
     mod = Modulus(p)
     assert calls == [] and "primitive_root" not in vars(mod)
-    assert (mod.limbs, mod.float_max) == (6, 1 << 18)
+    assert (mod.layout(mod.float_max), mod.float_max) == ((6, 11), 1 << 18)
     default = Modulus(DEFAULT_PRIME)
     assert families._sqrt_minus_one(default) == 1728404513
     assert families._sqrt_minus_one(Modulus(P40)) == 874192144897
@@ -262,15 +271,18 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
-    # basisconv selftest checks the least float size, 2, and 2^14 against
-    # the Kronecker product, on int64 rows and on rows of Python ints
+    # basisconv selftest checks the least float size, 2, and the largest size
+    # of each limb layout up to 2^14 against the Kronecker product, on int64
+    # rows (one 21-bit limb up to 8, two 11-bit ones beyond) and on rows of
+    # Python ints (P40: two 21-bit limbs up to 4, three 14-bit ones up to
+    # 2^13, four 11-bit ones beyond)
     checked, agrees = [], oracle._float_agrees
     monkeypatch.setattr(
         oracle, "_float_agrees", lambda mod, size: checked.append(size) or agrees(mod, size)
     )
     for p in (NO_ROOTS_PRIME, P40):
         assert oracle.float_kernel_agrees(Modulus(p))
-    assert sorted(checked) == [2, 2, 1 << 14, 1 << 14]
+    assert sorted(checked) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
 
 
 def test_poly_invariants(mod101):
@@ -437,18 +449,10 @@ def test_kept_images_and_results_never_alias_the_work_arrays(mod):
         assert np.array_equal(X, was)
 
 
-def _worst(p, L):
-    """The residue below p whose balanced limbs are -2^10 but the top one,
-    the largest that keeps it below p: the largest limb norm below p."""
-    low = -1024 * ((1 << 11 * (L - 1)) - 1) // 2047
-    return ((p - 1 - low) >> 11 * (L - 1) << 11 * (L - 1)) + low
-
-
-# (-1024, -1024, 480)
-WORST = _worst(DEFAULT_PRIME, 3)
 FLOAT_SIZES = [1 << k for k in range(1, 18)]
-# one prime of each limb count and row dtype, up to PRIME_BOUND: L = 3 on
-# int64 and on object rows, 4, 6 and 8
+# one prime of each limb count of 11-bit limbs and row dtype, up to
+# PRIME_BOUND: L = 3 on int64 and on object rows, 4, 6 and 8; each takes
+# fewer, wider limbs at smaller sizes
 LIMB_PRIMES = [
     DEFAULT_PRIME,
     OBJECT_PRIME_NO_ROOTS,
@@ -458,21 +462,37 @@ LIMB_PRIMES = [
 ]
 
 
+def _fewer_limb_sizes(p):
+    """(L, w, size) for every layout of p but the last, at the largest size
+    it serves."""
+    layouts = Modulus(p)._layouts
+    return [(L, w, size) for L, w, size, _ in layouts[:-1] if size]
+
+
 @pytest.mark.parametrize(
     "p, size",
     [pytest.param(DEFAULT_PRIME, size, id=str(size)) for size in FLOAT_SIZES]
-    + [pytest.param(p, None, id=f"{p}-largest") for p in LIMB_PRIMES],
+    + [pytest.param(p, None, id=f"{p}-largest") for p in LIMB_PRIMES]
+    + [
+        pytest.param(p, size, id=f"{p}-{L}x{w}")
+        for p in LIMB_PRIMES
+        for L, w, size in _fewer_limb_sizes(p)
+    ],
 )
 def test_float_kernel_exact_on_worst_operands(p, size):
     # from the least size the float kernel takes on to the largest each limb
-    # count admits; every image here is float.  Constant rows have a closed
-    # form: coefficient k of the square of l ones is min(k + 1, 2 l - 1 - k),
-    # and the cyclic square of `size` ones is `size` everywhere.  It stands in
-    # for the Kronecker product, which takes seconds on the largest rows
+    # layout admits, with the worst residue of the layout at that size (two
+    # 16-bit limbs up to 2^10 for DEFAULT_PRIME, three 11-bit ones from 2^11;
+    # three 14-bit limbs up to 2^13 for P40); every image here is float.
+    # Constant rows have a closed form: coefficient k of the square of l ones
+    # is min(k + 1, 2 l - 1 - k), and the cyclic square of `size` ones is
+    # `size` everywhere.  It stands in for the Kronecker product, which takes
+    # seconds on the largest rows
     mod = Modulus(p)
     size = size or mod.float_max
     assert modfield._float(mod, size)
-    values = np.array([[_worst(p, mod.limbs)], [p - 1]], dtype=mod.dtype)
+    L, w = mod.layout(size)
+    values = np.array([[worst_residue(p, L, w)], [p - 1]], dtype=mod.dtype)
     half = np.repeat(values, size // 2, axis=1)
     full = np.repeat(values, size, axis=1)
     k = np.arange(size - 1)
@@ -481,27 +501,32 @@ def test_float_kernel_exact_on_worst_operands(p, size):
     assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
     assert np.array_equal(_convolve_rows(mod, half, half), want)
     fixed = _image(mod, half[1:], size)
-    assert fixed.ndim == 3
+    assert fixed.shape[:2] == (1, L)
     assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
     # a summed pair of product images of full rows: the largest norms
     X = _image(mod, full, size)
     got = _image_coeffs(mod, _image_mul_add(mod, X, X, X, X), size)
     assert (got == 2 * size * values % p * values % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_class_spectra([(X, X)] * products), size, axis=-1)
-        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, mod.limbs)
+        c = np.fft.irfft(_class_spectra(p, [(X, X)] * products), size, axis=-1)
+        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, L, w)
 
 
 def test_dense_product_exact_on_worst_operands(mod):
-    # rows of p - 1, of WORST and of limbs all -1024 (not a residue) times
-    # columns of p - 1 sum every term with one sign: at the leaf size and at
-    # the largest b the bound admits for DEFAULT_PRIME
+    # rows of p - 1, of the worst residue and of limbs all -2^(w-1) (not a
+    # residue) times columns of p - 1 sum every term with one sign: at b =
+    # 128 and 136, the largest b of two 16-bit limbs, at the leaf size, of
+    # three 11-bit limbs, and at the largest power of two the bound admits
+    # for DEFAULT_PRIME
     p = mod.p
-    b_max = max(1 << k for k in range(16) if modfield._dense_exact(1 << k, p))
+    b_max = max(1 << k for k in range(16) if mod.layout(1 << k, dense=True))
     assert b_max == 4096
-    for b in (LEAF_SIZE, b_max):
-        A = np.array([[v] * b for v in (p - 1, WORST, -1024 * 4196353)], dtype=np.int64)
-        assert (_limbs(A[2:], 3) == -1024).all()
+    for b in (128, 136, LEAF_SIZE, b_max):
+        L, w = mod.layout(b, dense=True)
+        assert (L, w) == ((2, 16) if b <= 136 else (3, 11))
+        low = -(1 << w - 1) * sum(1 << w * k for k in range(L))
+        A = np.array([[v] * b for v in (p - 1, worst_residue(p, L, w), low)], dtype=np.int64)
+        assert (_limbs(A[2:], L, w) == -(1 << w - 1)).all()
         want = A.astype(object).sum(axis=1) * (p - 1) % p
         got = modfield._dense_mul(mod, A, np.full((b, 2), p - 1.0))
         assert (got == want.astype(np.int64)[:, None]).all(), b
@@ -533,14 +558,16 @@ def test_dense_product_exact_on_worst_operands(mod):
 )
 def test_batch_kernel_by_size_and_rows(size, rows, kind):
     # a batch's images are float limb spectra whatever its row count and the
-    # dtype of its rows: three limbs on int64 rows, four on dtype-object rows
-    # (P40).  Its products are exact
+    # dtype of its rows, in the layout of their size: two 16-bit limbs on
+    # int64 rows (sizes up to 2^10), three 14-bit limbs on dtype-object rows
+    # (P40, sizes up to 2^13).  Its products are exact
     mod = Modulus({"float": DEFAULT_PRIME, "object": P40}[kind])
     rng = random.Random(size * rows)
     A = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     B = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
-    assert _image(mod, A_, size).shape[:2] == (rows, mod.limbs)
+    assert mod.layout(size) == {"float": (2, 16), "object": (3, 14)}[kind]
+    assert _image(mod, A_, size).shape[:2] == (rows, mod.layout(size)[0])
     assert _image(mod, A_[:1], size).ndim == 3
     got = _convolve_rows(mod, A_, B_)
     for i in {0, rows - 1}:
@@ -581,7 +608,7 @@ def test_float_kernel_dispatch(monkeypatch):
         calls[0] = 0
         assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
         assert calls[0] == products, size
-    X = _transform(mod, _limbs(np.ones((1, 4), dtype=np.int64), 3), 16)
-    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, 3) / 2)
+    X = _image(mod, np.ones((1, 4), dtype=np.int64), 16)
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, *mod.layout(16)) / 2)
     with pytest.raises(AssertionError):
-        _class_spectra([(X, X)])
+        _class_spectra(mod.p, [(X, X)])

@@ -6,8 +6,8 @@ of the current series, its valuation and its leading coefficient.  It only
 emits operators whose domain holds, so every sequence must evaluate; one
 more operator chosen outside its domain must raise the typed error of
 compseq._apply_op.  Three primes cover the kernels: 101 (schoolbook
-products, one limb), DEFAULT_PRIME (three limbs on int64 rows) and a 40-bit
-prime (four limbs on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
+products, one limb), DEFAULT_PRIME (two or three limbs on int64 rows) and a
+40-bit prime (two to four limbs on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
 each root into a power substitution, which multiplies the dimension by k, and
 a Taylor shift of dimension m needs m < p.
 """
