@@ -17,9 +17,10 @@ coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
 levels, of the one kind modfield picks for their size (float limb spectra up
-to Modulus.float_max), and of their coefficients only the ragged nodes and
-the full left child of each; data derived from a tree is computed on first
-use and kept on it.
+to Modulus.float_max), scaled where the bound admits it
+(modfield._kept_image: from size 2^11 to 2^15 for DEFAULT_PRIME), and of
+their coefficients only the ragged nodes and the full left child of each;
+data derived from a tree is computed on first use and kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
@@ -78,11 +79,13 @@ from .modfield import (
     _dense_mul,
     _fit,
     _fixed_operand,
-    _image,
+    _image_by,
     _image_coeffs,
     _image_mul,
     _image_mul_add,
+    _kept_image,
     _mul_fixed,
+    _plain,
     _prefix_products,
     _readonly,
     _residues,
@@ -140,7 +143,9 @@ class SubproductTree:
     leaf level K = leaf up.
 
     img[k]: the images at size 2s of the full nodes of level k without
-    their leading x^s, below the top level, read by both passes; full[k]:
+    their leading x^s, below the top level, read by both passes, scaled
+    where modfield admits it (the build reads their plain variant 0);
+    full[k]:
     the coefficients of the last full node of level k where it is the left
     child of a ragged node with more points, the one full node whose
     coefficients the passes read, or None; rag[k]: the coefficients of the
@@ -166,10 +171,10 @@ class SubproductTree:
         self.img, self.full, self.rag = [None] * K, [None] * K, [None] * K + [rag]
         for k in range(K + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            img = _image(mod, low, s)
+            img = _kept_image(mod, low, s, scaled=True)
             self.img.append(img)
             # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
-            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(img, nf)), s)
+            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(_plain(img), nf)), s)
             cur[:, h:] += np.add(*_pairs(low, nf))
             r, rag = n % s, self.rag[-1]
             full = _monic(low[2 * nf]) if r >= h else None
@@ -270,7 +275,7 @@ class SubproductTree:
         for k in range(self.leaf + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             il, ir = _pairs(self.img[k - 1], nf)
-            vl, vr = _pairs(_image(mod, v[: 2 * nf], s, "image"), nf)
+            vl, vr = _pairs(_image_by(mod, v[: 2 * nf], self.img[k - 1]), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
             cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
@@ -296,7 +301,7 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                wimg = _image(mod, _backwards(w[:nf], s, h), s, "image")
+                wimg = _image_by(mod, _backwards(w[:nf], s, h), self.img[k - 1])
                 # row i of wimg meets both children of node i, and row 2i of
                 # the product, with the left child, is W_R of node i
                 mid = _image_coeffs(mod, _image_mul(mod, wimg, self.img[k - 1][: 2 * nf]), h)
@@ -328,8 +333,8 @@ class SubproductTree:
     @cached_property
     def den_fixed(self):
         """What products of length-n arrays by den_inv keep of it
-        (modfield._fixed_operand)."""
-        return _fixed_operand(self.mod, self.den_inv, self.n)
+        (modfield._fixed_operand), scaled where modfield admits it."""
+        return _fixed_operand(self.mod, self.den_inv, self.n, scaled=True)
 
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:

@@ -696,7 +696,12 @@ def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
 
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
-    as a list of ints."""
+    as a list of ints; raises DimensionMismatch for A of dim > n and
+    DomainViolation for A over another prime."""
+    if A.dim > n:
+        raise DimensionMismatch(f"dimension {A.dim} exceeds {n}")
+    if A.mod.p != mod.p:
+        raise DomainViolation(f"polynomial over p = {A.mod.p}, conversion over p = {mod.p}")
     if _by_matrix(mod, n):
         M = _conversion_matrix(fam, n, mod, True)
         return _dense_mul(mod, _fit(A.arr, n)[None], M)[0].tolist()

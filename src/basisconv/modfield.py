@@ -32,6 +32,19 @@ A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
 and mul_trunc_t take such an operand in place of a Poly.
+The kept images of the operands every family shares, the Taylor-shift series
+and the levels and 1/D of evalgrid's grid trees, are scaled wherever the
+bound admits it (_kept_image, Modulus.scaled_layout): they hold the L_x
+variants Y_i = 2^(w_x i) Y mod p of their rows Y, each in the size's layout
+(L, w), so that rows X = sum_i x_i 2^(w_x i) of L_x < L limbs of w_x bits
+multiply them as X Y = sum_i x_i Y_i mod p, in the L classes
+c_j = sum_i x_i y_(i,j): L_x forward and L inverse transforms where a plain
+image takes L and 2L - 1.  For the default prime that is two 16-bit limbs
+against three 11-bit ones from size 2^11 to 2^15, 2 forward and 3 inverse
+FFTs per product in place of 3 and 5, for twice the memory of the image:
+after a warm pass the cache holds 11.5 MB on sheffer_large (8.4 MB with
+plain images) and 29.3 MB on algebraic_large (26.7 MB).  The operands of one
+family keep plain images.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -43,15 +56,15 @@ oracle.float_kernel_agrees checks the float FFT.
 The float kernel writes the transient arrays of a product into work arrays
 that each thread keeps and reuses (_work_array): the limb rows (_limbs, which
 _dense_mul reads too), the spectra of its operands, its class spectra with
-their temporaries, and its class coefficients, on which the recombination
-runs in place; the schoolbook keeps its large int64 rows there too.  They
-grow only, to the largest product the thread has run, so warm products map
-no fresh pages.  Kept images (_fixed_operand, the levels
-of evalgrid's trees), every row array a product returns and every cached
-value are fresh arrays, never work arrays.  After a warm pass of each of the
-benchmark's workloads a thread holds (work_bytes) 0.11 MB on catalog_small
-(n <= 256), 1.8 MB on sheffer_large (n = 8192) and 8.7 MB on algebraic_large
-(n = 16384).
+their temporaries, its class coefficients, on which the recombination runs
+in place, and the quotients of that recombination; the schoolbook keeps its
+large int64 rows there too.  They grow only, to the largest product the
+thread has run, so warm products map no fresh pages.  Kept images
+(_fixed_operand, the levels of evalgrid's trees), every row array a product
+returns and every cached value are fresh arrays, never work arrays.  After a
+warm pass of each of the benchmark's workloads a thread holds (work_bytes)
+0.11 MB on catalog_small (n <= 256), 1.8 MB on sheffer_large (n = 8192) and
+8.7 MB on algebraic_large (n = 16384).
 """
 
 from __future__ import annotations
@@ -214,6 +227,7 @@ class Modulus:
         self.dtype = np.int64 if p < (1 << 31) else object
         self._layouts = _layouts(p)
         self.float_max = max(size for _, _, size, _ in self._layouts)
+        self._scaled = _scaled_layouts(p, self._layouts)
 
     def __repr__(self):
         return f"Modulus({self.p})"
@@ -227,6 +241,12 @@ class Modulus:
             if size <= (dense_size if dense else float_size):
                 return L, w
         return None
+
+    def scaled_layout(self, size):
+        """(L_x, w_x) of the rows multiplied by a scaled image at size
+        (_kept_image), fewer limbs than layout(size) gives; None where the
+        bound admits no fewer (_scaled_layouts)."""
+        return self._scaled.get(size)
 
     @functools.cached_property
     def primitive_root(self):
@@ -473,30 +493,64 @@ def _product_image(mod: Modulus, A, B, size):
 # + 1 frequencies); past mod.float_max, the zero-padded coefficient rows
 # themselves are 2-D.  The kind follows from the size (_float), so callers
 # keep the images of fixed operands without caring which kind they are.  A
-# product image (_image_mul) is what _image_coeffs turns back into rows.
+# kept image may be scaled (_kept_image), 4-D: the L_x variants
+# 2^(w_x i) Y mod p of its rows Y, each in the size's layout, variant 0 the
+# plain image; rows multiplied by it enter in the scaled layout (L_x, w_x)
+# (_image_by).  A product image (_image_mul) is what _image_coeffs turns back
+# into rows: float class spectra, 3-D, or 4-D with one variant by a scaled
+# image, from which the recombination takes its layout.
 
 
-def _image(mod: Modulus, A, size, slot=None):
-    """The image of the coefficient rows of A, each of length <= size.  A
-    float image is fresh, or given a slot, the calling thread's work array of
-    that slot (_work_array), for a product to read before the next one."""
+def _image(mod: Modulus, A, size, slot=None, layout=None):
+    """The image of the coefficient rows of A, each of length <= size, in
+    layout (default mod.layout(size)).  A float image is fresh, or given a
+    slot, the calling thread's work array of that slot (_work_array), for a
+    product to read before the next one."""
     if _float(mod, size):
-        return _transform(mod, _limbs(A, *mod.layout(size)), size, None, slot)
+        return _transform(mod, _limbs(A, *(layout or mod.layout(size))), size, None, slot)
     out = np.zeros((A.shape[0], size), dtype=A.dtype)
     out[:, : A.shape[1]] = A
     return out
 
 
+def _kept_image(mod: Modulus, A, size, scaled=False):
+    """The fresh image of the rows A that a caller keeps.  scaled, where the
+    image is float and mod.scaled_layout(size) gives (L_x, w_x): the images
+    of the L_x variants 2^(w_x i) A mod p, (rows, L_x, L, f), by which rows
+    of L_x limbs of w_x bits multiply (_class_spectra); variant 0, [:, 0], is
+    the plain image."""
+    layout = mod.scaled_layout(size) if scaled and _float(mod, size) else None
+    if layout is None:
+        return _image(mod, A, size)
+    p, (Lx, wx) = mod.p, layout
+    variants = np.stack([A] + [A * pow(2, wx * i, p) % p for i in range(1, Lx)], axis=1)
+    img = _image(mod, variants.reshape(-1, A.shape[1]), size)
+    return img.reshape((len(A), Lx) + img.shape[1:])
+
+
+def _plain(X):
+    """The plain image of a kept image: variant 0 of a scaled one."""
+    return X[:, 0] if X.ndim == 4 else X
+
+
+def _image_by(mod: Modulus, A, Y, slot="image"):
+    """The image, in the work array of slot, of the rows A for products by
+    the kept image Y: in the scaled layout where Y is scaled."""
+    size = _image_size(Y)
+    return _image(mod, A, size, slot, mod.scaled_layout(size) if Y.ndim == 4 else None)
+
+
 def _image_size(X):
     """The size of an image or product image: float ones keep the size // 2 + 1
     frequencies of each limb or class row."""
-    return 2 * (X.shape[2] - 1) if X.ndim == 3 else X.shape[1]
+    return 2 * (X.shape[-1] - 1) if X.ndim >= 3 else X.shape[1]
 
 
 def _image_mul(mod: Modulus, X, Y):
     """Row-wise product of two images of one kind, that is of their rows mod
-    x^size - 1.  Where Y has m times as many rows as X, row i of X multiplies
-    rows i m to i m + m - 1 of Y.  A float product image is a work array."""
+    x^size - 1, Y possibly scaled with X in its scaled layout (_image_by).
+    Where Y has m times as many rows as X, row i of X multiplies rows i m to
+    i m + m - 1 of Y.  A float product image is a work array."""
     if X.ndim == 3:
         return _class_spectra(mod.p, [(X, Y)])
     if 0 < len(X) < len(Y):
@@ -531,8 +585,9 @@ def _backwards(A, size, out_len):
 
 
 def _image_mul_add(mod: Modulus, X, Y, U, V):
-    """The product image of X Y + U V, row-wise, for images of one kind, made
-    before any inverse transform: float class spectra add unreduced."""
+    """The product image of X Y + U V, row-wise, for images of one kind (Y
+    and V both scaled or both plain), made before any inverse transform:
+    float class spectra add unreduced."""
     if X.ndim == 3:
         return _class_spectra(mod.p, [(X, Y), (U, V)])
     return (_image_mul(mod, X, Y) + _image_mul(mod, U, V)) % mod.p
@@ -540,7 +595,7 @@ def _image_mul_add(mod: Modulus, X, Y, U, V):
 
 def _image_coeffs(mod: Modulus, X, out_len):
     """The first out_len coefficients of every row of a product image."""
-    if X.ndim == 3:
+    if X.ndim >= 3:
         return _transform(mod, X, _image_size(X), out_len)
     return X[:, :out_len]
 
@@ -552,18 +607,28 @@ def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     if out_len is None:
         out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
         return np.fft.rfft(X, size, axis=-1, out=out)
-    return _limb_coeffs(mod.p, X, size, out_len)
+    p = mod.p
+    if X.ndim == 4:
+        # by a scaled image: L classes of w bits, each summing L_x limb
+        # products of w_x by w bits per product image
+        (Lx, wx), w = mod.scaled_layout(size), _width(p, X.shape[2])
+        return _limb_coeffs(p, X[:, 0], size, out_len, w, Lx * MAX_SUMMED * size << wx + w - 2)
+    # 2L - 1 classes of w bits, the middle one summing L limb products
+    L = (X.shape[1] + 1) // 2
+    w = _width(p, L)
+    return _limb_coeffs(p, X, size, out_len, w, L * MAX_SUMMED * size << 2 * w - 2)
 
 
-def _fixed_operand(mod: Modulus, b, la):
+def _fixed_operand(mod: Modulus, b, la, scaled=False):
     """What products of arrays of length <= la by the fixed array b keep of
-    b, trimmed to its degree: its image (of one row) where such a product
-    transforms, its coefficients otherwise.  Callers cache it; _mul_fixed,
-    mul_trunc and mul_trunc_t use it."""
+    b, trimmed to its degree: its image (of one row, scaled if asked and
+    admitted, _kept_image) where such a product transforms, its coefficients
+    otherwise.  Callers cache it; _mul_fixed, mul_trunc and mul_trunc_t use
+    it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
-        return _readonly(_image(mod, b[None, :lb], _size(la + lb - 1)))
+        return _readonly(_kept_image(mod, b[None, :lb], _size(la + lb - 1), scaled))
     return _readonly(b[:lb].copy())
 
 
@@ -578,11 +643,10 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    size = _image_size(fixed)
     if transposed:
-        X = _image(mod, _backwards(a[None], size, out_len), size, "image")
+        X = _image_by(mod, _backwards(a[None], _image_size(fixed), out_len), fixed)
         return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0, ::-1]
-    X = _image(mod, a[None], size, "image")
+    X = _image_by(mod, a[None], fixed)
     return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
 
 
@@ -631,6 +695,26 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 #    2048    175 /  229       6182 / 8245
 #
 # so two limbs are faster wherever the bound admits them.
+#
+# A product by a scaled image (_kept_image) splits only the rows it
+# multiplies, into the fewest L_x < L limbs of w_x bits for which
+# fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX
+# (_scaled_layouts): L_x forward and L inverse FFTs and L_x L spectrum
+# products, L classes of w bits.  For DEFAULT_PRIME that is two 16-bit limbs
+# against three 11-bit ones from size 2^11 to 2^15 (the bound is 0.094 at
+# 2^15, 0.20 at 2^16); for a 40-bit prime two 21-bit limbs against three
+# 14-bit ones from 2^3 to 2^8 and three 14-bit limbs against four 11-bit ones
+# from 2^14 to 2^16.  One warm product of rows of size / 2 residues of
+# DEFAULT_PRIME by the kept image of as many rows, in us, plain / scaled,
+# best of 100 to 300 (1 row) and 10 to 30 (32 rows) interleaved, same
+# machine:
+#
+#    size         1 row              32 rows
+#    2048     317 /  226         8885 /  5621
+#    4096     312 /  213        12106 /  7686
+#    8192     598 /  400        26928 / 17303
+#   16384    1445 / 1003        60446 / 38786
+#   32768    3282 / 2233       129563 / 84130
 
 LIMB_BITS = 11
 
@@ -643,28 +727,29 @@ FFT_ERROR_MAX = 1 / 8
 MAX_SUMMED = 2
 
 
-def fft_error_bound(size, products, limbs, width):
+def fft_error_bound(size, products, limbs, width, other=None):
     """A bound on the rounding error of every class coefficient of a sum of
-    `products` float product images of `limbs` limbs of `width` bits at size
-    (a power of two).
+    `products` float product images at size (a power of two), each class
+    summing `limbs` products of a limb of `width` bits by one of `other` bits
+    (default: width) per product image.
 
     Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
     x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
     eps = 2^-53 and twiddle factors accurate to beta, errs by at most
     |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
     in every coefficient, |.| the Euclidean norm.  Limb rows of at most size
-    entries of magnitude <= 2^(w - 1) give |x| |y| <= 2^(2w - 2) size; a
-    class sums at most `limbs` limb products per product image.  beta is
-    taken as eps.  That numpy's FFT errs no more than this model is checked
-    against exact products (oracle.kronecker_mul) by the tests and by
-    basisconv selftest.
+    entries of magnitude <= 2^(w - 1) and 2^(v - 1) give |x| |y| <=
+    2^(w + v - 2) size.  beta is taken as eps.  That numpy's FFT errs no
+    more than this model is checked against exact products
+    (oracle.kronecker_mul) by the tests and by basisconv selftest.
     """
     n = size.bit_length() - 1
     eps = 2.0**-53
     growth = math.expm1(
         6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
     )
-    return limbs * products * 2.0 ** (2 * (width - 1)) * size * growth
+    other = width if other is None else other
+    return limbs * products * 2.0 ** (width + other - 2) * size * growth
 
 
 def _width(p, L):
@@ -698,17 +783,35 @@ def _layouts(p):
     return tuple(out)
 
 
+def _scaled_layouts(p, layouts):
+    """{size: (L_x, w_x)} for each power-of-two size up to the largest float
+    size of layouts at which rows multiplied by a scaled image, whose
+    variants are in the size's layout (L, w), take fewer limbs: the fewest
+    L_x < L, w_x = _width(p, L_x), for which fft_error_bound(size,
+    MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX."""
+    out = {}
+    for k in range(1, max(size for _, _, size, _ in layouts).bit_length()):
+        size = 1 << k
+        L, w = next((L, w) for L, w, float_size, _ in layouts if size <= float_size)
+        for Lx in range(1, L):
+            if fft_error_bound(size, MAX_SUMMED, Lx, _width(p, Lx), w) <= FFT_ERROR_MAX:
+                out[size] = (Lx, _width(p, Lx))
+                break
+    return out
+
+
 # Work arrays.  The transient arrays of a product, its limb rows, the spectra
-# of its operands, its class spectra with their temporaries and its class
-# coefficients, and the large rows of a schoolbook product on int64 rows
-# (_convolve_schoolbook), are written into arrays each thread keeps
-# (_work_array).  They
-# grow only, to the largest product the thread has run, so repeated products
-# reuse memory already mapped instead of faulting in fresh pages.  A slot names
-# one kind of array and the buffer it lives in: slots on one buffer are never
-# live at once within a product.  The limb rows are transformed before the
-# class spectra are made, and the first operand's spectra are read before its
-# class coefficients are written.  Images that callers keep and every row array
+# of its operands, its class spectra with their temporaries, its class
+# coefficients and the quotients of their recombination, and the large rows
+# of a schoolbook product on int64 rows (_convolve_schoolbook), are written
+# into arrays each thread keeps (_work_array).  They grow only, to the
+# largest product the thread has run, so repeated products reuse memory
+# already mapped instead of faulting in fresh pages.  A slot names one kind of
+# array and the buffer it lives in: slots on one buffer are never live at once
+# within a product.  The limb rows are transformed before the
+# class spectra are made, the first operand's spectra are read before its
+# class coefficients are written, and the class spectra's temporary before
+# the quotients.  Images that callers keep and every row array
 # a product returns are fresh.
 _WORK_SLOTS = {
     "limbs": (0, np.float64),
@@ -717,6 +820,7 @@ _WORK_SLOTS = {
     "coeffs": (1, np.float64),
     "image2": (2, np.complex128),
     "term": (3, np.complex128),
+    "quot": (3, np.float64),
     "school": (4, np.int64),
 }
 
@@ -792,49 +896,68 @@ def _limbs(A, L, w):
 
 def _class_spectra(p, pairs):
     """The product image of the sum over pairs (X, Y) of float images of
-    the products X Y: the spectra of the classes c_0..c_(2L-2), a work array.
-    Where Y has m times as many rows as X, the same m for every pair, row i
-    of X multiplies rows i m to i m + m - 1 of Y."""
+    the products X Y, a work array: the spectra of the classes
+    c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
+    or, by scaled images Y (_kept_image) and X in their scaled layout, of
+    the classes c_j = sum_i x_i y_(i,j), j < L, y_(i,j) limb j of variant i
+    (4-D, one variant).  Where Y has m times as many rows as X, the same m
+    for every pair, row i of X multiplies rows i m to i m + m - 1 of Y."""
     X, Y = pairs[0]
-    rows, (L, f) = max(len(X), len(Y)), X.shape[1:]
-    bound = fft_error_bound(2 * (f - 1), len(pairs), L, _width(p, L))
-    assert bound <= FFT_ERROR_MAX, (f, L, len(pairs))
-    Z, T = _work_array("classes", (rows, 2 * L - 1, f)), _work_array("term", (rows, f))
+    rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
+    scaled = Y.ndim == 4
+    size, K = 2 * (f - 1), L if scaled else 2 * L - 1
+    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L))
+    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs))
+    Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
         # (rows / m, 1) against (rows / m, m): each row of X serves m rows
         lead = (len(X), len(Y) // len(X))
-        Z, T = Z.reshape(lead + (2 * L - 1, f)), T.reshape(lead + (f,))
-        pairs = [(X[:, None], Y.reshape(lead + (L, f))) for X, Y in pairs]
-    z = [Z[..., k, :] for k in range(2 * L - 1)]
-    for n, (X, Y) in enumerate(pairs):
-        ys = [Y[..., j, :] for j in range(L)]
-        for i in range(L):
+        Z, T = Z.reshape(lead + (K, f)), T.reshape(lead + (f,))
+        pairs = [(X[:, None], Y.reshape(lead + Y.shape[1:])) for X, Y in pairs]
+    z, made = [Z[..., k, :] for k in range(K)], set()
+    for X, Y in pairs:
+        for i in range(Lx):
             x = X[..., i, :]
-            for j, y in enumerate(ys):
-                # (i, j) with i = 0 or j = L - 1 is the first term of class i + j
-                if n == 0 and (i == 0 or j == L - 1):
-                    np.multiply(x, y, out=z[i + j])
-                else:
+            for j in range(L):
+                k, y = (j, Y[..., i, j, :]) if scaled else (i + j, Y[..., j, :])
+                if k in made:
                     np.multiply(x, y, out=T)
-                    z[i + j] += T
-    return Z.reshape(rows, 2 * L - 1, f)
+                    z[k] += T
+                else:
+                    np.multiply(x, y, out=z[k])
+                    made.add(k)
+    Z = Z.reshape(rows, K, f)
+    return Z[:, None] if scaled else Z
 
 
-def _limb_coeffs(p, Z, size, out_len):
-    """The first out_len coefficients mod p of the rows of the float product
-    image Z, of dtype object for p >= 2^31."""
+# The recombination of products over p < 2^31 runs Horner in int64
+# (_recombine) on at most this many coefficients per class, rows times
+# out_len, and in doubles on more, where numpy's int64 remainder costs more
+# than the four calls per step of the float reduction.  Time in us, int64 /
+# doubles, best of 200 or more on a 2-core x86-64 machine with numpy 2.4:
+#
+#   rows x out_len   3 classes   5 classes
+#      1 x 512         22/29       42/51
+#      8 x 128         36/53       67/107
+#      1 x 1024        31/33       58/57
+#     32 x 128         87/101     185/147
+#      8 x 512         94/85      147/124
+#      1 x 4096        89/53      123/57
+#     32 x 1024      2078/551    1364/751
+RECOMBINE_INT64_MAX = 2048
+
+
+def _limb_coeffs(p, Z, size, out_len, w, top):
+    """The first out_len coefficients mod p of the rows of the float class
+    spectra Z: classes c_k of weight 2^(w k) and magnitude at most top,
+    sum_k c_k 2^(w k) mod p, of dtype object for p >= 2^31."""
     c = np.fft.irfft(Z, size, axis=-1, out=_work_array("coeffs", Z.shape[:2] + (size,)))
     c = c[..., :out_len]
     np.rint(c, out=c)
-    L = (c.shape[1] + 1) // 2
-    w = _width(p, L)
-    # a class sums at most L limb products of size terms each per product
-    # image, the top class one: |c_k| <= L top
-    top = MAX_SUMMED * size << 2 * w - 2
     if p >> 31:
         # Horner in Python ints over words of g classes c_k 2^(w i), i < g,
-        # added in int64: g - 1 = (62 - bits(L top)) // w keeps them below 2^63
-        g = (62 - (L * top).bit_length()) // w + 1
+        # added in int64: g - 1 = (62 - bits(top)) // w keeps them below 2^63
+        g = (62 - top.bit_length()) // w + 1
         ci = c.astype(np.int64)
         words = [
             sum(ci[:, k + i] << w * i for i in range(min(g, c.shape[1] - k)))
@@ -844,19 +967,18 @@ def _limb_coeffs(p, Z, size, out_len):
         for word in words[-2::-1]:
             acc = (acc << g * w) + word
         return acc % p
-    if L == 1 or top * ((1 << w) + 2) >= 1 << 53:
-        # the first step of Horner in doubles, top 2^w + 2 top, would pass 2^53
+    if c[:, 0].size <= RECOMBINE_INT64_MAX:
         return _recombine(c.astype(np.int64).swapaxes(0, 1), w, p)
-    # Horner in doubles, in place on the top class: acc <= p and |c_k| < 2^47
-    # keep every step after the first below 2^53;
-    # floor(t / p) is off by one only where p divides t, which leaves acc = p,
-    # mapped to 0 at the end.  Once added, c_k holds the step's multiple of p
+    # Horner in doubles, in place on the top class, reduced first: acc <= p
+    # keeps every step below p 2^w + top < 2^52, where floor(t / p) is off by
+    # one only where p divides t, which leaves acc = p, mapped to 0 at the end
+    assert (p << w) + top < 1 << 52, (p, w, top)
     pinv, base = 1.0 / p, float(1 << w)
-    acc = c[:, -1]
-    for k in range(c.shape[1] - 2, -1, -1):
-        acc *= base
-        acc += c[:, k]
-        t = c[:, k]
+    acc, t = c[:, -1], _work_array("quot", (c.shape[0], out_len))
+    for k in range(c.shape[1] - 1, -1, -1):
+        if k < c.shape[1] - 1:
+            acc *= base
+            acc += c[:, k]
         np.multiply(acc, pinv, out=t)
         np.floor(t, out=t)
         t *= p

@@ -15,7 +15,16 @@ import random
 import numpy as np
 
 from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
-from .modfield import Modulus, Poly, _convolve_rows, _dense_mul
+from .modfield import (
+    Modulus,
+    Poly,
+    _convolve_rows,
+    _dense_mul,
+    _image_by,
+    _image_coeffs,
+    _image_mul,
+    _kept_image,
+)
 
 
 def _school_mul(mod, a, b, n):
@@ -189,10 +198,10 @@ def worst_residue(p, limbs, width):
     return ((p - 1 - low) >> top << top) + low
 
 
-def _largest_per_layout(mod: Modulus, sizes, dense=False):
-    """The largest of the increasing sizes that each layout (Modulus.layout)
-    serves."""
-    out = {mod.layout(size, dense): size for size in sizes}
+def _largest_per_layout(sizes, layout):
+    """The largest of the increasing sizes that each value of layout(size)
+    but None serves."""
+    out = {layout(size): size for size in sizes}
     out.pop(None, None)
     return sorted(out.values())
 
@@ -202,20 +211,33 @@ def float_kernel_agrees(mod: Modulus) -> bool:
     size 2, the least the float kernel takes, and at the largest size of
     each limb layout up to 2^14 (2^10 and 2^14 for DEFAULT_PRIME): a random
     row times a row of p - 1 and the reverse, and the square of a row of the
-    layout's worst residue (worst_residue).  Exactness rests on IEEE doubles
-    and an FFT as accurate as the bound assumes, which the numpy build
-    decides."""
-    sizes = {2, *_largest_per_layout(mod, [1 << k for k in range(1, 15)])}
-    return all(_float_agrees(mod, size) for size in sorted(sizes))
+    layout's worst residue (worst_residue); and the same products by a
+    scaled image (modfield._kept_image) at the largest size of each scaled
+    layout (2^15 for DEFAULT_PRIME).  Exactness rests on IEEE doubles and an
+    FFT as accurate as the bound assumes, which the numpy build decides."""
+    sizes = {2, *_largest_per_layout([1 << k for k in range(1, 15)], mod.layout)}
+    scaled = _largest_per_layout(
+        [1 << k for k in range(1, mod.float_max.bit_length())], mod.scaled_layout
+    )
+    return all(_float_agrees(mod, size) for size in sorted(sizes)) and all(
+        _float_agrees(mod, size, scaled=True) for size in scaled
+    )
 
 
-def _float_agrees(mod: Modulus, size):
-    """float_kernel_agrees at one size."""
+def _float_agrees(mod: Modulus, size, scaled=False):
+    """float_kernel_agrees at one size, by a scaled image of B if scaled,
+    where the rows A take the worst residue of the scaled layout."""
     p, rng, h = mod.p, random.Random(size), size // 2
     r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
-    worst = [worst_residue(p, *mod.layout(size))] * h
-    A, B = [r, [p - 1] * h, worst], [[p - 1] * h, s, worst]
-    got = _convolve_rows(mod, np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype))
+    worst = worst_residue(p, *mod.layout(size))
+    worst_x = worst_residue(p, *mod.scaled_layout(size)) if scaled else worst
+    A, B = [r, [p - 1] * h, [worst_x] * h], [[p - 1] * h, s, [worst] * h]
+    A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
+    if scaled:
+        Y = _kept_image(mod, B_, size, scaled=True)
+        got = _image_coeffs(mod, _image_mul(mod, _image_by(mod, A_, Y), Y), size - 1)
+    else:
+        got = _convolve_rows(mod, A_, B_)
     return got.tolist() == kronecker_mul(p, A, B)
 
 
@@ -228,7 +250,7 @@ def dense_product_agrees(mod: Modulus, b_max) -> bool:
     arithmetic does.  True on dtype-object rows, which never take it."""
     if mod.dtype is object:
         return True
-    sizes = _largest_per_layout(mod, range(1, b_max + 1), dense=True)
+    sizes = _largest_per_layout(range(1, b_max + 1), lambda b: mod.layout(b, dense=True))
     return all(_dense_agrees(mod, b) for b in sizes)
 
 

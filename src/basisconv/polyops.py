@@ -7,7 +7,8 @@ source and target spaces.
 
 A Taylor shift on K[x]_m is one exact GEMM (modfield._dense_mul) by the
 Pascal matrix on int64 rows with DENSE_MIN <= m <= LEAF_SIZE, and otherwise a
-product by a series kept per (a, transform size).  Its diagonals, like those
+product by a series kept per (a, transform size), as a scaled image where
+modfield admits it (modfield._kept_image).  Its diagonals, like those
 of scale, slice rows of powers kept per base and power-of-two size.
 """
 
@@ -120,7 +121,7 @@ def diagonal(A: Poly, s) -> Poly:
 
 def _shift_operand(mod: Modulus, a, m):
     """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!, as
-    _fixed_operand keeps it; read backwards by the transpose.  A shift on
+    _fixed_operand keeps it, scaled; read backwards by the transpose.  A shift on
     K[x]_m reads P below x^m only, so one operand, cached, serves every m of
     one transform size: P below x^L, L the longest such m (at most p)."""
     size = _size(2 * m - 1)
@@ -128,7 +129,7 @@ def _shift_operand(mod: Modulus, a, m):
     def build():
         L = min((size + 1) // 2, mod.p)
         P = _powers(mod, a, L) * mod.table("inv_factorials", L) % mod.p
-        return _fixed_operand(mod, P, L)
+        return _fixed_operand(mod, P, L, scaled=True)
 
     return mod.cached(("shift", a, size), build)
 

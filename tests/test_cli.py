@@ -130,6 +130,24 @@ def test_bench_csv_shape():
     assert lines[-1].endswith(",,")
 
 
+def test_bench_times_the_best_of_three_warm_calls(monkeypatch, capsys):
+    # one warm-up and cli.BENCH_RUNS timed calls per n; the fast column is
+    # the least of the timed calls
+    calls, times = [], iter([0.0, 5.0, 5.0, 7.0, 7.0, 8.0] * 2)
+    to_monomial = cli.to_monomial
+
+    def counted(a, fam, n, mod):
+        calls.append(n)
+        return to_monomial(a, fam, n, mod)
+
+    monkeypatch.setattr(cli, "to_monomial", counted)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(times))
+    assert cli.main(["bench", "--family", "hermite", "--n-max", "32", "--naive-max", "0"]) == 0
+    assert cli.BENCH_RUNS == 3 and calls == [16] * 4 + [32] * 4
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == ["16,1.000000,,", "32,1.000000,,"]
+
+
 def test_usage_errors():
     # malformed JSON
     proc = run_cli(
@@ -219,6 +237,33 @@ def test_selftest_checks_the_two_limb_layout(monkeypatch, capsys):
     assert "FAIL kernel: dense leaf product" in out
 
 
+def test_selftest_checks_the_scaled_layout(monkeypatch, capsys):
+    # the rows multiplied by a scaled image (modfield._kept_image) split into
+    # two 16-bit limbs that go wrong only at the edge of their range, +-2^15:
+    # every plain product is right, and so is every product of the --quick
+    # conversions (none reaches size 2^11), but not the worst residue of the
+    # scaled layout, which the kernel check multiplies at size 2^15
+    import numpy as np
+
+    from basisconv import cli, modfield
+
+    image = modfield._image
+
+    def broken(mod, A, size, slot=None, layout=None):
+        # a layout is given for the rows of a scaled product only
+        if layout is None:
+            return image(mod, A, size, slot)
+        limbs = modfield._limbs(A, *layout)
+        np.clip(limbs, 1 - (1 << 15), (1 << 15) - 1, out=limbs)
+        return modfield._transform(mod, limbs, size, None, slot)
+
+    monkeypatch.setattr(modfield, "_image", broken)
+    assert cli.main(["selftest", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL kernel: float product")
+    assert out.count("FAIL") == 1
+
+
 def test_selftest_checks_the_conversion_matrices(monkeypatch, capsys):
     # a kept matrix with one wrong entry, up to MATRIX_MAX, differs from the
     # fast chain; the round trip alone would not tell a wrong forward matrix
@@ -236,6 +281,36 @@ def test_selftest_checks_the_conversion_matrices(monkeypatch, capsys):
     assert cli.main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert "FAIL conversion differs from the chain laguerre(alpha=3) n=8" in out
+
+
+def test_more_coefficients_than_n_are_refused_by_every_command():
+    # three coefficients with --n 2: each command exits 1 with
+    # DimensionMismatch and prints nothing, none truncates
+    for args in (
+        ["convert", "--family", "hermite", "--dir", "to-monomial"],
+        ["convert", "--family", "hermite", "--dir", "from-monomial"],
+        ["compose", "--sequence", "A:1"],
+        ["compose", "--sequence", "A:1", "--transpose"],
+        ["compose", "--sequence", "A:1", "--inverse"],
+    ):
+        proc = run_cli([*args, "--n", "2"], stdin=vec([1, 2, 3]))
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: DimensionMismatch"), args
+        assert proc.stdout == "", args
+    # as many as n: converted
+    proc = run_cli(["compose", "--sequence", "A:1", "--n", "3"], stdin=vec([1, 2, 3]))
+    assert proc.returncode == 0 and out_coeffs(proc) == [6, 8, 3]
+
+
+def test_negative_n_is_a_usage_error():
+    for args in (
+        ["matrix", "--family", "hermite", "--n", "-2"],
+        ["convert", "--family", "hermite", "--dir", "to-monomial", "--n", "-1"],
+        ["compose", "--sequence", "A:1", "--n", "-3"],
+    ):
+        proc = run_cli(args, stdin=vec([1]))
+        assert proc.returncode == 2, args
+        assert "negative" in proc.stderr and proc.stdout == "", args
 
 
 def test_malformed_family_value_is_domain_error():

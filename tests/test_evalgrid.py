@@ -267,7 +267,8 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
     runs = (lambda: multieval_grid(A), lambda: multieval_grid_t(mod, A.arr).arr)
     kept = [warm(run) for run in runs]
     tree = evalgrid._grid_tree(mod, n)
-    assert tree.den_fixed.ndim == 3
+    # a scaled float image at size 2048 (modfield._kept_image)
+    assert tree.den_fixed.ndim == 4
     tree.den_fixed = tree.den_inv      # the coefficients, transformed at each use
     for (k, out), (f, want) in zip(kept, [warm(run) for run in runs]):
         assert k == f - 1 and out == want
@@ -275,9 +276,10 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
 
 def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
     # at n = 6000 every level above the leaf keeps a float image, of 23 nodes
-    # at size 512 up to one node at size 8192; every product meets images of
-    # its own kind, and the passes equal those with the levels past a float
-    # maximum lowered to 2048 on coefficient rows
+    # at size 512 up to one node at size 8192, scaled from size 2048 on;
+    # every product meets images of its own kind, float (plain or scaled) or
+    # rows, and the passes equal those with the levels past a float maximum
+    # lowered to 2048 on coefficient rows
     n = 6000
     rng = random.Random(50)
     coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
@@ -297,7 +299,7 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
 
     def one_kind(fn):
         def product(mod, X, *images):
-            assert all(Y.ndim == X.ndim for Y in images)
+            assert all(min(Y.ndim, 3) == X.ndim for Y in images)
             return fn(mod, X, *images)
 
         return product
@@ -306,9 +308,38 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
         monkeypatch.setattr(evalgrid, name, one_kind(getattr(evalgrid, name)))
     monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
     got, kinds = run()
-    assert kinds == [3] * 5
+    assert kinds == [3, 3, 4, 4, 4]
     want, kinds = run(2048)
-    assert kinds == [3, 3, 3, 2, 2] and got == want
+    assert kinds == [3, 3, 4, 2, 2] and got == want
+
+
+@pytest.mark.parametrize("n", [4096, 3000])
+def test_scaled_tree_levels_equal_plain_ones(n):
+    # the levels at sizes 2^11 and 2^12 and 1/D keep scaled images
+    # (modfield._kept_image); the four grid maps, and combine and combine_t
+    # themselves, equal those of the same tree with each kept image replaced
+    # by its plain variant 0
+    mod = Modulus(DEFAULT_PRIME)
+    rng = np.random.default_rng(n)
+    c = rng.integers(0, mod.p, n)
+    tree = evalgrid._grid_tree(mod, n)
+
+    def run():
+        return [
+            tree.combine(c).tolist(),
+            tree.combine_t(c).tolist(),
+            multieval_grid(Poly.of(mod, c)).tolist(),
+            interp_grid(mod, c).coeffs,
+            multieval_grid_t(mod, c).coeffs,
+            interp_grid_t(Poly.of(mod, c)).tolist(),
+        ]
+
+    scaled = run()
+    assert [X.ndim for X in tree.img[tree.leaf :]] == [3, 3, 4, 4]
+    assert tree.den_fixed.ndim == 4
+    tree.img = [None if X is None else modfield._plain(X) for X in tree.img]
+    tree.den_fixed = modfield._plain(tree.den_fixed)
+    assert scaled == run()
 
 
 def test_interp_round_trip(mod101):

@@ -438,6 +438,23 @@ def test_parse_family_forms(mod):
         parse_family(mod, "jacobi(3,5)")
 
 
+@pytest.mark.parametrize("n", [3, MATRIX_MAX, MATRIX_MAX + 1, 200])
+def test_from_monomial_rejects_what_to_monomial_refuses(n, mod):
+    # on the kept matrices (n <= MATRIX_MAX) and on the chain: a polynomial
+    # of dimension past n, or over another prime, is refused, not truncated
+    # or read over mod
+    fam = parse_family(mod, "hermite")
+    rng = random.Random(n)
+    a = [rng.randrange(101) for _ in range(n)]
+    with pytest.raises(DimensionMismatch):
+        from_monomial(Poly(mod, a + [1, 2], n + 2), fam, n, mod)
+    with pytest.raises(DomainViolation):
+        from_monomial(Poly(Modulus(101), a, n), fam, n, mod)
+    # a shorter polynomial over mod converts as its zero-padding
+    want = from_monomial(Poly(mod, a[:-1], n), fam, n, mod)
+    assert from_monomial(Poly(mod, a[:-1]), fam, n, mod) == want
+
+
 def test_to_monomial_rejects_malformed_input(mod):
     fam = parse_family(mod, "hermite")
     p = mod.p

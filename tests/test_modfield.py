@@ -16,7 +16,7 @@ from basisconv import (
     mul_trunc_t,
     poly_mul,
 )
-from basisconv import evalgrid, families, modfield, oracle
+from basisconv import evalgrid, families, modfield, oracle, polyops
 from basisconv.evalgrid import LEAF_SIZE
 from basisconv.modfield import (
     _class_spectra,
@@ -275,14 +275,22 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     # of each limb layout up to 2^14 against the Kronecker product, on int64
     # rows (one 21-bit limb up to 8, two 11-bit ones beyond) and on rows of
     # Python ints (P40: two 21-bit limbs up to 4, three 14-bit ones up to
-    # 2^13, four 11-bit ones beyond)
+    # 2^13, four 11-bit ones beyond); and products by scaled images at the
+    # largest size of each scaled layout (one 21-bit limb against two 11-bit
+    # ones up to 2^11; P40: two 21-bit limbs against three 14-bit ones up to
+    # 2^8, three 14-bit limbs against four 11-bit ones up to 2^16)
     checked, agrees = [], oracle._float_agrees
-    monkeypatch.setattr(
-        oracle, "_float_agrees", lambda mod, size: checked.append(size) or agrees(mod, size)
-    )
+
+    def recorded(mod, size, scaled=False):
+        checked.append((size, scaled))
+        return agrees(mod, size, scaled)
+
+    monkeypatch.setattr(oracle, "_float_agrees", recorded)
     for p in (NO_ROOTS_PRIME, P40):
         assert oracle.float_kernel_agrees(Modulus(p))
-    assert sorted(checked) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
+    plain = [size for size, scaled in checked if not scaled]
+    assert sorted(plain) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
+    assert sorted(size for size, scaled in checked if scaled) == [1 << 8, 1 << 11, 1 << 16]
 
 
 def test_poly_invariants(mod101):
@@ -426,7 +434,8 @@ def test_kept_images_and_results_never_alias_the_work_arrays(mod):
     fixed = modfield._fixed_operand(mod, B.arr, n)
     tree = evalgrid._grid_tree(mod, n)
     kept = [fixed, tree.den_fixed] + tree.img[tree.leaf :]
-    assert all(X.ndim == 3 for X in kept)
+    # float images; 1/D at size 8192 and the levels at 2048 and 4096 scaled
+    assert [X.ndim for X in kept] == [3, 4, 3, 3, 4, 4]
     rows = [
         mul_trunc(A, fixed, n).arr,
         mul_trunc_t(A, fixed, n).arr,
@@ -512,6 +521,100 @@ def test_float_kernel_exact_on_worst_operands(p, size):
         assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, L, w)
 
 
+def _largest_scaled_sizes(p):
+    """The largest size of each scaled layout of p (Modulus.scaled_layout)."""
+    mod = Modulus(p)
+    out = {mod.scaled_layout(1 << k): 1 << k for k in range(1, mod.float_max.bit_length())}
+    out.pop(None, None)
+    return sorted(out.values())
+
+
+def test_scaled_layouts_by_prime():
+    # fewer limbs of the rows multiplied by a scaled image, where the bound
+    # admits them: 2 x 16 bits against 3 x 11 for DEFAULT_PRIME, 2 x 21
+    # against 3 x 14 and 3 x 14 against 4 x 11 for P40, none for p = 101
+    def table(p):
+        mod = Modulus(p)
+        sizes = [1 << k for k in range(1, mod.float_max.bit_length())]
+        return {s: (mod.scaled_layout(s), mod.layout(s)) for s in sizes if mod.scaled_layout(s)}
+
+    assert table(DEFAULT_PRIME) == {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
+    want = {1 << k: ((2, 21), (3, 14)) for k in range(3, 9)}
+    want.update({1 << k: ((3, 14), (4, 11)) for k in range(14, 17)})
+    assert table(P40) == want
+    assert table(101) == {}
+    assert _largest_scaled_sizes(DEFAULT_PRIME) == [1 << 15]
+    assert _largest_scaled_sizes(P40) == [1 << 8, 1 << 16]
+
+
+@pytest.mark.parametrize(
+    "p, size",
+    [pytest.param(p, size, id=f"{p}-{size}") for p in (DEFAULT_PRIME, P40)
+     for size in _largest_scaled_sizes(p)],
+)
+def test_scaled_products_exact_on_worst_operands(p, size):
+    # at the largest size of each scaled layout: rows of the worst residue of
+    # the scaled layout and of p - 1 times a scaled image of rows of the
+    # worst residue of the size's layout and of p - 1, by the closed form of
+    # constant rows (test_float_kernel_exact_on_worst_operands); on dtype-object
+    # rows for P40
+    mod = Modulus(p)
+    (Lx, wx), (L, w) = mod.scaled_layout(size), mod.layout(size)
+    xs = np.array([[worst_residue(p, Lx, wx)], [p - 1]], dtype=mod.dtype)
+    ys = np.array([[worst_residue(p, L, w)], [p - 1]], dtype=mod.dtype)
+    h = size // 2
+    k = np.arange(size - 1)
+    want = xs * ys % p * np.minimum(k + 1, size - 1 - k).astype(mod.dtype) % p
+    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size, scaled=True)
+    assert Y.shape[:3] == (2, Lx, L)
+    X = modfield._image_by(mod, np.repeat(xs, h, axis=1), Y)
+    assert X.shape[:2] == (2, Lx)
+    assert np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y), size - 1), want)
+    # a product by a kept fixed operand, and its transpose, a correlation:
+    # coefficient j of the middle product of h constants by h constants is
+    # h - j
+    for i in range(2):
+        fixed = modfield._fixed_operand(mod, np.repeat(ys[i], h), h, scaled=True)
+        assert fixed.ndim == 4
+        row = np.repeat(xs[i], h)
+        assert np.array_equal(_mul_fixed(mod, row, fixed, size - 1), want[i])
+        mid = xs[i] * ys[i] % p * np.arange(h, 0, -1).astype(mod.dtype) % p
+        assert np.array_equal(_mul_fixed(mod, row, fixed, h, transposed=True), mid)
+    # a summed pair of product images of full rows: the largest norms
+    Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size, scaled=True)
+    X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y)
+    got = _image_coeffs(mod, _image_mul_add(mod, X, Y, X, Y), size)
+    assert (got == 2 * size * xs % p * ys % p).all()
+    for products in (1, 2):
+        c = np.fft.irfft(_class_spectra(p, [(X, Y)] * products)[:, 0], size, axis=-1)
+        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, Lx, wx, w)
+
+
+def test_products_by_scaled_images_equal_plain_ones(mod):
+    # the product of random rows by a scaled fixed operand, and its
+    # transpose, equal those by its plain image (variant 0); the scaled
+    # image is one array, whose variant 0 cache_bytes counts once
+    rng = np.random.default_rng(63)
+    for n in (1024, 1500, 16384):
+        a, b = rng.integers(0, mod.p, (2, n))
+        fixed = modfield._fixed_operand(mod, b, n, scaled=True)
+        assert fixed.ndim == 4 and fixed.shape[1] == 2
+        plain = modfield._plain(fixed)
+        assert np.shares_memory(plain, fixed)
+        for transposed in (False, True):
+            got = _mul_fixed(mod, a, fixed, n, transposed)
+            assert np.array_equal(got, _mul_fixed(mod, a, plain, n, transposed)), (n, transposed)
+        assert modfield._array_bytes([fixed, plain], set()) == fixed.nbytes
+    # past 2^15 the image stays plain
+    assert modfield._fixed_operand(mod, b, 1 << 15, scaled=True).ndim == 3
+    # the shift series at 2^15: two variants of three limbs
+    fresh = Modulus(DEFAULT_PRIME)
+    polyops.taylor_shift(Poly.of(fresh, rng.integers(0, fresh.p, 16384)), 5)
+    operand = fresh.cached(("shift", 5, 1 << 15), lambda: None)
+    assert operand.shape == (1, 2, 3, (1 << 14) + 1)
+    assert fresh.cache_bytes()["shift"] == (1, operand.nbytes)
+
+
 def test_dense_product_exact_on_worst_operands(mod):
     # rows of p - 1, of the worst residue and of limbs all -2^(w-1) (not a
     # residue) times columns of p - 1 sum every term with one sign: at b =
@@ -579,11 +682,14 @@ def test_batch_kernel_by_size_and_rows(size, rows, kind):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 998244353])
 def test_float_recombination_reduces_multiples_of_p(p):
     # a class coefficient t = -q p: for 998244353 and q >= 3 the double
-    # t * fl(1/p) lies below -q, so floor(t / p) falls one short
-    size = 16
+    # t * fl(1/p) lies below -q, so floor(t / p) falls one short; five
+    # classes of 11 bits, more coefficients than the int64 recombination
+    # takes, so that it runs in doubles
+    size = 4096
+    assert size > modfield.RECOMBINE_INT64_MAX
     classes = np.zeros((1, 5, size))
     classes[0, 0] = -p * np.arange(size, dtype=np.float64)
-    got = _limb_coeffs(p, np.fft.rfft(classes, axis=-1), size, size)
+    got = _limb_coeffs(p, np.fft.rfft(classes, axis=-1), size, size, 11, p * size)
     assert not got.any()
 
 
