@@ -2,7 +2,8 @@
 
 Coefficient I/O uses a JSON object {"modulus": "<decimal>", "coeffs":
 ["<decimal>", ...]} with coefficients as decimal strings in [0, p); index i
-is the coefficient of x^i (or of P_i on a family basis).
+is the coefficient of x^i (or of P_i on a family basis).  Input may give
+JSON integers in place of the strings; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 
@@ -37,15 +39,28 @@ class UsageError(Exception):
     pass
 
 
+def _integer(value):
+    """value as an int where it is a JSON integer (not a boolean) or a string
+    of a decimal integer; a usage error otherwise, so that no number is
+    silently rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise UsageError(f"malformed input JSON: {value!r} is not an integer")
+
+
 def _read_vector(args, mod):
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     try:
         obj = json.loads(text)
-        coeffs = [int(c) for c in obj["coeffs"]]
-        declared = obj.get("modulus")
+        coeffs, declared = obj["coeffs"], obj.get("modulus")
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed input JSON: {exc}") from None
-    if declared is not None and int(declared) != mod.p:
+    if not isinstance(coeffs, list):
+        raise UsageError("malformed input JSON: coeffs is not a list")
+    coeffs = [_integer(c) for c in coeffs]
+    if declared is not None and _integer(declared) != mod.p:
         raise UsageError(
             f"input declares modulus {declared}, command uses {mod.p}"
         )

@@ -17,8 +17,8 @@ coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
 levels, of the one kind modfield picks for their size (float limb spectra up
-to Modulus.float_max), scaled where the bound admits it
-(modfield._kept_image: from size 2^11 to 2^15 for DEFAULT_PRIME), and of
+to Modulus.float_max), scaled where the bound admits it, as every kept image
+is (modfield._kept_image: from size 2^11 to 2^15 for DEFAULT_PRIME), and of
 their coefficients only the ragged nodes and the full left child of each;
 data derived from a tree is computed on first use and kept on it.
 
@@ -171,7 +171,7 @@ class SubproductTree:
         self.img, self.full, self.rag = [None] * K, [None] * K, [None] * K + [rag]
         for k in range(K + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            img = _kept_image(mod, low, s, scaled=True)
+            img = _kept_image(mod, low, s)
             self.img.append(img)
             # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
             cur = _image_coeffs(mod, _image_mul(mod, *_pairs(_plain(img), nf)), s)
@@ -334,7 +334,7 @@ class SubproductTree:
     def den_fixed(self):
         """What products of length-n arrays by den_inv keep of it
         (modfield._fixed_operand), scaled where modfield admits it."""
-        return _fixed_operand(self.mod, self.den_inv, self.n, scaled=True)
+        return _fixed_operand(self.mod, self.den_inv, self.n)
 
 
 def _grid_tree(mod: Modulus, n: int) -> SubproductTree:

@@ -32,9 +32,10 @@ A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
 and mul_trunc_t take such an operand in place of a Poly.
-The kept images of the operands every family shares, the Taylor-shift series
-and the levels and 1/D of evalgrid's grid trees, are scaled wherever the
-bound admits it (_kept_image, Modulus.scaled_layout): they hold the L_x
+Every kept image, of a fixed operand (a family's unit and root powers, u, v
+and their inverses, the Taylor-shift series) or of the levels of evalgrid's
+grid trees, is scaled wherever the bound admits it (_kept_image,
+Modulus.scaled_layout): it holds the L_x
 variants Y_i = 2^(w_x i) Y mod p of their rows Y, each in the size's layout
 (L, w), so that rows X = sum_i x_i 2^(w_x i) of L_x < L limbs of w_x bits
 multiply them as X Y = sum_i x_i Y_i mod p, in the L classes
@@ -42,9 +43,10 @@ c_j = sum_i x_i y_(i,j): L_x forward and L inverse transforms where a plain
 image takes L and 2L - 1.  For the default prime that is two 16-bit limbs
 against three 11-bit ones from size 2^11 to 2^15, 2 forward and 3 inverse
 FFTs per product in place of 3 and 5, for twice the memory of the image:
-after a warm pass the cache holds 11.5 MB on sheffer_large (8.4 MB with
-plain images) and 29.3 MB on algebraic_large (26.7 MB).  The operands of one
-family keep plain images.
+after a warm pass the cache holds 11.2 MB on sheffer_large and 41.2 MB on
+algebraic_large (7.6 and 24.9 MB with plain images), where one Taylor-shift
+series per transform size (polyops), not one per shift value, makes room for
+them.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -513,13 +515,13 @@ def _image(mod: Modulus, A, size, slot=None, layout=None):
     return out
 
 
-def _kept_image(mod: Modulus, A, size, scaled=False):
-    """The fresh image of the rows A that a caller keeps.  scaled, where the
-    image is float and mod.scaled_layout(size) gives (L_x, w_x): the images
+def _kept_image(mod: Modulus, A, size):
+    """The fresh image of the rows A that a caller keeps: scaled where the
+    image is float and mod.scaled_layout(size) gives (L_x, w_x), the images
     of the L_x variants 2^(w_x i) A mod p, (rows, L_x, L, f), by which rows
-    of L_x limbs of w_x bits multiply (_class_spectra); variant 0, [:, 0], is
-    the plain image."""
-    layout = mod.scaled_layout(size) if scaled and _float(mod, size) else None
+    of L_x limbs of w_x bits multiply (_class_spectra), variant 0, [:, 0],
+    the plain image; plain elsewhere."""
+    layout = mod.scaled_layout(size) if _float(mod, size) else None
     if layout is None:
         return _image(mod, A, size)
     p, (Lx, wx) = mod.p, layout
@@ -619,16 +621,16 @@ def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     return _limb_coeffs(p, X, size, out_len, w, L * MAX_SUMMED * size << 2 * w - 2)
 
 
-def _fixed_operand(mod: Modulus, b, la, scaled=False):
+def _fixed_operand(mod: Modulus, b, la):
     """What products of arrays of length <= la by the fixed array b keep of
-    b, trimmed to its degree: its image (of one row, scaled if asked and
-    admitted, _kept_image) where such a product transforms, its coefficients
+    b, trimmed to its degree: its image (of one row, scaled where admitted,
+    _kept_image) where such a product transforms, its coefficients
     otherwise.  Callers cache it; _mul_fixed, mul_trunc and mul_trunc_t use
     it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
-        return _readonly(_kept_image(mod, b[None, :lb], _size(la + lb - 1), scaled))
+        return _readonly(_kept_image(mod, b[None, :lb], _size(la + lb - 1)))
     return _readonly(b[:lb].copy())
 
 
@@ -636,7 +638,8 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     """The first out_len coefficients of a times the operand b kept by
     _fixed_operand: one forward and one inverse transform.  transposed: of
     the middle product, a times b read backwards from x^(len(b) - 1) on (the
-    product by b of mul_trunc_t), as a correlation with b's image."""
+    product by b of mul_trunc_t), read from the product of a reversed by b's
+    image."""
     if fixed.ndim == 1:
         # the product reads b below out_len (transposed: below len(a)) only
         if transposed:
@@ -644,8 +647,11 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
     if transposed:
-        X = _image_by(mod, _backwards(a[None], _image_size(fixed), out_len), fixed)
-        return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0, ::-1]
+        # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
+        # Rev(a) b, onto which a coefficient wraps only where one would onto
+        # the rows of _backwards; Rev(a) needs no zero-padded row of the size
+        X = _image_by(mod, a[None, ::-1], fixed)
+        return _fit(_image_coeffs(mod, _image_mul(mod, X, fixed), len(a))[0, ::-1], out_len)
     X = _image_by(mod, a[None], fixed)
     return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
 

@@ -234,7 +234,7 @@ def _float_agrees(mod: Modulus, size, scaled=False):
     A, B = [r, [p - 1] * h, [worst_x] * h], [[p - 1] * h, s, [worst] * h]
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
     if scaled:
-        Y = _kept_image(mod, B_, size, scaled=True)
+        Y = _kept_image(mod, B_, size)
         got = _image_coeffs(mod, _image_mul(mod, _image_by(mod, A_, Y), Y), size - 1)
     else:
         got = _convolve_rows(mod, A_, B_)

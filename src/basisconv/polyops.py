@@ -7,9 +7,11 @@ source and target spaces.
 
 A Taylor shift on K[x]_m is one exact GEMM (modfield._dense_mul) by the
 Pascal matrix on int64 rows with DENSE_MIN <= m <= LEAF_SIZE, and otherwise a
-product by a series kept per (a, transform size), as a scaled image where
-modfield admits it (modfield._kept_image).  Its diagonals, like those
-of scale, slice rows of powers kept per base and power-of-two size.
+product by the series sum x^d / d!, one kept per transform size for every
+shift value a, as a scaled image where modfield admits it
+(modfield._kept_image), between the diagonals i! a^i and a^-i / i!, rows
+kept per (a, transform size).  The diagonals of scale and of the dense
+shifts slice rows of powers kept per base and power-of-two size.
 """
 
 from __future__ import annotations
@@ -119,19 +121,36 @@ def diagonal(A: Poly, s) -> Poly:
     return Poly.of(mod, A.arr * s % mod.p)
 
 
-def _shift_operand(mod: Modulus, a, m):
-    """The fixed factor of a shift by a on K[x]_m, P = sum a^i x^i / i!, as
-    _fixed_operand keeps it, scaled; read backwards by the transpose.  A shift on
-    K[x]_m reads P below x^m only, so one operand, cached, serves every m of
-    one transform size: P below x^L, L the longest such m (at most p)."""
+def _shift_operand(mod: Modulus, m):
+    """The fixed factor of every shift on K[x]_m, P = sum x^d / d!, as
+    _fixed_operand keeps it; read backwards by the transpose.  A shift on
+    K[x]_m reads P below x^m only, so one operand, cached, serves every a and
+    m of one transform size: P below x^L, L the longest such m (at most p)."""
     size = _size(2 * m - 1)
 
     def build():
         L = min((size + 1) // 2, mod.p)
-        P = _powers(mod, a, L) * mod.table("inv_factorials", L) % mod.p
-        return _fixed_operand(mod, P, L, scaled=True)
+        return _fixed_operand(mod, mod.table("inv_factorials", L), L)
 
-    return mod.cached(("shift", a, size), build)
+    return mod.cached(("shift", size), build)
+
+
+def _shift_diagonals(mod: Modulus, a, m):
+    """(i! a^i, a^-i / i!) for i < m, the diagonals of a shift by a != 0 on
+    K[x]_m, read-only: slices of two rows kept per (a, transform size) as
+    _shift_operand keeps P, or at a = 1 of the factorial tables."""
+    if a == 1:
+        return mod.table("factorials", m), mod.table("inv_factorials", m)
+    size = _size(2 * m - 1)
+
+    def build():
+        L, p = min((size + 1) // 2, mod.p), mod.p
+        up = mod.table("factorials", L) * _powers(mod, a, L) % p
+        down = mod.table("inv_factorials", L) * _powers(mod, mod.inv(a), L) % p
+        return _readonly(up), _readonly(down)
+
+    up, down = mod.cached(("shiftrows", a, size), build)
+    return up[:m], down[:m]
 
 
 def _pascal(mod: Modulus, b):
@@ -166,12 +185,13 @@ def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod.check_precision(m)
     if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
         return Poly.of(mod, _dense_shift(mod, A.arr[None], a, transposed)[0])
-    # A(x + a) = Diag(1/i!) Rev(Rev(Diag(i!) A) P mod x^m) and its transpose
-    # Diag(i!) Rev((Rev(Diag(1/i!) A) Rev(P)) div x^(m-1)), a middle product
-    fact, inv_fact = mod.table("factorials", m), mod.table("inv_factorials", m)
-    pre, post = (inv_fact, fact) if transposed else (fact, inv_fact)
+    # A(x + a) = Diag(a^-i / i!) Rev(Rev(Diag(i! a^i) A) P mod x^m) and its
+    # transpose Diag(i! a^i) Rev((Rev(Diag(a^-i / i!) A) Rev(P)) div x^(m-1)),
+    # a middle product (Aho, Steiglitz & Ullman 1975)
+    up, down = _shift_diagonals(mod, a, m)
+    pre, post = (down, up) if transposed else (up, down)
     B = (A.arr * pre % p)[::-1]
-    C = _mul_fixed(mod, B, _shift_operand(mod, a, m), m, transposed)
+    C = _mul_fixed(mod, B, _shift_operand(mod, m), m, transposed)
     return Poly.of(mod, C[::-1] * post % p)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -172,6 +173,37 @@ def test_usage_errors():
     # unknown subcommand: argparse exits 2
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"coeffs": [1.5, True, 2]},
+    {"coeffs": [1, True]},
+    {"coeffs": [1, None]},
+    {"coeffs": ["1.5"]},
+    {"coeffs": [" 3"]},
+    {"coeffs": "12"},
+    {"modulus": 2013265921.7, "coeffs": [1]},
+    {"modulus": "2013265921.0", "coeffs": [1]},
+    {"modulus": True, "coeffs": [1]},
+])
+def test_only_integers_are_read(payload, monkeypatch, capsys):
+    # JSON numbers that are not integers, booleans and strings that are not
+    # decimal integers are usage errors, never rounded
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    args = ["convert", "--family", "hermite", "--dir", "to-monomial", "--n", "3"]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is not" in err
+
+
+def test_json_integers_read_as_decimal_strings(monkeypatch, capsys):
+    args = ["convert", "--family", "hermite", "--dir", "to-monomial", "--n", "3"]
+    outs = []
+    for payload in ({"modulus": P, "coeffs": [1, "+2", 3]}, json.loads(vec([1, 2, 3]))):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("p", [P, P40])

@@ -40,6 +40,7 @@ from catalog_data import FAMILY_STRINGS, all_families
 
 # 2 * 500001 + 1: no roots of unity of order 4
 NO_ROOTS_PRIME = 1000003
+P40 = 1099489607681
 
 M_TABLE = {
     "laguerre", "hermite", "jacobi", "fibonacci", "euler", "bernoulli",
@@ -181,10 +182,17 @@ def test_round_trip_all(mod):
 
 
 def test_matches_naive_convert(mod):
+    # over P40 object rows take the chain at n = 40, whose products by the
+    # per-family operands (unit and root powers, v, u, 1/u, 1/v) take scaled
+    # images at sizes 2^3 to 2^8
     rng = random.Random(62)
-    n = 10
-    for name in ["jacobi(alpha=3,beta=5)", "euler(alpha=3)", "narumi(a=2)",
-                 "krawtchouk(p=1/3,N=100)"]:
+    cases = [(mod, 10, name) for name in (
+        "jacobi(alpha=3,beta=5)", "euler(alpha=3)", "narumi(a=2)", "krawtchouk(p=1/3,N=100)",
+    )] + [(Modulus(P40), 40, name) for name in (
+        "jacobi(alpha=3,beta=5)", "fibonacci", "mott", "laguerre(alpha=3)", "bessel",
+        "charlier(a=2)",
+    )]
+    for mod, n, name in cases:
         fam = parse_family(mod, name)
         a = [rng.randrange(mod.p) for _ in range(n)]
         fast = to_monomial(a, fam, n, mod).coeffs

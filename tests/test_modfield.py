@@ -434,8 +434,9 @@ def test_kept_images_and_results_never_alias_the_work_arrays(mod):
     fixed = modfield._fixed_operand(mod, B.arr, n)
     tree = evalgrid._grid_tree(mod, n)
     kept = [fixed, tree.den_fixed] + tree.img[tree.leaf :]
-    # float images; 1/D at size 8192 and the levels at 2048 and 4096 scaled
-    assert [X.ndim for X in kept] == [3, 4, 3, 3, 4, 4]
+    # float images; the fixed operand and 1/D at size 8192 and the levels at
+    # 2048 and 4096 scaled
+    assert [X.ndim for X in kept] == [4, 4, 3, 3, 4, 4]
     rows = [
         mul_trunc(A, fixed, n).arr,
         mul_trunc_t(A, fixed, n).arr,
@@ -565,7 +566,7 @@ def test_scaled_products_exact_on_worst_operands(p, size):
     h = size // 2
     k = np.arange(size - 1)
     want = xs * ys % p * np.minimum(k + 1, size - 1 - k).astype(mod.dtype) % p
-    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size, scaled=True)
+    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size)
     assert Y.shape[:3] == (2, Lx, L)
     X = modfield._image_by(mod, np.repeat(xs, h, axis=1), Y)
     assert X.shape[:2] == (2, Lx)
@@ -574,14 +575,14 @@ def test_scaled_products_exact_on_worst_operands(p, size):
     # coefficient j of the middle product of h constants by h constants is
     # h - j
     for i in range(2):
-        fixed = modfield._fixed_operand(mod, np.repeat(ys[i], h), h, scaled=True)
+        fixed = modfield._fixed_operand(mod, np.repeat(ys[i], h), h)
         assert fixed.ndim == 4
         row = np.repeat(xs[i], h)
         assert np.array_equal(_mul_fixed(mod, row, fixed, size - 1), want[i])
         mid = xs[i] * ys[i] % p * np.arange(h, 0, -1).astype(mod.dtype) % p
         assert np.array_equal(_mul_fixed(mod, row, fixed, h, transposed=True), mid)
     # a summed pair of product images of full rows: the largest norms
-    Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size, scaled=True)
+    Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size)
     X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y)
     got = _image_coeffs(mod, _image_mul_add(mod, X, Y, X, Y), size)
     assert (got == 2 * size * xs % p * ys % p).all()
@@ -597,7 +598,7 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
     rng = np.random.default_rng(63)
     for n in (1024, 1500, 16384):
         a, b = rng.integers(0, mod.p, (2, n))
-        fixed = modfield._fixed_operand(mod, b, n, scaled=True)
+        fixed = modfield._fixed_operand(mod, b, n)
         assert fixed.ndim == 4 and fixed.shape[1] == 2
         plain = modfield._plain(fixed)
         assert np.shares_memory(plain, fixed)
@@ -606,13 +607,37 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
             assert np.array_equal(got, _mul_fixed(mod, a, plain, n, transposed)), (n, transposed)
         assert modfield._array_bytes([fixed, plain], set()) == fixed.nbytes
     # past 2^15 the image stays plain
-    assert modfield._fixed_operand(mod, b, 1 << 15, scaled=True).ndim == 3
+    assert modfield._fixed_operand(mod, b, 1 << 15).ndim == 3
     # the shift series at 2^15: two variants of three limbs
     fresh = Modulus(DEFAULT_PRIME)
     polyops.taylor_shift(Poly.of(fresh, rng.integers(0, fresh.p, 16384)), 5)
-    operand = fresh.cached(("shift", 5, 1 << 15), lambda: None)
+    operand = fresh.cached(("shift", 1 << 15), lambda: None)
     assert operand.shape == (1, 2, 3, (1 << 14) + 1)
     assert fresh.cache_bytes()["shift"] == (1, operand.nbytes)
+    # the per-family operands that conversions at n = 4096 keep (unit and
+    # root powers, v and u, 1/u and 1/v; not 1/f, a diagonal): every kept
+    # image is scaled and multiplies as its variant 0 does, and short
+    # operands keep their coefficients
+    conv, n = Modulus(DEFAULT_PRIME), 4096
+    for name in ("jacobi(alpha=3,beta=5)", "fibonacci", "mott", "hermite", "peters(lambda=3,mu=2)"):
+        fam = families.parse_family(conv, name)
+        A = families.to_monomial(rng.integers(0, conv.p, n).tolist(), fam, n, conv)
+        families.from_monomial(A, fam, n, conv)
+    kept = {"upow": [], "rootpow": [], "vu": [], "finv": []}
+    for key, value in conv._cache.items():
+        if key[0] in kept:
+            ops = value[1:] if key[0] == "finv" else value if isinstance(value, tuple) else (value,)
+            kept[key[0]] += [X for X in ops if X is not None]
+    a = rng.integers(0, conv.p, n)
+    for kind, ops in kept.items():
+        images = [X for X in ops if X.ndim > 1]
+        assert images and all(X.ndim == 4 for X in images), kind
+        assert all(not modfield._by_transform(conv, n, len(X)) for X in ops if X.ndim == 1)
+        for X in images:
+            for transposed in (False, True):
+                got = _mul_fixed(conv, a, X, n, transposed)
+                assert np.array_equal(got, _mul_fixed(conv, a, modfield._plain(X), n, transposed))
+    assert any(X.ndim == 1 for ops in kept.values() for X in ops)
 
 
 def test_dense_product_exact_on_worst_operands(mod):

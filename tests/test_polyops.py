@@ -190,10 +190,11 @@ def test_warm_dense_shift_makes_no_transform(monkeypatch):
     assert [k for k in mod._cache if k[0] == "pascal"] == [("pascal", polyops.LEAF_SIZE)]
 
 
-def test_shifts_of_one_transform_size_share_one_operand(mod101):
-    # the shift series is kept per (a, transform size), built at the size's
-    # longest m, at most p - 1: every m of one size past LEAF_SIZE reads it,
-    # both ways; shifts at 33 <= m <= 64 are dense and keep no series
+def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
+    # the series sum x^d / d! is kept per transform size, built at the size's
+    # longest m, at most p: every m and every shift value a of one size past
+    # LEAF_SIZE reads it, both ways; shifts at 33 <= m <= 64 are dense and
+    # keep no series
     mod = Modulus(DEFAULT_PRIME)
     rng = random.Random(18)
     for m in (64, 40, 33):
@@ -203,19 +204,43 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101):
             lambda B: taylor_shift(B, 7), lambda B: taylor_shift_t(B, 7), m, m, mod
         )
     assert [k for k in mod._cache if k[0] == "shift"] == []
-    for m in (1024, 700, 513):
-        A, B = (Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m) for _ in range(2))
-        shifted = taylor_shift(A, 7)
-        assert shifted == horner_compose(A, Poly(mod, [7, 1], 2), m)
-        assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, 7))
-    assert [k for k in mod._cache if k[0] == "shift"] == [("shift", 7, 2048)]
     for m in (16384, 16383):
         taylor_shift_t(taylor_shift(Poly(mod, [1] * m, m), 12345), 12345)
-    keys = [k for k in mod._cache if k[:2] == ("shift", 12345)]
     # a scaled float image (modfield._kept_image)
-    assert keys == [("shift", 12345, 32768)] and mod._cache[keys[0]].ndim == 4
+    assert mod._cache["shift", 32768].ndim == 4
     A = Poly(mod101, [rng.randrange(101) for _ in range(100)], 100)
     assert taylor_shift(A, 5) == horner_compose(A, Poly(mod101, [5, 1], 100), 100)
+    # shifts by 1, 7, 12345 and p - 1 keep one series per transform size and
+    # two diagonal rows per a != 1 (at 1 the factorial tables serve): on the
+    # default prime, on P40's object rows (scaled images up to size 2^8) and
+    # on p = 101 with the dense shifts off, where the series at size 256
+    # stops at x^100; _transpose_check runs at the smallest m, through the
+    # schoolbook on the default prime
+    monkeypatch.setattr(polyops, "DENSE_MIN", polyops.LEAF_SIZE + 1)
+    for p, ms, small in ((DEFAULT_PRIME, (1024, 513), 20), (P40, (100, 65), 65),
+                         (101, (100, 65), 65)):
+        mod = Modulus(p)
+        values = (1, 7, 12345, p - 1)
+        for a in values:
+            for m in ms:
+                A, B = (Poly(mod, [rng.randrange(p) for _ in range(m)], m) for _ in range(2))
+                shifted = taylor_shift(A, a)
+                assert shifted == horner_compose(A, Poly(mod, [a, 1], 2), m), (p, a, m)
+                assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), (p, a, m)
+            _transpose_check(
+                lambda B: taylor_shift(B, a), lambda B: taylor_shift_t(B, a), small, small, mod
+            )
+        size = modfield._size(2 * ms[0] - 1)
+        assert ("shift", size) in mod._cache
+        assert [k for k in mod._cache if k[0] == "shift" and k[1] != size] == (
+            [("shift", 64)] if p == DEFAULT_PRIME else []
+        )
+        rows = [k for k in mod._cache if k[0] == "shiftrows" and k[2] == size]
+        assert sorted(rows) == sorted(("shiftrows", a % p, size) for a in values[1:])
+        # one row; scaled but over 101, whose one limb admits no fewer
+        assert len(mod._cache["shift", size]) == 1
+        assert mod._cache["shift", size].ndim == (3 if p == 101 else 4)
+    assert len(mod._cache["shiftrows", 7, 256][0]) == 101
 
 
 def test_taylor_shift_group_law(mod101):
