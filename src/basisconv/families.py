@@ -38,7 +38,7 @@ from .modfield import (
     _readonly,
     _residues,
 )
-from .seriesops import series_inv, unit_pow
+from .seriesops import _binomial, series_inv, unit_pow
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,9 @@ def _exp_coeffs(mod, c):
     ).tolist()
 
 
-def _binomial_array(mod, c, e, n):
-    """(1 + c t)^e mod t^n for a field-element exponent e: term k is term k-1
-    times c (e - k + 1) / k."""
-    p = mod.p
-    k = _arange(mod, 1, n)
-    ratios = (e % p - k + 1) % p * (c % p) % p * mod.table("inverses", n)[1:] % p
-    return _running_products(mod, ratios)
-
-
 def _binomial_series(mod, c, e):
-    return lambda n: _binomial_array(mod, c, e, n).tolist()
+    # (1 + c t)^e: with c = 1 and e = N the prefactor binom(N, n)
+    return lambda n: _binomial(mod, c, e, n).tolist()
 
 
 def _rising(mod, x, n):
@@ -180,11 +172,6 @@ def _poch_over_fact(mod, beta):
         return _running_products(mod, _rising(mod, beta, n) * invs % mod.p).tolist()
 
     return gen
-
-
-def _binom_prefactor(mod, N):
-    # binom(N, n)
-    return lambda n: _binomial_array(mod, 1, N, n).tolist()
 
 
 # -- composition-sequence builders ----------------------------------------
@@ -452,7 +439,7 @@ def _build_peters(mod, params):
     mu = _int_param(params, "mu")
 
     def v(n):
-        w = _binomial_array(mod, 1, lam, n)     # (1+t)^lambda
+        w = _binomial(mod, 1, lam, n)           # (1+t)^lambda
         w[0] = (w[0] + 1) % mod.p               # 1 + (1+t)^lambda, constant 2
         base = Poly.of(mod, w * mod.inv(2) % mod.p)
         body = unit_pow(base, (-mu) % mod.p, n)
@@ -527,7 +514,7 @@ def _build_krawtchouk(mod, params):
         h_ops=_log_ratio_ops(mod, (pk - 1) % mod.p, pk, pk, pk),
         v_coeffs=_binomial_series(mod, 1, N),
     )
-    return FamilyDescriptor("krawtchouk", {"p": pk, "N": N}, spec, _binom_prefactor(mod, N))
+    return FamilyDescriptor("krawtchouk", {"p": pk, "N": N}, spec, _binomial_series(mod, 1, N))
 
 
 def _build_mittag_leffler(mod, params):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainViolation, InvalidOperatorParam, PrecisionExceedsModulus
-from .modfield import Poly, _arange, _fit, _mul_cyclic, _size, mul_trunc
+from .modfield import Poly, _arange, _fit, _mul_cyclic, _prefix_products, _size, mul_trunc
 from .polyops import truncate
 
 
@@ -27,14 +27,15 @@ def series_mul_const(g: Poly, lam: int) -> Poly:
 
 
 def series_inv(g: Poly, n: int) -> Poly:
-    """1/g mod x^n; requires g(0) != 0."""
+    """1/g mod x^n; requires g(0) != 0.  The body g / g(0) is inverted by
+    _power: in closed form where it is binomial, by Newton steps otherwise."""
     mod = g.mod
-    if g.constant() == 0:
+    c = g.constant()
+    if c == 0:
         raise DomainViolation("series inverse needs a nonzero constant term")
-    y = np.array([mod.inv(g.constant())], dtype=mod.dtype)
-    while len(y) < n:
-        y = _newton_inv(g, y, min(2 * len(y), n))
-    return Poly.of(mod, y)
+    c = mod.inv(c)
+    body = _fit(g.arr, n) * c % mod.p
+    return Poly.of(mod, _power(mod, body, -1, _newton_inv_series) * c % mod.p)
 
 
 def _newton_inv(g: Poly, y, prec):
@@ -49,6 +50,14 @@ def _newton_inv(g: Poly, y, prec):
     e = _mul_cyclic(mod, _fit(g.arr, prec), y, size, prec)[h:]
     d = _mul_cyclic(mod, y, e, size, prec - h)
     return np.concatenate([y, (-d) % mod.p])
+
+
+def _newton_inv_series(g: Poly, n):
+    """1/g mod x^n as an array, for g(0) = 1, by Newton steps from 1."""
+    y = np.ones(1, dtype=g.mod.dtype)
+    while len(y) < n:
+        y = _newton_inv(g, y, min(2 * len(y), n))
+    return y
 
 
 def _derivative(g: Poly) -> Poly:
@@ -117,6 +126,7 @@ def series_exp(g: Poly, n: int) -> Poly:
 def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0)=1 and a field-element exponent e (via exp/log)."""
     mod = g.mod
+    mod.check_precision(n)
     e %= mod.p
     if e == 0:
         return Poly(mod, [1], n)
@@ -125,17 +135,89 @@ def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     return series_add_const(series_exp(scaled, n), 1)
 
 
-def _normalized_pow(g: Poly, val: int, e: int, c: int, shift: int, n: int) -> Poly:
-    """c x^shift (g / (g_val x^val))^e mod x^n for g_val = g[val] != 0 and a
-    field-element exponent e: the body of g from x^val on, divided by its
-    leading coefficient, raised by _unit_pow_field and scaled by c."""
+def _binomial(mod, t, e, n):
+    """(1 + t x)^e mod x^n as an array, for a field-element exponent e and
+    n <= p: term k is term k-1 times t (e - k + 1) / k, so the terms are
+    prefix products of those ratios, with no transform."""
+    p = mod.p
+    ratios = np.ones(n, dtype=mod.dtype)
+    ratios[1:] = (e % p + 1 - _arange(mod, 1, n)) * (t % p) % p * mod.table("inverses", n)[1:] % p
+    return _prefix_products(ratios, p)
+
+
+def _newton_sqrt(B: Poly, n):
+    """sqrt(B) mod x^n as an array, for B(0) = 1, by the coupled Newton
+    iteration on s = sqrt(B) and z = 1/s: where B - s^2 = x^m E mod x^k,
+    k <= 2m, s + x^m (E z mod x^(k-m)) / 2 is sqrt(B) mod x^k.  z is carried
+    from step to step, one _newton_inv step each.  It divides only by 2, so
+    it holds at any n in odd characteristic."""
+    mod, p = B.mod, B.mod.p
+    s = z = np.ones(1, dtype=mod.dtype)
+    m = 1
+    while m < n:
+        k = min(2 * m, n)
+        size = _size(k)
+        if len(z) < k - m:
+            z = _newton_inv(Poly.of(mod, s), z, k - m)
+        # s^2 = B mod x^m, so s^2 mod x^size - 1 wraps only below x^m
+        E = (B.arr[m:k] - _mul_cyclic(mod, s, s, size, k)[m:]) % p
+        d = _mul_cyclic(mod, E, z[: k - m], size, k - m)
+        s = np.concatenate([s, d * ((p + 1) // 2) % p])
+        m = k
+    return s
+
+
+def _power(mod, body, e, newton=None):
+    """body^e mod x^len(body) as an array, for body[0] = 1 and an exponent e.
+    A lacunary body B(x^j), j the gcd of its exponents, is raised at
+    precision m = ceil(len / j) and x^j substituted back.  Where m <= p the
+    coefficients of B^e depend on e mod p only, and a binomial B = 1 + t x
+    takes the closed form (_binomial).  Any other B takes newton(B, m), a
+    kernel whose result is B^e at every precision, where the caller gives
+    one, and exp(e log B) otherwise, which refuses m >= p."""
+    n, p = len(body), mod.p
+    nz = np.flatnonzero(body[1:]) + 1
+    j = int(np.gcd.reduce(nz)) if len(nz) else n
+    B = Poly.of(mod, body[::j])
+    m = B.dim
+    if len(nz) <= 1 and m <= p:
+        w = _binomial(mod, B.arr[1] if m > 1 else 0, e, m)
+    elif newton is not None:
+        w = newton(B, m)
+    else:
+        w = _unit_pow_field(B, e, m).arr
+    if j == 1:
+        return w
+    out = np.zeros(n, dtype=mod.dtype)
+    out[::j] = w
+    return out
+
+
+def _normalized_pow(g: Poly, val: int, e: int, c: int, shift: int, n: int, newton=None) -> Poly:
+    """c x^shift (g / (g_val x^val))^e mod x^n for g_val = g[val] != 0: the
+    body of g from x^val on, divided by its leading coefficient, raised by
+    _power (with the kernel newton, if given) and scaled by c."""
     mod = g.mod
     prec = n - shift
     body = _fit(g.arr[val : val + prec], prec) * mod.inv(int(g.arr[val])) % mod.p
-    w = _unit_pow_field(Poly.of(mod, body), e, prec)
     out = np.zeros(n, dtype=mod.dtype)
-    out[shift:] = w.arr * c % mod.p
+    out[shift:] = _power(mod, body, e, newton) * c % mod.p
     return Poly.of(mod, out)
+
+
+def _integer_newton(mod, e, n):
+    """The Newton kernel for the integer power e at precision n, or None.
+    Below x^p the coefficients of B^e depend on e mod p only, so there
+    e = -1 and e = 1/2 mod p may take the inverse and the square root;
+    past it they stand for other powers, which only exp(e log B) (raising)
+    is left to take."""
+    if n > mod.p:
+        return None
+    if (e + 1) % mod.p == 0:
+        return _newton_inv_series
+    if 2 * e % mod.p == 1:
+        return _newton_sqrt
+    return None
 
 
 def unit_pow(g: Poly, e: int, n: int) -> Poly:
@@ -145,7 +227,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     c = g.constant()
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")
-    return _normalized_pow(g, 0, e, mod.pow(c, e), 0, n)
+    return _normalized_pow(g, 0, e, mod.pow(c, e), 0, n, _integer_newton(mod, e, n))
 
 
 def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
@@ -174,7 +256,8 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
     if n <= r:
         return Poly.zero(mod, n)
     # normalize to constant term 1, take the root there, re-attach alpha*x^r
-    return _normalized_pow(g, val, mod.inv(k), alpha % mod.p, r, n)
+    newton = _newton_sqrt if k == 2 else None
+    return _normalized_pow(g, val, mod.inv(k), alpha % mod.p, r, n, newton)
 
 
 def series_pow(g: Poly, k: int, n: int) -> Poly:
@@ -196,4 +279,6 @@ def series_pow(g: Poly, k: int, n: int) -> Poly:
     val = truncate(g, n).valuation()
     if val is None or val * k >= n:
         return Poly.zero(mod, n)
-    return _normalized_pow(g, val, k, mod.pow(int(g.arr[val]), k), val * k, n)
+    prec = n - val * k
+    c = mod.pow(int(g.arr[val]), k)
+    return _normalized_pow(g, val, k, c, val * k, n, _integer_newton(mod, k, prec))

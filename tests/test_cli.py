@@ -124,7 +124,7 @@ def test_bench_csv_shape():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "n,fast_s,naive_s,naive_with_setup_s"
+    assert lines[0] == "n,cold_s,fast_s,naive_s,naive_with_setup_s"
     ns = [int(line.split(",")[0]) for line in lines[1:]]
     assert ns == [16, 32, 64]
     # beyond naive-max the baseline columns are empty
@@ -132,9 +132,9 @@ def test_bench_csv_shape():
 
 
 def test_bench_times_the_best_of_three_warm_calls(monkeypatch, capsys):
-    # one warm-up and cli.BENCH_RUNS timed calls per n; the fast column is
-    # the least of the timed calls
-    calls, times = [], iter([0.0, 5.0, 5.0, 7.0, 7.0, 8.0] * 2)
+    # one cold call on a fresh modulus, its own column, and cli.BENCH_RUNS
+    # timed warm calls per n; the fast column is the least of the warm calls
+    calls, times = [], iter([0.0, 2.5, 0.0, 5.0, 5.0, 7.0, 7.0, 8.0] * 2)
     to_monomial = cli.to_monomial
 
     def counted(a, fam, n, mod):
@@ -146,7 +146,7 @@ def test_bench_times_the_best_of_three_warm_calls(monkeypatch, capsys):
     assert cli.main(["bench", "--family", "hermite", "--n-max", "32", "--naive-max", "0"]) == 0
     assert cli.BENCH_RUNS == 3 and calls == [16] * 4 + [32] * 4
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[1:] == ["16,1.000000,,", "32,1.000000,,"]
+    assert lines[1:] == ["16,2.500000,1.000000,,", "32,2.500000,1.000000,,"]
 
 
 def test_usage_errors():
@@ -294,6 +294,28 @@ def test_selftest_checks_the_scaled_layout(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL kernel: float product")
     assert out.count("FAIL") == 1
+
+
+def test_selftest_checks_the_power_kernels(monkeypatch, capsys):
+    # a Newton square root and a closed-form binomial power, each wrong in
+    # its last coefficient, fail the checks by g^2 and by repeated products
+    from basisconv import cli, seriesops
+
+    for name, message in [
+        ("_newton_sqrt", "FAIL kernel: the square root of g^2"),
+        ("_binomial", "FAIL kernel: a binomial power"),
+    ]:
+        kernel = getattr(seriesops, name)
+
+        def broken(*args, kernel=kernel):
+            out = kernel(*args)
+            out[-1] += 1
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(seriesops, name, broken)
+            assert cli.main(["selftest", "--quick"]) == 1
+        assert message in capsys.readouterr().out, name
 
 
 def test_selftest_checks_the_conversion_matrices(monkeypatch, capsys):

@@ -25,6 +25,7 @@ from basisconv import (
     eval_bivariate,
 )
 from basisconv.bivariate import _bivariate_inv
+from basisconv.compseq import _output_series
 from basisconv.families import (
     MATRIX_MAX,
     FamilyDescriptor,
@@ -396,6 +397,28 @@ def test_small_prime_conversions(mod101):
         a = [rng.randrange(101) for _ in range(n)]
         A = to_monomial(a, fam, n, mod101)
         assert from_monomial(A, fam, n, mod101) == a, name
+
+
+def test_square_roots_past_the_modulus():
+    # at n = 100 over p = 101 the root operators read truncations at
+    # precision 101, where exp(log(g) / 2) refuses them; their bodies are
+    # series in t^2, raised at half the precision (or in closed form)
+    mod = Modulus(101)
+    rng = random.Random(64)
+    n = 100
+    cases = [("fibonacci", "from-monomial"), ("mott", "to-monomial"), ("mott", "from-monomial")]
+    for name, direction in cases:
+        fam = parse_family(mod, name)
+        a = [rng.randrange(101) for _ in range(n)]
+        if direction == "to-monomial":
+            got = to_monomial(a, fam, n, mod).coeffs
+        else:
+            got = from_monomial(Poly(mod, a, n), fam, n, mod)
+        assert got == naive_convert(a, fam, n, direction, mod), (name, direction)
+    # the oracle reads h from the same sequence: fibonacci's against its
+    # closed form, t / (1 - t^2)
+    h = _output_series(parse_family(mod, "fibonacci").spec.h_ops, n, mod)
+    assert h.coeffs == [0, 1] * (n // 2)
 
 
 def test_parameter_validation(mod):

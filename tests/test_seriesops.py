@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from basisconv import (
@@ -8,6 +9,7 @@ from basisconv import (
     InvalidOperatorParam,
     Modulus,
     Poly,
+    PrecisionExceedsModulus,
     modfield,
     mul_trunc,
     seriesops,
@@ -157,6 +159,163 @@ def test_series_inv_transforms_at_its_precision(mod, monkeypatch):
     g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     series_inv(g, n)
     assert sizes and max(sizes) == n
+
+
+def _by_exp_log(g, e, n):
+    """g^e mod x^n as g(0)^e exp(e log(g / g(0))): the reference route."""
+    mod = g.mod
+    c = g.constant()
+    body = Poly.of(mod, truncate(g, n).arr * mod.inv(c) % mod.p)
+    return Poly.of(mod, seriesops._unit_pow_field(body, e, n).arr * mod.pow(c, e) % mod.p)
+
+
+def _body(mod, j, binomial, n, rng):
+    """A series of dim n with constant term 1 and terms at the multiples of
+    j only: one term, at x^j, where binomial; none where j >= n."""
+    out = np.zeros(n, dtype=object)
+    out[0] = 1
+    for i in range(j, n, j):
+        out[i] = rng.randrange(1, mod.p)
+        if binomial:
+            break
+    return Poly(mod, out.tolist(), n)
+
+
+# (j, binomial): 1 + t x, 1 + t x^3, lacunary bodies B(x^2) and B(x^3), a
+# dense body, and one whose only terms lie past the precision (j = n)
+BODIES = [(1, True), (3, True), (2, False), (3, False), (1, False), (None, False)]
+
+
+@pytest.mark.parametrize(
+    "p, sizes",
+    [
+        (DEFAULT_PRIME, (1, 2, 3, 17, 64, 1000)),
+        (101, (1, 2, 3, 17, 64)),
+        (P40, (1, 2, 3, 17, 64, 1000)),
+    ],
+)
+def test_powers_roots_and_inverses_match_exp_log(p, sizes):
+    # the lacunary, binomial and Newton routes give the unique results of
+    # exp(e log g), bit for bit
+    mod = Modulus(p)
+    rng = random.Random(29)
+    half = mod.inv(2)
+    for n in sizes:
+        for j, binomial in BODIES:
+            body = _body(mod, j or n, binomial, n, rng)
+            c = rng.randrange(1, p)
+            g = Poly.of(mod, body.arr * c % p)
+            for e in (half, -1, 1 - n, 10**12 + 7):
+                assert unit_pow(g, e, n) == _by_exp_log(g, e, n), (n, j, binomial, e)
+            want = _by_exp_log(g, -1, n)
+            assert series_inv(g, n) == want == _inv_by_full_products(g, n), (n, j, binomial)
+            alpha = rng.randrange(1, p)
+            for r in range(min(n, 2)):
+                # alpha^2 x^2r body at the precision n + r the root reads
+                sq = np.zeros(n + r, dtype=mod.dtype)
+                sq[2 * r :] = body.arr[: n - r] * (alpha * alpha % p) % p
+                want = np.zeros(n, dtype=mod.dtype)
+                want[r:] = seriesops._unit_pow_field(truncate(body, n - r), half, n - r).arr
+                want = Poly.of(mod, want * alpha % p)
+                assert series_root(Poly.of(mod, sq), 2, alpha, r, n) == want, (n, j, binomial, r)
+
+
+def test_square_root_takes_no_exp_or_log(mod, monkeypatch):
+    def refused(*args):
+        raise AssertionError("exp or log called")
+
+    monkeypatch.setattr(seriesops, "series_exp", refused)
+    monkeypatch.setattr(seriesops, "series_log", refused)
+    rng = random.Random(30)
+    n = 2048
+    for j, binomial in BODIES:
+        body = _body(mod, j or n, binomial, n + 1, rng)
+        g = Poly.of(mod, np.concatenate([[0, 0], body.arr[: n - 1]]) * 9 % mod.p)
+        s = series_root(g, 2, 3, 1, n)
+        assert mul_trunc(s, s, n + 1) == g, (j, binomial)
+
+
+def test_newton_square_root_past_the_modulus(mod101):
+    # Newton steps divide only by 2: dense bodies at n >= p, where
+    # exp(log(g) / 2) refuses the precision
+    rng = random.Random(32)
+    for n in (101, 300):
+        g = Poly(mod101, [4] + [rng.randrange(101) for _ in range(n - 1)], n)
+        s = series_root(g, 2, 2, 0, n)
+        assert mul_trunc(s, s, n) == g, n
+
+
+def test_binomial_power_takes_no_transform(mod, monkeypatch):
+    # (c + t x^j)^e in closed form: prefix products of its term ratios
+    def refused(*args):
+        raise AssertionError("transform called")
+
+    monkeypatch.setattr(modfield, "_transform", refused)
+    n = 4096
+    for j in (1, 2, 5):
+        g = Poly(mod, [7] + [0] * (j - 1) + [11], n)
+        for e in (mod.inv(2), -1, 1 - n, 10**12 + 7):
+            unit_pow(g, e, n)
+        series_inv(g, n)
+
+
+def test_square_root_transforms_at_its_precision(mod, monkeypatch):
+    # each Newton step reads s^2 mod x^L - 1, L >= its precision k, and 1/s
+    # at k - m: no product transforms past the size of n
+    sizes = []
+    transform = modfield._transform
+
+    def recorded(m, X, size, *args):
+        sizes.append(size)
+        return transform(m, X, size, *args)
+
+    monkeypatch.setattr(modfield, "_transform", recorded)
+    rng = random.Random(31)
+    n = 4096
+    g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
+    series_root(g, 2, 1, 0, n)
+    assert sizes and max(sizes) == n
+
+
+def _by_products(g, k, n):
+    acc = Poly(g.mod, [1], n)
+    for _ in range(k):
+        acc = mul_trunc(acc, truncate(g, n), n)
+    return acc
+
+
+def test_integer_powers_past_the_modulus(mod101):
+    # past x^p the exponents 100 = -1, 51 = 1/2 and 101 = 0 mod 101 stand
+    # for other powers than the inverse, the square root and 1: each power
+    # raises or equals repeated products, never the field-exponent result
+    n = 200
+    for coeffs in ([1, 1], [1, 1, 1], [3, 0, 5], [2, 0, 1, 0, 7], [1, 0, 0, 4]):
+        g = Poly(mod101, coeffs, n)
+        for k in (9, 51, 100, 101, 152):
+            want = _by_products(g, k, n)
+            for power in (series_pow, unit_pow):
+                try:
+                    got = power(g, k, n)
+                except PrecisionExceedsModulus:
+                    continue
+                assert got == want, (coeffs, k, power.__name__)
+    # bodies in x^2 and x^3 are raised below x^p, where they are exact
+    for coeffs in ([3, 0, 5], [2, 0, 1, 0, 7], [1, 0, 0, 4]):
+        g = Poly(mod101, coeffs, n)
+        for k in (51, 100, 152):
+            assert series_pow(g, k, n) == _by_products(g, k, n), (coeffs, k)
+
+
+def test_series_inv_over_three():
+    # over p = 3, -1 = 1/2: the inverse still takes Newton inverse steps
+    mod = Modulus(3)
+    rng = random.Random(33)
+    for n in (4, 5, 9, 17, 40):
+        for _ in range(5):
+            g = Poly(mod, [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(n - 1)], n)
+            assert series_inv(g, n) == _inv_by_full_products(g, n), (n, g.coeffs)
+    g = Poly(mod, [1, 1, 1], 4)
+    assert series_inv(g, 4).coeffs == [1, 2, 0, 1]
 
 
 def test_unit_pow_small_exponents(mod101):
