@@ -15,10 +15,10 @@ import numpy as np
 
 from .compseq import (
     _inverse_reduction,
-    _inverse_row_maps,
+    _inverse_seq_matrix,
     _leads,
     _prepare,
-    _row_maps,
+    _seq_matrix,
     _shifts_cancel,
     eval_seq,
     eval_seq_inv,
@@ -28,9 +28,9 @@ from .errors import SingularDiagonal, SpecViolation
 from .modfield import (
     Modulus,
     Poly,
+    _dense_mul,
     _fixed_operand,
     _readonly,
-    _times,
     _toeplitz,
     mul_trunc,
     mul_trunc_t,
@@ -186,54 +186,56 @@ def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     return cur
 
 
-# The same maps on the rows of an int64 array, for n <= LEAF_SIZE: each factor
-# is one exact GEMM (modfield._dense_mul) of all rows at once, by a Toeplitz
-# matrix for the products by u, v and their inverses (modfield._toeplitz), or
-# a few such products for an evaluation (compseq._row_maps).  On the rows of a
-# diagonal they give the n x n matrices of the maps, which families keeps for
-# n <= MATRIX_MAX.  They make none of the operands that the evaluations above
-# keep (compseq._prepare, _forward_vectors, _inverse_vectors), and raise what
-# those raise.
+# The same maps as n x n matrices on rows, n <= LEAF_SIZE, which families keeps
+# for n <= MATRIX_MAX: products, one exact GEMM each (modfield._dense_mul), of
+# the factors' matrices, Toeplitz for u, v and their inverses, power stacks for
+# g and h (compseq._seq_matrix), none for an empty sequence.  They make none of
+# the operands the evaluations above keep, and raise what those raise.
 
 
-def _bivariate_rows(X, spec: BivariateSpec, n: int, mod: Modulus):
-    """The int64 rows X of n residues (or those of Diag(X), for a 1-D X;
-    modfield._times) each mapped by eval_bivariate at n: X times the
-    matrices of mul_trunc_t by v, eval_seq_t at h, Diag(f), eval_seq at g and
-    mul_trunc by u."""
-    mod.check_precision(n)
-    g_maps = _row_maps(spec.g_ops, n, mod)
-    h_maps = _row_maps(spec.h_ops, n, mod, transposed=True)
+def _product(mod, *Ms):
+    """The product mod p of the n x n matrices of residues Ms, int64 or
+    float64, one exact GEMM (modfield._dense_mul) each, skipping those that
+    are None (the identity); None where all are."""
+    Ms = [M for M in Ms if M is not None]
+    X = Ms[0] if Ms else None
+    for M in Ms[1:]:
+        X = _dense_mul(mod, X.astype(np.int64, copy=False), M.astype(np.float64, copy=False))
+    return X
+
+
+def _scaled_t(mod, a, M, b):
+    """Diag(a) M^T Diag(b) mod p as int64, M None standing for the identity."""
+    if M is None:
+        return np.diag(a * b % mod.p)
+    return M.T.astype(np.int64, order="C") * a[:, None] % mod.p * b % mod.p
+
+
+def _toeplitz_of(P, n):
+    return None if P is None else _toeplitz(P.arr, n)
+
+
+def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, cinv):
+    """The int64 n x n matrix on rows of eval_bivariate at n after Diag(cinv):
+    Diag(cinv) (H V)^T Diag(f) G U, for G and H the matrices of eval_seq at g
+    and h and U and V those of the products by u and v."""
+    G = _seq_matrix(spec.g_ops, n, mod) if spec.g_ops else None
+    H = _seq_matrix(spec.h_ops, n, mod) if spec.h_ops else None
     check_spec(spec, n, mod)
     f, v, u = _spec_vectors(spec, n, mod)
-    if v is not None:
-        X = _times(mod, X, _toeplitz(v.arr, n).T)
-    for step in h_maps:
-        X = step(X)
-    X = X * f % mod.p
-    for step in g_maps:
-        X = step(X)
-    if u is not None:
-        X = _times(mod, X, _toeplitz(u.arr, n))
-    return X
+    left = _scaled_t(mod, cinv, _product(mod, H, _toeplitz_of(v, n)), f)
+    return _product(mod, left, G, _toeplitz_of(u, n))
 
 
-def _bivariate_inv_rows(X, spec: BivariateSpec, n: int, mod: Modulus):
-    """The int64 rows X of n residues (or those of Diag(X), for a 1-D X)
-    each mapped by eval_bivariate_inv at n, the factors as _bivariate_inv
-    applies them: X times the matrices of mul_trunc by 1/u, eval_seq_inv at
-    g, Diag(1/f), the transpose of eval_seq_inv at h and mul_trunc_t by
-    1/v."""
-    mod.check_precision(n)
+def _bivariate_inv_matrix(spec: BivariateSpec, n: int, mod: Modulus, cs):
+    """The int64 n x n matrix on rows of eval_bivariate_inv at n, then
+    Diag(cs), the factors as _bivariate_inv applies them:
+    U^-1 G^-1 Diag(1/f) (V^-1 H^-1)^T Diag(cs), for G^-1 and H^-1 the
+    matrices of eval_seq_inv at g and h and U^-1 and V^-1 those of the
+    products by 1/u and 1/v."""
     check_spec(spec, n, mod)
     finv, uinv, vinv = _inverse_series(spec, n, mod)
-    if uinv is not None:
-        X = _times(mod, X, _toeplitz(uinv.arr, n))
-    for step in _inverse_row_maps(spec.g_ops, n, mod):
-        X = step(X)
-    X = X * finv % mod.p
-    for step in _inverse_row_maps(spec.h_ops, n, mod, transposed=True):
-        X = step(X)
-    if vinv is not None:
-        X = _times(mod, X, _toeplitz(vinv.arr, n).T)
-    return X
+    G = _inverse_seq_matrix(spec.g_ops, n, mod) if spec.g_ops else None
+    H = _inverse_seq_matrix(spec.h_ops, n, mod) if spec.h_ops else None
+    right = _scaled_t(mod, finv, _product(mod, _toeplitz_of(vinv, n), H), cs)
+    return _product(mod, _toeplitz_of(uinv, n), G, right)

@@ -52,7 +52,11 @@ def _integer(value):
 
 
 def _read_vector(args, mod):
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            text = fh.read()
     try:
         obj = json.loads(text)
         coeffs, declared = obj["coeffs"], obj.get("modulus")

@@ -33,20 +33,18 @@ from .errors import (
     NotInvertible,
     NotTangentToIdentity,
 )
-from .evalgrid import _stirling, exp_map, exp_map_t, log_map, log_map_t
+from .evalgrid import exp_map, exp_map_t, log_map, log_map_t
 from .modfield import (
     Modulus,
     Poly,
     _dense_mul,
     _fixed_operand,
-    _times,
     _toeplitz,
     mul_trunc,
     mul_trunc_t,
 )
 from .polyops import (
     _dense_shift,
-    _power_row,
     find_degrees,
     lincomb,
     lincomb_t,
@@ -522,70 +520,27 @@ def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     return taylor_shift(eval_seq(truncate(A, n), rev_ops, n), -g0 % mod.p)
 
 
-# -- the maps on the rows of a matrix --------------------------------------
-#
-# For n <= LEAF_SIZE on int64 rows, the rows X times the n x n matrix P of
-# eval_seq(., ops, n), P[k] = g^k mod x^n, or times its transpose, as a list
-# of maps on rows applied in turn.  The last operators, while they are Add,
-# Mul, Exp or Log, are peeled off as eval_seq runs them, each one map on
-# K[x]_n: P = T_L ... T_(j+1) P_j with T a scaling (a diagonal), a Taylor
-# shift (the Pascal matrix, polyops._dense_shift) or an Exp or Log map (a kept
-# Stirling matrix, evalgrid._stirling), and P_j the power stack of the output
-# of the first j operators, the last of them Pow, Root or Inv, made by
-# doubling (_power_stack).  The inverse of eval_seq is that of the reversed
-# sequence and a shift (_inverse_reduction).
+# -- the matrices of the maps on int64 rows, n <= LEAF_SIZE --------------------
 
 
-def _row_maps(ops, n: int, mod: Modulus, transposed=False):
-    """The maps on int64 rows of n residues whose composition, in list order,
-    is X -> X P for P the matrix of eval_seq(., ops, n), or X -> X P^T with
-    transposed; a map takes a 1-D X for the rows of Diag(X) (modfield._times).
-    Raises as eval_seq does.  The truncations of ops at max(n, 2) are made
-    once, as _prepare makes them, and give _lead_info at n: none where no
-    power stack is needed and _lead_info at n is kept."""
+def _seq_matrix(ops, n: int, mod: Modulus):
+    """The int64 n x n matrix of eval_seq(., ops, n) on rows, the powers
+    g^k mod x^n of the output g of ops whatever operators built it
+    (_power_stack); raises as eval_seq does.  The truncations of ops at
+    max(n, 2) give g and, as in _prepare, _lead_info at n."""
     ops, prec = tuple(ops), max(n, 2)
-    j = max((i + 1 for i, op in enumerate(ops) if isinstance(op, (Pow, Root, Inv))), default=0)
-    if j:
-        truncs = compute_g(ops, prec, mod)
-        mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
-    else:
-        _lead_info(ops, n, mod)
-    maps = [partial(_op_rows, op, mod, transposed) for op in ops[j:]]
-    if j:
-        P = _power_stack(_series_at(truncs, mod, j, n), n, mod).astype(np.float64)
-        maps.insert(0, partial(_times, mod, M=P.T if transposed else P))
-    return maps if transposed else maps[::-1]
+    truncs = compute_g(ops, prec, mod)
+    mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
+    return _power_stack(_series_at(truncs, mod, len(ops), n), n, mod)
 
 
-def _inverse_row_maps(ops, n: int, mod: Modulus, transposed=False):
-    """_row_maps for eval_seq_inv(., ops, n), or its transpose: those of the
-    reversed sequence and the shift by -g(0), after them (before them,
-    transposed), or where it cancels the leading Add(g(0)) (_shifts_cancel),
-    without both."""
+def _inverse_seq_matrix(ops, n: int, mod: Modulus):
+    """The int64 n x n matrix of eval_seq_inv(., ops, n) on rows: that of the
+    reversed sequence (_inverse_reduction), its rows shifted by -g(0); raises
+    as eval_seq_inv does."""
     g0, rev = _inverse_reduction(ops, n, mod)
-    maps = _row_maps(rev, n, mod, transposed)
-    if _shifts_cancel(g0, rev):
-        # the Add(g0) runs last, or first transposed
-        return maps[1:] if transposed else maps[:-1]
-    if g0:
-        shift = partial(_op_rows, Add(-g0 % mod.p), mod, transposed)
-        maps = [shift, *maps] if transposed else [*maps, shift]
-    return maps
-
-
-def _op_rows(op, mod, transposed, X):
-    """X times the matrix on K[x]_n, n = X.shape[-1], by which eval_seq runs
-    op (Add, Mul, Exp or Log), or times its transpose; a 1-D X stands for
-    Diag(X)."""
-    p, n = mod.p, X.shape[-1]
-    if isinstance(op, Mul):
-        return X * _power_row(mod, op.lam % p, n) % p
-    if isinstance(op, Add):
-        if op.a % p == 0:
-            return X
-        return _dense_shift(mod, np.diag(X) if X.ndim == 1 else X, op.a % p, transposed)
-    M = _stirling(mod, "exp" if isinstance(op, Exp) else "log", n)
-    return _times(mod, X, M.T if transposed else M)
+    P = _seq_matrix(rev, n, mod)
+    return _dense_shift(mod, P, -g0 % mod.p, False) if g0 else P
 
 
 def _power_stack(g: Poly, n: int, mod: Modulus):

@@ -21,8 +21,8 @@ import numpy as np
 from .bivariate import (
     BivariateSpec,
     _bivariate_inv,
-    _bivariate_inv_rows,
-    _bivariate_rows,
+    _bivariate_inv_matrix,
+    _bivariate_matrix,
     eval_bivariate,
 )
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
@@ -458,9 +458,7 @@ def _build_meixner_pollaczek(mod, params):
     s %= mod.p
     if s == 0 or s * s % mod.p == 1:
         raise SpecViolation("meixner_pollaczek needs s with s^2 != 1 and s != 0")
-    i_unit = params.get("i")
-    if i_unit is None:
-        i_unit = _sqrt_minus_one(mod)
+    i_unit = _int_param(params, "i") if "i" in params else _sqrt_minus_one(mod)
     if i_unit * i_unit % mod.p != mod.p - 1:
         raise SpecViolation("parameter i must square to -1")
 
@@ -501,10 +499,7 @@ def _build_meixner(mod, params):
 
 
 def _build_krawtchouk(mod, params):
-    pk = params.get("p")
-    if pk is None:
-        raise SpecViolation("missing parameter 'p'")
-    pk %= mod.p
+    pk = _int_param(params, "p") % mod.p
     N = _int_param(params, "N")
     if pk == 0:
         raise SpecViolation("krawtchouk needs p != 0")
@@ -549,7 +544,8 @@ FAMILY_BUILDERS = {
 
 
 def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
-    """Build a family descriptor by name.
+    """Build a family descriptor by name; raises SpecViolation for an unknown
+    name, a missing or non-integer parameter, or one the family does not take.
 
     One descriptor is kept per (name, params) and modulus: the data cached
     against a descriptor is then found again when a family is parsed again,
@@ -559,7 +555,11 @@ def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
         builder = FAMILY_BUILDERS.get(name)
         if builder is None:
             raise SpecViolation(f"unknown family {name!r}")
-        return builder(mod, params)
+        fam = builder(mod, params)
+        stray = sorted(set(params) - set(fam.params))
+        if stray:
+            raise SpecViolation(f"{name} has no parameter {stray[0]!r}")
+        return fam
 
     return mod.cached(("family", name, tuple(sorted(params.items()))), build)
 
@@ -630,20 +630,20 @@ def _input_vector(coeffs, n: int, mod: Modulus):
 # On int64 rows a conversion at n <= MATRIX_MAX is one exact GEMM
 # (modfield._dense_mul) of the input row by the n x n matrix of the conversion,
 # prefactors folded in, kept per (family, n, direction) (_conversion_matrix):
-# 32 KB at n = 64.  The first conversion builds it from the factors of the
-# chain (bivariate._bivariate_rows).  Time in ms of the 39 conversions of the
-# 20 catalog families (spread one way), warm best of 20 summed, and cold on a
-# fresh modulus, median of 5, three runs on a 2-core x86-64 machine with
-# numpy 2.4 (OpenBLAS, one thread):
+# 32 KB at n = 64.  The first conversion builds it as the product of the
+# matrices of the five factors (bivariate._bivariate_matrix).  Time in ms of
+# the 39 conversions of the 20 catalog families (spread one way), warm best of
+# 20 summed over three runs, and cold on a fresh modulus, quartiles of 12
+# alternating runs, on a 2-core x86-64 machine, numpy 2.4, one BLAS thread:
 #
 #   n       warm matrix   warm chain    cold matrix   cold chain
-#   16       1.0-1.3       4.6-5.0        40-52         55-65
-#   32       1.0-1.3       6.1-7.0        49-76         59-68
-#   64       1.2-1.3       7.0-12.3       70-85         70-119
-#   128      1.5-2.5      13.0-19.0      147-238        96-189
+#   16       1.0-1.3       4.6-5.0        54-57         53-63
+#   32       1.0-1.3       6.1-7.0        47-69         54-73
+#   64       1.2-1.3       7.0-12.3       69-87         64-83
+#   128      1.5-2.5      13.0-19.0      142-186        88-128
 #
-# so up to 64 the build costs no more than the cold chain it replaces; at 128
-# it costs more, and each matrix takes 128 KB.
+# so up to 64 the build costs about as much as the cold chain it replaces; at
+# 128 it costs more, and each matrix takes 128 KB.
 MATRIX_MAX = 64
 
 
@@ -654,19 +654,17 @@ def _by_matrix(mod: Modulus, n):
 
 def _conversion_matrix(fam: FamilyDescriptor, n: int, mod: Modulus, inverse: bool):
     """The float64 n x n matrix, read-only, by which a row of n residues is
-    converted to the monomial basis (or from it, with inverse), built on first
-    use on the rows of Diag(1/c) (of the identity, then times Diag(c)), kept
-    per (family, n, direction); raises what the conversion raises.  The rows
-    of a diagonal enter as its 1-D array (modfield._times), so that the first
-    factor is no GEMM."""
+    converted to the monomial basis (or from it, with inverse), the product of
+    the prefactors' diagonal and the factors' matrices, built on first use and
+    kept per (family, n, direction); raises what the conversion raises."""
 
     def build():
         cs, cinv = _prefactors(fam, n, mod)
         if inverse:
-            M = _bivariate_inv_rows(np.ones(n, dtype=np.int64), fam.spec, n, mod) * cs % mod.p
+            M = _bivariate_inv_matrix(fam.spec, n, mod, cs)
         else:
-            M = _bivariate_rows(cinv, fam.spec, n, mod)
-        return _readonly((np.diag(M) if M.ndim == 1 else M).astype(np.float64))
+            M = _bivariate_matrix(fam.spec, n, mod, cinv)
+        return _readonly(M.astype(np.float64))
 
     return mod.cached(("matrix", fam, n, "from" if inverse else "to"), build)
 

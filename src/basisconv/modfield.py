@@ -1021,15 +1021,6 @@ def _dense_mul(mod: Modulus, A, M):
     return _recombine(c, w, p)
 
 
-def _times(mod: Modulus, X, M):
-    """X M mod p for int64 rows X and a float64 matrix M of residues
-    (_dense_mul); a 1-D X stands for the rows of Diag(X), whose product is M
-    with its rows scaled, and no GEMM."""
-    if X.ndim == 1:
-        return X[:, None] * M.astype(np.int64) % mod.p
-    return _dense_mul(mod, X, M)
-
-
 def _toeplitz(s, n):
     """The n x n float64 matrix U[i, j] = s_(j - i), 0 for j < i, of the
     residues s, as a read-only view of one row of 2n - 1 entries: rows times

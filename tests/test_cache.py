@@ -233,12 +233,12 @@ def test_threads_build_each_conversion_matrix_once(monkeypatch):
     sized = {n: {k: a[:n] for k, a in vectors.items()} for n in (17, 64)}
     want = {n: _convert_all(Modulus(DEFAULT_PRIME), sized[n], n) for n in sized}
     builds = Counter()
-    for name in ("_bivariate_rows", "_bivariate_inv_rows"):
-        rows = getattr(families, name)
+    for name in ("_bivariate_matrix", "_bivariate_inv_matrix"):
+        matrix = getattr(families, name)
 
-        def counted(X, spec, n, mod, rows=rows, name=name):
+        def counted(spec, n, mod, c, matrix=matrix, name=name):
             builds[name, spec, n] += 1
-            return rows(X, spec, n, mod)
+            return matrix(spec, n, mod, c)
 
         monkeypatch.setattr(families, name, counted)
     mod = Modulus(DEFAULT_PRIME)

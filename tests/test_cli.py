@@ -206,6 +206,17 @@ def test_json_integers_read_as_decimal_strings(monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+def test_input_file_is_closed(tmp_path, capsys):
+    # an unclosed input file is reported as a ResourceWarning when collected
+    path = tmp_path / "in.json"
+    path.write_text(vec([1, 2, 3]))
+    args = ["convert", "--family", "hermite", "--dir", "to-monomial", "--n", "3"]
+    assert cli.main([*args, "--input", str(path)]) == 0
+    # 1 + 2 H_1 + 3 H_2 = -5 + 4x + 12x^2
+    assert json.loads(capsys.readouterr().out)["coeffs"] == [str(P - 5), "4", "12"]
+
+
 @pytest.mark.parametrize("p", [P, P40])
 def test_selftest_quick(p):
     # the kernel checks and conversions on int64 rows and on rows of Python
@@ -368,13 +379,15 @@ def test_negative_n_is_a_usage_error():
 
 
 def test_malformed_family_value_is_domain_error():
-    proc = run_cli(
-        ["convert", "--family", "hermite(x=abc)", "--dir", "to-monomial", "--n", "2"],
-        stdin=vec([1, 2]),
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: SpecViolation")
-    assert "Traceback" not in proc.stderr
+    # a value that is no integer, and a parameter the family does not take
+    for text in ("hermite(x=abc)", "hermite(x=5)"):
+        proc = run_cli(
+            ["convert", "--family", text, "--dir", "to-monomial", "--n", "2"],
+            stdin=vec([1, 2]),
+        )
+        assert proc.returncode == 1, text
+        assert proc.stderr.startswith("error: SpecViolation"), text
+        assert "Traceback" not in proc.stderr, text
 
 
 def test_coefficients_outside_field_rejected():

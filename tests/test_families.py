@@ -436,6 +436,15 @@ def test_parameter_validation(mod):
         family(mod, "jacobi", alpha=3)   # missing beta
     with pytest.raises(SpecViolation):
         family(mod, "peters", **{"lambda": 3, "mu": "x"})
+    # parameters that are no integers, each a SpecViolation, not a TypeError
+    for bad in (0.5, "3"):
+        with pytest.raises(SpecViolation, match="'p' must be an integer"):
+            family(mod, "krawtchouk", p=bad, N=10)
+        with pytest.raises(SpecViolation, match="'i' must be an integer"):
+            family(mod, "meixner_pollaczek", **{"lambda": 3, "s": 5, "i": bad})
+    # a parameter the family does not take
+    with pytest.raises(SpecViolation, match="no parameter 'gamma'"):
+        family(mod, "jacobi", alpha=1, beta=2, gamma=5)
 
 
 def test_sqrt_minus_one_requires_1_mod_4():

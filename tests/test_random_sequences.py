@@ -5,11 +5,13 @@ keeps track of what each operator's domain depends on: the constant term g0
 of the current series, its valuation and its leading coefficient.  It only
 emits operators whose domain holds, so every sequence must evaluate; one
 more operator chosen outside its domain must raise the typed error of
-compseq._apply_op.  Three primes cover the kernels: 101 (schoolbook
-products, one limb), DEFAULT_PRIME (two or three limbs on int64 rows) and a
-40-bit prime (two to four limbs on dtype-object rows).  Over 101 the sizes stay small: the inverse turns
-each root into a power substitution, which multiplies the dimension by k, and
-a Taylor shift of dimension m needs m < p.
+compseq._apply_op.  On int64 rows the matrices of the evaluation and its
+inverse (compseq._seq_matrix, _inverse_seq_matrix) must give the same
+images.  Three primes cover the kernels: 101 (schoolbook products, one
+limb), DEFAULT_PRIME (two or three limbs on int64 rows) and a 40-bit prime
+(two to four limbs on dtype-object rows).  Over 101 the sizes stay small:
+the inverse turns each root into a power substitution, which multiplies the
+dimension by k, and a Taylor shift of dimension m needs m < p.
 """
 
 import random
@@ -28,6 +30,7 @@ from basisconv import (
     format_sequence,
     parse_sequence,
 )
+from basisconv.compseq import _inverse_seq_matrix, _seq_matrix
 from basisconv.oracle import horner_compose
 
 P40 = 1099489607681
@@ -124,6 +127,11 @@ def _dot(a, b, p):
     return sum(x * y for x, y in zip(a, b)) % p
 
 
+def _row_times(A, M):
+    """The row A times the matrix M, in Python ints."""
+    return Poly(A.mod, [_dot(A.coeffs, col.tolist(), A.mod.p) for col in M.T], len(M))
+
+
 @pytest.fixture(params=[101, DEFAULT_PRIME, P40], ids=["p101", "default", "p40"])
 def mod(request):
     # fresh per test, so that no cached truncation outlives a kernel choice
@@ -157,8 +165,14 @@ def test_random_sequences_match_oracles(mod, kernel):
             lhs = _dot(image.coeffs, B.coeffs, p)
             assert lhs == _dot(A.coeffs, eval_seq_t(B, ops, n).coeffs, p), (text, n)
             # the inverse exists where g'(0) != 0
-            if not ops or compute_g(ops, max(n, 2), mod).g[-1].arr[1]:
+            invertible = not ops or compute_g(ops, max(n, 2), mod).g[-1].arr[1]
+            if invertible:
                 assert eval_seq_inv(image, ops, n) == A, (text, n)
+            # the matrices of both on int64 rows
+            if mod.dtype is not object:
+                assert _row_times(A, _seq_matrix(ops, n, mod)) == image, (text, n)
+                if invertible:
+                    assert _row_times(image, _inverse_seq_matrix(ops, n, mod)) == A, (text, n)
 
 
 def test_random_sequences_outside_a_domain_raise(mod):
