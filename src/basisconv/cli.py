@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 import time
 
 from .bivariate import eval_bivariate
-from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_sequence
+from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_integer, parse_sequence
 from .densemat import conversion_matrix
 from .errors import AlgebraError, DimensionMismatch, DomainViolation
 from .families import MATRIX_MAX, family_names, from_monomial, parse_family, to_monomial
 from .modfield import DEFAULT_PRIME, Modulus, Poly, mul_trunc
 from .oracle import (
+    constant_rows_agree,
     dense_product_agrees,
     float_kernel_agrees,
     horner_compose,
@@ -42,13 +42,14 @@ class UsageError(Exception):
 
 def _integer(value):
     """value as an int where it is a JSON integer (not a boolean) or a string
-    of a decimal integer; a usage error otherwise, so that no number is
-    silently rounded."""
+    of a decimal integer (compseq.parse_integer); a usage error otherwise, so
+    that no number is silently rounded."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        return int(value)
-    raise UsageError(f"malformed input JSON: {value!r} is not an integer")
+    try:
+        return parse_integer(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"malformed input JSON: {value!r} is not an integer") from None
 
 
 def _read_vector(args, mod):
@@ -248,6 +249,10 @@ def cmd_selftest(args):
     failures = 0
     if not float_kernel_agrees(mod):
         print("FAIL kernel: float product differs from the exact product")
+        failures += 1
+    # the first size past 2^19, where kronecker_mul would take minutes
+    if not args.quick and not constant_rows_agree(mod, 1 << 20):
+        print("FAIL kernel: float product at 2^20 differs from the closed form")
         failures += 1
     if not dense_product_agrees(mod, LEAF_SIZE):
         print("FAIL kernel: dense leaf product differs from the integer product")

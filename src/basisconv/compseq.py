@@ -21,6 +21,7 @@ operand of the forward evaluation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -376,6 +377,7 @@ def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
     were x: the B with B(g_s) = A(g) mod x^n where they are all Add, Mul, Exp
     or Log (compseq._shifts_cancel)."""
     mod = A.mod
+    mod.check_precision(n)
     _prepare(ops, n, mod)
     return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod, start)
 
@@ -419,6 +421,7 @@ def _eval_aux_t(A, m, n, ell, ops, mod, start):
 def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
     """Transpose of eval_seq(., ops, n, start)."""
     mod = A.mod
+    mod.check_precision(n)
     _prepare(ops, n, mod)
     return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod, start)
 
@@ -562,13 +565,24 @@ def _power_stack(g: Poly, n: int, mod: Modulus):
 # -- sequence mini-language ------------------------------------------------
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """The integer of sequences, family parameters and the CLI's JSON input:
+    ASCII digits after an optional sign and nothing else, where int() also
+    takes blanks, underscores and other digits; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def _parse_scalar(token: str, mod: Modulus) -> int:
     """An integer as written, or a fraction a/b as a residue mod p."""
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return int(num) * mod.inv(int(den)) % mod.p
-    return int(token)
+    num, slash, den = token.partition("/")
+    if slash:
+        return parse_integer(num.strip()) * mod.inv(parse_integer(den.strip())) % mod.p
+    return parse_integer(num.strip())
 
 
 def parse_sequence(text: str, mod: Modulus):
@@ -589,10 +603,11 @@ def parse_sequence(text: str, mod: Modulus):
         elif head == "M":
             ops.append(Mul(_parse_scalar(args, mod) % mod.p))
         elif head == "P":
-            ops.append(Pow(int(args)))
+            ops.append(Pow(parse_integer(args.strip())))
         elif head == "R":
             k, alpha, r = args.split(",")
-            ops.append(Root(int(k), _parse_scalar(alpha, mod) % mod.p, int(r)))
+            k, r = parse_integer(k.strip()), parse_integer(r.strip())
+            ops.append(Root(k, _parse_scalar(alpha, mod) % mod.p, r))
         elif head == "Inv":
             ops.append(Inv())
         elif head == "E":

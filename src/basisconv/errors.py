@@ -10,9 +10,8 @@ class DivisionByZero(AlgebraError):
 
 
 class CapacityExceeded(AlgebraError):
-    """A product too long for the multiplication kernel.  Nothing raises it
-    any more, since every prime multiplies at every size; it stays exported
-    for callers that catch it."""
+    """A product too long for the multiplication kernel: no limb layout is
+    exact at its transform size, past 2^33 to 2^39 depending on p."""
 
 
 class PrecisionExceedsModulus(AlgebraError):

@@ -16,11 +16,11 @@ last node.  The full nodes, as the rows of one (n // s, s) array of their
 coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
-levels, of the one kind modfield picks for their size (float limb spectra up
-to Modulus.float_max), scaled where the bound admits it, as every kept image
-is (modfield._kept_image: from size 2^11 to 2^15 for DEFAULT_PRIME), and of
-their coefficients only the ragged nodes and the full left child of each;
-data derived from a tree is computed on first use and kept on it.
+levels, float limb spectra in the layout of their size, scaled where the
+bound admits it, as every kept image is (modfield._kept_image: from size
+2^11 to 2^15 for DEFAULT_PRIME), and of their coefficients only the ragged
+nodes and the full left child of each; data derived from a tree is computed
+on first use and kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
@@ -82,7 +82,6 @@ from .modfield import (
     _image_by,
     _image_coeffs,
     _image_mul,
-    _image_mul_add,
     _kept_image,
     _mul_fixed,
     _plain,
@@ -277,7 +276,7 @@ class SubproductTree:
             il, ir = _pairs(self.img[k - 1], nf)
             vl, vr = _pairs(_image_by(mod, v[: 2 * nf], self.img[k - 1]), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
-            cur = _image_coeffs(mod, _image_mul_add(mod, vl, ir, vr, il), s)
+            cur = _image_coeffs(mod, _image_mul(mod, vl, ir, vr, il), s)
             cur[:, h:] += np.add(*_pairs(v, nf))
             cur %= p
             r = n % s

@@ -672,6 +672,7 @@ def _conversion_matrix(fam: FamilyDescriptor, n: int, mod: Modulus, inverse: boo
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
     """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n; the
     n or fewer coefficients must be residues in [0, p)."""
+    mod.check_precision(n)
     a = _fit(_input_vector(coeffs, n, mod), n)
     if _by_matrix(mod, n):
         return Poly.of(mod, _dense_mul(mod, a[None], _conversion_matrix(fam, n, mod, False))[0])

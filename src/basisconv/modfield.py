@@ -1,7 +1,7 @@
 """Prime-field arithmetic and the polynomial multiplication kernel.
 
-A Modulus bundles the prime with the limb count and float size limit of its
-products, its factorial tables and one cache for input-independent data
+A Modulus bundles the prime with the limb layouts of its products, its
+factorial tables and one cache for input-independent data
 (Modulus.cached).  Residues live in numpy arrays of dtype Modulus.dtype: int64
 for p < 2^31, where a product of two residues stays below 2^62, and object
 (Python ints) for larger primes; the same array expressions serve both.  A
@@ -15,19 +15,14 @@ Short operands go to the schoolbook convolution, by measured work
 rows of 2-D arrays, so one call multiplies a whole batch of equal-length
 operands (_convolve_rows); a single product is its one-row case.  There is one
 transform, the float FFT (numpy.fft.rfft) on L balanced limbs of w bits of each
-residue, for every prime and dtype.  The layout (L, w) follows from p and the
-size by one rule (Modulus.layout): the fewest limbs, and the narrowest width
-that holds every residue in them, whose rounding error bound (fft_error_bound)
-stays below FFT_ERROR_MAX; two 16-bit limbs up to size 2^10 and three 11-bit
-limbs beyond for the default prime.  It is exact at sizes from 2 to
-Modulus.float_max, the largest size 11-bit limbs admit, and needs no roots of
-unity.  Past that size a product makes one Karatsuba split into three
-products of half the length, each dispatched again, so every prime converts
-at every size.  An image carries its kind in its shape and the kind, with its
-layout, follows from the modulus and the size alone (_float), so kinds never
-mix: float limb spectra (3-D) from size 2 to float_max, and beyond it the
-zero-padded coefficient rows (2-D), whose products are the exact ones of
-_convolve_rows.
+residue, for every prime, dtype and size.  The layout (L, w) follows from p
+and the size by one rule (Modulus.layout): the fewest limbs, and the
+narrowest width that holds every residue in them, whose rounding error bound
+(fft_error_bound) stays below FFT_ERROR_MAX.  For the default prime that is
+two 16-bit limbs up to size 2^10, three 11-bit limbs up to 2^19 and four
+8-bit limbs up to 2^24; narrower limbs go on to sizes 2^33 to 2^39, depending
+on p, past which an image raises CapacityExceeded.  The kernel needs no roots
+of unity.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
@@ -77,7 +72,7 @@ import threading
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
+from .errors import CapacityExceeded, DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
 
 # The schoolbook costs about m (la + lb - 1) element operations, m = min(la,
 # lb) (its work), a product by transforms about size log(size) and, on int64
@@ -212,8 +207,7 @@ def _find_primitive_root(p):
 
 class Modulus:
     """A prime modulus with the limb layouts of its products (layout), its
-    factorial tables and cached data; float_max is the largest size of a
-    float image that the rounding error bound admits for any layout."""
+    factorial tables and cached data."""
 
     def __init__(self, p: int):
         if p >= PRIME_BOUND:
@@ -228,7 +222,6 @@ class Modulus:
         # residues of p >= 2^31 have products beyond int64: keep Python ints
         self.dtype = np.int64 if p < (1 << 31) else object
         self._layouts = _layouts(p)
-        self.float_max = max(size for _, _, size, _ in self._layouts)
         self._scaled = _scaled_layouts(p, self._layouts)
 
     def __repr__(self):
@@ -318,6 +311,9 @@ class Modulus:
         return out
 
     def check_precision(self, n):
+        """Raises DimensionMismatch for a precision n < 1 and
+        PrecisionExceedsModulus for n >= p."""
+        Poly.check_dim(n)
         if n >= self.p:
             raise PrecisionExceedsModulus(f"precision {n} >= modulus {self.p}")
 
@@ -416,13 +412,6 @@ def _convolve_schoolbook(a, b, p):
     return rows.reshape(-1)[: la * (la + lb - 1)].reshape(la, la + lb - 1).sum(axis=0) % p
 
 
-def _float(mod: Modulus, size):
-    """Whether images at size are float limb spectra: at every size from 2 to
-    mod.float_max (a float image of size 1 has one frequency, which does not
-    tell its size)."""
-    return 2 <= size <= mod.float_max
-
-
 def _size(out_len):
     """The transform size of a product of length out_len."""
     return 1 << (out_len - 1).bit_length()
@@ -449,39 +438,11 @@ def _convolve(mod: Modulus, a, b):
 
 def _convolve_rows(mod: Modulus, A, B):
     """Row-wise exact products of two 2-D arrays of residues with equally
-    many rows: through float images up to mod.float_max (_float), and past it
-    by one Karatsuba split,
-    A B = A0 B0 + x^m ((A0 + A1)(B0 + B1) - A0 B0 - A1 B1) + x^2m A1 B1
-    for A = A0 + x^m A1 and B = B0 + x^m B1, into three products of about
-    half the length, each dispatched again.  Where one operand is no longer
-    than m it has no A1, and A1 B1 is zero."""
-    (rows, la), lb = A.shape, B.shape[1]
-    out_len = la + lb - 1
+    many rows, through float images."""
+    out_len = A.shape[1] + B.shape[1] - 1
     # a float image has at least size 2
     size = max(_size(out_len), 2)
-    if _float(mod, size):
-        return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
-    p, m = mod.p, (max(la, lb) + 1) // 2
-    (A0, A1), (B0, B1) = (A[:, :m], A[:, m:]), (B[:, :m], B[:, m:])
-    low = _convolve_rows(mod, A0, B0)
-    mid = _convolve_rows(mod, _add_rows(A0, A1, p), _add_rows(B0, B1, p))
-    mid[:, : low.shape[1]] -= low
-    out = np.zeros((rows, out_len), dtype=A.dtype)
-    out[:, : low.shape[1]] = low
-    if A1.shape[1] and B1.shape[1]:
-        high = _convolve_rows(mod, A1, B1)
-        mid[:, : high.shape[1]] -= high
-        out[:, 2 * m :] = high
-    w = min(mid.shape[1], out_len - m)
-    out[:, m : m + w] += mid[:, :w]
-    return out % p
-
-
-def _add_rows(X0, X1, p):
-    """X0 + X1 mod p, row-wise, for rows X1 no longer than those of X0."""
-    out = X0.copy()
-    out[:, : X1.shape[1]] += X1
-    return out % p
+    return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
 
 
 def _product_image(mod: Modulus, A, B, size):
@@ -490,38 +451,36 @@ def _product_image(mod: Modulus, A, B, size):
     return _image_mul(mod, _image(mod, A, size, "image"), _image(mod, B, size, "image2"))
 
 
-# Images: rows in the transform domain of the products mod x^size - 1.  An
-# image carries its kind: float limb spectra are 3-D, (rows, L limbs, size // 2
-# + 1 frequencies); past mod.float_max, the zero-padded coefficient rows
-# themselves are 2-D.  The kind follows from the size (_float), so callers
-# keep the images of fixed operands without caring which kind they are.  A
-# kept image may be scaled (_kept_image), 4-D: the L_x variants
-# 2^(w_x i) Y mod p of its rows Y, each in the size's layout, variant 0 the
-# plain image; rows multiplied by it enter in the scaled layout (L_x, w_x)
-# (_image_by).  A product image (_image_mul) is what _image_coeffs turns back
-# into rows: float class spectra, 3-D, or 4-D with one variant by a scaled
-# image, from which the recombination takes its layout.
+# Images: rows in the transform domain of the products mod x^size - 1, the
+# float limb spectra of their rows, 3-D: (rows, L limbs, size // 2 + 1
+# frequencies) in the layout mod.layout(size).  A kept image may be scaled
+# (_kept_image), 4-D: the L_x variants 2^(w_x i) Y mod p of its rows Y, each
+# in the size's layout, variant 0 the plain image; rows multiplied by it
+# enter in the scaled layout (L_x, w_x) (_image_by).  A product image
+# (_image_mul) is what _image_coeffs turns back into rows: class spectra,
+# 3-D, or 4-D with one variant by a scaled image, from which the
+# recombination takes its layout.
 
 
 def _image(mod: Modulus, A, size, slot=None, layout=None):
     """The image of the coefficient rows of A, each of length <= size, in
-    layout (default mod.layout(size)).  A float image is fresh, or given a
-    slot, the calling thread's work array of that slot (_work_array), for a
-    product to read before the next one."""
-    if _float(mod, size):
-        return _transform(mod, _limbs(A, *(layout or mod.layout(size))), size, None, slot)
-    out = np.zeros((A.shape[0], size), dtype=A.dtype)
-    out[:, : A.shape[1]] = A
-    return out
+    layout (default mod.layout(size)): fresh, or given a slot, the calling
+    thread's work array of that slot (_work_array), for a product to read
+    before the next one.  Raises CapacityExceeded, before it allocates
+    anything, where no layout admits the size."""
+    layout = layout or mod.layout(size)
+    if layout is None:
+        raise CapacityExceeded(f"no limb layout of p = {mod.p} is exact at size {size}")
+    return _transform(mod, _limbs(A, *layout), size, None, slot)
 
 
 def _kept_image(mod: Modulus, A, size):
-    """The fresh image of the rows A that a caller keeps: scaled where the
-    image is float and mod.scaled_layout(size) gives (L_x, w_x), the images
-    of the L_x variants 2^(w_x i) A mod p, (rows, L_x, L, f), by which rows
-    of L_x limbs of w_x bits multiply (_class_spectra), variant 0, [:, 0],
-    the plain image; plain elsewhere."""
-    layout = mod.scaled_layout(size) if _float(mod, size) else None
+    """The fresh image of the rows A that a caller keeps: scaled where
+    mod.scaled_layout(size) gives (L_x, w_x), the images of the L_x variants
+    2^(w_x i) A mod p, (rows, L_x, L, f), by which rows of L_x limbs of w_x
+    bits multiply (_class_spectra), variant 0, [:, 0], the plain image; plain
+    elsewhere."""
+    layout = mod.scaled_layout(size)
     if layout is None:
         return _image(mod, A, size)
     p, (Lx, wx) = mod.p, layout
@@ -543,32 +502,18 @@ def _image_by(mod: Modulus, A, Y, slot="image"):
 
 
 def _image_size(X):
-    """The size of an image or product image: float ones keep the size // 2 + 1
+    """The size of an image or product image, which keeps the size // 2 + 1
     frequencies of each limb or class row."""
-    return 2 * (X.shape[-1] - 1) if X.ndim >= 3 else X.shape[1]
+    return 2 * (X.shape[-1] - 1)
 
 
-def _image_mul(mod: Modulus, X, Y):
-    """Row-wise product of two images of one kind, that is of their rows mod
-    x^size - 1, Y possibly scaled with X in its scaled layout (_image_by).
-    Where Y has m times as many rows as X, row i of X multiplies rows i m to
-    i m + m - 1 of Y.  A float product image is a work array."""
-    if X.ndim == 3:
-        return _class_spectra(mod.p, [(X, Y)])
-    if 0 < len(X) < len(Y):
-        X = np.repeat(X, len(Y) // len(X), axis=0)
-    size = X.shape[1]
-    # the product of the rows up to their last nonzero columns, folded
-    c = _convolve_rows(mod, _trim(X), _trim(Y))
-    out = np.zeros((len(c), 2 * size), dtype=c.dtype)
-    out[:, : c.shape[1]] = c
-    return (out[:, :size] + out[:, size:]) % mod.p
-
-
-def _trim(X):
-    """The rows X up to their last column with a nonzero entry, or the first."""
-    nz = np.flatnonzero(X.any(axis=0))
-    return X[:, : nz[-1] + 1 if len(nz) else 1]
+def _image_mul(mod: Modulus, X, Y, U=None, V=None):
+    """The product image, a work array, of X Y, or of X Y + U V, row-wise,
+    that is of their rows mod x^size - 1: the class spectra add unreduced
+    before any inverse transform.  Y and V are both plain or both scaled,
+    with X and U in their scaled layout (_image_by).  Where Y has m times as
+    many rows as X, row i of X multiplies rows i m to i m + m - 1 of Y."""
+    return _class_spectra(mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)])
 
 
 def _backwards(A, size, out_len):
@@ -586,20 +531,9 @@ def _backwards(A, size, out_len):
     return out
 
 
-def _image_mul_add(mod: Modulus, X, Y, U, V):
-    """The product image of X Y + U V, row-wise, for images of one kind (Y
-    and V both scaled or both plain), made before any inverse transform:
-    float class spectra add unreduced."""
-    if X.ndim == 3:
-        return _class_spectra(mod.p, [(X, Y), (U, V)])
-    return (_image_mul(mod, X, Y) + _image_mul(mod, U, V)) % mod.p
-
-
 def _image_coeffs(mod: Modulus, X, out_len):
     """The first out_len coefficients of every row of a product image."""
-    if X.ndim >= 3:
-        return _transform(mod, X, _image_size(X), out_len)
-    return X[:, :out_len]
+    return _transform(mod, X, _image_size(X), out_len)
 
 
 def _transform(mod: Modulus, X, size, out_len=None, slot=None):
@@ -677,20 +611,20 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 #
 # The layout (L, w) of a product follows from p and its size by one rule
 # (_layouts): the fewest limbs L whose exactness bound admits the size, each
-# of the narrowest width w >= LIMB_BITS that holds every residue below p in L
-# limbs.  For float images the bound is fft_error_bound(size, MAX_SUMMED, L,
-# w) <= FFT_ERROR_MAX, for _dense_mul at inner dimension b it is
+# of the narrowest width w that holds every residue below p in L limbs.  For
+# float images the bound is fft_error_bound(size, MAX_SUMMED, L, w) <=
+# FFT_ERROR_MAX, for _dense_mul at inner dimension b it is
 # b 2^(w-1) (p - 1) < 2^53 (_dense_exact).  Fewer limbs take fewer
 # transforms: L limbs cost L forward and 2L - 1 inverse FFTs and L^2 spectrum
 # products.  For DEFAULT_PRIME the rule gives two 16-bit limbs for float
 # images up to size 2^10 and for dense products up to b = 136, three 11-bit
-# limbs beyond; for a 40-bit prime, three 14-bit limbs up to 2^13 and four
-# 11-bit ones beyond.  Past the size that 11-bit limbs admit, a product
-# splits (_convolve_rows) rather than take narrower limbs.  One warm product
-# by _convolve_rows of a row of size / 2 residues of DEFAULT_PRIME by
-# another, or of 32 such pairs, in us, two 16-bit limbs / three 11-bit limbs
-# (one product image: two limbs pass the bound at 2048 only for that), best
-# of 300 interleaved on a 2-core x86-64 machine with numpy 2.4:
+# limbs up to 2^19 and b = 4369, four 8-bit limbs up to 2^24; for a 40-bit
+# prime, three 14-bit limbs up to 2^13, four 11-bit ones up to 2^19 and five
+# 9-bit ones up to 2^22.  One warm product by _convolve_rows of a row of
+# size / 2 residues of DEFAULT_PRIME by another, or of 32 such pairs, in us,
+# two 16-bit limbs / three 11-bit limbs (one product image: two limbs pass
+# the bound at 2048 only for that), best of 300 interleaved on a 2-core
+# x86-64 machine with numpy 2.4:
 #
 #    size        1 row            32 rows
 #      64     80 /  121        243 /  450
@@ -710,10 +644,12 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # against three 11-bit ones from size 2^11 to 2^15 (the bound is 0.094 at
 # 2^15, 0.20 at 2^16); for a 40-bit prime two 21-bit limbs against three
 # 14-bit ones from 2^3 to 2^8 and three 14-bit limbs against four 11-bit ones
-# from 2^14 to 2^16.  One warm product of rows of size / 2 residues of
-# DEFAULT_PRIME by the kept image of as many rows, in us, plain / scaled,
-# best of 100 to 300 (1 row) and 10 to 30 (32 rows) interleaved, same
-# machine:
+# from 2^14 to 2^16.  Past 2^19 it is three 11-bit limbs against four 8-bit
+# ones from 2^20 to 2^22 for DEFAULT_PRIME, and four 11-bit limbs against five
+# 9-bit ones at 2^20 for the 40-bit prime.  One warm product of rows of
+# size / 2 residues of DEFAULT_PRIME by the kept image of as many rows, in
+# us, plain / scaled, best of 100 to 300 (1 row) and 10 to 30 (32 rows)
+# interleaved, same machine:
 #
 #    size         1 row              32 rows
 #    2048     317 /  226         8885 /  5621
@@ -722,14 +658,13 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 #   16384    1445 / 1003        60446 / 38786
 #   32768    3282 / 2233       129563 / 84130
 
-LIMB_BITS = 11
 
 # Rounding to the nearest integer is exact while the error stays below 1/2;
 # dispatch asks for a fourfold margin.
 FFT_ERROR_MAX = 1 / 8
 
 # The most product images summed before one inverse transform
-# (_image_mul_add).
+# (_image_mul).
 MAX_SUMMED = 2
 
 
@@ -759,10 +694,10 @@ def fft_error_bound(size, products, limbs, width, other=None):
 
 
 def _width(p, L):
-    """The narrowest width w >= LIMB_BITS whose L balanced limbs hold every
-    residue below p: the top limb stays within 2^(w-1) like the others for
-    residues below 2^(wL - 1)."""
-    return max(LIMB_BITS, -(-((p - 1).bit_length() + 1) // L))
+    """The narrowest width w whose L balanced limbs hold every residue below
+    p: the top limb stays within 2^(w-1) like the others for residues below
+    2^(wL - 1)."""
+    return -(-((p - 1).bit_length() + 1) // L)
 
 
 def _dense_exact(b, p, w):
@@ -773,36 +708,35 @@ def _dense_exact(b, p, w):
 
 
 def _layouts(p):
-    """(L, w, float size, dense size) for each limb count L from one to that
-    of LIMB_BITS-bit limbs, w = _width(p, L): the largest size of a float
-    image and the largest inner dimension of _dense_mul the bounds admit for
-    L limbs of w bits (0 for none)."""
-    out = []
-    for L in range(1, (p - 1).bit_length() // LIMB_BITS + 2):
+    """(L, w, float size, dense size) for each limb count L from one to
+    bits(p - 1) + 1, w = _width(p, L): the largest size of a float image the
+    bound admits for L or fewer limbs (0 for none), searched upward from that
+    of L - 1, and the largest inner dimension of _dense_mul for L limbs."""
+    out, k = [], 0
+    for L in range(1, (p - 1).bit_length() + 2):
         w = _width(p, L)
-        float_size = max(
-            (1 << k for k in range(1, 40)
-             if fft_error_bound(1 << k, MAX_SUMMED, L, w) <= FFT_ERROR_MAX),
-            default=0,
-        )
-        out.append((L, w, float_size, ((1 << 53) - 1) // ((p - 1) << (w - 1))))
+        while fft_error_bound(2 << k, MAX_SUMMED, L, w) <= FFT_ERROR_MAX:
+            k += 1
+        out.append((L, w, 1 << k if k else 0, ((1 << 53) - 1) // ((p - 1) << (w - 1))))
     return tuple(out)
 
 
 def _scaled_layouts(p, layouts):
-    """{size: (L_x, w_x)} for each power-of-two size up to the largest float
-    size of layouts at which rows multiplied by a scaled image, whose
-    variants are in the size's layout (L, w), take fewer limbs: the fewest
-    L_x < L, w_x = _width(p, L_x), for which fft_error_bound(size,
-    MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX."""
-    out = {}
-    for k in range(1, max(size for _, _, size, _ in layouts).bit_length()):
-        size = 1 << k
-        L, w = next((L, w) for L, w, float_size, _ in layouts if size <= float_size)
-        for Lx in range(1, L):
+    """{size: (L_x, w_x)} for each power-of-two size served by layouts at
+    which rows multiplied by a scaled image, whose variants are in the size's
+    layout (L, w), take fewer limbs: the fewest L_x < L, w_x = _width(p, L_x),
+    for which fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX,
+    searched from that of the size before in the same layout."""
+    out, below = {}, 1
+    for L, w, top, _ in layouts:
+        size, Lx = 2 * below, 1
+        while size <= top and Lx < L:
             if fft_error_bound(size, MAX_SUMMED, Lx, _width(p, Lx), w) <= FFT_ERROR_MAX:
                 out[size] = (Lx, _width(p, Lx))
-                break
+                size *= 2
+            else:
+                Lx += 1
+        below = max(top, 1)
     return out
 
 
@@ -1121,8 +1055,7 @@ class Poly:
         zero-padded to dim (default: its length, at least 1)."""
         if dim is None:
             dim = max(1, len(coeffs))
-        if dim < 1:
-            raise DimensionMismatch("dim must be >= 1")
+        Poly.check_dim(dim)
         self.mod = mod
         self.arr = _readonly(_fit(_residues(mod, coeffs[:dim]), dim))
 
@@ -1134,6 +1067,12 @@ class Poly:
         P = cls.__new__(cls)
         P.mod, P.arr = mod, _readonly(arr)
         return P
+
+    @staticmethod
+    def check_dim(n):
+        """Raises DimensionMismatch for a dimension or precision n < 1."""
+        if n < 1:
+            raise DimensionMismatch(f"dimension {n} is below 1")
 
     @classmethod
     def zero(cls, mod, dim):
@@ -1191,6 +1130,7 @@ def mul_trunc(a: Poly, P, n: int) -> Poly:
     """a * P mod x^n, result dim n.  P is a Poly, or an operand kept by
     _fixed_operand for products of length <= n."""
     mod = a.mod
+    Poly.check_dim(n)
     if isinstance(P, np.ndarray):
         return Poly.of(mod, _mul_fixed(mod, a.arr[:n], P, n))
     da, dp = a.degree(), P.degree()
@@ -1209,6 +1149,7 @@ def mul_trunc_t(a: Poly, P, m: int) -> Poly:
     degree of P, which reads a below x^(m+e) only.
     """
     mod = a.mod
+    Poly.check_dim(m)
     if isinstance(P, np.ndarray):
         return Poly.of(mod, _mul_fixed(mod, a.arr, P, m, transposed=True))
     e = P.degree()

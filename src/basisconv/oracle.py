@@ -3,9 +3,11 @@
 The references touch none of the transform machinery: schoolbook products,
 explicit matrices and Gaussian elimination, all quadratic or worse, and exact
 products by Kronecker substitution through Python ints.  Tests freeze values
-produced by these routines.  The two kernel checks of basisconv selftest
+produced by these routines.  The kernel checks of basisconv selftest
 (float_kernel_agrees, dense_product_agrees) compare the fast kernels of
-modfield with these exact products.
+modfield with these exact products, and past the sizes where the Kronecker
+product is quick, with the closed form of constant rows
+(constant_rows_agree).
 """
 
 from __future__ import annotations
@@ -213,31 +215,46 @@ def float_kernel_agrees(mod: Modulus) -> bool:
     row times a row of p - 1 and the reverse, and the square of a row of the
     layout's worst residue (worst_residue); and the same products by a
     scaled image (modfield._kept_image) at the largest size of each scaled
-    layout (2^15 for DEFAULT_PRIME).  Exactness rests on IEEE doubles and an
-    FFT as accurate as the bound assumes, which the numpy build decides."""
+    layout up to 2^17 (2^15 for DEFAULT_PRIME).  Exactness rests on IEEE
+    doubles and an FFT as accurate as the bound assumes, which the numpy
+    build decides."""
     sizes = {2, *_largest_per_layout([1 << k for k in range(1, 15)], mod.layout)}
-    scaled = _largest_per_layout(
-        [1 << k for k in range(1, mod.float_max.bit_length())], mod.scaled_layout
-    )
+    scaled = _largest_per_layout([1 << k for k in range(1, 18)], mod.scaled_layout)
     return all(_float_agrees(mod, size) for size in sorted(sizes)) and all(
         _float_agrees(mod, size, scaled=True) for size in scaled
     )
 
 
-def _float_agrees(mod: Modulus, size, scaled=False):
+def constant_rows_agree(mod: Modulus, size) -> bool:
+    """Whether float products over mod at size, plain and by a scaled image
+    where the size has a scaled layout, equal the closed form of constant
+    rows of the worst residues (_float_agrees): coefficient k of the product
+    of size / 2 constants x by as many y is x y min(k + 1, size - 1 - k).
+    It needs no Kronecker product, which takes minutes past 2^19."""
+    kinds = [False, True] if mod.scaled_layout(size) else [False]
+    return all(_float_agrees(mod, size, scaled, constant=True) for scaled in kinds)
+
+
+def _float_agrees(mod: Modulus, size, scaled=False, constant=False):
     """float_kernel_agrees at one size, by a scaled image of B if scaled,
-    where the rows A take the worst residue of the scaled layout."""
+    where the rows A take the worst residue of the scaled layout; constant:
+    on the rows of worst residues alone, against their closed form."""
     p, rng, h = mod.p, random.Random(size), size // 2
-    r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
     worst = worst_residue(p, *mod.layout(size))
     worst_x = worst_residue(p, *mod.scaled_layout(size)) if scaled else worst
-    A, B = [r, [p - 1] * h, [worst_x] * h], [[p - 1] * h, s, [worst] * h]
+    A, B = [[worst_x] * h], [[worst] * h]
+    if not constant:
+        r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
+        A, B = [r, [p - 1] * h] + A, [[p - 1] * h, s] + B
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
     if scaled:
         Y = _kept_image(mod, B_, size)
         got = _image_coeffs(mod, _image_mul(mod, _image_by(mod, A_, Y), Y), size - 1)
     else:
         got = _convolve_rows(mod, A_, B_)
+    if constant:
+        xy = worst_x * worst % p
+        return got.tolist() == [[xy * min(k + 1, size - 1 - k) % p for k in range(size - 1)]]
     return got.tolist() == kronecker_mul(p, A, B)
 
 

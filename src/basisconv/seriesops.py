@@ -30,6 +30,7 @@ def series_inv(g: Poly, n: int) -> Poly:
     """1/g mod x^n; requires g(0) != 0.  The body g / g(0) is inverted by
     _power: in closed form where it is binomial, by Newton steps otherwise."""
     mod = g.mod
+    Poly.check_dim(n)
     c = g.constant()
     if c == 0:
         raise DomainViolation("series inverse needs a nonzero constant term")
@@ -224,6 +225,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0) != 0 and any integer exponent e (possibly huge
     or negative); the scalar part uses Fermat exponentiation."""
     mod = g.mod
+    mod.check_precision(n)
     c = g.constant()
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")

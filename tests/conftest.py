@@ -16,21 +16,16 @@ def mod101():
 
 @pytest.fixture
 def force_kernel(monkeypatch):
-    """A function that sends every product of length >= 2 through a
-    transform, however short: "float" through float limb spectra up to the
-    float maximum of the modulus; "rows" likewise, but with float images only
-    up to size 16, so that longer products take the Karatsuba split and the
-    coefficient-row images."""
+    """A function that sends every product of length >= 2 through float
+    images, however short."""
 
-    def force(kernel):
+    def force():
         monkeypatch.setattr(modfield, "_by_transform", lambda mod, la, lb: la + lb > 2)
-        if kernel == "rows":
-            monkeypatch.setattr(modfield, "_float", lambda mod, size: 2 <= size <= 16)
 
     return force
 
 
-@pytest.fixture(params=["float", "rows"])
+@pytest.fixture(params=["float"])
 def transforms_only(request, force_kernel):
-    """Every product through a transform: each kind in turn (force_kernel)."""
-    force_kernel(request.param)
+    """Every product through float images (force_kernel)."""
+    force_kernel()

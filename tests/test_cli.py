@@ -307,6 +307,34 @@ def test_selftest_checks_the_scaled_layout(monkeypatch, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_full_selftest_checks_the_kernel_past_2_19(monkeypatch, capsys):
+    # a split into 8-bit limbs that goes wrong only at the edge of their
+    # range, +-2^7, touches no product below size 2^20, so the --quick
+    # selftest passes; the full one squares the worst residue of four 8-bit
+    # limbs at 2^20 against the closed form of constant rows
+    import numpy as np
+
+    from basisconv import modfield
+
+    limbs = modfield._limbs
+
+    def broken(A, L, w):
+        out = limbs(A, L, w)
+        if w == 8:
+            np.clip(out, 1 - (1 << 7), (1 << 7) - 1, out=out)
+        return out
+
+    monkeypatch.setattr(modfield, "_limbs", broken)
+    # work arrays of this test only: those at 2^20 take hundreds of MB
+    monkeypatch.setattr(modfield, "_work", modfield._Work())
+    assert cli.main(["selftest", "--quick"]) == 0
+    capsys.readouterr()
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL kernel: float product at 2^20")
+    assert out.count("FAIL") == 1
+
+
 def test_selftest_checks_the_power_kernels(monkeypatch, capsys):
     # a Newton square root and a closed-form binomial power, each wrong in
     # its last coefficient, fail the checks by g^2 and by repeated products
@@ -388,6 +416,26 @@ def test_malformed_family_value_is_domain_error():
         assert proc.returncode == 1, text
         assert proc.stderr.startswith("error: SpecViolation"), text
         assert "Traceback" not in proc.stderr, text
+
+
+def test_zero_dimension_is_a_domain_error(monkeypatch, capsys):
+    # n = 0 exits 1 with a DimensionMismatch, where the conversion raised an
+    # IndexError and the CLI exited with a traceback
+    args = ["convert", "--family", "jacobi(alpha=3,beta=5)", "--dir", "to-monomial", "--n", "0"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": []})))
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: DimensionMismatch")
+
+
+@pytest.mark.parametrize("sequence", ["A:1_0", "P:\u0663"])
+def test_sequence_integers_are_ascii_decimals(sequence, monkeypatch, capsys):
+    # int() reads 1_0 as 10 and the Arabic-Indic digit three as 3; the
+    # sequence grammar, as the JSON input's, takes neither
+    monkeypatch.setattr("sys.stdin", io.StringIO(vec([1, 2])))
+    assert cli.main(["compose", "--sequence", sequence, "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed integer" in err
 
 
 def test_coefficients_outside_field_rejected():

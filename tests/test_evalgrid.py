@@ -277,40 +277,34 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
 def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
     # at n = 6000 every level above the leaf keeps a float image, of 23 nodes
     # at size 512 up to one node at size 8192, scaled from size 2048 on;
-    # every product meets images of its own kind, float (plain or scaled) or
-    # rows, and the passes equal those with the levels past a float maximum
-    # lowered to 2048 on coefficient rows
+    # every product meets images of its own limb rows, plain or scaled;
+    # interpolation undoes multipoint evaluation, and the transposed maps
+    # are the transposes
     n = 6000
     rng = random.Random(50)
-    coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
-
-    def run(float_max=None):
-        mod = Modulus(DEFAULT_PRIME)
-        mod.float_max = float_max or mod.float_max
-        A = Poly(mod, coeffs, n)
-        out = [
-            multieval_grid(A).tolist(),
-            interp_grid(mod, coeffs).coeffs,
-            multieval_grid_t(mod, coeffs).coeffs,
-            interp_grid_t(A).tolist(),
-        ]
-        tree = evalgrid._grid_tree(mod, n)
-        return out, [tree.img[k].ndim for k in range(tree.leaf, tree.depth)]
+    coeffs, other = ([rng.randrange(DEFAULT_PRIME) for _ in range(n)] for _ in range(2))
 
     def one_kind(fn):
         def product(mod, X, *images):
-            assert all(min(Y.ndim, 3) == X.ndim for Y in images)
+            assert all(min(Y.ndim, 3) == X.ndim == 3 for Y in images)
             return fn(mod, X, *images)
 
         return product
 
-    for name in ("_image_mul", "_image_mul_add"):
-        monkeypatch.setattr(evalgrid, name, one_kind(getattr(evalgrid, name)))
+    monkeypatch.setattr(evalgrid, "_image_mul", one_kind(evalgrid._image_mul))
     monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
-    got, kinds = run()
-    assert kinds == [3, 3, 4, 4, 4]
-    want, kinds = run(2048)
-    assert kinds == [3, 3, 4, 2, 2] and got == want
+    mod = Modulus(DEFAULT_PRIME)
+    p, A, B = mod.p, Poly(mod, coeffs, n), Poly(mod, other, n)
+    values = multieval_grid(A)
+    assert interp_grid(mod, values) == A
+
+    def dot(u, v):
+        return sum(int(x) * int(y) for x, y in zip(u, v)) % p
+
+    assert dot(values, other) == dot(coeffs, multieval_grid_t(mod, other).arr)
+    assert dot(interp_grid(mod, coeffs).arr, other) == dot(coeffs, interp_grid_t(B))
+    tree = evalgrid._grid_tree(mod, n)
+    assert [tree.img[k].ndim for k in range(tree.leaf, tree.depth)] == [3, 3, 4, 4, 4]
 
 
 @pytest.mark.parametrize("n", [4096, 3000])

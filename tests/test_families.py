@@ -21,8 +21,20 @@ from basisconv import (
     Inv,
     Log,
     Mul,
+    Pow,
     PrecisionExceedsModulus,
+    Root,
     eval_bivariate,
+    eval_seq,
+    eval_seq_inv,
+    eval_seq_t,
+    mul_trunc,
+    mul_trunc_t,
+    parse_sequence,
+    series_exp,
+    series_inv,
+    series_log,
+    unit_pow,
 )
 from basisconv.bivariate import _bivariate_inv
 from basisconv.compseq import _output_series
@@ -204,8 +216,7 @@ def test_matches_naive_convert(mod):
 
 def test_transform_kernel_matches_naive_convert(transforms_only):
     # products this small go to the schoolbook by default; here every product
-    # goes through transforms, cached operands included (a fresh modulus):
-    # float images, or past size 16 Karatsuba splits and coefficient rows,
+    # goes through float images, cached operands included (a fresh modulus),
     # also over a prime without roots of unity.  The fast chain is called
     # directly: at n <= MATRIX_MAX the conversions are kept matrices
     primes = [DEFAULT_PRIME, NO_ROOTS_PRIME]
@@ -445,6 +456,51 @@ def test_parameter_validation(mod):
     # a parameter the family does not take
     with pytest.raises(SpecViolation, match="no parameter 'gamma'"):
         family(mod, "jacobi", alpha=1, beta=2, gamma=5)
+
+
+def test_one_integer_grammar(mod):
+    # family values, sequence scalars and the P: and R: integers are ASCII
+    # decimal integers with an optional sign, blanks around them ignored:
+    # int() would read 1_0 as 10 and the Arabic-Indic digit three as 3
+    for text in ("laguerre(alpha=1_0)", "laguerre(alpha=\u0663)", "krawtchouk(p=1/3_0,N=100)"):
+        with pytest.raises(SpecViolation, match="malformed family parameter"):
+            parse_family(mod, text)
+    assert parse_family(mod, "krawtchouk(p= -1 / 3 ,N=+100)").params == {
+        "p": (-1 * mod.inv(3)) % mod.p, "N": 100,
+    }
+    for text in ("A:1_0", "M:\u0663", "P:1_0", "R:2,1,0_0", "M:1/"):
+        with pytest.raises(ValueError, match="malformed integer"):
+            parse_sequence(text, mod)
+    ops = parse_sequence(" A: -2 ; P: 3 ; R:2, 1 ,0", mod)
+    assert ops == (Add(mod.p - 2), Pow(3), Root(2, 1, 0))
+
+
+def test_precision_zero_is_a_dimension_mismatch(mod):
+    # n = 0 is no dimension: the conversions of every catalog family and the
+    # sequence and series entry points raise DimensionMismatch, where they
+    # raised IndexError or ValueError or returned a Poly of dim 0
+    for fam in all_families(mod):
+        with pytest.raises(DimensionMismatch):
+            to_monomial([], fam, 0, mod)
+        with pytest.raises(DimensionMismatch):
+            from_monomial(Poly(mod, [0]), fam, 0, mod)
+    g, x, ops = Poly(mod, [1, 2, 3]), Poly(mod, [0, 1]), parse_sequence("A:1;Inv", mod)
+    spec = parse_family(mod, "jacobi(alpha=3,beta=5)").spec
+    calls = {
+        "eval_seq": lambda: eval_seq(g, ops, 0),
+        "eval_seq_t": lambda: eval_seq_t(g, ops, 0),
+        "eval_seq_inv": lambda: eval_seq_inv(g, ops, 0),
+        "eval_bivariate": lambda: eval_bivariate([], spec, 0, mod),
+        "series_exp": lambda: series_exp(x, 0),
+        "series_log": lambda: series_log(x, 0),
+        "mul_trunc": lambda: mul_trunc(g, g, 0),
+        "mul_trunc_t": lambda: mul_trunc_t(g, g, 0),
+        "series_inv": lambda: series_inv(g, 0),
+        "unit_pow": lambda: unit_pow(g, 3, 0),
+    }
+    for call in calls.values():
+        with pytest.raises(DimensionMismatch, match="dimension 0 is below 1"):
+            call()
 
 
 def test_sqrt_minus_one_requires_1_mod_4():

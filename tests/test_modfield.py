@@ -8,6 +8,7 @@ import pytest
 
 from basisconv import (
     DEFAULT_PRIME,
+    CapacityExceeded,
     DivisionByZero,
     Modulus,
     Poly,
@@ -26,7 +27,6 @@ from basisconv.modfield import (
     _image,
     _image_coeffs,
     _image_mul,
-    _image_mul_add,
     _factorize,
     _limb_coeffs,
     _limbs,
@@ -64,18 +64,26 @@ def test_is_prime_basics():
 
 
 def test_modulus_construction(mod, mod101):
-    # the limb layouts and the largest float size follow from p alone: the
-    # fewest limbs, of the narrowest width of at least 11 bits, whose bound
-    # admits the size of a float image or the inner dimension of a dense
-    # product
-    assert mod.float_max == 1 << 19
-    assert [mod.layout(1 << k) for k in (1, 10, 11, 19, 20)] == [
-        (2, 16), (2, 16), (3, 11), (3, 11), None,
+    # the limb layouts follow from p alone: the fewest limbs, of the
+    # narrowest width that holds every residue, whose bound admits the size
+    # of a float image or the inner dimension of a dense product; up to one
+    # limb of a bit each, past which no layout is exact
+    assert [mod.layout(1 << k) for k in (1, 10, 11, 19, 20, 24, 25, 35, 36)] == [
+        (2, 16), (2, 16), (3, 11), (3, 11), (4, 8), (4, 8), (5, 7), (32, 1), None,
     ]
     assert [mod.layout(b, dense=True) for b in (1, 136, 137, 4369, 4370)] == [
-        (2, 16), (2, 16), (3, 11), (3, 11), None,
+        (2, 16), (2, 16), (3, 11), (3, 11), (4, 8),
     ]
-    assert (mod101.layout(1 << 20), mod101.float_max) == ((1, 11), 1 << 20)
+    # at every size up to 2^19 as before narrower limbs joined the rule, for
+    # DEFAULT_PRIME and P40
+    assert [mod.layout(1 << k) for k in range(1, 20)] == [(2, 16)] * 10 + [(3, 11)] * 9
+    p40 = Modulus(P40)
+    want = [(2, 21)] * 2 + [(3, 14)] * 11 + [(4, 11)] * 6
+    assert [p40.layout(1 << k) for k in range(1, 20)] == want
+    # one limb of bits(p - 1) + 1 bits for p = 101
+    assert [mod101.layout(1 << k) for k in (1, 26, 27, 37, 38)] == [
+        (1, 8), (1, 8), (2, 4), (8, 1), None,
+    ]
     # primitive root: order p-1 exactly
     g = mod101.primitive_root
     assert pow(g, 100, 101) == 1
@@ -110,7 +118,7 @@ def test_modulus_finds_its_primitive_root_on_first_use(monkeypatch):
     p = 1152921504606849707
     mod = Modulus(p)
     assert calls == [] and "primitive_root" not in vars(mod)
-    assert (mod.layout(mod.float_max), mod.float_max) == ((6, 11), 1 << 18)
+    assert [mod.layout(1 << k) for k in (18, 19, 34, 35)] == [(6, 11), (7, 9), (62, 1), None]
     default = Modulus(DEFAULT_PRIME)
     assert families._sqrt_minus_one(default) == 1728404513
     assert families._sqrt_minus_one(Modulus(P40)) == 874192144897
@@ -250,10 +258,9 @@ def test_small_prime_fallback_and_capacity(mod101):
     a = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
     b = np.array([rng.randrange(101) for _ in range(1500)], dtype=np.int64)
     assert np.array_equal(_convolve(mod101, a, b), _convolve_schoolbook(a, b, 101))
-    # past the float maximum the Karatsuba split: coefficient k of the square
-    # of l ones is min(k + 1, 2 l - 1 - k)
-    for mod in (mod101, Modulus(DEFAULT_PRIME)):
-        l = mod.float_max // 2 + 1
+    # products past size 2^19, at 2^21 in one 8-bit limb and at 2^20 in four:
+    # coefficient k of the square of l ones is min(k + 1, 2 l - 1 - k)
+    for mod, l in ((mod101, (1 << 19) + 1), (Modulus(DEFAULT_PRIME), (1 << 18) + 1)):
         ones = np.ones(l, dtype=np.int64)
         k = np.arange(2 * l - 1)
         assert np.array_equal(_convolve(mod, ones, ones), np.minimum(k + 1, 2 * l - 1 - k) % mod.p)
@@ -267,7 +274,7 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     # 1000003 = 2 * 500001 + 1 has no roots of unity of order 4, but every
     # float size
     mod = Modulus(NO_ROOTS_PRIME)
-    assert all(modfield._float(mod, 1 << k) for k in range(1, 12))
+    assert all(mod.layout(1 << k) for k in range(1, 12))
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
@@ -472,35 +479,53 @@ LIMB_PRIMES = [
 ]
 
 
-def _fewer_limb_sizes(p):
-    """(L, w, size) for every layout of p but the last, at the largest size
-    it serves."""
-    layouts = Modulus(p)._layouts
-    return [(L, w, size) for L, w, size, _ in layouts[:-1] if size]
+def _wide_limb_sizes(p):
+    """(L, w, size) for every layout of p of limbs of at least 11 bits, at
+    the largest size it serves: up to 2^18 or 2^19 for LIMB_PRIMES.  Past
+    them the sizes grow to 2^33 and more."""
+    return [(L, w, size) for L, w, size, _ in Modulus(p)._layouts if w >= 11 and size]
+
+
+# the first size past 2^19, where DEFAULT_PRIME takes four 8-bit limbs and
+# rows multiplied by a scaled image three 11-bit ones
+PAST_2_19 = 1 << 20
+
+
+def _rounding_error(c):
+    """max |c - rint(c)| over the float array c, which it overwrites."""
+    c -= np.rint(c)
+    return np.abs(c, out=c).max()
+
+
+@pytest.fixture
+def fresh_work(monkeypatch):
+    """Work arrays of this test only, so that those of products past 2^19,
+    hundreds of MB, are freed after it."""
+    monkeypatch.setattr(modfield, "_work", modfield._Work())
 
 
 @pytest.mark.parametrize(
     "p, size",
     [pytest.param(DEFAULT_PRIME, size, id=str(size)) for size in FLOAT_SIZES]
-    + [pytest.param(p, None, id=f"{p}-largest") for p in LIMB_PRIMES]
+    + [pytest.param(p, _wide_limb_sizes(p)[-1][2], id=f"{p}-largest") for p in LIMB_PRIMES]
     + [
         pytest.param(p, size, id=f"{p}-{L}x{w}")
         for p in LIMB_PRIMES
-        for L, w, size in _fewer_limb_sizes(p)
-    ],
+        for L, w, size in _wide_limb_sizes(p)[:-1]
+    ]
+    + [pytest.param(DEFAULT_PRIME, PAST_2_19, id=f"{DEFAULT_PRIME}-4x8")],
 )
-def test_float_kernel_exact_on_worst_operands(p, size):
+def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     # from the least size the float kernel takes on to the largest each limb
-    # layout admits, with the worst residue of the layout at that size (two
+    # layout of at least 11 bits admits, and at 2^20 in four 8-bit limbs for
+    # DEFAULT_PRIME, with the worst residue of the layout at that size (two
     # 16-bit limbs up to 2^10 for DEFAULT_PRIME, three 11-bit ones from 2^11;
-    # three 14-bit limbs up to 2^13 for P40); every image here is float.
+    # three 14-bit limbs up to 2^13 for P40).
     # Constant rows have a closed form: coefficient k of the square of l ones
     # is min(k + 1, 2 l - 1 - k), and the cyclic square of `size` ones is
     # `size` everywhere.  It stands in for the Kronecker product, which takes
     # seconds on the largest rows
     mod = Modulus(p)
-    size = size or mod.float_max
-    assert modfield._float(mod, size)
     L, w = mod.layout(size)
     values = np.array([[worst_residue(p, L, w)], [p - 1]], dtype=mod.dtype)
     half = np.repeat(values, size // 2, axis=1)
@@ -515,28 +540,30 @@ def test_float_kernel_exact_on_worst_operands(p, size):
     assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
     # a summed pair of product images of full rows: the largest norms
     X = _image(mod, full, size)
-    got = _image_coeffs(mod, _image_mul_add(mod, X, X, X, X), size)
+    got = _image_coeffs(mod, _image_mul(mod, X, X, X, X), size)
     assert (got == 2 * size * values % p * values % p).all()
     for products in (1, 2):
         c = np.fft.irfft(_class_spectra(p, [(X, X)] * products), size, axis=-1)
-        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, L, w)
+        assert _rounding_error(c) < fft_error_bound(size, products, L, w)
 
 
 def _largest_scaled_sizes(p):
-    """The largest size of each scaled layout of p (Modulus.scaled_layout)."""
+    """The largest size up to 2^17 of each scaled layout of p
+    (Modulus.scaled_layout), as selftest checks them."""
     mod = Modulus(p)
-    out = {mod.scaled_layout(1 << k): 1 << k for k in range(1, mod.float_max.bit_length())}
+    out = {mod.scaled_layout(1 << k): 1 << k for k in range(1, 18)}
     out.pop(None, None)
     return sorted(out.values())
 
 
 def test_scaled_layouts_by_prime():
     # fewer limbs of the rows multiplied by a scaled image, where the bound
-    # admits them: 2 x 16 bits against 3 x 11 for DEFAULT_PRIME, 2 x 21
-    # against 3 x 14 and 3 x 14 against 4 x 11 for P40, none for p = 101
+    # admits them: up to 2^19, 2 x 16 bits against 3 x 11 for DEFAULT_PRIME,
+    # 2 x 21 against 3 x 14 and 3 x 14 against 4 x 11 for P40, none for
+    # p = 101; at 2^20, 3 x 11 against 4 x 8 and 4 x 11 against 5 x 9
     def table(p):
         mod = Modulus(p)
-        sizes = [1 << k for k in range(1, mod.float_max.bit_length())]
+        sizes = [1 << k for k in range(1, 20)]
         return {s: (mod.scaled_layout(s), mod.layout(s)) for s in sizes if mod.scaled_layout(s)}
 
     assert table(DEFAULT_PRIME) == {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
@@ -546,14 +573,18 @@ def test_scaled_layouts_by_prime():
     assert table(101) == {}
     assert _largest_scaled_sizes(DEFAULT_PRIME) == [1 << 15]
     assert _largest_scaled_sizes(P40) == [1 << 8, 1 << 16]
+    default, p40 = Modulus(DEFAULT_PRIME), Modulus(P40)
+    assert (default.scaled_layout(PAST_2_19), default.layout(PAST_2_19)) == ((3, 11), (4, 8))
+    assert (p40.scaled_layout(PAST_2_19), p40.layout(PAST_2_19)) == ((4, 11), (5, 9))
 
 
 @pytest.mark.parametrize(
     "p, size",
     [pytest.param(p, size, id=f"{p}-{size}") for p in (DEFAULT_PRIME, P40)
-     for size in _largest_scaled_sizes(p)],
+     for size in _largest_scaled_sizes(p)]
+    + [pytest.param(DEFAULT_PRIME, PAST_2_19, id=f"{DEFAULT_PRIME}-{PAST_2_19}")],
 )
-def test_scaled_products_exact_on_worst_operands(p, size):
+def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
     # at the largest size of each scaled layout: rows of the worst residue of
     # the scaled layout and of p - 1 times a scaled image of rows of the
     # worst residue of the size's layout and of p - 1, by the closed form of
@@ -581,14 +612,16 @@ def test_scaled_products_exact_on_worst_operands(p, size):
         assert np.array_equal(_mul_fixed(mod, row, fixed, size - 1), want[i])
         mid = xs[i] * ys[i] % p * np.arange(h, 0, -1).astype(mod.dtype) % p
         assert np.array_equal(_mul_fixed(mod, row, fixed, h, transposed=True), mid)
-    # a summed pair of product images of full rows: the largest norms
+    # a summed pair of product images of full rows: the largest norms (the
+    # kept images above go first, 192 MB each at 2^20)
+    del Y, fixed
     Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size)
     X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y)
-    got = _image_coeffs(mod, _image_mul_add(mod, X, Y, X, Y), size)
+    got = _image_coeffs(mod, _image_mul(mod, X, Y, X, Y), size)
     assert (got == 2 * size * xs % p * ys % p).all()
     for products in (1, 2):
         c = np.fft.irfft(_class_spectra(p, [(X, Y)] * products)[:, 0], size, axis=-1)
-        assert np.abs(c - np.rint(c)).max() < fft_error_bound(size, products, Lx, wx, w)
+        assert _rounding_error(c) < fft_error_bound(size, products, Lx, wx, w)
 
 
 def test_products_by_scaled_images_equal_plain_ones(mod):
@@ -643,15 +676,14 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
 def test_dense_product_exact_on_worst_operands(mod):
     # rows of p - 1, of the worst residue and of limbs all -2^(w-1) (not a
     # residue) times columns of p - 1 sum every term with one sign: at b =
-    # 128 and 136, the largest b of two 16-bit limbs, at the leaf size, of
-    # three 11-bit limbs, and at the largest power of two the bound admits
-    # for DEFAULT_PRIME
+    # 128 and 136, the largest b of two 16-bit limbs, at the leaf size and
+    # at 4369, the largest b of three 11-bit limbs, and of four 8-bit limbs
+    # past it
     p = mod.p
-    b_max = max(1 << k for k in range(16) if mod.layout(1 << k, dense=True))
-    assert b_max == 4096
-    for b in (128, 136, LEAF_SIZE, b_max):
+    layouts = {128: (2, 16), 136: (2, 16), LEAF_SIZE: (3, 11), 4369: (3, 11), 4370: (4, 8)}
+    for b, layout in layouts.items():
         L, w = mod.layout(b, dense=True)
-        assert (L, w) == ((2, 16) if b <= 136 else (3, 11))
+        assert (L, w) == layout
         low = -(1 << w - 1) * sum(1 << w * k for k in range(L))
         A = np.array([[v] * b for v in (p - 1, worst_residue(p, L, w), low)], dtype=np.int64)
         assert (_limbs(A[2:], L, w) == -(1 << w - 1)).all()
@@ -664,9 +696,13 @@ def test_dense_product_exact_on_worst_operands(mod):
     A, M = rng.integers(0, p, (5, LEAF_SIZE)), rng.integers(0, p, (LEAF_SIZE, 300))
     want = (A.astype(object) @ M.astype(object)) % p
     assert np.array_equal(modfield._dense_mul(mod, A, M.astype(np.float64)), want.astype(np.int64))
-    # past the bound the product refuses to run
+    # past the bound of one-bit limbs the product refuses to run, before it
+    # reads its operands (here zero-stride views)
+    b = (1 << 53) // (p - 1) + 1
+    assert mod.layout(b - 1, dense=True) == (32, 1) and mod.layout(b, dense=True) is None
+    A, M = np.broadcast_to(np.int64(1), (1, b)), np.broadcast_to(0.0, (b, 1))
     with pytest.raises(AssertionError):
-        modfield._dense_mul(mod, np.ones((1, 2 * b_max), dtype=np.int64), np.zeros((2 * b_max, 1)))
+        modfield._dense_mul(mod, A, M)
 
 
 @pytest.mark.parametrize(
@@ -718,28 +754,58 @@ def test_float_recombination_reduces_multiples_of_p(p):
     assert not got.any()
 
 
-def test_float_kernel_dispatch(monkeypatch):
-    # past the largest admitted size a product makes one Karatsuba split into
-    # three float products of half the size; the bound is asserted wherever a
-    # float product image is made
+def test_float_kernel_dispatch(monkeypatch, fresh_work):
+    # a product at 2^20 makes one product image, of four 8-bit limbs of each
+    # operand; the bound is asserted wherever a float product image is made
     mod = Modulus(DEFAULT_PRIME)
-    mod.float_max = 2048
-    calls = [0]
-    product_image = modfield._product_image
+    calls, layouts = [0], []
+    product_image, limbs = modfield._product_image, modfield._limbs
 
     def counted(*args):
         calls[0] += 1
         return product_image(*args)
 
+    def recorded(A, L, w):
+        layouts.append((L, w))
+        return limbs(A, L, w)
+
     monkeypatch.setattr(modfield, "_product_image", counted)
-    rng = random.Random(7)
-    for size, products in ((2048, 1), (4096, 3)):
-        a = [rng.randrange(mod.p) for _ in range(size // 2)]
-        b = [rng.randrange(mod.p) for _ in range(size // 2)]
-        calls[0] = 0
-        assert _convolve(mod, a, b).tolist() == _school(a, b, mod.p)
-        assert calls[0] == products, size
+    monkeypatch.setattr(modfield, "_limbs", recorded)
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, mod.p, (2, PAST_2_19 // 2))
+    got = _convolve(mod, a, b)
+    assert calls[0] == 1 and layouts == [(4, 8), (4, 8)]
+    # coefficient k is sum_i a_i b_(k-i), in Python ints, at both ends and
+    # in the middle
+    a_, b_ = a.astype(object), b.astype(object)
+    for k in (0, 1, 5, len(a) - 1, len(a), len(got) - 2, len(got) - 1):
+        i = np.arange(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
+        assert got[k] == (a_[i] * b_[k - i]).sum() % mod.p, k
     X = _image(mod, np.ones((1, 4), dtype=np.int64), 16)
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, *mod.layout(16)) / 2)
     with pytest.raises(AssertionError):
         _class_spectra(mod.p, [(X, X)])
+
+
+def test_image_past_every_layout_raises_capacity_exceeded(mod):
+    # 32 one-bit limbs reach size 2^35 for DEFAULT_PRIME and no layout 2^36:
+    # an image, a product and a kept image there raise CapacityExceeded
+    # before they allocate anything (the rows are zero-stride views)
+    size = 1 << 36
+    assert mod.layout(size // 2) == (32, 1) and mod.layout(size) is None
+    A = np.broadcast_to(np.int64(1), (1, size // 2))
+    held = modfield.work_bytes()
+    tracemalloc.start()
+    try:
+        for make in (
+            lambda: _image(mod, A, size),
+            lambda: _convolve_rows(mod, A, A),
+            lambda: modfield._kept_image(mod, A, size),
+        ):
+            with pytest.raises(CapacityExceeded, match="size 68719476736"):
+                make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    assert modfield.work_bytes() == held

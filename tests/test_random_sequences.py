@@ -138,14 +138,11 @@ def mod(request):
     return Modulus(request.param)
 
 
-@pytest.fixture(params=["dispatch", "transforms", "float"])
+@pytest.fixture(params=["dispatch", "float"])
 def kernel(request):
-    # as dispatched by size; every product through the float kernel
-    # ("float"); or every product through a transform, past size 16 by the
-    # Karatsuba split and coefficient-row images ("transforms")
-    force = {"transforms": "rows", "float": "float"}.get(request.param)
-    if force:
-        request.getfixturevalue("force_kernel")(force)
+    # as dispatched by size, or every product through the float kernel
+    if request.param == "float":
+        request.getfixturevalue("force_kernel")()
     return request.param
 
 
