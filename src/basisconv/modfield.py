@@ -478,7 +478,7 @@ def _kept_image(mod: Modulus, A, size):
     """The fresh image of the rows A that a caller keeps: scaled where
     mod.scaled_layout(size) gives (L_x, w_x), the images of the L_x variants
     2^(w_x i) A mod p, (rows, L_x, L, f), by which rows of L_x limbs of w_x
-    bits multiply (_class_spectra), variant 0, [:, 0], the plain image; plain
+    bits multiply (_image_mul), variant 0, [:, 0], the plain image; plain
     elsewhere."""
     layout = mod.scaled_layout(size)
     if layout is None:
@@ -509,11 +509,40 @@ def _image_size(X):
 
 def _image_mul(mod: Modulus, X, Y, U=None, V=None):
     """The product image, a work array, of X Y, or of X Y + U V, row-wise,
-    that is of their rows mod x^size - 1: the class spectra add unreduced
-    before any inverse transform.  Y and V are both plain or both scaled,
-    with X and U in their scaled layout (_image_by).  Where Y has m times as
-    many rows as X, row i of X multiplies rows i m to i m + m - 1 of Y."""
-    return _class_spectra(mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)])
+    that is of their rows mod x^size - 1: the spectra of the classes
+    c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
+    or, by scaled images Y and V (_kept_image) and X and U in their scaled
+    layout (_image_by), of the classes c_j = sum_i x_i y_(i,j), j < L,
+    y_(i,j) limb j of variant i (4-D, one variant).  The class spectra of
+    the two products add unreduced before any inverse transform.  Where Y
+    has m times as many rows as X, the same m for V and U, row i of X
+    multiplies rows i m to i m + m - 1 of Y."""
+    p, pairs = mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)]
+    rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
+    scaled = Y.ndim == 4
+    size, K = 2 * (f - 1), L if scaled else 2 * L - 1
+    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L))
+    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs))
+    Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
+    if 0 < len(X) < len(Y):
+        # (rows / m, 1) against (rows / m, m): each row of X serves m rows
+        lead = (len(X), len(Y) // len(X))
+        Z, T = Z.reshape(lead + (K, f)), T.reshape(lead + (f,))
+        pairs = [(X[:, None], Y.reshape(lead + Y.shape[1:])) for X, Y in pairs]
+    z, made = [Z[..., k, :] for k in range(K)], set()
+    for X, Y in pairs:
+        for i in range(Lx):
+            x = X[..., i, :]
+            for j in range(L):
+                k, y = (j, Y[..., i, j, :]) if scaled else (i + j, Y[..., j, :])
+                if k in made:
+                    np.multiply(x, y, out=T)
+                    z[k] += T
+                else:
+                    np.multiply(x, y, out=z[k])
+                    made.add(k)
+    Z = Z.reshape(rows, K, f)
+    return Z[:, None] if scaled else Z
 
 
 def _backwards(A, size, out_len):
@@ -832,42 +861,6 @@ def _limbs(A, L, w):
         if (k + 1) % per_chunk == 0:
             hi += chunks[(k + 1) // per_chunk]
     return limbs
-
-
-def _class_spectra(p, pairs):
-    """The product image of the sum over pairs (X, Y) of float images of
-    the products X Y, a work array: the spectra of the classes
-    c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
-    or, by scaled images Y (_kept_image) and X in their scaled layout, of
-    the classes c_j = sum_i x_i y_(i,j), j < L, y_(i,j) limb j of variant i
-    (4-D, one variant).  Where Y has m times as many rows as X, the same m
-    for every pair, row i of X multiplies rows i m to i m + m - 1 of Y."""
-    X, Y = pairs[0]
-    rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
-    scaled = Y.ndim == 4
-    size, K = 2 * (f - 1), L if scaled else 2 * L - 1
-    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L))
-    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs))
-    Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
-    if 0 < len(X) < len(Y):
-        # (rows / m, 1) against (rows / m, m): each row of X serves m rows
-        lead = (len(X), len(Y) // len(X))
-        Z, T = Z.reshape(lead + (K, f)), T.reshape(lead + (f,))
-        pairs = [(X[:, None], Y.reshape(lead + Y.shape[1:])) for X, Y in pairs]
-    z, made = [Z[..., k, :] for k in range(K)], set()
-    for X, Y in pairs:
-        for i in range(Lx):
-            x = X[..., i, :]
-            for j in range(L):
-                k, y = (j, Y[..., i, j, :]) if scaled else (i + j, Y[..., j, :])
-                if k in made:
-                    np.multiply(x, y, out=T)
-                    z[k] += T
-                else:
-                    np.multiply(x, y, out=z[k])
-                    made.add(k)
-    Z = Z.reshape(rows, K, f)
-    return Z[:, None] if scaled else Z
 
 
 # The recombination of products over p < 2^31 runs Horner in int64

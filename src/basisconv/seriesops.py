@@ -223,9 +223,10 @@ def _integer_newton(mod, e, n):
 
 def unit_pow(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0) != 0 and any integer exponent e (possibly huge
-    or negative); the scalar part uses Fermat exponentiation."""
+    or negative); the scalar part uses Fermat exponentiation.  Exact past
+    x^p where _power takes the closed form; elsewhere there it raises."""
     mod = g.mod
-    mod.check_precision(n)
+    Poly.check_dim(n)
     c = g.constant()
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")

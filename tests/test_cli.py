@@ -217,10 +217,10 @@ def test_input_file_is_closed(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["coeffs"] == [str(P - 5), "4", "12"]
 
 
-@pytest.mark.parametrize("p", [P, P40])
+@pytest.mark.parametrize("p", [P, P40, 101])
 def test_selftest_quick(p):
     # the kernel checks and conversions on int64 rows and on rows of Python
-    # ints (two to four limbs)
+    # ints (two to four limbs); at 101 the binomial power check runs at n = p
     proc = run_cli(["selftest", "--quick", "--modulus", str(p)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout

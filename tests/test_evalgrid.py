@@ -275,24 +275,25 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
 
 
 def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
-    # at n = 6000 every level above the leaf keeps a float image, of 23 nodes
-    # at size 512 up to one node at size 8192, scaled from size 2048 on;
-    # every product meets images of its own limb rows, plain or scaled;
+    # the two kinds are the plain and the scaled float images of the kept
+    # levels: at n = 6000 every level above the leaf keeps one, of 23 nodes
+    # at size 512 up to one node at size 8192, scaled from size 2048 on; the
+    # rows multiplied by either are a plain image of their own limbs;
     # interpolation undoes multipoint evaluation, and the transposed maps
     # are the transposes
     n = 6000
     rng = random.Random(50)
     coeffs, other = ([rng.randrange(DEFAULT_PRIME) for _ in range(n)] for _ in range(2))
 
-    def one_kind(fn):
+    def plain_rows(fn):
         def product(mod, X, *images):
-            assert all(min(Y.ndim, 3) == X.ndim == 3 for Y in images)
+            assert X.ndim == 3
             return fn(mod, X, *images)
 
         return product
 
-    monkeypatch.setattr(evalgrid, "_image_mul", one_kind(evalgrid._image_mul))
-    monkeypatch.setattr(modfield, "_image_mul", one_kind(modfield._image_mul))
+    monkeypatch.setattr(evalgrid, "_image_mul", plain_rows(evalgrid._image_mul))
+    monkeypatch.setattr(modfield, "_image_mul", plain_rows(modfield._image_mul))
     mod = Modulus(DEFAULT_PRIME)
     p, A, B = mod.p, Poly(mod, coeffs, n), Poly(mod, other, n)
     values = multieval_grid(A)

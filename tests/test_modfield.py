@@ -20,7 +20,6 @@ from basisconv import (
 from basisconv import evalgrid, families, modfield, oracle, polyops
 from basisconv.evalgrid import LEAF_SIZE
 from basisconv.modfield import (
-    _class_spectra,
     _convolve,
     _convolve_rows,
     _convolve_schoolbook,
@@ -543,7 +542,7 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     got = _image_coeffs(mod, _image_mul(mod, X, X, X, X), size)
     assert (got == 2 * size * values % p * values % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_class_spectra(p, [(X, X)] * products), size, axis=-1)
+        c = np.fft.irfft(_image_mul(mod, *[X, X] * products), size, axis=-1)
         assert _rounding_error(c) < fft_error_bound(size, products, L, w)
 
 
@@ -620,7 +619,7 @@ def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
     got = _image_coeffs(mod, _image_mul(mod, X, Y, X, Y), size)
     assert (got == 2 * size * xs % p * ys % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_class_spectra(p, [(X, Y)] * products)[:, 0], size, axis=-1)
+        c = np.fft.irfft(_image_mul(mod, *[X, Y] * products)[:, 0], size, axis=-1)
         assert _rounding_error(c) < fft_error_bound(size, products, Lx, wx, w)
 
 
@@ -784,7 +783,7 @@ def test_float_kernel_dispatch(monkeypatch, fresh_work):
     X = _image(mod, np.ones((1, 4), dtype=np.int64), 16)
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, *mod.layout(16)) / 2)
     with pytest.raises(AssertionError):
-        _class_spectra(mod.p, [(X, X)])
+        _image_mul(mod, X, X)
 
 
 def test_image_past_every_layout_raises_capacity_exceeded(mod):

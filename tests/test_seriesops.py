@@ -344,6 +344,21 @@ def test_unit_pow_negative_and_huge(mod101):
         unit_pow(Poly(mod101, [0, 1], 4), 2, 4)
 
 
+def test_unit_pow_past_p_in_closed_form(mod101):
+    # a binomial body at n = p and lacunary ones past it take the closed form
+    # at m = ceil(n / j) <= p, which is exact there: powers by repeated
+    # products; a body that needs exp(e log B) at m >= p still raises
+    for coeffs, n in [([3, 5], 101), ([1, 0, 1], 150), ([7, 0, 0, 4], 300)]:
+        g = Poly(mod101, coeffs, n)
+        acc = Poly(mod101, [1], n)
+        for e in range(6):
+            assert unit_pow(g, e, n) == acc, (coeffs, n, e)
+            acc = mul_trunc(acc, g, n)
+        assert mul_trunc(unit_pow(g, -3, n), unit_pow(g, 3, n), n) == Poly(mod101, [1], n)
+    with pytest.raises(PrecisionExceedsModulus):
+        unit_pow(Poly(mod101, [1, 1, 1], 150), 3, 150)
+
+
 def test_series_root_recovers_base(mod101):
     rng = random.Random(25)
     for k, r in [(2, 0), (2, 1), (3, 2), (5, 0)]:
