@@ -12,7 +12,6 @@ from .bivariate import (
     check_spec,
     eval_bivariate,
     eval_bivariate_inv,
-    eval_inv_transposed,
 )
 from .compseq import (
     Add,
@@ -27,6 +26,7 @@ from .compseq import (
     SequenceTruncations,
     compute_g,
     cost_class_of,
+    eval_inv_transposed,
     eval_seq,
     eval_seq_inv,
     eval_seq_t,

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compseq import (
-    _inverse_reduction,
     _inverse_seq_matrix,
     _leads,
     _prepare,
     _seq_matrix,
-    _shifts_cancel,
+    eval_inv_transposed,
     eval_seq,
     eval_seq_inv,
     eval_seq_t,
@@ -35,7 +34,7 @@ from .modfield import (
     mul_trunc,
     mul_trunc_t,
 )
-from .polyops import diagonal, taylor_shift_t, truncate
+from .polyops import diagonal, truncate
 from .seriesops import series_inv
 
 
@@ -145,23 +144,6 @@ def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     if u is not None:
         cur = mul_trunc(cur, u, n)
     return cur
-
-
-def eval_inv_transposed(A: Poly, h_ops, n: int) -> Poly:
-    """Transpose of the inverse evaluation map at the series output by h_ops.
-
-    The inverse is the reversed sequence's evaluation followed by one Taylor
-    shift by -h(0) (compseq._inverse_reduction), so its transpose is the
-    transposed shift followed by the reversed sequence evaluated transposed;
-    where the shift cancels the sequence's leading Add(h(0))
-    (compseq._shifts_cancel), the evaluation starts after that Add instead.
-    """
-    mod = A.mod
-    mod.check_precision(n)
-    h0, rev_ops = _inverse_reduction(h_ops, n, mod)
-    if _shifts_cancel(h0, rev_ops):
-        return eval_seq_t(A, rev_ops, n, start=1)
-    return eval_seq_t(taylor_shift_t(truncate(A, n), -h0 % mod.p), rev_ops, n)
 
 
 def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):

@@ -14,9 +14,10 @@ shift undoes the leading Add exactly, and the evaluation starts after it.
 The evaluation reads the truncations only through input-independent operands,
 the unit powers of Inv and the root powers of Root: the first evaluation of a
 sequence at a precision (_prepare) builds all of them from one set of
-truncations, which it then drops.  The leading coefficients and the inverse
-reduction are kept apart (_lead_info), so that the inverse alone builds no
-operand of the forward evaluation.
+truncations, which it then drops, and keeps them in one cache entry per
+sequence and precision.  The leading coefficients and the inverse reduction
+are kept apart (_lead_info), so that the inverse alone builds no operand of
+the forward evaluation.
 """
 
 from __future__ import annotations
@@ -231,28 +232,36 @@ def _output_series(ops, n, mod) -> Poly:
 
 
 def _prepare(ops, n: int, mod: Modulus):
-    """Build, on the first evaluation of ops at precision n, every operand it
-    reads (the unit powers of Inv, the root powers of Root) from one set of
-    truncations at precision max(n, 2), which is then dropped; _lead_info at
-    n comes from the same set where it is not kept yet.  Raises as compute_g
-    does where ops is not defined at max(n, 2): at n = 1 a truncation at
-    precision 1 before a Root can be zero where the series is not."""
+    """The operands the evaluation of ops at precision n reads, forward or
+    transposed, kept as the one entry ("seq", ops, n), each for products of
+    length <= n (_fixed_operand): under (ell, m) the unit power g^(1 - m)
+    mod x^n of the input g of the Inv at step ell on K[x]_m, under ell the
+    root powers (1, h, ..., h^(k-1)) mod x^n of the output h of the Root at
+    step ell, for the pairs _steps lists.  The first call builds them from
+    one set of truncations at precision max(n, 2), which is then dropped;
+    _lead_info at n comes from the same set where it is not kept yet.
+    Raises as compute_g does where ops is not defined at max(n, 2): at n = 1
+    a truncation at precision 1 before a Root can be zero where the series
+    is not."""
     ops, prec = tuple(ops), max(n, 2)
 
     def build():
         truncs = compute_g(ops, prec, mod)
+        operands = {}
         for ell, m in _steps(ops, n):
             op = ops[ell - 1]
             if isinstance(op, Inv):
-                key = _unit_pow_key(ops, ell - 1, 1 - m, n)
-                mod.cached(key, partial(_inv_unit_pow, truncs, ell - 1, 1 - m, n, mod))
-            elif isinstance(op, Root):
-                key = _root_powers_key(ops, ell, op.k, n)
-                mod.cached(key, partial(_root_powers, truncs, ell, op.k, n, mod))
+                g = unit_pow(_series_at(truncs, mod, ell - 1, n), 1 - m, n)
+                operands[ell, m] = _fixed_operand(mod, g.arr, n)
+            elif isinstance(op, Root) and ell not in operands:
+                h, powers = _series_at(truncs, mod, ell, n), [Poly(mod, [1], n)]
+                for _ in range(1, op.k):
+                    powers.append(mul_trunc(powers[-1], h, n))
+                operands[ell] = tuple(_fixed_operand(mod, P.arr, n) for P in powers)
         mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
-        return True
+        return operands
 
-    mod.cached(("seq", ops, n), build)
+    return mod.cached(("seq", ops, n), build)
 
 
 def _steps(ops, n):
@@ -303,70 +312,35 @@ def _leads(ops, n, mod):
     return _lead_info(ops, n, mod)[0]
 
 
-def _unit_pow_key(ops, lp, e, n):
-    return "upow", tuple(ops[:lp]), e, n
-
-
-def _root_powers_key(ops, ell, k, n):
-    return "rootpow", tuple(ops[:ell]), k, n
-
-
-def _inv_unit_pow(truncs, lp, e, n, mod):
-    """g_lp^e mod x^n from the truncations, kept for products of length <= n
-    (_fixed_operand)."""
-    g = _series_at(truncs, mod, lp, n)
-    return _fixed_operand(mod, unit_pow(g, e, n).arr, n)
-
-
-def _root_powers(truncs, ell, k, n, mod):
-    """(1, h, ..., h^(k-1)) mod x^n for the root series h = g_ell, from the
-    truncations, kept as _inv_unit_pow."""
-    h = _series_at(truncs, mod, ell, n)
-    powers = [Poly(mod, [1], n)]
-    for _ in range(1, k):
-        powers.append(mul_trunc(powers[-1], h, n))
-    return tuple(_fixed_operand(mod, P.arr, n) for P in powers)
-
-
-def _kept(mod, key):
-    """The operand _prepare built under key.  The evaluation reads only the
-    pairs _steps lists, so a miss is an error of _steps, and raises."""
-
-    def missing():
-        raise LookupError(f"operand {key!r} not built by _prepare")
-
-    return mod.cached(key, missing)
-
-
-def _eval_aux(A, m, n, ell, ops, mod, start):
+def _eval_aux(A, m, n, ell, ops, operands, start):
     if ell == start:
         return truncate(A, n)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        return _eval_aux(scale(A, op.lam), m, n, lp, ops, mod, start)
+        return _eval_aux(scale(A, op.lam), m, n, lp, ops, operands, start)
     if isinstance(op, Add):
-        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, mod, start)
+        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, operands, start)
     if isinstance(op, Pow):
         B = power_subst(A, op.k)
-        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, mod, start)
+        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, operands, start)
     if isinstance(op, Inv):
         B = reverse(A)
-        C = _eval_aux(B, m, n, lp, ops, mod, start)
-        return mul_trunc(C, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
+        C = _eval_aux(B, m, n, lp, ops, operands, start)
+        return mul_trunc(C, operands[ell, m], n)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
+        powers = operands[ell]
         parts = split(A, op.k)
         outs = [
-            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, mod, start)
+            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, operands, start)
             for i in range(op.k)
         ]
         return lincomb(outs, powers, n)
     if isinstance(op, Exp):
-        return _eval_aux(exp_map(A, n), n, n, lp, ops, mod, start)
+        return _eval_aux(exp_map(A, n), n, n, lp, ops, operands, start)
     if isinstance(op, Log):
-        return _eval_aux(log_map(A, n), n, n, lp, ops, mod, start)
+        return _eval_aux(log_map(A, n), n, n, lp, ops, operands, start)
     raise TypeError(f"unknown operator {op!r}")
 
 
@@ -378,42 +352,42 @@ def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
     or Log (compseq._shifts_cancel)."""
     mod = A.mod
     mod.check_precision(n)
-    _prepare(ops, n, mod)
-    return _eval_aux(truncate(A, n), n, n, len(ops), ops, mod, start)
+    operands = _prepare(ops, n, mod)
+    return _eval_aux(truncate(A, n), n, n, len(ops), ops, operands, start)
 
 
-def _eval_aux_t(A, m, n, ell, ops, mod, start):
+def _eval_aux_t(A, m, n, ell, ops, operands, start):
     if ell == start:
         return truncate(A, m)
     op = ops[ell - 1]
     lp = ell - 1
     if isinstance(op, Mul):
-        B = _eval_aux_t(A, m, n, lp, ops, mod, start)
+        B = _eval_aux_t(A, m, n, lp, ops, operands, start)
         return scale(B, op.lam)
     if isinstance(op, Add):
-        B = _eval_aux_t(A, m, n, lp, ops, mod, start)
+        B = _eval_aux_t(A, m, n, lp, ops, operands, start)
         return taylor_shift_t(B, op.a)
     if isinstance(op, Pow):
-        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, mod, start)
+        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, operands, start)
         return power_subst_t(B, op.k, m)
     if isinstance(op, Inv):
-        B = mul_trunc_t(A, _kept(mod, _unit_pow_key(ops, lp, 1 - m, n)), n)
-        C = _eval_aux_t(B, m, n, lp, ops, mod, start)
+        B = mul_trunc_t(A, operands[ell, m], n)
+        C = _eval_aux_t(B, m, n, lp, ops, operands, start)
         return reverse(C)
     if isinstance(op, Root):
         dims = find_degrees(m, op.k)
-        powers = _kept(mod, _root_powers_key(ops, ell, op.k, n))
+        powers = operands[ell]
         parts = lincomb_t(A, powers)
         outs = [
-            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, mod, start)
+            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, operands, start)
             for i in range(op.k)
         ]
         return split_t(outs, m)
     if isinstance(op, Exp):
-        B = _eval_aux_t(A, n, n, lp, ops, mod, start)
+        B = _eval_aux_t(A, n, n, lp, ops, operands, start)
         return exp_map_t(B, m)
     if isinstance(op, Log):
-        B = _eval_aux_t(A, n, n, lp, ops, mod, start)
+        B = _eval_aux_t(A, n, n, lp, ops, operands, start)
         return log_map_t(B, m)
     raise TypeError(f"unknown operator {op!r}")
 
@@ -422,8 +396,8 @@ def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
     """Transpose of eval_seq(., ops, n, start)."""
     mod = A.mod
     mod.check_precision(n)
-    _prepare(ops, n, mod)
-    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, mod, start)
+    operands = _prepare(ops, n, mod)
+    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, operands, start)
 
 
 def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
@@ -513,14 +487,32 @@ def _shifts_cancel(g0, rev_ops):
     return g0 != 0 and all(isinstance(op, (Add, Mul, Exp, Log)) for op in rev_ops)
 
 
+def _inverse_plan(ops, n: int, mod: Modulus):
+    """(rev_ops, start, shift) with eval_seq_inv(., ops, n) the evaluation at
+    rev_ops from start and then a Taylor shift by shift (_inverse_reduction):
+    start = 1 and shift = 0 where the shift cancels the leading Add of
+    rev_ops (_shifts_cancel), start = 0 and shift = -g(0) otherwise."""
+    g0, rev_ops = _inverse_reduction(ops, n, mod)
+    if _shifts_cancel(g0, rev_ops):
+        return rev_ops, 1, 0
+    return rev_ops, 0, -g0 % mod.p
+
+
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
     mod = A.mod
     mod.check_precision(n)
-    g0, rev_ops = _inverse_reduction(ops, n, mod)
-    if _shifts_cancel(g0, rev_ops):
-        return eval_seq(A, rev_ops, n, start=1)
-    return taylor_shift(eval_seq(truncate(A, n), rev_ops, n), -g0 % mod.p)
+    rev_ops, start, shift = _inverse_plan(ops, n, mod)
+    return taylor_shift(eval_seq(A, rev_ops, n, start), shift)
+
+
+def eval_inv_transposed(A: Poly, ops, n: int) -> Poly:
+    """Transpose of eval_seq_inv(., ops, n): the transposed shift, then the
+    reversed sequence evaluated transposed (_inverse_plan)."""
+    mod = A.mod
+    mod.check_precision(n)
+    rev_ops, start, shift = _inverse_plan(ops, n, mod)
+    return eval_seq_t(taylor_shift_t(truncate(A, n), shift), rev_ops, n, start)
 
 
 # -- the matrices of the maps on int64 rows, n <= LEAF_SIZE --------------------

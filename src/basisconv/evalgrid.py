@@ -30,7 +30,7 @@ principle; Bostan, Lecerf & Schost, ISSAC 2003):
 - combine_t, top-down: a child takes W[j + h] + sum_t low_S[t] W[t + j], j < h,
   from its parent's W, S its sibling.  That middle product wraps into none of
   the coefficients it reads at cyclic size s, where W read backwards
-  (modfield._backwards) times the sibling's kept image gives it reversed;
+  cyclically from W[h - 1] times the sibling's kept image gives it reversed;
   one image of W meets the images of both children.
 
 Both passes stop at the leaf level K = log2 b, b = min(LEAF_SIZE, 2^depth), on
@@ -74,7 +74,6 @@ from .modfield import (
     Modulus,
     Poly,
     _arange,
-    _backwards,
     _convolve,
     _dense_mul,
     _fit,
@@ -300,7 +299,10 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             nxt = np.empty((-(-n // h), h), dtype=self.dtype)
             if nf:
-                wimg = _image_by(mod, _backwards(w[:nf], s, h), self.img[k - 1])
+                # W[h - 1], ..., W[0], W[s - 1], ..., W[h]: coefficient
+                # h - 1 - j of its product by S mod x^s - 1 is
+                # sum_t S[t] W[j + t], j < h
+                wimg = _image_by(mod, np.roll(w[:nf, ::-1], -h, axis=1), self.img[k - 1])
                 # row i of wimg meets both children of node i, and row 2i of
                 # the product, with the left child, is W_R of node i
                 mid = _image_coeffs(mod, _image_mul(mod, wimg, self.img[k - 1][: 2 * nf]), h)

@@ -56,9 +56,11 @@ _dense_mul reads too), the spectra of its operands, its class spectra with
 their temporaries, its class coefficients, on which the recombination runs
 in place, and the quotients of that recombination; the schoolbook keeps its
 large int64 rows there too.  They grow only, to the largest product the
-thread has run, so warm products map no fresh pages.  Kept images
-(_fixed_operand, the levels of evalgrid's trees), every row array a product
-returns and every cached value are fresh arrays, never work arrays.  After a
+thread has run, so warm products map no fresh pages; an array past
+WORK_KEEP_MAX (32 MiB, only past size 2^19) is made fresh and not kept.
+Kept images (_fixed_operand, the levels of evalgrid's trees), every row
+array a product returns and every cached value are fresh arrays, never work
+arrays.  After a
 warm pass of each of the benchmark's workloads a thread holds (work_bytes)
 0.11 MB on catalog_small (n <= 256), 1.8 MB on sheffer_large (n = 8192) and
 8.7 MB on algebraic_large (n = 16384).
@@ -256,18 +258,6 @@ class Modulus:
         return hash(self.p)
 
     # -- scalar field arithmetic ------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         a %= self.p
@@ -545,21 +535,6 @@ def _image_mul(mod: Modulus, X, Y, U=None, V=None):
     return Z[:, None] if scaled else Z
 
 
-def _backwards(A, size, out_len):
-    """The rows to transform in place of the rows A (each of length <= size)
-    so that their products by b mod x^size - 1, first out_len coefficients
-    reversed, are those of A by b read backwards (coefficient k of b moved to
-    -k mod size): A zero-padded to size and read from index out_len - 1
-    downwards, cyclically.  A correlation with a kept image thus reads it as
-    it is."""
-    (rows, la), k = A.shape, min(A.shape[1], out_len)
-    out = np.zeros((rows, size), dtype=A.dtype)
-    out[:, out_len - k : out_len] = A[:, k - 1 :: -1]
-    if la > out_len:
-        out[:, size + out_len - la :] = A[:, : out_len - 1 : -1]
-    return out
-
-
 def _image_coeffs(mod: Modulus, X, out_len):
     """The first out_len coefficients of every row of a product image."""
     return _transform(mod, X, _image_size(X), out_len)
@@ -611,8 +586,7 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
     if transposed:
         # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
-        # Rev(a) b, onto which a coefficient wraps only where one would onto
-        # the rows of _backwards; Rev(a) needs no zero-padded row of the size
+        # Rev(a) b; Rev(a) needs no zero-padded row of the size
         X = _image_by(mod, a[None, ::-1], fixed)
         return _fit(_image_coeffs(mod, _image_mul(mod, X, fixed), len(a))[0, ::-1], out_len)
     X = _image_by(mod, a[None], fixed)
@@ -774,14 +748,14 @@ def _scaled_layouts(p, layouts):
 # coefficients and the quotients of their recombination, and the large rows
 # of a schoolbook product on int64 rows (_convolve_schoolbook), are written
 # into arrays each thread keeps (_work_array).  They grow only, to the
-# largest product the thread has run, so repeated products reuse memory
-# already mapped instead of faulting in fresh pages.  A slot names one kind of
-# array and the buffer it lives in: slots on one buffer are never live at once
-# within a product.  The limb rows are transformed before the
-# class spectra are made, the first operand's spectra are read before its
-# class coefficients are written, and the class spectra's temporary before
-# the quotients.  Images that callers keep and every row array
-# a product returns are fresh.
+# largest product the thread has run up to WORK_KEEP_MAX bytes an array, so
+# repeated products reuse memory already mapped instead of faulting in fresh
+# pages.  A slot names one kind of array and the buffer it lives in: slots on
+# one buffer are never live at once within a product.  The limb rows are
+# transformed before the class spectra are made, the first operand's spectra
+# are read before its class coefficients are written, and the class spectra's
+# temporary before the quotients.  Images that callers keep and every row
+# array a product returns are fresh.
 _WORK_SLOTS = {
     "limbs": (0, np.float64),
     "classes": (0, np.complex128),
@@ -796,6 +770,11 @@ _WORK_SLOTS = {
 # The most views a thread keeps at once; past it they are dropped and made
 # again on use.
 WORK_VIEWS_MAX = 256
+
+# The largest work array, in bytes, a thread keeps: a larger one is made
+# fresh for its one use, so that one huge product leaves no memory behind.
+# Every product up to size 2^19 keeps its arrays (the largest is 20 MiB).
+WORK_KEEP_MAX = 32 << 20
 
 
 class _Work(threading.local):
@@ -812,13 +791,16 @@ _work = _Work()
 
 def _work_array(slot, shape):
     """The calling thread's work array of slot at shape, of the slot's dtype,
-    with whatever content its last use left."""
+    with whatever content its last use left; a fresh array, kept nowhere,
+    past WORK_KEEP_MAX bytes."""
     try:
         return _work.views[slot, shape]
     except KeyError:
         pass
     number, dtype = _WORK_SLOTS[slot]
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > WORK_KEEP_MAX:
+        return np.empty(shape, dtype)
     buf = _work.buffers.get(number)
     if buf is None or buf.nbytes < nbytes:
         # 16-byte aligned, as complex128 needs

@@ -264,24 +264,16 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
 
 
 def series_pow(g: Poly, k: int, n: int) -> Poly:
-    """g^k mod x^n for k >= 1."""
+    """g^k mod x^n for k >= 1, by repeated squaring: exact at any n."""
     mod = g.mod
     if k < 1:
         raise InvalidOperatorParam("series_pow needs k >= 1")
-    if k <= 8:
-        acc = Poly(mod, [1], n)
-        base = truncate(g, n)
-        e = k
-        while e:
-            if e & 1:
-                acc = mul_trunc(acc, base, n)
-            e >>= 1
-            if e:
-                base = mul_trunc(base, base, n)
-        return acc
-    val = truncate(g, n).valuation()
-    if val is None or val * k >= n:
-        return Poly.zero(mod, n)
-    prec = n - val * k
-    c = mod.pow(int(g.arr[val]), k)
-    return _normalized_pow(g, val, k, c, val * k, n, _integer_newton(mod, k, prec))
+    acc = Poly(mod, [1], n)
+    base = truncate(g, n)
+    while k:
+        if k & 1:
+            acc = mul_trunc(acc, base, n)
+        k >>= 1
+        if k:
+            base = mul_trunc(base, base, n)
+    return acc

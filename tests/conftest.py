@@ -23,9 +23,3 @@ def force_kernel(monkeypatch):
         monkeypatch.setattr(modfield, "_by_transform", lambda mod, la, lb: la + lb > 2)
 
     return force
-
-
-@pytest.fixture(params=["float"])
-def transforms_only(request, force_kernel):
-    """Every product through float images (force_kernel)."""
-    force_kernel()

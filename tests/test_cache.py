@@ -266,7 +266,7 @@ def test_small_conversions_keep_only_their_matrices():
             from_monomial(A, fam, n, mod)
     census = mod.cache_bytes()
     assert census["matrix"] == (39, 39 * 8 * n * n)
-    for kind in ("seq", "vu", "finv", "upow", "rootpow", "shift", "grid"):
+    for kind in ("seq", "vu", "finv", "shift", "grid"):
         assert kind not in census, kind
     assert not _holds_truncations(mod)
 
@@ -356,7 +356,7 @@ def test_cache_bytes_hold_no_truncations():
     census = mod.cache_bytes()
     assert "truncs" not in census and not _holds_truncations(mod)
     # the kept operands: unit and root powers, shift series, f, u and v
-    for kind in ("upow", "rootpow", "shift", "fvu", "vu", "finv"):
+    for kind in ("seq", "shift", "fvu", "vu", "finv"):
         entries, size = census[kind]
         assert entries > 0 and size > 0, kind
     assert sum(e for e, _ in census.values()) == len(mod._cache)

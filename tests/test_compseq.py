@@ -178,7 +178,7 @@ def test_an_operand_that_steps_misses_raises(monkeypatch):
     monkeypatch.setattr(compseq, "_steps", lambda ops, n: set())
     for ops in ((Add(1), Inv()), (Pow(2), Root(2, 1, 1))):
         for fn in (eval_seq, eval_seq_t):
-            with pytest.raises(LookupError, match="not built by _prepare"):
+            with pytest.raises(KeyError):
                 fn(A, ops, 4)
 
 

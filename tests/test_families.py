@@ -214,11 +214,12 @@ def test_matches_naive_convert(mod):
         assert back == naive_convert(fast, fam, n, "from-monomial", mod), name
 
 
-def test_transform_kernel_matches_naive_convert(transforms_only):
+def test_transform_kernel_matches_naive_convert(force_kernel):
     # products this small go to the schoolbook by default; here every product
     # goes through float images, cached operands included (a fresh modulus),
     # also over a prime without roots of unity.  The fast chain is called
     # directly: at n <= MATRIX_MAX the conversions are kept matrices
+    force_kernel()
     primes = [DEFAULT_PRIME, NO_ROOTS_PRIME]
     rng = random.Random(55)
     n = 24

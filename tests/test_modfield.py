@@ -133,10 +133,6 @@ def test_modulus_rejects_primes_beyond_the_primality_bound():
 
 
 def test_scalar_arithmetic(mod101):
-    p = 101
-    assert mod101.add(70, 70) == 39
-    assert mod101.sub(3, 5) == p - 2
-    assert mod101.mul(51, 2) == 1
     assert mod101.inv(2) == 51
     assert mod101.pow(3, -1) == mod101.inv(3)
     assert mod101.pow(7, 0) == 1
@@ -546,6 +542,20 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
         assert _rounding_error(c) < fft_error_bound(size, products, L, w)
 
 
+def test_work_arrays_past_the_keep_bound_are_not_kept(fresh_work):
+    # a product at 2^20 takes its work arrays past WORK_KEEP_MAX fresh and
+    # keeps none of them, so the thread holds at most that many bytes after
+    # it; the product still equals the closed form of constant rows
+    mod = Modulus(DEFAULT_PRIME)
+    size = PAST_2_19
+    x = worst_residue(mod.p, *mod.layout(size))
+    row = np.full(size // 2, x, dtype=np.int64)
+    k = np.arange(size - 1)
+    want = x * x % mod.p * np.minimum(k + 1, size - 1 - k) % mod.p
+    assert np.array_equal(_convolve(mod, row, row), want)
+    assert 0 < modfield.work_bytes() <= modfield.WORK_KEEP_MAX
+
+
 def _largest_scaled_sizes(p):
     """The largest size up to 2^17 of each scaled layout of p
     (Modulus.scaled_layout), as selftest checks them."""
@@ -655,10 +665,14 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
         fam = families.parse_family(conv, name)
         A = families.to_monomial(rng.integers(0, conv.p, n).tolist(), fam, n, conv)
         families.from_monomial(A, fam, n, conv)
-    kept = {"upow": [], "rootpow": [], "vu": [], "finv": []}
+    kept = {"seq": [], "vu": [], "finv": []}
     for key, value in conv._cache.items():
-        if key[0] in kept:
-            ops = value[1:] if key[0] == "finv" else value if isinstance(value, tuple) else (value,)
+        if key[0] == "seq":
+            # unit powers, and tuples of root powers
+            for ops in value.values():
+                kept["seq"] += ops if isinstance(ops, tuple) else [ops]
+        elif key[0] in kept:
+            ops = value[1:] if key[0] == "finv" else value
             kept[key[0]] += [X for X in ops if X is not None]
     a = rng.integers(0, conv.p, n)
     for kind, ops in kept.items():
