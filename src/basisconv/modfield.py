@@ -56,8 +56,10 @@ _dense_mul reads too), the spectra of its operands, its class spectra with
 their temporaries, its class coefficients, on which the recombination runs
 in place, and the quotients of that recombination; the schoolbook keeps its
 large int64 rows there too.  They grow only, to the largest product the
-thread has run, so warm products map no fresh pages; an array past
-WORK_KEEP_MAX (32 MiB, only past size 2^19) is made fresh and not kept.
+thread has run, so warm products map no fresh pages, while the thread's
+total stays within WORK_KEEP_MAX (64 MiB; a product at size 2^19 keeps 56
+MiB for the default prime): a larger array drops them all first, and one
+past the bound alone is made fresh and not kept.
 Kept images (_fixed_operand, the levels of evalgrid's trees), every row
 array a product returns and every cached value are fresh arrays, never work
 arrays.  After a
@@ -559,25 +561,28 @@ def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     return _limb_coeffs(p, X, size, out_len, w, L * MAX_SUMMED * size << 2 * w - 2)
 
 
-def _fixed_operand(mod: Modulus, b, la):
+def _fixed_operand(mod: Modulus, b, la, size=None):
     """What products of arrays of length <= la by the fixed array b keep of
     b, trimmed to its degree: its image (of one row, scaled where admitted,
     _kept_image) where such a product transforms, its coefficients
-    otherwise.  Callers cache it; _mul_fixed, mul_trunc and mul_trunc_t use
-    it."""
+    otherwise.  The image is at size, by default the products' own
+    _size(la + lb - 1); at a smaller size the products by it are taken mod
+    x^size - 1, for a caller that reads only coefficients the wrap leaves
+    alone.  Callers cache it or read it more than once; _mul_fixed,
+    mul_trunc and mul_trunc_t use it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
-        return _readonly(_kept_image(mod, b[None, :lb], _size(la + lb - 1)))
+        return _readonly(_kept_image(mod, b[None, :lb], size or _size(la + lb - 1)))
     return _readonly(b[:lb].copy())
 
 
 def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     """The first out_len coefficients of a times the operand b kept by
-    _fixed_operand: one forward and one inverse transform.  transposed: of
-    the middle product, a times b read backwards from x^(len(b) - 1) on (the
-    product by b of mul_trunc_t), read from the product of a reversed by b's
-    image."""
+    _fixed_operand, mod x^size - 1 where b is kept as an image at size: one
+    forward and one inverse transform.  transposed: of the middle product, a
+    times b read backwards from x^(len(b) - 1) on (the product by b of
+    mul_trunc_t), read from the product of a reversed by b's image."""
     if fixed.ndim == 1:
         # the product reads b below out_len (transposed: below len(a)) only
         if transposed:
@@ -595,10 +600,13 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):
     """The first out_len coefficients of a b mod x^size - 1 for 1-D a and b
-    of length <= size: through images at size, or where _by_transform picks
-    the schoolbook, the linear product folded."""
+    of length <= size: through images at size, one of a where b is a (a
+    square), or where _by_transform picks the schoolbook, the linear product
+    folded."""
     if _by_transform(mod, len(a), len(b)):
-        return _image_coeffs(mod, _product_image(mod, a[None], b[None], size), out_len)[0]
+        X = _image(mod, a[None], size, "image")
+        Y = X if b is a else _image(mod, b[None], size, "image2")
+        return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
     c = _fit(_convolve(mod, a, b), 2 * size)
     return (c[:out_len] + c[size : size + out_len]) % mod.p
 
@@ -748,13 +756,13 @@ def _scaled_layouts(p, layouts):
 # coefficients and the quotients of their recombination, and the large rows
 # of a schoolbook product on int64 rows (_convolve_schoolbook), are written
 # into arrays each thread keeps (_work_array).  They grow only, to the
-# largest product the thread has run up to WORK_KEEP_MAX bytes an array, so
-# repeated products reuse memory already mapped instead of faulting in fresh
-# pages.  A slot names one kind of array and the buffer it lives in: slots on
-# one buffer are never live at once within a product.  The limb rows are
-# transformed before the class spectra are made, the first operand's spectra
-# are read before its class coefficients are written, and the class spectra's
-# temporary before the quotients.  Images that callers keep and every row
+# largest product the thread has run, up to WORK_KEEP_MAX bytes for all of
+# them, so repeated products reuse memory already mapped instead of faulting
+# in fresh pages.  A slot names one kind of array and the buffer it lives
+# in: slots on one buffer are never live at once within a product.  The
+# limb rows are transformed before the class spectra are made, the first
+# operand's spectra are read before its class coefficients are written, and
+# the class spectra's temporary before the quotients.  Images that callers keep and every row
 # array a product returns are fresh.
 _WORK_SLOTS = {
     "limbs": (0, np.float64),
@@ -771,10 +779,14 @@ _WORK_SLOTS = {
 # again on use.
 WORK_VIEWS_MAX = 256
 
-# The largest work array, in bytes, a thread keeps: a larger one is made
-# fresh for its one use, so that one huge product leaves no memory behind.
-# Every product up to size 2^19 keeps its arrays (the largest is 20 MiB).
-WORK_KEEP_MAX = 32 << 20
+# The most bytes the work arrays of one thread hold together.  A buffer
+# that would take the total past it drops the thread's buffers first, so
+# that a huge product leaves at most this much behind and the products
+# after it grow buffers of their own size again; an array past it alone is
+# made fresh for its one use.  Every product up to size 2^19 keeps its
+# arrays: 56 MiB for the default prime at 2^19 (four buffers of 20, 20, 12
+# and 4 MiB), 76 MiB for a 40-bit prime, which exceeds it.
+WORK_KEEP_MAX = 64 << 20
 
 
 class _Work(threading.local):
@@ -792,19 +804,24 @@ _work = _Work()
 def _work_array(slot, shape):
     """The calling thread's work array of slot at shape, of the slot's dtype,
     with whatever content its last use left; a fresh array, kept nowhere,
-    past WORK_KEEP_MAX bytes."""
+    past WORK_KEEP_MAX bytes.  A buffer grown past the thread's total of
+    WORK_KEEP_MAX drops the others first: arrays handed out before stay
+    valid, each holding its own buffer."""
     try:
         return _work.views[slot, shape]
     except KeyError:
         pass
     number, dtype = _WORK_SLOTS[slot]
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if nbytes > WORK_KEEP_MAX:
+    # 16-byte aligned, as complex128 needs
+    kept = -(-nbytes // 16) * 16
+    if kept > WORK_KEEP_MAX:
         return np.empty(shape, dtype)
     buf = _work.buffers.get(number)
     if buf is None or buf.nbytes < nbytes:
-        # 16-byte aligned, as complex128 needs
-        _work.buffers[number] = buf = np.empty(-(-nbytes // 16), np.complex128).view(np.uint8)
+        if work_bytes() - (0 if buf is None else buf.nbytes) + kept > WORK_KEEP_MAX:
+            _work.buffers, _work.views = {}, {}
+        _work.buffers[number] = buf = np.empty(kept // 16, np.complex128).view(np.uint8)
         old = _work.views.items()
         _work.views = {k: v for k, v in old if _WORK_SLOTS[k[0]][0] != number}
     if len(_work.views) >= WORK_VIEWS_MAX:
@@ -986,8 +1003,12 @@ def _residues(mod: Modulus, values):
     mod.dtype."""
     if isinstance(values, np.ndarray) and values.dtype == mod.dtype:
         return values % mod.p
-    # through Python ints: entries may be negative, beyond int64 or numpy
-    # scalars, which must not enter an object array
+    a = np.asarray(values)
+    if np.can_cast(a.dtype, np.int64):
+        # integers that fit int64, read as one array (families._input_vector)
+        return a.astype(np.int64, copy=False).astype(mod.dtype, copy=False) % mod.p
+    # through Python ints: entries beyond int64, non-integers and object rows,
+    # whose numpy scalars must not enter an object array
     return (np.array([int(v) for v in values], dtype=object) % mod.p).astype(mod.dtype)
 
 
@@ -1008,13 +1029,58 @@ def _powers(mod: Modulus, lam, m):
     return out
 
 
+# Running products of arrays of more than PREFIX_SCAN_MAX entries take the
+# blocked scan (_prefix_products), in blocks of PREFIX_BLOCK entries; smaller
+# ones the doubling scan (_scan) alone.  Time in us of the running products
+# of n residues of DEFAULT_PRIME (and of 32 rows of 256), best of 15
+# interleaved on a 2-core x86-64 machine with numpy 2.4:
+#
+#   n                               256   1024   4096  16384  32768  32 x 256
+#   doubling scan                    41     90    283   1143   2488       464
+#   blocks of sqrt(n), doubling      59    100    267    883   1994       414
+#   blocks of 8, swept by column     53     92    161    399    698       282
+#   blocks of 16, swept by column    73     98    193    421    773       296
+PREFIX_SCAN_MAX = 1024
+PREFIX_BLOCK = 8
+
+
 def _prefix_products(values, p):
-    """Running products v_0 ... v_i mod p along the last axis of an array, in
-    log2(n) doubling steps (the Hillis-Steele scan)."""
-    out = values % p
-    k = 1
+    """Running products v_0 ... v_i mod p along the last axis of an array, a
+    fresh array (or a view of one).  A blocked scan past PREFIX_SCAN_MAX
+    entries: each row, padded with ones, cut into blocks of b = PREFIX_BLOCK
+    entries; the running products within every block by one sweep over the
+    b columns (b - 1 steps, each over all blocks at once); the running
+    products of the block totals, by this function on an array b times
+    shorter; and one pass that multiplies each block by the total of the
+    blocks before it.  About two passes over the array where the doubling
+    scan (_scan), which takes the smaller ones, makes log2(n)."""
+    n = values.shape[-1]
+    if values.size <= PREFIX_SCAN_MAX:
+        return _scan(values % p, p)
+    lead, b = values.shape[:-1], PREFIX_BLOCK
+    rows = -(-n // b)
+    out = np.ones(lead + (rows * b,), dtype=values.dtype)
+    np.remainder(values, p, out=out[..., :n])
+    blocks = out.reshape(lead + (rows, b))
+    for j in range(1, b):
+        col = blocks[..., j]
+        np.multiply(col, blocks[..., j - 1], out=col)
+        np.remainder(col, p, out=col)
+    carry = _prefix_products(blocks[..., :-1, -1], p)
+    rest = blocks[..., 1:, :]
+    np.multiply(rest, carry[..., None], out=rest)
+    np.remainder(rest, p, out=rest)
+    return out[..., :n]
+
+
+def _scan(out, p):
+    """The running products mod p along the last axis of out, in place, in
+    log2 of its length doubling steps (the Hillis-Steele scan)."""
+    k, t = 1, np.empty_like(out)
     while k < out.shape[-1]:
-        out[..., k:] = out[..., k:] * out[..., :-k] % p
+        # the products are read whole before any entry is replaced
+        np.multiply(out[..., k:], out[..., :-k], out=t[..., k:])
+        np.remainder(t[..., k:], p, out=out[..., k:])
         k *= 2
     return out
 

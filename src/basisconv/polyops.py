@@ -182,12 +182,13 @@ def _dense_shift(mod: Modulus, X, a: int, transposed: bool):
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod, m, p = A.mod, A.dim, A.mod.p
-    mod.check_precision(m)
     if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
+        # the Pascal product divides by nothing: any m, m >= p too
         return Poly.of(mod, _dense_shift(mod, A.arr[None], a, transposed)[0])
     # A(x + a) = Diag(a^-i / i!) Rev(Rev(Diag(i! a^i) A) P mod x^m) and its
     # transpose Diag(i! a^i) Rev((Rev(Diag(a^-i / i!) A) Rev(P)) div x^(m-1)),
-    # a middle product (Aho, Steiglitz & Ullman 1975)
+    # a middle product (Aho, Steiglitz & Ullman 1975), which divides by i!
+    mod.check_precision(m)
     up, down = _shift_diagonals(mod, a, m)
     pre, post = (down, up) if transposed else (up, down)
     B = (A.arr * pre % p)[::-1]
@@ -197,8 +198,8 @@ def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
 
 def taylor_shift(A: Poly, a: int) -> Poly:
     """A(x + a): one product by the Pascal matrix on int64 rows with
-    DENSE_MIN <= m <= LEAF_SIZE, else the factorial/convolution
-    factorization, cost M(m) + O(m)."""
+    DENSE_MIN <= m <= LEAF_SIZE, at any m, else the factorial/convolution
+    factorization, cost M(m) + O(m), which needs m < p."""
     if a % A.mod.p == 0:
         return A
     return _shift_kernel(A, a % A.mod.p, transposed=False)

@@ -9,7 +9,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainViolation, InvalidOperatorParam, PrecisionExceedsModulus
-from .modfield import Poly, _arange, _fit, _mul_cyclic, _prefix_products, _size, mul_trunc
+from .modfield import (
+    Poly,
+    _arange,
+    _by_transform,
+    _fit,
+    _fixed_operand,
+    _mul_cyclic,
+    _mul_fixed,
+    _prefix_products,
+    _size,
+    mul_trunc,
+)
 from .polyops import truncate
 
 
@@ -43,13 +54,14 @@ def _newton_inv(g: Poly, y, prec):
     """1/g mod x^prec from the array y = 1/g mod x^h, h = len(y) >= prec / 2.
 
     With g y = 1 + x^h e, one Newton step gives y - x^h (y e mod x^(prec - h)).
-    Both products run mod x^L - 1, L = _size(prec): g y mod x^prec wraps only
-    into its known coefficients below x^h, and y e mod x^(prec - h) does not
-    wrap.
+    Both products run mod x^L - 1, L = _size(prec), by one image of y
+    (_fixed_operand): g y mod x^prec wraps only into its known coefficients
+    below x^h, and y e mod x^(prec - h) does not wrap.
     """
-    mod, h, size = g.mod, len(y), _size(prec)
-    e = _mul_cyclic(mod, _fit(g.arr, prec), y, size, prec)[h:]
-    d = _mul_cyclic(mod, y, e, size, prec - h)
+    mod, h = g.mod, len(y)
+    Y = _fixed_operand(mod, y, prec, _size(prec))
+    e = _mul_fixed(mod, g.arr[:prec], Y, prec)[h:]
+    d = _mul_fixed(mod, e, Y, prec - h)
     return np.concatenate([y, (-d) % mod.p])
 
 
@@ -93,16 +105,22 @@ def series_log(g: Poly, n: int) -> Poly:
 
 
 def series_exp(g: Poly, n: int) -> Poly:
-    """exp(g) - 1 mod x^n; requires g(0) = 0 and n < p."""
+    """exp(g) - 1 mod x^n; requires g(0) = 0 and n < p.
+
+    Newton steps coupled with log: y <- y (1 + g - log y), y(0) = 1, with
+    log(y)' = g' + (y' - y g') / y.  Where y = exp(g) mod x^m the numerator
+    vanishes below x^(m-1), so the quotient mod x^(2m-1) takes 1/y only mod
+    x^m: z carries 1/y from step to step, one Newton update (_newton_inv)
+    per step.  A step from m to new = min(2m, n) multiplies by y twice, both
+    times through one image of y at L = _size(new) (_fixed_operand): y g'
+    mod x^L - 1, a cyclic middle product whose wrap lands below x^(m-1),
+    which the step does not read, and y d, which does not wrap.
+    """
     mod = g.mod
     mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("exp needs a series with zero constant term")
     p = mod.p
-    # Newton coupled with log: y <- y (1 + g - log y), y(0) = 1, with
-    # log(y)' = g' + (y' - y g') / y.  Where y = exp(g) mod x^m the numerator
-    # vanishes below x^(m-1), so the quotient mod x^(2m-1) takes 1/y only
-    # mod x^m: z carries 1/y from step to step, one Newton update per step
     y = z = Poly(mod, [1], 1)
     m = 1
     while m < n:
@@ -111,15 +129,18 @@ def series_exp(g: Poly, n: int) -> Poly:
         if z.dim < k:
             z = Poly.of(mod, _newton_inv(y, z.arr, k))
         q = _derivative(truncate(g, new))
-        # deg y' < m - 1, so (y' - y q) / y = -x^(m-1) (y q div x^(m-1)) z
-        yq = mul_trunc(y, q, new - 1).arr
+        Y = _fixed_operand(mod, y.arr, new - 1, _size(new))
+        # deg y' < m - 1, so (y' - y q) / y = -x^(m-1) (y q div x^(m-1)) z;
+        # a short q (g a polynomial) takes the schoolbook
+        lq = q.degree() + 1 or 1
+        yq = _mul_fixed(mod, q.arr[:lq], Y if _by_transform(mod, m, lq) else y.arr, new - 1)
         w = q.arr.copy()
         w[m - 1 :] -= mul_trunc(Poly.of(mod, yq[m - 1 :]), z, k).arr
         ln = _integral(Poly.of(mod, w % p), new)
         # g - log y vanishes below x^m, so y (1 + g - log y) adds only x^m y d
         d = (_fit(g.arr, new)[m:] - ln.arr[m:]) % p
         out = _fit(y.arr, new)
-        out[m:] = mul_trunc(y, Poly.of(mod, d), k).arr
+        out[m:] = _mul_fixed(mod, d, Y, k)
         y, m = Poly.of(mod, out), new
     return series_add_const(truncate(y, n), -1)
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -30,6 +32,8 @@ from basisconv.modfield import (
     _limb_coeffs,
     _limbs,
     _mul_fixed,
+    _prefix_products,
+    _residues,
     fft_error_bound,
     is_prime,
     PRIME_BOUND,
@@ -151,6 +155,55 @@ def test_factorial_tables(mod101):
     invf = mod101.inv_factorials(12)
     for k in range(12):
         assert fact[k] * invf[k] % 101 == 1
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
+def test_blocked_prefix_products_equal_running_products(p):
+    # arrays of more than PREFIX_SCAN_MAX = 1024 entries take the blocked
+    # scan in blocks of PREFIX_BLOCK = 8: rows one short of, at and one past
+    # a whole number of blocks, of one block (200 x 7 and 200 x 8) or more,
+    # 1-D and each row of a 2-D array, on both sides of the cut
+    assert (modfield.PREFIX_SCAN_MAX, modfield.PREFIX_BLOCK) == (1024, 8)
+    mod = Modulus(p)
+    rng = np.random.default_rng(35)
+    lengths = (1, 2, 7, 8, 9, 511, 1023, 1024, 1025, 1031, 1032, 1033, (1 << 15) + 3)
+    for n in lengths:
+        for shape in [(n,), (3, n)] + ([(200, n)] if n < 1024 else []):
+            values = rng.integers(0, 1 << 62, shape).astype(mod.dtype)
+            got = _prefix_products(values, p)
+            assert got.shape == shape and got.dtype == values.dtype, n
+            want = [
+                list(itertools.accumulate((int(v) for v in row), lambda a, b: a * b % p))
+                for row in values.reshape(-1, n)
+            ]
+            want = np.array(want, dtype=object).reshape(shape) % p
+            assert got.tolist() == want.tolist(), (n, shape)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40, 101])
+def test_residues_of_integer_lists(p):
+    # integer lists read as one int64 array; values beyond int64, numpy
+    # scalars among Python ints and object rows through Python ints: all
+    # reduced mod p, as fresh arrays of mod.dtype
+    mod = Modulus(p)
+    big = 1 << 70
+    cases = [
+        [3, -1, -p, p, p + 5, 2 * p - 1, -(1 << 62)],
+        [(1 << 63) - 1, -(1 << 63)],
+        [1 << 63, big, -big, 7],
+        [np.int64(-5), np.int32(7), np.uint64((1 << 64) - 1), 3],
+        [np.uint8(200), np.int16(-3)],
+        np.array([5, -big, p], dtype=object),
+        np.array([-7, 2**31 - 1], dtype=np.int32),
+        np.array([(1 << 64) - 1, 2], dtype=np.uint64),
+        [True, False],
+        [],
+    ]
+    for values in cases:
+        got = _residues(mod, values)
+        assert got.dtype == mod.dtype and got is not values, values
+        assert got.tolist() == [operator.index(v) % p for v in values], values
+        assert all(type(v) is int for v in got.tolist())
 
 
 def test_precision_guard(mod101):
@@ -540,6 +593,24 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     for products in (1, 2):
         c = np.fft.irfft(_image_mul(mod, *[X, X] * products), size, axis=-1)
         assert _rounding_error(c) < fft_error_bound(size, products, L, w)
+
+
+def test_work_arrays_bound_the_thread_total(fresh_work):
+    # a product at 2^19 keeps its work arrays (56 MiB), so that a second one
+    # maps no new buffer; the products at 2^20 of oracle.constant_rows_agree,
+    # plain and by a scaled image, leave the thread within WORK_KEEP_MAX in
+    # all, where each used to keep its arrays up to that bound apiece
+    mod = Modulus(DEFAULT_PRIME)
+    rng = np.random.default_rng(36)
+    a, b = rng.integers(0, mod.p, (2, 1 << 18))
+    want = _convolve(mod, a, b)
+    held = dict(modfield._work.buffers)
+    assert modfield.work_bytes() == sum(buf.nbytes for buf in held.values()) >= 56 << 20
+    assert np.array_equal(_convolve(mod, a, b), want)
+    assert modfield._work.buffers.keys() == held.keys()
+    assert all(modfield._work.buffers[k] is held[k] for k in held)
+    assert oracle.constant_rows_agree(mod, PAST_2_19)
+    assert 0 < modfield.work_bytes() <= modfield.WORK_KEEP_MAX
 
 
 def test_work_arrays_past_the_keep_bound_are_not_kept(fresh_work):

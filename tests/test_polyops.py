@@ -2,10 +2,19 @@ import random
 
 import pytest
 
-from basisconv import DEFAULT_PRIME, DimensionMismatch, Modulus, Poly, modfield, polyops
+from basisconv import (
+    DEFAULT_PRIME,
+    DimensionMismatch,
+    Modulus,
+    Poly,
+    PrecisionExceedsModulus,
+    modfield,
+    polyops,
+)
 from basisconv.oracle import horner_compose
 from basisconv.polyops import (
     DENSE_MIN,
+    LEAF_SIZE,
     diagonal,
     find_degrees,
     lincomb,
@@ -81,6 +90,24 @@ def test_taylor_shift_matches_horner(mod101):
         g = Poly(mod101, [a, 1], max(m, 2))   # x + a
         want = horner_compose(A, g, m)
         assert taylor_shift(A, a).coeffs == want.coeffs
+
+
+def test_dense_shifts_past_the_modulus(mod101):
+    # the Pascal product divides by nothing, so a shift of dimension m >= p
+    # on int64 rows with m <= LEAF_SIZE equals Horner's, both ways; the
+    # factorial kernel, which divides by i!, refuses m >= p
+    rng = random.Random(18)
+    for m in (101, 150, LEAF_SIZE):
+        A = Poly(mod101, [rng.randrange(101) for _ in range(m)], m)
+        B = Poly(mod101, [rng.randrange(101) for _ in range(m)], m)
+        a = rng.randrange(1, 101)
+        shifted = taylor_shift(A, a)
+        assert shifted == horner_compose(A, Poly(mod101, [a, 1], 2), m), m
+        assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), m
+    A = Poly(mod101, [1] * (LEAF_SIZE + 1))
+    for shift in (taylor_shift, taylor_shift_t):
+        with pytest.raises(PrecisionExceedsModulus):
+            shift(A, 3)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1099489607681])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -275,6 +276,100 @@ def test_square_root_transforms_at_its_precision(mod, monkeypatch):
     g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     series_root(g, 2, 1, 0, n)
     assert sizes and max(sizes) == n
+
+
+def _kernel_digest(p, n):
+    """sha256 of the Newton kernels' results on a seeded dense series of
+    precision n: the inverse and square root (series_inv, series_root) and,
+    where n < p, exp (series_exp) and the unit powers g^-1, g^(1/2) and
+    g^(1 - n) (exp o log)."""
+    mod = Modulus(p)
+    rng = random.Random(n)
+    tail = [rng.randrange(p) for _ in range(n - 1)]
+    alpha = rng.randrange(1, p)
+    g = Poly(mod, [alpha * alpha % p] + tail, n)
+    outs = [series_inv(g, n), series_root(g, 2, alpha, 0, n)]
+    if n < p:
+        outs += [
+            series_exp(Poly(mod, [0] + tail, n), n),
+            unit_pow(g, -1, n),
+            unit_pow(g, mod.inv(2), n),
+            unit_pow(g, 1 - n, n),
+        ]
+    h = hashlib.sha256()
+    for out in outs:
+        h.update(np.asarray(out.arr, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# _kernel_digest as computed by the kernels that transformed each operand of
+# a Newton step once per product; the series are unique, so every correct
+# kernel gives them bit for bit.  The sizes are no powers of two and lie on
+# both sides of _by_transform, which the forced runs move to the transforms
+KERNEL_DIGESTS = {
+    (DEFAULT_PRIME, 16387): "b43fe02f0539b5b8e6aac79de7e88f7d0235e0e04b156e14fa22952151ce6224",
+    (DEFAULT_PRIME, 300): "aaf9c60cff8bcb0f12aae939eff2f911b87f110d9aa922b5d4f74c5a2ee50df2",
+    (P40, 3000): "e6c90abdd9b49e1c2185d796ad273f1917a39f5f185f8c5227e1f00418b3b46e",
+    (P40, 200): "4fca958f6c33b70e8dfa12cc63b616cd50ba9d46b829f5fad1ad73bfbeb6472b",
+    (101, 100): "520cc0dad7f708d0385c72d128dbbc1260de56297f15040ce6ee0f43b1603273",
+    (101, 1000): "304f7cea6114a8f10d225f2a5e0a1cef1ea2a0dbfe0e4cfa315ee5f5314c2ef9",
+}
+
+
+@pytest.mark.parametrize(
+    "p, n, forced",
+    [(p, n, False) for p, n in KERNEL_DIGESTS]
+    + [(p, n, True) for p, n in KERNEL_DIGESTS if n <= 1000],
+)
+def test_newton_kernels_match_the_previous_kernels(p, n, forced, force_kernel):
+    if forced:
+        force_kernel()
+    assert _kernel_digest(p, n) == KERNEL_DIGESTS[p, n]
+
+
+def _transforms(monkeypatch):
+    """A list that records (forward or not) for each call of
+    modfield._transform from now on."""
+    calls = []
+    transform = modfield._transform
+
+    def recorded(m, X, size, out_len=None, slot=None):
+        calls.append(out_len is None)
+        return transform(m, X, size, out_len, slot)
+
+    monkeypatch.setattr(modfield, "_transform", recorded)
+    return calls
+
+
+def _counts(calls):
+    return sum(calls), len(calls) - sum(calls)
+
+
+def test_newton_steps_transform_each_operand_once(mod, monkeypatch):
+    # (forward, inverse) transforms of one step at 4096: _newton_inv
+    # transforms y once for g y and y e; a series_exp step takes that
+    # _newton_inv step for 1/y, y g' and y d by one image of y, and
+    # (y g' div x^(m-1)) / y; a square-root step takes the _newton_inv step
+    # for 1/s, s^2 by one image of s, and the correction times 1/s
+    rng = random.Random(34)
+    n = 4096
+    g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
+    g0 = Poly(mod, [0] + g.coeffs[1:], n)
+    y = seriesops._newton_inv_series(g, n // 2)
+    calls = _transforms(monkeypatch)
+    seriesops._newton_inv(g, y, n)
+    assert _counts(calls) == (3, 2)
+    for kernel, steps in [
+        (lambda m: series_exp(g0, m), (8, 5)),
+        (lambda m: series_root(g, 2, 1, 0, m), (6, 4)),
+    ]:
+        # the last step of a kernel at n: its steps at n / 2 less
+        calls.clear()
+        kernel(n // 2)
+        before = _counts(calls)
+        calls.clear()
+        kernel(n)
+        assert tuple(np.subtract(_counts(calls), before)) == steps
 
 
 def _by_products(g, k, n):
