@@ -4,20 +4,23 @@ A composition sequence is a list of power-series operators (add, mul, power,
 root, inverse, exp, log) that, applied in order starting from the identity
 series x, builds a target series g.  This module computes the staggered
 truncations of every intermediate series, evaluates the linear map
-A -> A(g) mod x^n by structural recursion over the sequence, and provides
-the transposed and inverse maps.  The inverse evaluates the reversed
-sequence, which computes the compositional inverse of g - g(0) from the
-truncations of g, and then shifts by -g(0): no other reduction is needed.
-Where that sequence is Add(g(0)) followed by Add, Mul, Exp and Log alone, the
-shift undoes the leading Add exactly, and the evaluation starts after it.
+A -> A(g) mod x^n, and provides the transposed and inverse maps.  The inverse
+evaluates the reversed sequence, which computes the compositional inverse of
+g - g(0) from the truncations of g, and then shifts by -g(0): no other
+reduction is needed.  Where that sequence is Add(g(0)) followed by Add, Mul,
+Exp and Log alone, the shift undoes the leading Add exactly, and the
+evaluation starts after it.
 
-The evaluation reads the truncations only through input-independent operands,
-the unit powers of Inv and the root powers of Root: the first evaluation of a
-sequence at a precision (_prepare) builds all of them from one set of
-truncations, which it then drops, and keeps them in one cache entry per
-sequence and precision.  The leading coefficients and the inverse reduction
-are kept apart (_lead_info), so that the inverse alone builds no operand of
-the forward evaluation.
+The first evaluation of a sequence at a precision (_prepare) compiles it into
+linear steps over numbered rows (_compile), each a function of polyops,
+modfield or evalgrid paired with its transpose: eval_seq runs them in order
+and eval_seq_t runs their transposes last first, as the transposition
+principle gives it (Bostan, Lecerf & Schost, "Tellegen's principle into
+practice", ISSAC 2003).  The steps read the truncations only through
+input-independent operands, the unit powers of Inv and the root powers of
+Root, built from one set of truncations, which is then dropped.  The leading
+coefficients and the inverse reduction are kept apart (_lead_info), so that
+the inverse alone builds no operand of the forward evaluation.
 """
 
 from __future__ import annotations
@@ -231,56 +234,111 @@ def _output_series(ops, n, mod) -> Poly:
     return compute_g(ops, max(n, 2), mod).g[-1]
 
 
-def _prepare(ops, n: int, mod: Modulus):
-    """The operands the evaluation of ops at precision n reads, forward or
-    transposed, kept as the one entry ("seq", ops, n), each for products of
-    length <= n (_fixed_operand): under (ell, m) the unit power g^(1 - m)
-    mod x^n of the input g of the Inv at step ell on K[x]_m, under ell the
-    root powers (1, h, ..., h^(k-1)) mod x^n of the output h of the Root at
-    step ell, for the pairs _steps lists.  The first call builds them from
-    one set of truncations at precision max(n, 2), which is then dropped;
-    _lead_info at n comes from the same set where it is not kept yet.
-    Raises as compute_g does where ops is not defined at max(n, 2): at n = 1
-    a truncation at precision 1 before a Root can be zero where the series
-    is not."""
+def _prepare(ops, n: int, mod: Modulus, start=0):
+    """The program of eval_seq(., ops, n, start) and of its transpose
+    (_compile), kept as the one entry ("seq", ops, n, start).  The first call
+    builds it from one set of truncations at precision max(n, 2), which is
+    then dropped; _lead_info at n comes from the same set where it is not
+    kept yet.  Raises as compute_g does where ops is not defined at max(n, 2):
+    at n = 1 a truncation at precision 1 before a Root can be zero where the
+    series is not."""
     ops, prec = tuple(ops), max(n, 2)
 
     def build():
         truncs = compute_g(ops, prec, mod)
-        operands = {}
-        for ell, m in _steps(ops, n):
-            op = ops[ell - 1]
-            if isinstance(op, Inv):
+        program = _compile(ops, n, start, truncs, mod)
+        mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
+        return program
+
+    return mod.cached(("seq", ops, n, start), build)
+
+
+def _compile(ops, n, start, truncs, mod):
+    """(steps, dims): A -> A(g) mod x^n for the output g of ops, the
+    operators after the first start alone (eval_seq), as linear steps over
+    rows numbered as they are made, row 0 the input, the last row the output
+    and dims[r] the dimension of row r.  A step is the pair
+    ((f, src, dst, args), (f_t, dst, src, args_t)): rows dst = f(rows src,
+    *args) and its transpose rows src = f_t(rows dst, *args_t), src and dst
+    each a row or a tuple of rows (_run), f and f_t as this module's
+    namespace binds them now.  The Inv at step ell on K[x]_m multiplies by
+    the unit power g^(1 - m) mod x^n of its input g, the Root at step ell by
+    the root powers (1, h, ..., h^(k-1)) mod x^n of its output h, each kept
+    for products of length <= n (_fixed_operand) and built once per (ell, m)
+    or ell: a Root whose parts have equal dimensions reaches the steps below
+    it twice."""
+    steps, dims, operands = [], [n], {}
+
+    def step(f, f_t, src, out, args=(), args_t=()):
+        # out: the dimension of the row made, or a tuple of them
+        if isinstance(out, tuple):
+            dst = tuple(range(len(dims), len(dims) + len(out)))
+            dims.extend(out)
+        else:
+            dst = len(dims)
+            dims.append(out)
+        steps.append(((f, src, dst, args), (f_t, dst, src, args_t)))
+        return dst
+
+    def walk(src, ell):
+        """The steps from row src, the input of operator ell, to its image
+        in K[x]_n; that row."""
+        m = dims[src]
+        if ell == start:
+            return step(truncate, truncate, src, n, (n,), (m,))
+        op = ops[ell - 1]
+        if isinstance(op, Mul):
+            return walk(step(scale, scale, src, m, (op.lam,), (op.lam,)), ell - 1)
+        if isinstance(op, Add):
+            return walk(step(taylor_shift, taylor_shift_t, src, m, (op.a,), (op.a,)), ell - 1)
+        if isinstance(op, Pow):
+            k = op.k
+            return walk(
+                step(power_subst, power_subst_t, src, k * (m - 1) + 1, (k,), (k, m)), ell - 1
+            )
+        if isinstance(op, Exp):
+            return walk(step(exp_map, exp_map_t, src, n, (n,), (m,)), ell - 1)
+        if isinstance(op, Log):
+            return walk(step(log_map, log_map_t, src, n, (n,), (m,)), ell - 1)
+        if isinstance(op, Inv):
+            if (ell, m) not in operands:
                 g = unit_pow(_series_at(truncs, mod, ell - 1, n), 1 - m, n)
                 operands[ell, m] = _fixed_operand(mod, g.arr, n)
-            elif isinstance(op, Root) and ell not in operands:
+            inner = walk(step(reverse, reverse, src, m), ell - 1)
+            args = (operands[ell, m], n)
+            return step(mul_trunc, mul_trunc_t, inner, n, args, args)
+        if isinstance(op, Root):
+            if ell not in operands:
                 h, powers = _series_at(truncs, mod, ell, n), [Poly(mod, [1], n)]
                 for _ in range(1, op.k):
                     powers.append(mul_trunc(powers[-1], h, n))
                 operands[ell] = tuple(_fixed_operand(mod, P.arr, n) for P in powers)
-        mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
-        return operands
+            dims_out = tuple(max(d, 1) for d in find_degrees(m, op.k))
+            parts = step(split, split_t, src, dims_out, (op.k,), (m,))
+            outs = tuple(walk(part, ell - 1) for part in parts)
+            return step(lincomb, lincomb_t, outs, n, (operands[ell], n), (operands[ell],))
+        raise TypeError(f"unknown operator {op!r}")
 
-    return mod.cached(("seq", ops, n), build)
+    try:
+        walk(0, len(ops))
+    finally:
+        del walk  # it refers to itself: that cycle would keep truncs until a collection
+    return tuple(steps), tuple(dims)
 
 
-def _steps(ops, n):
-    """The pairs (ell, m), ell >= 1, at which the evaluation at precision n,
-    forward or transposed, applies operator ell to K[x]_m."""
-    seen, todo = set(), [(len(ops), n)]
-    while todo:
-        ell, m = todo.pop()
-        if ell == 0 or (ell, m) in seen:
-            continue
-        seen.add((ell, m))
-        op = ops[ell - 1]
-        if isinstance(op, Pow):
-            todo.append((ell - 1, op.k * (m - 1) + 1))
-        elif isinstance(op, Root):
-            todo += [(ell - 1, max(d, 1)) for d in find_degrees(m, op.k)]
+def _run(steps, rows, side):
+    """Runs side 0 (forward) or 1 (transposed) of each of steps (_compile),
+    in the order given, on the dict {row: Poly} rows; each row is read by
+    one step, which drops it."""
+    pop = rows.pop
+    for step in steps:
+        f, src, dst, args = step[side]
+        out = f(pop(src) if src.__class__ is int else [pop(i) for i in src], *args)
+        if dst.__class__ is int:
+            rows[dst] = out
         else:
-            todo.append((ell - 1, n if isinstance(op, (Exp, Log)) else m))
-    return seen
+            rows.update(zip(dst, out))
+    return rows
 
 
 def _lead_info(ops, n, mod):
@@ -312,92 +370,26 @@ def _leads(ops, n, mod):
     return _lead_info(ops, n, mod)[0]
 
 
-def _eval_aux(A, m, n, ell, ops, operands, start):
-    if ell == start:
-        return truncate(A, n)
-    op = ops[ell - 1]
-    lp = ell - 1
-    if isinstance(op, Mul):
-        return _eval_aux(scale(A, op.lam), m, n, lp, ops, operands, start)
-    if isinstance(op, Add):
-        return _eval_aux(taylor_shift(A, op.a), m, n, lp, ops, operands, start)
-    if isinstance(op, Pow):
-        B = power_subst(A, op.k)
-        return _eval_aux(B, op.k * (m - 1) + 1, n, lp, ops, operands, start)
-    if isinstance(op, Inv):
-        B = reverse(A)
-        C = _eval_aux(B, m, n, lp, ops, operands, start)
-        return mul_trunc(C, operands[ell, m], n)
-    if isinstance(op, Root):
-        dims = find_degrees(m, op.k)
-        powers = operands[ell]
-        parts = split(A, op.k)
-        outs = [
-            _eval_aux(parts[i], max(dims[i], 1), n, lp, ops, operands, start)
-            for i in range(op.k)
-        ]
-        return lincomb(outs, powers, n)
-    if isinstance(op, Exp):
-        return _eval_aux(exp_map(A, n), n, n, lp, ops, operands, start)
-    if isinstance(op, Log):
-        return _eval_aux(log_map(A, n), n, n, lp, ops, operands, start)
-    raise TypeError(f"unknown operator {op!r}")
-
-
 def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
     """A(g) mod x^n where g is the series output by the sequence; raises as
     compute_g does where the sequence is not defined at precision n.  With
     start = s, only the operators after the first s run, as though g_s
     were x: the B with B(g_s) = A(g) mod x^n where they are all Add, Mul, Exp
-    or Log (compseq._shifts_cancel)."""
+    or Log (compseq._shifts_cancel).  Runs the steps of the program
+    (_prepare) in order."""
     mod = A.mod
     mod.check_precision(n)
-    operands = _prepare(ops, n, mod)
-    return _eval_aux(truncate(A, n), n, n, len(ops), ops, operands, start)
-
-
-def _eval_aux_t(A, m, n, ell, ops, operands, start):
-    if ell == start:
-        return truncate(A, m)
-    op = ops[ell - 1]
-    lp = ell - 1
-    if isinstance(op, Mul):
-        B = _eval_aux_t(A, m, n, lp, ops, operands, start)
-        return scale(B, op.lam)
-    if isinstance(op, Add):
-        B = _eval_aux_t(A, m, n, lp, ops, operands, start)
-        return taylor_shift_t(B, op.a)
-    if isinstance(op, Pow):
-        B = _eval_aux_t(A, op.k * (m - 1) + 1, n, lp, ops, operands, start)
-        return power_subst_t(B, op.k, m)
-    if isinstance(op, Inv):
-        B = mul_trunc_t(A, operands[ell, m], n)
-        C = _eval_aux_t(B, m, n, lp, ops, operands, start)
-        return reverse(C)
-    if isinstance(op, Root):
-        dims = find_degrees(m, op.k)
-        powers = operands[ell]
-        parts = lincomb_t(A, powers)
-        outs = [
-            _eval_aux_t(parts[i], max(dims[i], 1), n, lp, ops, operands, start)
-            for i in range(op.k)
-        ]
-        return split_t(outs, m)
-    if isinstance(op, Exp):
-        B = _eval_aux_t(A, n, n, lp, ops, operands, start)
-        return exp_map_t(B, m)
-    if isinstance(op, Log):
-        B = _eval_aux_t(A, n, n, lp, ops, operands, start)
-        return log_map_t(B, m)
-    raise TypeError(f"unknown operator {op!r}")
+    steps, dims = _prepare(ops, n, mod, start)
+    return _run(steps, {0: truncate(A, n)}, 0)[len(dims) - 1]
 
 
 def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
-    """Transpose of eval_seq(., ops, n, start)."""
+    """Transpose of eval_seq(., ops, n, start): the transposes of the steps
+    of its program, last first."""
     mod = A.mod
     mod.check_precision(n)
-    operands = _prepare(ops, n, mod)
-    return _eval_aux_t(truncate(A, n), n, n, len(ops), ops, operands, start)
+    steps, dims = _prepare(ops, n, mod, start)
+    return _run(reversed(steps), {len(dims) - 1: truncate(A, n)}, 1)[0]
 
 
 def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):

@@ -268,9 +268,15 @@ def _int_param(params, key, default=None):
 
 
 def _sqrt_minus_one(mod):
-    if mod.p % 4 != 1:
-        raise SpecViolation(f"p = {mod.p} has no square root of -1 (p % 4 != 1)")
-    return pow(mod.primitive_root, (mod.p - 1) // 4, mod.p)
+    """c^((p - 1)/4) for the least quadratic non-residue c mod p, found by
+    Euler's criterion c^((p - 1)/2) = -1: a square root of -1."""
+    p = mod.p
+    if p % 4 != 1:
+        raise SpecViolation(f"p = {p} has no square root of -1 (p % 4 != 1)")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
 
 
 def _build_laguerre(mod, params):
@@ -684,6 +690,7 @@ def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
     as a list of ints; raises DimensionMismatch for A of dim > n and
     DomainViolation for A over another prime."""
+    mod.check_precision(n)
     if A.dim > n:
         raise DimensionMismatch(f"dimension {A.dim} exceeds {n}")
     if A.mod.p != mod.p:

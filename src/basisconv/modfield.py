@@ -70,7 +70,6 @@ warm pass of each of the benchmark's workloads a thread holds (work_bytes)
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -150,65 +149,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_divisor(n):
-    """A proper divisor of the odd composite n: Brent's variant of Pollard's
-    rho, about n^(1/4) steps for the smallest prime factor of n."""
-    for c in range(1, n):
-        f = lambda v: (v * v + c) % n  # noqa: E731
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = f(y)
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = f(y)
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            # the batched gcd overshot: redo the last batch one step at a time
-            g = 1
-            while g == 1:
-                ys = f(ys)
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ValueError(f"no divisor found for {n}")
-
-
-def _factorize(n):
-    """Prime factorization {q: multiplicity} of n < PRIME_BOUND: small primes
-    by trial division, the cofactor split by Pollard-Brent rho."""
-    fs = {}
-    for q in _SMALL_PRIMES:
-        while n % q == 0:
-            fs[q] = fs.get(q, 0) + 1
-            n //= q
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            fs[m] = fs.get(m, 0) + 1
-        else:
-            d = _rho_divisor(m)
-            stack += [d, m // d]
-    return fs
-
-
-def _find_primitive_root(p):
-    if p == 2:
-        return 1
-    factors = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found for {p}")
-
-
 class Modulus:
     """A prime modulus with the limb layouts of its products (layout), its
     factorial tables and cached data."""
@@ -246,12 +186,6 @@ class Modulus:
         (_kept_image), fewer limbs than layout(size) gives; None where the
         bound admits no fewer (_scaled_layouts)."""
         return self._scaled.get(size)
-
-    @functools.cached_property
-    def primitive_root(self):
-        """The least primitive root mod p, found on first use: it factors
-        p - 1."""
-        return _find_primitive_root(self.p)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p

@@ -1,8 +1,10 @@
 """The per-modulus cache of input-independent data (Modulus.cached)."""
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 
 from basisconv import DEFAULT_PRIME, Add, BivariateSpec, Exp, Inv, Log, Modulus, Mul, Poly
@@ -136,6 +138,29 @@ def test_inverses_reuse_the_forward_truncations(monkeypatch):
                 seqs.add(compseq._inverse_reduction(ops, n, mod)[-1])
             again = forward if first is from_monomial else set()
             assert builds == {(ops, n): 1 + (ops in again) for ops in seqs}, (name, first)
+
+
+def test_a_compiled_program_drops_its_truncations(monkeypatch):
+    # the truncations a program is compiled from are freed as _prepare
+    # returns, by reference counting, not kept by a cycle until the next
+    # collection; the unit and root powers the steps read are kept
+    made, truncations = [], compseq._truncations
+
+    def recorded(ops, n, mod):
+        truncs = truncations(ops, n, mod)
+        made.append(weakref.ref(truncs))
+        return truncs
+
+    monkeypatch.setattr(compseq, "_truncations", recorded)
+    mod = Modulus(DEFAULT_PRIME)
+    fam = parse_family(mod, "mott")
+    gc.disable()
+    try:
+        compseq._prepare(fam.spec.h_ops, 512, mod)
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+    assert mod.cache_bytes()["seq"][1] > 0
 
 
 def _run_threads(work, count=4):

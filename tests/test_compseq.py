@@ -31,6 +31,8 @@ from basisconv import (
     validate,
 )
 from basisconv import compseq
+from basisconv.families import parse_family
+from basisconv.modfield import DEFAULT_PRIME
 from basisconv.oracle import horner_compose
 from catalog_data import catalog_sequences
 
@@ -170,16 +172,43 @@ def test_eval_of_an_undefined_sequence_raises(mod101):
                 fn(A, ops, 4)
 
 
-def test_an_operand_that_steps_misses_raises(monkeypatch):
-    # the evaluation reads the unit and root powers that _prepare built for
-    # the pairs _steps lists; one it did not list raises, not built afresh
+def test_the_evaluation_runs_the_kept_program_alone(monkeypatch):
+    # the evaluation, forward and transposed, reads the unit and root powers
+    # in the program _prepare kept; it builds no operand and no truncation
+    # afresh, and a sequence with no program kept raises where it would
     mod = Modulus(101)
     A = Poly(mod, [1, 2, 3, 4], 4)
-    monkeypatch.setattr(compseq, "_steps", lambda ops, n: set())
-    for ops in ((Add(1), Inv()), (Pow(2), Root(2, 1, 1))):
+    seqs = ((Add(1), Inv()), (Pow(2), Root(2, 1, 1)))
+    want = [(eval_seq(A, ops, 4), eval_seq_t(A, ops, 4)) for ops in seqs]
+
+    def refused(*args):
+        raise KeyError("not kept")
+
+    for name in ("compute_g", "unit_pow", "_fixed_operand"):
+        monkeypatch.setattr(compseq, name, refused)
+    assert [(eval_seq(A, ops, 4), eval_seq_t(A, ops, 4)) for ops in seqs] == want
+    for ops in seqs:
         for fn in (eval_seq, eval_seq_t):
             with pytest.raises(KeyError):
-                fn(A, ops, 4)
+                fn(A, ops, 5)
+
+
+def test_a_cold_prepare_builds_each_unit_power_once(monkeypatch):
+    # a Root whose parts have equal dimensions reaches the steps below it
+    # twice on one (ell, m); the Inv there multiplies by one unit power
+    # built once.  fibonacci's and mott's h have one Inv each, so its
+    # dimensions m tell its pairs (ell, m) apart
+    calls, unit_pow = [], compseq.unit_pow
+    monkeypatch.setattr(compseq, "unit_pow", lambda g, e, n: calls.append(e) or unit_pow(g, e, n))
+    for name in ("fibonacci", "mott"):
+        mod, n = Modulus(DEFAULT_PRIME), 256
+        calls.clear()
+        steps, dims = compseq._prepare(parse_family(mod, name).spec.h_ops, n, mod)
+        # the Inv reverses K[x]_m, then multiplies by its unit power
+        dims_in = [dims[src] for (f, src, _, _), _ in steps if f is compseq.reverse]
+        products = [args[0] for (f, _, _, args), _ in steps if f is mul_trunc]
+        assert sorted(calls) == sorted({1 - m for m in dims_in}), name
+        assert len({id(X) for X in products}) == len(calls) < len(products), name
 
 
 def test_reverse_sequence_jacobi(mod101):

@@ -325,9 +325,12 @@ def test_matrix_path_raises_as_the_chain(n, mod):
 
 @pytest.mark.parametrize("n, p", [(61, 61), (64, 61), (67, 67), (70, 67)])
 def test_precision_exceeds_modulus_on_both_sides(n, p):
-    # n = p is refused by check_precision, n > p already by the tables
+    # n >= p is refused by check_precision in both directions, before the
+    # tables or the prefactors, which vanish there for jacobi, meixner and
+    # krawtchouk, are read
     mod = Modulus(p)
-    for name in ("hermite", "bell"):
+    for name in ("hermite", "bell", "jacobi(alpha=3,beta=5)", "meixner(beta=5,c=7)",
+                 "krawtchouk(p=1/3,N=100)"):
         fam = parse_family(mod, name)
         with pytest.raises(PrecisionExceedsModulus):
             to_monomial([1] * n, fam, n, mod)
@@ -506,6 +509,41 @@ def test_sqrt_minus_one_requires_1_mod_4():
     mod = Modulus(101)
     with pytest.raises(SpecViolation):
         family(mod, "meixner_pollaczek", **{"lambda": 3, "s": 5, "i": 2})
+
+
+def test_meixner_pollaczek_default_i_over_41():
+    # the default i is c^((p - 1)/4) for the least quadratic non-residue c:
+    # 3^10 = 9 over p = 41, not the 32 that the least primitive root 6 gives
+    mod = Modulus(41)
+    fam = parse_family(mod, "meixner_pollaczek(lambda=3,s=5)")
+    a, n = [3, 1, 4, 1, 5, 9, 2, 6], 8
+    A = to_monomial(a, fam, n, mod)
+    for i, same in ((9, True), (32, False)):
+        fam_i = parse_family(mod, f"meixner_pollaczek(lambda=3,s=5,i={i})")
+        assert (to_monomial(a, fam_i, n, mod).coeffs == A.coeffs) == same, i
+    assert A.coeffs == naive_convert(a, fam, n, "to-monomial", mod)
+    assert from_monomial(A, fam, n, mod) == a
+
+
+def _outcome(convert):
+    try:
+        return convert()
+    except Exception as exc:   # compared by type with the oracle's
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [65, 96, 100, 101, 102])
+def test_near_the_modulus_the_chain_converts_or_raises_as_the_oracle(n, mod101):
+    # past MATRIX_MAX every conversion runs the chain; near and past p = 101
+    # each family, both ways, gives the oracle's output or raises its error
+    rng = random.Random(n)
+    for text in FAMILY_STRINGS:
+        fam = parse_family(mod101, text)
+        a = [rng.randrange(101) for _ in range(n)]
+        want = _outcome(lambda: naive_convert(a, fam, n, "to-monomial", mod101))
+        assert _outcome(lambda: to_monomial(a, fam, n, mod101).coeffs) == want, text
+        want = _outcome(lambda: naive_convert(a, fam, n, "from-monomial", mod101))
+        assert _outcome(lambda: from_monomial(Poly(mod101, a, n), fam, n, mod101)) == want, text
 
 
 def test_krawtchouk_prefactor_vanishes(mod):

@@ -28,7 +28,6 @@ from basisconv.modfield import (
     _image,
     _image_coeffs,
     _image_mul,
-    _factorize,
     _limb_coeffs,
     _limbs,
     _mul_fixed,
@@ -87,10 +86,6 @@ def test_modulus_construction(mod, mod101):
     assert [mod101.layout(1 << k) for k in (1, 26, 27, 37, 38)] == [
         (1, 8), (1, 8), (2, 4), (8, 1), None,
     ]
-    # primitive root: order p-1 exactly
-    g = mod101.primitive_root
-    assert pow(g, 100, 101) == 1
-    assert pow(g, 50, 101) != 1 and pow(g, 20, 101) != 1
     with pytest.raises(ValueError):
         Modulus(100)
 
@@ -101,32 +96,14 @@ def test_large_modulus_sets_up_fast():
     t0 = time.perf_counter()
     mod = Modulus(p)
     assert time.perf_counter() - t0 < 1.0
-    factors = _factorize(p - 1)
-    assert factors == {2: 1, (p - 1) // 2: 1}
-    g = mod.primitive_root
-    assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
-    # a cofactor of two 30-bit primes needs the rho split
-    a, b = 536870923, 1073741827
-    assert _factorize(12 * a * b) == {2: 2, 3: 1, a: 1, b: 1}
-    assert _factorize(a * a) == {a: 2}
-
-
-def test_modulus_finds_its_primitive_root_on_first_use(monkeypatch):
-    # building a Modulus factors nothing; only meixner_pollaczek's default i
-    # reads the root, and the square roots of -1 it gives are pinned, since
-    # the catalog's outputs depend on them
-    calls = []
-    factorize = modfield._factorize
-    monkeypatch.setattr(modfield, "_factorize", lambda n: calls.append(n) or factorize(n))
-    p = 1152921504606849707
-    mod = Modulus(p)
-    assert calls == [] and "primitive_root" not in vars(mod)
     assert [mod.layout(1 << k) for k in (18, 19, 34, 35)] == [(6, 11), (7, 9), (62, 1), None]
-    default = Modulus(DEFAULT_PRIME)
-    assert families._sqrt_minus_one(default) == 1728404513
+
+
+def test_square_roots_of_minus_one_are_pinned():
+    # meixner_pollaczek's default i is c^((p - 1)/4) for the least quadratic
+    # non-residue c; the catalog's outputs depend on it
+    assert families._sqrt_minus_one(Modulus(DEFAULT_PRIME)) == 1728404513
     assert families._sqrt_minus_one(Modulus(P40)) == 874192144897
-    assert calls == [DEFAULT_PRIME - 1, P40 - 1]
-    assert default.primitive_root == 31
 
 
 def test_modulus_rejects_primes_beyond_the_primality_bound():
@@ -739,9 +716,11 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
     kept = {"seq": [], "vu": [], "finv": []}
     for key, value in conv._cache.items():
         if key[0] == "seq":
-            # unit powers, and tuples of root powers
-            for ops in value.values():
-                kept["seq"] += ops if isinstance(ops, tuple) else [ops]
+            # unit powers, and tuples of root powers, in the program's steps
+            for (_, _, _, args), _ in value[0]:
+                for arg in args:
+                    ops = arg if isinstance(arg, tuple) else [arg]
+                    kept["seq"] += [X for X in ops if isinstance(X, np.ndarray)]
         elif key[0] in kept:
             ops = value[1:] if key[0] == "finv" else value
             kept[key[0]] += [X for X in ops if X is not None]
