@@ -5,6 +5,10 @@ The coefficient matrix of such a series factors as
     Mul(., u) o Eval(., g) o Diag(f_k) o Eval^t(., h) o Mul^t(., v)
 
 which reduces the map, and its inverse, to the composition machinery.
+_factors lists the factors of one direction, in the order they apply, once
+for both of its consumers: the chain, which runs them as steps kept in the
+one cache entry ("chain", spec, n, inverse), and _bivariate_matrix, which
+multiplies their matrices for the small n that families keeps as matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .compseq import (
     eval_seq_inv,
     eval_seq_t,
 )
-from .errors import SingularDiagonal, SpecViolation
+from .errors import DomainViolation, SingularDiagonal, SpecViolation
 from .modfield import (
     Modulus,
     Poly,
@@ -59,11 +63,6 @@ def _series_poly(mod, coeffs_fn, n):
     return Poly(mod, coeffs_fn(n), n)
 
 
-def _fixed(mod, P, n):
-    """P kept for products of length <= n (modfield._fixed_operand)."""
-    return None if P is None else _fixed_operand(mod, P.arr, n)
-
-
 def check_spec(spec: BivariateSpec, n: int, mod: Modulus):
     """Validate the factorization hypotheses numerically at precision n:
     g(0)h(0) = 0 and g'(0), h'(0), u(0), v(0) all nonzero."""
@@ -95,129 +94,118 @@ def _spec_vectors(spec, n, mod):
     return mod.cached(("fvu", spec, n), build)
 
 
-def _forward_vectors(spec, n, mod):
-    """(v, u) kept for their products or None at precision n, cached."""
-
-    def build():
-        v, u = _spec_vectors(spec, n, mod)[1:]
-        return _fixed(mod, v, n), _fixed(mod, u, n)
-
-    return mod.cached(("vu", spec, n), build)
+def _check_input(A, mod):
+    """Raises DomainViolation unless A is a Poly over the prime of mod."""
+    if not isinstance(A, Poly):
+        raise DomainViolation(f"expected a Poly over p = {mod.p}, got {type(A).__name__}")
+    if A.mod.p != mod.p:
+        raise DomainViolation(f"polynomial over p = {A.mod.p}, conversion over p = {mod.p}")
 
 
-def _inverse_series(spec, n, mod):
-    """(1/f_k array, then 1/u and 1/v as Poly or None) at precision n, made
-    afresh; raises SingularDiagonal at the first vanishing f_k."""
+def _factors(spec, n, mod, inverse):
+    """The factors of eval_bivariate at n, or with inverse of
+    eval_bivariate_inv, as (map, operand) pairs in the order they apply, a
+    product by an absent u or v left out: a product's operand is its series
+    as a Poly, a sequence map's its ops and Diag's an array.  Raises what
+    check_spec raises, then (inverse) SingularDiagonal at the first vanishing
+    f_k.  The maps are as this module's namespace binds them now."""
+    check_spec(spec, n, mod)
     f, v, u = _spec_vectors(spec, n, mod)
-    zeros = np.flatnonzero(f == 0)
-    if len(zeros):
-        raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
-    return mod.inv_array(f), *(None if P is None else series_inv(P, n) for P in (u, v))
+    if not inverse:
+        factors = ((mul_trunc_t, v), (eval_seq_t, spec.h_ops), (diagonal, f),
+                   (eval_seq, spec.g_ops), (mul_trunc, u))
+    else:
+        zeros = np.flatnonzero(f == 0)
+        if len(zeros):
+            raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
+        finv = _readonly(mod.inv_array(f))
+        uinv, vinv = (None if P is None else series_inv(P, n) for P in (u, v))
+        factors = ((mul_trunc, uinv), (eval_seq_inv, spec.g_ops), (diagonal, finv),
+                   (eval_inv_transposed, spec.h_ops), (mul_trunc_t, vinv))
+    return [(fn, x) for fn, x in factors if x is not None]
 
 
-def _inverse_vectors(spec, n, mod):
-    """_inverse_series with 1/u and 1/v kept for their products, cached."""
+def _chain(spec, n, mod, inverse):
+    """_factors as steps (map, args), each applied as map(A, *args), kept as
+    the one entry ("chain", spec, n, inverse), a product's series kept for
+    products of length <= n (modfield._fixed_operand).  Forward, the
+    programs of g and h (compseq._prepare) are built first: their
+    truncations give the leading coefficients that check_spec reads."""
 
     def build():
-        finv, uinv, vinv = _inverse_series(spec, n, mod)
-        return _readonly(finv), _fixed(mod, uinv, n), _fixed(mod, vinv, n)
+        if not inverse:
+            _prepare(spec.g_ops, n, mod)
+            _prepare(spec.h_ops, n, mod)
+        steps = []
+        for fn, x in _factors(spec, n, mod, inverse):
+            if isinstance(x, Poly):
+                x = _fixed_operand(mod, x.arr, n)
+            steps.append((fn, (x,) if fn is diagonal else (x, n)))
+        return tuple(steps)
 
-    return mod.cached(("finv", spec, n), build)
+    return mod.cached(("chain", spec, n, inverse), build)
+
+
+def _run_chain(A: Poly, spec, n, mod, inverse) -> Poly:
+    for fn, args in _chain(spec, n, mod, inverse):
+        A = fn(A, *args)
+    return A
 
 
 def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """sum_j xi_j(x) a_j mod x^n for the series sum_j xi_j t^j = u v f(g h)."""
     mod.check_precision(n)
-    # the operands of both evaluations and the leading coefficients that
-    # check_spec reads come from one set of truncations of each sequence
-    _prepare(spec.g_ops, n, mod)
-    _prepare(spec.h_ops, n, mod)
-    check_spec(spec, n, mod)
-    cur = Poly(mod, a, n)
-    f = _spec_vectors(spec, n, mod)[0]
-    v, u = _forward_vectors(spec, n, mod)
-    if v is not None:
-        cur = mul_trunc_t(cur, v, n)
-    cur = eval_seq_t(cur, spec.h_ops, n)
-    cur = diagonal(cur, f)
-    cur = eval_seq(cur, spec.g_ops, n)
-    if u is not None:
-        cur = mul_trunc(cur, u, n)
-    return cur
+    return _run_chain(Poly(mod, a, n), spec, n, mod, False)
 
 
 def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
     """Exact inverse of eval_bivariate, as a list of ints; needs every f_k
-    nonzero (k < n)."""
+    nonzero (k < n) and A a Poly over the prime of mod."""
     return _bivariate_inv(A, spec, n, mod).coeffs
 
 
 def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """eval_bivariate_inv as a Poly."""
     mod.check_precision(n)
-    check_spec(spec, n, mod)
-    finv, uinv, vinv = _inverse_vectors(spec, n, mod)
-    cur = truncate(A, n)
-    if uinv is not None:
-        cur = mul_trunc(cur, uinv, n)
-    cur = eval_seq_inv(cur, spec.g_ops, n)
-    cur = diagonal(cur, finv)
-    cur = eval_inv_transposed(cur, spec.h_ops, n)
-    if vinv is not None:
-        cur = mul_trunc_t(cur, vinv, n)
-    return cur
+    _check_input(A, mod)
+    return _run_chain(truncate(A, n), spec, n, mod, True)
 
 
 # The same maps as n x n matrices on rows, n <= LEAF_SIZE, which families keeps
-# for n <= MATRIX_MAX: products, one exact GEMM each (modfield._dense_mul), of
-# the factors' matrices, Toeplitz for u, v and their inverses, power stacks for
-# g and h (compseq._seq_matrix), none for an empty sequence.  They make none of
-# the operands the evaluations above keep, and raise what those raise.
+# for n <= MATRIX_MAX: the product of the matrices of the factors of _factors,
+# one exact GEMM (modfield._dense_mul) each: a Toeplitz matrix for a product,
+# the powers of g or h for a sequence map (compseq._seq_matrix,
+# _inverse_seq_matrix), transposed where the map is, none for an empty
+# sequence, a scaling for a diagonal.  They make none of the operands the
+# chain keeps, and raise what it raises.
 
 
-def _product(mod, *Ms):
-    """The product mod p of the n x n matrices of residues Ms, int64 or
-    float64, one exact GEMM (modfield._dense_mul) each, skipping those that
-    are None (the identity); None where all are."""
-    Ms = [M for M in Ms if M is not None]
-    X = Ms[0] if Ms else None
-    for M in Ms[1:]:
-        X = _dense_mul(mod, X.astype(np.int64, copy=False), M.astype(np.float64, copy=False))
-    return X
-
-
-def _scaled_t(mod, a, M, b):
-    """Diag(a) M^T Diag(b) mod p as int64, M None standing for the identity."""
-    if M is None:
-        return np.diag(a * b % mod.p)
-    return M.T.astype(np.int64, order="C") * a[:, None] % mod.p * b % mod.p
-
-
-def _toeplitz_of(P, n):
-    return None if P is None else _toeplitz(P.arr, n)
-
-
-def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, cinv):
-    """The int64 n x n matrix on rows of eval_bivariate at n after Diag(cinv):
-    Diag(cinv) (H V)^T Diag(f) G U, for G and H the matrices of eval_seq at g
-    and h and U and V those of the products by u and v."""
-    G = _seq_matrix(spec.g_ops, n, mod) if spec.g_ops else None
-    H = _seq_matrix(spec.h_ops, n, mod) if spec.h_ops else None
-    check_spec(spec, n, mod)
-    f, v, u = _spec_vectors(spec, n, mod)
-    left = _scaled_t(mod, cinv, _product(mod, H, _toeplitz_of(v, n)), f)
-    return _product(mod, left, G, _toeplitz_of(u, n))
-
-
-def _bivariate_inv_matrix(spec: BivariateSpec, n: int, mod: Modulus, cs):
-    """The int64 n x n matrix on rows of eval_bivariate_inv at n, then
-    Diag(cs), the factors as _bivariate_inv applies them:
-    U^-1 G^-1 Diag(1/f) (V^-1 H^-1)^T Diag(cs), for G^-1 and H^-1 the
-    matrices of eval_seq_inv at g and h and U^-1 and V^-1 those of the
-    products by 1/u and 1/v."""
-    check_spec(spec, n, mod)
-    finv, uinv, vinv = _inverse_series(spec, n, mod)
-    G = _inverse_seq_matrix(spec.g_ops, n, mod) if spec.g_ops else None
-    H = _inverse_seq_matrix(spec.h_ops, n, mod) if spec.h_ops else None
-    right = _scaled_t(mod, finv, _product(mod, _toeplitz_of(vinv, n), H), cs)
-    return _product(mod, _toeplitz_of(uinv, n), G, right)
+def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c):
+    """The int64 n x n matrix on rows of eval_bivariate at n after Diag(c),
+    or with inverse of eval_bivariate_inv at n and then Diag(c).  Forward,
+    the power stacks of g and h are built first, as the chain's programs
+    are, and give check_spec its leading coefficients."""
+    stacks = {} if inverse else {o: _seq_matrix(o, n, mod) for o in (spec.g_ops, spec.h_ops) if o}
+    factors = _factors(spec, n, mod, inverse)
+    factors = factors + [(diagonal, c)] if inverse else [(diagonal, c)] + factors
+    p, X, d = mod.p, None, np.ones(n, dtype=np.int64)     # the product: Diag(d) until X
+    for fn, x in factors:
+        if fn is diagonal:
+            if X is None:
+                d = d * x % p
+            else:
+                X = X * x % p
+            continue
+        if isinstance(x, Poly):
+            M = _toeplitz(x.arr, n)
+        elif x:
+            M = _inverse_seq_matrix(x, n, mod) if inverse else stacks[x]
+        else:
+            continue
+        if fn in (mul_trunc_t, eval_seq_t, eval_inv_transposed):
+            M = M.T
+        if X is None:
+            X = M.astype(np.int64) * d[:, None] % p
+        else:
+            X = _dense_mul(mod, X, M.astype(np.float64, copy=False))
+    return np.diag(d) if X is None else X

@@ -21,8 +21,8 @@ import numpy as np
 from .bivariate import (
     BivariateSpec,
     _bivariate_inv,
-    _bivariate_inv_matrix,
     _bivariate_matrix,
+    _check_input,
     eval_bivariate,
 )
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
@@ -666,10 +666,7 @@ def _conversion_matrix(fam: FamilyDescriptor, n: int, mod: Modulus, inverse: boo
 
     def build():
         cs, cinv = _prefactors(fam, n, mod)
-        if inverse:
-            M = _bivariate_inv_matrix(fam.spec, n, mod, cs)
-        else:
-            M = _bivariate_matrix(fam.spec, n, mod, cinv)
+        M = _bivariate_matrix(fam.spec, n, mod, inverse, cs if inverse else cinv)
         return _readonly(M.astype(np.float64))
 
     return mod.cached(("matrix", fam, n, "from" if inverse else "to"), build)
@@ -688,13 +685,12 @@ def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
 
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
-    as a list of ints; raises DimensionMismatch for A of dim > n and
-    DomainViolation for A over another prime."""
+    as a list of ints; raises DomainViolation for A no Poly over the prime of
+    mod and DimensionMismatch for A of dim > n."""
     mod.check_precision(n)
+    _check_input(A, mod)
     if A.dim > n:
         raise DimensionMismatch(f"dimension {A.dim} exceeds {n}")
-    if A.mod.p != mod.p:
-        raise DomainViolation(f"polynomial over p = {A.mod.p}, conversion over p = {mod.p}")
     if _by_matrix(mod, n):
         M = _conversion_matrix(fam, n, mod, True)
         return _dense_mul(mod, _fit(A.arr, n)[None], M)[0].tolist()

@@ -6,6 +6,7 @@ from basisconv import (
     DEFAULT_PRIME,
     Add,
     BivariateSpec,
+    DomainViolation,
     Inv,
     Modulus,
     Mul,
@@ -152,6 +153,20 @@ def test_singular_diagonal(mod):
     fam = parse_family(mod, "spread")
     with pytest.raises(SingularDiagonal):
         eval_bivariate_inv(Poly(mod, [1, 2, 3], 3), fam.spec, 3, mod)
+
+
+@pytest.mark.parametrize("n", [8, 300])
+def test_inverse_refuses_what_is_no_poly_over_mod(mod, n):
+    # a polynomial over another prime is refused, not read over mod (at
+    # n = 300 > 101 no more with the other prime's precision error), and so
+    # is a list
+    fam = parse_family(mod, "laguerre(alpha=3)")
+    a = list(range(1, n + 1))
+    with pytest.raises(DomainViolation, match="over p = 101"):
+        eval_bivariate_inv(Poly(Modulus(101), a, n), fam.spec, n, mod)
+    with pytest.raises(DomainViolation, match="got list"):
+        eval_bivariate_inv(a, fam.spec, n, mod)
+    assert eval_bivariate_inv(eval_bivariate(a, fam.spec, n, mod), fam.spec, n, mod) == a
 
 
 @pytest.mark.parametrize("text", ["E;A:1", "M:3;L;A:2;M:5", "A:1;Inv"])

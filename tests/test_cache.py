@@ -258,14 +258,13 @@ def test_threads_build_each_conversion_matrix_once(monkeypatch):
     sized = {n: {k: a[:n] for k, a in vectors.items()} for n in (17, 64)}
     want = {n: _convert_all(Modulus(DEFAULT_PRIME), sized[n], n) for n in sized}
     builds = Counter()
-    for name in ("_bivariate_matrix", "_bivariate_inv_matrix"):
-        matrix = getattr(families, name)
+    matrix = families._bivariate_matrix
 
-        def counted(spec, n, mod, c, matrix=matrix, name=name):
-            builds[name, spec, n] += 1
-            return matrix(spec, n, mod, c)
+    def counted(spec, n, mod, inverse, c):
+        builds[inverse, spec, n] += 1
+        return matrix(spec, n, mod, inverse, c)
 
-        monkeypatch.setattr(families, name, counted)
+    monkeypatch.setattr(families, "_bivariate_matrix", counted)
     mod = Modulus(DEFAULT_PRIME)
 
     def work():
@@ -291,7 +290,7 @@ def test_small_conversions_keep_only_their_matrices():
             from_monomial(A, fam, n, mod)
     census = mod.cache_bytes()
     assert census["matrix"] == (39, 39 * 8 * n * n)
-    for kind in ("seq", "vu", "finv", "shift", "grid"):
+    for kind in ("seq", "chain", "shift", "grid"):
         assert kind not in census, kind
     assert not _holds_truncations(mod)
 
@@ -380,10 +379,14 @@ def test_cache_bytes_hold_no_truncations():
         from_monomial(A, fam, n, mod)
     census = mod.cache_bytes()
     assert "truncs" not in census and not _holds_truncations(mod)
-    # the kept operands: unit and root powers, shift series, f, u and v
-    for kind in ("seq", "shift", "fvu", "vu", "finv"):
+    # the kept operands: unit and root powers, shift series, f, u and v, and
+    # each direction's steps with the operands of its products and 1/f
+    for kind in ("seq", "shift", "fvu", "chain"):
         entries, size = census[kind]
         assert entries > 0 and size > 0, kind
+    assert "vu" not in census and "finv" not in census
+    chains = [k for k in mod._cache if k[0] == "chain"]
+    assert sorted(k[3] for k in chains) == [False, False, True, True]
     assert sum(e for e, _ in census.values()) == len(mod._cache)
 
 

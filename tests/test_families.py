@@ -570,8 +570,8 @@ def test_parse_family_forms(mod):
 @pytest.mark.parametrize("n", [3, MATRIX_MAX, MATRIX_MAX + 1, 200])
 def test_from_monomial_rejects_what_to_monomial_refuses(n, mod):
     # on the kept matrices (n <= MATRIX_MAX) and on the chain: a polynomial
-    # of dimension past n, or over another prime, is refused, not truncated
-    # or read over mod
+    # of dimension past n, over another prime, or a list is refused, not
+    # truncated or read over mod
     fam = parse_family(mod, "hermite")
     rng = random.Random(n)
     a = [rng.randrange(101) for _ in range(n)]
@@ -579,6 +579,8 @@ def test_from_monomial_rejects_what_to_monomial_refuses(n, mod):
         from_monomial(Poly(mod, a + [1, 2], n + 2), fam, n, mod)
     with pytest.raises(DomainViolation):
         from_monomial(Poly(Modulus(101), a, n), fam, n, mod)
+    with pytest.raises(DomainViolation):
+        from_monomial(a, fam, n, mod)
     # a shorter polynomial over mod converts as its zero-padding
     want = from_monomial(Poly(mod, a[:-1], n), fam, n, mod)
     assert from_monomial(Poly(mod, a[:-1]), fam, n, mod) == want

@@ -713,7 +713,7 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
         fam = families.parse_family(conv, name)
         A = families.to_monomial(rng.integers(0, conv.p, n).tolist(), fam, n, conv)
         families.from_monomial(A, fam, n, conv)
-    kept = {"seq": [], "vu": [], "finv": []}
+    kept = {"seq": [], "to": [], "from": []}
     for key, value in conv._cache.items():
         if key[0] == "seq":
             # unit powers, and tuples of root powers, in the program's steps
@@ -721,9 +721,11 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
                 for arg in args:
                     ops = arg if isinstance(arg, tuple) else [arg]
                     kept["seq"] += [X for X in ops if isinstance(X, np.ndarray)]
-        elif key[0] in kept:
-            ops = value[1:] if key[0] == "finv" else value
-            kept[key[0]] += [X for X in ops if X is not None]
+        elif key[0] == "chain":
+            # the operands of the products among each direction's steps
+            kept["from" if key[3] else "to"] += [
+                args[0] for _, args in value if len(args) == 2 and isinstance(args[0], np.ndarray)
+            ]
     a = rng.integers(0, conv.p, n)
     for kind, ops in kept.items():
         images = [X for X in ops if X.ndim > 1]

@@ -9,9 +9,10 @@ compseq._apply_op.  On int64 rows the matrices of the evaluation and its
 inverse (compseq._seq_matrix, _inverse_seq_matrix) must give the same
 images.  Three primes cover the kernels: 101 (schoolbook products, one
 limb), DEFAULT_PRIME (two or three limbs on int64 rows) and a 40-bit prime
-(two to four limbs on dtype-object rows).  Over 101 the sizes stay small:
-the inverse turns each root into a power substitution, which multiplies the
-dimension by k, and a Taylor shift of dimension m needs m < p.
+(two to four limbs on dtype-object rows).  Every prime takes the sizes 3, 9
+and 40.  Over 101 the inverse's power substitutions, which multiply the
+dimension by k, make Taylor shifts of dimension m >= p; from DENSE_MIN to
+LEAF_SIZE those are dense Pascal products, which divide by nothing.
 """
 
 import random
@@ -34,7 +35,7 @@ from basisconv.compseq import _inverse_seq_matrix, _seq_matrix
 from basisconv.oracle import horner_compose
 
 P40 = 1099489607681
-SIZES = {101: (3, 9), DEFAULT_PRIME: (3, 9, 40), P40: (3, 9, 40)}
+SIZES = {101: (3, 9, 40), DEFAULT_PRIME: (3, 9, 40), P40: (3, 9, 40)}
 SEQUENCES = 30
 MAX_VALUATION = 4
 
