@@ -17,10 +17,12 @@ coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
 levels, float limb spectra in the layout of their size, scaled where the
-bound admits it, as every kept image is (modfield._kept_image: from size
-2^11 to 2^15 for DEFAULT_PRIME), and of their coefficients only the ragged
-nodes and the full left child of each; data derived from a tree is computed
-on first use and kept on it.
+bound admits a sum of two products (modfield._kept_image: from size 2^11 to
+2^15 for DEFAULT_PRIME; combine sums two and combine_t's middle products
+wrap, so the levels take none of the layouts that only fixed operands whose
+products never wrap take, from 2^16 on), and of their coefficients only
+the ragged nodes and the full left child of each; data derived from a tree
+is computed on first use and kept on it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):

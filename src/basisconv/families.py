@@ -14,7 +14,7 @@ product by its n x n matrix, kept per family, n and direction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ class FamilyDescriptor:
     params: dict
     spec: BivariateSpec
     prefactor: object     # callable n -> [c_0, ..., c_{n-1}]
+    p: int | None = None  # the prime family() built it over; None if built by hand
 
     @property
     def cost_class(self):
@@ -565,7 +566,7 @@ def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
         stray = sorted(set(params) - set(fam.params))
         if stray:
             raise SpecViolation(f"{name} has no parameter {stray[0]!r}")
-        return fam
+        return replace(fam, p=mod.p)
 
     return mod.cached(("family", name, tuple(sorted(params.items()))), build)
 
@@ -672,9 +673,20 @@ def _conversion_matrix(fam: FamilyDescriptor, n: int, mod: Modulus, inverse: boo
     return mod.cached(("matrix", fam, n, "from" if inverse else "to"), build)
 
 
+def _check_prime(fam: FamilyDescriptor, mod: Modulus):
+    """Raises DomainViolation for a family built over another prime than
+    mod's, whose spec and prefactors hold residues of that prime."""
+    if fam.p is not None and fam.p != mod.p:
+        raise DomainViolation(
+            f"family {fam.name} built over p = {fam.p}, conversion over p = {mod.p}"
+        )
+
+
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
     """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n; the
-    n or fewer coefficients must be residues in [0, p)."""
+    n or fewer coefficients must be residues in [0, p).  Raises
+    DomainViolation for a family built over another prime."""
+    _check_prime(fam, mod)
     mod.check_precision(n)
     a = _fit(_input_vector(coeffs, n, mod), n)
     if _by_matrix(mod, n):
@@ -686,7 +698,9 @@ def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
 def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     """Coefficients of A on the family basis (exact inverse of to_monomial),
     as a list of ints; raises DomainViolation for A no Poly over the prime of
-    mod and DimensionMismatch for A of dim > n."""
+    mod or a family built over another prime, and DimensionMismatch for A of
+    dim > n."""
+    _check_prime(fam, mod)
     mod.check_precision(n)
     _check_input(A, mod)
     if A.dim > n:

@@ -8,7 +8,8 @@ for p < 2^31, where a product of two residues stays below 2^62, and object
 Poly is a dense polynomial of a fixed declared dimension over one modulus: one
 read-only array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
-entries mod p and Poly.coeffs reads them back as a list.
+integer entries mod p, raising DomainViolation at any other, and Poly.coeffs
+reads them back as a list.
 
 Short operands go to the schoolbook convolution, by measured work
 (_by_transform).  Longer ones are multiplied through images, transforms of the
@@ -32,16 +33,23 @@ and their inverses, the Taylor-shift series) or of the levels of evalgrid's
 grid trees, is scaled wherever the bound admits it (_kept_image,
 Modulus.scaled_layout): it holds the L_x
 variants Y_i = 2^(w_x i) Y mod p of their rows Y, each in the size's layout
-(L, w), so that rows X = sum_i x_i 2^(w_x i) of L_x < L limbs of w_x bits
+(L, w), so that rows X = sum_i x_i 2^(w_x i) of L_x <= L limbs of w_x bits
 multiply them as X Y = sum_i x_i Y_i mod p, in the L classes
 c_j = sum_i x_i y_(i,j): L_x forward and L inverse transforms where a plain
-image takes L and 2L - 1.  For the default prime that is two 16-bit limbs
-against three 11-bit ones from size 2^11 to 2^15, 2 forward and 3 inverse
-FFTs per product in place of 3 and 5, for twice the memory of the image:
-after a warm pass the cache holds 11.2 MB on sheffer_large and 41.2 MB on
-algebraic_large (7.6 and 24.9 MB with plain images), where one Taylor-shift
-series per transform size (polyops), not one per shift value, makes room for
-them.
+image takes L and 2L - 1.  The bound admits more for a fixed operand whose
+products never wrap (la + lb - 1 <= size, known when it is kept), each
+charged by its lengths (fft_error_bound), than for the grid trees' levels,
+whose products are summed in pairs or wrap.  For the default prime that is
+two 16-bit limbs against three 11-bit ones from size 2^11 to 2^15, and to
+2^17 for such fixed operands, 2 forward and 3 inverse FFTs per product in
+place of 3 and 5, for twice the memory of the image: after a warm pass the
+cache holds 11.1 MB on sheffer_large and 42.5 MB on algebraic_large (7.6
+and 24.9 MB with every image plain, 40.9 MB with those at 2^16 plain),
+where one Taylor-shift series per transform size (polyops), not one per
+shift value, makes room for them.  At 2^18 and 2^19 such a fixed operand's
+image is square, three variants of three 11-bit limbs by which rows of
+three limbs multiply: 3 forward and 3 inverse FFTs in place of 3 and 5,
+for three times the memory.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -70,12 +78,21 @@ warm pass of each of the benchmark's workloads a thread holds (work_bytes)
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, DimensionMismatch, DivisionByZero, PrecisionExceedsModulus
+from .errors import (
+    CapacityExceeded,
+    DimensionMismatch,
+    DivisionByZero,
+    DomainViolation,
+    PrecisionExceedsModulus,
+)
 
 # The schoolbook costs about m (la + lb - 1) element operations, m = min(la,
 # lb) (its work), a product by transforms about size log(size) and, on int64
@@ -167,6 +184,7 @@ class Modulus:
         self.dtype = np.int64 if p < (1 << 31) else object
         self._layouts = _layouts(p)
         self._scaled = _scaled_layouts(p, self._layouts)
+        self._scaled_linear = _scaled_layouts(p, self._layouts, linear=True)
 
     def __repr__(self):
         return f"Modulus({self.p})"
@@ -181,11 +199,13 @@ class Modulus:
                 return L, w
         return None
 
-    def scaled_layout(self, size):
+    def scaled_layout(self, size, linear=False):
         """(L_x, w_x) of the rows multiplied by a scaled image at size
-        (_kept_image), fewer limbs than layout(size) gives; None where the
-        bound admits no fewer (_scaled_layouts)."""
-        return self._scaled.get(size)
+        (_kept_image), fewer limbs than layout(size) gives, for a sum of two
+        products or, linear, for one product that does not wrap, there as
+        many, L >= 3, where none are fewer; None where the bound admits none
+        (_scaled_layouts)."""
+        return (self._scaled_linear if linear else self._scaled).get(size)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p
@@ -400,13 +420,14 @@ def _image(mod: Modulus, A, size, slot=None, layout=None):
     return _transform(mod, _limbs(A, *layout), size, None, slot)
 
 
-def _kept_image(mod: Modulus, A, size):
+def _kept_image(mod: Modulus, A, size, linear=False):
     """The fresh image of the rows A that a caller keeps: scaled where
-    mod.scaled_layout(size) gives (L_x, w_x), the images of the L_x variants
-    2^(w_x i) A mod p, (rows, L_x, L, f), by which rows of L_x limbs of w_x
-    bits multiply (_image_mul), variant 0, [:, 0], the plain image; plain
-    elsewhere."""
-    layout = mod.scaled_layout(size)
+    mod.scaled_layout(size, linear) gives (L_x, w_x), the images of the L_x
+    variants 2^(w_x i) A mod p, (rows, L_x, L, f), by which rows of L_x limbs
+    of w_x bits multiply (_image_mul), variant 0, [:, 0], the plain image;
+    plain elsewhere.  linear: for products by it that never wrap and are
+    never summed (_fixed_operand)."""
+    layout = mod.scaled_layout(size, linear)
     if layout is None:
         return _image(mod, A, size)
     p, (Lx, wx) = mod.p, layout
@@ -422,9 +443,11 @@ def _plain(X):
 
 def _image_by(mod: Modulus, A, Y, slot="image"):
     """The image, in the work array of slot, of the rows A for products by
-    the kept image Y: in the scaled layout where Y is scaled."""
-    size = _image_size(Y)
-    return _image(mod, A, size, slot, mod.scaled_layout(size) if Y.ndim == 4 else None)
+    the kept image Y: where Y is scaled, in L_x limbs of w_x = _width(p, L_x)
+    bits, L_x its number of variants."""
+    Lx = Y.shape[1]
+    layout = (Lx, _width(mod.p, Lx)) if Y.ndim == 4 else None
+    return _image(mod, A, _image_size(Y), slot, layout)
 
 
 def _image_size(X):
@@ -433,22 +456,25 @@ def _image_size(X):
     return 2 * (X.shape[-1] - 1)
 
 
-def _image_mul(mod: Modulus, X, Y, U=None, V=None):
+def _image_mul(mod: Modulus, X, Y, U=None, V=None, lengths=None):
     """The product image, a work array, of X Y, or of X Y + U V, row-wise,
     that is of their rows mod x^size - 1: the spectra of the classes
     c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
     or, by scaled images Y and V (_kept_image) and X and U in their scaled
     layout (_image_by), of the classes c_j = sum_i x_i y_(i,j), j < L,
-    y_(i,j) limb j of variant i (4-D, one variant).  The class spectra of
-    the two products add unreduced before any inverse transform.  Where Y
-    has m times as many rows as X, the same m for V and U, row i of X
-    multiplies rows i m to i m + m - 1 of Y."""
+    y_(i,j) limb j of variant i (4-D: the one variant of classes seen as L_x
+    variants, so that the recombination reads their layout).  The class
+    spectra of the two products add unreduced before any inverse transform.
+    Where Y has m times as many rows as X, the same m for V and U, row i of X
+    multiplies rows i m to i m + m - 1 of Y.  lengths (la, lb): the most
+    entries the rows of X and Y hold, where the bound charges sqrt(la lb)
+    in place of size (fft_error_bound); the bound is asserted."""
     p, pairs = mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)]
     rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
     scaled = Y.ndim == 4
     size, K = 2 * (f - 1), L if scaled else 2 * L - 1
-    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L))
-    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs))
+    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L), lengths)
+    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs), lengths)
     Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
         # (rows / m, 1) against (rows / m, m): each row of X serves m rows
@@ -468,7 +494,11 @@ def _image_mul(mod: Modulus, X, Y, U=None, V=None):
                     np.multiply(x, y, out=z[k])
                     made.add(k)
     Z = Z.reshape(rows, K, f)
-    return Z[:, None] if scaled else Z
+    if not scaled:
+        return Z
+    # a zero-stride view, read-only (np.broadcast_to costs four times as much)
+    strides = Z.strides[:1] + (0,) + Z.strides[1:]
+    return _readonly(np.ndarray((rows, Lx, K, f), Z.dtype, Z, 0, strides))
 
 
 def _image_coeffs(mod: Modulus, X, out_len):
@@ -487,7 +517,8 @@ def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     if X.ndim == 4:
         # by a scaled image: L classes of w bits, each summing L_x limb
         # products of w_x by w bits per product image
-        (Lx, wx), w = mod.scaled_layout(size), _width(p, X.shape[2])
+        Lx, L = X.shape[1:3]
+        wx, w = _width(p, Lx), _width(p, L)
         return _limb_coeffs(p, X[:, 0], size, out_len, w, Lx * MAX_SUMMED * size << wx + w - 2)
     # 2L - 1 classes of w bits, the middle one summing L limb products
     L = (X.shape[1] + 1) // 2
@@ -495,41 +526,59 @@ def _transform(mod: Modulus, X, size, out_len=None, slot=None):
     return _limb_coeffs(p, X, size, out_len, w, L * MAX_SUMMED * size << 2 * w - 2)
 
 
+@dataclass(frozen=True, eq=False)
+class _Kept:
+    """A fixed operand kept as an image (_fixed_operand): the image of its
+    one row and the row's length lb, which the bound of each product by it
+    charges (_mul_fixed)."""
+
+    image: np.ndarray
+    length: int
+
+
 def _fixed_operand(mod: Modulus, b, la, size=None):
     """What products of arrays of length <= la by the fixed array b keep of
-    b, trimmed to its degree: its image (of one row, scaled where admitted,
-    _kept_image) where such a product transforms, its coefficients
-    otherwise.  The image is at size, by default the products' own
-    _size(la + lb - 1); at a smaller size the products by it are taken mod
-    x^size - 1, for a caller that reads only coefficients the wrap leaves
-    alone.  Callers cache it or read it more than once; _mul_fixed,
-    mul_trunc and mul_trunc_t use it."""
+    b, trimmed to its length lb (its degree + 1): its image (_Kept, of one
+    row, scaled where admitted, _kept_image) where such a product
+    transforms, its coefficients otherwise.  The image is at size, by
+    default the products' own _size(la + lb - 1); at a smaller size the
+    products by it are taken mod x^size - 1, for a caller that reads only
+    coefficients the wrap leaves alone.  Where la + lb - 1 <= size no
+    product by it wraps, and its image is scaled where the bound admits one
+    such product (mod.scaled_layout(size, linear=True)); elsewhere where it
+    admits a sum of two.  Callers cache it or read it more than once;
+    _mul_fixed, mul_trunc and mul_trunc_t use it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
-        return _readonly(_kept_image(mod, b[None, :lb], size or _size(la + lb - 1)))
+        size = size or _size(la + lb - 1)
+        image = _kept_image(mod, b[None, :lb], size, linear=la + lb - 1 <= size)
+        return _Kept(_readonly(image), lb)
     return _readonly(b[:lb].copy())
 
 
 def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     """The first out_len coefficients of a times the operand b kept by
     _fixed_operand, mod x^size - 1 where b is kept as an image at size: one
-    forward and one inverse transform.  transposed: of the middle product, a
-    times b read backwards from x^(len(b) - 1) on (the product by b of
-    mul_trunc_t), read from the product of a reversed by b's image."""
-    if fixed.ndim == 1:
+    forward and one inverse transform, whose bound charges the lengths of a
+    and b.  transposed: of the middle product, a times b read backwards from
+    x^(len(b) - 1) on (the product by b of mul_trunc_t), read from the
+    product of a reversed by b's image."""
+    if isinstance(fixed, np.ndarray):
         # the product reads b below out_len (transposed: below len(a)) only
         if transposed:
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
+    Y, lengths = fixed.image, (len(a), fixed.length)
     if transposed:
         # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
         # Rev(a) b; Rev(a) needs no zero-padded row of the size
-        X = _image_by(mod, a[None, ::-1], fixed)
-        return _fit(_image_coeffs(mod, _image_mul(mod, X, fixed), len(a))[0, ::-1], out_len)
-    X = _image_by(mod, a[None], fixed)
-    return _image_coeffs(mod, _image_mul(mod, X, fixed), out_len)[0]
+        X = _image_by(mod, a[None, ::-1], Y)
+        product = _image_mul(mod, X, Y, lengths=lengths)
+        return _fit(_image_coeffs(mod, product, len(a))[0, ::-1], out_len)
+    X = _image_by(mod, a[None], Y)
+    return _image_coeffs(mod, _image_mul(mod, X, Y, lengths=lengths), out_len)[0]
 
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):
@@ -591,9 +640,23 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # 14-bit ones from 2^3 to 2^8 and three 14-bit limbs against four 11-bit ones
 # from 2^14 to 2^16.  Past 2^19 it is three 11-bit limbs against four 8-bit
 # ones from 2^20 to 2^22 for DEFAULT_PRIME, and four 11-bit limbs against five
-# 9-bit ones at 2^20 for the 40-bit prime.  One warm product of rows of
-# size / 2 residues of DEFAULT_PRIME by the kept image of as many rows, in
-# us, plain / scaled, best of 100 to 300 (1 row) and 10 to 30 (32 rows)
+# 9-bit ones at 2^20 for the 40-bit prime.
+# The image of a fixed operand whose products never wrap is scaled where the
+# bound admits one product of lengths size / 2 and size / 2 + 1, the largest
+# such: fft_error_bound(size, 1, L_x, w_x, w, lengths), a quarter of the
+# above (scaled_layout(size, linear=True)).  For DEFAULT_PRIME that adds two
+# 16-bit limbs at 2^16 and 2^17 (the bound is 0.050 and 0.107; 0.226 at
+# 2^18), and for the 40-bit prime two 21-bit limbs at 2^9 and three 14-bit
+# ones at 2^17 and 2^18.  Where no fewer limbs are admitted against L >= 3,
+# the rows take L limbs too, a square image (2L transforms in place of
+# 3L - 1): three 11-bit limbs at 2^18 and 2^19 for DEFAULT_PRIME, where a
+# product of rows of 2^17 residues by a kept one took 28 ms against 36 ms
+# plain (best of 15); three 14-bit limbs from 2^10 to 2^13 and four 11-bit
+# ones at 2^19 for the 40-bit prime.  Each product by it asserts the bound
+# for the lengths it is given (_mul_fixed), and its layout is read from the
+# image's shape, its number of variants.  One warm product of rows
+# of size / 2 residues of DEFAULT_PRIME by the kept image of as many rows,
+# in us, plain / scaled, best of 100 to 300 (1 row) and 10 to 30 (32 rows)
 # interleaved, same machine:
 #
 #    size         1 row              32 rows
@@ -613,29 +676,38 @@ FFT_ERROR_MAX = 1 / 8
 MAX_SUMMED = 2
 
 
-def fft_error_bound(size, products, limbs, width, other=None):
+def fft_error_bound(size, products, limbs, width, other=None, lengths=None):
     """A bound on the rounding error of every class coefficient of a sum of
     `products` float product images at size (a power of two), each class
     summing `limbs` products of a limb of `width` bits by one of `other` bits
-    (default: width) per product image.
+    (default: width) per product image, of rows of at most size entries, or
+    given lengths (la, lb), of at most la and lb entries.
 
     Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
     x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
     eps = 2^-53 and twiddle factors accurate to beta, errs by at most
     |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
-    in every coefficient, |.| the Euclidean norm.  Limb rows of at most size
+    in every coefficient, |.| the Euclidean norm.  Limb rows of la and lb
     entries of magnitude <= 2^(w - 1) and 2^(v - 1) give |x| |y| <=
-    2^(w + v - 2) size.  beta is taken as eps.  That numpy's FFT errs no
-    more than this model is checked against exact products
-    (oracle.kronecker_mul) by the tests and by basisconv selftest.
+    2^(w + v - 2) sqrt(la lb), at most 2^(w + v - 2) size; a product that
+    does not wrap, la + lb - 1 <= size, has sqrt(la lb) <= (size + 1) / 2.
+    beta is taken as eps.  That numpy's FFT errs no more than this model is
+    checked against exact products (oracle.kronecker_mul) and the closed
+    form of constant rows (oracle.constant_rows_agree) by the tests and by
+    basisconv selftest.
     """
+    other = width if other is None else other
+    norm = size if lengths is None else math.sqrt(lengths[0] * lengths[1])
+    return limbs * products * 2.0 ** (width + other - 2) * norm * _growth(size)
+
+
+@functools.cache
+def _growth(size):
+    """The relative error factor of fft_error_bound at size, computed once
+    per size, so that a product's bound costs a few float operations."""
     n = size.bit_length() - 1
     eps = 2.0**-53
-    growth = math.expm1(
-        6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
-    )
-    other = width if other is None else other
-    return limbs * products * 2.0 ** (width + other - 2) * size * growth
+    return math.expm1(6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
 
 
 def _width(p, L):
@@ -666,17 +738,25 @@ def _layouts(p):
     return tuple(out)
 
 
-def _scaled_layouts(p, layouts):
+def _scaled_layouts(p, layouts, linear=False):
     """{size: (L_x, w_x)} for each power-of-two size served by layouts at
     which rows multiplied by a scaled image, whose variants are in the size's
     layout (L, w), take fewer limbs: the fewest L_x < L, w_x = _width(p, L_x),
     for which fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX,
-    searched from that of the size before in the same layout."""
-    out, below = {}, 1
+    or, linear, the bound of one product of lengths size / 2 and
+    size / 2 + 1, the largest of any product that does not wrap; searched
+    from that of the size before in the same layout.  linear, where no
+    L_x < L is admitted and L >= 3, the rows take the size's own layout,
+    L_x = L (a square image, always admitted where the plain layout is):
+    2L transforms where a plain product takes 3L - 1, two or more fewer,
+    for L times the memory of the image."""
+    products, out, below = 1 if linear else MAX_SUMMED, {}, 1
     for L, w, top, _ in layouts:
         size, Lx = 2 * below, 1
-        while size <= top and Lx < L:
-            if fft_error_bound(size, MAX_SUMMED, Lx, _width(p, Lx), w) <= FFT_ERROR_MAX:
+        most = L + 1 if linear and L >= 3 else L
+        while size <= top and Lx < most:
+            lengths = (size // 2, size // 2 + 1) if linear else None
+            if fft_error_bound(size, products, Lx, _width(p, Lx), w, lengths) <= FFT_ERROR_MAX:
                 out[size] = (Lx, _width(p, Lx))
                 size *= 2
             else:
@@ -934,16 +1014,23 @@ def _fit(arr, n):
 
 def _residues(mod: Modulus, values):
     """values (a sequence of integers) reduced mod p into a fresh array of
-    mod.dtype."""
+    mod.dtype; raises DomainViolation at the first entry that is no integer
+    (a float or a string, which int() would truncate or parse)."""
     if isinstance(values, np.ndarray) and values.dtype == mod.dtype:
         return values % mod.p
     a = np.asarray(values)
     if np.can_cast(a.dtype, np.int64):
         # integers that fit int64, read as one array (families._input_vector)
         return a.astype(np.int64, copy=False).astype(mod.dtype, copy=False) % mod.p
-    # through Python ints: entries beyond int64, non-integers and object rows,
-    # whose numpy scalars must not enter an object array
-    return (np.array([int(v) for v in values], dtype=object) % mod.p).astype(mod.dtype)
+    # through Python ints: entries beyond int64 and object rows, whose numpy
+    # scalars must not enter an object array
+    out = []
+    for j, v in enumerate(values):
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise DomainViolation(f"coefficient {j} = {v!r} is not an integer") from None
+    return (np.array(out, dtype=object) % mod.p).astype(mod.dtype)
 
 
 def _arange(mod: Modulus, start, stop):
@@ -1027,7 +1114,8 @@ class Poly:
 
     def __init__(self, mod: Modulus, coeffs, dim=None):
         """From a sequence of integers, reduced mod p and truncated or
-        zero-padded to dim (default: its length, at least 1)."""
+        zero-padded to dim (default: its length, at least 1); raises
+        DomainViolation at an entry that is no integer (_residues)."""
         if dim is None:
             dim = max(1, len(coeffs))
         Poly.check_dim(dim)
@@ -1106,7 +1194,7 @@ def mul_trunc(a: Poly, P, n: int) -> Poly:
     _fixed_operand for products of length <= n."""
     mod = a.mod
     Poly.check_dim(n)
-    if isinstance(P, np.ndarray):
+    if not isinstance(P, Poly):
         return Poly.of(mod, _mul_fixed(mod, a.arr[:n], P, n))
     da, dp = a.degree(), P.degree()
     if da < 0 or dp < 0:
@@ -1125,7 +1213,7 @@ def mul_trunc_t(a: Poly, P, m: int) -> Poly:
     """
     mod = a.mod
     Poly.check_dim(m)
-    if isinstance(P, np.ndarray):
+    if not isinstance(P, Poly):
         return Poly.of(mod, _mul_fixed(mod, a.arr, P, m, transposed=True))
     e = P.degree()
     if a.degree() < 0 or e < 0:

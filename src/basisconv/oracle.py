@@ -20,12 +20,15 @@ from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
 from .modfield import (
     Modulus,
     Poly,
+    _by_transform,
     _convolve_rows,
     _dense_mul,
+    _fixed_operand,
     _image_by,
     _image_coeffs,
     _image_mul,
     _kept_image,
+    _mul_fixed,
 )
 
 
@@ -213,48 +216,84 @@ def float_kernel_agrees(mod: Modulus) -> bool:
     size 2, the least the float kernel takes, and at the largest size of
     each limb layout up to 2^14 (2^10 and 2^14 for DEFAULT_PRIME): a random
     row times a row of p - 1 and the reverse, and the square of a row of the
-    layout's worst residue (worst_residue); and the same products by a
-    scaled image (modfield._kept_image) at the largest size of each scaled
-    layout up to 2^17 (2^15 for DEFAULT_PRIME).  Exactness rests on IEEE
-    doubles and an FFT as accurate as the bound assumes, which the numpy
-    build decides."""
+    layout's worst residue (worst_residue); the same products by a scaled
+    image (modfield._kept_image) at the largest size of each scaled layout
+    up to 2^17 (2^15 for DEFAULT_PRIME); and, on constant rows against
+    their closed form (constant_rows_agree), the product by a kept fixed
+    operand at each size up to 2^17 where products that never wrap take
+    another scaled layout (_linear_sizes: 2^16 and 2^17 for DEFAULT_PRIME).
+    Exactness rests on IEEE doubles and an FFT as accurate as the bound
+    assumes, which the numpy build decides."""
     sizes = {2, *_largest_per_layout([1 << k for k in range(1, 15)], mod.layout)}
     scaled = _largest_per_layout([1 << k for k in range(1, 18)], mod.scaled_layout)
-    return all(_float_agrees(mod, size) for size in sorted(sizes)) and all(
-        _float_agrees(mod, size, scaled=True) for size in scaled
+    linear = _linear_sizes(mod, [1 << k for k in range(1, 18)])
+    return (
+        all(_float_agrees(mod, size) for size in sorted(sizes))
+        and all(_float_agrees(mod, size, scaled=True) for size in scaled)
+        and all(_float_agrees(mod, size, constant=True, linear=True) for size in linear)
     )
 
 
+def _linear_sizes(mod, sizes):
+    """The sizes at which the kept image of a fixed operand whose products
+    never wrap is scaled in another layout than the one a sum of two
+    products admits (Modulus.scaled_layout), of those where some product
+    transforms: the largest, of size / 2 entries by as many, does."""
+    return [
+        s for s in sizes
+        if mod.scaled_layout(s, linear=True) not in (None, mod.scaled_layout(s))
+        and _by_transform(mod, s // 2, s // 2)
+    ]
+
+
 def constant_rows_agree(mod: Modulus, size) -> bool:
-    """Whether float products over mod at size, plain and by a scaled image
-    where the size has a scaled layout, equal the closed form of constant
-    rows of the worst residues (_float_agrees): coefficient k of the product
-    of size / 2 constants x by as many y is x y min(k + 1, size - 1 - k).
-    It needs no Kronecker product, which takes minutes past 2^19."""
-    kinds = [False, True] if mod.scaled_layout(size) else [False]
-    return all(_float_agrees(mod, size, scaled, constant=True) for scaled in kinds)
+    """Whether float products over mod at size, plain, by a scaled image
+    where the size has a scaled layout and by a kept fixed operand where
+    products that never wrap take another one (_linear_sizes), equal the
+    closed form of constant rows of the worst residues (_float_agrees):
+    coefficient k of the product of size / 2 constants x by as many y is
+    x y min(k + 1, size - 1 - k).  It needs no Kronecker product, which
+    takes minutes past 2^19."""
+    kinds = [{}]
+    if mod.scaled_layout(size):
+        kinds.append({"scaled": True})
+    if _linear_sizes(mod, [size]):
+        kinds.append({"linear": True})
+    return all(_float_agrees(mod, size, constant=True, **kind) for kind in kinds)
 
 
-def _float_agrees(mod: Modulus, size, scaled=False, constant=False):
+def _float_agrees(mod: Modulus, size, scaled=False, constant=False, linear=False):
     """float_kernel_agrees at one size, by a scaled image of B if scaled,
-    where the rows A take the worst residue of the scaled layout; constant:
-    on the rows of worst residues alone, against their closed form."""
+    where the rows A take the worst residue of the scaled layout; linear:
+    as scaled in the layout of products that never wrap, by the kept fixed
+    operand of B's one row (modfield._fixed_operand), on constant rows
+    alone, false unless that operand is scaled in it; constant: on the rows
+    of worst residues alone, against their closed form."""
     p, rng, h = mod.p, random.Random(size), size // 2
     worst = worst_residue(p, *mod.layout(size))
-    worst_x = worst_residue(p, *mod.scaled_layout(size)) if scaled else worst
+    layout = mod.scaled_layout(size, linear) if scaled or linear else mod.layout(size)
+    worst_x = worst_residue(p, *layout)
     A, B = [[worst_x] * h], [[worst] * h]
     if not constant:
         r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
         A, B = [r, [p - 1] * h] + A, [[p - 1] * h, s] + B
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
-    if scaled:
+    if linear:
+        # the path of a conversion's product by a kept operand, which
+        # asserts the bound for the lengths h and h
+        fixed = _fixed_operand(mod, B_[0], h)
+        if fixed.image.ndim != 4 or fixed.image.shape[1] != layout[0]:
+            return False
+        got = _mul_fixed(mod, A_[0], fixed, size - 1)[None]
+    elif scaled:
         Y = _kept_image(mod, B_, size)
         got = _image_coeffs(mod, _image_mul(mod, _image_by(mod, A_, Y), Y), size - 1)
     else:
         got = _convolve_rows(mod, A_, B_)
     if constant:
-        xy = worst_x * worst % p
-        return got.tolist() == [[xy * min(k + 1, size - 1 - k) % p for k in range(size - 1)]]
+        k = np.arange(size - 1)
+        want = np.minimum(k + 1, size - 1 - k).astype(mod.dtype) * (worst_x * worst % p) % p
+        return np.array_equal(got, want[None])
     return got.tolist() == kronecker_mul(p, A, B)
 
 

@@ -340,7 +340,7 @@ def _warm_transforms(monkeypatch, name, n):
     def fixed_product(mod, a, fixed, *args, **kwargs):
         before = calls[0]
         out = mul_fixed(mod, a, fixed, *args, **kwargs)
-        if fixed.ndim > 1:
+        if isinstance(fixed, modfield._Kept):
             per_fixed.append(calls[0] - before)
         return out
 

@@ -268,7 +268,7 @@ def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
     kept = [warm(run) for run in runs]
     tree = evalgrid._grid_tree(mod, n)
     # a scaled float image at size 2048 (modfield._kept_image)
-    assert tree.den_fixed.ndim == 4
+    assert tree.den_fixed.image.ndim == 4
     tree.den_fixed = tree.den_inv      # the coefficients, transformed at each use
     for (k, out), (f, want) in zip(kept, [warm(run) for run in runs]):
         assert k == f - 1 and out == want
@@ -286,9 +286,9 @@ def test_tree_levels_of_both_kinds_never_mix(monkeypatch):
     coeffs, other = ([rng.randrange(DEFAULT_PRIME) for _ in range(n)] for _ in range(2))
 
     def plain_rows(fn):
-        def product(mod, X, *images):
+        def product(mod, X, *images, **lengths):
             assert X.ndim == 3
-            return fn(mod, X, *images)
+            return fn(mod, X, *images, **lengths)
 
         return product
 
@@ -331,9 +331,9 @@ def test_scaled_tree_levels_equal_plain_ones(n):
 
     scaled = run()
     assert [X.ndim for X in tree.img[tree.leaf :]] == [3, 3, 4, 4]
-    assert tree.den_fixed.ndim == 4
+    assert tree.den_fixed.image.ndim == 4
     tree.img = [None if X is None else modfield._plain(X) for X in tree.img]
-    tree.den_fixed = modfield._plain(tree.den_fixed)
+    tree.den_fixed = modfield._Kept(modfield._plain(tree.den_fixed.image), tree.den_fixed.length)
     assert scaled == run()
 
 

@@ -598,3 +598,20 @@ def test_to_monomial_rejects_malformed_input(mod):
         to_monomial([1, 0.5], fam, 4, mod)
     # in range, shorter than n: zero-padded
     assert to_monomial([0, 0, 1], fam, 4, mod).coeffs == [p - 2, 0, 4, 0]
+
+
+@pytest.mark.parametrize("n", [3, 80])
+def test_a_family_built_over_another_prime_is_refused(n, mod, mod101):
+    # a descriptor holds residues of the prime it was built over: converting
+    # with it over another prime raises, naming both, in both directions and
+    # on the kept matrices (n = 3) as on the chain (n = 80); over its own
+    # prime it converts
+    A = Poly(mod, [1, 2, 3], n)
+    for name in ("hermite", "laguerre(alpha=3)", "bell", "jacobi(alpha=3,beta=5)", "fibonacci"):
+        fam = parse_family(mod101, name)
+        assert fam.p == 101 and parse_family(mod, name).p == mod.p
+        for convert, x in ((to_monomial, [1, 2, 3]), (from_monomial, A)):
+            with pytest.raises(DomainViolation, match=f"p = 101, conversion over p = {mod.p}"):
+                convert(x, fam, n, mod)
+        if n < 101:
+            assert to_monomial([1, 2, 3], fam, n, mod101).dim == n

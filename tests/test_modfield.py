@@ -12,9 +12,11 @@ from basisconv import (
     DEFAULT_PRIME,
     CapacityExceeded,
     DivisionByZero,
+    DomainViolation,
     Modulus,
     Poly,
     PrecisionExceedsModulus,
+    eval_bivariate,
     mul_trunc,
     mul_trunc_t,
     poly_mul,
@@ -25,6 +27,7 @@ from basisconv.modfield import (
     _convolve,
     _convolve_rows,
     _convolve_schoolbook,
+    _fit,
     _image,
     _image_coeffs,
     _image_mul,
@@ -310,19 +313,52 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     # 2^13, four 11-bit ones beyond); and products by scaled images at the
     # largest size of each scaled layout (one 21-bit limb against two 11-bit
     # ones up to 2^11; P40: two 21-bit limbs against three 14-bit ones up to
-    # 2^8, three 14-bit limbs against four 11-bit ones up to 2^16)
+    # 2^8, three 14-bit limbs against four 11-bit ones up to 2^16); and, on
+    # constant rows, products by kept operands at each size up to 2^17 that
+    # only products that never wrap admit (one 21-bit limb at 2^12 and 2^13;
+    # P40: two 21-bit limbs at 2^9, three 14-bit ones at 2^17, and square
+    # images of three 14-bit limbs from 2^10 to 2^13)
     checked, agrees = [], oracle._float_agrees
 
-    def recorded(mod, size, scaled=False):
-        checked.append((size, scaled))
-        return agrees(mod, size, scaled)
+    def recorded(mod, size, scaled=False, constant=False, linear=False):
+        checked.append((size, "linear" if linear else scaled))
+        return agrees(mod, size, scaled, constant, linear)
 
     monkeypatch.setattr(oracle, "_float_agrees", recorded)
     for p in (NO_ROOTS_PRIME, P40):
         assert oracle.float_kernel_agrees(Modulus(p))
     plain = [size for size, scaled in checked if not scaled]
     assert sorted(plain) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
-    assert sorted(size for size, scaled in checked if scaled) == [1 << 8, 1 << 11, 1 << 16]
+    assert sorted(size for size, kind in checked if kind is True) == [1 << 8, 1 << 11, 1 << 16]
+    linear = sorted(size for size, kind in checked if kind == "linear")
+    assert linear == [1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 12, 1 << 13, 1 << 13, 1 << 17]
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([1, 2], [1, 2]),
+        ([-1, 3 * DEFAULT_PRIME + 5], [DEFAULT_PRIME - 1, 5]),
+        ([2**70, 1], [2**70 % DEFAULT_PRIME, 1]),
+        (np.array([7, DEFAULT_PRIME]), [7, 0]),
+        ([1.5, 2], "coefficient 0 = 1.5 "),
+        (np.array([1.7, 2.2]), "coefficient 0 = np.float64"),
+        (["3", 2], "coefficient 0 = '3' "),
+        ([2, 2**70, 0.0], "coefficient 2 = 0.0 "),
+    ],
+)
+def test_polys_read_integers_alone(mod, values, want):
+    # integer entries reduce mod p, beyond int64 too; an entry that is no
+    # integer (a float, even a whole one, or a string) raises, where int()
+    # would have truncated or parsed it, and so does a bivariate evaluation
+    # given such a list
+    if isinstance(want, str):
+        with pytest.raises(DomainViolation, match=want):
+            Poly(mod, values)
+        with pytest.raises(DomainViolation, match=want):
+            eval_bivariate(values, families.parse_family(mod, "laguerre(alpha=3)").spec, 3, mod)
+    else:
+        assert Poly(mod, values).coeffs == want
 
 
 def test_poly_invariants(mod101):
@@ -412,7 +448,7 @@ def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, monkeypatch):
         want[: n - t] += a.arr[t:] * (c % mod.p) % mod.p
     want %= mod.p
     fixed = modfield._fixed_operand(mod, P.arr, n)
-    assert fixed.ndim == 1 and len(fixed) == 5
+    assert isinstance(fixed, np.ndarray) and len(fixed) == 5
     calls = _counted_transforms(monkeypatch)
     assert np.array_equal(mul_trunc_t(a, P, n).arr, want)
     assert np.array_equal(mul_trunc_t(a, fixed, n).arr, want)
@@ -428,7 +464,7 @@ def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
     P = Poly.of(mod, rng.integers(0, mod.p, n))
     want = mul_trunc(a, P, n), mul_trunc_t(a, P, n)
     fixed = modfield._fixed_operand(mod, P.arr, n)
-    assert fixed.ndim > 1
+    assert fixed.image.ndim > 1
     calls = _counted_transforms(monkeypatch)
     for product, ref in zip((mul_trunc, mul_trunc_t), want):
         calls[0] = 0
@@ -465,7 +501,7 @@ def test_kept_images_and_results_never_alias_the_work_arrays(mod):
     A, B, C = (Poly.of(mod, rng.integers(0, mod.p, n)) for _ in range(3))
     fixed = modfield._fixed_operand(mod, B.arr, n)
     tree = evalgrid._grid_tree(mod, n)
-    kept = [fixed, tree.den_fixed] + tree.img[tree.leaf :]
+    kept = [fixed.image, tree.den_fixed.image] + tree.img[tree.leaf :]
     # float images; the fixed operand and 1/D at size 8192 and the levels at
     # 2048 and 4096 scaled
     assert [X.ndim for X in kept] == [4, 4, 3, 3, 4, 4]
@@ -560,8 +596,8 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     # single and batched rows, and a product by a kept fixed operand
     assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
     assert np.array_equal(_convolve_rows(mod, half, half), want)
-    fixed = _image(mod, half[1:], size)
-    assert fixed.shape[:2] == (1, L)
+    fixed = modfield._Kept(_image(mod, half[1:], size), size // 2)
+    assert fixed.image.shape[:2] == (1, L)
     assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
     # a summed pair of product images of full rows: the largest norms
     X = _image(mod, full, size)
@@ -617,22 +653,128 @@ def test_scaled_layouts_by_prime():
     # fewer limbs of the rows multiplied by a scaled image, where the bound
     # admits them: up to 2^19, 2 x 16 bits against 3 x 11 for DEFAULT_PRIME,
     # 2 x 21 against 3 x 14 and 3 x 14 against 4 x 11 for P40, none for
-    # p = 101; at 2^20, 3 x 11 against 4 x 8 and 4 x 11 against 5 x 9
-    def table(p):
+    # p = 101; at 2^20, 3 x 11 against 4 x 8 and 4 x 11 against 5 x 9.  One
+    # product that does not wrap, charged half as much, admits them at more
+    # sizes: 2 x 16 bits at 2^16 and 2^17 for DEFAULT_PRIME (the bound reads
+    # 0.050 and 0.107 against FFT_ERROR_MAX = 1/8, and 0.226 at 2^18); 2 x 21
+    # at 2^9 and 3 x 14 at 2^17 and 2^18 for P40, and 3 x 14 against 5 x 9 at
+    # 2^20.  Where it admits no fewer limbs of three or more, the rows take
+    # as many as the image (a square image): 3 x 11 at 2^18 and 2^19 for
+    # DEFAULT_PRIME, 3 x 14 from 2^10 to 2^13 and 4 x 11 at 2^19 for P40
+    def table(p, linear=False):
         mod = Modulus(p)
         sizes = [1 << k for k in range(1, 20)]
-        return {s: (mod.scaled_layout(s), mod.layout(s)) for s in sizes if mod.scaled_layout(s)}
+        return {
+            s: (mod.scaled_layout(s, linear), mod.layout(s))
+            for s in sizes if mod.scaled_layout(s, linear)
+        }
 
-    assert table(DEFAULT_PRIME) == {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
+    default = {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
+    assert table(DEFAULT_PRIME) == default
+    square = {1 << k: ((3, 11), (3, 11)) for k in (18, 19)}
+    assert table(DEFAULT_PRIME, linear=True) == default | square | {
+        1 << k: ((2, 16), (3, 11)) for k in (16, 17)
+    }
     want = {1 << k: ((2, 21), (3, 14)) for k in range(3, 9)}
     want.update({1 << k: ((3, 14), (4, 11)) for k in range(14, 17)})
     assert table(P40) == want
-    assert table(101) == {}
+    assert table(P40, linear=True) == want | {1 << k: ((3, 14), (3, 14)) for k in range(10, 14)} | {
+        1 << 9: ((2, 21), (3, 14)), 1 << 17: ((3, 14), (4, 11)), 1 << 18: ((3, 14), (4, 11)),
+        1 << 19: ((4, 11), (4, 11)),
+    }
+    # one limb for p = 101 and two for NO_ROOTS_PRIME past 2^13 take no
+    # square image: L + L transforms against 3L - 1 saves none and one
+    assert table(101) == table(101, linear=True) == {}
+    assert table(NO_ROOTS_PRIME, linear=True) == {1 << k: ((1, 21), (2, 11)) for k in range(4, 14)}
     assert _largest_scaled_sizes(DEFAULT_PRIME) == [1 << 15]
     assert _largest_scaled_sizes(P40) == [1 << 8, 1 << 16]
     default, p40 = Modulus(DEFAULT_PRIME), Modulus(P40)
+    bound = fft_error_bound(1 << 18, 1, 2, 16, 11, (1 << 17, (1 << 17) + 1))
+    assert 0.22 < bound < 0.23
     assert (default.scaled_layout(PAST_2_19), default.layout(PAST_2_19)) == ((3, 11), (4, 8))
+    assert default.scaled_layout(PAST_2_19, linear=True) == (3, 11)
     assert (p40.scaled_layout(PAST_2_19), p40.layout(PAST_2_19)) == ((4, 11), (5, 9))
+    assert p40.scaled_layout(PAST_2_19, linear=True) == (3, 14)
+
+
+# Sizes at which only products that never wrap admit a scaled layout, up
+# to 2^18: each (size, layout) of fewer limbs, and the least size of square
+# images
+LINEAR_SIZES = [(DEFAULT_PRIME, 1 << 16), (DEFAULT_PRIME, 1 << 17), (DEFAULT_PRIME, 1 << 18),
+                (P40, 1 << 9), (P40, 1 << 10), (P40, 1 << 17), (P40, 1 << 18)]
+
+
+@pytest.mark.parametrize("p, size", [pytest.param(p, s, id=f"{p}-{s}") for p, s in LINEAR_SIZES])
+def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
+    # a fixed operand of lb = size / 2 + 1 entries kept for products of
+    # la = size / 2 entries, la + lb - 1 = size, keeps its image scaled in
+    # the layout only such products admit (one variant per limb of the
+    # rows, as many as the image's at 2^18 for DEFAULT_PRIME and 2^10 for
+    # P40); products by it of rows of the worst residue of that layout and
+    # of p - 1, by the worst residue of the size's layout and p - 1, equal
+    # the closed form of constant rows: coefficient k of la constants times
+    # lb constants counts min(k + 1, la, size - k) terms, and coefficient j
+    # of their middle product la - j; their rounding error stays within the
+    # bound for the lengths la and lb
+    mod = Modulus(p)
+    (Lx, wx), (L, w) = mod.scaled_layout(size, linear=True), mod.layout(size)
+    assert mod.scaled_layout(size) != (Lx, wx)
+    la = size // 2
+    xs = [worst_residue(p, Lx, wx), p - 1]
+    ys = [worst_residue(p, L, w), p - 1]
+    k = np.arange(size)
+    terms = np.minimum(np.minimum(k + 1, la), size - k).astype(mod.dtype)
+    for x, y in zip(xs, ys):
+        fixed = modfield._fixed_operand(mod, np.full(la + 1, y, dtype=mod.dtype), la)
+        assert fixed.length == la + 1 and fixed.image.shape[:3] == (1, Lx, L)
+        row = np.full(la, x, dtype=mod.dtype)
+        xy = x * y % p
+        assert np.array_equal(_mul_fixed(mod, row, fixed, size), terms * xy % p)
+        mid = np.arange(la, 0, -1).astype(mod.dtype) * xy % p
+        assert np.array_equal(_mul_fixed(mod, row, fixed, la, transposed=True), mid)
+        X = modfield._image_by(mod, row[None], fixed.image)
+        c = np.fft.irfft(_image_mul(mod, X, fixed.image, lengths=(la, la + 1))[:, 0], size, axis=-1)
+        assert _rounding_error(c) < fft_error_bound(size, 1, Lx, wx, w, (la, la + 1))
+
+
+def test_products_that_may_wrap_keep_the_summed_rule(mod):
+    # at 2^16 and 2^17 the operands whose products may wrap keep a plain
+    # image: one kept at an explicit size below its products' own (a Newton
+    # step's) and a kept image made for sums and wrapping products (a grid
+    # tree's level: combine sums two, combine_t's middle products wrap); a
+    # product by the first equals the linear product, at twice the size,
+    # folded
+    rng = np.random.default_rng(64)
+    for size in (1 << 16, 1 << 17):
+        b = rng.integers(0, mod.p, size // 2)
+        assert mod.scaled_layout(size) is None and mod.scaled_layout(size, linear=True)
+        assert modfield._fixed_operand(mod, b, size // 2).image.ndim == 4
+        assert modfield._kept_image(mod, b[None], size).ndim == 3
+        wrapped = modfield._fixed_operand(mod, b, size, size)
+        assert wrapped.image.ndim == 3
+        a = rng.integers(0, mod.p, size)
+        want = _convolve(mod, a, b)
+        # mod x^size - 1, coefficient k gathers k and k + size
+        cyclic = (want[:size] + _fit(want[size:], size)) % mod.p
+        assert np.array_equal(_mul_fixed(mod, a, wrapped, size), cyclic)
+
+
+def test_products_past_their_lengths_bound_fail_the_assertion(mod, monkeypatch):
+    # _image_mul asserts the bound for the lengths it is handed: a row longer
+    # than those the operand was kept for fails it at 2^17 (sqrt(la lb) =
+    # 0.71 size, bound 0.15); under a limit set to the bound of lengths 8
+    # and 9 at size 16, lengths 9 and 9 fail it
+    size = 1 << 17
+    fixed = modfield._fixed_operand(mod, np.ones(size // 2 + 1, dtype=np.int64), size // 2)
+    assert fixed.image.ndim == 4
+    with pytest.raises(AssertionError):
+        _mul_fixed(mod, np.ones(size, dtype=np.int64), fixed, size)
+    X = _image(mod, np.ones((1, 9), dtype=np.int64), 16)
+    limit = fft_error_bound(16, 1, *mod.layout(16), lengths=(8, 9))
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", limit)
+    _image_mul(mod, X, X, lengths=(8, 9))
+    with pytest.raises(AssertionError):
+        _image_mul(mod, X, X, lengths=(9, 9))
 
 
 @pytest.mark.parametrize(
@@ -664,7 +806,7 @@ def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
     # h - j
     for i in range(2):
         fixed = modfield._fixed_operand(mod, np.repeat(ys[i], h), h)
-        assert fixed.ndim == 4
+        assert fixed.image.shape[:3] == (1, Lx, L)
         row = np.repeat(xs[i], h)
         assert np.array_equal(_mul_fixed(mod, row, fixed, size - 1), want[i])
         mid = xs[i] * ys[i] % p * np.arange(h, 0, -1).astype(mod.dtype) % p
@@ -689,21 +831,27 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
     for n in (1024, 1500, 16384):
         a, b = rng.integers(0, mod.p, (2, n))
         fixed = modfield._fixed_operand(mod, b, n)
-        assert fixed.ndim == 4 and fixed.shape[1] == 2
-        plain = modfield._plain(fixed)
-        assert np.shares_memory(plain, fixed)
+        assert fixed.image.ndim == 4 and fixed.image.shape[1] == 2 and fixed.length == n
+        plain = modfield._Kept(modfield._plain(fixed.image), n)
+        assert np.shares_memory(plain.image, fixed.image)
         for transposed in (False, True):
             got = _mul_fixed(mod, a, fixed, n, transposed)
             assert np.array_equal(got, _mul_fixed(mod, a, plain, n, transposed)), (n, transposed)
-        assert modfield._array_bytes([fixed, plain], set()) == fixed.nbytes
-    # past 2^15 the image stays plain
-    assert modfield._fixed_operand(mod, b, 1 << 15).ndim == 3
+        assert modfield._array_bytes([fixed, plain], set()) == fixed.image.nbytes
+    # at 2^16 and 2^17 only an operand whose products never wrap is scaled:
+    # one kept at its products' own size, not one kept at an explicit
+    # smaller size (2^16 for products of length 2^15 + 2^14 - 1); at 2^18
+    # its image is square, three variants of three limbs
+    assert modfield._fixed_operand(mod, b, 1 << 15).image.shape[:3] == (1, 2, 3)
+    assert modfield._fixed_operand(mod, b, 1 << 15, 1 << 16).image.ndim == 4
+    assert modfield._fixed_operand(mod, b, 1 << 16, 1 << 16).image.ndim == 3
+    assert modfield._fixed_operand(mod, b, 1 << 17).image.shape[:3] == (1, 3, 3)
     # the shift series at 2^15: two variants of three limbs
     fresh = Modulus(DEFAULT_PRIME)
     polyops.taylor_shift(Poly.of(fresh, rng.integers(0, fresh.p, 16384)), 5)
     operand = fresh.cached(("shift", 1 << 15), lambda: None)
-    assert operand.shape == (1, 2, 3, (1 << 14) + 1)
-    assert fresh.cache_bytes()["shift"] == (1, operand.nbytes)
+    assert operand.image.shape == (1, 2, 3, (1 << 14) + 1)
+    assert fresh.cache_bytes()["shift"] == (1, operand.image.nbytes)
     # the per-family operands that conversions at n = 4096 keep (unit and
     # root powers, v and u, 1/u and 1/v; not 1/f, a diagonal): every kept
     # image is scaled and multiplies as its variant 0 does, and short
@@ -720,22 +868,25 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
             for (_, _, _, args), _ in value[0]:
                 for arg in args:
                     ops = arg if isinstance(arg, tuple) else [arg]
-                    kept["seq"] += [X for X in ops if isinstance(X, np.ndarray)]
+                    kept["seq"] += [X for X in ops if isinstance(X, (np.ndarray, modfield._Kept))]
         elif key[0] == "chain":
             # the operands of the products among each direction's steps
             kept["from" if key[3] else "to"] += [
-                args[0] for _, args in value if len(args) == 2 and isinstance(args[0], np.ndarray)
+                args[0] for _, args in value
+                if len(args) == 2 and isinstance(args[0], (np.ndarray, modfield._Kept))
             ]
     a = rng.integers(0, conv.p, n)
     for kind, ops in kept.items():
-        images = [X for X in ops if X.ndim > 1]
-        assert images and all(X.ndim == 4 for X in images), kind
-        assert all(not modfield._by_transform(conv, n, len(X)) for X in ops if X.ndim == 1)
+        images = [X for X in ops if isinstance(X, modfield._Kept)]
+        assert images and all(X.image.ndim == 4 for X in images), kind
+        coeffs = [X for X in ops if isinstance(X, np.ndarray)]
+        assert all(X.ndim == 1 and not modfield._by_transform(conv, n, len(X)) for X in coeffs)
         for X in images:
+            plain = modfield._Kept(modfield._plain(X.image), X.length)
             for transposed in (False, True):
                 got = _mul_fixed(conv, a, X, n, transposed)
-                assert np.array_equal(got, _mul_fixed(conv, a, modfield._plain(X), n, transposed))
-    assert any(X.ndim == 1 for ops in kept.values() for X in ops)
+                assert np.array_equal(got, _mul_fixed(conv, a, plain, n, transposed))
+    assert any(isinstance(X, np.ndarray) for ops in kept.values() for X in ops)
 
 
 def test_dense_product_exact_on_worst_operands(mod):

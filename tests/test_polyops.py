@@ -234,7 +234,7 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
     for m in (16384, 16383):
         taylor_shift_t(taylor_shift(Poly(mod, [1] * m, m), 12345), 12345)
     # a scaled float image (modfield._kept_image)
-    assert mod._cache["shift", 32768].ndim == 4
+    assert mod._cache["shift", 32768].image.ndim == 4
     A = Poly(mod101, [rng.randrange(101) for _ in range(100)], 100)
     assert taylor_shift(A, 5) == horner_compose(A, Poly(mod101, [5, 1], 100), 100)
     # shifts by 1, 7, 12345 and p - 1 keep one series per transform size and
@@ -265,8 +265,8 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
         rows = [k for k in mod._cache if k[0] == "shiftrows" and k[2] == size]
         assert sorted(rows) == sorted(("shiftrows", a % p, size) for a in values[1:])
         # one row; scaled but over 101, whose one limb admits no fewer
-        assert len(mod._cache["shift", size]) == 1
-        assert mod._cache["shift", size].ndim == (3 if p == 101 else 4)
+        assert len(mod._cache["shift", size].image) == 1
+        assert mod._cache["shift", size].image.ndim == (3 if p == 101 else 4)
     assert len(mod._cache["shiftrows", 7, 256][0]) == 101
 
 
