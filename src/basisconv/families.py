@@ -13,7 +13,6 @@ product by its n x n matrix, kept per family, n and direction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ from .modfield import (
     _arange,
     _dense_mul,
     _fit,
+    _integers,
     _powers,
     _prefix_products,
     _readonly,
@@ -623,10 +623,7 @@ def _input_vector(coeffs, n: int, mod: Modulus):
     a = np.asarray(coeffs)
     if len(a) and a.dtype.kind not in "iu":
         # integers beyond int64 (dtype object), or entries that are no integers
-        try:
-            a = np.array([operator.index(c) for c in coeffs], dtype=object)
-        except TypeError:
-            raise DomainViolation("coefficients must be integers") from None
+        a = _integers(coeffs)
     bad = np.flatnonzero((a < 0) | (a >= mod.p))
     if len(bad):
         j = int(bad[0])

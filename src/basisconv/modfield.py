@@ -46,10 +46,10 @@ place of 3 and 5, for twice the memory of the image: after a warm pass the
 cache holds 11.1 MB on sheffer_large and 42.5 MB on algebraic_large (7.6
 and 24.9 MB with every image plain, 40.9 MB with those at 2^16 plain),
 where one Taylor-shift series per transform size (polyops), not one per
-shift value, makes room for them.  At 2^18 and 2^19 such a fixed operand's
-image is square, three variants of three 11-bit limbs by which rows of
-three limbs multiply: 3 forward and 3 inverse FFTs in place of 3 and 5,
-for three times the memory.
+shift value, makes room for them.  At 2^18 alone such a fixed operand's
+image is square (SQUARE), three variants of three 11-bit limbs by which
+rows of three limbs multiply: 3 forward and 3 inverse FFTs in place of 3
+and 5, for three times the memory.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -203,7 +203,7 @@ class Modulus:
         """(L_x, w_x) of the rows multiplied by a scaled image at size
         (_kept_image), fewer limbs than layout(size) gives, for a sum of two
         products or, linear, for one product that does not wrap, there as
-        many, L >= 3, where none are fewer; None where the bound admits none
+        many at SQUARE where none are fewer; None where the bound admits none
         (_scaled_layouts)."""
         return (self._scaled_linear if linear else self._scaled).get(size)
 
@@ -647,14 +647,9 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # above (scaled_layout(size, linear=True)).  For DEFAULT_PRIME that adds two
 # 16-bit limbs at 2^16 and 2^17 (the bound is 0.050 and 0.107; 0.226 at
 # 2^18), and for the 40-bit prime two 21-bit limbs at 2^9 and three 14-bit
-# ones at 2^17 and 2^18.  Where no fewer limbs are admitted against L >= 3,
-# the rows take L limbs too, a square image (2L transforms in place of
-# 3L - 1): three 11-bit limbs at 2^18 and 2^19 for DEFAULT_PRIME, where a
-# product of rows of 2^17 residues by a kept one took 28 ms against 36 ms
-# plain (best of 15); three 14-bit limbs from 2^10 to 2^13 and four 11-bit
-# ones at 2^19 for the 40-bit prime.  Each product by it asserts the bound
-# for the lengths it is given (_mul_fixed), and its layout is read from the
-# image's shape, its number of variants.  One warm product of rows
+# ones at 2^17 and 2^18.  Each product by it asserts the bound for the
+# lengths it is given (_mul_fixed), and its layout is read from the image's
+# shape, its number of variants.  One warm product of rows
 # of size / 2 residues of DEFAULT_PRIME by the kept image of as many rows,
 # in us, plain / scaled, best of 100 to 300 (1 row) and 10 to 30 (32 rows)
 # interleaved, same machine:
@@ -674,6 +669,27 @@ FFT_ERROR_MAX = 1 / 8
 # The most product images summed before one inverse transform
 # (_image_mul).
 MAX_SUMMED = 2
+
+# (size, L) of the one square image: where the bound admits no fewer limbs
+# than the three of a fixed operand's image at 2^18 (DEFAULT_PRIME), the rows
+# multiplied by it take three limbs too, and the image holds three variants
+# (_scaled_layouts): 3 forward and 3 inverse FFTs in place of 3 and 5, for
+# three times the memory of the image.  DEFAULT_PRIME, plain / square, best
+# of 15 (5 at n = 2^17) on a 2-core x86-64 machine with numpy 2.4:
+#
+#    a row of 2^17 residues by a kept one, ms      32.5 / 25.3
+#    its middle product, ms                        30.1 / 23.5
+#
+#    warm jacobi(alpha=3,beta=5)       n = 2^16            n = 2^17
+#    to_monomial, ms               102-105 / 89-92     316-325 / 287-308
+#    from_monomial, ms               57-58 / 57-58     213-216 / 181-189
+#    the round trip's cache, MB      53.5 / 66.1         75.5 / 138.4
+#    its ru_maxrss, MB                130 / 135           193 / 256
+#
+# At n = 2^16 only to_monomial's two Taylor shifts multiply at 2^18; at
+# 2^17 so do the family's kept operands.  Other sizes and layouts keep plain
+# images: none other was timed, and the memory grows with the size.
+SQUARE = (1 << 18, 3)
 
 
 def fft_error_bound(size, products, limbs, width, other=None, lengths=None):
@@ -745,22 +761,22 @@ def _scaled_layouts(p, layouts, linear=False):
     for which fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX,
     or, linear, the bound of one product of lengths size / 2 and
     size / 2 + 1, the largest of any product that does not wrap; searched
-    from that of the size before in the same layout.  linear, where no
-    L_x < L is admitted and L >= 3, the rows take the size's own layout,
-    L_x = L (a square image, always admitted where the plain layout is):
-    2L transforms where a plain product takes 3L - 1, two or more fewer,
-    for L times the memory of the image."""
+    from that of the size before in the same layout.  linear, at the size of
+    SQUARE where no L_x < L is admitted against its L limbs, the rows take
+    the size's own layout, L_x = L (a square image, admitted wherever the
+    plain layout is)."""
     products, out, below = 1 if linear else MAX_SUMMED, {}, 1
     for L, w, top, _ in layouts:
         size, Lx = 2 * below, 1
-        most = L + 1 if linear and L >= 3 else L
-        while size <= top and Lx < most:
+        while size <= top and Lx < L:
             lengths = (size // 2, size // 2 + 1) if linear else None
             if fft_error_bound(size, products, Lx, _width(p, Lx), w, lengths) <= FFT_ERROR_MAX:
                 out[size] = (Lx, _width(p, Lx))
                 size *= 2
             else:
                 Lx += 1
+        if linear and L == SQUARE[1] and below < SQUARE[0] <= top:
+            out.setdefault(SQUARE[0], (L, w))
         below = max(top, 1)
     return out
 
@@ -1012,25 +1028,30 @@ def _fit(arr, n):
     return out
 
 
-def _residues(mod: Modulus, values):
-    """values (a sequence of integers) reduced mod p into a fresh array of
-    mod.dtype; raises DomainViolation at the first entry that is no integer
-    (a float or a string, which int() would truncate or parse)."""
-    if isinstance(values, np.ndarray) and values.dtype == mod.dtype:
-        return values % mod.p
-    a = np.asarray(values)
-    if np.can_cast(a.dtype, np.int64):
-        # integers that fit int64, read as one array (families._input_vector)
-        return a.astype(np.int64, copy=False).astype(mod.dtype, copy=False) % mod.p
-    # through Python ints: entries beyond int64 and object rows, whose numpy
-    # scalars must not enter an object array
+def _integers(values):
+    """values as an object array of Python ints, read through
+    operator.index; raises DomainViolation at the first entry that is no
+    integer (a float or a string, which int() would truncate or parse)."""
     out = []
     for j, v in enumerate(values):
         try:
             out.append(operator.index(v))
         except TypeError:
             raise DomainViolation(f"coefficient {j} = {v!r} is not an integer") from None
-    return (np.array(out, dtype=object) % mod.p).astype(mod.dtype)
+    return np.array(out, dtype=object)
+
+
+def _residues(mod: Modulus, values):
+    """values (a sequence of integers) reduced mod p into a fresh array of
+    mod.dtype; raises DomainViolation at the first entry that is no integer
+    (_integers)."""
+    a = np.asarray(values)
+    if np.can_cast(a.dtype, np.int64):
+        # integers that fit int64, read as one array (families._input_vector)
+        return a.astype(np.int64, copy=False).astype(mod.dtype, copy=False) % mod.p
+    # through Python ints: entries beyond int64, object rows, whose numpy
+    # scalars must not enter an object array, and entries that are no integers
+    return (_integers(values) % mod.p).astype(mod.dtype)
 
 
 def _arange(mod: Modulus, start, stop):

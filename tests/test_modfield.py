@@ -316,8 +316,7 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     # 2^8, three 14-bit limbs against four 11-bit ones up to 2^16); and, on
     # constant rows, products by kept operands at each size up to 2^17 that
     # only products that never wrap admit (one 21-bit limb at 2^12 and 2^13;
-    # P40: two 21-bit limbs at 2^9, three 14-bit ones at 2^17, and square
-    # images of three 14-bit limbs from 2^10 to 2^13)
+    # P40: two 21-bit limbs at 2^9 and three 14-bit ones at 2^17)
     checked, agrees = [], oracle._float_agrees
 
     def recorded(mod, size, scaled=False, constant=False, linear=False):
@@ -331,32 +330,40 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     assert sorted(plain) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
     assert sorted(size for size, kind in checked if kind is True) == [1 << 8, 1 << 11, 1 << 16]
     linear = sorted(size for size, kind in checked if kind == "linear")
-    assert linear == [1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 12, 1 << 13, 1 << 13, 1 << 17]
+    assert linear == [1 << 9, 1 << 12, 1 << 13, 1 << 17]
 
 
 @pytest.mark.parametrize(
-    "values, want",
+    "p, values, want",
     [
-        ([1, 2], [1, 2]),
-        ([-1, 3 * DEFAULT_PRIME + 5], [DEFAULT_PRIME - 1, 5]),
-        ([2**70, 1], [2**70 % DEFAULT_PRIME, 1]),
-        (np.array([7, DEFAULT_PRIME]), [7, 0]),
-        ([1.5, 2], "coefficient 0 = 1.5 "),
-        (np.array([1.7, 2.2]), "coefficient 0 = np.float64"),
-        (["3", 2], "coefficient 0 = '3' "),
-        ([2, 2**70, 0.0], "coefficient 2 = 0.0 "),
+        (DEFAULT_PRIME, [1, 2], [1, 2]),
+        (DEFAULT_PRIME, [-1, 3 * DEFAULT_PRIME + 5], [DEFAULT_PRIME - 1, 5]),
+        (DEFAULT_PRIME, [2**70, 1], [2**70 % DEFAULT_PRIME, 1]),
+        (DEFAULT_PRIME, np.array([7, DEFAULT_PRIME]), [7, 0]),
+        (DEFAULT_PRIME, [1.5, 2], "coefficient 0 = 1.5 "),
+        (DEFAULT_PRIME, np.array([1.7, 2.2]), "coefficient 0 = np.float64"),
+        (DEFAULT_PRIME, ["3", 2], "coefficient 0 = '3' "),
+        (DEFAULT_PRIME, [2, 2**70, 0.0], "coefficient 2 = 0.0 "),
+        (P40, np.array([3, P40 + 4, -1], dtype=object), [3, 4, P40 - 1]),
+        (P40, np.array([7, 2**70], dtype=object), [7, 2**70 % P40]),
+        (P40, np.array([1.5, 2], dtype=object), "coefficient 0 = 1.5 "),
+        (P40, np.array([2, "3"], dtype=object), "coefficient 1 = '3' "),
     ],
 )
-def test_polys_read_integers_alone(mod, values, want):
-    # integer entries reduce mod p, beyond int64 too; an entry that is no
-    # integer (a float, even a whole one, or a string) raises, where int()
-    # would have truncated or parsed it, and so does a bivariate evaluation
-    # given such a list
+def test_polys_read_integers_alone(p, values, want):
+    # integer entries reduce mod p, beyond int64 too and in object rows; an
+    # entry that is no integer (a float, even a whole one, or a string)
+    # raises, where int() would have truncated or parsed it, and so do a
+    # bivariate evaluation given such a row and a conversion
+    mod = Modulus(p)
     if isinstance(want, str):
+        fam = families.parse_family(mod, "laguerre(alpha=3)")
         with pytest.raises(DomainViolation, match=want):
             Poly(mod, values)
         with pytest.raises(DomainViolation, match=want):
-            eval_bivariate(values, families.parse_family(mod, "laguerre(alpha=3)").spec, 3, mod)
+            eval_bivariate(values, fam.spec, len(values), mod)
+        with pytest.raises(DomainViolation, match=want):
+            families.to_monomial(values, fam, len(values), mod)
     else:
         assert Poly(mod, values).coeffs == want
 
@@ -658,9 +665,9 @@ def test_scaled_layouts_by_prime():
     # sizes: 2 x 16 bits at 2^16 and 2^17 for DEFAULT_PRIME (the bound reads
     # 0.050 and 0.107 against FFT_ERROR_MAX = 1/8, and 0.226 at 2^18); 2 x 21
     # at 2^9 and 3 x 14 at 2^17 and 2^18 for P40, and 3 x 14 against 5 x 9 at
-    # 2^20.  Where it admits no fewer limbs of three or more, the rows take
-    # as many as the image (a square image): 3 x 11 at 2^18 and 2^19 for
-    # DEFAULT_PRIME, 3 x 14 from 2^10 to 2^13 and 4 x 11 at 2^19 for P40
+    # 2^20.  Where it admits no fewer limbs than three at 2^18 (SQUARE), the
+    # rows take as many as the image (a square image): 3 x 11 for
+    # DEFAULT_PRIME; no other size or layout takes one
     def table(p, linear=False):
         mod = Modulus(p)
         sizes = [1 << k for k in range(1, 20)]
@@ -671,19 +678,16 @@ def test_scaled_layouts_by_prime():
 
     default = {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
     assert table(DEFAULT_PRIME) == default
-    square = {1 << k: ((3, 11), (3, 11)) for k in (18, 19)}
+    square = {1 << 18: ((3, 11), (3, 11))}
     assert table(DEFAULT_PRIME, linear=True) == default | square | {
         1 << k: ((2, 16), (3, 11)) for k in (16, 17)
     }
     want = {1 << k: ((2, 21), (3, 14)) for k in range(3, 9)}
     want.update({1 << k: ((3, 14), (4, 11)) for k in range(14, 17)})
     assert table(P40) == want
-    assert table(P40, linear=True) == want | {1 << k: ((3, 14), (3, 14)) for k in range(10, 14)} | {
+    assert table(P40, linear=True) == want | {
         1 << 9: ((2, 21), (3, 14)), 1 << 17: ((3, 14), (4, 11)), 1 << 18: ((3, 14), (4, 11)),
-        1 << 19: ((4, 11), (4, 11)),
     }
-    # one limb for p = 101 and two for NO_ROOTS_PRIME past 2^13 take no
-    # square image: L + L transforms against 3L - 1 saves none and one
     assert table(101) == table(101, linear=True) == {}
     assert table(NO_ROOTS_PRIME, linear=True) == {1 << k: ((1, 21), (2, 11)) for k in range(4, 14)}
     assert _largest_scaled_sizes(DEFAULT_PRIME) == [1 << 15]
@@ -698,10 +702,9 @@ def test_scaled_layouts_by_prime():
 
 
 # Sizes at which only products that never wrap admit a scaled layout, up
-# to 2^18: each (size, layout) of fewer limbs, and the least size of square
-# images
+# to 2^18: each (size, layout) of fewer limbs, and the square image
 LINEAR_SIZES = [(DEFAULT_PRIME, 1 << 16), (DEFAULT_PRIME, 1 << 17), (DEFAULT_PRIME, 1 << 18),
-                (P40, 1 << 9), (P40, 1 << 10), (P40, 1 << 17), (P40, 1 << 18)]
+                (P40, 1 << 9), (P40, 1 << 17), (P40, 1 << 18)]
 
 
 @pytest.mark.parametrize("p, size", [pytest.param(p, s, id=f"{p}-{s}") for p, s in LINEAR_SIZES])
@@ -709,13 +712,13 @@ def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
     # a fixed operand of lb = size / 2 + 1 entries kept for products of
     # la = size / 2 entries, la + lb - 1 = size, keeps its image scaled in
     # the layout only such products admit (one variant per limb of the
-    # rows, as many as the image's at 2^18 for DEFAULT_PRIME and 2^10 for
-    # P40); products by it of rows of the worst residue of that layout and
-    # of p - 1, by the worst residue of the size's layout and p - 1, equal
-    # the closed form of constant rows: coefficient k of la constants times
-    # lb constants counts min(k + 1, la, size - k) terms, and coefficient j
-    # of their middle product la - j; their rounding error stays within the
-    # bound for the lengths la and lb
+    # rows, as many as the image's at 2^18 for DEFAULT_PRIME); products by
+    # it of rows of the worst residue of that layout and of p - 1, by the
+    # worst residue of the size's layout and p - 1, equal the closed form of
+    # constant rows: coefficient k of la constants times lb constants counts
+    # min(k + 1, la, size - k) terms, and coefficient j of their middle
+    # product la - j; their rounding error stays within the bound for the
+    # lengths la and lb
     mod = Modulus(p)
     (Lx, wx), (L, w) = mod.scaled_layout(size, linear=True), mod.layout(size)
     assert mod.scaled_layout(size) != (Lx, wx)
@@ -841,11 +844,12 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
     # at 2^16 and 2^17 only an operand whose products never wrap is scaled:
     # one kept at its products' own size, not one kept at an explicit
     # smaller size (2^16 for products of length 2^15 + 2^14 - 1); at 2^18
-    # its image is square, three variants of three limbs
+    # its image is square, three variants of three limbs, and at 2^19 plain
     assert modfield._fixed_operand(mod, b, 1 << 15).image.shape[:3] == (1, 2, 3)
     assert modfield._fixed_operand(mod, b, 1 << 15, 1 << 16).image.ndim == 4
     assert modfield._fixed_operand(mod, b, 1 << 16, 1 << 16).image.ndim == 3
     assert modfield._fixed_operand(mod, b, 1 << 17).image.shape[:3] == (1, 3, 3)
+    assert modfield._fixed_operand(mod, b, 1 << 18).image.ndim == 3
     # the shift series at 2^15: two variants of three limbs
     fresh = Modulus(DEFAULT_PRIME)
     polyops.taylor_shift(Poly.of(fresh, rng.integers(0, fresh.p, 16384)), 5)
