@@ -27,10 +27,11 @@ from .compseq import (
     eval_seq_inv,
     eval_seq_t,
 )
-from .errors import DomainViolation, SingularDiagonal, SpecViolation
+from .errors import SingularDiagonal, SpecViolation
 from .modfield import (
     Modulus,
     Poly,
+    _check_poly,
     _dense_mul,
     _fixed_operand,
     _readonly,
@@ -94,14 +95,6 @@ def _spec_vectors(spec, n, mod):
     return mod.cached(("fvu", spec, n), build)
 
 
-def _check_input(A, mod):
-    """Raises DomainViolation unless A is a Poly over the prime of mod."""
-    if not isinstance(A, Poly):
-        raise DomainViolation(f"expected a Poly over p = {mod.p}, got {type(A).__name__}")
-    if A.mod.p != mod.p:
-        raise DomainViolation(f"polynomial over p = {A.mod.p}, conversion over p = {mod.p}")
-
-
 def _factors(spec, n, mod, inverse):
     """The factors of eval_bivariate at n, or with inverse of
     eval_bivariate_inv, as (map, operand) pairs in the order they apply, a
@@ -154,7 +147,7 @@ def _run_chain(A: Poly, spec, n, mod, inverse) -> Poly:
 
 def eval_bivariate(a, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """sum_j xi_j(x) a_j mod x^n for the series sum_j xi_j t^j = u v f(g h)."""
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     return _run_chain(Poly(mod, a, n), spec, n, mod, False)
 
 
@@ -166,8 +159,8 @@ def eval_bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus):
 
 def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     """eval_bivariate_inv as a Poly."""
-    mod.check_precision(n)
-    _check_input(A, mod)
+    n = mod.check_precision(n)
+    _check_poly(A, mod)
     return _run_chain(truncate(A, n), spec, n, mod, True)
 
 

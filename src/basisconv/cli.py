@@ -17,9 +17,9 @@ import time
 from .bivariate import eval_bivariate
 from .compseq import compute_g, eval_seq, eval_seq_inv, eval_seq_t, parse_integer, parse_sequence
 from .densemat import conversion_matrix
-from .errors import AlgebraError, DimensionMismatch, DomainViolation
+from .errors import AlgebraError
 from .families import MATRIX_MAX, family_names, from_monomial, parse_family, to_monomial
-from .modfield import DEFAULT_PRIME, Modulus, Poly, mul_trunc
+from .modfield import DEFAULT_PRIME, Modulus, Poly, _strict_row, mul_trunc
 from .oracle import (
     constant_rows_agree,
     dense_product_agrees,
@@ -65,23 +65,11 @@ def _read_vector(args, mod):
         raise UsageError(f"malformed input JSON: {exc}") from None
     if not isinstance(coeffs, list):
         raise UsageError("malformed input JSON: coeffs is not a list")
-    coeffs = [_integer(c) for c in coeffs]
     if declared is not None and _integer(declared) != mod.p:
         raise UsageError(
             f"input declares modulus {declared}, command uses {mod.p}"
         )
-    for i, c in enumerate(coeffs):
-        if not 0 <= c < mod.p:
-            raise DomainViolation(f"coefficient {i} = {c} lies outside [0, {mod.p})")
-    return coeffs
-
-
-def _input_poly(mod, coeffs, n):
-    """The Poly of dim n of coeffs; raises DimensionMismatch for more than n
-    coefficients, as to_monomial does, where Poly would drop them."""
-    if len(coeffs) > n:
-        raise DimensionMismatch(f"{len(coeffs)} coefficients exceed dimension {n}")
-    return Poly(mod, coeffs, n)
+    return [_integer(c) for c in coeffs]
 
 
 def _write_vector(args, mod, coeffs):
@@ -107,11 +95,10 @@ def cmd_convert(args):
     fam = parse_family(mod, args.family)
     a = _read_vector(args, mod)
     n = args.n if args.n is not None else max(len(a), 1)
-    mod.check_precision(n)
     if args.dir == "to-monomial":
         out = to_monomial(a, fam, n, mod).coeffs
     else:
-        out = from_monomial(_input_poly(mod, a, n), fam, n, mod)
+        out = from_monomial(Poly.of(mod, _strict_row(mod, a, n)), fam, n, mod)
     _write_vector(args, mod, out)
     return 0
 
@@ -124,8 +111,7 @@ def cmd_compose(args):
         raise UsageError(str(exc)) from None
     a = _read_vector(args, mod)
     n = args.n if args.n is not None else max(len(a), 1)
-    mod.check_precision(n)
-    A = _input_poly(mod, a, n)
+    A = Poly.of(mod, _strict_row(mod, a, n))
     if args.transpose:
         out = eval_seq_t(A, ops, n)
     elif args.inverse:
@@ -139,8 +125,7 @@ def cmd_compose(args):
 def cmd_matrix(args):
     mod = _modulus(args)
     fam = parse_family(mod, args.family)
-    n = args.n
-    mod.check_precision(n)
+    n = mod.check_precision(args.n)    # n = 0 calls no conversion, and the rows come first
     rows = [[0] * n for _ in range(n)]
     for j in range(n):
         e = [0] * n
@@ -323,9 +308,17 @@ def _check_family(mod, fam, name, a, n):
     return failures
 
 
+def _flag_integer(text):
+    """The value of an integer flag (compseq.parse_integer), or a usage error."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _dimension(text):
-    """The value of --n: a non-negative integer, or a usage error."""
-    n = int(text)
+    """The value of --n: a non-negative integer (_flag_integer), or a usage error."""
+    n = _flag_integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"dimension {n} is negative")
     return n
@@ -339,7 +332,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, n_required=False):
-        p.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
+        p.add_argument("--modulus", type=_flag_integer, default=DEFAULT_PRIME)
         if n_required:
             p.add_argument("--n", type=_dimension, required=True)
         else:
@@ -376,15 +369,15 @@ def build_parser():
 
     pb = sub.add_parser("bench", help="benchmark fast vs naive conversion")
     pb.add_argument("--family", required=True)
-    pb.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
-    pb.add_argument("--n-max", type=int, default=4096)
-    pb.add_argument("--naive-max", type=int, default=4096,
+    pb.add_argument("--modulus", type=_flag_integer, default=DEFAULT_PRIME)
+    pb.add_argument("--n-max", type=_flag_integer, default=4096)
+    pb.add_argument("--naive-max", type=_flag_integer, default=4096,
                     help="largest n for the quadratic baseline columns")
     pb.add_argument("--csv", default="-")
     pb.set_defaults(func=cmd_bench)
 
     ps = sub.add_parser("selftest", help="run built-in oracle checks")
-    ps.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
+    ps.add_argument("--modulus", type=_flag_integer, default=DEFAULT_PRIME)
     ps.add_argument("--quick", action="store_true")
     ps.set_defaults(func=cmd_selftest)
 

@@ -42,6 +42,7 @@ from .evalgrid import exp_map, exp_map_t, log_map, log_map_t
 from .modfield import (
     Modulus,
     Poly,
+    _check_poly,
     _dense_mul,
     _fixed_operand,
     _toeplitz,
@@ -198,7 +199,7 @@ def _apply_op(op, g: Poly, n_out: int, step: int) -> Poly:
 def compute_g(ops, n: int, mod: Modulus) -> SequenceTruncations:
     """Truncations of every intermediate series, following the schedule;
     made afresh on each call and not cached (see _prepare)."""
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     return _truncations(ops, n, mod)
 
 
@@ -377,8 +378,8 @@ def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
     were x: the B with B(g_s) = A(g) mod x^n where they are all Add, Mul, Exp
     or Log (compseq._shifts_cancel).  Runs the steps of the program
     (_prepare) in order."""
-    mod = A.mod
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(n)
     steps, dims = _prepare(ops, n, mod, start)
     return _run(steps, {0: truncate(A, n)}, 0)[len(dims) - 1]
 
@@ -386,8 +387,8 @@ def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
 def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
     """Transpose of eval_seq(., ops, n, start): the transposes of the steps
     of its program, last first."""
-    mod = A.mod
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(n)
     steps, dims = _prepare(ops, n, mod, start)
     return _run(reversed(steps), {len(dims) - 1: truncate(A, n)}, 1)[0]
 
@@ -492,8 +493,8 @@ def _inverse_plan(ops, n: int, mod: Modulus):
 
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
-    mod = A.mod
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(n)
     rev_ops, start, shift = _inverse_plan(ops, n, mod)
     return taylor_shift(eval_seq(A, rev_ops, n, start), shift)
 
@@ -501,8 +502,8 @@ def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
 def eval_inv_transposed(A: Poly, ops, n: int) -> Poly:
     """Transpose of eval_seq_inv(., ops, n): the transposed shift, then the
     reversed sequence evaluated transposed (_inverse_plan)."""
-    mod = A.mod
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(n)
     rev_ops, start, shift = _inverse_plan(ops, n, mod)
     return eval_seq_t(taylor_shift_t(truncate(A, n), shift), rev_ops, n, start)
 

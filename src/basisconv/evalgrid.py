@@ -323,11 +323,6 @@ class SubproductTree:
             w = nxt
         return self._leaf_t(w)
 
-    def interp(self, values) -> Poly:
-        """The unique polynomial of dim n taking the given values."""
-        cs = _residues(self.mod, values) * self.weights % self.mod.p
-        return Poly.of(self.mod, self.combine(cs).copy())
-
     @cached_property
     def den_inv(self):
         """1 / prod(1 - p_i x) mod x^n."""
@@ -354,24 +349,26 @@ def multieval_grid(A: Poly):
 
 
 def interp_grid(mod: Modulus, values) -> Poly:
-    """The unique A of dim n with A(i) = values[i]; requires n < p."""
-    n = len(values)
-    mod.check_precision(n)
+    """The unique A of dim n with A(i) = values[i] mod p
+    (modfield._residues); requires n < p."""
+    a = _residues(mod, values)
+    n = mod.check_precision(len(a))
     if n == 1:
-        return Poly(mod, values, 1)
-    return _grid_tree(mod, n).interp(values)
+        return Poly.of(mod, a)
+    tree = _grid_tree(mod, n)
+    return Poly.of(mod, tree.combine(a * tree.weights % mod.p).copy())
 
 
 def multieval_grid_t(mod: Modulus, values) -> Poly:
     """Transposed multipoint evaluation: coefficient j of the result is
-    sum_i values[i] * i^j."""
-    n = len(values)
-    mod.check_precision(n)
+    sum_i values[i] * i^j mod p (modfield._residues); requires n < p."""
+    a = _residues(mod, values)
+    n = mod.check_precision(len(a))
     if n == 1:
-        return Poly(mod, values, 1)
+        return Poly.of(mod, a)
     tree = _grid_tree(mod, n)
     # N = sum_i v_i prod_{j != i} (1 - p_j x) is the combine read backwards
-    num = tree.combine(_residues(mod, values))[::-1]
+    num = tree.combine(a)[::-1]
     return Poly.of(mod, _mul_fixed(mod, num, tree.den_fixed, n))
 
 
@@ -427,7 +424,7 @@ def _stirling_mul(A: Poly, kind, transposed):
 def exp_map(A: Poly, n: int) -> Poly:
     """A(exp(x) - 1) mod x^n."""
     mod = A.mod
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     if _dense(mod, n):
         return _stirling_mul(truncate(A, n), "exp", False)
     B = taylor_shift(truncate(A, n), mod.p - 1)
@@ -438,7 +435,7 @@ def exp_map(A: Poly, n: int) -> Poly:
 def log_map(A: Poly, n: int) -> Poly:
     """A(log(1 + x)) mod x^n."""
     mod = A.mod
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     if _dense(mod, n):
         return _stirling_mul(truncate(A, n), "log", False)
     B = diagonal(truncate(A, n), mod.table("factorials", n))

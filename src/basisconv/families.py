@@ -21,7 +21,6 @@ from .bivariate import (
     BivariateSpec,
     _bivariate_inv,
     _bivariate_matrix,
-    _check_input,
     eval_bivariate,
 )
 from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
@@ -30,13 +29,14 @@ from .modfield import (
     Modulus,
     Poly,
     _arange,
+    _check_poly,
     _dense_mul,
     _fit,
-    _integers,
     _powers,
     _prefix_products,
     _readonly,
     _residues,
+    _strict_row,
 )
 from .seriesops import _binomial, series_inv, unit_pow
 
@@ -263,7 +263,7 @@ def _int_param(params, key, default=None):
             raise SpecViolation(f"missing parameter {key!r}")
         return default
     val = params[key]
-    if not isinstance(val, int):
+    if type(val) is bool or not isinstance(val, int):
         raise SpecViolation(f"parameter {key!r} must be an integer")
     return val
 
@@ -615,22 +615,6 @@ def _prefactors(fam: FamilyDescriptor, n: int, mod: Modulus):
     return mod.cached(("prefac", fam, n), build)
 
 
-def _input_vector(coeffs, n: int, mod: Modulus):
-    """coeffs as an array of mod.dtype; raises DimensionMismatch for more
-    than n entries and DomainViolation at the first entry outside [0, p)."""
-    if len(coeffs) > n:
-        raise DimensionMismatch(f"{len(coeffs)} coefficients exceed dimension {n}")
-    a = np.asarray(coeffs)
-    if len(a) and a.dtype.kind not in "iu":
-        # integers beyond int64 (dtype object), or entries that are no integers
-        a = _integers(coeffs)
-    bad = np.flatnonzero((a < 0) | (a >= mod.p))
-    if len(bad):
-        j = int(bad[0])
-        raise DomainViolation(f"coefficient {j} = {coeffs[j]} lies outside [0, {mod.p})")
-    return a.astype(mod.dtype, copy=False)
-
-
 # On int64 rows a conversion at n <= MATRIX_MAX is one exact GEMM
 # (modfield._dense_mul) of the input row by the n x n matrix of the conversion,
 # prefactors folded in, kept per (family, n, direction) (_conversion_matrix):
@@ -681,11 +665,11 @@ def _check_prime(fam: FamilyDescriptor, mod: Modulus):
 
 def to_monomial(coeffs, fam: FamilyDescriptor, n: int, mod: Modulus) -> Poly:
     """sum_j coeffs[j] P_j(x) expressed in the monomial basis, mod x^n; the
-    n or fewer coefficients must be residues in [0, p).  Raises
-    DomainViolation for a family built over another prime."""
+    n or fewer coefficients must be integers in [0, p) (modfield._strict_row).
+    Raises DomainViolation for a family built over another prime."""
     _check_prime(fam, mod)
-    mod.check_precision(n)
-    a = _fit(_input_vector(coeffs, n, mod), n)
+    a = _strict_row(mod, coeffs, n)
+    n = len(a)      # n as check_precision reads it
     if _by_matrix(mod, n):
         return Poly.of(mod, _dense_mul(mod, a[None], _conversion_matrix(fam, n, mod, False))[0])
     _, cinv = _prefactors(fam, n, mod)
@@ -698,8 +682,8 @@ def from_monomial(A: Poly, fam: FamilyDescriptor, n: int, mod: Modulus):
     mod or a family built over another prime, and DimensionMismatch for A of
     dim > n."""
     _check_prime(fam, mod)
-    mod.check_precision(n)
-    _check_input(A, mod)
+    n = mod.check_precision(n)
+    _check_poly(A, mod)
     if A.dim > n:
         raise DimensionMismatch(f"dimension {A.dim} exceeds {n}")
     if _by_matrix(mod, n):

@@ -7,9 +7,9 @@ for p < 2^31, where a product of two residues stays below 2^62, and object
 (Python ints) for larger primes; the same array expressions serve both.  A
 Poly is a dense polynomial of a fixed declared dimension over one modulus: one
 read-only array of its dim coefficients in [0, p), trailing zeros included.
-Lists of Python ints appear only at the boundary: Poly(mod, list) reduces its
-integer entries mod p, raising DomainViolation at any other, and Poly.coeffs
-reads them back as a list.
+Lists of Python ints appear only at the boundary, read here for every public
+entry point: rows of integers (_integers, _residues, _strict_row), Polys
+(_check_poly) and dimensions (_dimension, Modulus.check_precision).
 
 Short operands go to the schoolbook convolution, by measured work
 (_by_transform).  Longer ones are multiplied through images, transforms of the
@@ -257,11 +257,11 @@ class Modulus:
         return out
 
     def check_precision(self, n):
-        """Raises DimensionMismatch for a precision n < 1 and
-        PrecisionExceedsModulus for n >= p."""
-        Poly.check_dim(n)
+        """n read by _dimension; PrecisionExceedsModulus for n >= p."""
+        n = _dimension(n)
         if n >= self.p:
             raise PrecisionExceedsModulus(f"precision {n} >= modulus {self.p}")
+        return n
 
     # -- factorial tables -------------------------------------------------
 
@@ -1029,12 +1029,25 @@ def _fit(arr, n):
 
 
 def _integers(values):
-    """values as an object array of Python ints, read through
-    operator.index; raises DomainViolation at the first entry that is no
-    integer (a float or a string, which int() would truncate or parse)."""
+    """values, a sequence or 1-D array of integers, as an int64 array where
+    all fit, else as Python ints in an object array; DomainViolation for no
+    sequence (a Poly, a number) or at the first float, string or bool.  A
+    list of Python ints takes one type scan in place of dtype inference."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if np.can_cast(values.dtype, np.int64):     # all but uint64
+            return values.astype(np.int64, copy=False)
+    if not hasattr(values, "__len__"):
+        raise DomainViolation(f"expected a sequence of integers, got {type(values).__name__}")
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            pass    # entries beyond int64, read below
     out = []
     for j, v in enumerate(values):
         try:
+            if type(v) is bool:
+                raise TypeError
             out.append(operator.index(v))
         except TypeError:
             raise DomainViolation(f"coefficient {j} = {v!r} is not an integer") from None
@@ -1042,16 +1055,49 @@ def _integers(values):
 
 
 def _residues(mod: Modulus, values):
-    """values (a sequence of integers) reduced mod p into a fresh array of
-    mod.dtype; raises DomainViolation at the first entry that is no integer
-    (_integers)."""
-    a = np.asarray(values)
-    if np.can_cast(a.dtype, np.int64):
-        # integers that fit int64, read as one array (families._input_vector)
-        return a.astype(np.int64, copy=False).astype(mod.dtype, copy=False) % mod.p
-    # through Python ints: entries beyond int64, object rows, whose numpy
-    # scalars must not enter an object array, and entries that are no integers
-    return (_integers(values) % mod.p).astype(mod.dtype)
+    """values (_integers) reduced mod p into a fresh array of mod.dtype."""
+    a = _integers(values)
+    if a.dtype != object:
+        a = a.astype(mod.dtype, copy=False)
+    return (a % mod.p).astype(mod.dtype, copy=False)
+
+
+def _strict_row(mod: Modulus, values, n):
+    """values, at most n integers in [0, p) (_integers), as a fresh array of
+    mod.dtype zero-padded to n, for n that check_precision admits; raises
+    DimensionMismatch for more entries and DomainViolation at an entry outside."""
+    n = mod.check_precision(n)
+    a = _integers(values)
+    if len(a) > n:
+        raise DimensionMismatch(f"{len(a)} coefficients exceed dimension {n}")
+    if len(a) and (a.min() < 0 or a.max() >= mod.p):    # two reductions
+        j = int(np.flatnonzero((a < 0) | (a >= mod.p))[0])
+        raise DomainViolation(f"coefficient {j} = {a[j]} lies outside [0, {mod.p})")
+    return _fit(a.astype(mod.dtype, copy=False), n)
+
+
+def _check_poly(A, mod=None):
+    """A.mod; raises DomainViolation unless A is a Poly, over mod's prime
+    where mod is given."""
+    if not isinstance(A, Poly):
+        raise DomainViolation(f"expected a Poly, got {type(A).__name__}")
+    if mod is not None and A.mod.p != mod.p:
+        raise DomainViolation(f"polynomial over p = {A.mod.p}, conversion over p = {mod.p}")
+    return A.mod
+
+
+def _dimension(n):
+    """n, an integer >= 1 (not a bool), as a Python int; DimensionMismatch
+    otherwise."""
+    try:
+        if type(n) is bool:
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise DimensionMismatch(f"dimension {n!r} is not an integer") from None
+    if n < 1:
+        raise DimensionMismatch(f"dimension {n} is below 1")
+    return n
 
 
 def _arange(mod: Modulus, start, stop):
@@ -1134,14 +1180,12 @@ class Poly:
     __slots__ = ("mod", "arr")
 
     def __init__(self, mod: Modulus, coeffs, dim=None):
-        """From a sequence of integers, reduced mod p and truncated or
-        zero-padded to dim (default: its length, at least 1); raises
-        DomainViolation at an entry that is no integer (_residues)."""
-        if dim is None:
-            dim = max(1, len(coeffs))
-        Poly.check_dim(dim)
+        """From a sequence of integers (_integers), reduced mod p and
+        truncated or zero-padded to dim (default: its length, at least 1)."""
+        a = _residues(mod, coeffs)
+        dim = max(1, len(a)) if dim is None else _dimension(dim)
         self.mod = mod
-        self.arr = _readonly(_fit(_residues(mod, coeffs[:dim]), dim))
+        self.arr = _readonly(_fit(a, dim))
 
     @classmethod
     def of(cls, mod: Modulus, arr):
@@ -1151,12 +1195,6 @@ class Poly:
         P = cls.__new__(cls)
         P.mod, P.arr = mod, _readonly(arr)
         return P
-
-    @staticmethod
-    def check_dim(n):
-        """Raises DimensionMismatch for a dimension or precision n < 1."""
-        if n < 1:
-            raise DimensionMismatch(f"dimension {n} is below 1")
 
     @classmethod
     def zero(cls, mod, dim):
@@ -1204,19 +1242,17 @@ class Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product; result dim = dim(a) + dim(b) - 1."""
-    if a.mod != b.mod:
-        raise DimensionMismatch("mixed moduli")
-    return Poly.of(a.mod, _convolve(a.mod, a.arr, b.arr))
+    """Exact product of two Polys over one prime; result dim = dim(a) + dim(b) - 1."""
+    mod = _check_poly(b, _check_poly(a))
+    return Poly.of(mod, _convolve(mod, a.arr, b.arr))
 
 
 def mul_trunc(a: Poly, P, n: int) -> Poly:
-    """a * P mod x^n, result dim n.  P is a Poly, or an operand kept by
-    _fixed_operand for products of length <= n."""
-    mod = a.mod
-    Poly.check_dim(n)
-    if not isinstance(P, Poly):
-        return Poly.of(mod, _mul_fixed(mod, a.arr[:n], P, n))
+    """a * P mod x^n, result dim n.  P is a Poly over a's prime, or an
+    operand kept by _fixed_operand for products of length <= n."""
+    if isinstance(P, (_Kept, np.ndarray)):
+        return Poly.of(a.mod, _mul_fixed(a.mod, a.arr[:n], P, n))
+    mod, n = _check_poly(P, _check_poly(a)), _dimension(n)
     da, dp = a.degree(), P.degree()
     if da < 0 or dp < 0:
         return Poly.zero(mod, n)
@@ -1226,16 +1262,15 @@ def mul_trunc(a: Poly, P, n: int) -> Poly:
 
 
 def mul_trunc_t(a: Poly, P, m: int) -> Poly:
-    """Transpose of mul_trunc(., P, n) for n = dim(a); result dim m.  P is a
-    Poly, or an operand kept by _fixed_operand for products of length <= n.
+    """Transpose of mul_trunc(., P, n) for n = dim(a); result dim m.  P is
+    read as mul_trunc reads it.
 
     Realized as the middle product (a * Rev(P) mod x^(m+e)) div x^e, e the
     degree of P, which reads a below x^(m+e) only.
     """
-    mod = a.mod
-    Poly.check_dim(m)
-    if not isinstance(P, Poly):
-        return Poly.of(mod, _mul_fixed(mod, a.arr, P, m, transposed=True))
+    if isinstance(P, (_Kept, np.ndarray)):
+        return Poly.of(a.mod, _mul_fixed(a.mod, a.arr, P, m, transposed=True))
+    mod, m = _check_poly(P, _check_poly(a)), _dimension(m)
     e = P.degree()
     if a.degree() < 0 or e < 0:
         return Poly.zero(mod, m)

@@ -23,6 +23,7 @@ from .modfield import (
     Modulus,
     Poly,
     _dense_mul,
+    _dimension,
     _fit,
     _fixed_operand,
     _mul_fixed,
@@ -69,9 +70,7 @@ DENSE_MIN = 32
 
 def power_subst(A: Poly, k: int) -> Poly:
     """A(x^k); result dim k*(m-1)+1.  No arithmetic."""
-    if k < 1:
-        raise DimensionMismatch("k must be >= 1")
-    if k == 1:
+    if _dimension(k) == 1:
         return A
     out = np.zeros(k * (A.dim - 1) + 1, dtype=A.arr.dtype)
     out[::k] = A.arr
@@ -80,9 +79,7 @@ def power_subst(A: Poly, k: int) -> Poly:
 
 def power_subst_t(A: Poly, k: int, m: int) -> Poly:
     """Transpose of power_subst: keep coefficients at indices 0, k, 2k, ..."""
-    if k < 1:
-        raise DimensionMismatch("k must be >= 1")
-    return Poly.of(A.mod, _fit(A.arr[::k], m))
+    return Poly.of(A.mod, _fit(A.arr[:: _dimension(k)], _dimension(m)))
 
 
 def reverse(A: Poly) -> Poly:
@@ -218,9 +215,7 @@ def find_degrees(m: int, k: int):
     m_i counts indices congruent to i mod k below m, i.e.
     floor(m/k) + 1 exactly when i < m mod k.
     """
-    if m < 1 or k < 1:
-        raise DimensionMismatch("m and k must be >= 1")
-    q, r = divmod(m, k)
+    q, r = divmod(_dimension(m), _dimension(k))
     return tuple(q + (1 if i < r else 0) for i in range(k))
 
 

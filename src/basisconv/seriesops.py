@@ -13,6 +13,7 @@ from .modfield import (
     Poly,
     _arange,
     _by_transform,
+    _dimension,
     _fit,
     _fixed_operand,
     _mul_cyclic,
@@ -41,7 +42,7 @@ def series_inv(g: Poly, n: int) -> Poly:
     """1/g mod x^n; requires g(0) != 0.  The body g / g(0) is inverted by
     _power: in closed form where it is binomial, by Newton steps otherwise."""
     mod = g.mod
-    Poly.check_dim(n)
+    n = _dimension(n)
     c = g.constant()
     if c == 0:
         raise DomainViolation("series inverse needs a nonzero constant term")
@@ -94,7 +95,7 @@ def _integral(g: Poly, n: int) -> Poly:
 def series_log(g: Poly, n: int) -> Poly:
     """log(1+g) mod x^n; requires g(0) = 0 and n < p."""
     mod = g.mod
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("log needs a series with zero constant term")
     if n == 1:
@@ -117,7 +118,7 @@ def series_exp(g: Poly, n: int) -> Poly:
     which the step does not read, and y d, which does not wrap.
     """
     mod = g.mod
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("exp needs a series with zero constant term")
     p = mod.p
@@ -148,7 +149,7 @@ def series_exp(g: Poly, n: int) -> Poly:
 def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0)=1 and a field-element exponent e (via exp/log)."""
     mod = g.mod
-    mod.check_precision(n)
+    n = mod.check_precision(n)
     e %= mod.p
     if e == 0:
         return Poly(mod, [1], n)
@@ -247,7 +248,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     or negative); the scalar part uses Fermat exponentiation.  Exact past
     x^p where _power takes the closed form; elsewhere there it raises."""
     mod = g.mod
-    Poly.check_dim(n)
+    n = _dimension(n)
     c = g.constant()
     if c == 0:
         raise DomainViolation("unit_pow needs a nonzero constant term")

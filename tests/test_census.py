@@ -15,17 +15,36 @@ import pytest
 
 from basisconv import DEFAULT_PRIME, Modulus, modfield
 from basisconv.families import from_monomial, parse_family, to_monomial
+from catalog_data import FAMILY_STRINGS
 
 # (forward rows, inverse rows) of one warm conversion at DEFAULT_PRIME, the
-# same for n = 2^11 ... 2^15: every product by a kept operand is scaled, two
-# 16-bit limb rows forward and three 11-bit class rows back, at 2^16 and
-# 2^17 too (jacobi's Taylor shifts at dimension 2n - 1 reach 2^16 from
-# n = 2^14 on).  jacobi's to_monomial makes six such products and bessel's
-# from_monomial two.
+# same for n = 2^11 ... 2^14, for each catalog family of cost class "M" both
+# ways (spread converts to the monomial basis only): every product by a kept
+# operand is scaled, two 16-bit limb rows forward and three 11-bit class rows
+# back, at 2^16 and 2^17 too (jacobi's Taylor shifts at dimension 2n - 1
+# reach 2^16 from n = 2^14 on).  jacobi's to_monomial makes six such
+# products and bessel's from_monomial two.
 CENSUS = {
-    ("jacobi(alpha=3,beta=5)", "to"): (12, 18),
+    ("hermite", "to"): (2, 3),
+    ("hermite", "from"): (2, 3),
+    ("euler(alpha=3)", "to"): (2, 3),
+    ("euler(alpha=3)", "from"): (2, 3),
+    ("bernoulli(alpha=3)", "to"): (2, 3),
+    ("bernoulli(alpha=3)", "from"): (2, 3),
+    ("laguerre(alpha=3)", "to"): (8, 12),
+    ("laguerre(alpha=3)", "from"): (6, 9),
+    ("bessel", "to"): (8, 12),
     ("bessel", "from"): (4, 6),
+    ("spread", "to"): (10, 15),
+    ("jacobi(alpha=3,beta=5)", "to"): (12, 18),
+    ("jacobi(alpha=3,beta=5)", "from"): (14, 21),
+    ("fibonacci", "to"): (20, 30),
+    ("fibonacci", "from"): (26, 39),
+    ("mott", "to"): (26, 39),
+    ("mott", "from"): (18, 27),
 }
+# the two conversions pinned at 2^15 as well
+AT_2_15 = (("jacobi(alpha=3,beta=5)", "to"), ("bessel", "from"))
 
 
 @pytest.fixture
@@ -44,12 +63,15 @@ def rows(monkeypatch):
 
 
 def test_transform_rows_are_the_same_at_every_n(rows):
-    got = {}
+    mod = Modulus(DEFAULT_PRIME)
+    m_class = {s for s in FAMILY_STRINGS if parse_family(mod, s).cost_class == "M"}
+    assert {name for name, _ in CENSUS} == m_class
+    got, want = {}, {}
     for k in range(11, 16):
         n, mod = 1 << k, Modulus(DEFAULT_PRIME)
         rng = random.Random(k)
         a = [rng.randrange(mod.p) for _ in range(n)]
-        for name, direction in CENSUS:
+        for name, direction in CENSUS if k < 15 else AT_2_15:
             fam = parse_family(mod, name)
             A = to_monomial(a, fam, n, mod)
             if direction == "from":
@@ -60,5 +82,5 @@ def test_transform_rows_are_the_same_at_every_n(rows):
             else:
                 from_monomial(A, fam, n, mod)
             got[name, direction, n] = tuple(rows)
-    want = {(name, d, 1 << k): c for (name, d), c in CENSUS.items() for k in range(11, 16)}
+            want[name, direction, n] = CENSUS[name, direction]
     assert got == want

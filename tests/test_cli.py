@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from basisconv import cli
 
 P = 2013265921
 P40 = 1099489607681
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, stdin=None):
+    # the child imports the package from this checkout, as the tests do
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "basisconv.cli", *args],
-        input=stdin, capture_output=True, text=True,
+        input=stdin, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -441,12 +446,30 @@ def test_zero_dimension_is_a_domain_error(monkeypatch, capsys):
     assert out == "" and err.startswith("error: DimensionMismatch")
 
 
-@pytest.mark.parametrize("sequence", ["A:1_0", "P:\u0663"])
-def test_sequence_integers_are_ascii_decimals(sequence, monkeypatch, capsys):
-    # int() reads 1_0 as 10 and the Arabic-Indic digit three as 3; the
-    # sequence grammar, as the JSON input's, takes neither
+CONVERT = ["convert", "--family", "hermite", "--dir", "to-monomial"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["compose", "--sequence", "A:1_0", "--n", "2"], id="A:1_0"),
+    pytest.param(["compose", "--sequence", "P:\u0663", "--n", "2"], id="P:\u0663"),
+    pytest.param([*CONVERT, "--n", "1_0"], id="--n 1_0"),
+    pytest.param([*CONVERT, "--n", " 4"], id="--n ' 4'"),
+    pytest.param([*CONVERT, "--n", "\u0664"], id="--n \u0664"),
+    pytest.param([*CONVERT, "--modulus", "2_013_265_921"], id="--modulus 2_013_265_921"),
+    pytest.param(["bench", "--family", "hermite", "--n-max", "1_6"], id="--n-max 1_6"),
+    pytest.param(["bench", "--family", "hermite", "--naive-max", " 16"], id="--naive-max ' 16'"),
+])
+def test_sequence_integers_are_ascii_decimals(argv, monkeypatch, capsys):
+    # int() reads 1_0 as 10, ' 4' as 4 and the Arabic-Indic digits three and
+    # four as 3 and 4; the sequence grammar and the integer flags, as the
+    # JSON input's, take none of them (compseq.parse_integer): a usage error,
+    # from main or, for a flag, from argparse
     monkeypatch.setattr("sys.stdin", io.StringIO(vec([1, 2])))
-    assert cli.main(["compose", "--sequence", sequence, "--n", "2"]) == 2
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and "malformed integer" in err
 

@@ -445,12 +445,15 @@ def test_parameter_validation(mod):
         family(mod, "jacobi", alpha=3)   # missing beta
     with pytest.raises(SpecViolation):
         family(mod, "peters", **{"lambda": 3, "mu": "x"})
-    # parameters that are no integers, each a SpecViolation, not a TypeError
-    for bad in (0.5, "3"):
+    # parameters that are no integers, each a SpecViolation, not a TypeError;
+    # a bool is none either, where it would read as 0 or 1
+    for bad in (0.5, "3", True):
         with pytest.raises(SpecViolation, match="'p' must be an integer"):
             family(mod, "krawtchouk", p=bad, N=10)
         with pytest.raises(SpecViolation, match="'i' must be an integer"):
             family(mod, "meixner_pollaczek", **{"lambda": 3, "s": 5, "i": bad})
+    with pytest.raises(SpecViolation, match="'alpha' must be an integer"):
+        family(mod, "laguerre", alpha=True)
     # a parameter the family does not take
     with pytest.raises(SpecViolation, match="no parameter 'gamma'"):
         family(mod, "jacobi", alpha=1, beta=2, gamma=5)

@@ -164,7 +164,8 @@ def test_blocked_prefix_products_equal_running_products(p):
 def test_residues_of_integer_lists(p):
     # integer lists read as one int64 array; values beyond int64, numpy
     # scalars among Python ints and object rows through Python ints: all
-    # reduced mod p, as fresh arrays of mod.dtype
+    # reduced mod p, as fresh arrays of mod.dtype (bools are refused:
+    # test_every_entry_point_reads_inputs_by_one_rule)
     mod = Modulus(p)
     big = 1 << 70
     cases = [
@@ -176,7 +177,6 @@ def test_residues_of_integer_lists(p):
         np.array([5, -big, p], dtype=object),
         np.array([-7, 2**31 - 1], dtype=np.int32),
         np.array([(1 << 64) - 1, 2], dtype=np.uint64),
-        [True, False],
         [],
     ]
     for values in cases:
