@@ -98,23 +98,24 @@ def _spec_vectors(spec, n, mod):
 def _factors(spec, n, mod, inverse):
     """The factors of eval_bivariate at n, or with inverse of
     eval_bivariate_inv, as (map, operand) pairs in the order they apply, a
-    product by an absent u or v left out: a product's operand is its series
-    as a Poly, a sequence map's its ops and Diag's an array.  Raises what
+    product by an absent u or v and a map by an empty sequence left out: a
+    product's operand is its series as a Poly, a sequence map's its ops and
+    Diag's an array.  Raises what
     check_spec raises, then (inverse) SingularDiagonal at the first vanishing
     f_k.  The maps are as this module's namespace binds them now."""
     check_spec(spec, n, mod)
     f, v, u = _spec_vectors(spec, n, mod)
+    g, h = spec.g_ops or None, spec.h_ops or None
     if not inverse:
-        factors = ((mul_trunc_t, v), (eval_seq_t, spec.h_ops), (diagonal, f),
-                   (eval_seq, spec.g_ops), (mul_trunc, u))
+        factors = ((mul_trunc_t, v), (eval_seq_t, h), (diagonal, f), (eval_seq, g), (mul_trunc, u))
     else:
         zeros = np.flatnonzero(f == 0)
         if len(zeros):
             raise SingularDiagonal(f"f coefficient at index {zeros[0]} vanishes")
         finv = _readonly(mod.inv_array(f))
         uinv, vinv = (None if P is None else series_inv(P, n) for P in (u, v))
-        factors = ((mul_trunc, uinv), (eval_seq_inv, spec.g_ops), (diagonal, finv),
-                   (eval_inv_transposed, spec.h_ops), (mul_trunc_t, vinv))
+        factors = ((mul_trunc, uinv), (eval_seq_inv, g), (diagonal, finv),
+                   (eval_inv_transposed, h), (mul_trunc_t, vinv))
     return [(fn, x) for fn, x in factors if x is not None]
 
 
@@ -168,9 +169,9 @@ def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
 # for n <= MATRIX_MAX: the product of the matrices of the factors of _factors,
 # one exact GEMM (modfield._dense_mul) each: a Toeplitz matrix for a product,
 # the powers of g or h for a sequence map (compseq._seq_matrix,
-# _inverse_seq_matrix), transposed where the map is, none for an empty
-# sequence, a scaling for a diagonal.  They make none of the operands the
-# chain keeps, and raise what it raises.
+# _inverse_seq_matrix), transposed where the map is, a scaling for a
+# diagonal.  They make none of the operands the chain keeps, and raise what
+# it raises.
 
 
 def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c):
@@ -191,10 +192,8 @@ def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c):
             continue
         if isinstance(x, Poly):
             M = _toeplitz(x.arr, n)
-        elif x:
-            M = _inverse_seq_matrix(x, n, mod) if inverse else stacks[x]
         else:
-            continue
+            M = _inverse_seq_matrix(x, n, mod) if inverse else stacks[x]
         if fn in (mul_trunc_t, eval_seq_t, eval_inv_transposed):
             M = M.T
         if X is None:

@@ -172,7 +172,8 @@ def cmd_bench(args):
         a = [rng.randrange(mod.p) for _ in range(n)]
         cold_s = _timed(lambda: to_monomial(a, fam, n, mod))
         fast_s = min(_timed(lambda: to_monomial(a, fam, n, mod)) for _ in range(BENCH_RUNS))
-        if n <= args.naive_max:
+        # densemat builds matrices for p < 2^31 only
+        if n <= args.naive_max and mod.dtype is not object:
             t1 = time.perf_counter()
             M = conversion_matrix(fam.spec, n, mod)
             setup_s = time.perf_counter() - t1

@@ -76,6 +76,7 @@ from .modfield import (
     Modulus,
     Poly,
     _arange,
+    _check_poly,
     _convolve,
     _dense_mul,
     _fit,
@@ -341,8 +342,7 @@ def _grid_tree(mod: Modulus, n: int) -> SubproductTree:
 
 def multieval_grid(A: Poly):
     """(A(0), ..., A(n-1)) for A of dim n, as an array; requires n < p."""
-    n = A.dim
-    A.mod.check_precision(n)
+    n = _check_poly(A).check_precision(A.dim)
     if n == 1:
         return A.arr.copy()
     return _grid_tree(A.mod, n).multieval(A.arr)
@@ -375,8 +375,8 @@ def multieval_grid_t(mod: Modulus, values) -> Poly:
 def interp_grid_t(A: Poly):
     """Transposed interpolation: the unique y with multieval_grid_t(y) = A,
     as an array."""
-    mod, n = A.mod, A.dim
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(A.dim)
     if n == 1:
         return A.arr.copy()
     tree = _grid_tree(mod, n)
@@ -423,7 +423,7 @@ def _stirling_mul(A: Poly, kind, transposed):
 
 def exp_map(A: Poly, n: int) -> Poly:
     """A(exp(x) - 1) mod x^n."""
-    mod = A.mod
+    mod = _check_poly(A)
     n = mod.check_precision(n)
     if _dense(mod, n):
         return _stirling_mul(truncate(A, n), "exp", False)
@@ -434,7 +434,7 @@ def exp_map(A: Poly, n: int) -> Poly:
 
 def log_map(A: Poly, n: int) -> Poly:
     """A(log(1 + x)) mod x^n."""
-    mod = A.mod
+    mod = _check_poly(A)
     n = mod.check_precision(n)
     if _dense(mod, n):
         return _stirling_mul(truncate(A, n), "log", False)
@@ -444,9 +444,8 @@ def log_map(A: Poly, n: int) -> Poly:
 
 def exp_map_t(A: Poly, m: int) -> Poly:
     """Transpose of exp_map: K[x]_n -> K[x]_m for n = dim(A)."""
-    mod = A.mod
-    n = A.dim
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(A.dim)
     if _dense(mod, n):
         return truncate(_stirling_mul(A, "exp", True), m)
     B = diagonal(A, mod.table("inv_factorials", n))
@@ -456,9 +455,8 @@ def exp_map_t(A: Poly, m: int) -> Poly:
 
 def log_map_t(A: Poly, m: int) -> Poly:
     """Transpose of log_map: K[x]_n -> K[x]_m for n = dim(A)."""
-    mod = A.mod
-    n = A.dim
-    mod.check_precision(n)
+    mod = _check_poly(A)
+    n = mod.check_precision(A.dim)
     if _dense(mod, n):
         return truncate(_stirling_mul(A, "log", True), m)
     B = taylor_shift_t(A, 1)

@@ -28,17 +28,15 @@ from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoeff
 from .modfield import (
     Modulus,
     Poly,
-    _arange,
     _check_poly,
     _dense_mul,
     _fit,
     _powers,
-    _prefix_products,
     _readonly,
     _residues,
     _strict_row,
 )
-from .seriesops import _binomial, series_inv, unit_pow
+from .seriesops import _hypergeometric, series_inv, unit_pow
 
 
 @dataclass(frozen=True)
@@ -60,60 +58,20 @@ class FamilyDescriptor:
 # -- coefficient generators ------------------------------------------------
 #
 # Each generator is a callable n -> list of n coefficients (BivariateSpec's
-# contract, which the oracle reads too); the arrays behind them are built by
-# vectorized recurrences: a term ratio per index, then running products.
+# contract, which the oracle and perfbench read too).  The hypergeometric
+# series, e^(zt), (1 + zt)^e, Jacobi's 2F1 and the Pochhammer ratios, are
+# bound by _hyp; the others are written below or in their builders.
 
 
-def _running_products(mod, ratios):
-    """[1, r_1, r_1 r_2, ...] for an array of residue ratios r_1..r_{n-1}."""
-    return _prefix_products(np.concatenate([np.ones(1, dtype=mod.dtype), ratios]), mod.p)
+def _hyp(mod, upper=(), lower=(), z=1):
+    """pFq(upper; lower; z t) as a generator (seriesops._hypergeometric);
+    _hyp(mod) is e^t, and 1/n! as a prefactor."""
+    return lambda n: _hypergeometric(mod, n, upper, lower, z).tolist()
 
 
 def _ones(mod):
+    # 1/(1 - t), at any n: not 1F0(1;; 1), which reads 1/k and stops at p
     return lambda n: [1] * n
-
-
-def _inv_fact(mod):
-    return mod.inv_factorials
-
-
-def _exp_coeffs(mod, c):
-    # c^k / k!
-    return lambda n: (
-        _powers(mod, c % mod.p, n) * mod.table("inv_factorials", n) % mod.p
-    ).tolist()
-
-
-def _binomial_series(mod, c, e):
-    # (1 + c t)^e: with c = 1 and e = N the prefactor binom(N, n)
-    return lambda n: _binomial(mod, c, e, n).tolist()
-
-
-def _rising(mod, x, n):
-    """(x + k - 1) mod p for k = 1..n-1, the factors of (x)_(n-1)."""
-    return (x % mod.p + _arange(mod, 0, n - 1)) % mod.p
-
-
-def _nonzero_rising(mod, x, n, message):
-    """_rising(mod, x, n); raises ZeroCoefficient(message(k)) at the first k
-    whose factor vanishes."""
-    d = _rising(mod, x, n)
-    zeros = np.flatnonzero(d == 0)
-    if len(zeros):
-        raise ZeroCoefficient(message(int(zeros[0]) + 1))
-    return d
-
-
-def _hyp2f1_coeffs(mod, a, b, c):
-    """Coefficients of 2F1(a, b; c; z): (a)_k (b)_k / ((c)_k k!)."""
-
-    def gen(n):
-        p = mod.p
-        den = _nonzero_rising(mod, c, n, lambda k: f"2F1 lower parameter hits zero at index {k}")
-        num = _rising(mod, a, n) * _rising(mod, b, n) % p
-        return _running_products(mod, num * mod.inv_array(den * _arange(mod, 1, n) % p) % p).tolist()
-
-    return gen
 
 
 def _spread_f(mod):
@@ -132,7 +90,9 @@ def _unit_power_series(mod, base_fn, e):
 
 
 def _exp_minus_one_over_t(mod):
-    # (e^t - 1)/t: coefficient k is 1/(k+1)!
+    # (e^t - 1)/t: coefficient k is 1/(k+1)!; 1F1(1; 2; 1) would divide by
+    # (2)_k and raise ZeroCoefficient at n = p, where the table raises
+    # PrecisionExceedsModulus as the oracle does
     return lambda n: mod.table("inv_factorials", n + 1)[1:].tolist()
 
 
@@ -153,28 +113,6 @@ def _inv_series(mod, base_fn):
     return gen
 
 
-# -- prefactor sequences ---------------------------------------------------
-
-
-def _poch_ratio(mod, num, den):
-    """(num)_n / (den)_n; raises if a denominator factor vanishes."""
-
-    def gen(n):
-        d = _nonzero_rising(mod, den, n, lambda k: f"Pochhammer ({den})_{k} vanishes")
-        return _running_products(mod, _rising(mod, num, n) * mod.inv_array(d) % mod.p).tolist()
-
-    return gen
-
-
-def _poch_over_fact(mod, beta):
-    # (beta)_n / n!
-    def gen(n):
-        invs = mod.table("inverses", n)[1:]
-        return _running_products(mod, _rising(mod, beta, n) * invs % mod.p).tolist()
-
-    return gen
-
-
 # -- composition-sequence builders ----------------------------------------
 
 
@@ -187,10 +125,8 @@ def moebius_ops(mod, a, b, c, d):
     f = a * mod.inv(c) % mod.p
     if e == 0:
         raise SpecViolation("degenerate moebius transform (constant value)")
-    ops = [Mul(c), Add(d), Inv(), Mul(e)]
-    if f:
-        ops.append(Add(f))
-    return tuple(ops)
+    ops = [Mul(c), Add(d), Inv(), Mul(e), Add(f)]
+    return tuple(op for op in ops if op not in (Mul(1), Add(0)))
 
 
 def _jacobi_h_ops(mod):
@@ -283,41 +219,36 @@ def _sqrt_minus_one(mod):
 def _build_laguerre(mod, params):
     alpha = _int_param(params, "alpha")
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(Mul(mod.p - 1),),
         h_ops=moebius_ops(mod, 1, 0, mod.p - 1, 1),
-        v_coeffs=_binomial_series(mod, -1, -(1 + alpha)),
+        v_coeffs=_hyp(mod, (alpha + 1,)),    # (1 - t)^-(alpha+1)
     )
     return FamilyDescriptor("laguerre", {"alpha": alpha}, spec, _ones(mod))
 
 
 def _build_hermite(mod, params):
     def v(n):
-        # exp(-t^2): coefficient 2j is (-1)^j / j!
-        even = mod.table("inv_factorials", (n + 1) // 2).copy()
-        even[1::2] = (-even[1::2]) % mod.p
+        # exp(-t^2), e^(-t) at t^2
         out = np.zeros(n, dtype=mod.dtype)
-        out[::2] = even
+        out[::2] = _hypergeometric(mod, (n + 1) // 2, z=-1)
         return out.tolist()
 
-    spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1), g_ops=(Mul(2),), h_ops=(), v_coeffs=v
-    )
-    return FamilyDescriptor("hermite", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(Mul(2),), h_ops=(), v_coeffs=v)
+    return FamilyDescriptor("hermite", {}, spec, _hyp(mod))
 
 
 def _build_jacobi(mod, params):
     alpha = _int_param(params, "alpha")
     beta = _int_param(params, "beta")
-    half = mod.inv(2)
-    s = (alpha + beta + 1) % mod.p
+    half, s = mod.inv(2), alpha + beta + 1
     spec = BivariateSpec(
-        f_coeffs=_hyp2f1_coeffs(mod, s * half % mod.p, (s + 1) * half % mod.p, (beta + 1) % mod.p),
+        f_coeffs=_hyp(mod, (s * half, (s + 1) * half), (beta + 1,)),
         g_ops=(Add(1),),
         h_ops=_jacobi_h_ops(mod),
-        v_coeffs=_binomial_series(mod, 1, -s),
+        v_coeffs=_hyp(mod, (s,), (), -1),       # (1 + t)^-s
     )
-    pref = _poch_ratio(mod, s, (beta + 1) % mod.p)
+    pref = _hyp(mod, (s, 1), (beta + 1,))        # (s)_n / (beta + 1)_n
     return FamilyDescriptor("jacobi", {"alpha": alpha, "beta": beta}, spec, pref)
 
 
@@ -341,32 +272,25 @@ def _build_euler(mod, params):
         return out.tolist()
 
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
-        g_ops=(),
-        h_ops=(),
-        v_coeffs=_unit_power_series(mod, base, -alpha),
+        f_coeffs=_hyp(mod), g_ops=(), h_ops=(), v_coeffs=_unit_power_series(mod, base, -alpha)
     )
-    return FamilyDescriptor("euler", {"alpha": alpha}, spec, _inv_fact(mod))
+    return FamilyDescriptor("euler", {"alpha": alpha}, spec, _hyp(mod))
 
 
 def _build_bernoulli(mod, params):
     alpha = _int_param(params, "alpha")
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(),
         h_ops=(),
         v_coeffs=_unit_power_series(mod, _exp_minus_one_over_t(mod), -alpha),
     )
-    return FamilyDescriptor("bernoulli", {"alpha": alpha}, spec, _inv_fact(mod))
+    return FamilyDescriptor("bernoulli", {"alpha": alpha}, spec, _hyp(mod))
 
 
 def _build_mott(mod, params):
-    spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
-        g_ops=(Mul(mod.p - 1),),
-        h_ops=_mott_h_ops(mod),
-    )
-    return FamilyDescriptor("mott", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(Mul(mod.p - 1),), h_ops=_mott_h_ops(mod))
+    return FamilyDescriptor("mott", {}, spec, _hyp(mod))
 
 
 def _build_spread(mod, params):
@@ -374,36 +298,35 @@ def _build_spread(mod, params):
         # (1+t)/(1-t)
         return [1] + [2] * (n - 1)
 
-    h_ops = (Mul(mod.p - 1),) + _jacobi_h_ops(mod) + (Mul(mod.inv(mod.p - 2)),)
+    # -h(-t) / 2 for jacobi's h: its last Mul(1/2) and the 1/(-2) make one
+    h_ops = (Mul(mod.p - 1),) + _jacobi_h_ops(mod)[:-1] + (Mul(mod.inv(mod.p - 4)),)
     spec = BivariateSpec(f_coeffs=_spread_f(mod), g_ops=(), h_ops=h_ops, v_coeffs=v)
     return FamilyDescriptor("spread", {}, spec, _ones(mod))
 
 
 def _build_bessel(mod, params):
-    spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=_bessel_h_ops(mod)
-    )
-    return FamilyDescriptor("bessel", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=_bessel_h_ops(mod))
+    return FamilyDescriptor("bessel", {}, spec, _hyp(mod))
 
 
 def _build_falling(mod, params):
-    spec = BivariateSpec(f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=(Log(),))
-    return FamilyDescriptor("falling", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Log(),))
+    return FamilyDescriptor("falling", {}, spec, _hyp(mod))
 
 
 def _build_bell(mod, params):
-    spec = BivariateSpec(f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=(Exp(),))
-    return FamilyDescriptor("bell", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Exp(),))
+    return FamilyDescriptor("bell", {}, spec, _hyp(mod))
 
 
 def _build_bernoulli2(mod, params):
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(),
         h_ops=(Log(),),
         v_coeffs=_inv_series(mod, _log_one_plus_over_t(mod)),
     )
-    return FamilyDescriptor("bernoulli2", {}, spec, _inv_fact(mod))
+    return FamilyDescriptor("bernoulli2", {}, spec, _hyp(mod))
 
 
 def _build_charlier(mod, params):
@@ -411,34 +334,28 @@ def _build_charlier(mod, params):
     if a % mod.p == 0:
         raise SpecViolation("charlier needs a != 0")
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
-        g_ops=(),
-        h_ops=(Mul(mod.inv(a)), Log()),
-        v_coeffs=_exp_coeffs(mod, mod.p - 1),
+        f_coeffs=_hyp(mod), g_ops=(), h_ops=(Mul(mod.inv(a)), Log()), v_coeffs=_hyp(mod, z=-1)
     )
-    return FamilyDescriptor("charlier", {"a": a}, spec, _inv_fact(mod))
+    return FamilyDescriptor("charlier", {"a": a}, spec, _hyp(mod))
 
 
 def _build_actuarial(mod, params):
     beta = _int_param(params, "beta")
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
-        g_ops=(Mul(mod.p - 1),),
-        h_ops=(Exp(),),
-        v_coeffs=_exp_coeffs(mod, beta),
+        f_coeffs=_hyp(mod), g_ops=(Mul(mod.p - 1),), h_ops=(Exp(),), v_coeffs=_hyp(mod, z=beta)
     )
-    return FamilyDescriptor("actuarial", {"beta": beta}, spec, _inv_fact(mod))
+    return FamilyDescriptor("actuarial", {"beta": beta}, spec, _hyp(mod))
 
 
 def _build_narumi(mod, params):
     a = _int_param(params, "a")
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(),
         h_ops=(Log(),),
         v_coeffs=_unit_power_series(mod, _log_one_plus_over_t(mod), -a),
     )
-    return FamilyDescriptor("narumi", {"a": a}, spec, _inv_fact(mod))
+    return FamilyDescriptor("narumi", {"a": a}, spec, _hyp(mod))
 
 
 def _build_peters(mod, params):
@@ -446,17 +363,15 @@ def _build_peters(mod, params):
     mu = _int_param(params, "mu")
 
     def v(n):
-        w = _binomial(mod, 1, lam, n)           # (1+t)^lambda
+        w = _hypergeometric(mod, n, (-lam,), (), -1)    # (1+t)^lambda
         w[0] = (w[0] + 1) % mod.p               # 1 + (1+t)^lambda, constant 2
         base = Poly.of(mod, w * mod.inv(2) % mod.p)
         body = unit_pow(base, (-mu) % mod.p, n)
         scalar = mod.pow(2, -mu)                # mu must be a plain integer
         return (body.arr * scalar % mod.p).tolist()
 
-    spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=(Log(),), v_coeffs=v
-    )
-    return FamilyDescriptor("peters", {"lambda": lam, "mu": mu}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Log(),), v_coeffs=v)
+    return FamilyDescriptor("peters", {"lambda": lam, "mu": mu}, spec, _hyp(mod))
 
 
 def _build_meixner_pollaczek(mod, params):
@@ -480,7 +395,7 @@ def _build_meixner_pollaczek(mod, params):
         return out
 
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(Mul(i_unit),),
         h_ops=_log_ratio_ops(mod, (-s) % mod.p, 1, (-mod.inv(s)) % mod.p, 1),
         v_coeffs=_unit_power_series(mod, base, -lam),
@@ -496,13 +411,14 @@ def _build_meixner(mod, params):
     c %= mod.p
     if c == 0 or c == 1:
         raise SpecViolation("meixner needs c outside {0, 1}")
+    # v = (1 - t)^-beta and c_n = (beta)_n / n!: the same series
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(),
         h_ops=_log_ratio_ops(mod, (-mod.inv(c)) % mod.p, 1, mod.p - 1, 1),
-        v_coeffs=_binomial_series(mod, -1, -beta),
+        v_coeffs=_hyp(mod, (beta,)),
     )
-    return FamilyDescriptor("meixner", {"beta": beta, "c": c}, spec, _poch_over_fact(mod, beta))
+    return FamilyDescriptor("meixner", {"beta": beta, "c": c}, spec, _hyp(mod, (beta,)))
 
 
 def _build_krawtchouk(mod, params):
@@ -510,20 +426,19 @@ def _build_krawtchouk(mod, params):
     N = _int_param(params, "N")
     if pk == 0:
         raise SpecViolation("krawtchouk needs p != 0")
+    # v = (1 + t)^N and c_n = binom(N, n): the same series
     spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1),
+        f_coeffs=_hyp(mod),
         g_ops=(),
         h_ops=_log_ratio_ops(mod, (pk - 1) % mod.p, pk, pk, pk),
-        v_coeffs=_binomial_series(mod, 1, N),
+        v_coeffs=_hyp(mod, (-N,), (), -1),
     )
-    return FamilyDescriptor("krawtchouk", {"p": pk, "N": N}, spec, _binomial_series(mod, 1, N))
+    return FamilyDescriptor("krawtchouk", {"p": pk, "N": N}, spec, _hyp(mod, (-N,), (), -1))
 
 
 def _build_mittag_leffler(mod, params):
-    spec = BivariateSpec(
-        f_coeffs=_exp_coeffs(mod, 1), g_ops=(), h_ops=_mittag_leffler_h_ops(mod)
-    )
-    return FamilyDescriptor("mittag_leffler", {}, spec, _inv_fact(mod))
+    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=_mittag_leffler_h_ops(mod))
+    return FamilyDescriptor("mittag_leffler", {}, spec, _hyp(mod))
 
 
 FAMILY_BUILDERS = {

@@ -16,12 +16,15 @@ shifts slice rows of powers kept per base and power-of-two size.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainViolation
 from .modfield import (
     Modulus,
     Poly,
+    _check_poly,
     _dense_mul,
     _dimension,
     _fit,
@@ -29,6 +32,7 @@ from .modfield import (
     _mul_fixed,
     _powers,
     _readonly,
+    _residues,
     _size,
     mul_trunc,
     mul_trunc_t,
@@ -70,28 +74,30 @@ DENSE_MIN = 32
 
 def power_subst(A: Poly, k: int) -> Poly:
     """A(x^k); result dim k*(m-1)+1.  No arithmetic."""
+    mod = _check_poly(A)
     if _dimension(k) == 1:
         return A
     out = np.zeros(k * (A.dim - 1) + 1, dtype=A.arr.dtype)
     out[::k] = A.arr
-    return Poly.of(A.mod, out)
+    return Poly.of(mod, out)
 
 
 def power_subst_t(A: Poly, k: int, m: int) -> Poly:
     """Transpose of power_subst: keep coefficients at indices 0, k, 2k, ..."""
-    return Poly.of(A.mod, _fit(A.arr[:: _dimension(k)], _dimension(m)))
+    return Poly.of(_check_poly(A), _fit(A.arr[:: _dimension(k)], _dimension(m)))
 
 
 def reverse(A: Poly) -> Poly:
     """x^(m-1) * A(1/x): coefficients reversed within dim m.  Self-transpose."""
-    return Poly.of(A.mod, A.arr[::-1])
+    return Poly.of(_check_poly(A), A.arr[::-1])
 
 
 def truncate(A: Poly, n: int) -> Poly:
     """A mod x^n (drops or zero-pads to dim n).  Transpose is truncate back."""
+    mod = _check_poly(A)
     if n == A.dim:
         return A
-    return Poly.of(A.mod, _fit(A.arr, n))
+    return Poly.of(mod, _fit(A.arr, _dimension(n)))
 
 
 def _power_row(mod: Modulus, lam, m, sign=1):
@@ -106,16 +112,28 @@ def _power_row(mod: Modulus, lam, m, sign=1):
 
 
 def scale(A: Poly, lam: int) -> Poly:
-    """A(lambda * x): coefficient i multiplied by lambda^i.  Self-transpose."""
-    mod = A.mod
+    """A(lambda * x): coefficient i multiplied by lambda^i.  Self-transpose.
+    DomainViolation unless lambda is an integer (not a bool)."""
+    mod = _check_poly(A)
+    try:
+        if type(lam) is bool:
+            raise TypeError
+        lam = operator.index(lam)
+    except TypeError:
+        raise DomainViolation(f"scaling constant {lam!r} is not an integer") from None
     return Poly.of(mod, A.arr * _power_row(mod, lam % mod.p, A.dim) % mod.p)
 
 
 def diagonal(A: Poly, s) -> Poly:
-    """Pointwise product with the sequence s of >= dim residues."""
-    mod = A.mod
-    s = np.asarray(s[: A.dim], dtype=mod.dtype)
-    return Poly.of(mod, A.arr * s % mod.p)
+    """Pointwise product with the sequence s of >= dim residues: a 1-D
+    int64 row of residues (the chain's kept rows) as it is, any other s read
+    by modfield._residues; DimensionMismatch for fewer than dim entries."""
+    mod = _check_poly(A)
+    if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 1):
+        s = _residues(mod, s)
+    if len(s) < A.dim:
+        raise DimensionMismatch(f"{len(s)} diagonal entries for dimension {A.dim}")
+    return Poly.of(mod, A.arr * s[: A.dim] % mod.p)
 
 
 def _shift_operand(mod: Modulus, m):
@@ -197,14 +215,14 @@ def taylor_shift(A: Poly, a: int) -> Poly:
     """A(x + a): one product by the Pascal matrix on int64 rows with
     DENSE_MIN <= m <= LEAF_SIZE, at any m, else the factorial/convolution
     factorization, cost M(m) + O(m), which needs m < p."""
-    if a % A.mod.p == 0:
+    if a % _check_poly(A).p == 0:
         return A
     return _shift_kernel(A, a % A.mod.p, transposed=False)
 
 
 def taylor_shift_t(A: Poly, a: int) -> Poly:
     """Transpose of taylor_shift(., a) on K[x]_m."""
-    if a % A.mod.p == 0:
+    if a % _check_poly(A).p == 0:
         return A
     return _shift_kernel(A, a % A.mod.p, transposed=True)
 
@@ -221,12 +239,12 @@ def find_degrees(m: int, k: int):
 
 def split(A: Poly, k: int):
     """k-section: A(x) = sum_i parts[i](x^k) * x^i.  No arithmetic."""
+    mod = _check_poly(A)
     dims = find_degrees(A.dim, k)
     # dims[i] is 0 when i >= m; that slice is the zero polynomial of dim 1
     # so Poly invariants hold
     return tuple(
-        Poly.of(A.mod, A.arr[i::k]) if di else Poly.zero(A.mod, 1)
-        for i, di in enumerate(dims)
+        Poly.of(mod, A.arr[i::k]) if di else Poly.zero(mod, 1) for i, di in enumerate(dims)
     )
 
 
@@ -257,5 +275,5 @@ def lincomb(parts, G, n: int) -> Poly:
 def lincomb_t(A: Poly, G):
     """Transpose of lincomb: component-wise transposed truncated products,
     each G[i] as lincomb takes it for n = dim(A)."""
-    n = A.dim
-    return tuple(mul_trunc_t(A, g, n) for g in G)
+    _check_poly(A)
+    return tuple(mul_trunc_t(A, g, A.dim) for g in G)

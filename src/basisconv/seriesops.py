@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidOperatorParam, PrecisionExceedsModulus
+from .errors import (
+    DomainViolation,
+    InvalidOperatorParam,
+    PrecisionExceedsModulus,
+    ZeroCoefficient,
+)
 from .modfield import (
     Poly,
     _arange,
     _by_transform,
+    _check_poly,
     _dimension,
     _fit,
     _fixed_operand,
@@ -41,7 +47,7 @@ def series_mul_const(g: Poly, lam: int) -> Poly:
 def series_inv(g: Poly, n: int) -> Poly:
     """1/g mod x^n; requires g(0) != 0.  The body g / g(0) is inverted by
     _power: in closed form where it is binomial, by Newton steps otherwise."""
-    mod = g.mod
+    mod = _check_poly(g)
     n = _dimension(n)
     c = g.constant()
     if c == 0:
@@ -94,7 +100,7 @@ def _integral(g: Poly, n: int) -> Poly:
 
 def series_log(g: Poly, n: int) -> Poly:
     """log(1+g) mod x^n; requires g(0) = 0 and n < p."""
-    mod = g.mod
+    mod = _check_poly(g)
     n = mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("log needs a series with zero constant term")
@@ -117,7 +123,7 @@ def series_exp(g: Poly, n: int) -> Poly:
     mod x^L - 1, a cyclic middle product whose wrap lands below x^(m-1),
     which the step does not read, and y d, which does not wrap.
     """
-    mod = g.mod
+    mod = _check_poly(g)
     n = mod.check_precision(n)
     if g.constant() != 0:
         raise DomainViolation("exp needs a series with zero constant term")
@@ -158,13 +164,29 @@ def _unit_pow_field(g: Poly, e: int, n: int) -> Poly:
     return series_add_const(series_exp(scaled, n), 1)
 
 
-def _binomial(mod, t, e, n):
-    """(1 + t x)^e mod x^n as an array, for a field-element exponent e and
-    n <= p: term k is term k-1 times t (e - k + 1) / k, so the terms are
-    prefix products of those ratios, with no transform."""
+def _hypergeometric(mod, n, upper=(), lower=(), z=1):
+    """The first n <= p coefficients of pFq(upper; lower; z x) as an array,
+    term k = (a_1)_k ... z^k / ((b_1)_k ... k!) for the upper parameters a_i
+    and the lower b_j, all read mod p: the running products of the term
+    ratios z (a_1 + k - 1) ... / ((b_1 + k - 1) ... k), with no transform.
+    1/k comes from the "inverses" table (PrecisionExceedsModulus past p) and
+    the lower factors are inverted together; ZeroCoefficient at the first
+    that vanishes.  A vanishing upper factor ends the series: the binomial
+    (1 + t x)^e is 1F0(-e;; -t), binom(N, k) its terms at e = N, t = 1."""
     p = mod.p
+    k = _arange(mod, 1, n)
     ratios = np.ones(n, dtype=mod.dtype)
-    ratios[1:] = (e % p + 1 - _arange(mod, 1, n)) * (t % p) % p * mod.table("inverses", n)[1:] % p
+    ratios[1:] = mod.table("inverses", n)[1:] * (z % p) % p
+    for a in upper:
+        ratios[1:] = ratios[1:] * ((a - 1) % p + k) % p
+    if lower:
+        den = np.ones_like(k)
+        for b in lower:
+            den = den * ((b - 1) % p + k) % p
+        zeros = np.flatnonzero(den == 0)
+        if len(zeros):
+            raise ZeroCoefficient(f"a lower parameter's factor vanishes at term {zeros[0] + 1}")
+        ratios[1:] = ratios[1:] * mod.inv_array(den) % p
     return _prefix_products(ratios, p)
 
 
@@ -195,7 +217,7 @@ def _power(mod, body, e, newton=None):
     A lacunary body B(x^j), j the gcd of its exponents, is raised at
     precision m = ceil(len / j) and x^j substituted back.  Where m <= p the
     coefficients of B^e depend on e mod p only, and a binomial B = 1 + t x
-    takes the closed form (_binomial).  Any other B takes newton(B, m), a
+    takes the closed form 1F0(-e;; -t) (_hypergeometric).  Any other B takes newton(B, m), a
     kernel whose result is B^e at every precision, where the caller gives
     one, and exp(e log B) otherwise, which refuses m >= p."""
     n, p = len(body), mod.p
@@ -204,7 +226,7 @@ def _power(mod, body, e, newton=None):
     B = Poly.of(mod, body[::j])
     m = B.dim
     if len(nz) <= 1 and m <= p:
-        w = _binomial(mod, B.arr[1] if m > 1 else 0, e, m)
+        w = _hypergeometric(mod, m, (-e,), (), -int(B.arr[1]) if m > 1 else 0)
     elif newton is not None:
         w = newton(B, m)
     else:
@@ -247,7 +269,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
     """g^e mod x^n for g(0) != 0 and any integer exponent e (possibly huge
     or negative); the scalar part uses Fermat exponentiation.  Exact past
     x^p where _power takes the closed form; elsewhere there it raises."""
-    mod = g.mod
+    mod = _check_poly(g)
     n = _dimension(n)
     c = g.constant()
     if c == 0:
@@ -258,7 +280,7 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
 def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
     """g^(1/k) mod x^n: the unique series with leading term alpha*x^r whose
     k-th power is g.  Input must carry precision >= n + r*(k-1)."""
-    mod = g.mod
+    mod, n = _check_poly(g), _dimension(n)
     if k < 1 or r < 0 or alpha % mod.p == 0:
         raise InvalidOperatorParam("root needs k >= 1, r >= 0, alpha != 0")
     need = n + r * (k - 1)
@@ -287,7 +309,7 @@ def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
 
 def series_pow(g: Poly, k: int, n: int) -> Poly:
     """g^k mod x^n for k >= 1, by repeated squaring: exact at any n."""
-    mod = g.mod
+    mod = _check_poly(g)
     if k < 1:
         raise InvalidOperatorParam("series_pow needs k >= 1")
     acc = Poly(mod, [1], n)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -618,3 +620,64 @@ def test_a_family_built_over_another_prime_is_refused(n, mod, mod101):
                 convert(x, fam, n, mod)
         if n < 101:
             assert to_monomial([1, 2, 3], fam, n, mod101).dim == n
+
+
+def _closed_forms(p, n):
+    """{family string: {"f" | "v" | "c": coefficients mod p below t^n}} of the
+    catalog's hypergeometric series, from binomials, factorials and powers
+    written out here, with no generator of the library."""
+    from fractions import Fraction
+    from math import comb, factorial, prod
+
+    def mod_p(xs):
+        return [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in xs]
+
+    def rising(x, k):
+        return prod(Fraction(x) + i for i in range(k))
+
+    ks = range(n)
+    exp_t = mod_p(Fraction(1, factorial(k)) for k in ks)
+    # jacobi(alpha=3, beta=5), s = 9: (s/2)_k ((s+1)/2)_k = (s)_2k / 4^k
+    jacobi = {
+        "f": mod_p(rising(9, 2 * k) / (4**k * rising(6, k) * factorial(k)) for k in ks),
+        "v": mod_p((-1) ** k * comb(k + 8, 8) for k in ks),
+        "c": mod_p(rising(9, k) / rising(6, k) for k in ks),
+    }
+    out = {"jacobi(alpha=3,beta=5)": jacobi}
+    for name in FAMILY_STRINGS:
+        if name.split("(")[0] not in ("jacobi", "fibonacci", "spread"):
+            out.setdefault(name, {})["f"] = exp_t
+    for name in ("hermite", "euler(alpha=3)", "bernoulli(alpha=3)", "mott", "bessel", "falling",
+                 "bell", "bernoulli2", "charlier(a=2)", "actuarial(beta=3)", "narumi(a=2)",
+                 "peters(lambda=3,mu=2)", "mittag_leffler"):
+        out[name]["c"] = exp_t
+    out["laguerre(alpha=3)"]["v"] = mod_p(comb(k + 3, 3) for k in ks)
+    out["charlier(a=2)"]["v"] = mod_p(Fraction((-1) ** k, factorial(k)) for k in ks)
+    out["actuarial(beta=3)"]["v"] = mod_p(Fraction(3**k, factorial(k)) for k in ks)
+    meixner = mod_p(comb(k + 4, 4) for k in ks)
+    out["meixner(beta=5,c=7)"].update(v=meixner, c=meixner)
+    krawtchouk = mod_p(comb(100, k) for k in ks)
+    out["krawtchouk(p=1/3,N=100)"].update(v=krawtchouk, c=krawtchouk)
+    # peters: v = (1 + (1 + t)^3)^-2, the inverse of a square of a cubic
+    base = [2, 3, 3, 1] + [0] * n
+    sq = [sum(base[i] * base[k - i] for i in range(k + 1)) for k in ks]
+    inv = [Fraction(1, sq[0])]
+    for k in range(1, n):
+        inv.append(-sum(sq[i] * inv[k - i] for i in range(1, k + 1)) / sq[0])
+    out["peters(lambda=3,mu=2)"]["v"] = mod_p(inv)
+    return out
+
+
+def test_hypergeometric_series_match_closed_forms(mod101):
+    # the oracle reads the same generators, so it cannot catch a wrong one
+    n, checked = 12, 0
+    for name, series in _closed_forms(101, n).items():
+        fam = parse_family(mod101, name)
+        gens = {"f": fam.spec.f_coeffs, "v": fam.spec.v_coeffs, "c": fam.prefactor}
+        for key, want in series.items():
+            assert gens[key](n) == want, (name, key)
+            checked += 1
+    # f of 17 families, c_n = 1/n! of 13, jacobi's f, v and c_n, and the v
+    # of laguerre, charlier, actuarial, meixner, krawtchouk and peters, and
+    # c_n of meixner and krawtchouk
+    assert checked == 17 + 13 + 3 + 6 + 2

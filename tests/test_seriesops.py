@@ -11,6 +11,7 @@ from basisconv import (
     Modulus,
     Poly,
     PrecisionExceedsModulus,
+    ZeroCoefficient,
     modfield,
     mul_trunc,
     seriesops,
@@ -499,3 +500,58 @@ def test_series_pow_matches_repeated_mul(mod101):
             acc = mul_trunc(acc, g, n)
     with pytest.raises(InvalidOperatorParam):
         series_pow(g, 0, n)
+
+
+def _hypergeometric_by_ints(p, n, upper, lower, z):
+    """The first n terms of pFq(upper; lower; z x) mod p from explicit rising
+    factorials in Python ints, or the first k < n whose lower factor
+    (b + k - 1) vanishes mod p, as ("zero", k)."""
+
+    def rising(x, k):
+        out = 1
+        for i in range(k):
+            out *= x + i
+        return out
+
+    terms, fact = [], 1
+    for k in range(n):
+        fact *= max(k, 1)
+        den = 1
+        for b in lower:
+            den *= rising(b, k)
+        if den % p == 0:
+            return ("zero", k)
+        num = z**k
+        for a in upper:
+            num *= rising(a, k)
+        terms.append(num * pow(den, -1, p) * pow(fact, -1, p) % p)
+    return terms
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40, 101])
+def test_hypergeometric_matches_rising_factorials(p):
+    # random parameters of either sign, and past p; zero and negative upper
+    # parameters end the series; n = 1 and, over 101, n = p
+    mod, rng = Modulus(p), random.Random(p)
+    cases = [((), (), 1, 1), ((0,), (), 5, 6), ((-3,), (2,), -1, 9), ((-7, 4), (3,), 2, 12),
+             ((1,), (-4,), 1, 10), ((2,), (3, -2), 1, 4)]
+    for _ in range(30):
+        params = [rng.randrange(-60, 60) if rng.random() < 0.8 else rng.randrange(-3 * p, 3 * p)
+                  for _ in range(rng.randrange(4))]
+        q = rng.randrange(len(params) + 1)
+        cases.append((tuple(params[q:]), tuple(params[:q]), rng.randrange(-p, p), rng.randrange(1, 40)))
+    if p == 101:
+        cases += [((), (), 1, p), ((3, -200), (205,), 7, p), ((5,), (60,), 1, p)]
+    zeros = 0
+    for upper, lower, z, n in cases:
+        want = _hypergeometric_by_ints(p, n, upper, lower, z)
+        if isinstance(want, tuple):
+            zeros += 1
+            with pytest.raises(ZeroCoefficient, match=f"term {want[1]}$"):
+                seriesops._hypergeometric(mod, n, upper, lower, z)
+        else:
+            got = seriesops._hypergeometric(mod, n, upper, lower, z)
+            assert got.dtype == mod.dtype and got.tolist() == want, (upper, lower, z, n)
+    assert zeros >= 1
+    with pytest.raises(PrecisionExceedsModulus):
+        seriesops._hypergeometric(Modulus(101), 102, (1,), (2,))
