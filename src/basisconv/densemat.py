@@ -50,7 +50,8 @@ def conversion_matrix(spec, n: int, mod: Modulus):
     f = spec.f_coeffs(n)
     Gf = _power_stack(mod, g, [fk % mod.p for fk in f], n)
     H = _power_stack(mod, h, [1] * n, n).astype(np.float64)
-    M = np.concatenate([_dense_mul(mod, Gf.T[i : i + BLOCK_ROWS], H) for i in range(0, n, BLOCK_ROWS)])
+    blocks = range(0, n, BLOCK_ROWS)
+    M = np.concatenate([_dense_mul(mod, Gf.T[i : i + BLOCK_ROWS], H) for i in blocks])
     if spec.v_coeffs is not None:
         v = Poly(mod, spec.v_coeffs(n), n)
         rows = np.zeros_like(M)

@@ -1031,12 +1031,12 @@ def _fit(arr, n):
 def _integers(values):
     """values, a sequence or 1-D array of integers, as an int64 array where
     all fit, else as Python ints in an object array; DomainViolation for no
-    sequence (a Poly, a number) or at the first float, string or bool.  A
-    list of Python ints takes one type scan in place of dtype inference.
-    DomainViolation also for an array that is not 1-D."""
+    sequence (a Poly, a number), an array that is not 1-D, or at the first
+    float, string or bool.  A list of Python ints takes one type scan in
+    place of dtype inference."""
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
-            raise DomainViolation(f"expected a row of integers, got an array of shape {values.shape}")
+            raise DomainViolation(f"expected a 1-D row of integers, got shape {values.shape}")
         if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):   # all but uint64
             return values.astype(np.int64, copy=False)
     if not hasattr(values, "__len__"):

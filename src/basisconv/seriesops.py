@@ -217,9 +217,9 @@ def _power(mod, body, e, newton=None):
     A lacunary body B(x^j), j the gcd of its exponents, is raised at
     precision m = ceil(len / j) and x^j substituted back.  Where m <= p the
     coefficients of B^e depend on e mod p only, and a binomial B = 1 + t x
-    takes the closed form 1F0(-e;; -t) (_hypergeometric).  Any other B takes newton(B, m), a
-    kernel whose result is B^e at every precision, where the caller gives
-    one, and exp(e log B) otherwise, which refuses m >= p."""
+    takes the closed form 1F0(-e;; -t) (_hypergeometric).  Any other B takes
+    newton(B, m), a kernel whose result is B^e at every precision, where the
+    caller gives one, and exp(e log B) otherwise, which refuses m >= p."""
     n, p = len(body), mod.p
     nz = np.flatnonzero(body[1:]) + 1
     j = int(np.gcd.reduce(nz)) if len(nz) else n

@@ -3,9 +3,9 @@
 A row is a sequence or a 1-D array of integers, Python ints or numpy
 integers, never bools; a polynomial argument is a Poly, over the prime of
 the call where the call has one; n is an integer >= 1, numpy integers
-included; a scalar is an integer, never a bool.  Each bad input raises the same AlgebraError subclass whichever
-entry point reads it, and each good form of an input gives the output of
-the plain list of Python ints.
+included; a scalar is an integer, never a bool.  Each bad input raises the
+same AlgebraError subclass whichever entry point reads it, and each good
+form of an input gives the output of the plain list of Python ints.
 """
 
 import inspect

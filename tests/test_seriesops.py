@@ -539,7 +539,8 @@ def test_hypergeometric_matches_rising_factorials(p):
         params = [rng.randrange(-60, 60) if rng.random() < 0.8 else rng.randrange(-3 * p, 3 * p)
                   for _ in range(rng.randrange(4))]
         q = rng.randrange(len(params) + 1)
-        cases.append((tuple(params[q:]), tuple(params[:q]), rng.randrange(-p, p), rng.randrange(1, 40)))
+        z, n = rng.randrange(-p, p), rng.randrange(1, 40)
+        cases.append((tuple(params[q:]), tuple(params[:q]), z, n))
     if p == 101:
         cases += [((), (), 1, p), ((3, -200), (205,), 7, p), ((5,), (60,), 1, p)]
     zeros = 0
