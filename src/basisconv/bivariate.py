@@ -8,7 +8,8 @@ which reduces the map, and its inverse, to the composition machinery.
 _factors lists the factors of one direction, in the order they apply, once
 for both of its consumers: the chain, which runs them as steps kept in the
 one cache entry ("chain", spec, n, inverse), and _bivariate_matrix, which
-multiplies their matrices for the small n that families keeps as matrices.
+multiplies their matrices: for the small n that families keeps as matrices,
+and forward at any n for the dense conversion matrix of densemat.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compseq import (
+    _block_mul,
     _inverse_seq_matrix,
     _leads,
     _prepare,
@@ -32,7 +34,6 @@ from .modfield import (
     Modulus,
     Poly,
     _check_poly,
-    _dense_mul,
     _fixed_operand,
     _readonly,
     _toeplitz,
@@ -165,23 +166,28 @@ def _bivariate_inv(A: Poly, spec: BivariateSpec, n: int, mod: Modulus) -> Poly:
     return _run_chain(truncate(A, n), spec, n, mod, True)
 
 
-# The same maps as n x n matrices on rows, n <= LEAF_SIZE, which families keeps
-# for n <= MATRIX_MAX: the product of the matrices of the factors of _factors,
-# one exact GEMM (modfield._dense_mul) each: a Toeplitz matrix for a product,
-# the powers of g or h for a sequence map (compseq._seq_matrix,
+# The same maps as n x n matrices on rows, forward at any n and inverse for
+# n <= LEAF_SIZE (the shift of compseq._inverse_seq_matrix is one Pascal
+# product), which families keeps for n <= MATRIX_MAX and densemat returns
+# transposed: the product of the matrices of the factors of _factors, one
+# exact GEMM (compseq._block_mul) each: a Toeplitz matrix for a product, the
+# powers of g or h for a sequence map (compseq._seq_matrix,
 # _inverse_seq_matrix), transposed where the map is, a scaling for a
 # diagonal.  They make none of the operands the chain keeps, and raise what
 # it raises.
 
 
-def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c):
+def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c=None):
     """The int64 n x n matrix on rows of eval_bivariate at n after Diag(c),
-    or with inverse of eval_bivariate_inv at n and then Diag(c).  Forward,
-    the power stacks of g and h are built first, as the chain's programs
-    are, and give check_spec its leading coefficients."""
-    stacks = {} if inverse else {o: _seq_matrix(o, n, mod) for o in (spec.g_ops, spec.h_ops) if o}
+    or with inverse of eval_bivariate_inv at n and then Diag(c), c None for
+    no Diag(c).  Forward, the power stacks of g and h are built first, as the
+    chain's programs are, and give check_spec its leading coefficients; each
+    is dropped once it is multiplied in, and the product is made in place."""
+    seqs = () if inverse else ((eval_seq, spec.g_ops), (eval_seq_t, spec.h_ops))
+    stacks = {fn: _seq_matrix(ops, n, mod) for fn, ops in seqs if ops}
     factors = _factors(spec, n, mod, inverse)
-    factors = factors + [(diagonal, c)] if inverse else [(diagonal, c)] + factors
+    if c is not None:
+        factors = factors + [(diagonal, c)] if inverse else [(diagonal, c)] + factors
     p, X, d = mod.p, None, np.ones(n, dtype=np.int64)     # the product: Diag(d) until X
     for fn, x in factors:
         if fn is diagonal:
@@ -193,11 +199,12 @@ def _bivariate_matrix(spec: BivariateSpec, n: int, mod: Modulus, inverse, c):
         if isinstance(x, Poly):
             M = _toeplitz(x.arr, n)
         else:
-            M = _inverse_seq_matrix(x, n, mod) if inverse else stacks[x]
+            M = _inverse_seq_matrix(x, n, mod) if inverse else stacks.pop(fn)
         if fn in (mul_trunc_t, eval_seq_t, eval_inv_transposed):
             M = M.T
         if X is None:
             X = M.astype(np.int64) * d[:, None] % p
         else:
-            X = _dense_mul(mod, X, M.astype(np.float64, copy=False))
+            M = M.astype(np.float64, copy=False)
+            _block_mul(mod, X, M, X)
     return np.diag(d) if X is None else X

@@ -228,13 +228,6 @@ def _series_at(truncs: SequenceTruncations, mod, ell, n) -> Poly:
     return truncate(truncs.g[ell - 1], n)
 
 
-def _output_series(ops, n, mod) -> Poly:
-    """The output of ops mod x^max(n, 2)."""
-    if not ops:
-        return Poly.x(mod, max(n, 2))
-    return compute_g(ops, max(n, 2), mod).g[-1]
-
-
 def _prepare(ops, n: int, mod: Modulus, start=0):
     """The program of eval_seq(., ops, n, start) and of its transpose
     (_compile), kept as the one entry ("seq", ops, n, start).  The first call
@@ -508,7 +501,26 @@ def eval_inv_transposed(A: Poly, ops, n: int) -> Poly:
     return eval_seq_t(taylor_shift_t(truncate(A, n), shift), rev_ops, n, start)
 
 
-# -- the matrices of the maps on int64 rows, n <= LEAF_SIZE --------------------
+# -- the matrices of the maps on int64 rows --------------------------------------
+
+# A product of rows by an n x n matrix takes one _dense_mul per block of
+# BLOCK_ROWS rows (_block_mul), whose limbs are L x BLOCK_ROWS x n doubles
+# where all r rows' would be L r n.  Up to families.MATRIX_MAX every product
+# is one block.  A strided matrix (the Toeplitz view of modfield._toeplitz) is
+# copied once per product of more than one block, where each block's GEMM
+# would copy it afresh.  The dense conversion matrix of jacobi(alpha=3,beta=5)
+# at n = 2048 (densemat) peaked at 171 MB under tracemalloc in blocks of 64
+# rows and at 453 MB in one product per factor (2-core x86-64, numpy 2.4).
+BLOCK_ROWS = 64
+
+
+def _block_mul(mod: Modulus, A, M, out):
+    """The rows out = A M mod p (_dense_mul), BLOCK_ROWS rows of A at a time:
+    block i of out reads block i of A alone, so out may be A."""
+    if len(A) > BLOCK_ROWS and not (M.flags.c_contiguous or M.flags.f_contiguous):
+        M = np.ascontiguousarray(M)
+    for i in range(0, len(A), BLOCK_ROWS):
+        out[i : i + BLOCK_ROWS] = _dense_mul(mod, A[i : i + BLOCK_ROWS], M)
 
 
 def _seq_matrix(ops, n: int, mod: Modulus):
@@ -534,7 +546,7 @@ def _inverse_seq_matrix(ops, n: int, mod: Modulus):
 def _power_stack(g: Poly, n: int, mod: Modulus):
     """The int64 (n, n) array of the powers g^k mod x^n, k < n, of the series
     g of dim n: rows 1..k times g^m give rows m + 1..m + k, one exact product
-    (modfield._dense_mul) by the Toeplitz matrix of g^m."""
+    (_block_mul) by the Toeplitz matrix of g^m."""
     P = np.zeros((n, n), dtype=np.int64)
     P[0, 0] = 1
     if n >= 2:
@@ -542,7 +554,7 @@ def _power_stack(g: Poly, n: int, mod: Modulus):
     m = 1
     while m < n - 1:
         k = min(m, n - 1 - m)
-        P[m + 1 : m + 1 + k] = _dense_mul(mod, P[1 : 1 + k], _toeplitz(P[m], n))
+        _block_mul(mod, P[1 : 1 + k], _toeplitz(P[m], n), P[m + 1 : m + 1 + k])
         m += k
     return P
 

@@ -9,7 +9,8 @@ Poly is a dense polynomial of a fixed declared dimension over one modulus: one
 read-only array of its dim coefficients in [0, p), trailing zeros included.
 Lists of Python ints appear only at the boundary, read here for every public
 entry point: rows of integers (_integers, _residues, _strict_row), Polys
-(_check_poly) and dimensions (_dimension, Modulus.check_precision).
+(_check_poly), integer scalars (_integer) and dimensions (_dimension,
+Modulus.check_precision).
 
 Short operands go to the schoolbook convolution, by measured work
 (_by_transform).  Longer ones are multiplied through images, transforms of the
@@ -1046,14 +1047,7 @@ def _integers(values):
             return np.fromiter(values, np.int64, len(values))
         except OverflowError:
             pass    # entries beyond int64, read below
-    out = []
-    for j, v in enumerate(values):
-        try:
-            if type(v) is bool:
-                raise TypeError
-            out.append(operator.index(v))
-        except TypeError:
-            raise DomainViolation(f"coefficient {j} = {v!r} is not an integer") from None
+    out = [_integer(v, f"coefficient {j} =") for j, v in enumerate(values)]
     return np.array(out, dtype=object)
 
 
@@ -1089,15 +1083,21 @@ def _check_poly(A, mod=None):
     return A.mod
 
 
-def _dimension(n):
-    """n, an integer >= 1 (not a bool), as a Python int; DimensionMismatch
-    otherwise."""
+def _integer(x, what, error=DomainViolation):
+    """x, an integer (not a bool), numpy integers included, as a Python int;
+    error, naming x as what, otherwise."""
     try:
-        if type(n) is bool:
+        if type(x) is bool:
             raise TypeError
-        n = operator.index(n)
+        return operator.index(x)
     except TypeError:
-        raise DimensionMismatch(f"dimension {n!r} is not an integer") from None
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _dimension(n):
+    """n, an integer >= 1 (_integer), as a Python int; DimensionMismatch
+    otherwise."""
+    n = _integer(n, "dimension", DimensionMismatch)
     if n < 1:
         raise DimensionMismatch(f"dimension {n} is below 1")
     return n

@@ -16,6 +16,7 @@ import random
 
 import numpy as np
 
+from .compseq import compute_g
 from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
 from .modfield import (
     Modulus,
@@ -52,14 +53,19 @@ def horner_compose(A: Poly, g: Poly, n: int) -> Poly:
     return Poly(mod, acc, n)
 
 
+def _output_series(ops, n, mod) -> Poly:
+    """The output of ops mod x^max(n, 2), the last of its truncations."""
+    if not ops:
+        return Poly.x(mod, max(n, 2))
+    return compute_g(ops, max(n, 2), mod).g[-1]
+
+
 def bivariate_matrix(spec, n: int, mod: Modulus):
     """The n x n coefficient matrix of a -> eval_bivariate(a, spec, n).
 
     Column j holds the monomial coefficients of the basis image of x^j:
     entry [i][j] = [x^i t^j] u(x) v(t) f(g(x) h(t)).
     """
-    from .compseq import _output_series
-
     g = _output_series(spec.g_ops, n, mod).coeffs[:n]
     h = _output_series(spec.h_ops, n, mod).coeffs[:n]
     f = spec.f_coeffs(n)

@@ -16,11 +16,9 @@ shifts slice rows of powers kept per base and power-of-two size.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch
 from .modfield import (
     Modulus,
     Poly,
@@ -29,6 +27,7 @@ from .modfield import (
     _dimension,
     _fit,
     _fixed_operand,
+    _integer,
     _mul_fixed,
     _powers,
     _readonly,
@@ -114,23 +113,15 @@ def _power_row(mod: Modulus, lam, m, sign=1):
 def scale(A: Poly, lam: int) -> Poly:
     """A(lambda * x): coefficient i multiplied by lambda^i.  Self-transpose.
     DomainViolation unless lambda is an integer (not a bool)."""
-    mod = _check_poly(A)
-    try:
-        if type(lam) is bool:
-            raise TypeError
-        lam = operator.index(lam)
-    except TypeError:
-        raise DomainViolation(f"scaling constant {lam!r} is not an integer") from None
+    mod, lam = _check_poly(A), _integer(lam, "scaling constant")
     return Poly.of(mod, A.arr * _power_row(mod, lam % mod.p, A.dim) % mod.p)
 
 
 def diagonal(A: Poly, s) -> Poly:
-    """Pointwise product with the sequence s of >= dim residues: a 1-D
-    int64 row of residues (the chain's kept rows) as it is, any other s read
-    by modfield._residues; DimensionMismatch for fewer than dim entries."""
+    """Pointwise product with the sequence s of >= dim integers, read by
+    modfield._residues; DimensionMismatch for fewer than dim entries."""
     mod = _check_poly(A)
-    if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 1):
-        s = _residues(mod, s)
+    s = _residues(mod, s)
     if len(s) < A.dim:
         raise DimensionMismatch(f"{len(s)} diagonal entries for dimension {A.dim}")
     return Poly.of(mod, A.arr * s[: A.dim] % mod.p)
@@ -214,17 +205,18 @@ def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
 def taylor_shift(A: Poly, a: int) -> Poly:
     """A(x + a): one product by the Pascal matrix on int64 rows with
     DENSE_MIN <= m <= LEAF_SIZE, at any m, else the factorial/convolution
-    factorization, cost M(m) + O(m), which needs m < p."""
-    if a % _check_poly(A).p == 0:
-        return A
-    return _shift_kernel(A, a % A.mod.p, transposed=False)
+    factorization, cost M(m) + O(m), which needs m < p.  DomainViolation
+    unless a is an integer (not a bool)."""
+    mod = _check_poly(A)
+    a = _integer(a, "shift") % mod.p
+    return _shift_kernel(A, a, transposed=False) if a else A
 
 
 def taylor_shift_t(A: Poly, a: int) -> Poly:
     """Transpose of taylor_shift(., a) on K[x]_m."""
-    if a % _check_poly(A).p == 0:
-        return A
-    return _shift_kernel(A, a % A.mod.p, transposed=True)
+    mod = _check_poly(A)
+    a = _integer(a, "shift") % mod.p
+    return _shift_kernel(A, a, transposed=True) if a else A
 
 
 def find_degrees(m: int, k: int):

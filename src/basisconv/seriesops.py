@@ -22,6 +22,7 @@ from .modfield import (
     _dimension,
     _fit,
     _fixed_operand,
+    _integer,
     _mul_cyclic,
     _mul_fixed,
     _prefix_products,
@@ -279,8 +280,11 @@ def unit_pow(g: Poly, e: int, n: int) -> Poly:
 
 def series_root(g: Poly, k: int, alpha: int, r: int, n: int) -> Poly:
     """g^(1/k) mod x^n: the unique series with leading term alpha*x^r whose
-    k-th power is g.  Input must carry precision >= n + r*(k-1)."""
+    k-th power is g.  Input must carry precision >= n + r*(k-1).
+    DomainViolation unless k, alpha and r are integers (not bools)."""
     mod, n = _check_poly(g), _dimension(n)
+    k, r = _integer(k, "root order k"), _integer(r, "root valuation r")
+    alpha = _integer(alpha, "root lead alpha")
     if k < 1 or r < 0 or alpha % mod.p == 0:
         raise InvalidOperatorParam("root needs k >= 1, r >= 0, alpha != 0")
     need = n + r * (k - 1)

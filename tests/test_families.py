@@ -39,7 +39,6 @@ from basisconv import (
     unit_pow,
 )
 from basisconv.bivariate import _bivariate_inv
-from basisconv.compseq import _output_series
 from basisconv.families import (
     MATRIX_MAX,
     FamilyDescriptor,
@@ -50,7 +49,7 @@ from basisconv.families import (
     parse_family,
     to_monomial,
 )
-from basisconv.oracle import naive_convert, stirling_matrices
+from basisconv.oracle import _output_series, naive_convert, stirling_matrices
 from catalog_data import FAMILY_STRINGS, all_families
 
 # 2 * 500001 + 1: no roots of unity of order 4

@@ -71,6 +71,8 @@ def entry_points(mod):
     x is an integer; n is None for an entry point that takes none."""
     fam = parse_family(mod, "laguerre(alpha=3)")
     spec, ops, G = fam.spec, parse_sequence("A:1;Inv", mod), Poly(mod, [2, 1, 5])
+    # the squares of 1 + x + x^2 and of x^2 (1 + x + x^2)
+    U, V = Poly(mod, [1, 2, 3, 2, 1]), Poly(mod, [0, 0, 0, 0, 1, 2, 3, 2, 1])
     return {
         "Poly": ("row", lambda x, n: Poly(mod, x, n)),
         "to_monomial": ("row", lambda x, n: to_monomial(x, fam, n, mod)),
@@ -100,12 +102,17 @@ def entry_points(mod):
         "split": ("poly", lambda x, n: split(x, 2)),
         "lincomb_t": ("poly", lambda x, n: lincomb_t(x, [G])),
         "taylor_shift": ("poly", lambda x, n: taylor_shift(x, 2)),
+        "taylor_shift(G, x)": ("scalar", lambda x, n: taylor_shift(G, x)),
         "taylor_shift_t": ("poly", lambda x, n: taylor_shift_t(x, 2)),
+        "taylor_shift_t(G, x)": ("scalar", lambda x, n: taylor_shift_t(G, x)),
         "series_inv": ("poly", lambda x, n: series_inv(x, n)),
         "series_exp": ("poly", lambda x, n: series_exp(x, n)),
         "series_log": ("poly", lambda x, n: series_log(x, n)),
         "series_pow": ("poly", lambda x, n: series_pow(x, 2, n)),
         "series_root": ("poly", lambda x, n: series_root(x, 1, 1, 0, n)),
+        "series_root(U, k)": ("scalar", lambda x, n: series_root(U, x, 1, 0, n)),
+        "series_root(U, alpha)": ("scalar", lambda x, n: series_root(U, 2, x, 0, n)),
+        "series_root(V, r)": ("scalar", lambda x, n: series_root(V, 2, 1, x, n)),
         "unit_pow": ("poly", lambda x, n: unit_pow(x, 2, n)),
         "exp_map": ("poly", lambda x, n: exp_map(x, n)),
         "exp_map_t": ("poly", lambda x, n: exp_map_t(x, n)),
@@ -119,7 +126,8 @@ def entry_points(mod):
 NO_N = {
     "interp_grid", "multieval_grid_t", "poly_mul(x, G)", "poly_mul(G, x)", "diagonal(x, s)",
     "diagonal(G, x)", "scale(x, lam)", "scale(G, x)", "reverse", "power_subst", "split",
-    "lincomb_t", "taylor_shift", "taylor_shift_t", "multieval_grid", "interp_grid_t",
+    "lincomb_t", "taylor_shift", "taylor_shift(G, x)", "taylor_shift_t", "taylor_shift_t(G, x)",
+    "multieval_grid", "interp_grid_t",
 }
 # the maps of log(1 + g) and exp(g) - 1 take a good g with g(0) = 0
 ZERO_CONSTANT = {"series_exp", "series_log"}
@@ -177,8 +185,8 @@ def test_every_entry_point_reads_inputs_by_one_rule(p):
                 call(x, n)
             raised.append((name, n))
     # 6 row readers x 10, 34 Poly readers x 1 and 8 of them over mod x 1,
-    # 1 scalar reader x 4, 25 readers of n x 3
-    assert len(raised) == 6 * 10 + 34 + 8 + 4 + 25 * 3
+    # 6 scalar readers x 4, 28 readers of n x 3
+    assert len(raised) == 6 * 10 + 34 + 8 + 6 * 4 + 28 * 3
 
 
 def test_every_public_map_of_a_poly_is_in_the_table():
@@ -217,6 +225,20 @@ def good_rows(p):
     return rows, strict
 
 
+def good_scalars(name, p):
+    """Integers the scalar row name accepts: numpy and Python ints."""
+    if name == "series_root(U, k)":
+        # a root of any order k >= 1 of U, whose lead is 1
+        return np.int64(2), np.uint8(200), 1 << 70
+    if name == "series_root(U, alpha)":
+        # the square root of U whose lead is -1
+        return np.int64(-1), np.uint64(p - 1), (1 << 70) * p - 1
+    if name == "series_root(V, r)":
+        # the square root of V, of valuation 2
+        return np.int64(2), np.uint8(2), np.int16(2)
+    return np.int64(-2), np.uint8(200), 1 << 70
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
 def test_good_inputs_give_the_outputs_of_plain_lists(p):
     mod = Modulus(p)
@@ -228,7 +250,7 @@ def test_good_inputs_give_the_outputs_of_plain_lists(p):
                 assert call(row, N) == call(plain, N), (name, row)
             x = strict[0]
         elif reads == "scalar":
-            for lam in (np.int64(-2), np.uint8(200), 1 << 70):
+            for lam in good_scalars(name, p):
                 assert call(lam, N) == call(operator.index(lam), N), (name, lam)
             continue
         else:
@@ -237,3 +259,24 @@ def test_good_inputs_give_the_outputs_of_plain_lists(p):
             # n as a numpy integer, and the output of that n as a Python int
             assert call(x, np.int64(N)) == call(x, N), name
             assert call(x, np.uint16(N)) == call(x, N), name
+
+
+def test_numpy_scalars_read_as_their_ints():
+    # the square root of (2 + x)^2 by numpy integers: the output of Python ints
+    mod = Modulus(DEFAULT_PRIME)
+    g = Poly(mod, [4, 4, 1])
+    want = series_root(g, 2, 2, 0, 3)
+    assert want.coeffs == [2, 1, 0]
+    assert series_root(g, np.int64(2), np.uint8(2), np.int16(0), 3) == want
+    assert taylor_shift(g, np.int64(-1)) == taylor_shift(g, -1)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40])
+def test_diagonal_reduces_an_int64_row_before_its_product(p):
+    # (p - 1) 2^40 overflows int64: the row is read as any row is
+    mod = Modulus(p)
+    A = Poly(mod, [p - 1, 1])
+    s = [1 << 40, p + 3]
+    want = [(p - 1) * (1 << 40) % p, 3]
+    assert diagonal(A, np.array(s, dtype=np.int64)).coeffs == want
+    assert diagonal(A, s).coeffs == want
