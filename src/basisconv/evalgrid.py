@@ -16,13 +16,15 @@ last node.  The full nodes, as the rows of one (n // s, s) array of their
 coefficients below x^s, are built or passed through with a few batched
 transforms (the row images of modfield); the ragged node goes through the 1-D
 _convolve.  Trees are kept per n in Modulus.cached with the images of their
-levels, float limb spectra in the layout of their size, scaled where the
-bound admits a sum of two products (modfield._kept_image: from size 2^11 to
-2^15 for DEFAULT_PRIME; combine sums two and combine_t's middle products
-wrap, so the levels take none of the layouts that only fixed operands whose
-products never wrap take, from 2^16 on), and of their coefficients only
-the ragged nodes and the full left child of each; data derived from a tree
-is computed on first use and kept on it.
+levels, float limb spectra in the layout of their size.  An image at size s,
+of nodes of degree h = s / 2, is kept for the charge s and scaled where that
+admits fewer limbs of the rows (modfield._kept_image: from size 2^11 to 2^16
+for DEFAULT_PRIME).  Each pass states its charge: combine sums two products
+of rows of h entries, 2 h = s; combine_t's wrapping middle product takes rows
+of s entries by a node of h, sqrt(s h); the build multiplies two nodes, h.
+Of their coefficients a tree keeps only the ragged nodes and the full left
+child of each; data derived from a tree is computed on first use and kept on
+it.
 
 A tree serves two passes, each the transpose of the other (Tellegen's
 principle; Bostan, Lecerf & Schost, ISSAC 2003):
@@ -68,6 +70,7 @@ rev(combine(v)) / D mod x^n and interp(v) = combine(w v), and by transposition
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -172,10 +175,11 @@ class SubproductTree:
         self.img, self.full, self.rag = [None] * K, [None] * K, [None] * K + [rag]
         for k in range(K + 1, self.depth + 1):
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
-            img = _kept_image(mod, low, s)
+            # kept for combine's charge, two summed products of h by h
+            img = _kept_image(mod, low, s, s)
             self.img.append(img)
-            # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r
-            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(_plain(img), nf)), s)
+            # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r, of charge h
+            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(_plain(img), nf), h), s, h)
             cur[:, h:] += np.add(*_pairs(low, nf))
             r, rag = n % s, self.rag[-1]
             full = _monic(low[2 * nf]) if r >= h else None
@@ -277,8 +281,8 @@ class SubproductTree:
             s, h, nf = 1 << k, 1 << (k - 1), n >> k
             il, ir = _pairs(self.img[k - 1], nf)
             vl, vr = _pairs(_image_by(mod, v[: 2 * nf], self.img[k - 1]), nf)
-            # V = V_L low_R + V_R low_L + x^h (V_L + V_R)
-            cur = _image_coeffs(mod, _image_mul(mod, vl, ir, vr, il), s)
+            # V = V_L low_R + V_R low_L + x^h (V_L + V_R), of charge 2 h = s
+            cur = _image_coeffs(mod, _image_mul(mod, vl, ir, s, vr, il), s, s)
             cur[:, h:] += np.add(*_pairs(v, nf))
             cur %= p
             r = n % s
@@ -307,8 +311,11 @@ class SubproductTree:
                 # sum_t S[t] W[j + t], j < h
                 wimg = _image_by(mod, np.roll(w[:nf, ::-1], -h, axis=1), self.img[k - 1])
                 # row i of wimg meets both children of node i, and row 2i of
-                # the product, with the left child, is W_R of node i
-                mid = _image_coeffs(mod, _image_mul(mod, wimg, self.img[k - 1][: 2 * nf]), h)
+                # the product, with the left child, is W_R of node i; of
+                # charge sqrt(s h), s entries of W by h of a child
+                charge = math.sqrt(s * h)
+                product = _image_mul(mod, wimg, self.img[k - 1][: 2 * nf], charge)
+                mid = _image_coeffs(mod, product, h, charge)
                 mid = mid[:, ::-1]
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
                 nxt[1 : 2 * nf : 2] = mid[0::2] + w[:nf, h:]

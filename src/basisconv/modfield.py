@@ -29,28 +29,30 @@ A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
 product by it then costs one forward and one inverse transform.  mul_trunc
 and mul_trunc_t take such an operand in place of a Poly.
-Every kept image, of a fixed operand (a family's unit and root powers, u, v
-and their inverses, the Taylor-shift series) or of the levels of evalgrid's
-grid trees, is scaled wherever the bound admits it (_kept_image,
-Modulus.scaled_layout): it holds the L_x
-variants Y_i = 2^(w_x i) Y mod p of their rows Y, each in the size's layout
-(L, w), so that rows X = sum_i x_i 2^(w_x i) of L_x <= L limbs of w_x bits
-multiply them as X Y = sum_i x_i Y_i mod p, in the L classes
-c_j = sum_i x_i y_(i,j): L_x forward and L inverse transforms where a plain
-image takes L and 2L - 1.  The bound admits more for a fixed operand whose
-products never wrap (la + lb - 1 <= size, known when it is kept), each
-charged by its lengths (fft_error_bound), than for the grid trees' levels,
-whose products are summed in pairs or wrap.  For the default prime that is
-two 16-bit limbs against three 11-bit ones from size 2^11 to 2^15, and to
-2^17 for such fixed operands, 2 forward and 3 inverse FFTs per product in
-place of 3 and 5, for twice the memory of the image: after a warm pass the
-cache holds 11.1 MB on sheffer_large and 42.5 MB on algebraic_large (7.6
-and 24.9 MB with every image plain, 40.9 MB with those at 2^16 plain),
-where one Taylor-shift series per transform size (polyops), not one per
-shift value, makes room for them.  At 2^18 alone such a fixed operand's
-image is square (SQUARE), three variants of three 11-bit limbs by which
-rows of three limbs multiply: 3 forward and 3 inverse FFTs in place of 3
-and 5, for three times the memory.
+Every product states its charge, the sum of sqrt(la lb) over the products
+summed before one inverse transform, la and lb the most entries of their
+rows: the rounding error bound (fft_error_bound) is stated in the Euclidean
+norms of the rows, so it holds whether or not a product wraps, and the
+recombination bounds its classes by the same charge.  Plain images take the
+layout of their size, admitted at charge 2 size.  Every kept image, of a
+fixed operand (a family's unit and root powers, u, v and their inverses, the
+Taylor-shift series, a Newton step's iterate) or of the levels of evalgrid's
+grid trees, is kept for the most charge of the products by it and scaled
+wherever that charge admits it (_kept_image): it holds the L_x variants
+Y_i = 2^(w_x i) Y mod p of their rows Y, each in the size's layout (L, w),
+so that rows X = sum_i x_i 2^(w_x i) of L_x <= L limbs of w_x bits multiply
+them as X Y = sum_i x_i Y_i mod p, in the L classes c_j = sum_i x_i y_(i,j):
+L_x forward and L inverse transforms where a plain image takes L and
+2L - 1.  For the default prime that is two 16-bit limbs against three 11-bit
+ones from size 2^11 to 2^16, and to 2^17 for fixed operands whose products
+never wrap, 2 forward and 3 inverse FFTs per product in place of 3 and 5,
+for twice the memory of the image: after a warm pass the cache holds
+11.1 MB on sheffer_large and 42.4 MB on algebraic_large, where one
+Taylor-shift series per transform size (polyops), not one per shift value,
+makes room for them.  At 2^18 alone a fixed operand whose products never
+wrap keeps a square image (SQUARE), three variants of three 11-bit limbs by
+which rows of three limbs multiply: 3 forward and 3 inverse FFTs in place of
+3 and 5, for three times the memory.
 
 Rows times a fixed matrix of residues (the leaf blocks of evalgrid's grid
 tree) take one float64 matrix product of their limbs (_dense_mul), exact
@@ -184,8 +186,6 @@ class Modulus:
         # residues of p >= 2^31 have products beyond int64: keep Python ints
         self.dtype = np.int64 if p < (1 << 31) else object
         self._layouts = _layouts(p)
-        self._scaled = _scaled_layouts(p, self._layouts)
-        self._scaled_linear = _scaled_layouts(p, self._layouts, linear=True)
 
     def __repr__(self):
         return f"Modulus({self.p})"
@@ -193,20 +193,12 @@ class Modulus:
     def layout(self, size, dense=False):
         """(L, w) of products at size: L balanced limbs of w bits (_limbs),
         the fewest whose exactness bound admits size (_layouts), for float
-        images of that size or, dense, for _dense_mul at inner dimension
-        size; None where no layout does."""
+        images of that size, at charge 2 size, or, dense, for _dense_mul at
+        inner dimension size; None where no layout does."""
         for L, w, float_size, dense_size in self._layouts:
             if size <= (dense_size if dense else float_size):
                 return L, w
         return None
-
-    def scaled_layout(self, size, linear=False):
-        """(L_x, w_x) of the rows multiplied by a scaled image at size
-        (_kept_image), fewer limbs than layout(size) gives, for a sum of two
-        products or, linear, for one product that does not wrap, there as
-        many at SQUARE where none are fewer; None where the bound admits none
-        (_scaled_layouts)."""
-        return (self._scaled_linear if linear else self._scaled).get(size)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p
@@ -385,56 +377,69 @@ def _convolve(mod: Modulus, a, b):
 
 def _convolve_rows(mod: Modulus, A, B):
     """Row-wise exact products of two 2-D arrays of residues with equally
-    many rows, through float images."""
-    out_len = A.shape[1] + B.shape[1] - 1
+    many rows, through float images, work arrays (_work_array) that do not
+    outlive the call."""
+    (la, lb), out_len = (A.shape[1], B.shape[1]), A.shape[1] + B.shape[1] - 1
     # a float image has at least size 2
     size = max(_size(out_len), 2)
-    return _image_coeffs(mod, _product_image(mod, A, B, size), out_len)
-
-
-def _product_image(mod: Modulus, A, B, size):
-    """The product image at size of the rows of A and B, whose images are
-    work arrays (_work_array) that do not outlive the call."""
-    return _image_mul(mod, _image(mod, A, size, "image"), _image(mod, B, size, "image2"))
+    layout, charge = mod.layout(size), math.sqrt(la * lb)
+    X, Y = _image(mod, A, size, layout, "image"), _image(mod, B, size, layout, "image2")
+    return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)
 
 
 # Images: rows in the transform domain of the products mod x^size - 1, the
 # float limb spectra of their rows, 3-D: (rows, L limbs, size // 2 + 1
 # frequencies) in the layout mod.layout(size).  A kept image may be scaled
 # (_kept_image), 4-D: the L_x variants 2^(w_x i) Y mod p of its rows Y, each
-# in the size's layout, variant 0 the plain image; rows multiplied by it
-# enter in the scaled layout (L_x, w_x) (_image_by).  A product image
-# (_image_mul) is what _image_coeffs turns back into rows: class spectra,
-# 3-D, or 4-D with one variant by a scaled image, from which the
-# recombination takes its layout.
+# in the size's layout, variant 0 the plain image.  The rows multiplied by a
+# kept image enter in L limbs, L = its shape[1], of _width(p, L) bits
+# (_image_by): the size's layout for a plain image, the scaled layout
+# (L_x, w_x) for a scaled one.  A product image (_image_mul) is what
+# _image_coeffs turns back into rows: class spectra, 3-D, or 4-D with one
+# variant by a scaled image, from which the recombination takes its layout.
 
 
-def _image(mod: Modulus, A, size, slot=None, layout=None):
+def _image(mod: Modulus, A, size, layout, slot=None):
     """The image of the coefficient rows of A, each of length <= size, in
-    layout (default mod.layout(size)): fresh, or given a slot, the calling
-    thread's work array of that slot (_work_array), for a product to read
-    before the next one.  Raises CapacityExceeded, before it allocates
-    anything, where no layout admits the size."""
-    layout = layout or mod.layout(size)
+    layout (L, w): fresh, or given a slot, the calling thread's work array
+    of that slot (_work_array), for a product to read before the next one.
+    Raises CapacityExceeded, before it allocates anything, where layout is
+    None, as mod.layout(size) is where no layout admits the size."""
     if layout is None:
         raise CapacityExceeded(f"no limb layout of p = {mod.p} is exact at size {size}")
     return _transform(mod, _limbs(A, *layout), size, None, slot)
 
 
-def _kept_image(mod: Modulus, A, size, linear=False):
-    """The fresh image of the rows A that a caller keeps: scaled where
-    mod.scaled_layout(size, linear) gives (L_x, w_x), the images of the L_x
-    variants 2^(w_x i) A mod p, (rows, L_x, L, f), by which rows of L_x limbs
-    of w_x bits multiply (_image_mul), variant 0, [:, 0], the plain image;
-    plain elsewhere.  linear: for products by it that never wrap and are
-    never summed (_fixed_operand)."""
-    layout = mod.scaled_layout(size, linear)
-    if layout is None:
-        return _image(mod, A, size)
-    p, (Lx, wx) = mod.p, layout
+def _kept_image(mod: Modulus, A, size, charge):
+    """The fresh image of the rows A that a caller keeps, for products by it
+    of at most that charge (fft_error_bound): where _kept_limbs gives L_x,
+    scaled, the images of the L_x variants 2^(w_x i) A mod p, w_x =
+    _width(p, L_x), (rows, L_x, L, f), by which rows of L_x limbs of w_x bits
+    multiply (_image_mul), variant 0, [:, 0], the plain image; plain
+    elsewhere."""
+    layout = mod.layout(size)
+    Lx = layout and _kept_limbs(mod.p, size, charge, *layout)
+    if not Lx:
+        return _image(mod, A, size, layout)
+    p, wx = mod.p, _width(mod.p, Lx)
     variants = np.stack([A] + [A * pow(2, wx * i, p) % p for i in range(1, Lx)], axis=1)
-    img = _image(mod, variants.reshape(-1, A.shape[1]), size)
+    img = _image(mod, variants.reshape(-1, A.shape[1]), size, layout)
     return img.reshape((len(A), Lx) + img.shape[1:])
+
+
+def _kept_limbs(p, size, charge, L, w):
+    """The limbs L_x of the rows multiplied by an image kept at size, in its
+    layout (L, w), for products of at most charge: the fewest L_x < L of
+    w_x = _width(p, L_x) bits for which fft_error_bound(size, charge, L_x,
+    w_x, w) <= FFT_ERROR_MAX; L at SQUARE for one product that does not
+    wrap, charge <= (size + 1) / 2, where none are fewer; None, a plain
+    image, elsewhere."""
+    for Lx in range(1, L):
+        if fft_error_bound(size, charge, Lx, _width(p, Lx), w) <= FFT_ERROR_MAX:
+            return Lx
+    if (size, L) == SQUARE and charge <= (size + 1) / 2:
+        return L
+    return None
 
 
 def _plain(X):
@@ -444,11 +449,10 @@ def _plain(X):
 
 def _image_by(mod: Modulus, A, Y, slot="image"):
     """The image, in the work array of slot, of the rows A for products by
-    the kept image Y: where Y is scaled, in L_x limbs of w_x = _width(p, L_x)
-    bits, L_x its number of variants."""
-    Lx = Y.shape[1]
-    layout = (Lx, _width(mod.p, Lx)) if Y.ndim == 4 else None
-    return _image(mod, A, _image_size(Y), slot, layout)
+    the kept image Y, in L = Y.shape[1] limbs of _width(p, L) bits: its
+    limbs where Y is plain, its number of variants L_x where Y is scaled."""
+    L = Y.shape[1]
+    return _image(mod, A, _image_size(Y), (L, _width(mod.p, L)), slot)
 
 
 def _image_size(X):
@@ -457,7 +461,7 @@ def _image_size(X):
     return 2 * (X.shape[-1] - 1)
 
 
-def _image_mul(mod: Modulus, X, Y, U=None, V=None, lengths=None):
+def _image_mul(mod: Modulus, X, Y, charge, U=None, V=None):
     """The product image, a work array, of X Y, or of X Y + U V, row-wise,
     that is of their rows mod x^size - 1: the spectra of the classes
     c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
@@ -467,15 +471,15 @@ def _image_mul(mod: Modulus, X, Y, U=None, V=None, lengths=None):
     variants, so that the recombination reads their layout).  The class
     spectra of the two products add unreduced before any inverse transform.
     Where Y has m times as many rows as X, the same m for V and U, row i of X
-    multiplies rows i m to i m + m - 1 of Y.  lengths (la, lb): the most
-    entries the rows of X and Y hold, where the bound charges sqrt(la lb)
-    in place of size (fft_error_bound); the bound is asserted."""
+    multiplies rows i m to i m + m - 1 of Y.  charge: the sum over the
+    products of sqrt(la lb), la and lb the most entries of their rows, in
+    which the bound (fft_error_bound) is asserted."""
     p, pairs = mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)]
     rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
     scaled = Y.ndim == 4
     size, K = 2 * (f - 1), L if scaled else 2 * L - 1
-    bound = fft_error_bound(size, len(pairs), Lx, _width(p, Lx), _width(p, L), lengths)
-    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, len(pairs), lengths)
+    bound = fft_error_bound(size, charge, Lx, _width(p, Lx), _width(p, L))
+    assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, charge)
     Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
         # (rows / m, 1) against (rows / m, m): each row of X serves m rows
@@ -502,36 +506,40 @@ def _image_mul(mod: Modulus, X, Y, U=None, V=None, lengths=None):
     return _readonly(np.ndarray((rows, Lx, K, f), Z.dtype, Z, 0, strides))
 
 
-def _image_coeffs(mod: Modulus, X, out_len):
-    """The first out_len coefficients of every row of a product image."""
-    return _transform(mod, X, _image_size(X), out_len)
+def _image_coeffs(mod: Modulus, X, out_len, charge):
+    """The first out_len coefficients of every row of a product image of
+    that charge (_image_mul)."""
+    return _transform(mod, X, _image_size(X), out_len, None, charge)
 
 
-def _transform(mod: Modulus, X, size, out_len=None, slot=None):
+def _transform(mod: Modulus, X, size, out_len=None, slot=None, charge=None):
     """The one entry to the float transforms: the spectra of the limb rows X
-    (_limbs), in the work array of slot if one is given; or, given out_len,
-    the first out_len coefficients of the rows of the product image X."""
+    (_limbs), in the work array of slot if one is given; or, given out_len
+    and its charge, the first out_len coefficients of the rows of the
+    product image X.  A class coefficient sums, per limb product, at most
+    min(la, lb) <= sqrt(la lb) terms of a product, so the charge times the
+    limb products per class bounds it in units of their magnitude."""
     if out_len is None:
         out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
         return np.fft.rfft(X, size, axis=-1, out=out)
     p = mod.p
     if X.ndim == 4:
         # by a scaled image: L classes of w bits, each summing L_x limb
-        # products of w_x by w bits per product image
+        # products of w_x by w bits
         Lx, L = X.shape[1:3]
         wx, w = _width(p, Lx), _width(p, L)
-        return _limb_coeffs(p, X[:, 0], size, out_len, w, Lx * MAX_SUMMED * size << wx + w - 2)
+        return _limb_coeffs(p, X[:, 0], size, out_len, w, math.ceil(Lx * charge) << wx + w - 2)
     # 2L - 1 classes of w bits, the middle one summing L limb products
     L = (X.shape[1] + 1) // 2
     w = _width(p, L)
-    return _limb_coeffs(p, X, size, out_len, w, L * MAX_SUMMED * size << 2 * w - 2)
+    return _limb_coeffs(p, X, size, out_len, w, math.ceil(L * charge) << 2 * w - 2)
 
 
 @dataclass(frozen=True, eq=False)
 class _Kept:
     """A fixed operand kept as an image (_fixed_operand): the image of its
-    one row and the row's length lb, which the bound of each product by it
-    charges (_mul_fixed)."""
+    one row and the row's length lb, which the charge of each product by it
+    reads (_mul_fixed)."""
 
     image: np.ndarray
     length: int
@@ -540,20 +548,17 @@ class _Kept:
 def _fixed_operand(mod: Modulus, b, la, size=None):
     """What products of arrays of length <= la by the fixed array b keep of
     b, trimmed to its length lb (its degree + 1): its image (_Kept, of one
-    row, scaled where admitted, _kept_image) where such a product
-    transforms, its coefficients otherwise.  The image is at size, by
-    default the products' own _size(la + lb - 1); at a smaller size the
-    products by it are taken mod x^size - 1, for a caller that reads only
-    coefficients the wrap leaves alone.  Where la + lb - 1 <= size no
-    product by it wraps, and its image is scaled where the bound admits one
-    such product (mod.scaled_layout(size, linear=True)); elsewhere where it
-    admits a sum of two.  Callers cache it or read it more than once;
-    _mul_fixed, mul_trunc and mul_trunc_t use it."""
+    row, kept for the charge sqrt(la lb) of the longest, _kept_image) where
+    such a product transforms, its coefficients otherwise.  The image is at
+    size, by default the products' own _size(la + lb - 1); at a smaller size
+    the products by it are taken mod x^size - 1, for a caller that reads
+    only coefficients the wrap leaves alone.  Callers cache it or read it
+    more than once; _mul_fixed, mul_trunc and mul_trunc_t use it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
         size = size or _size(la + lb - 1)
-        image = _kept_image(mod, b[None, :lb], size, linear=la + lb - 1 <= size)
+        image = _kept_image(mod, b[None, :lb], size, math.sqrt(la * lb))
         return _Kept(_readonly(image), lb)
     return _readonly(b[:lb].copy())
 
@@ -561,8 +566,8 @@ def _fixed_operand(mod: Modulus, b, la, size=None):
 def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     """The first out_len coefficients of a times the operand b kept by
     _fixed_operand, mod x^size - 1 where b is kept as an image at size: one
-    forward and one inverse transform, whose bound charges the lengths of a
-    and b.  transposed: of the middle product, a times b read backwards from
+    forward and one inverse transform, of the charge sqrt(len(a) len(b)).
+    transposed: of the middle product, a times b read backwards from
     x^(len(b) - 1) on (the product by b of mul_trunc_t), read from the
     product of a reversed by b's image."""
     if isinstance(fixed, np.ndarray):
@@ -571,15 +576,15 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    Y, lengths = fixed.image, (len(a), fixed.length)
+    Y, charge = fixed.image, math.sqrt(len(a) * fixed.length)
     if transposed:
         # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
         # Rev(a) b; Rev(a) needs no zero-padded row of the size
         X = _image_by(mod, a[None, ::-1], Y)
-        product = _image_mul(mod, X, Y, lengths=lengths)
-        return _fit(_image_coeffs(mod, product, len(a))[0, ::-1], out_len)
+        product = _image_mul(mod, X, Y, charge)
+        return _fit(_image_coeffs(mod, product, len(a), charge)[0, ::-1], out_len)
     X = _image_by(mod, a[None], Y)
-    return _image_coeffs(mod, _image_mul(mod, X, Y, lengths=lengths), out_len)[0]
+    return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)[0]
 
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):
@@ -588,9 +593,10 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
     square), or where _by_transform picks the schoolbook, the linear product
     folded."""
     if _by_transform(mod, len(a), len(b)):
-        X = _image(mod, a[None], size, "image")
-        Y = X if b is a else _image(mod, b[None], size, "image2")
-        return _image_coeffs(mod, _image_mul(mod, X, Y), out_len)[0]
+        layout, charge = mod.layout(size), math.sqrt(len(a) * len(b))
+        X = _image(mod, a[None], size, layout, "image")
+        Y = X if b is a else _image(mod, b[None], size, layout, "image2")
+        return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)[0]
     c = _fit(_convolve(mod, a, b), 2 * size)
     return (c[:out_len] + c[size : size + out_len]) % mod.p
 
@@ -607,8 +613,9 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # The layout (L, w) of a product follows from p and its size by one rule
 # (_layouts): the fewest limbs L whose exactness bound admits the size, each
 # of the narrowest width w that holds every residue below p in L limbs.  For
-# float images the bound is fft_error_bound(size, MAX_SUMMED, L, w) <=
-# FFT_ERROR_MAX, for _dense_mul at inner dimension b it is
+# float images the bound is fft_error_bound(size, 2 size, L, w) <=
+# FFT_ERROR_MAX, the charge of two summed products of rows of size entries,
+# the most any product image holds; for _dense_mul at inner dimension b it is
 # b 2^(w-1) (p - 1) < 2^53 (_dense_exact).  Fewer limbs take fewer
 # transforms: L limbs cost L forward and 2L - 1 inverse FFTs and L^2 spectrum
 # products.  For DEFAULT_PRIME the rule gives two 16-bit limbs for float
@@ -633,27 +640,25 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 #
 # A product by a scaled image (_kept_image) splits only the rows it
 # multiplies, into the fewest L_x < L limbs of w_x bits for which
-# fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX
-# (_scaled_layouts): L_x forward and L inverse FFTs and L_x L spectrum
-# products, L classes of w bits.  For DEFAULT_PRIME that is two 16-bit limbs
-# against three 11-bit ones from size 2^11 to 2^15 (the bound is 0.094 at
-# 2^15, 0.20 at 2^16); for a 40-bit prime two 21-bit limbs against three
-# 14-bit ones from 2^3 to 2^8 and three 14-bit limbs against four 11-bit ones
-# from 2^14 to 2^16.  Past 2^19 it is three 11-bit limbs against four 8-bit
-# ones from 2^20 to 2^22 for DEFAULT_PRIME, and four 11-bit limbs against five
-# 9-bit ones at 2^20 for the 40-bit prime.
-# The image of a fixed operand whose products never wrap is scaled where the
-# bound admits one product of lengths size / 2 and size / 2 + 1, the largest
-# such: fft_error_bound(size, 1, L_x, w_x, w, lengths), a quarter of the
-# above (scaled_layout(size, linear=True)).  For DEFAULT_PRIME that adds two
-# 16-bit limbs at 2^16 and 2^17 (the bound is 0.050 and 0.107; 0.226 at
-# 2^18), and for the 40-bit prime two 21-bit limbs at 2^9 and three 14-bit
-# ones at 2^17 and 2^18.  Each product by it asserts the bound for the
-# lengths it is given (_mul_fixed), and its layout is read from the image's
-# shape, its number of variants.  One warm product of rows
-# of size / 2 residues of DEFAULT_PRIME by the kept image of as many rows,
-# in us, plain / scaled, best of 100 to 300 (1 row) and 10 to 30 (32 rows)
-# interleaved, same machine:
+# fft_error_bound(size, charge, L_x, w_x, w) <= FFT_ERROR_MAX, at the charge
+# the image was kept for (_kept_limbs): L_x forward and L inverse FFTs and
+# L_x L spectrum products, L classes of w bits.  Each product by it asserts
+# the bound at its own charge (_image_mul), and the rows read their layout
+# from the image's shape, its number of variants.  The kept images take
+# three charges: s for a grid level at size s (combine sums two products of
+# rows of s / 2 entries), s / sqrt 2 for a Newton step's operand (rows of s
+# entries by one of s / 2, wrapping), and up to (s + 1) / 2 for a fixed
+# operand whose products never wrap.  For DEFAULT_PRIME that is two 16-bit
+# limbs against three 11-bit ones from size 2^11 to 2^16 for the first two
+# (the bound reads 0.10 and 0.071 at 2^16, 0.21 and 0.15 at 2^17) and to
+# 2^17 for the third (0.107; 0.226 at 2^18); for a 40-bit prime two 21-bit
+# limbs against three 14-bit ones from 2^3 to 2^9, and three 14-bit limbs
+# against four 11-bit ones from 2^14 to 2^17 for a grid level and to 2^18
+# for the others.  Past 2^19 it is three 11-bit limbs against four 8-bit
+# ones from 2^20 to 2^23 (2^24 for a fixed operand) for DEFAULT_PRIME.  One
+# warm product of rows of size / 2 residues of DEFAULT_PRIME by the kept
+# image of as many rows, in us, plain / scaled, best of 100 to 300 (1 row)
+# and 10 to 30 (32 rows) interleaved, same machine:
 #
 #    size         1 row              32 rows
 #    2048     317 /  226         8885 /  5621
@@ -667,15 +672,12 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # dispatch asks for a fourfold margin.
 FFT_ERROR_MAX = 1 / 8
 
-# The most product images summed before one inverse transform
-# (_image_mul).
-MAX_SUMMED = 2
-
 # (size, L) of the one square image: where the bound admits no fewer limbs
-# than the three of a fixed operand's image at 2^18 (DEFAULT_PRIME), the rows
-# multiplied by it take three limbs too, and the image holds three variants
-# (_scaled_layouts): 3 forward and 3 inverse FFTs in place of 3 and 5, for
-# three times the memory of the image.  DEFAULT_PRIME, plain / square, best
+# than the three of an image at 2^18 (DEFAULT_PRIME) kept for one product
+# that does not wrap, charge <= (size + 1) / 2, the rows multiplied by it
+# take three limbs too, and the image holds three variants (_kept_limbs):
+# 3 forward and 3 inverse FFTs in place of 3 and 5, for three times the
+# memory of the image.  DEFAULT_PRIME, plain / square, best
 # of 15 (5 at n = 2^17) on a 2-core x86-64 machine with numpy 2.4:
 #
 #    a row of 2^17 residues by a kept one, ms      32.5 / 25.3
@@ -693,12 +695,12 @@ MAX_SUMMED = 2
 SQUARE = (1 << 18, 3)
 
 
-def fft_error_bound(size, products, limbs, width, other=None, lengths=None):
-    """A bound on the rounding error of every class coefficient of a sum of
-    `products` float product images at size (a power of two), each class
-    summing `limbs` products of a limb of `width` bits by one of `other` bits
-    (default: width) per product image, of rows of at most size entries, or
-    given lengths (la, lb), of at most la and lb entries.
+def fft_error_bound(size, charge, limbs, width, other=None):
+    """A bound on the rounding error of every class coefficient of a float
+    product image at size (a power of two) of that charge, the sum of
+    sqrt(la lb) over the products summed in it, of rows of at most la and lb
+    entries, each class summing `limbs` products of a limb of `width` bits
+    by one of `other` bits (default: width) per product.
 
     Percival (Math. Comp. 72, 2003): a cyclic convolution of real vectors
     x, y by a radix-2 FFT of size 2^n in IEEE doubles, with unit roundoff
@@ -706,16 +708,15 @@ def fft_error_bound(size, products, limbs, width, other=None, lengths=None):
     |x| |y| ((1 + eps)^(3n) (1 + eps sqrt 5)^(3n + 1) (1 + beta)^(3n) - 1)
     in every coefficient, |.| the Euclidean norm.  Limb rows of la and lb
     entries of magnitude <= 2^(w - 1) and 2^(v - 1) give |x| |y| <=
-    2^(w + v - 2) sqrt(la lb), at most 2^(w + v - 2) size; a product that
-    does not wrap, la + lb - 1 <= size, has sqrt(la lb) <= (size + 1) / 2.
+    2^(w + v - 2) sqrt(la lb), whether or not the product wraps; a product
+    that does not, la + lb - 1 <= size, has sqrt(la lb) <= (size + 1) / 2.
     beta is taken as eps.  That numpy's FFT errs no more than this model is
     checked against exact products (oracle.kronecker_mul) and the closed
     form of constant rows (oracle.constant_rows_agree) by the tests and by
     basisconv selftest.
     """
     other = width if other is None else other
-    norm = size if lengths is None else math.sqrt(lengths[0] * lengths[1])
-    return limbs * products * 2.0 ** (width + other - 2) * norm * _growth(size)
+    return limbs * charge * 2.0 ** (width + other - 2) * _growth(size)
 
 
 @functools.cache
@@ -744,42 +745,16 @@ def _dense_exact(b, p, w):
 def _layouts(p):
     """(L, w, float size, dense size) for each limb count L from one to
     bits(p - 1) + 1, w = _width(p, L): the largest size of a float image the
-    bound admits for L or fewer limbs (0 for none), searched upward from that
-    of L - 1, and the largest inner dimension of _dense_mul for L limbs."""
+    bound admits at charge 2 size for L or fewer limbs (0 for none),
+    searched upward from that of L - 1, and the largest inner dimension of
+    _dense_mul for L limbs."""
     out, k = [], 0
     for L in range(1, (p - 1).bit_length() + 2):
         w = _width(p, L)
-        while fft_error_bound(2 << k, MAX_SUMMED, L, w) <= FFT_ERROR_MAX:
+        while fft_error_bound(2 << k, 4 << k, L, w) <= FFT_ERROR_MAX:
             k += 1
         out.append((L, w, 1 << k if k else 0, ((1 << 53) - 1) // ((p - 1) << (w - 1))))
     return tuple(out)
-
-
-def _scaled_layouts(p, layouts, linear=False):
-    """{size: (L_x, w_x)} for each power-of-two size served by layouts at
-    which rows multiplied by a scaled image, whose variants are in the size's
-    layout (L, w), take fewer limbs: the fewest L_x < L, w_x = _width(p, L_x),
-    for which fft_error_bound(size, MAX_SUMMED, L_x, w_x, w) <= FFT_ERROR_MAX,
-    or, linear, the bound of one product of lengths size / 2 and
-    size / 2 + 1, the largest of any product that does not wrap; searched
-    from that of the size before in the same layout.  linear, at the size of
-    SQUARE where no L_x < L is admitted against its L limbs, the rows take
-    the size's own layout, L_x = L (a square image, admitted wherever the
-    plain layout is)."""
-    products, out, below = 1 if linear else MAX_SUMMED, {}, 1
-    for L, w, top, _ in layouts:
-        size, Lx = 2 * below, 1
-        while size <= top and Lx < L:
-            lengths = (size // 2, size // 2 + 1) if linear else None
-            if fft_error_bound(size, products, Lx, _width(p, Lx), w, lengths) <= FFT_ERROR_MAX:
-                out[size] = (Lx, _width(p, Lx))
-                size *= 2
-            else:
-                Lx += 1
-        if linear and L == SQUARE[1] and below < SQUARE[0] <= top:
-            out.setdefault(SQUARE[0], (L, w))
-        below = max(top, 1)
-    return out
 
 
 # Work arrays.  The transient arrays of a product, its limb rows, the spectra

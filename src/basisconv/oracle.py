@@ -12,6 +12,7 @@ product is quick, with the closed form of constant rows
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -21,15 +22,14 @@ from .errors import NotInvertible, SingularDiagonal, ZeroCoefficient
 from .modfield import (
     Modulus,
     Poly,
-    _by_transform,
     _convolve_rows,
     _dense_mul,
-    _fixed_operand,
     _image_by,
     _image_coeffs,
     _image_mul,
     _kept_image,
-    _mul_fixed,
+    _kept_limbs,
+    _width,
 )
 
 
@@ -217,90 +217,98 @@ def _largest_per_layout(sizes, layout):
     return sorted(out.values())
 
 
+# The products float_kernel_agrees checks, one per kind of product of the
+# library, in increasing charge, as (rows' entries, image's entries, products
+# summed) at size 2 h: plain (_convolve_rows), and by an image kept for its
+# charge (_kept_image): a fixed operand's, whose products never wrap, a
+# Newton step's, whose products wrap, and a grid level's, summed in pairs.
+KINDS = {
+    "plain": lambda h: (h, h, 1),
+    "fixed": lambda h: (h, h + 1, 1),
+    "newton": lambda h: (2 * h, h, 1),
+    "level": lambda h: (h, h, 2),
+}
+
+
+def _product_of(kind, size):
+    """(la, lb, summed, charge) of the product of kind (KINDS) at size."""
+    la, lb, summed = KINDS[kind](size // 2)
+    return la, lb, summed, summed * math.sqrt(la * lb)
+
+
+def _layouts_taken(mod: Modulus, sizes):
+    """{(L_x, L, scaled): (size, kind)}: for each layout of the rows and of
+    the image that a product of some kind takes at one of the increasing
+    sizes (modfield._kept_limbs), the largest such size and there the kind
+    of the largest charge."""
+    out = {}
+    for size in sizes:
+        layout = mod.layout(size)
+        for kind in KINDS if layout else ():
+            charge = _product_of(kind, size)[3]
+            Lx = kind != "plain" and _kept_limbs(mod.p, size, charge, *layout)
+            out[Lx or layout[0], layout[0], bool(Lx)] = (size, kind)
+    return out
+
+
 def float_kernel_agrees(mod: Modulus) -> bool:
-    """Whether float products over mod equal exact ones (kronecker_mul) at
-    size 2, the least the float kernel takes, and at the largest size of
-    each limb layout up to 2^14 (2^10 and 2^14 for DEFAULT_PRIME): a random
-    row times a row of p - 1 and the reverse, and the square of a row of the
-    layout's worst residue (worst_residue); the same products by a scaled
-    image (modfield._kept_image) at the largest size of each scaled layout
-    up to 2^17 (2^15 for DEFAULT_PRIME); and, on constant rows against
-    their closed form (constant_rows_agree), the product by a kept fixed
-    operand at each size up to 2^17 where products that never wrap take
-    another scaled layout (_linear_sizes: 2^16 and 2^17 for DEFAULT_PRIME).
+    """Whether float products over mod equal exact ones (_float_agrees) at
+    size 2, the least the float kernel takes, and for each layout that the
+    products of the library take up to 2^17 (_layouts_taken): for
+    DEFAULT_PRIME plain at 2, 2^10 and 2^17 and by a scaled image at 2^17.
     Exactness rests on IEEE doubles and an FFT as accurate as the bound
     assumes, which the numpy build decides."""
-    sizes = {2, *_largest_per_layout([1 << k for k in range(1, 15)], mod.layout)}
-    scaled = _largest_per_layout([1 << k for k in range(1, 18)], mod.scaled_layout)
-    linear = _linear_sizes(mod, [1 << k for k in range(1, 18)])
-    return (
-        all(_float_agrees(mod, size) for size in sorted(sizes))
-        and all(_float_agrees(mod, size, scaled=True) for size in scaled)
-        and all(_float_agrees(mod, size, constant=True, linear=True) for size in linear)
-    )
-
-
-def _linear_sizes(mod, sizes):
-    """The sizes at which the kept image of a fixed operand whose products
-    never wrap is scaled in another layout than the one a sum of two
-    products admits (Modulus.scaled_layout), of those where some product
-    transforms: the largest, of size / 2 entries by as many, does."""
-    return [
-        s for s in sizes
-        if mod.scaled_layout(s, linear=True) not in (None, mod.scaled_layout(s))
-        and _by_transform(mod, s // 2, s // 2)
-    ]
+    checks = {(2, "plain"), *_layouts_taken(mod, [1 << k for k in range(1, 18)]).values()}
+    # past 2^14 on constant rows alone: kronecker_mul takes 0.8 s at 2^15
+    return all(_float_agrees(mod, size, kind, size > 1 << 14) for size, kind in sorted(checks))
 
 
 def constant_rows_agree(mod: Modulus, size) -> bool:
-    """Whether float products over mod at size, plain, by a scaled image
-    where the size has a scaled layout and by a kept fixed operand where
-    products that never wrap take another one (_linear_sizes), equal the
-    closed form of constant rows of the worst residues (_float_agrees):
-    coefficient k of the product of size / 2 constants x by as many y is
-    x y min(k + 1, size - 1 - k).  It needs no Kronecker product, which
-    takes minutes past 2^19."""
-    kinds = [{}]
-    if mod.scaled_layout(size):
-        kinds.append({"scaled": True})
-    if _linear_sizes(mod, [size]):
-        kinds.append({"linear": True})
-    return all(_float_agrees(mod, size, constant=True, **kind) for kind in kinds)
+    """Whether float products over mod at size, for each layout that the
+    products of the library take there (_layouts_taken), equal the closed
+    form of constant rows of the worst residues (_float_agrees).  It needs no
+    Kronecker product, which takes minutes past 2^19."""
+    taken = _layouts_taken(mod, [size]).values()
+    return all(_float_agrees(mod, size, kind, constant=True) for _, kind in taken)
 
 
-def _float_agrees(mod: Modulus, size, scaled=False, constant=False, linear=False):
-    """float_kernel_agrees at one size, by a scaled image of B if scaled,
-    where the rows A take the worst residue of the scaled layout; linear:
-    as scaled in the layout of products that never wrap, by the kept fixed
-    operand of B's one row (modfield._fixed_operand), on constant rows
-    alone, false unless that operand is scaled in it; constant: on the rows
-    of worst residues alone, against their closed form."""
-    p, rng, h = mod.p, random.Random(size), size // 2
-    worst = worst_residue(p, *mod.layout(size))
-    layout = mod.scaled_layout(size, linear) if scaled or linear else mod.layout(size)
-    worst_x = worst_residue(p, *layout)
-    A, B = [[worst_x] * h], [[worst] * h]
-    if not constant:
-        r, s = ([rng.randrange(p) for _ in range(h)] for _ in range(2))
-        A, B = [r, [p - 1] * h] + A, [[p - 1] * h, s] + B
-    A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
-    if linear:
-        # the path of a conversion's product by a kept operand, which
-        # asserts the bound for the lengths h and h
-        fixed = _fixed_operand(mod, B_[0], h)
-        if fixed.image.ndim != 4 or fixed.image.shape[1] != layout[0]:
-            return False
-        got = _mul_fixed(mod, A_[0], fixed, size - 1)[None]
-    elif scaled:
-        Y = _kept_image(mod, B_, size)
-        got = _image_coeffs(mod, _image_mul(mod, _image_by(mod, A_, Y), Y), size - 1)
-    else:
+def _float_agrees(mod: Modulus, size, kind, constant=False):
+    """float_kernel_agrees at one size for one kind of product (KINDS): rows
+    of la entries times rows of lb mod x^size - 1, summed twice for a level,
+    by _convolve_rows where plain, else by an image of the second rows kept
+    for the product's charge, in the layout of the first that its shape
+    gives (modfield._image_by).  The rows: a random one times one of p - 1
+    and the reverse, against kronecker_mul, and the worst residue of the
+    rows' layout times that of the size's (worst_residue); constant: the
+    last alone, against their closed form."""
+    p, rng = mod.p, random.Random(size)
+    la, lb, summed, charge = _product_of(kind, size)
+    L, w = mod.layout(size)
+    B = [[worst_residue(p, L, w)] * lb]
+    B = B if constant else [[p - 1] * lb, [rng.randrange(p) for _ in range(lb)]] + B
+    B_ = np.array(B, dtype=mod.dtype)
+    Y = None if kind == "plain" else _kept_image(mod, B_, size, charge)
+    Lx = L if Y is None else Y.shape[1]
+    A = [[worst_residue(p, Lx, _width(p, Lx))] * la]
+    A = A if constant else [[rng.randrange(p) for _ in range(la)], [p - 1] * la] + A
+    A_, out_len = np.array(A, dtype=mod.dtype), min(la + lb - 1, size)
+    if Y is None:
         got = _convolve_rows(mod, A_, B_)
+    else:
+        X = _image_by(mod, A_, Y)
+        product = _image_mul(mod, X, Y, charge, *[X, Y][: 2 * summed - 2])
+        got = _image_coeffs(mod, product, out_len, charge)
     if constant:
-        k = np.arange(size - 1)
-        want = np.minimum(k + 1, size - 1 - k).astype(mod.dtype) * (worst_x * worst % p) % p
-        return np.array_equal(got, want[None])
-    return got.tolist() == kronecker_mul(p, A, B)
+        # coefficient k of la constants x by lb constants y is
+        # x y min(k + 1, la, lb, la + lb - 1 - k)
+        k = np.arange(la + lb - 1)
+        terms = np.minimum(np.minimum(k + 1, la + lb - 1 - k), min(la, lb)).astype(object)
+        rows = [terms * (A[0][0] * B[0][0] % p)]
+    else:
+        rows = [np.array(row, dtype=object) for row in kronecker_mul(p, A, B)]
+    # mod x^size - 1
+    want = [np.append(c, [0] * (-len(c) % size)).reshape(-1, size).sum(axis=0) for c in rows]
+    return np.array_equal(got, (summed * np.array(want) % p)[:, :out_len])
 
 
 def dense_product_agrees(mod: Modulus, b_max) -> bool:

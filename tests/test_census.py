@@ -89,13 +89,13 @@ def rows(monkeypatch):
     now on."""
     counted, transform = [0, 0, 0], modfield._transform
 
-    def counting(mod, X, size, out_len=None, slot=None):
+    def counting(mod, X, size, out_len=None, *rest):
         # limbs (rows, L, size) forward; class spectra (rows, K, f) or, by a
         # scaled image, (rows, L_x, K, f) back
         r = X.shape[0] * X.shape[-2]
         counted[out_len is not None] += r
         counted[2] += r * size
-        return transform(mod, X, size, out_len, slot)
+        return transform(mod, X, size, out_len, *rest)
 
     monkeypatch.setattr(modfield, "_transform", counting)
     return counted

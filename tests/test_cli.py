@@ -313,17 +313,17 @@ def test_selftest_checks_the_scaled_layout(monkeypatch, capsys):
     # two 16-bit limbs that go wrong only at the edge of their range, +-2^15:
     # every plain product is right, and so is every product of the --quick
     # conversions (none reaches size 2^11), but not the worst residue of the
-    # scaled layout, which the kernel check multiplies at size 2^15
+    # scaled layout, which the kernel check multiplies at size 2^17
     import numpy as np
 
     from basisconv import cli, modfield
 
     image = modfield._image
 
-    def broken(mod, A, size, slot=None, layout=None):
-        # a layout is given for the rows of a scaled product only
-        if layout is None:
-            return image(mod, A, size, slot)
+    def broken(mod, A, size, layout, slot=None):
+        # 16-bit limbs past size 2^10 are the rows of a scaled product alone
+        if layout is None or layout[1] != 16 or size <= 1 << 10:
+            return image(mod, A, size, layout, slot)
         limbs = modfield._limbs(A, *layout)
         np.clip(limbs, 1 - (1 << 15), (1 << 15) - 1, out=limbs)
         return modfield._transform(mod, limbs, size, None, slot)

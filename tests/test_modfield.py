@@ -31,11 +31,13 @@ from basisconv.modfield import (
     _image,
     _image_coeffs,
     _image_mul,
+    _kept_limbs,
     _limb_coeffs,
     _limbs,
     _mul_fixed,
     _prefix_products,
     _residues,
+    _width,
     fft_error_bound,
     is_prime,
     PRIME_BOUND,
@@ -269,9 +271,10 @@ def test_image_products_are_cyclic(p):
     size = 8
     A = [[rng.randrange(p) for _ in range(size)] for _ in range(2)]
     B = [[rng.randrange(p) for _ in range(size - 3)] for _ in range(2)]
-    X = _image(mod, np.array(A, dtype=dtype), size)
-    Y = _image(mod, np.array(B, dtype=dtype), size)
-    got = _image_coeffs(mod, _image_mul(mod, X, Y), size).tolist()
+    X = _image(mod, np.array(A, dtype=dtype), size, mod.layout(size))
+    Y = _image(mod, np.array(B, dtype=dtype), size, mod.layout(size))
+    charge = math.sqrt(size * (size - 3))
+    got = _image_coeffs(mod, _image_mul(mod, X, Y, charge), size, charge).tolist()
     for row, a, b in zip(got, A, B):
         lin = _school(a, b, p) + [0] * (size + 3)
         assert row == [(lin[i] + lin[i + size]) % p for i in range(size)]
@@ -306,31 +309,34 @@ def test_float_kernel_needs_no_roots(monkeypatch):
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, mod.p, (2, 1100))
     assert np.array_equal(_convolve(mod, a, b), _convolve_schoolbook(a, b, mod.p))
-    # basisconv selftest checks the least float size, 2, and the largest size
-    # of each limb layout up to 2^14 against the Kronecker product, on int64
-    # rows (one 21-bit limb up to 8, two 11-bit ones beyond) and on rows of
-    # Python ints (P40: two 21-bit limbs up to 4, three 14-bit ones up to
-    # 2^13, four 11-bit ones beyond); and products by scaled images at the
-    # largest size of each scaled layout (one 21-bit limb against two 11-bit
-    # ones up to 2^11; P40: two 21-bit limbs against three 14-bit ones up to
-    # 2^8, three 14-bit limbs against four 11-bit ones up to 2^16); and, on
-    # constant rows, products by kept operands at each size up to 2^17 that
-    # only products that never wrap admit (one 21-bit limb at 2^12 and 2^13;
-    # P40: two 21-bit limbs at 2^9 and three 14-bit ones at 2^17)
+    # basisconv selftest checks the least float size, 2, and each layout of
+    # the rows and of the image that some product takes up to 2^17, at the
+    # largest size where one does, by the kind of product of the largest
+    # charge there (oracle.KINDS): against the Kronecker product up to 2^14,
+    # on constant rows beyond.  On int64 rows (1000003): plain products in
+    # one 21-bit limb up to 8 and in two 11-bit ones to 2^17, summed in
+    # pairs at both (a grid level's plain image), and rows of one 21-bit
+    # limb by an image of two 11-bit ones to 2^13, a Newton step's.  On rows
+    # of Python ints (P40): plain in two 21-bit limbs up to 4, three 14-bit
+    # ones up to 2^13 and four 11-bit ones to 2^17; rows of two 21-bit limbs
+    # by three 14-bit ones to 2^9 and of three 14-bit limbs by four 11-bit
+    # ones to 2^17, a grid level's
     checked, agrees = [], oracle._float_agrees
 
-    def recorded(mod, size, scaled=False, constant=False, linear=False):
-        checked.append((size, "linear" if linear else scaled))
-        return agrees(mod, size, scaled, constant, linear)
+    def recorded(mod, size, kind, constant=False):
+        checked.append((mod.p, size, kind, constant))
+        return agrees(mod, size, kind, constant)
 
     monkeypatch.setattr(oracle, "_float_agrees", recorded)
     for p in (NO_ROOTS_PRIME, P40):
         assert oracle.float_kernel_agrees(Modulus(p))
-    plain = [size for size, scaled in checked if not scaled]
-    assert sorted(plain) == [2, 2, 4, 8, 1 << 13, 1 << 14, 1 << 14]
-    assert sorted(size for size, kind in checked if kind is True) == [1 << 8, 1 << 11, 1 << 16]
-    linear = sorted(size for size, kind in checked if kind == "linear")
-    assert linear == [1 << 9, 1 << 12, 1 << 13, 1 << 17]
+    big = 1 << 17
+    assert checked == [
+        (NO_ROOTS_PRIME, 2, "plain", False), (NO_ROOTS_PRIME, 8, "level", False),
+        (NO_ROOTS_PRIME, 1 << 13, "newton", False), (NO_ROOTS_PRIME, big, "level", True),
+        (P40, 2, "plain", False), (P40, 4, "level", False), (P40, 512, "level", False),
+        (P40, 1 << 13, "level", False), (P40, big, "level", True), (P40, big, "plain", True),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -603,16 +609,18 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     # single and batched rows, and a product by a kept fixed operand
     assert np.array_equal(_convolve_rows(mod, half[:1], half[:1]), want[:1])
     assert np.array_equal(_convolve_rows(mod, half, half), want)
-    fixed = modfield._Kept(_image(mod, half[1:], size), size // 2)
+    fixed = modfield._Kept(_image(mod, half[1:], size, (L, w)), size // 2)
     assert fixed.image.shape[:2] == (1, L)
     assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
-    # a summed pair of product images of full rows: the largest norms
-    X = _image(mod, full, size)
-    got = _image_coeffs(mod, _image_mul(mod, X, X, X, X), size)
+    # a summed pair of product images of full rows: the largest norms, of
+    # charge 2 size
+    X = _image(mod, full, size, (L, w))
+    got = _image_coeffs(mod, _image_mul(mod, X, X, 2 * size, X, X), size, 2 * size)
     assert (got == 2 * size * values % p * values % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_image_mul(mod, *[X, X] * products), size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, products, L, w)
+        c = np.fft.irfft(_image_mul(mod, X, X, products * size, *[X, X][: 2 * products - 2]),
+                         size, axis=-1)
+        assert _rounding_error(c) < fft_error_bound(size, products * size, L, w)
 
 
 def test_work_arrays_bound_the_thread_total(fresh_work):
@@ -647,82 +655,132 @@ def test_work_arrays_past_the_keep_bound_are_not_kept(fresh_work):
     assert 0 < modfield.work_bytes() <= modfield.WORK_KEEP_MAX
 
 
-def _largest_scaled_sizes(p):
-    """The largest size up to 2^17 of each scaled layout of p
-    (Modulus.scaled_layout), as selftest checks them."""
-    mod = Modulus(p)
-    out = {mod.scaled_layout(1 << k): 1 << k for k in range(1, 18)}
-    out.pop(None, None)
-    return sorted(out.values())
+def _kept_layouts(p, charge):
+    """{size: (L_x, L)} for each size 2^1 to 2^20 at which an image kept for
+    products of charge(size) is scaled (_kept_limbs), L_x the limbs of the
+    rows multiplied by it and L its own."""
+    mod, out = Modulus(p), {}
+    for size in (1 << k for k in range(1, 21)):
+        L, w = mod.layout(size)
+        Lx = _kept_limbs(p, size, charge(size), L, w)
+        if Lx:
+            out[size] = (Lx, L)
+    return out
+
+
+def _sizes(first, last, layout):
+    return {1 << k: layout for k in range(first, last + 1)}
+
+
+# The charges of the kept images of the library at size s: a fixed operand
+# whose products never wrap, at most rows of s / 2 entries by s / 2 + 1; a
+# Newton step's operand, rows of s entries by s / 2, wrapping; a grid level,
+# two summed products of s / 2 by s / 2.
+KEPT_CHARGES = {
+    "fixed": lambda s: math.sqrt(s // 2 * (s // 2 + 1)),
+    "newton": lambda s: math.sqrt(s * (s // 2)),
+    "level": lambda s: s,
+}
+
+
+def _largest_scaled_sizes(p, charge):
+    """The largest size up to 2^20 of each (L_x, L) of images kept for
+    products of charge(size) (_kept_layouts)."""
+    return sorted({v: s for s, v in _kept_layouts(p, charge).items()}.values())
 
 
 def test_scaled_layouts_by_prime():
-    # fewer limbs of the rows multiplied by a scaled image, where the bound
-    # admits them: up to 2^19, 2 x 16 bits against 3 x 11 for DEFAULT_PRIME,
-    # 2 x 21 against 3 x 14 and 3 x 14 against 4 x 11 for P40, none for
-    # p = 101; at 2^20, 3 x 11 against 4 x 8 and 4 x 11 against 5 x 9.  One
-    # product that does not wrap, charged half as much, admits them at more
-    # sizes: 2 x 16 bits at 2^16 and 2^17 for DEFAULT_PRIME (the bound reads
-    # 0.050 and 0.107 against FFT_ERROR_MAX = 1/8, and 0.226 at 2^18); 2 x 21
-    # at 2^9 and 3 x 14 at 2^17 and 2^18 for P40, and 3 x 14 against 5 x 9 at
-    # 2^20.  Where it admits no fewer limbs than three at 2^18 (SQUARE), the
-    # rows take as many as the image (a square image): 3 x 11 for
-    # DEFAULT_PRIME; no other size or layout takes one
-    def table(p, linear=False):
+    # (L_x, L) of the rows multiplied by a kept image and of the image, for
+    # the three charges of the library's kept images (KEPT_CHARGES), at every
+    # size 2^1 to 2^20 where the image is scaled; elsewhere it is plain, in
+    # the L limbs of mod.layout.  For DEFAULT_PRIME two 16-bit limbs against
+    # three 11-bit ones from 2^11 to 2^16 (the bound of a grid level reads
+    # 0.10 at 2^16, 0.21 at 2^17), to 2^17 for a fixed operand (0.107; 0.226
+    # at 2^18), where it admits no fewer limbs than three at 2^18 (SQUARE),
+    # so that the rows take as many as the image; no other size or layout
+    # takes a square image.  None for p = 101, whose one limb takes every
+    # size to 2^26
+    want = {
+        DEFAULT_PRIME: {
+            "fixed": _sizes(11, 17, (2, 3)) | {1 << 18: (3, 3), 1 << 20: (3, 4)},
+            "newton": _sizes(11, 16, (2, 3)) | {1 << 20: (3, 4)},
+            "level": _sizes(11, 16, (2, 3)) | {1 << 20: (3, 4)},
+        },
+        P40: {
+            "fixed": _sizes(3, 9, (2, 3)) | _sizes(14, 18, (3, 4)) | {1 << 20: (3, 5)},
+            "newton": _sizes(3, 9, (2, 3)) | _sizes(14, 18, (3, 4)) | {1 << 20: (4, 5)},
+            "level": _sizes(3, 9, (2, 3)) | _sizes(14, 17, (3, 4)) | {1 << 20: (4, 5)},
+        },
+        101: {"fixed": {}, "newton": {}, "level": {}},
+        NO_ROOTS_PRIME: {
+            "fixed": _sizes(4, 13, (1, 2)) | {1 << 20: (2, 3)},
+            "newton": _sizes(4, 13, (1, 2)) | {1 << 20: (2, 3)},
+            "level": _sizes(4, 12, (1, 2)) | {1 << 20: (2, 3)},
+        },
+    }
+    # the most forward plus inverse transforms per product that each entry
+    # may take: those of two earlier tables, one for images whose products
+    # never wrap (rows of size / 2 entries by size / 2 + 1) and one, which
+    # the Newton steps and the grid levels took, for a sum of two products
+    # of rows of size entries, written out as their scaled entries; plain
+    # elsewhere, L forward and 2 L - 1 inverse
+    earlier = {
+        DEFAULT_PRIME: (
+            _sizes(11, 17, (2, 3)) | {1 << 18: (3, 3), 1 << 20: (3, 4)},
+            _sizes(11, 15, (2, 3)) | {1 << 20: (3, 4)},
+        ),
+        P40: (
+            _sizes(3, 9, (2, 3)) | _sizes(14, 18, (3, 4)) | {1 << 20: (3, 5)},
+            _sizes(3, 8, (2, 3)) | _sizes(14, 16, (3, 4)) | {1 << 20: (4, 5)},
+        ),
+        101: ({}, {}),
+        NO_ROOTS_PRIME: (
+            _sizes(4, 13, (1, 2)) | {1 << 20: (2, 3)},
+            _sizes(4, 11, (1, 2)) | {1 << 20: (2, 3)},
+        ),
+    }
+
+    def transforms(table, size, L):
+        Lx, L = table.get(size, (None, L))
+        return 3 * L - 1 if Lx is None else Lx + L
+
+    for p, tables in want.items():
         mod = Modulus(p)
-        sizes = [1 << k for k in range(1, 20)]
-        return {
-            s: (mod.scaled_layout(s, linear), mod.layout(s))
-            for s in sizes if mod.scaled_layout(s, linear)
-        }
-
-    default = {1 << k: ((2, 16), (3, 11)) for k in range(11, 16)}
-    assert table(DEFAULT_PRIME) == default
-    square = {1 << 18: ((3, 11), (3, 11))}
-    assert table(DEFAULT_PRIME, linear=True) == default | square | {
-        1 << k: ((2, 16), (3, 11)) for k in (16, 17)
-    }
-    want = {1 << k: ((2, 21), (3, 14)) for k in range(3, 9)}
-    want.update({1 << k: ((3, 14), (4, 11)) for k in range(14, 17)})
-    assert table(P40) == want
-    assert table(P40, linear=True) == want | {
-        1 << 9: ((2, 21), (3, 14)), 1 << 17: ((3, 14), (4, 11)), 1 << 18: ((3, 14), (4, 11)),
-    }
-    assert table(101) == table(101, linear=True) == {}
-    assert table(NO_ROOTS_PRIME, linear=True) == {1 << k: ((1, 21), (2, 11)) for k in range(4, 14)}
-    assert _largest_scaled_sizes(DEFAULT_PRIME) == [1 << 15]
-    assert _largest_scaled_sizes(P40) == [1 << 8, 1 << 16]
-    default, p40 = Modulus(DEFAULT_PRIME), Modulus(P40)
-    bound = fft_error_bound(1 << 18, 1, 2, 16, 11, (1 << 17, (1 << 17) + 1))
+        for kind, charge in KEPT_CHARGES.items():
+            got = _kept_layouts(p, charge)
+            assert got == tables[kind], (p, kind)
+            before = earlier[p][kind != "fixed"]
+            for size in (1 << k for k in range(1, 21)):
+                L = mod.layout(size)[0]
+                assert transforms(got, size, L) <= transforms(before, size, L), (p, kind, size)
+    bound = fft_error_bound(1 << 18, KEPT_CHARGES["fixed"](1 << 18), 2, 16, 11)
     assert 0.22 < bound < 0.23
-    assert (default.scaled_layout(PAST_2_19), default.layout(PAST_2_19)) == ((3, 11), (4, 8))
-    assert default.scaled_layout(PAST_2_19, linear=True) == (3, 11)
-    assert (p40.scaled_layout(PAST_2_19), p40.layout(PAST_2_19)) == ((4, 11), (5, 9))
-    assert p40.scaled_layout(PAST_2_19, linear=True) == (3, 14)
 
 
-# Sizes at which only products that never wrap admit a scaled layout, up
-# to 2^18: each (size, layout) of fewer limbs, and the square image
-LINEAR_SIZES = [(DEFAULT_PRIME, 1 << 16), (DEFAULT_PRIME, 1 << 17), (DEFAULT_PRIME, 1 << 18),
-                (P40, 1 << 9), (P40, 1 << 17), (P40, 1 << 18)]
+# Sizes at which fixed operands whose products never wrap keep a scaled image
+# past 2^15 (P40: 2^8): each (size, layout) of fewer limbs, and the square
+# image
+NO_WRAP_SIZES = [(DEFAULT_PRIME, 1 << 16), (DEFAULT_PRIME, 1 << 17), (DEFAULT_PRIME, 1 << 18),
+                 (P40, 1 << 9), (P40, 1 << 17), (P40, 1 << 18)]
 
 
-@pytest.mark.parametrize("p, size", [pytest.param(p, s, id=f"{p}-{s}") for p, s in LINEAR_SIZES])
+@pytest.mark.parametrize("p, size", [pytest.param(p, s, id=f"{p}-{s}") for p, s in NO_WRAP_SIZES])
 def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
     # a fixed operand of lb = size / 2 + 1 entries kept for products of
-    # la = size / 2 entries, la + lb - 1 = size, keeps its image scaled in
-    # the layout only such products admit (one variant per limb of the
-    # rows, as many as the image's at 2^18 for DEFAULT_PRIME); products by
-    # it of rows of the worst residue of that layout and of p - 1, by the
-    # worst residue of the size's layout and p - 1, equal the closed form of
-    # constant rows: coefficient k of la constants times lb constants counts
+    # la = size / 2 entries, la + lb - 1 = size, keeps its image scaled for
+    # their charge sqrt(la lb) (one variant per limb of the rows, as many as
+    # the image's at 2^18 for DEFAULT_PRIME); products by it of rows of the
+    # worst residue of that layout and of p - 1, by the worst residue of the
+    # size's layout and p - 1, equal the closed form of constant rows:
+    # coefficient k of la constants times lb constants counts
     # min(k + 1, la, size - k) terms, and coefficient j of their middle
-    # product la - j; their rounding error stays within the bound for the
-    # lengths la and lb
+    # product la - j; their rounding error stays within the bound
     mod = Modulus(p)
-    (Lx, wx), (L, w) = mod.scaled_layout(size, linear=True), mod.layout(size)
-    assert mod.scaled_layout(size) != (Lx, wx)
     la = size // 2
+    charge = math.sqrt(la * (la + 1))
+    L, w = mod.layout(size)
+    Lx = _kept_limbs(p, size, charge, L, w)
+    wx = _width(p, Lx)
     xs = [worst_residue(p, Lx, wx), p - 1]
     ys = [worst_residue(p, L, w), p - 1]
     k = np.arange(size)
@@ -736,25 +794,61 @@ def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
         mid = np.arange(la, 0, -1).astype(mod.dtype) * xy % p
         assert np.array_equal(_mul_fixed(mod, row, fixed, la, transposed=True), mid)
         X = modfield._image_by(mod, row[None], fixed.image)
-        c = np.fft.irfft(_image_mul(mod, X, fixed.image, lengths=(la, la + 1))[:, 0], size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, 1, Lx, wx, w, (la, la + 1))
+        c = np.fft.irfft(_image_mul(mod, X, fixed.image, charge)[:, 0], size, axis=-1)
+        assert _rounding_error(c) < fft_error_bound(size, charge, Lx, wx, w)
 
 
-def test_products_that_may_wrap_keep_the_summed_rule(mod):
-    # at 2^16 and 2^17 the operands whose products may wrap keep a plain
-    # image: one kept at an explicit size below its products' own (a Newton
-    # step's) and a kept image made for sums and wrapping products (a grid
-    # tree's level: combine sums two, combine_t's middle products wrap); a
-    # product by the first equals the linear product, at twice the size,
+@pytest.mark.parametrize(
+    "p, size, kind",
+    [pytest.param(p, size, kind, id=f"{p}-{size}-{kind}") for p in (DEFAULT_PRIME, P40)
+     for kind in ("newton", "level") for size in _largest_scaled_sizes(p, KEPT_CHARGES[kind])
+     if size < 1 << 19],
+)
+def test_wrapping_and_summed_products_exact_on_worst_operands(p, size, kind, fresh_work):
+    # at the largest size below 2^19 of each scaled layout of a Newton
+    # step's operand and of a grid level (2^16 for DEFAULT_PRIME; P40: 2^9,
+    # 2^18 and 2^9, 2^17): rows of the worst residue of the rows' layout and
+    # of p - 1 times an image, kept for the charge of the product, of rows of
+    # the worst residue of the size's layout and of p - 1, at that charge.
+    # A Newton step's product wraps: size constants x by size / 2 constants y
+    # are x y size / 2 in every coefficient mod x^size - 1.  A grid level's
+    # sums two products of size / 2 constants each: 2 x y min(k + 1,
+    # size - 1 - k).  The rounding error stays within the bound
+    mod = Modulus(p)
+    h = size // 2
+    la, summed = (size, 1) if kind == "newton" else (h, 2)
+    charge = summed * math.sqrt(la * h)
+    L, w = mod.layout(size)
+    ys = np.array([[worst_residue(p, L, w)], [p - 1]], dtype=mod.dtype)
+    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size, charge)
+    Lx = Y.shape[1]
+    assert Y.ndim == 4 and Lx < L
+    wx = _width(p, Lx)
+    xs = np.array([[worst_residue(p, Lx, wx)], [p - 1]], dtype=mod.dtype)
+    X = modfield._image_by(mod, np.repeat(xs, la, axis=1), Y)
+    pair = [X, Y][: 2 * summed - 2]
+    out_len = min(la + h - 1, size)
+    got = _image_coeffs(mod, _image_mul(mod, X, Y, charge, *pair), out_len, charge)
+    k = np.arange(out_len)
+    terms = np.full(out_len, h) if kind == "newton" else 2 * np.minimum(k + 1, size - 1 - k)
+    assert np.array_equal(got, xs * ys % p * terms.astype(mod.dtype) % p)
+    c = np.fft.irfft(_image_mul(mod, X, Y, charge, *pair)[:, 0], size, axis=-1)
+    assert _rounding_error(c) < fft_error_bound(size, charge, Lx, wx, w)
+
+
+def test_products_that_wrap_are_charged_by_their_norms(mod):
+    # an operand kept at an explicit size below its products' own (a Newton
+    # step's: rows of size entries by size / 2) and a grid level's image,
+    # kept for their charges size / sqrt 2 and size, are scaled at 2^16 and
+    # plain at 2^17, where the bound of two 16-bit limbs reads 0.15 and 0.21;
+    # a product by the first equals the linear product, at twice the size,
     # folded
     rng = np.random.default_rng(64)
-    for size in (1 << 16, 1 << 17):
+    for size, ndim in ((1 << 16, 4), (1 << 17, 3)):
         b = rng.integers(0, mod.p, size // 2)
-        assert mod.scaled_layout(size) is None and mod.scaled_layout(size, linear=True)
-        assert modfield._fixed_operand(mod, b, size // 2).image.ndim == 4
-        assert modfield._kept_image(mod, b[None], size).ndim == 3
+        assert modfield._kept_image(mod, b[None], size, size).ndim == ndim
         wrapped = modfield._fixed_operand(mod, b, size, size)
-        assert wrapped.image.ndim == 3
+        assert wrapped.image.ndim == ndim
         a = rng.integers(0, mod.p, size)
         want = _convolve(mod, a, b)
         # mod x^size - 1, coefficient k gathers k and k + size
@@ -763,7 +857,7 @@ def test_products_that_may_wrap_keep_the_summed_rule(mod):
 
 
 def test_products_past_their_lengths_bound_fail_the_assertion(mod, monkeypatch):
-    # _image_mul asserts the bound for the lengths it is handed: a row longer
+    # _image_mul asserts the bound at the charge it is handed: a row longer
     # than those the operand was kept for fails it at 2^17 (sqrt(la lb) =
     # 0.71 size, bound 0.15); under a limit set to the bound of lengths 8
     # and 9 at size 16, lengths 9 and 9 fail it
@@ -772,38 +866,42 @@ def test_products_past_their_lengths_bound_fail_the_assertion(mod, monkeypatch):
     assert fixed.image.ndim == 4
     with pytest.raises(AssertionError):
         _mul_fixed(mod, np.ones(size, dtype=np.int64), fixed, size)
-    X = _image(mod, np.ones((1, 9), dtype=np.int64), 16)
-    limit = fft_error_bound(16, 1, *mod.layout(16), lengths=(8, 9))
+    X = _image(mod, np.ones((1, 9), dtype=np.int64), 16, mod.layout(16))
+    limit = fft_error_bound(16, math.sqrt(8 * 9), *mod.layout(16))
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", limit)
-    _image_mul(mod, X, X, lengths=(8, 9))
+    _image_mul(mod, X, X, math.sqrt(8 * 9))
     with pytest.raises(AssertionError):
-        _image_mul(mod, X, X, lengths=(9, 9))
+        _image_mul(mod, X, X, 9)
 
 
 @pytest.mark.parametrize(
     "p, size",
     [pytest.param(p, size, id=f"{p}-{size}") for p in (DEFAULT_PRIME, P40)
-     for size in _largest_scaled_sizes(p)]
+     for size in _largest_scaled_sizes(p, lambda s: 2 * s) if size < 1 << 19]
     + [pytest.param(DEFAULT_PRIME, PAST_2_19, id=f"{DEFAULT_PRIME}-{PAST_2_19}")],
 )
 def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
-    # at the largest size of each scaled layout: rows of the worst residue of
-    # the scaled layout and of p - 1 times a scaled image of rows of the
-    # worst residue of the size's layout and of p - 1, by the closed form of
-    # constant rows (test_float_kernel_exact_on_worst_operands); on dtype-object
-    # rows for P40
+    # at the largest size of each layout of images kept for a summed pair
+    # of products of full rows (2^15 and 2^20 for DEFAULT_PRIME; P40: 2^8 and
+    # 2^16): rows of the worst residue of the rows' layout and of p - 1 times
+    # such an image of rows of the worst residue of the size's layout and of
+    # p - 1, by the closed form of constant rows
+    # (test_float_kernel_exact_on_worst_operands); on dtype-object rows for
+    # P40
     mod = Modulus(p)
-    (Lx, wx), (L, w) = mod.scaled_layout(size), mod.layout(size)
+    L, w = mod.layout(size)
+    Lx = _kept_limbs(p, size, 2 * size, L, w)
+    wx = _width(p, Lx)
     xs = np.array([[worst_residue(p, Lx, wx)], [p - 1]], dtype=mod.dtype)
     ys = np.array([[worst_residue(p, L, w)], [p - 1]], dtype=mod.dtype)
     h = size // 2
     k = np.arange(size - 1)
     want = xs * ys % p * np.minimum(k + 1, size - 1 - k).astype(mod.dtype) % p
-    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size)
+    Y = modfield._kept_image(mod, np.repeat(ys, h, axis=1), size, 2 * size)
     assert Y.shape[:3] == (2, Lx, L)
     X = modfield._image_by(mod, np.repeat(xs, h, axis=1), Y)
     assert X.shape[:2] == (2, Lx)
-    assert np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y), size - 1), want)
+    assert np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y, h), size - 1, h), want)
     # a product by a kept fixed operand, and its transpose, a correlation:
     # coefficient j of the middle product of h constants by h constants is
     # h - j
@@ -817,13 +915,14 @@ def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
     # a summed pair of product images of full rows: the largest norms (the
     # kept images above go first, 192 MB each at 2^20)
     del Y, fixed
-    Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size)
+    Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size, 2 * size)
     X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y)
-    got = _image_coeffs(mod, _image_mul(mod, X, Y, X, Y), size)
+    got = _image_coeffs(mod, _image_mul(mod, X, Y, 2 * size, X, Y), size, 2 * size)
     assert (got == 2 * size * xs % p * ys % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_image_mul(mod, *[X, Y] * products)[:, 0], size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, products, Lx, wx, w)
+        product = _image_mul(mod, X, Y, products * size, *[X, Y][: 2 * products - 2])
+        c = np.fft.irfft(product[:, 0], size, axis=-1)
+        assert _rounding_error(c) < fft_error_bound(size, products * size, Lx, wx, w)
 
 
 def test_products_by_scaled_images_equal_plain_ones(mod):
@@ -841,15 +940,22 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
             got = _mul_fixed(mod, a, fixed, n, transposed)
             assert np.array_equal(got, _mul_fixed(mod, a, plain, n, transposed)), (n, transposed)
         assert modfield._array_bytes([fixed, plain], set()) == fixed.image.nbytes
-    # at 2^16 and 2^17 only an operand whose products never wrap is scaled:
-    # one kept at its products' own size, not one kept at an explicit
-    # smaller size (2^16 for products of length 2^15 + 2^14 - 1); at 2^18
-    # its image is square, three variants of three limbs, and at 2^19 plain
+    # each image is kept for the charge sqrt(la lb) of its longest product,
+    # here of rows of la entries by the lb = 2^14 of b, wrapping or not: two
+    # variants of three limbs at 2^16 for la = 2^15 (no wrap) and la = 2^16
+    # (wrapping at an explicit size), and at 2^17 for la = 2^17 (a charge of
+    # 0.71 2^16, wrapping), 2^18 for la = 2^17 (no wrap, 0.35 2^17) and 2^19
+    # for la = 2^18 (0.35 2^18); by an operand of 2^17 entries, a square
+    # image, three variants of three limbs, at 2^18 for la = 2^17 (no wrap,
+    # a charge of 2^17), and a plain one at 2^19 for la = 2^18
     assert modfield._fixed_operand(mod, b, 1 << 15).image.shape[:3] == (1, 2, 3)
-    assert modfield._fixed_operand(mod, b, 1 << 15, 1 << 16).image.ndim == 4
-    assert modfield._fixed_operand(mod, b, 1 << 16, 1 << 16).image.ndim == 3
-    assert modfield._fixed_operand(mod, b, 1 << 17).image.shape[:3] == (1, 3, 3)
-    assert modfield._fixed_operand(mod, b, 1 << 18).image.ndim == 3
+    assert modfield._fixed_operand(mod, b, 1 << 16, 1 << 16).image.shape[:3] == (1, 2, 3)
+    assert modfield._fixed_operand(mod, b, 1 << 17, 1 << 17).image.shape[:3] == (1, 2, 3)
+    assert modfield._fixed_operand(mod, b, 1 << 17).image.shape[:3] == (1, 2, 3)
+    assert modfield._fixed_operand(mod, b, 1 << 18).image.shape[:3] == (1, 2, 3)
+    long = rng.integers(0, mod.p, 1 << 17)
+    assert modfield._fixed_operand(mod, long, 1 << 17).image.shape[:3] == (1, 3, 3)
+    assert modfield._fixed_operand(mod, long, 1 << 18).image.ndim == 3
     # the shift series at 2^15: two variants of three limbs
     fresh = Modulus(DEFAULT_PRIME)
     polyops.taylor_shift(Poly.of(fresh, rng.integers(0, fresh.p, 16384)), 5)
@@ -951,8 +1057,8 @@ def test_batch_kernel_by_size_and_rows(size, rows, kind):
     B = [[rng.randrange(mod.p) for _ in range(size // 2)] for _ in range(rows)]
     A_, B_ = np.array(A, dtype=mod.dtype), np.array(B, dtype=mod.dtype)
     assert mod.layout(size) == {"float": (2, 16), "object": (3, 14)}[kind]
-    assert _image(mod, A_, size).shape[:2] == (rows, mod.layout(size)[0])
-    assert _image(mod, A_[:1], size).ndim == 3
+    assert _image(mod, A_, size, mod.layout(size)).shape[:2] == (rows, mod.layout(size)[0])
+    assert _image(mod, A_[:1], size, mod.layout(size)).ndim == 3
     got = _convolve_rows(mod, A_, B_)
     for i in {0, rows - 1}:
         assert got[i].tolist() == _school(A[i], B[i], mod.p)
@@ -979,17 +1085,17 @@ def test_float_kernel_dispatch(monkeypatch, fresh_work):
     # operand; the bound is asserted wherever a float product image is made
     mod = Modulus(DEFAULT_PRIME)
     calls, layouts = [0], []
-    product_image, limbs = modfield._product_image, modfield._limbs
+    image_mul, limbs = modfield._image_mul, modfield._limbs
 
     def counted(*args):
         calls[0] += 1
-        return product_image(*args)
+        return image_mul(*args)
 
     def recorded(A, L, w):
         layouts.append((L, w))
         return limbs(A, L, w)
 
-    monkeypatch.setattr(modfield, "_product_image", counted)
+    monkeypatch.setattr(modfield, "_image_mul", counted)
     monkeypatch.setattr(modfield, "_limbs", recorded)
     rng = np.random.default_rng(7)
     a, b = rng.integers(0, mod.p, (2, PAST_2_19 // 2))
@@ -1001,10 +1107,10 @@ def test_float_kernel_dispatch(monkeypatch, fresh_work):
     for k in (0, 1, 5, len(a) - 1, len(a), len(got) - 2, len(got) - 1):
         i = np.arange(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
         assert got[k] == (a_[i] * b_[k - i]).sum() % mod.p, k
-    X = _image(mod, np.ones((1, 4), dtype=np.int64), 16)
-    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 1, *mod.layout(16)) / 2)
+    X = _image(mod, np.ones((1, 4), dtype=np.int64), 16, mod.layout(16))
+    monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 4, *mod.layout(16)) / 2)
     with pytest.raises(AssertionError):
-        _image_mul(mod, X, X)
+        _image_mul(mod, X, X, 4)
 
 
 def test_image_past_every_layout_raises_capacity_exceeded(mod):
@@ -1018,9 +1124,9 @@ def test_image_past_every_layout_raises_capacity_exceeded(mod):
     tracemalloc.start()
     try:
         for make in (
-            lambda: _image(mod, A, size),
+            lambda: _image(mod, A, size, mod.layout(size)),
             lambda: _convolve_rows(mod, A, A),
-            lambda: modfield._kept_image(mod, A, size),
+            lambda: modfield._kept_image(mod, A, size, size),
         ):
             with pytest.raises(CapacityExceeded, match="size 68719476736"):
                 make()

@@ -334,9 +334,9 @@ def _transforms(monkeypatch):
     calls = []
     transform = modfield._transform
 
-    def recorded(m, X, size, out_len=None, slot=None):
+    def recorded(m, X, size, out_len=None, *rest):
         calls.append(out_len is None)
-        return transform(m, X, size, out_len, slot)
+        return transform(m, X, size, out_len, *rest)
 
     monkeypatch.setattr(modfield, "_transform", recorded)
     return calls
