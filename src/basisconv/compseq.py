@@ -26,7 +26,7 @@ the inverse alone builds no operand of the forward evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -51,6 +51,7 @@ from .modfield import (
 )
 from .polyops import (
     _dense_shift,
+    _power_row,
     find_degrees,
     lincomb,
     lincomb_t,
@@ -540,7 +541,10 @@ def _inverse_seq_matrix(ops, n: int, mod: Modulus):
     as eval_seq_inv does."""
     g0, rev = _inverse_reduction(ops, n, mod)
     P = _seq_matrix(rev, n, mod)
-    return _dense_shift(mod, P, -g0 % mod.p, False) if g0 else P
+    if not g0:
+        return P
+    a = -g0 % mod.p
+    return _dense_shift(mod, P, _power_row(mod, a, n), _power_row(mod, a, n, -1), False)
 
 
 def _power_stack(g: Poly, n: int, mod: Modulus):
@@ -582,57 +586,54 @@ def _parse_scalar(token: str, mod: Modulus) -> int:
     return parse_integer(num.strip())
 
 
+# token -> (op, the kind of each of its fields in order): "s" a scalar, an
+# integer or a fraction a/b, reduced mod p; "i" a plain integer
+_TOKENS = {
+    "A": (Add, "s"),
+    "M": (Mul, "s"),
+    "P": (Pow, "i"),
+    "R": (Root, "isi"),
+    "Inv": (Inv, ""),
+    "E": (Exp, ""),
+    "L": (Log, ""),
+}
+
+
 def parse_sequence(text: str, mod: Modulus):
     """Parse the semicolon-separated mini-language, e.g. "A:1;Inv;M:-2".
 
-    Tokens: A:a  M:l  P:k  R:k,alpha,r  Inv  E  L.  Scalar parameters are
-    integers (or a/b fractions) reduced mod p; k and r are plain integers.
+    Tokens (_TOKENS): A:a  M:l  P:k  R:k,alpha,r  Inv  E  L, each with exactly
+    its fields: Inv, E and L take none, and a token with a missing or extra
+    field raises ValueError naming it.  Scalar fields are integers (or a/b
+    fractions) reduced mod p; k and r are plain integers.
     """
     ops = []
     for raw in text.split(";"):
         tok = raw.strip()
         if not tok:
             continue
-        head, _, args = tok.partition(":")
+        head, colon, args = tok.partition(":")
         head = head.strip()
-        if head == "A":
-            ops.append(Add(_parse_scalar(args, mod) % mod.p))
-        elif head == "M":
-            ops.append(Mul(_parse_scalar(args, mod) % mod.p))
-        elif head == "P":
-            ops.append(Pow(parse_integer(args.strip())))
-        elif head == "R":
-            k, alpha, r = args.split(",")
-            k, r = parse_integer(k.strip()), parse_integer(r.strip())
-            ops.append(Root(k, _parse_scalar(alpha, mod) % mod.p, r))
-        elif head == "Inv":
-            ops.append(Inv())
-        elif head == "E":
-            ops.append(Exp())
-        elif head == "L":
-            ops.append(Log())
-        else:
+        if head not in _TOKENS:
             raise ValueError(f"unknown sequence token {tok!r}")
+        op, kinds = _TOKENS[head]
+        values = args.split(",") if colon else []
+        if len(values) != len(kinds):
+            raise ValueError(f"sequence token {head} takes {len(kinds)} field(s): {tok!r}")
+        ops.append(op(*(
+            _parse_scalar(x, mod) % mod.p if kind == "s" else parse_integer(x.strip())
+            for kind, x in zip(kinds, values)
+        )))
     for op in ops:
         _check_op(op, mod)
     return tuple(ops)
 
 
 def format_sequence(ops) -> str:
+    """The text of ops that parse_sequence reads back to ops."""
+    heads = {op: head for head, (op, _) in _TOKENS.items()}
     parts = []
     for op in ops:
-        if isinstance(op, Add):
-            parts.append(f"A:{op.a}")
-        elif isinstance(op, Mul):
-            parts.append(f"M:{op.lam}")
-        elif isinstance(op, Pow):
-            parts.append(f"P:{op.k}")
-        elif isinstance(op, Root):
-            parts.append(f"R:{op.k},{op.alpha},{op.r}")
-        elif isinstance(op, Inv):
-            parts.append("Inv")
-        elif isinstance(op, Exp):
-            parts.append("E")
-        elif isinstance(op, Log):
-            parts.append("L")
+        values = ",".join(map(str, astuple(op)))
+        parts.append(f"{heads[type(op)]}:{values}" if values else heads[type(op)])
     return ";".join(parts)

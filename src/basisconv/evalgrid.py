@@ -47,10 +47,10 @@ of N_0(x) / (x - i), and B, the Pascal matrix C(t, s) mod p, with the two
 diagonals makes the Taylor shift by a.  The leaf of combine is
 ((C M0) ⊙ a^t) B ⊙ a^-s on the rows C of all blocks at once, block 0
 unshifted, and that of combine_t its transpose; a ragged last block of r
-points has its own r x r matrix.  M0 is kept once per modulus and b, B is
-the top-left block of the one Pascal matrix per modulus that the dense Taylor
-shifts read too (polyops._pascal), the powers a^t and a^-s (2n residues) are
-kept on the tree, and no level below K is ever made: the build takes
+points has its own r x r matrix.  M0 is kept once per modulus and b; the
+product by B between the two diagonals is the dense Taylor shift
+(polyops._dense_shift) with one a per row; the powers a^t and a^-s (2n
+residues) are kept on the tree, and no level below K is ever made: the build takes
 N_0 = prod_{i < b} (x - i) by halving (_falling), and the other nodes of
 level K from it by the same Pascal product, plus a^b C(b, t) a^-t from the
 leading x^b.
@@ -94,7 +94,15 @@ from .modfield import (
     _readonly,
     _residues,
 )
-from .polyops import LEAF_SIZE, _pascal, diagonal, taylor_shift, taylor_shift_t, truncate
+from .polyops import (
+    LEAF_SIZE,
+    _dense_shift,
+    _pascal,
+    diagonal,
+    taylor_shift,
+    taylor_shift_t,
+    truncate,
+)
 from .seriesops import series_inv
 
 
@@ -154,9 +162,9 @@ class SubproductTree:
     child of a ragged node with more points, the one full node whose
     coefficients the passes read, or None; rag[k]: the coefficients of the
     ragged node of level k, or None.  All three are None below K.  The leaf
-    of the blocks of b = 2^K points: m0 (M0) for the first of them, pascal
-    (B) and pows, the powers a^t and a^-s of a = -jb as rows, for blocks
-    j >= 1, and rag_mat for a ragged last block.
+    of the blocks of b = 2^K points: m0 (M0) for the first of them, pows,
+    the powers a^t and a^-s of a = -jb as rows, for blocks j >= 1, and
+    rag_mat for a ragged last block.
     """
 
     def __init__(self, mod: Modulus, n: int):
@@ -204,14 +212,14 @@ class SubproductTree:
             low[0] = N0[:b]
             self.m0 = mod.cached(("grid leaf", b), lambda: _quotients(mod, N0, pts))
         if nb > 1:
-            self.pascal = B = _pascal(mod, b)
             a = (-b * _arange(mod, 1, nb)) % p
             self.pows = at, a_s = [_power_rows(mod, base, b) for base in (a, mod.inv_array(a))]
             # C(b, t) = C(b - 1, t) + C(b - 1, t - 1), t < b
-            last = B[b - 1].astype(np.int64)
+            last = _pascal(mod, b)[b - 1].astype(np.int64)
             binom = (last + np.append(0, last[:-1])) % p
             lead = at[:, -1] * a % p
-            low[1:] = (_dense_mul(mod, low[0] * at % p, B) + lead[:, None] * binom % p) * a_s % p
+            shifted = _dense_shift(mod, low[0], at, a_s, False)
+            low[1:] = (shifted + lead[:, None] * binom % p * a_s) % p
         if not r:
             return low, None
         rag = taylor_shift(Poly.of(mod, _falling(mod, r)), r - n).arr
@@ -241,7 +249,7 @@ class SubproductTree:
         """combine at level K: the values of every block as the rows of the
         level, c_j M_j with M_j = M0 diag(a^t) B diag(a^-s) for block j >= 1
         (a = -jb), c_j M0 for block 0 and c M_r for a ragged last block."""
-        mod, p, nb, b = self.mod, self.mod.p, self.blocks, 1 << self.leaf
+        mod, nb, b = self.mod, self.blocks, 1 << self.leaf
         r = self.n - nb * b
         C = _fit(cs, -(-self.n // b) * b).reshape(-1, b)
         if b == 1:
@@ -249,8 +257,7 @@ class SubproductTree:
         if nb:
             C[:nb] = _dense_mul(mod, C[:nb], self.m0)
         if nb > 1:
-            at, a_s = self.pows
-            C[1:nb] = _dense_mul(mod, C[1:nb] * at % p, self.pascal) * a_s % p
+            C[1:nb] = _dense_shift(mod, C[1:nb], *self.pows, False)
         if r:
             C[nb, :r] = _dense_mul(mod, C[nb:, :r], self.rag_mat)[0]
         return C
@@ -258,14 +265,13 @@ class SubproductTree:
     def _leaf_t(self, w):
         """The transpose of _leaf_rows: the coefficients M_j w_j of every
         block, from the rows w of level K, as an array of length n."""
-        mod, p, nb, b = self.mod, self.mod.p, self.blocks, 1 << self.leaf
+        mod, nb, b = self.mod, self.blocks, 1 << self.leaf
         r = self.n - nb * b
         if b == 1:
             return w[:, 0]
         out = np.empty(self.n, dtype=self.dtype)
         if nb > 1:
-            at, a_s = self.pows
-            w[1:nb] = _dense_mul(mod, w[1:nb] * a_s % p, self.pascal.T) * at % p
+            w[1:nb] = _dense_shift(mod, w[1:nb], *self.pows, True)
         if nb:
             out[: nb * b] = _dense_mul(mod, w[:nb], self.m0.T).reshape(-1)
         if r:

@@ -3,7 +3,10 @@
 Each family is described by the quintuple (u, v, f, g, h) of its generating
 series  sum_n c_n P_n(x) t^n = u(x) v(t) f(g(x) h(t))  together with the
 prefactor sequence c_n.  The public conversions speak in the actual
-polynomials P_n: the prefactor diagonal is applied internally.
+polynomials P_n: the prefactor diagonal is applied internally.  A builder
+states its g and h in the sequence language (compseq.parse_sequence) where
+they take no parameter, and only the series that differ from u = v = 1,
+f = e^t and c_n = 1/n! (_family).
 
 Families whose g/h sequences avoid exp and log convert in O(M(n)); the
 Sheffer-type families (h built from a logarithm or exponential) convert in
@@ -13,7 +16,7 @@ product by its n x n matrix, kept per family, n and direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .bivariate import (
     _bivariate_matrix,
     eval_bivariate,
 )
-from .compseq import Add, Exp, Inv, Log, Mul, Pow, Root, _parse_scalar, cost_class_of
+from .compseq import Add, Inv, Log, Mul, _parse_scalar, cost_class_of, parse_sequence
 from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoefficient
 from .modfield import (
     Modulus,
@@ -74,11 +77,6 @@ def _ones(mod):
     return lambda n: [1] * n
 
 
-def _spread_f(mod):
-    # z / (1 + 4z): f_0 = 0, f_k = (-4)^(k-1)
-    return lambda n: [0] + _powers(mod, (-4) % mod.p, n - 1).tolist()
-
-
 def _unit_power_series(mod, base_fn, e):
     """coeffs of base^e where base(0) = 1 and e is a field residue."""
 
@@ -106,14 +104,7 @@ def _log_one_plus_over_t(mod):
     return fn
 
 
-def _inv_series(mod, base_fn):
-    def gen(n):
-        return series_inv(Poly(mod, base_fn(n), n), n).coeffs
-
-    return gen
-
-
-# -- composition-sequence builders ----------------------------------------
+# -- composition sequences with parameters ---------------------------------
 
 
 def moebius_ops(mod, a, b, c, d):
@@ -129,50 +120,6 @@ def moebius_ops(mod, a, b, c, d):
     return tuple(op for op in ops if op not in (Mul(1), Add(0)))
 
 
-def _jacobi_h_ops(mod):
-    # 2t / (1+t)^2
-    half = mod.inv(2)
-    return (Add(1), Inv(), Mul(mod.p - 2), Add(1), Pow(2), Mul(mod.p - 1), Add(1), Mul(half))
-
-
-def _fibonacci_h_ops(mod):
-    # t / (1 - t^2)
-    half = mod.inv(2)
-    return (
-        Pow(2),
-        Mul(mod.p - 1),
-        Add(1),
-        Inv(),
-        Mul(2),
-        Add(mod.p - 1),
-        Pow(2),
-        Add(mod.p - 1),
-        Root(2, 2, 1),
-        Mul(half),
-    )
-
-
-def _mott_h_ops(mod):
-    # (1 - sqrt(1 - t^2)) / t; the final root has leading term t/2
-    half = mod.inv(2)
-    return (
-        Pow(2),
-        Mul(mod.p - 1),
-        Add(1),
-        Root(2, 1, 0),
-        Add(1),
-        Inv(),
-        Mul(2),
-        Add(mod.p - 1),
-        Root(2, half, 1),
-    )
-
-
-def _bessel_h_ops(mod):
-    # 1 - sqrt(1 - 2t)
-    return (Mul(mod.p - 2), Add(1), Root(2, 1, 0), Mul(mod.p - 1), Add(1))
-
-
 def _log_ratio_ops(mod, a, b, c, d):
     """log((a t + b)/(c t + d)) with b = d (so the value at 0 is log 1 = 0)."""
     ops = list(moebius_ops(mod, a, b, c, d))
@@ -185,19 +132,21 @@ def _log_ratio_ops(mod, a, b, c, d):
     return (*ops, Log())
 
 
-def _mittag_leffler_h_ops(mod):
-    # log((1+t)/(1-t))
-    return (Add(mod.p - 1), Inv(), Mul(mod.p - 2), Add(mod.p - 2), Log())
-
-
 # -- family builders -------------------------------------------------------
 
 
-def _int_param(params, key, default=None):
+def _family(mod, name, params, g, h, f=None, v=None, c=None):
+    """The descriptor of u v f(g h) over mod's prime, u = 1: g and h are op
+    tuples or sequence strings (compseq.parse_sequence); f and the prefactor
+    c are e^t and 1/n! where None, v is 1 where None."""
+    g, h = (parse_sequence(s, mod) if isinstance(s, str) else s for s in (g, h))
+    spec = BivariateSpec(f_coeffs=f or _hyp(mod), g_ops=g, h_ops=h, v_coeffs=v)
+    return FamilyDescriptor(name, params, spec, c or _hyp(mod), mod.p)
+
+
+def _int_param(params, key):
     if key not in params:
-        if default is None:
-            raise SpecViolation(f"missing parameter {key!r}")
-        return default
+        raise SpecViolation(f"missing parameter {key!r}")
     val = params[key]
     if type(val) is bool or not isinstance(val, int):
         raise SpecViolation(f"parameter {key!r} must be an integer")
@@ -218,13 +167,11 @@ def _sqrt_minus_one(mod):
 
 def _build_laguerre(mod, params):
     alpha = _int_param(params, "alpha")
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(Mul(mod.p - 1),),
-        h_ops=moebius_ops(mod, 1, 0, mod.p - 1, 1),
-        v_coeffs=_hyp(mod, (alpha + 1,)),    # (1 - t)^-(alpha+1)
+    # h = t/(1 - t), v = (1 - t)^-(alpha+1)
+    v = _hyp(mod, (alpha + 1,))
+    return _family(
+        mod, "laguerre", {"alpha": alpha}, "M:-1", "M:-1;A:1;Inv;A:-1", v=v, c=_ones(mod)
     )
-    return FamilyDescriptor("laguerre", {"alpha": alpha}, spec, _ones(mod))
 
 
 def _build_hermite(mod, params):
@@ -234,32 +181,28 @@ def _build_hermite(mod, params):
         out[::2] = _hypergeometric(mod, (n + 1) // 2, z=-1)
         return out.tolist()
 
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(Mul(2),), h_ops=(), v_coeffs=v)
-    return FamilyDescriptor("hermite", {}, spec, _hyp(mod))
+    return _family(mod, "hermite", {}, "M:2", "", v=v)
 
 
 def _build_jacobi(mod, params):
     alpha = _int_param(params, "alpha")
     beta = _int_param(params, "beta")
     half, s = mod.inv(2), alpha + beta + 1
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod, (s * half, (s + 1) * half), (beta + 1,)),
-        g_ops=(Add(1),),
-        h_ops=_jacobi_h_ops(mod),
-        v_coeffs=_hyp(mod, (s,), (), -1),       # (1 + t)^-s
+    return _family(
+        mod, "jacobi", {"alpha": alpha, "beta": beta},
+        "A:1", "A:1;Inv;M:-2;A:1;P:2;M:-1;A:1;M:1/2",     # h = 2t/(1 + t)^2
+        f=_hyp(mod, (s * half, (s + 1) * half), (beta + 1,)),
+        v=_hyp(mod, (s,), (), -1),                      # (1 + t)^-s
+        c=_hyp(mod, (s, 1), (beta + 1,)),               # (s)_n / (beta + 1)_n
     )
-    pref = _hyp(mod, (s, 1), (beta + 1,))        # (s)_n / (beta + 1)_n
-    return FamilyDescriptor("jacobi", {"alpha": alpha, "beta": beta}, spec, pref)
 
 
 def _build_fibonacci(mod, params):
-    def v(n):
-        return ([1, 0] * n)[:n]
-
-    spec = BivariateSpec(
-        f_coeffs=_ones(mod), g_ops=(), h_ops=_fibonacci_h_ops(mod), v_coeffs=v
+    # h = t/(1 - t^2), v = 1/(1 - t^2), f = 1/(1 - t)
+    h = "P:2;M:-1;A:1;Inv;M:2;A:-1;P:2;A:-1;R:2,2,1;M:1/2"
+    return _family(
+        mod, "fibonacci", {}, "", h, f=_ones(mod), v=lambda n: ([1, 0] * n)[:n], c=_ones(mod)
     )
-    return FamilyDescriptor("fibonacci", {}, spec, _ones(mod))
 
 
 def _build_euler(mod, params):
@@ -271,91 +214,69 @@ def _build_euler(mod, params):
         out[0] = 1
         return out.tolist()
 
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod), g_ops=(), h_ops=(), v_coeffs=_unit_power_series(mod, base, -alpha)
-    )
-    return FamilyDescriptor("euler", {"alpha": alpha}, spec, _hyp(mod))
+    return _family(mod, "euler", {"alpha": alpha}, "", "", v=_unit_power_series(mod, base, -alpha))
 
 
 def _build_bernoulli(mod, params):
     alpha = _int_param(params, "alpha")
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(),
-        h_ops=(),
-        v_coeffs=_unit_power_series(mod, _exp_minus_one_over_t(mod), -alpha),
-    )
-    return FamilyDescriptor("bernoulli", {"alpha": alpha}, spec, _hyp(mod))
+    v = _unit_power_series(mod, _exp_minus_one_over_t(mod), -alpha)
+    return _family(mod, "bernoulli", {"alpha": alpha}, "", "", v=v)
 
 
 def _build_mott(mod, params):
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(Mul(mod.p - 1),), h_ops=_mott_h_ops(mod))
-    return FamilyDescriptor("mott", {}, spec, _hyp(mod))
+    # h = (1 - sqrt(1 - t^2))/t; the final root has leading term t/2
+    return _family(mod, "mott", {}, "M:-1", "P:2;M:-1;A:1;R:2,1,0;A:1;Inv;M:2;A:-1;R:2,1/2,1")
 
 
 def _build_spread(mod, params):
-    def v(n):
-        # (1+t)/(1-t)
-        return [1] + [2] * (n - 1)
-
-    # -h(-t) / 2 for jacobi's h: its last Mul(1/2) and the 1/(-2) make one
-    h_ops = (Mul(mod.p - 1),) + _jacobi_h_ops(mod)[:-1] + (Mul(mod.inv(mod.p - 4)),)
-    spec = BivariateSpec(f_coeffs=_spread_f(mod), g_ops=(), h_ops=h_ops, v_coeffs=v)
-    return FamilyDescriptor("spread", {}, spec, _ones(mod))
+    # h = -h_jacobi(-t)/2 = t/(1 - t)^2, v = (1 + t)/(1 - t), f = t/(1 + 4t)
+    return _family(
+        mod, "spread", {}, "", "M:-1;A:1;Inv;M:-2;A:1;P:2;M:-1;A:1;M:-1/4",
+        f=lambda n: [0] + _powers(mod, (-4) % mod.p, n - 1).tolist(),
+        v=lambda n: [1] + [2] * (n - 1),
+        c=_ones(mod),
+    )
 
 
 def _build_bessel(mod, params):
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=_bessel_h_ops(mod))
-    return FamilyDescriptor("bessel", {}, spec, _hyp(mod))
+    # h = 1 - sqrt(1 - 2t)
+    return _family(mod, "bessel", {}, "", "M:-2;A:1;R:2,1,0;M:-1;A:1")
 
 
 def _build_falling(mod, params):
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Log(),))
-    return FamilyDescriptor("falling", {}, spec, _hyp(mod))
+    return _family(mod, "falling", {}, "", "L")
 
 
 def _build_bell(mod, params):
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Exp(),))
-    return FamilyDescriptor("bell", {}, spec, _hyp(mod))
+    return _family(mod, "bell", {}, "", "E")
 
 
 def _build_bernoulli2(mod, params):
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(),
-        h_ops=(Log(),),
-        v_coeffs=_inv_series(mod, _log_one_plus_over_t(mod)),
-    )
-    return FamilyDescriptor("bernoulli2", {}, spec, _hyp(mod))
+    over_t = _log_one_plus_over_t(mod)
+
+    def v(n):
+        # t/log(1 + t)
+        return series_inv(Poly(mod, over_t(n), n), n).coeffs
+
+    return _family(mod, "bernoulli2", {}, "", "L", v=v)
 
 
 def _build_charlier(mod, params):
     a = _int_param(params, "a")
     if a % mod.p == 0:
         raise SpecViolation("charlier needs a != 0")
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod), g_ops=(), h_ops=(Mul(mod.inv(a)), Log()), v_coeffs=_hyp(mod, z=-1)
-    )
-    return FamilyDescriptor("charlier", {"a": a}, spec, _hyp(mod))
+    return _family(mod, "charlier", {"a": a}, "", f"M:1/{a};L", v=_hyp(mod, z=-1))
 
 
 def _build_actuarial(mod, params):
     beta = _int_param(params, "beta")
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod), g_ops=(Mul(mod.p - 1),), h_ops=(Exp(),), v_coeffs=_hyp(mod, z=beta)
-    )
-    return FamilyDescriptor("actuarial", {"beta": beta}, spec, _hyp(mod))
+    return _family(mod, "actuarial", {"beta": beta}, "M:-1", "E", v=_hyp(mod, z=beta))
 
 
 def _build_narumi(mod, params):
     a = _int_param(params, "a")
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(),
-        h_ops=(Log(),),
-        v_coeffs=_unit_power_series(mod, _log_one_plus_over_t(mod), -a),
-    )
-    return FamilyDescriptor("narumi", {"a": a}, spec, _hyp(mod))
+    v = _unit_power_series(mod, _log_one_plus_over_t(mod), -a)
+    return _family(mod, "narumi", {"a": a}, "", "L", v=v)
 
 
 def _build_peters(mod, params):
@@ -370,8 +291,7 @@ def _build_peters(mod, params):
         scalar = mod.pow(2, -mu)                # mu must be a plain integer
         return (body.arr * scalar % mod.p).tolist()
 
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=(Log(),), v_coeffs=v)
-    return FamilyDescriptor("peters", {"lambda": lam, "mu": mu}, spec, _hyp(mod))
+    return _family(mod, "peters", {"lambda": lam, "mu": mu}, "", "L", v=v)
 
 
 def _build_meixner_pollaczek(mod, params):
@@ -394,14 +314,10 @@ def _build_meixner_pollaczek(mod, params):
             out[2] = 1
         return out
 
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(Mul(i_unit),),
-        h_ops=_log_ratio_ops(mod, (-s) % mod.p, 1, (-mod.inv(s)) % mod.p, 1),
-        v_coeffs=_unit_power_series(mod, base, -lam),
-    )
-    return FamilyDescriptor(
-        "meixner_pollaczek", {"lambda": lam, "s": s, "i": i_unit}, spec, _ones(mod)
+    return _family(
+        mod, "meixner_pollaczek", {"lambda": lam, "s": s, "i": i_unit},
+        (Mul(i_unit),), _log_ratio_ops(mod, (-s) % mod.p, 1, (-mod.inv(s)) % mod.p, 1),
+        v=_unit_power_series(mod, base, -lam), c=_ones(mod),
     )
 
 
@@ -412,13 +328,9 @@ def _build_meixner(mod, params):
     if c == 0 or c == 1:
         raise SpecViolation("meixner needs c outside {0, 1}")
     # v = (1 - t)^-beta and c_n = (beta)_n / n!: the same series
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(),
-        h_ops=_log_ratio_ops(mod, (-mod.inv(c)) % mod.p, 1, mod.p - 1, 1),
-        v_coeffs=_hyp(mod, (beta,)),
-    )
-    return FamilyDescriptor("meixner", {"beta": beta, "c": c}, spec, _hyp(mod, (beta,)))
+    h = _log_ratio_ops(mod, (-mod.inv(c)) % mod.p, 1, mod.p - 1, 1)
+    pochhammer = _hyp(mod, (beta,))
+    return _family(mod, "meixner", {"beta": beta, "c": c}, "", h, v=pochhammer, c=pochhammer)
 
 
 def _build_krawtchouk(mod, params):
@@ -427,18 +339,14 @@ def _build_krawtchouk(mod, params):
     if pk == 0:
         raise SpecViolation("krawtchouk needs p != 0")
     # v = (1 + t)^N and c_n = binom(N, n): the same series
-    spec = BivariateSpec(
-        f_coeffs=_hyp(mod),
-        g_ops=(),
-        h_ops=_log_ratio_ops(mod, (pk - 1) % mod.p, pk, pk, pk),
-        v_coeffs=_hyp(mod, (-N,), (), -1),
-    )
-    return FamilyDescriptor("krawtchouk", {"p": pk, "N": N}, spec, _hyp(mod, (-N,), (), -1))
+    h = _log_ratio_ops(mod, (pk - 1) % mod.p, pk, pk, pk)
+    binomial = _hyp(mod, (-N,), (), -1)
+    return _family(mod, "krawtchouk", {"p": pk, "N": N}, "", h, v=binomial, c=binomial)
 
 
 def _build_mittag_leffler(mod, params):
-    spec = BivariateSpec(f_coeffs=_hyp(mod), g_ops=(), h_ops=_mittag_leffler_h_ops(mod))
-    return FamilyDescriptor("mittag_leffler", {}, spec, _hyp(mod))
+    # h = log((1 + t)/(1 - t))
+    return _family(mod, "mittag_leffler", {}, "", "A:-1;Inv;M:-2;A:-2;L")
 
 
 FAMILY_BUILDERS = {
@@ -481,7 +389,7 @@ def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
         stray = sorted(set(params) - set(fam.params))
         if stray:
             raise SpecViolation(f"{name} has no parameter {stray[0]!r}")
-        return replace(fam, p=mod.p)
+        return fam
 
     return mod.cached(("family", name, tuple(sorted(params.items()))), build)
 
@@ -506,9 +414,11 @@ def parse_family(mod: Modulus, text: str) -> FamilyDescriptor:
             continue
         if "=" not in item:
             raise SpecViolation(f"malformed family parameter {item!r}")
-        key, val = item.split("=", 1)
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise SpecViolation(f"repeated family parameter {key!r}")
         try:
-            params[key.strip()] = _parse_scalar(val, mod)
+            params[key] = _parse_scalar(val, mod)
         except ValueError:
             raise SpecViolation(f"malformed family parameter {item!r}") from None
     return family(mod, name.strip(), **params)

@@ -174,23 +174,24 @@ def _pascal(mod: Modulus, b):
     return mod.cached(("pascal", LEAF_SIZE), build)[:b, :b]
 
 
-def _dense_shift(mod: Modulus, X, a: int, transposed: bool):
-    """The int64 rows X of m <= LEAF_SIZE residues, each shifted by a != 0 (or
-    by the transpose): A(x + a) = ((A ⊙ a^s) B) ⊙ a^-t, B the Pascal matrix
-    C(s, t), one exact GEMM for all rows, and ((A ⊙ a^-t) B^T) ⊙ a^s its
-    transpose."""
-    p, m = mod.p, X.shape[1]
-    up, down, B = _power_row(mod, a, m), _power_row(mod, a, m, -1), _pascal(mod, m)
+def _dense_shift(mod: Modulus, X, up, down, transposed: bool):
+    """The int64 rows X of m <= LEAF_SIZE residues, each shifted by a != 0
+    (or by the transpose), given the powers up = a^s and down = a^-t, s, t <
+    m, as one row for one a for all rows or as one row per row of X: A(x + a)
+    = ((A ⊙ a^s) B) ⊙ a^-t, B the Pascal matrix C(s, t), one exact GEMM for
+    all rows, and ((A ⊙ a^-t) B^T) ⊙ a^s its transpose."""
+    B = _pascal(mod, X.shape[-1])
     if transposed:
         up, down, B = down, up, B.T
-    return _dense_mul(mod, X * up % p, B) * down % p
+    return _dense_mul(mod, X * up % mod.p, B) * down % mod.p
 
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod, m, p = A.mod, A.dim, A.mod.p
     if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
         # the Pascal product divides by nothing: any m, m >= p too
-        return Poly.of(mod, _dense_shift(mod, A.arr[None], a, transposed)[0])
+        up, down = _power_row(mod, a, m), _power_row(mod, a, m, -1)
+        return Poly.of(mod, _dense_shift(mod, A.arr[None], up, down, transposed)[0])
     # A(x + a) = Diag(a^-i / i!) Rev(Rev(Diag(i! a^i) A) P mod x^m) and its
     # transpose Diag(i! a^i) Rev((Rev(Diag(a^-i / i!) A) Rev(P)) div x^(m-1)),
     # a middle product (Aho, Steiglitz & Ullman 1975), which divides by i!

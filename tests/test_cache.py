@@ -57,7 +57,7 @@ def test_warm_from_monomial_recomputes_nothing(monkeypatch):
     # Inv and Root operators in h, Log and Exp through the Stirling matrices,
     # u and v; above MATRIX_MAX, so that the conversions run the fast chain
     cases = [
-        ((Add(1), Inv(), Add(p - 1)), families._fibonacci_h_ops(mod)),
+        ((Add(1), Inv(), Add(p - 1)), parse_family(mod, "fibonacci").spec.h_ops),
         ((), (Log(),)),
         ((Mul(2),), (Exp(),)),
     ]

@@ -484,6 +484,14 @@ def test_sequence_integers_are_ascii_decimals(argv, monkeypatch, capsys):
     assert out == "" and "malformed integer" in err
 
 
+@pytest.mark.parametrize("sequence", ["Inv:7;E:x", "R:2,1"])
+def test_sequence_tokens_take_exactly_their_fields(sequence, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(vec([1, 2])))
+    assert cli.main(["compose", "--sequence", sequence, "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sequence token" in err
+
+
 def test_coefficients_outside_field_rejected():
     for coeffs in (["-1", "2"], ["1", str(P + 4)]):
         proc = run_cli(

@@ -55,6 +55,18 @@ def test_parse_format_round_trip(mod101):
         parse_sequence("M:0", mod101)
     with pytest.raises(InvalidOperatorParam):
         parse_sequence("R:2,0,1", mod101)
+    # each token takes exactly its fields: none for Inv, E and L
+    for text, head in [
+        ("Inv:3;E:junk;L:1", "Inv"), ("E:x", "E"), ("L:", "L"), ("R:2,1", "R"),
+        ("R:2,1,0,4", "R"), ("A:1,2", "A"), ("M", "M"), ("P:2,3", "P"),
+    ]:
+        with pytest.raises(ValueError, match=f"sequence token {head} takes"):
+            parse_sequence(text, mod101)
+
+
+def test_catalog_sequences_read_back(mod):
+    for ops in catalog_sequences(mod):
+        assert parse_sequence(format_sequence(ops), mod) == ops
 
 
 def test_operator_param_guards():

@@ -177,7 +177,7 @@ def test_six_grid_maps_across_leaf_blocks(p):
 
 def test_tree_keeps_nothing_below_the_leaf(monkeypatch):
     # at n = 8192 the tree keeps the level images from K = log2 LEAF_SIZE up,
-    # the leaf's two matrices and its powers, in fewer bytes than the tree run
+    # the leaf's matrix and its powers, in fewer bytes than the tree run
     # to its leaves (LEAF_SIZE = 1)
     def nbytes(value):
         if isinstance(value, np.ndarray):
@@ -193,7 +193,7 @@ def test_tree_keeps_nothing_below_the_leaf(monkeypatch):
     for levels in (tree.full, tree.img, tree.rag):
         assert levels[:K] == [None] * K and len(levels) >= tree.depth
     assert tree.img[K].shape[0] == n >> K
-    assert tree.m0.shape == tree.pascal.shape == (1 << K, 1 << K)
+    assert tree.m0.shape == (1 << K, 1 << K)
     assert sum(map(nbytes, tree.pows)) == 2 * (n - (1 << K)) * 8
     monkeypatch.setattr(evalgrid, "LEAF_SIZE", 1)
     full = evalgrid.SubproductTree(Modulus(DEFAULT_PRIME), n)

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from basisconv import (
     eval_seq,
     eval_seq_inv,
     eval_seq_t,
+    format_sequence,
     mul_trunc,
     mul_trunc_t,
     parse_sequence,
@@ -60,6 +63,72 @@ M_TABLE = {
     "laguerre", "hermite", "jacobi", "fibonacci", "euler", "bernoulli",
     "mott", "spread", "bessel",
 }
+
+# format_sequence of the g and h of every FAMILY_STRINGS entry: a change to
+# any op tuple of the catalog fails test_catalog_ops_frozen
+FROZEN_OPS = {
+    DEFAULT_PRIME: {
+        "laguerre(alpha=3)": ("M:2013265920", "M:2013265920;A:1;Inv;A:2013265920"),
+        "hermite": ("M:2", ""),
+        "jacobi(alpha=3,beta=5)": (
+            "A:1",
+            "A:1;Inv;M:2013265919;A:1;P:2;M:2013265920;A:1;M:1006632961",
+        ),
+        "fibonacci": (
+            "",
+            "P:2;M:2013265920;A:1;Inv;M:2;A:2013265920;P:2;A:2013265920;R:2,2,1;M:1006632961",
+        ),
+        "euler(alpha=3)": ("", ""),
+        "bernoulli(alpha=3)": ("", ""),
+        "mott": (
+            "M:2013265920",
+            "P:2;M:2013265920;A:1;R:2,1,0;A:1;Inv;M:2;A:2013265920;R:2,1006632961,1",
+        ),
+        "spread": ("", "M:2013265920;A:1;Inv;M:2013265919;A:1;P:2;M:2013265920;A:1;M:503316480"),
+        "bessel": ("", "M:2013265919;A:1;R:2,1,0;M:2013265920;A:1"),
+        "falling": ("", "L"),
+        "bell": ("", "E"),
+        "bernoulli2": ("", "L"),
+        "charlier(a=2)": ("", "M:1006632961;L"),
+        "actuarial(beta=3)": ("M:2013265920", "E"),
+        "narumi(a=2)": ("", "L"),
+        "peters(lambda=3,mu=2)": ("", "L"),
+        "meixner_pollaczek(lambda=3,s=5)": (
+            "M:1728404513",
+            "M:402653184;A:1;Inv;M:2013265897;A:24;L",
+        ),
+        "meixner(beta=5,c=7)": ("", "M:2013265920;A:1;Inv;M:1150437670;A:862828251;L"),
+        "krawtchouk(p=1/3,N=100)": ("", "M:1342177281;A:1342177281;Inv;A:2013265918;L"),
+        "mittag_leffler": ("", "A:2013265920;Inv;M:2013265919;A:2013265919;L"),
+    },
+    101: {
+        "laguerre(alpha=3)": ("M:100", "M:100;A:1;Inv;A:100"),
+        "hermite": ("M:2", ""),
+        "jacobi(alpha=3,beta=5)": ("A:1", "A:1;Inv;M:99;A:1;P:2;M:100;A:1;M:51"),
+        "fibonacci": ("", "P:2;M:100;A:1;Inv;M:2;A:100;P:2;A:100;R:2,2,1;M:51"),
+        "euler(alpha=3)": ("", ""),
+        "bernoulli(alpha=3)": ("", ""),
+        "mott": ("M:100", "P:2;M:100;A:1;R:2,1,0;A:1;Inv;M:2;A:100;R:2,51,1"),
+        "spread": ("", "M:100;A:1;Inv;M:99;A:1;P:2;M:100;A:1;M:25"),
+        "bessel": ("", "M:99;A:1;R:2,1,0;M:100;A:1"),
+        "falling": ("", "L"),
+        "bell": ("", "E"),
+        "bernoulli2": ("", "L"),
+        "charlier(a=2)": ("", "M:51;L"),
+        "actuarial(beta=3)": ("M:100", "E"),
+        "narumi(a=2)": ("", "L"),
+        "peters(lambda=3,mu=2)": ("", "L"),
+        "meixner_pollaczek(lambda=3,s=5)": ("M:10", "M:20;A:1;Inv;M:77;A:24;L"),
+        "meixner(beta=5,c=7)": ("", "M:100;A:1;Inv;M:73;A:28;L"),
+        "krawtchouk(p=1/3,N=100)": ("", "M:34;A:34;Inv;A:98;L"),
+        "mittag_leffler": ("", "A:100;Inv;M:99;A:99;L"),
+    },
+}
+
+# the families whose h is built from their parameters (moebius_ops), written
+# in words in README.md's family table
+PARAMETRIC_H = {"meixner_pollaczek", "meixner", "krawtchouk"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _basis_col(fam, j, n, mod):
@@ -569,6 +638,44 @@ def test_parse_family_forms(mod):
         parse_family(mod, "jacobi(alpha=3")
     with pytest.raises(SpecViolation):
         parse_family(mod, "jacobi(3,5)")
+    with pytest.raises(SpecViolation, match="repeated family parameter 'alpha'"):
+        parse_family(mod, "laguerre(alpha=3, alpha = 4)")
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
+def test_catalog_ops_frozen(p):
+    mod = Modulus(p)
+    ops = {
+        text: (format_sequence(fam.spec.g_ops), format_sequence(fam.spec.h_ops))
+        for text, fam in zip(FAMILY_STRINGS, all_families(mod))
+    }
+    assert ops == FROZEN_OPS[p]
+
+
+def test_readme_family_table_states_the_catalog(mod):
+    # each g and h cell of README.md's family table is the sequence string
+    # the catalog parses, a parameter written by its name; a blank cell is
+    # the empty sequence, and a cell in words one built from parameters
+    fams = {fam.name: fam for fam in all_families(mod)}
+    lines = README.read_text(encoding="utf-8").split("\n## Families\n", 1)[1].splitlines()
+    start = lines.index("| family | g | h | f | v | c_n |")
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        name, g, h = (cell.strip() for cell in line.split("|")[1:4])
+        rows[name] = (g, h)
+    assert sorted(rows) == family_names()
+    for name, cells in rows.items():
+        fam = fams[name]
+        for cell, ops in zip(cells, (fam.spec.g_ops, fam.spec.h_ops)):
+            if not cell:
+                assert ops == (), name
+            elif not cell.startswith("`"):
+                assert name in PARAMETRIC_H and ops, name
+            else:
+                text = re.sub(r"\b[a-z]+\b", lambda m: str(fam.params[m.group()]), cell.strip("`"))
+                assert parse_sequence(text, mod) == ops, (name, cell)
 
 
 @pytest.mark.parametrize("n", [3, MATRIX_MAX, MATRIX_MAX + 1, 200])
