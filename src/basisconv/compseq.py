@@ -7,20 +7,21 @@ truncations of every intermediate series, evaluates the linear map
 A -> A(g) mod x^n, and provides the transposed and inverse maps.  The inverse
 evaluates the reversed sequence, which computes the compositional inverse of
 g - g(0) from the truncations of g, and then shifts by -g(0): no other
-reduction is needed.  Where that sequence is Add(g(0)) followed by Add, Mul,
-Exp and Log alone, the shift undoes the leading Add exactly, and the
-evaluation starts after it.
+reduction is needed.
 
-The first evaluation of a sequence at a precision (_prepare) compiles it into
-linear steps over numbered rows (_compile), each a function of polyops,
-modfield or evalgrid paired with its transpose: eval_seq runs them in order
-and eval_seq_t runs their transposes last first, as the transposition
-principle gives it (Bostan, Lecerf & Schost, "Tellegen's principle into
-practice", ISSAC 2003).  The steps read the truncations only through
-input-independent operands, the unit powers of Inv and the root powers of
-Root, built from one set of truncations, which is then dropped.  The leading
-coefficients and the inverse reduction are kept apart (_lead_info), so that
-the inverse alone builds no operand of the forward evaluation.
+The first evaluation of a sequence at a precision (_prepare) compiles the map
+A -> T_shift(A(g)) into linear steps over numbered rows (_compile), each a
+function of polyops, modfield or evalgrid paired with its transpose, adjacent
+Taylor shifts folded into one.  Each of the four maps runs one such program
+(_evaluate): eval_seq and eval_seq_inv, at the reversed sequence and the
+shift by -g(0), run its steps in order, eval_seq_t and eval_inv_transposed
+their transposes last first, as the transposition principle gives it
+(Bostan, Lecerf & Schost, "Tellegen's principle into practice", ISSAC 2003).
+The steps read the truncations only through input-independent operands, the
+unit powers of Inv and the root powers of Root, built from one set of
+truncations, which is then dropped.  The leading coefficients and the inverse
+reduction are kept apart (_lead_info), so that the inverse alone builds no
+operand of the forward evaluation.
 """
 
 from __future__ import annotations
@@ -229,39 +230,39 @@ def _series_at(truncs: SequenceTruncations, mod, ell, n) -> Poly:
     return truncate(truncs.g[ell - 1], n)
 
 
-def _prepare(ops, n: int, mod: Modulus, start=0):
-    """The program of eval_seq(., ops, n, start) and of its transpose
-    (_compile), kept as the one entry ("seq", ops, n, start).  The first call
-    builds it from one set of truncations at precision max(n, 2), which is
-    then dropped; _lead_info at n comes from the same set where it is not
-    kept yet.  Raises as compute_g does where ops is not defined at max(n, 2):
-    at n = 1 a truncation at precision 1 before a Root can be zero where the
-    series is not."""
+def _prepare(ops, n: int, mod: Modulus, shift=0):
+    """The program of A -> T_shift(A(g)) mod x^n for the output g of ops and
+    of its transpose (_compile), kept as the one entry ("seq", ops, n, shift).
+    The first call builds it from one set of truncations at precision
+    max(n, 2), which is then dropped; _lead_info at n comes from the same set
+    where it is not kept yet.  Raises as compute_g does where ops is not
+    defined at max(n, 2): at n = 1 a truncation at precision 1 before a Root
+    can be zero where the series is not."""
     ops, prec = tuple(ops), max(n, 2)
 
     def build():
         truncs = compute_g(ops, prec, mod)
-        program = _compile(ops, n, start, truncs, mod)
+        program = _compile(ops, n, shift, truncs, mod)
         mod.cached(("lead", ops, prec), partial(_lead_summary, ops, truncs, mod))
         return program
 
-    return mod.cached(("seq", ops, n, start), build)
+    return mod.cached(("seq", ops, n, shift), build)
 
 
-def _compile(ops, n, start, truncs, mod):
-    """(steps, dims): A -> A(g) mod x^n for the output g of ops, the
-    operators after the first start alone (eval_seq), as linear steps over
-    rows numbered as they are made, row 0 the input, the last row the output
-    and dims[r] the dimension of row r.  A step is the pair
-    ((f, src, dst, args), (f_t, dst, src, args_t)): rows dst = f(rows src,
-    *args) and its transpose rows src = f_t(rows dst, *args_t), src and dst
-    each a row or a tuple of rows (_run), f and f_t as this module's
-    namespace binds them now.  The Inv at step ell on K[x]_m multiplies by
-    the unit power g^(1 - m) mod x^n of its input g, the Root at step ell by
-    the root powers (1, h, ..., h^(k-1)) mod x^n of its output h, each kept
-    for products of length <= n (_fixed_operand) and built once per (ell, m)
-    or ell: a Root whose parts have equal dimensions reaches the steps below
-    it twice."""
+def _compile(ops, n, shift, truncs, mod):
+    """(steps, dims): A -> T_shift(A(g)) mod x^n for the output g of ops, as
+    linear steps over rows numbered as they are made, row 0 the input, the
+    last row the output and dims[r] the dimension of row r.  A step is the
+    pair ((f, src, dst, args), (f_t, dst, src, args_t)): rows dst = f(rows
+    src, *args) and its transpose rows src = f_t(rows dst, *args_t), src and
+    dst each a row or a tuple of rows (_run), f and f_t as this module's
+    namespace binds them now.  A Taylor shift of the row a Taylor shift made
+    is one shift by the sum, T_a T_b = T_(a + b), and none where that is 0
+    mod p.  The Inv at step ell on K[x]_m multiplies by the unit power
+    g^(1 - m) mod x^n of its input g, the Root at step ell by the root powers
+    (1, h, ..., h^(k-1)) mod x^n of its output h, each kept for products of
+    length <= n (_fixed_operand) and built once per (ell, m) or ell: a Root
+    whose parts have equal dimensions reaches the steps below it twice."""
     steps, dims, operands = [], [n], {}
 
     def step(f, f_t, src, out, args=(), args_t=()):
@@ -275,17 +276,25 @@ def _compile(ops, n, start, truncs, mod):
         steps.append(((f, src, dst, args), (f_t, dst, src, args_t)))
         return dst
 
+    def shift_step(src, a):
+        if steps and steps[-1][0][0] is taylor_shift and steps[-1][0][2] == src:
+            (_, src, _, (b,)), _ = steps.pop()
+            dims.pop()
+            a += b
+        a %= mod.p
+        return step(taylor_shift, taylor_shift_t, src, dims[src], (a,), (a,)) if a else src
+
     def walk(src, ell):
         """The steps from row src, the input of operator ell, to its image
         in K[x]_n; that row."""
         m = dims[src]
-        if ell == start:
-            return step(truncate, truncate, src, n, (n,), (m,))
+        if ell == 0:
+            return src if m == n else step(truncate, truncate, src, n, (n,), (m,))
         op = ops[ell - 1]
         if isinstance(op, Mul):
             return walk(step(scale, scale, src, m, (op.lam,), (op.lam,)), ell - 1)
         if isinstance(op, Add):
-            return walk(step(taylor_shift, taylor_shift_t, src, m, (op.a,), (op.a,)), ell - 1)
+            return walk(shift_step(src, op.a), ell - 1)
         if isinstance(op, Pow):
             k = op.k
             return walk(
@@ -315,7 +324,7 @@ def _compile(ops, n, start, truncs, mod):
         raise TypeError(f"unknown operator {op!r}")
 
     try:
-        walk(0, len(ops))
+        shift_step(walk(0, len(ops)), shift)
     finally:
         del walk  # it refers to itself: that cycle would keep truncs until a collection
     return tuple(steps), tuple(dims)
@@ -365,26 +374,30 @@ def _leads(ops, n, mod):
     return _lead_info(ops, n, mod)[0]
 
 
-def eval_seq(A: Poly, ops, n: int, start=0) -> Poly:
+def _evaluate(A: Poly, ops, n: int, inverse, transposed) -> Poly:
+    """eval_seq, eval_seq_t, eval_seq_inv or eval_inv_transposed of A: the
+    program (_prepare) of ops, or with inverse of the reversed sequence with
+    the shift by -g(0) (_inverse_reduction), its steps run in order, or with
+    transposed their transposes last first."""
+    mod = _check_poly(A)
+    n = mod.check_precision(n)
+    g0, ops = _inverse_reduction(ops, n, mod) if inverse else (0, ops)
+    steps, dims = _prepare(ops, n, mod, -g0 % mod.p)
+    first, last = 0, len(dims) - 1
+    if transposed:
+        steps, first, last = reversed(steps), last, first
+    return _run(steps, {first: truncate(A, n)}, int(transposed))[last]
+
+
+def eval_seq(A: Poly, ops, n: int) -> Poly:
     """A(g) mod x^n where g is the series output by the sequence; raises as
-    compute_g does where the sequence is not defined at precision n.  With
-    start = s, only the operators after the first s run, as though g_s
-    were x: the B with B(g_s) = A(g) mod x^n where they are all Add, Mul, Exp
-    or Log (compseq._shifts_cancel).  Runs the steps of the program
-    (_prepare) in order."""
-    mod = _check_poly(A)
-    n = mod.check_precision(n)
-    steps, dims = _prepare(ops, n, mod, start)
-    return _run(steps, {0: truncate(A, n)}, 0)[len(dims) - 1]
+    compute_g does where the sequence is not defined at precision n."""
+    return _evaluate(A, ops, n, False, False)
 
 
-def eval_seq_t(A: Poly, ops, n: int, start=0) -> Poly:
-    """Transpose of eval_seq(., ops, n, start): the transposes of the steps
-    of its program, last first."""
-    mod = _check_poly(A)
-    n = mod.check_precision(n)
-    steps, dims = _prepare(ops, n, mod, start)
-    return _run(reversed(steps), {len(dims) - 1: truncate(A, n)}, 1)[0]
+def eval_seq_t(A: Poly, ops, n: int) -> Poly:
+    """Transpose of eval_seq(., ops, n)."""
+    return _evaluate(A, ops, n, False, True)
 
 
 def reverse_sequence(ops, truncs: SequenceTruncations, mod: Modulus):
@@ -463,43 +476,14 @@ def _reduction(ops, truncs, mod):
     return g0, ((Add(g0),) + rev if g0 else rev)
 
 
-def _shifts_cancel(g0, rev_ops):
-    """Whether the shift by -g0 after rev_ops undoes its leading Add(g0)
-    exactly, so that the evaluation can start after that Add (eval_seq's
-    start = 1).  It does where every operator is Add, Mul, Exp or Log: each
-    maps K[x]_n to itself before the inner evaluation, with no product after
-    it (Inv, Root) and no change of dimension (Pow), so the evaluation is
-    T_g0 of the one that starts after the Add, and T_-g0 T_g0 is the identity
-    on K[x]_n."""
-    return g0 != 0 and all(isinstance(op, (Add, Mul, Exp, Log)) for op in rev_ops)
-
-
-def _inverse_plan(ops, n: int, mod: Modulus):
-    """(rev_ops, start, shift) with eval_seq_inv(., ops, n) the evaluation at
-    rev_ops from start and then a Taylor shift by shift (_inverse_reduction):
-    start = 1 and shift = 0 where the shift cancels the leading Add of
-    rev_ops (_shifts_cancel), start = 0 and shift = -g(0) otherwise."""
-    g0, rev_ops = _inverse_reduction(ops, n, mod)
-    if _shifts_cancel(g0, rev_ops):
-        return rev_ops, 1, 0
-    return rev_ops, 0, -g0 % mod.p
-
-
 def eval_seq_inv(A: Poly, ops, n: int) -> Poly:
     """Inverse of eval_seq(., ops, n); needs g'(0) != 0."""
-    mod = _check_poly(A)
-    n = mod.check_precision(n)
-    rev_ops, start, shift = _inverse_plan(ops, n, mod)
-    return taylor_shift(eval_seq(A, rev_ops, n, start), shift)
+    return _evaluate(A, ops, n, True, False)
 
 
 def eval_inv_transposed(A: Poly, ops, n: int) -> Poly:
-    """Transpose of eval_seq_inv(., ops, n): the transposed shift, then the
-    reversed sequence evaluated transposed (_inverse_plan)."""
-    mod = _check_poly(A)
-    n = mod.check_precision(n)
-    rev_ops, start, shift = _inverse_plan(ops, n, mod)
-    return eval_seq_t(taylor_shift_t(truncate(A, n), shift), rev_ops, n, start)
+    """Transpose of eval_seq_inv(., ops, n)."""
+    return _evaluate(A, ops, n, True, True)
 
 
 # -- the matrices of the maps on int64 rows --------------------------------------

@@ -26,8 +26,14 @@ from .bivariate import (
     _bivariate_matrix,
     eval_bivariate,
 )
-from .compseq import Add, Inv, Log, Mul, _parse_scalar, cost_class_of, parse_sequence
-from .errors import DimensionMismatch, DomainViolation, SpecViolation, ZeroCoefficient
+from .compseq import _parse_scalar, cost_class_of, parse_sequence
+from .errors import (
+    DimensionMismatch,
+    DomainViolation,
+    PrecisionExceedsModulus,
+    SpecViolation,
+    ZeroCoefficient,
+)
 from .modfield import (
     Modulus,
     Poly,
@@ -39,7 +45,7 @@ from .modfield import (
     _residues,
     _strict_row,
 )
-from .seriesops import _hypergeometric, series_inv, unit_pow
+from .seriesops import _hypergeometric, unit_pow
 
 
 @dataclass(frozen=True)
@@ -104,42 +110,14 @@ def _log_one_plus_over_t(mod):
     return fn
 
 
-# -- composition sequences with parameters ---------------------------------
-
-
-def moebius_ops(mod, a, b, c, d):
-    """Sequence for (a t + b)/(c t + d) as a power series; needs c d != 0."""
-    a, b, c, d = a % mod.p, b % mod.p, c % mod.p, d % mod.p
-    if c == 0 or d == 0:
-        raise SpecViolation("moebius sequence needs c and d nonzero")
-    e = (b - a * d % mod.p * mod.inv(c)) % mod.p
-    f = a * mod.inv(c) % mod.p
-    if e == 0:
-        raise SpecViolation("degenerate moebius transform (constant value)")
-    ops = [Mul(c), Add(d), Inv(), Mul(e), Add(f)]
-    return tuple(op for op in ops if op not in (Mul(1), Add(0)))
-
-
-def _log_ratio_ops(mod, a, b, c, d):
-    """log((a t + b)/(c t + d)) with b = d (so the value at 0 is log 1 = 0)."""
-    ops = list(moebius_ops(mod, a, b, c, d))
-    # Log takes log(1 + y): subtract 1, folded into the final Add(f) if any
-    shift = mod.p - 1
-    if isinstance(ops[-1], Add):
-        shift = (ops.pop().a - 1) % mod.p
-    if shift:
-        ops.append(Add(shift))
-    return (*ops, Log())
-
-
 # -- family builders -------------------------------------------------------
 
 
 def _family(mod, name, params, g, h, f=None, v=None, c=None):
-    """The descriptor of u v f(g h) over mod's prime, u = 1: g and h are op
-    tuples or sequence strings (compseq.parse_sequence); f and the prefactor
-    c are e^t and 1/n! where None, v is 1 where None."""
-    g, h = (parse_sequence(s, mod) if isinstance(s, str) else s for s in (g, h))
+    """The descriptor of u v f(g h) over mod's prime, u = 1: g and h are
+    sequence strings (compseq.parse_sequence); f and the prefactor c are e^t
+    and 1/n! where None, v is 1 where None."""
+    g, h = (parse_sequence(s, mod) for s in (g, h))
     spec = BivariateSpec(f_coeffs=f or _hyp(mod), g_ops=g, h_ops=h, v_coeffs=v)
     return FamilyDescriptor(name, params, spec, c or _hyp(mod), mod.p)
 
@@ -252,12 +230,8 @@ def _build_bell(mod, params):
 
 
 def _build_bernoulli2(mod, params):
-    over_t = _log_one_plus_over_t(mod)
-
-    def v(n):
-        # t/log(1 + t)
-        return series_inv(Poly(mod, over_t(n), n), n).coeffs
-
+    # v = t/log(1 + t), narumi's at a = 1
+    v = _unit_power_series(mod, _log_one_plus_over_t(mod), -1)
     return _family(mod, "bernoulli2", {}, "", "L", v=v)
 
 
@@ -300,7 +274,7 @@ def _build_meixner_pollaczek(mod, params):
     s %= mod.p
     if s == 0 or s * s % mod.p == 1:
         raise SpecViolation("meixner_pollaczek needs s with s^2 != 1 and s != 0")
-    i_unit = _int_param(params, "i") if "i" in params else _sqrt_minus_one(mod)
+    i_unit = _int_param(params, "i") % mod.p if "i" in params else _sqrt_minus_one(mod)
     if i_unit * i_unit % mod.p != mod.p - 1:
         raise SpecViolation("parameter i must square to -1")
 
@@ -314,9 +288,10 @@ def _build_meixner_pollaczek(mod, params):
             out[2] = 1
         return out
 
+    # h = log((1 - s t)/(1 - t/s))
     return _family(
         mod, "meixner_pollaczek", {"lambda": lam, "s": s, "i": i_unit},
-        (Mul(i_unit),), _log_ratio_ops(mod, (-s) % mod.p, 1, (-mod.inv(s)) % mod.p, 1),
+        f"M:{i_unit}", f"M:-1/{s};A:1;Inv;M:{1 - s * s};A:{s * s - 1};L",
         v=_unit_power_series(mod, base, -lam), c=_ones(mod),
     )
 
@@ -327,8 +302,9 @@ def _build_meixner(mod, params):
     c %= mod.p
     if c == 0 or c == 1:
         raise SpecViolation("meixner needs c outside {0, 1}")
-    # v = (1 - t)^-beta and c_n = (beta)_n / n!: the same series
-    h = _log_ratio_ops(mod, (-mod.inv(c)) % mod.p, 1, mod.p - 1, 1)
+    # h = log((1 - t/c)/(1 - t)); v = (1 - t)^-beta and c_n = (beta)_n / n!:
+    # the same series
+    h = f"M:-1;A:1;Inv;M:{c - 1}/{c};A:{1 - c}/{c};L"
     pochhammer = _hyp(mod, (beta,))
     return _family(mod, "meixner", {"beta": beta, "c": c}, "", h, v=pochhammer, c=pochhammer)
 
@@ -338,8 +314,9 @@ def _build_krawtchouk(mod, params):
     N = _int_param(params, "N")
     if pk == 0:
         raise SpecViolation("krawtchouk needs p != 0")
-    # v = (1 + t)^N and c_n = binom(N, n): the same series
-    h = _log_ratio_ops(mod, (pk - 1) % mod.p, pk, pk, pk)
+    # h = log((1 - (1 - p) t/p)/(1 + t)), with no M:1 at p = 1; v = (1 + t)^N
+    # and c_n = binom(N, n): the same series
+    h = ("" if pk == 1 else f"M:{pk};") + f"A:{pk};Inv;A:-1/{pk};L"
     binomial = _hyp(mod, (-N,), (), -1)
     return _family(mod, "krawtchouk", {"p": pk, "N": N}, "", h, v=binomial, c=binomial)
 
@@ -375,7 +352,9 @@ FAMILY_BUILDERS = {
 
 def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
     """Build a family descriptor by name; raises SpecViolation for an unknown
-    name, a missing or non-integer parameter, or one the family does not take.
+    name, a missing or non-integer parameter, or one the family does not take,
+    and PrecisionExceedsModulus over p = 2, where no conversion runs: each
+    reads g'(0) and h'(0) at precision max(n, 2) (bivariate.check_spec).
 
     One descriptor is kept per (name, params) and modulus: the data cached
     against a descriptor is then found again when a family is parsed again,
@@ -385,6 +364,8 @@ def family(mod: Modulus, name: str, **params) -> FamilyDescriptor:
         builder = FAMILY_BUILDERS.get(name)
         if builder is None:
             raise SpecViolation(f"unknown family {name!r}")
+        if mod.p == 2:
+            raise PrecisionExceedsModulus(f"{name}: no conversion runs over p = 2")
         fam = builder(mod, params)
         stray = sorted(set(params) - set(fam.params))
         if stray:

@@ -171,12 +171,18 @@ def test_inverse_refuses_what_is_no_poly_over_mod(mod, n):
 
 @pytest.mark.parametrize("text", ["E;A:1", "M:3;L;A:2;M:5", "A:1;Inv"])
 def test_inverse_maps_where_the_reduction_shifts_cancel(mod, text):
-    # where the reversed sequence has Add, Mul, Exp and Log alone, the
-    # inverse and its transpose start after its leading Add(g(0)) instead of
-    # shifting by g(0) and back; with an Inv they still shift
+    # the reversed sequence leads with Add(g(0)) and its program ends with
+    # the shift by -g(0): with Add, Mul, Exp and Log alone between them the
+    # two fold away, and the program shifts by the Adds after the leading one
+    # alone; after an Inv's product both shifts stay
     n = 64
     ops = parse_sequence(text, mod)
-    assert compseq._shifts_cancel(*compseq._inverse_reduction(ops, n, mod)) == ("Inv" not in text)
+    g0, rev = compseq._inverse_reduction(ops, n, mod)
+    assert g0 and rev[0] == Add(g0)
+    steps, _ = compseq._prepare(rev, n, mod, -g0 % mod.p)
+    shifts = [args for (f, _, _, args), _ in steps if f is polyops.taylor_shift]
+    adds = [(op.a,) for op in reversed(rev) if isinstance(op, Add)]
+    assert shifts == (adds + [(-g0 % mod.p,)] if "Inv" in text else adds[:-1])
     rng = random.Random(17)
     A, B = (Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n) for _ in range(2))
     assert eval_seq_inv(eval_seq(A, ops, n), ops, n) == A

@@ -19,6 +19,7 @@ from basisconv import (
     Root,
     compute_g,
     cost_class_of,
+    eval_inv_transposed,
     eval_seq,
     eval_seq_inv,
     eval_seq_t,
@@ -221,6 +222,30 @@ def test_a_cold_prepare_builds_each_unit_power_once(monkeypatch):
         products = [args[0] for (f, _, _, args), _ in steps if f is mul_trunc]
         assert sorted(calls) == sorted({1 - m for m in dims_in}), name
         assert len({id(X) for X in products}) == len(calls) < len(products), name
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
+@pytest.mark.parametrize(
+    "text, shifts", [("A:3;A:-3;M:2", []), ("A:0;L", []), ("A:5;A:7;Inv", [12])]
+)
+def test_adjacent_and_zero_shifts_fold(p, text, shifts):
+    # adjacent Taylor shifts compile into one shift by their sum, and one by
+    # 0 mod p into none; the four maps are those of the sequence as written
+    mod, n = Modulus(p), 48
+    ops = parse_sequence(text, mod)
+    steps, _ = compseq._prepare(ops, n, mod)
+    assert [args[0] for (f, _, _, args), _ in steps if f is compseq.taylor_shift] == shifts
+    rng = random.Random(p)
+    A, B = _rand_poly(mod, n, rng), _rand_poly(mod, n, rng)
+
+    def dot(X, Y):
+        return sum(x * y for x, y in zip(X.coeffs, Y.coeffs)) % p
+
+    image = eval_seq(A, ops, n)
+    assert image == horner_compose(A, compute_g(ops, n, mod).g[-1], n)
+    assert eval_seq_inv(image, ops, n) == A
+    assert dot(image, B) == dot(A, eval_seq_t(B, ops, n))
+    assert dot(eval_seq_inv(A, ops, n), B) == dot(A, eval_inv_transposed(B, ops, n))
 
 
 def test_reverse_sequence_jacobi(mod101):

@@ -125,8 +125,8 @@ FROZEN_OPS = {
     },
 }
 
-# the families whose h is built from their parameters (moebius_ops), written
-# in words in README.md's family table
+# the families whose h is formatted from their parameters, written in words
+# in README.md's family table
 PARAMETRIC_H = {"meixner_pollaczek", "meixner", "krawtchouk"}
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -596,6 +596,33 @@ def test_meixner_pollaczek_default_i_over_41():
         assert (to_monomial(a, fam_i, n, mod).coeffs == A.coeffs) == same, i
     assert A.coeffs == naive_convert(a, fam, n, "to-monomial", mod)
     assert from_monomial(A, fam, n, mod) == a
+
+
+@pytest.mark.parametrize("p, n", [(41, 8), (DEFAULT_PRIME, 8), (DEFAULT_PRIME, MATRIX_MAX + 6)])
+def test_meixner_pollaczek_reduces_i(p, n):
+    # i and i + p are one residue, as s is: equal params, g and conversions
+    # (both spellings still make a descriptor each, family() keying by the
+    # parameters as given)
+    mod = Modulus(p)
+    i = parse_family(mod, "meixner_pollaczek(lambda=3,s=5)").params["i"]
+    fams = [family(mod, "meixner_pollaczek", **{"lambda": 3, "s": 5, "i": j}) for j in (i, i + p)]
+    assert fams[0].params == fams[1].params == {"lambda": 3, "s": 5, "i": i}
+    assert fams[0].spec.g_ops == fams[1].spec.g_ops == (Mul(i),)
+    rng = random.Random(n)
+    a = [rng.randrange(p) for _ in range(n)]
+    A, B = (to_monomial(a, fam, n, mod) for fam in fams)
+    assert A == B
+    assert from_monomial(A, fams[0], n, mod) == from_monomial(A, fams[1], n, mod) == a
+
+
+def test_no_family_over_two():
+    # no conversion runs over p = 2, where check_spec reads g'(0) and h'(0)
+    # at precision 2: every family refuses it as family() builds it, by one
+    # error, before its builder raises another or none
+    mod = Modulus(2)
+    for text in FAMILY_STRINGS:
+        with pytest.raises(PrecisionExceedsModulus, match="p = 2"):
+            parse_family(mod, text)
 
 
 def _outcome(convert):
