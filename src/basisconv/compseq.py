@@ -11,15 +11,20 @@ reduction is needed.
 
 The first evaluation of a sequence at a precision (_prepare) compiles the map
 A -> T_shift(A(g)) into linear steps over numbered rows (_compile), each a
-function of polyops, modfield or evalgrid paired with its transpose, adjacent
-Taylor shifts folded into one.  Each of the four maps runs one such program
-(_evaluate): eval_seq and eval_seq_inv, at the reversed sequence and the
-shift by -g(0), run its steps in order, eval_seq_t and eval_inv_transposed
-their transposes last first, as the transposition principle gives it
-(Bostan, Lecerf & Schost, "Tellegen's principle into practice", ISSAC 2003).
-The steps read the truncations only through input-independent operands, the
-unit powers of Inv and the root powers of Root, built from one set of
-truncations, which is then dropped.  The leading coefficients and the inverse
+function of polyops, modfield or evalgrid paired with its transpose.  Two
+rules fold steps: adjacent Taylor shifts into one, and a product (an Inv's or
+a Root's) of the row another product made into one lincomb, by the two
+products' series multiplied at compile time, so that nested Roots flatten
+into one lincomb of all their parts; its transpose transforms its input once
+for all its operands (polyops.lincomb_t).  Each of the four maps runs one
+such program (_evaluate): eval_seq and eval_seq_inv, at the reversed
+sequence and the shift by -g(0), run its steps in order, eval_seq_t and
+eval_inv_transposed their transposes last first, as the transposition
+principle gives it (Bostan, Lecerf & Schost, "Tellegen's principle into
+practice", ISSAC 2003).  The steps read the truncations only through
+input-independent operands, the unit powers of Inv and the root powers of
+Root and their products, built from one set of truncations, which is then
+dropped.  The leading coefficients and the inverse
 reduction are kept apart (_lead_info), so that the inverse alone builds no
 operand of the forward evaluation.
 """
@@ -252,18 +257,24 @@ def _prepare(ops, n: int, mod: Modulus, shift=0):
 def _compile(ops, n, shift, truncs, mod):
     """(steps, dims): A -> T_shift(A(g)) mod x^n for the output g of ops, as
     linear steps over rows numbered as they are made, row 0 the input, the
-    last row the output and dims[r] the dimension of row r.  A step is the
-    pair ((f, src, dst, args), (f_t, dst, src, args_t)): rows dst = f(rows
-    src, *args) and its transpose rows src = f_t(rows dst, *args_t), src and
-    dst each a row or a tuple of rows (_run), f and f_t as this module's
-    namespace binds them now.  A Taylor shift of the row a Taylor shift made
-    is one shift by the sum, T_a T_b = T_(a + b), and none where that is 0
-    mod p.  The Inv at step ell on K[x]_m multiplies by the unit power
-    g^(1 - m) mod x^n of its input g, the Root at step ell by the root powers
-    (1, h, ..., h^(k-1)) mod x^n of its output h, each kept for products of
-    length <= n (_fixed_operand) and built once per (ell, m) or ell: a Root
-    whose parts have equal dimensions reaches the steps below it twice."""
-    steps, dims, operands = [], [n], {}
+    last row the output and dims[r] the dimension of row r (a row a fold
+    took away is made by no step).  A step is the pair ((f, src, dst, args),
+    (f_t, dst, src, args_t)): rows dst = f(rows src, *args) and its
+    transpose rows src = f_t(rows dst, *args_t), src and dst each a row or a
+    tuple of rows (_run), f and f_t as this module's namespace binds them
+    now.  The Inv at step ell on K[x]_m multiplies by the unit power
+    g^(1 - m) mod x^n of its input g, the Root at step ell by the root
+    powers (1, h, ..., h^(k-1)) mod x^n of its output h, each built once per
+    (ell, m) or ell: a Root whose parts have equal dimensions reaches the
+    steps below it twice.  Two rules fold steps as they are made, exactly:
+    a Taylor shift of the row a Taylor shift made is one shift by the sum,
+    T_a T_b = T_(a + b), and none where that is 0 mod p; a product of the
+    row a product made is one lincomb of that product's rows, by its series
+    times this one's mod x^n, each such pair multiplied once, for every row
+    is read by one step and every product maps K[x]_n to K[x]_n.  The
+    products keep their series for products of length <= n
+    (_fixed_operand)."""
+    steps, dims, series, fused, made = [], [n], {}, {}, {}
 
     def step(f, f_t, src, out, args=(), args_t=()):
         # out: the dimension of the row made, or a tuple of them
@@ -283,6 +294,30 @@ def _compile(ops, n, shift, truncs, mod):
             a += b
         a %= mod.p
         return step(taylor_shift, taylor_shift_t, src, dims[src], (a,), (a,)) if a else src
+
+    def times(G, H):
+        # G H mod x^n, kept with its factors so that their ids stay theirs
+        if (id(G), id(H)) not in fused:
+            GH = H if _is_one(G) else G if _is_one(H) else mul_trunc(G, H, n)
+            fused[id(G), id(H)] = G, H, GH
+        return fused[id(G), id(H)][2]
+
+    def product(src, G):
+        """The product of the row src (an Inv) or the rows src (a Root) by
+        the series G, with the rows a product made replaced by its terms;
+        its row.  Its step is made at the end of _compile, once no product
+        reads its row."""
+        terms = []
+        for row, g in zip(src, G) if isinstance(src, tuple) else [(src, G[0])]:
+            if row in made:
+                i, inner = made.pop(row)
+                steps[i] = None
+                terms += [(r, times(h, g)) for r, h in inner]
+            else:
+                terms.append((row, g))
+        dst = step(None, None, src, n)
+        made[dst] = len(steps) - 1, terms
+        return dst
 
     def walk(src, ell):
         """The steps from row src, the input of operator ell, to its image
@@ -305,29 +340,42 @@ def _compile(ops, n, shift, truncs, mod):
         if isinstance(op, Log):
             return walk(step(log_map, log_map_t, src, n, (n,), (m,)), ell - 1)
         if isinstance(op, Inv):
-            if (ell, m) not in operands:
-                g = unit_pow(_series_at(truncs, mod, ell - 1, n), 1 - m, n)
-                operands[ell, m] = _fixed_operand(mod, g.arr, n)
-            inner = walk(step(reverse, reverse, src, m), ell - 1)
-            args = (operands[ell, m], n)
-            return step(mul_trunc, mul_trunc_t, inner, n, args, args)
+            if (ell, m) not in series:
+                g = _series_at(truncs, mod, ell - 1, n)
+                series[ell, m] = (unit_pow(g, 1 - m, n),)
+            return product(walk(step(reverse, reverse, src, m), ell - 1), series[ell, m])
         if isinstance(op, Root):
-            if ell not in operands:
+            if ell not in series:
                 h, powers = _series_at(truncs, mod, ell, n), [Poly(mod, [1], n)]
                 for _ in range(1, op.k):
                     powers.append(mul_trunc(powers[-1], h, n))
-                operands[ell] = tuple(_fixed_operand(mod, P.arr, n) for P in powers)
+                series[ell] = tuple(powers)
             dims_out = tuple(max(d, 1) for d in find_degrees(m, op.k))
             parts = step(split, split_t, src, dims_out, (op.k,), (m,))
-            outs = tuple(walk(part, ell - 1) for part in parts)
-            return step(lincomb, lincomb_t, outs, n, (operands[ell], n), (operands[ell],))
+            return product(tuple(walk(part, ell - 1) for part in parts), series[ell])
         raise TypeError(f"unknown operator {op!r}")
 
     try:
         shift_step(walk(0, len(ops)), shift)
     finally:
         del walk  # it refers to itself: that cycle would keep truncs until a collection
-    return tuple(steps), tuple(dims)
+    kept = {}
+    for dst, (i, terms) in made.items():
+        rows, G = zip(*terms)
+        for g in G:
+            if id(g) not in kept:
+                kept[id(g)] = _fixed_operand(mod, g.arr, n)
+        G = tuple(kept[id(g)] for g in G)
+        if isinstance(steps[i][0][1], tuple) or len(rows) > 1:
+            steps[i] = ((lincomb, rows, dst, (G, n)), (lincomb_t, dst, rows, (G,)))
+        else:
+            steps[i] = ((mul_trunc, rows[0], dst, (G[0], n)), (mul_trunc_t, dst, rows[0], (G[0], n)))
+    return tuple(s for s in steps if s is not None), tuple(dims)
+
+
+def _is_one(G: Poly):
+    """Whether the series G is the constant 1."""
+    return G.arr[0] == 1 and not G.arr[1:].any()
 
 
 def _run(steps, rows, side):

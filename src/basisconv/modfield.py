@@ -27,8 +27,10 @@ on p, past which an image raises CapacityExceeded.  The kernel needs no roots
 of unity.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
-product by it then costs one forward and one inverse transform.  mul_trunc
-and mul_trunc_t take such an operand in place of a Poly.
+product by it then costs one forward and one inverse transform, and the
+middle products of one row by several images of one shape share the row's
+forward transform (_middle_products).  mul_trunc and mul_trunc_t take such
+an operand in place of a Poly.
 Every product states its charge, the sum of sqrt(la lb) over the products
 summed before one inverse transform, la and lb the most entries of their
 rows: the rounding error bound (fft_error_bound) is stated in the Euclidean
@@ -47,7 +49,7 @@ L_x forward and L inverse transforms where a plain image takes L and
 ones from size 2^11 to 2^16, and to 2^17 for fixed operands whose products
 never wrap, 2 forward and 3 inverse FFTs per product in place of 3 and 5,
 for twice the memory of the image: after a warm pass the cache holds
-11.1 MB on sheffer_large and 42.4 MB on algebraic_large, where one
+11.1 MB on sheffer_large and 45.5 MB on algebraic_large, where one
 Taylor-shift series per transform size (polyops), not one per shift value,
 makes room for them.  At 2^18 alone a fixed operand whose products never
 wrap keeps a square image (SQUARE), three variants of three 11-bit limbs by
@@ -75,7 +77,7 @@ Kept images (_fixed_operand, the levels of evalgrid's trees), every row
 array a product returns and every cached value are fresh arrays, never work
 arrays.  After a
 warm pass of each of the benchmark's workloads a thread holds (work_bytes)
-0.11 MB on catalog_small (n <= 256), 1.8 MB on sheffer_large (n = 8192) and
+0.11 MB on catalog_small (n <= 256), 1.2 MB on sheffer_large (n = 8192) and
 8.7 MB on algebraic_large (n = 16384).
 """
 
@@ -571,20 +573,34 @@ def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
     x^(len(b) - 1) on (the product by b of mul_trunc_t), read from the
     product of a reversed by b's image."""
     if isinstance(fixed, np.ndarray):
+        if len(fixed) == 1:
+            # a constant: either product is a times it
+            return _fit(a[:out_len] * fixed[0] % mod.p, out_len)
         # the product reads b below out_len (transposed: below len(a)) only
         if transposed:
             b = fixed[: len(a)]
             return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
         return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    Y, charge = fixed.image, math.sqrt(len(a) * fixed.length)
     if transposed:
-        # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
-        # Rev(a) b; Rev(a) needs no zero-padded row of the size
-        X = _image_by(mod, a[None, ::-1], Y)
-        product = _image_mul(mod, X, Y, charge)
-        return _fit(_image_coeffs(mod, product, len(a), charge)[0, ::-1], out_len)
+        return _middle_products(mod, a, (fixed,), out_len)[0]
+    Y, charge = fixed.image, math.sqrt(len(a) * fixed.length)
     X = _image_by(mod, a[None], Y)
     return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)[0]
+
+
+def _middle_products(mod: Modulus, a, kept, out_len):
+    """_mul_fixed(mod, a, b, out_len, transposed=True) for each operand b of
+    kept, all kept as images of one shape, through one image of a: it lives
+    in the work slot "image2", which the products' own slots leave alone."""
+    # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
+    # Rev(a) b; Rev(a) needs no zero-padded row of the size
+    X = _image_by(mod, a[None, ::-1], kept[0].image, "image2")
+    out = []
+    for b in kept:
+        charge = math.sqrt(len(a) * b.length)
+        product = _image_mul(mod, X, b.image, charge)
+        out.append(_fit(_image_coeffs(mod, product, len(a), charge)[0, ::-1], out_len))
+    return out
 
 
 def _mul_cyclic(mod: Modulus, a, b, size, out_len):

@@ -28,6 +28,9 @@ from .modfield import (
     _fit,
     _fixed_operand,
     _integer,
+    _integers,
+    _Kept,
+    _middle_products,
     _mul_fixed,
     _powers,
     _readonly,
@@ -119,12 +122,16 @@ def scale(A: Poly, lam: int) -> Poly:
 
 def diagonal(A: Poly, s) -> Poly:
     """Pointwise product with the sequence s of >= dim integers, read by
-    modfield._residues; DimensionMismatch for fewer than dim entries."""
+    modfield._integers and reduced mod p where an entry lies outside [0, p);
+    DimensionMismatch for fewer than dim entries."""
     mod = _check_poly(A)
-    s = _residues(mod, s)
+    s = _integers(s)
     if len(s) < A.dim:
         raise DimensionMismatch(f"{len(s)} diagonal entries for dimension {A.dim}")
-    return Poly.of(mod, A.arr * s[: A.dim] % mod.p)
+    s = s[: A.dim]
+    if s.min() < 0 or s.max() >= mod.p:     # two passes, cheaper than a remainder
+        s = _residues(mod, s)
+    return Poly.of(mod, A.arr * s % mod.p)
 
 
 def _shift_operand(mod: Modulus, m):
@@ -267,6 +274,11 @@ def lincomb(parts, G, n: int) -> Poly:
 
 def lincomb_t(A: Poly, G):
     """Transpose of lincomb: component-wise transposed truncated products,
-    each G[i] as lincomb takes it for n = dim(A)."""
-    _check_poly(A)
+    each G[i] as lincomb takes it for n = dim(A).  Where every G[i] is kept
+    as an image of one shape, A is transformed once for all of them
+    (modfield._middle_products)."""
+    mod = _check_poly(A)
+    shapes = {g.image.shape if isinstance(g, _Kept) else None for g in G}
+    if len(G) > 1 and None not in shapes and len(shapes) == 1:
+        return tuple(Poly.of(mod, c) for c in _middle_products(mod, A.arr, G, A.dim))
     return tuple(mul_trunc_t(A, g, A.dim) for g in G)

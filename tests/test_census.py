@@ -26,7 +26,8 @@ from catalog_data import FAMILY_STRINGS
 # operand is scaled, two 16-bit limb rows forward and three 11-bit class rows
 # back, at 2^16 and 2^17 too (jacobi's Taylor shifts at dimension 2n - 1
 # reach 2^16 from n = 2^14 on).  jacobi's to_monomial makes six such
-# products and bessel's from_monomial two.
+# products and bessel's from_monomial two.  A transposed lincomb by k kept
+# operands transforms its input once: two rows forward and 3 k back.
 CENSUS = {
     ("hermite", "to"): (2, 3),
     ("hermite", "from"): (2, 3),
@@ -40,11 +41,11 @@ CENSUS = {
     ("bessel", "from"): (4, 6),
     ("spread", "to"): (10, 15),
     ("jacobi(alpha=3,beta=5)", "to"): (12, 18),
-    ("jacobi(alpha=3,beta=5)", "from"): (14, 21),
-    ("fibonacci", "to"): (20, 30),
-    ("fibonacci", "from"): (26, 39),
-    ("mott", "to"): (26, 39),
-    ("mott", "from"): (18, 27),
+    ("jacobi(alpha=3,beta=5)", "from"): (12, 21),
+    ("fibonacci", "to"): (16, 27),
+    ("fibonacci", "from"): (18, 36),
+    ("mott", "to"): (18, 36),
+    ("mott", "from"): (14, 24),
 }
 # the two conversions pinned at 2^15 as well
 AT_2_15 = (("jacobi(alpha=3,beta=5)", "to"), ("bessel", "from"))

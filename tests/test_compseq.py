@@ -210,18 +210,27 @@ def test_a_cold_prepare_builds_each_unit_power_once(monkeypatch):
     # a Root whose parts have equal dimensions reaches the steps below it
     # twice on one (ell, m); the Inv there multiplies by one unit power
     # built once.  fibonacci's and mott's h have one Inv each, so its
-    # dimensions m tell its pairs (ell, m) apart
+    # dimensions m tell its pairs (ell, m) apart.  Its product folds into
+    # the Root's lincomb: each product of two series is made once, and each
+    # series the program multiplies by is kept once
     calls, unit_pow = [], compseq.unit_pow
     monkeypatch.setattr(compseq, "unit_pow", lambda g, e, n: calls.append(e) or unit_pow(g, e, n))
+    made, mul = [], compseq.mul_trunc
+    monkeypatch.setattr(compseq, "mul_trunc", lambda *a: made.append(mul(*a)) or made[-1])
+    kept, fixed = [], compseq._fixed_operand
+    monkeypatch.setattr(compseq, "_fixed_operand", lambda *a: kept.append(fixed(*a)) or kept[-1])
     for name in ("fibonacci", "mott"):
         mod, n = Modulus(DEFAULT_PRIME), 256
-        calls.clear()
+        calls.clear(), made.clear(), kept.clear()
         steps, dims = compseq._prepare(parse_family(mod, name).spec.h_ops, n, mod)
         # the Inv reverses K[x]_m, then multiplies by its unit power
         dims_in = [dims[src] for (f, src, _, _), _ in steps if f is compseq.reverse]
-        products = [args[0] for (f, _, _, args), _ in steps if f is mul_trunc]
         assert sorted(calls) == sorted({1 - m for m in dims_in}), name
-        assert len({id(X) for X in products}) == len(calls) < len(products), name
+        assert len(calls) < len(dims_in), name
+        assert len({P.arr.tobytes() for P in made}) == len(made), name
+        operands = [G for (f, _, _, args), _ in steps if f is compseq.lincomb for G in args[0]]
+        assert len({id(G) for G in operands}) == len(kept) == len(operands), name
+        assert not any(f is compseq.mul_trunc for (f, _, _, _), _ in steps), name
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
@@ -309,3 +318,70 @@ def test_frozen_compose_example(mod101):
     # (A:1, Inv) applied to 1+x+x^2 gives 3 - 3x + 4x^2
     A = Poly(mod101, [1, 1, 1], 3)
     assert eval_seq(A, (Add(1), Inv()), 3).coeffs == [3, 98, 4]
+
+
+def _maps_agree(mod, ops, n, rng):
+    """eval_seq against oracle.horner_compose, the inverse round trip and
+    both transposition identities."""
+    A, B = _rand_poly(mod, n, rng), _rand_poly(mod, n, rng)
+
+    def dot(X, Y):
+        return sum(x * y for x, y in zip(X.coeffs, Y.coeffs)) % mod.p
+
+    image = eval_seq(A, ops, n)
+    assert image == horner_compose(A, compute_g(ops, n, mod).g[-1], n)
+    assert eval_seq_inv(image, ops, n) == A
+    assert dot(image, B) == dot(A, eval_seq_t(B, ops, n))
+    assert dot(eval_seq_inv(A, ops, n), B) == dot(A, eval_inv_transposed(B, ops, n))
+
+
+def _products(steps):
+    """The product steps of a program: (f, rows read, operands)."""
+    out = []
+    for (f, src, _, args), _ in steps:
+        if f is compseq.mul_trunc:
+            out.append((f, (src,), (args[0],)))
+        elif f is compseq.lincomb:
+            out.append((f, src, args[0]))
+    return out
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101])
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("A:1;Inv;R:2,1,0", [2]),
+        ("P:2;M:-1;A:1;R:2,1,0;A:1;Inv;M:2;A:-1;R:2,1/2,1", [4]),    # mott's h
+        # Inv, Root, Inv, Root; the Mul and Add steps set each Root's lead to 1
+        ("A:1;Inv;M:-1;A:2;R:2,1,0;A:1;Inv;M:2;R:2,1,0", [4]),
+    ],
+)
+def test_products_of_products_fold(p, text, terms):
+    # a product of the row a product made compiles into one lincomb of that
+    # product's rows; nested Roots flatten into one lincomb of their parts
+    mod, n = Modulus(p), 48
+    ops = parse_sequence(text, mod)
+    steps, _ = compseq._prepare(ops, n, mod)
+    assert [len(rows) for _, rows, _ in _products(steps)] == terms
+    _maps_agree(mod, ops, n, random.Random(p))
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_no_product_reads_a_products_row(n):
+    # every forward and inverse program of the catalog, at precisions whose
+    # products transform
+    mod = Modulus(DEFAULT_PRIME)
+    for ops in catalog_sequences(mod):
+        programs = [ops]
+        try:
+            g0, rev = compseq._inverse_reduction(ops, n, mod)
+            programs.append((rev, -g0 % mod.p))
+        except NotInvertible:
+            pass
+        for key in programs:
+            seq, shift = key if isinstance(key[-1], int) else (key, 0)
+            steps, _ = compseq._prepare(seq, n, mod, shift)
+            made = {dst for (f, _, dst, _), _ in steps
+                    if f is compseq.mul_trunc or f is compseq.lincomb}
+            for _, rows, _ in _products(steps):
+                assert not made & set(rows), format_sequence(seq)

@@ -1135,3 +1135,18 @@ def test_image_past_every_layout_raises_capacity_exceeded(mod):
         tracemalloc.stop()
     assert peak < 1 << 16, peak
     assert modfield.work_bytes() == held
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40, 101])
+def test_a_product_by_a_constant_scales(p):
+    # an operand kept as one coefficient c: a product by it, either way, is
+    # the row times c, with no convolution
+    mod = Modulus(p)
+    rng = random.Random(p)
+    a = Poly(mod, [rng.randrange(p) for _ in range(40)], 40)
+    for c in (1, p - 3):
+        fixed = modfield._fixed_operand(mod, np.array([c], dtype=mod.dtype), 40)
+        C = Poly(mod, [c], 40)
+        for m in (25, 40, 60):
+            assert mul_trunc(a, fixed, m) == mul_trunc(a, C, m)
+            assert mul_trunc_t(a, fixed, m) == mul_trunc_t(a, C, m)

@@ -80,6 +80,8 @@ def test_reverse_scale_truncate_diagonal(mod101):
     assert truncate(A, 5).coeffs == [1, 2, 3, 0, 0]
     assert truncate(A, 3) is A
     assert diagonal(A, [10, 20, 30]).coeffs == [10, 40, 90]
+    # entries outside [0, p) are reduced, residues taken as they are
+    assert diagonal(A, [-91, 20 + 101, 30, 7]) == diagonal(A, [10, 20, 30])
 
 
 def test_taylor_shift_matches_horner(mod101):
@@ -350,3 +352,28 @@ def test_lincomb_and_transpose(mod101):
         for i in range(n)
     ) % 101
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P40, 101])
+def test_lincomb_t_transforms_its_input_once(p, force_kernel, monkeypatch):
+    # by operands kept as images of one shape, lincomb_t transforms its input
+    # once for all of them; by any other operands it makes one transposed
+    # product each.  Both equal the per-term mul_trunc_t
+    force_kernel()
+    mod, n = Modulus(p), 64
+    rng = random.Random(p)
+    full = [Poly(mod, [rng.randrange(p) for _ in range(n)], n) for _ in range(3)]
+    for G, forward in ((full, 1), (full + [Poly(mod, [1], n)], 4)):
+        A = Poly(mod, [rng.randrange(p) for _ in range(n)], n)
+        kept = [modfield._fixed_operand(mod, g.arr, n) for g in G]
+        calls, transform = [], modfield._transform
+
+        def counted(mod, X, size, out_len=None, *rest):
+            calls.append(out_len is None)
+            return transform(mod, X, size, out_len, *rest)
+
+        monkeypatch.setattr(modfield, "_transform", counted)
+        got = lincomb_t(A, kept)
+        monkeypatch.setattr(modfield, "_transform", transform)
+        assert list(got) == [modfield.mul_trunc_t(A, g, n) for g in G]
+        assert sum(calls) == forward and len(calls) - sum(calls) == len(G)
