@@ -85,9 +85,9 @@ from .modfield import (
     _fit,
     _fixed_operand,
     _image_by,
-    _image_coeffs,
     _image_mul,
     _kept_image,
+    _middle_products,
     _mul_fixed,
     _plain,
     _prefix_products,
@@ -187,7 +187,7 @@ class SubproductTree:
             img = _kept_image(mod, low, s, s)
             self.img.append(img)
             # (x^h + l)(x^h + r) = x^s + x^h (l + r) + l r, of charge h
-            cur = _image_coeffs(mod, _image_mul(mod, *_pairs(_plain(img), nf), h), s, h)
+            cur = _image_mul(mod, *_pairs(_plain(img), nf), h, s)
             cur[:, h:] += np.add(*_pairs(low, nf))
             r, rag = n % s, self.rag[-1]
             full = _monic(low[2 * nf]) if r >= h else None
@@ -234,7 +234,7 @@ class SubproductTree:
         transposed product by 1/D, a middle product, read backwards into
         combine_t."""
         n = self.n
-        mid = _fit(_mul_fixed(self.mod, cs, self.den_fixed, n, transposed=True), n)
+        mid = _middle_products(self.mod, cs, (self.den_fixed,), n)[0]
         return self.combine_t(mid[::-1])
 
     @cached_property
@@ -288,7 +288,7 @@ class SubproductTree:
             il, ir = _pairs(self.img[k - 1], nf)
             vl, vr = _pairs(_image_by(mod, v[: 2 * nf], self.img[k - 1]), nf)
             # V = V_L low_R + V_R low_L + x^h (V_L + V_R), of charge 2 h = s
-            cur = _image_coeffs(mod, _image_mul(mod, vl, ir, s, vr, il), s, s)
+            cur = _image_mul(mod, vl, ir, s, s, vr, il)
             cur[:, h:] += np.add(*_pairs(v, nf))
             cur %= p
             r = n % s
@@ -320,9 +320,7 @@ class SubproductTree:
                 # the product, with the left child, is W_R of node i; of
                 # charge sqrt(s h), s entries of W by h of a child
                 charge = math.sqrt(s * h)
-                product = _image_mul(mod, wimg, self.img[k - 1][: 2 * nf], charge)
-                mid = _image_coeffs(mod, product, h, charge)
-                mid = mid[:, ::-1]
+                mid = _image_mul(mod, wimg, self.img[k - 1][: 2 * nf], charge, h)[:, ::-1]
                 nxt[0 : 2 * nf : 2] = mid[1::2] + w[:nf, h:]
                 nxt[1 : 2 * nf : 2] = mid[0::2] + w[:nf, h:]
             r = n % s

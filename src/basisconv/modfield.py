@@ -17,20 +17,23 @@ Short operands go to the schoolbook convolution, by measured work
 rows of 2-D arrays, so one call multiplies a whole batch of equal-length
 operands (_convolve_rows); a single product is its one-row case.  There is one
 transform, the float FFT (numpy.fft.rfft) on L balanced limbs of w bits of each
-residue, for every prime, dtype and size.  The layout (L, w) follows from p
-and the size by one rule (Modulus.layout): the fewest limbs, and the
-narrowest width that holds every residue in them, whose rounding error bound
-(fft_error_bound) stays below FFT_ERROR_MAX.  For the default prime that is
-two 16-bit limbs up to size 2^10, three 11-bit limbs up to 2^19 and four
-8-bit limbs up to 2^24; narrower limbs go on to sizes 2^33 to 2^39, depending
-on p, past which an image raises CapacityExceeded.  The kernel needs no roots
-of unity.
+residue, for every prime, dtype and size, with one forward entry (_transform)
+and one inverse (_limb_coeffs).  A product takes images and gives back
+coefficients in one call (_image_mul): no product's spectra leave it.  The
+layout (L, w) follows from p and the size by one rule (Modulus.layout): the
+fewest limbs, and the narrowest width that holds every residue in them, whose
+rounding error bound (fft_error_bound) stays below FFT_ERROR_MAX.  For the
+default prime that is two 16-bit limbs up to size 2^10, three 11-bit limbs up
+to 2^19 and four 8-bit limbs up to 2^24; narrower limbs go on to sizes 2^33
+to 2^39, depending on p, past which an image raises CapacityExceeded.  The
+kernel needs no roots of unity.
 A fixed operand, a series every product by which is input-independent, keeps
 its one-row image wherever its products transform (_fixed_operand): each
-product by it then costs one forward and one inverse transform, and the
-middle products of one row by several images of one shape share the row's
-forward transform (_middle_products).  mul_trunc and mul_trunc_t take such
-an operand in place of a Poly.
+product by it then costs one forward and one inverse transform.  Every
+transposed (middle) product by a kept operand, image, coefficients or
+constant, goes through _middle_products, where consecutive images of one
+shape share the row's forward transform.  mul_trunc and mul_trunc_t take
+such an operand in place of a Poly.
 Every product states its charge, the sum of sqrt(la lb) over the products
 summed before one inverse transform, la and lb the most entries of their
 rows: the rounding error bound (fft_error_bound) is stated in the Euclidean
@@ -384,9 +387,9 @@ def _convolve_rows(mod: Modulus, A, B):
     (la, lb), out_len = (A.shape[1], B.shape[1]), A.shape[1] + B.shape[1] - 1
     # a float image has at least size 2
     size = max(_size(out_len), 2)
-    layout, charge = mod.layout(size), math.sqrt(la * lb)
+    layout = mod.layout(size)
     X, Y = _image(mod, A, size, layout, "image"), _image(mod, B, size, layout, "image2")
-    return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)
+    return _image_mul(mod, X, Y, math.sqrt(la * lb), out_len)
 
 
 # Images: rows in the transform domain of the products mod x^size - 1, the
@@ -396,9 +399,9 @@ def _convolve_rows(mod: Modulus, A, B):
 # in the size's layout, variant 0 the plain image.  The rows multiplied by a
 # kept image enter in L limbs, L = its shape[1], of _width(p, L) bits
 # (_image_by): the size's layout for a plain image, the scaled layout
-# (L_x, w_x) for a scaled one.  A product image (_image_mul) is what
-# _image_coeffs turns back into rows: class spectra, 3-D, or 4-D with one
-# variant by a scaled image, from which the recombination takes its layout.
+# (L_x, w_x) for a scaled one.  Images go into a product (_image_mul) and
+# coefficients come out: _transform is the one forward float transform and
+# _limb_coeffs, which _image_mul calls, the one inverse.
 
 
 def _image(mod: Modulus, A, size, layout, slot=None):
@@ -409,7 +412,7 @@ def _image(mod: Modulus, A, size, layout, slot=None):
     None, as mod.layout(size) is where no layout admits the size."""
     if layout is None:
         raise CapacityExceeded(f"no limb layout of p = {mod.p} is exact at size {size}")
-    return _transform(mod, _limbs(A, *layout), size, None, slot)
+    return _transform(_limbs(A, *layout), size, slot)
 
 
 def _kept_image(mod: Modulus, A, size, charge):
@@ -454,33 +457,27 @@ def _image_by(mod: Modulus, A, Y, slot="image"):
     the kept image Y, in L = Y.shape[1] limbs of _width(p, L) bits: its
     limbs where Y is plain, its number of variants L_x where Y is scaled."""
     L = Y.shape[1]
-    return _image(mod, A, _image_size(Y), (L, _width(mod.p, L)), slot)
+    return _image(mod, A, 2 * (Y.shape[-1] - 1), (L, _width(mod.p, L)), slot)
 
 
-def _image_size(X):
-    """The size of an image or product image, which keeps the size // 2 + 1
-    frequencies of each limb or class row."""
-    return 2 * (X.shape[-1] - 1)
-
-
-def _image_mul(mod: Modulus, X, Y, charge, U=None, V=None):
-    """The product image, a work array, of X Y, or of X Y + U V, row-wise,
-    that is of their rows mod x^size - 1: the spectra of the classes
-    c_k = sum_{i+j=k} x_i y_j, k < 2L - 1, of plain images in one layout;
-    or, by scaled images Y and V (_kept_image) and X and U in their scaled
-    layout (_image_by), of the classes c_j = sum_i x_i y_(i,j), j < L,
-    y_(i,j) limb j of variant i (4-D: the one variant of classes seen as L_x
-    variants, so that the recombination reads their layout).  The class
-    spectra of the two products add unreduced before any inverse transform.
-    Where Y has m times as many rows as X, the same m for V and U, row i of X
-    multiplies rows i m to i m + m - 1 of Y.  charge: the sum over the
-    products of sqrt(la lb), la and lb the most entries of their rows, in
-    which the bound (fft_error_bound) is asserted."""
+def _image_mul(mod: Modulus, X, Y, charge, out_len, U=None, V=None):
+    """The first out_len coefficients of the rows of X Y, or of X Y + U V,
+    row-wise, mod x^size - 1, from their images: plain images in one layout,
+    through the classes c_k = sum_{i+j=k} x_i y_j, k < 2L - 1; or, by scaled
+    images Y and V (_kept_image) and X and U in their scaled layout
+    (_image_by), through the classes c_j = sum_i x_i y_(i,j), j < L, y_(i,j)
+    limb j of variant i.  The class spectra of the two products add
+    unreduced before the one inverse transform (_limb_coeffs).  Where Y has
+    m times as many rows as X, the same m for V and U, row i of X multiplies
+    rows i m to i m + m - 1 of Y.  charge: the sum over the products of
+    sqrt(la lb), la and lb the most entries of their rows, in which the
+    bound (fft_error_bound) is asserted."""
     p, pairs = mod.p, [(X, Y)] if U is None else [(X, Y), (U, V)]
     rows, (Lx, f), L = max(len(X), len(Y)), X.shape[1:], Y.shape[-2]
     scaled = Y.ndim == 4
     size, K = 2 * (f - 1), L if scaled else 2 * L - 1
-    bound = fft_error_bound(size, charge, Lx, _width(p, Lx), _width(p, L))
+    wx, w = _width(p, Lx), _width(p, L)
+    bound = fft_error_bound(size, charge, Lx, wx, w)
     assert bound <= FFT_ERROR_MAX and Lx == Y.shape[1], (f, Lx, L, charge)
     Z, T = _work_array("classes", (rows, K, f)), _work_array("term", (rows, f))
     if 0 < len(X) < len(Y):
@@ -500,48 +497,25 @@ def _image_mul(mod: Modulus, X, Y, charge, U=None, V=None):
                 else:
                     np.multiply(x, y, out=z[k])
                     made.add(k)
-    Z = Z.reshape(rows, K, f)
-    if not scaled:
-        return Z
-    # a zero-stride view, read-only (np.broadcast_to costs four times as much)
-    strides = Z.strides[:1] + (0,) + Z.strides[1:]
-    return _readonly(np.ndarray((rows, Lx, K, f), Z.dtype, Z, 0, strides))
+    # a class sums L_x limb products of w_x by w bits (plain: L_x = L at
+    # most), each of at most min(la, lb) <= sqrt(la lb) terms of a product,
+    # so L_x times the charge bounds it in units of their magnitude
+    top = math.ceil(Lx * charge) << wx + w - 2
+    return _limb_coeffs(p, Z.reshape(rows, K, f), size, out_len, w, top)
 
 
-def _image_coeffs(mod: Modulus, X, out_len, charge):
-    """The first out_len coefficients of every row of a product image of
-    that charge (_image_mul)."""
-    return _transform(mod, X, _image_size(X), out_len, None, charge)
-
-
-def _transform(mod: Modulus, X, size, out_len=None, slot=None, charge=None):
-    """The one entry to the float transforms: the spectra of the limb rows X
-    (_limbs), in the work array of slot if one is given; or, given out_len
-    and its charge, the first out_len coefficients of the rows of the
-    product image X.  A class coefficient sums, per limb product, at most
-    min(la, lb) <= sqrt(la lb) terms of a product, so the charge times the
-    limb products per class bounds it in units of their magnitude."""
-    if out_len is None:
-        out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
-        return np.fft.rfft(X, size, axis=-1, out=out)
-    p = mod.p
-    if X.ndim == 4:
-        # by a scaled image: L classes of w bits, each summing L_x limb
-        # products of w_x by w bits
-        Lx, L = X.shape[1:3]
-        wx, w = _width(p, Lx), _width(p, L)
-        return _limb_coeffs(p, X[:, 0], size, out_len, w, math.ceil(Lx * charge) << wx + w - 2)
-    # 2L - 1 classes of w bits, the middle one summing L limb products
-    L = (X.shape[1] + 1) // 2
-    w = _width(p, L)
-    return _limb_coeffs(p, X, size, out_len, w, math.ceil(L * charge) << 2 * w - 2)
+def _transform(X, size, slot=None):
+    """The one forward float transform: the spectra of the limb rows X
+    (_limbs), in the work array of slot if one is given."""
+    out = None if slot is None else _work_array(slot, X.shape[:2] + (size // 2 + 1,))
+    return np.fft.rfft(X, size, axis=-1, out=out)
 
 
 @dataclass(frozen=True, eq=False)
 class _Kept:
     """A fixed operand kept as an image (_fixed_operand): the image of its
     one row and the row's length lb, which the charge of each product by it
-    reads (_mul_fixed)."""
+    reads (_mul_fixed, _middle_products)."""
 
     image: np.ndarray
     length: int
@@ -555,7 +529,8 @@ def _fixed_operand(mod: Modulus, b, la, size=None):
     size, by default the products' own _size(la + lb - 1); at a smaller size
     the products by it are taken mod x^size - 1, for a caller that reads
     only coefficients the wrap leaves alone.  Callers cache it or read it
-    more than once; _mul_fixed, mul_trunc and mul_trunc_t use it."""
+    more than once; _mul_fixed and _middle_products, mul_trunc and
+    mul_trunc_t use it."""
     nz = np.flatnonzero(b)
     lb = int(nz[-1]) + 1 if len(nz) else 1
     if _by_transform(mod, la, lb):
@@ -565,41 +540,43 @@ def _fixed_operand(mod: Modulus, b, la, size=None):
     return _readonly(b[:lb].copy())
 
 
-def _mul_fixed(mod: Modulus, a, fixed, out_len, transposed=False):
+def _mul_fixed(mod: Modulus, a, fixed, out_len):
     """The first out_len coefficients of a times the operand b kept by
     _fixed_operand, mod x^size - 1 where b is kept as an image at size: one
-    forward and one inverse transform, of the charge sqrt(len(a) len(b)).
-    transposed: of the middle product, a times b read backwards from
-    x^(len(b) - 1) on (the product by b of mul_trunc_t), read from the
-    product of a reversed by b's image."""
-    if isinstance(fixed, np.ndarray):
-        if len(fixed) == 1:
-            # a constant: either product is a times it
-            return _fit(a[:out_len] * fixed[0] % mod.p, out_len)
-        # the product reads b below out_len (transposed: below len(a)) only
-        if transposed:
-            b = fixed[: len(a)]
-            return _fit(_convolve(mod, a, b[::-1])[len(b) - 1 :], out_len)
-        return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
-    if transposed:
-        return _middle_products(mod, a, (fixed,), out_len)[0]
-    Y, charge = fixed.image, math.sqrt(len(a) * fixed.length)
-    X = _image_by(mod, a[None], Y)
-    return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)[0]
+    forward and one inverse transform, of the charge sqrt(len(a) len(b))."""
+    if isinstance(fixed, _Kept):
+        X = _image_by(mod, a[None], fixed.image)
+        return _image_mul(mod, X, fixed.image, math.sqrt(len(a) * fixed.length), out_len)[0]
+    if len(fixed) == 1:
+        # a constant: the product is a times it
+        return _fit(a[:out_len] * fixed[0] % mod.p, out_len)
+    # the product reads b below out_len only
+    return _fit(_convolve(mod, a, fixed[:out_len]), out_len)
 
 
 def _middle_products(mod: Modulus, a, kept, out_len):
-    """_mul_fixed(mod, a, b, out_len, transposed=True) for each operand b of
-    kept, all kept as images of one shape, through one image of a: it lives
-    in the work slot "image2", which the products' own slots leave alone."""
-    # coefficient k, sum_j a_(k+j) b_j, is coefficient len(a) - 1 - k of
-    # Rev(a) b; Rev(a) needs no zero-padded row of the size
-    X = _image_by(mod, a[None, ::-1], kept[0].image, "image2")
-    out = []
+    """For each operand b of kept, as _fixed_operand keeps it, the first
+    out_len coefficients of the middle product of a by b, coefficient k
+    sum_j a_(k+j) b_j (the product by b of mul_trunc_t), which reads b below
+    len(a) only.  By an image, coefficient k is coefficient len(a) - 1 - k
+    of Rev(a) b (mod x^size - 1 where b is kept at size), and one image of
+    Rev(a), in the work slot "image2", serves each run of consecutive images
+    of one shape: the products' own slots leave it alone, but any other
+    operand ends the run, as its own product may write that slot."""
+    out, shape = [], None
     for b in kept:
-        charge = math.sqrt(len(a) * b.length)
-        product = _image_mul(mod, X, b.image, charge)
-        out.append(_fit(_image_coeffs(mod, product, len(a), charge)[0, ::-1], out_len))
+        if isinstance(b, _Kept):
+            if shape != b.image.shape:
+                # Rev(a) needs no zero-padded row of the size
+                shape, X = b.image.shape, _image_by(mod, a[None, ::-1], b.image, "image2")
+            charge = math.sqrt(len(a) * b.length)
+            c = _image_mul(mod, X, b.image, charge, len(a))[0, ::-1]
+        elif len(b) == 1:
+            shape, c = None, a[:out_len] * b[0] % mod.p
+        else:
+            b = b[: len(a)]
+            shape, c = None, _convolve(mod, a, b[::-1])[len(b) - 1 :]
+        out.append(_fit(c, out_len))
     return out
 
 
@@ -609,10 +586,10 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
     square), or where _by_transform picks the schoolbook, the linear product
     folded."""
     if _by_transform(mod, len(a), len(b)):
-        layout, charge = mod.layout(size), math.sqrt(len(a) * len(b))
+        layout = mod.layout(size)
         X = _image(mod, a[None], size, layout, "image")
         Y = X if b is a else _image(mod, b[None], size, layout, "image2")
-        return _image_coeffs(mod, _image_mul(mod, X, Y, charge), out_len, charge)[0]
+        return _image_mul(mod, X, Y, math.sqrt(len(a) * len(b)), out_len)[0]
     c = _fit(_convolve(mod, a, b), 2 * size)
     return (c[:out_len] + c[size : size + out_len]) % mod.p
 
@@ -621,7 +598,7 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 #
 # A residue a splits into L balanced limbs of w bits, a = sum_k a_k 2^(wk)
 # with |a_k| <= 2^(w-1).  The image of a row is the rfft of each of its limb
-# rows; a product image holds the spectra of the 2L - 1 classes
+# rows; a product multiplies them into the spectra of the 2L - 1 classes
 # c_k = sum_{i+j=k} a_i b_j, whose inverse transforms round to integers of
 # magnitude below 2^47 (the bound admits no more), recombined to
 # sum_k c_k 2^(wk) mod p.
@@ -631,8 +608,8 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # of the narrowest width w that holds every residue below p in L limbs.  For
 # float images the bound is fft_error_bound(size, 2 size, L, w) <=
 # FFT_ERROR_MAX, the charge of two summed products of rows of size entries,
-# the most any product image holds; for _dense_mul at inner dimension b it is
-# b 2^(w-1) (p - 1) < 2^53 (_dense_exact).  Fewer limbs take fewer
+# the most one inverse transform sums; for _dense_mul at inner dimension b it
+# is b 2^(w-1) (p - 1) < 2^53 (_dense_exact).  Fewer limbs take fewer
 # transforms: L limbs cost L forward and 2L - 1 inverse FFTs and L^2 spectrum
 # products.  For DEFAULT_PRIME the rule gives two 16-bit limbs for float
 # images up to size 2^10 and for dense products up to b = 136, three 11-bit
@@ -640,7 +617,7 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # prime, three 14-bit limbs up to 2^13, four 11-bit ones up to 2^19 and five
 # 9-bit ones up to 2^22.  One warm product by _convolve_rows of a row of
 # size / 2 residues of DEFAULT_PRIME by another, or of 32 such pairs, in us,
-# two 16-bit limbs / three 11-bit limbs (one product image: two limbs pass
+# two 16-bit limbs / three 11-bit limbs (one product: two limbs pass
 # the bound at 2048 only for that), best of 300 interleaved on a 2-core
 # x86-64 machine with numpy 2.4:
 #
@@ -659,8 +636,9 @@ def _mul_cyclic(mod: Modulus, a, b, size, out_len):
 # fft_error_bound(size, charge, L_x, w_x, w) <= FFT_ERROR_MAX, at the charge
 # the image was kept for (_kept_limbs): L_x forward and L inverse FFTs and
 # L_x L spectrum products, L classes of w bits.  Each product by it asserts
-# the bound at its own charge (_image_mul), and the rows read their layout
-# from the image's shape, its number of variants.  The kept images take
+# the bound at its own charge (_image_mul), the rows take its number of
+# variants as their limbs (_image_by), and the recombination reads L_x and L
+# from the two images.  The kept images take
 # three charges: s for a grid level at size s (combine sums two products of
 # rows of s / 2 entries), s / sqrt 2 for a Newton step's operand (rows of s
 # entries by one of s / 2, wrapping), and up to (s + 1) / 2 for a fixed
@@ -713,7 +691,7 @@ SQUARE = (1 << 18, 3)
 
 def fft_error_bound(size, charge, limbs, width, other=None):
     """A bound on the rounding error of every class coefficient of a float
-    product image at size (a power of two) of that charge, the sum of
+    product at size (a power of two) of that charge, the sum of
     sqrt(la lb) over the products summed in it, of rows of at most la and lb
     entries, each class summing `limbs` products of a limb of `width` bits
     by one of `other` bits (default: width) per product.
@@ -902,9 +880,10 @@ RECOMBINE_INT64_MAX = 2048
 
 
 def _limb_coeffs(p, Z, size, out_len, w, top):
-    """The first out_len coefficients mod p of the rows of the float class
-    spectra Z: classes c_k of weight 2^(w k) and magnitude at most top,
-    sum_k c_k 2^(w k) mod p, of dtype object for p >= 2^31."""
+    """The one inverse float transform: the first out_len coefficients mod p
+    of the rows of the float class spectra Z, (rows, classes, size // 2 + 1),
+    classes c_k of weight 2^(w k) and magnitude at most top, sum_k c_k
+    2^(w k) mod p, of dtype object for p >= 2^31."""
     c = np.fft.irfft(Z, size, axis=-1, out=_work_array("coeffs", Z.shape[:2] + (size,)))
     c = c[..., :out_len]
     np.rint(c, out=c)
@@ -1263,7 +1242,7 @@ def mul_trunc_t(a: Poly, P, m: int) -> Poly:
     degree of P, which reads a below x^(m+e) only.
     """
     if isinstance(P, (_Kept, np.ndarray)):
-        return Poly.of(a.mod, _mul_fixed(a.mod, a.arr, P, m, transposed=True))
+        return Poly.of(a.mod, _middle_products(a.mod, a.arr, (P,), m)[0])
     mod, m = _check_poly(P, _check_poly(a)), _dimension(m)
     e = P.degree()
     if a.degree() < 0 or e < 0:

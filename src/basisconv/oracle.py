@@ -25,7 +25,6 @@ from .modfield import (
     _convolve_rows,
     _dense_mul,
     _image_by,
-    _image_coeffs,
     _image_mul,
     _kept_image,
     _kept_limbs,
@@ -296,8 +295,7 @@ def _float_agrees(mod: Modulus, size, kind, constant=False):
         got = _convolve_rows(mod, A_, B_)
     else:
         X = _image_by(mod, A_, Y)
-        product = _image_mul(mod, X, Y, charge, *[X, Y][: 2 * summed - 2])
-        got = _image_coeffs(mod, product, out_len, charge)
+        got = _image_mul(mod, X, Y, charge, out_len, *[X, Y][: 2 * summed - 2])
     if constant:
         # coefficient k of la constants x by lb constants y is
         # x y min(k + 1, la, lb, la + lb - 1 - k)

@@ -6,8 +6,8 @@ metadata travels with each Poly, so a transposed operator knows both its
 source and target spaces.
 
 A Taylor shift on K[x]_m is one exact GEMM (modfield._dense_mul) by the
-Pascal matrix on int64 rows with DENSE_MIN <= m <= LEAF_SIZE, and otherwise a
-product by the series sum x^d / d!, one kept per transform size for every
+Pascal matrix on int64 rows with m <= LEAF_SIZE, and otherwise a product by
+the series sum x^d / d!, one kept per transform size for every
 shift value a, as a scaled image where modfield admits it
 (modfield._kept_image), between the diagonals i! a^i and a^-i / i!, rows
 kept per (a, transform size).  The diagonals of scale and of the dense
@@ -29,7 +29,6 @@ from .modfield import (
     _fixed_operand,
     _integer,
     _integers,
-    _Kept,
     _middle_products,
     _mul_fixed,
     _powers,
@@ -57,22 +56,6 @@ from .modfield import (
 # sheffer_large benchmark (n = 8192) it made 66 conversions per second against
 # 52 at 256, and raised peak memory from 55.3 to 58.5 MB, which 256 keeps flat.
 LEAF_SIZE = 256
-
-# A dense shift on K[x]_m costs about twenty numpy calls and one (3 x m) by
-# (m x m) GEMM, the factorial/convolution kernel a schoolbook or transform
-# product of length about 2m.  Time in us per shift by a = 12345 on int64 rows,
-# forward / transposed, median of 9 runs of best of 100 on a 2-core x86-64
-# machine with numpy 2.4 (OpenBLAS, one thread):
-#
-#   m               16     24     32     40     48     64    128    256
-#   dense          36/36  35/36  36/36  37/37  40/39  39/39  48/46  71/65
-#   factorial      28/29  31/32  34/35  39/40  43/45  55/57 112/115 132/138
-#
-# so shifts from m = 32 on are dense; a second run gave 23/24 against 24/25
-# at m = 32 and 25/25 against 28/30 at m = 40.  At m = 512 (with a Pascal
-# matrix of that size) the dense shift took 294/366 against 171/129.
-DENSE_MIN = 32
-
 
 def power_subst(A: Poly, k: int) -> Poly:
     """A(x^k); result dim k*(m-1)+1.  No arithmetic."""
@@ -195,7 +178,7 @@ def _dense_shift(mod: Modulus, X, up, down, transposed: bool):
 
 def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod, m, p = A.mod, A.dim, A.mod.p
-    if mod.dtype is not object and DENSE_MIN <= m <= LEAF_SIZE:
+    if mod.dtype is not object and m <= LEAF_SIZE:
         # the Pascal product divides by nothing: any m, m >= p too
         up, down = _power_row(mod, a, m), _power_row(mod, a, m, -1)
         return Poly.of(mod, _dense_shift(mod, A.arr[None], up, down, transposed)[0])
@@ -205,14 +188,14 @@ def _shift_kernel(A: Poly, a: int, transposed: bool) -> Poly:
     mod.check_precision(m)
     up, down = _shift_diagonals(mod, a, m)
     pre, post = (down, up) if transposed else (up, down)
-    B = (A.arr * pre % p)[::-1]
-    C = _mul_fixed(mod, B, _shift_operand(mod, m), m, transposed)
+    B, P = (A.arr * pre % p)[::-1], _shift_operand(mod, m)
+    C = _middle_products(mod, B, (P,), m)[0] if transposed else _mul_fixed(mod, B, P, m)
     return Poly.of(mod, C[::-1] * post % p)
 
 
 def taylor_shift(A: Poly, a: int) -> Poly:
     """A(x + a): one product by the Pascal matrix on int64 rows with
-    DENSE_MIN <= m <= LEAF_SIZE, at any m, else the factorial/convolution
+    m <= LEAF_SIZE, m >= p too, else the factorial/convolution
     factorization, cost M(m) + O(m), which needs m < p.  DomainViolation
     unless a is an integer (not a bool)."""
     mod = _check_poly(A)
@@ -274,11 +257,10 @@ def lincomb(parts, G, n: int) -> Poly:
 
 def lincomb_t(A: Poly, G):
     """Transpose of lincomb: component-wise transposed truncated products,
-    each G[i] as lincomb takes it for n = dim(A).  Where every G[i] is kept
-    as an image of one shape, A is transformed once for all of them
-    (modfield._middle_products)."""
+    each G[i] as lincomb takes it for n = dim(A).  Kept operands take one
+    call (modfield._middle_products), which transforms A once per run of
+    images of one shape; Polys take mul_trunc_t each."""
     mod = _check_poly(A)
-    shapes = {g.image.shape if isinstance(g, _Kept) else None for g in G}
-    if len(G) > 1 and None not in shapes and len(shapes) == 1:
-        return tuple(Poly.of(mod, c) for c in _middle_products(mod, A.arr, G, A.dim))
-    return tuple(mul_trunc_t(A, g, A.dim) for g in G)
+    if any(isinstance(g, Poly) for g in G):
+        return tuple(mul_trunc_t(A, g, A.dim) for g in G)
+    return tuple(Poly.of(mod, c) for c in _middle_products(mod, A.arr, G, A.dim))

@@ -322,52 +322,53 @@ def test_threads_build_and_drop_truncations_once(monkeypatch):
     assert not _holds_truncations(mod)
 
 
-def _warm_transforms(monkeypatch, name, n):
-    """_transform calls of a warm to_monomial and from_monomial of name at n,
-    and those of each warm product by a kept fixed operand (modfield._mul_fixed
-    with an image)."""
+def _warm_transforms(monkeypatch, transforms, name, n):
+    """The transforms (forward and inverse) of a warm to_monomial and
+    from_monomial of name at n, and for each warm call that multiplies by
+    kept images (modfield._mul_fixed, modfield._middle_products) its
+    (forward transforms, inverse transforms less the images)."""
     mod = Modulus(DEFAULT_PRIME)
     fam = parse_family(mod, name)
     a = _random_vector(random.Random(12), mod, n)
     A = to_monomial(a, fam, n, mod)
     from_monomial(A, fam, n, mod)
-    calls, per_fixed = [0], []
-    transform, mul_fixed = modfield._transform, modfield._mul_fixed
+    per_fixed = []
 
-    def counted(*args):
-        calls[0] += 1
-        return transform(*args)
+    def counted(product, one):
+        def wrapper(mod, a, fixed, *args):
+            before = transforms.counts()
+            out = product(mod, a, fixed, *args)
+            images = sum(isinstance(b, modfield._Kept) for b in ([fixed] if one else fixed))
+            if images:
+                forward, inverse = (x - y for x, y in zip(transforms.counts(), before))
+                per_fixed.append((forward, inverse - images))
+            return out
 
-    def fixed_product(mod, a, fixed, *args, **kwargs):
-        before = calls[0]
-        out = mul_fixed(mod, a, fixed, *args, **kwargs)
-        if isinstance(fixed, modfield._Kept):
-            per_fixed.append(calls[0] - before)
-        return out
+        return wrapper
 
-    monkeypatch.setattr(modfield, "_transform", counted)
     for module in (modfield, polyops, evalgrid):
-        monkeypatch.setattr(module, "_mul_fixed", fixed_product)
+        monkeypatch.setattr(module, "_mul_fixed", counted(modfield._mul_fixed, True))
+        monkeypatch.setattr(module, "_middle_products", counted(modfield._middle_products, False))
     counts = []
     for convert, x in ((to_monomial, a), (from_monomial, A)):
-        calls[0] = 0
+        transforms.clear()
         convert(x, fam, n, mod)
-        counts.append(calls[0])
+        counts.append(len(transforms))
     return tuple(counts), per_fixed
 
 
-def test_warm_transform_counts(monkeypatch):
+def test_warm_transform_counts(monkeypatch, transforms):
     # at n = 8192 every unit power, root power, shift series and the v, 1/v
     # series keep their float image, so each product by one of them makes one
     # forward and one inverse transform; bell and mittag_leffler also run the
     # grid trees, whose levels keep their float images too.  A transposed
     # lincomb by k kept operands (fibonacci's and mott's h) transforms its
-    # input once for all k
+    # input once for all k, and makes k inverse transforms
     want = {"fibonacci": (17, 21), "mott": (21, 15), "bell": (14, 12), "mittag_leffler": (18, 20)}
     for name, counts in want.items():
-        got, per_fixed = _warm_transforms(monkeypatch, name, 8192)
+        got, per_fixed = _warm_transforms(monkeypatch, transforms, name, 8192)
         assert got == counts, name
-        assert per_fixed and set(per_fixed) == {2}, name
+        assert per_fixed and set(per_fixed) == {(1, 0)}, name
 
 
 def test_cache_bytes_hold_no_truncations():

@@ -4,7 +4,8 @@ counted without a clock.
 A conversion whose sequences hold no Exp or Log costs O(M(n)) (Bostan, Salvy
 & Schost, ISSAC 2008): a fixed number of products whatever n, each one
 forward and one inverse transform of a kept operand's size.  So the rows
-that modfield._transform takes, limb rows forward and class rows inverse,
+of the float transforms, limb rows forward (modfield._transform) and class
+rows inverse (modfield._limb_coeffs), counted by the transforms fixture,
 are the same at every n, where a change of layout at some size shows as a
 step.  A conversion whose h holds Exp or Log costs O(M(n) log n): its rows
 double with n, as the levels of its grid trees do, and its transform volume
@@ -14,9 +15,7 @@ checks the same shape by the clock.
 
 import random
 
-import pytest
-
-from basisconv import DEFAULT_PRIME, Modulus, modfield
+from basisconv import DEFAULT_PRIME, Modulus
 from basisconv.families import from_monomial, parse_family, to_monomial
 from catalog_data import FAMILY_STRINGS
 
@@ -84,25 +83,7 @@ MLOGM_CENSUS = {
 VOLUME_STEP_MAX = 0.5
 
 
-@pytest.fixture
-def rows(monkeypatch):
-    """[forward rows, inverse rows, rows x size] of modfield._transform from
-    now on."""
-    counted, transform = [0, 0, 0], modfield._transform
-
-    def counting(mod, X, size, out_len=None, *rest):
-        # limbs (rows, L, size) forward; class spectra (rows, K, f) or, by a
-        # scaled image, (rows, L_x, K, f) back
-        r = X.shape[0] * X.shape[-2]
-        counted[out_len is not None] += r
-        counted[2] += r * size
-        return transform(mod, X, size, out_len, *rest)
-
-    monkeypatch.setattr(modfield, "_transform", counting)
-    return counted
-
-
-def test_transform_rows_are_the_same_at_every_n(rows):
+def test_transform_rows_are_the_same_at_every_n(transforms):
     mod = Modulus(DEFAULT_PRIME)
     m_class = {s for s in FAMILY_STRINGS if parse_family(mod, s).cost_class == "M"}
     assert {name for name, _ in CENSUS} == m_class
@@ -114,25 +95,25 @@ def test_transform_rows_are_the_same_at_every_n(rows):
         for name, direction in CENSUS if k < 15 else AT_2_15:
             fam = parse_family(mod, name)
             A = to_monomial(a, fam, n, mod)
-            got[name, direction, n] = _warm_rows(rows, fam, a, A, n, mod, direction)[:2]
+            got[name, direction, n] = _warm_rows(transforms, fam, a, A, n, mod, direction)[:2]
             want[name, direction, n] = CENSUS[name, direction]
     assert got == want
 
 
-def _warm_rows(rows, fam, a, A, n, mod, direction):
-    """The counts of rows of one warm conversion of a to the monomial basis,
-    or of A = to_monomial(a) from it."""
+def _warm_rows(transforms, fam, a, A, n, mod, direction):
+    """The counts of rows (Transforms.rows) of one warm conversion of a to
+    the monomial basis, or of A = to_monomial(a) from it."""
     if direction == "from":
         from_monomial(A, fam, n, mod)
-    rows[:] = [0, 0, 0]
+    transforms.clear()
     if direction == "to":
         to_monomial(a, fam, n, mod)
     else:
         from_monomial(A, fam, n, mod)
-    return tuple(rows)
+    return transforms.rows()
 
 
-def test_transform_volume_of_exp_and_log_is_n_log_n(rows):
+def test_transform_volume_of_exp_and_log_is_n_log_n(transforms):
     mod = Modulus(DEFAULT_PRIME)
     mlogm = {s.replace("N=100)", "N=100000)") for s in FAMILY_STRINGS
              if parse_family(mod, s).cost_class == "MlogM"}
@@ -145,7 +126,7 @@ def test_transform_volume_of_exp_and_log_is_n_log_n(rows):
         for name, direction in MLOGM_CENSUS:
             fam = parse_family(mod, name)
             A = to_monomial(a, fam, n, mod)
-            counts = _warm_rows(rows, fam, a, A, n, mod, direction)
+            counts = _warm_rows(transforms, fam, a, A, n, mod, direction)
             got[(name, direction), i] = counts[:2]
             volume.setdefault((name, direction), []).append(counts[2] / (n * k))
     assert got == {(key, i): MLOGM_CENSUS[key][i] for key in MLOGM_CENSUS for i in range(3)}

@@ -326,7 +326,7 @@ def test_selftest_checks_the_scaled_layout(monkeypatch, capsys):
             return image(mod, A, size, layout, slot)
         limbs = modfield._limbs(A, *layout)
         np.clip(limbs, 1 - (1 << 15), (1 << 15) - 1, out=limbs)
-        return modfield._transform(mod, limbs, size, None, slot)
+        return modfield._transform(limbs, size, slot)
 
     monkeypatch.setattr(modfield, "_image", broken)
     assert cli.main(["selftest", "--quick"]) == 1

@@ -81,9 +81,10 @@ def test_interp_t_inverts_multieval_t_across_primes(field):
         assert interp_grid_t(multieval_grid_t(mod, v)).tolist() == v, n
 
 
-def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
+def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch, transforms):
     # a guard against per-node recursion that, unlike a timing, does not
     # depend on machine load: every level costs a fixed number of calls
+    # (transforms and _convolve calls)
     mod = Modulus(DEFAULT_PRIME)
     n, log_n = 4096, 12
     rng = random.Random(44)
@@ -97,18 +98,17 @@ def test_tree_passes_make_logarithmically_many_kernel_calls(monkeypatch):
 
         return wrapper
 
-    # every transform enters through _transform
-    monkeypatch.setattr(modfield, "_transform", counted(modfield._transform))
     monkeypatch.setattr(modfield, "_convolve", counted(modfield._convolve))
     monkeypatch.setattr(evalgrid, "_convolve", counted(evalgrid._convolve))
     # cold: the tree, the inverses of its nodes and one pass
     vals = multieval_grid(A)
-    assert 0 < calls[0] <= 16 * log_n
+    assert 0 < calls[0] + len(transforms) <= 16 * log_n
     interp_grid(mod, vals)
     for run in (lambda: multieval_grid(A), lambda: interp_grid(mod, vals)):
         calls[0] = 0
+        transforms.clear()
         run()
-        assert 0 < calls[0] <= 8 * log_n
+        assert 0 < calls[0] + len(transforms) <= 8 * log_n
 
 
 @pytest.mark.parametrize(
@@ -218,51 +218,35 @@ def test_tree_keeps_one_coefficient_row_per_level(n):
     assert mod.cache_bytes()["grid"] == (1, sum({id(a): a.nbytes for a in kept}.values()))
 
 
-def test_transposed_passes_make_few_transforms(monkeypatch):
+def test_transposed_passes_make_few_transforms(transforms):
     # multieval and interp_t are each one top-down pass of combine_t: two
     # transforms a level, and one tree per n, with no tree over 1/i
     mod = Modulus(DEFAULT_PRIME)
     n, log_n = 4096, 12
     rng = random.Random(48)
     A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
-    calls = [0]
-    transform = modfield._transform
-
-    def counted(*args):
-        calls[0] += 1
-        return transform(*args)
-
-    monkeypatch.setattr(modfield, "_transform", counted)
     for run in (lambda: multieval_grid(A), lambda: interp_grid_t(A)):
         run()
-        calls[0] = 0
+        transforms.clear()
         run()
-        assert 0 < calls[0] <= 3 * log_n
+        assert 0 < len(transforms) <= 3 * log_n
     trees = [k for k, v in mod._cache.items() if isinstance(v, evalgrid.SubproductTree)]
     assert trees == [("grid", n)]
 
 
-def test_warm_products_by_1_over_D_keep_its_image(monkeypatch):
+def test_warm_products_by_1_over_D_keep_its_image(transforms):
     # multieval (a middle product) and multieval_t multiply by the same fixed
     # series 1/D: its kept image saves one transform per warm call
     mod = Modulus(DEFAULT_PRIME)
     n = 1024
     rng = random.Random(49)
     A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
-    calls = [0]
-    transform = modfield._transform
-
-    def counted(*args):
-        calls[0] += 1
-        return transform(*args)
-
-    monkeypatch.setattr(modfield, "_transform", counted)
 
     def warm(run):
         run()
-        calls[0] = 0
+        transforms.clear()
         out = run().tolist()
-        return calls[0], out
+        return len(transforms), out
 
     runs = (lambda: multieval_grid(A), lambda: multieval_grid_t(mod, A.arr).arr)
     kept = [warm(run) for run in runs]
@@ -486,7 +470,7 @@ def test_dense_maps_pair_with_their_transposes(n):
             assert lhs == _dot(x, bwd(Poly(mod, y, n), m).coeffs, p), (fwd.__name__, m)
 
 
-def test_warm_dense_maps_make_no_transform(monkeypatch):
+def test_warm_dense_maps_make_no_transform(monkeypatch, transforms):
     # a warm transposed map at n <= LEAF_SIZE is one GEMM and no transform;
     # round trips of families with Exp or Log build no grid tree there
     mod = Modulus(DEFAULT_PRIME)
@@ -500,16 +484,17 @@ def test_warm_dense_maps_make_no_transform(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(modfield, "_transform", counted("transform", modfield._transform))
     monkeypatch.setattr(evalgrid, "_dense_mul", counted("dense", evalgrid._dense_mul))
     for n in (64, 256):
         A = Poly(mod, [rng.randrange(mod.p) for _ in range(n)], n)
         for fn in (exp_map_t, log_map_t):
             fn(A, n)
             calls.clear()
+            transforms.clear()
             size = len(mod._cache)
             fn(A, n)
-            assert calls == {"dense": 1} and len(mod._cache) == size, (fn.__name__, n)
+            assert calls == {"dense": 1} and not transforms, (fn.__name__, n)
+            assert len(mod._cache) == size, (fn.__name__, n)
     for name in ("bell", "falling", "charlier(a=2)"):
         for n in (64, 256):
             fam = parse_family(mod, name)

@@ -29,11 +29,11 @@ from basisconv.modfield import (
     _convolve_schoolbook,
     _fit,
     _image,
-    _image_coeffs,
     _image_mul,
     _kept_limbs,
     _limb_coeffs,
     _limbs,
+    _middle_products,
     _mul_fixed,
     _prefix_products,
     _residues,
@@ -274,7 +274,7 @@ def test_image_products_are_cyclic(p):
     X = _image(mod, np.array(A, dtype=dtype), size, mod.layout(size))
     Y = _image(mod, np.array(B, dtype=dtype), size, mod.layout(size))
     charge = math.sqrt(size * (size - 3))
-    got = _image_coeffs(mod, _image_mul(mod, X, Y, charge), size, charge).tolist()
+    got = _image_mul(mod, X, Y, charge, size).tolist()
     for row, a, b in zip(got, A, B):
         lin = _school(a, b, p) + [0] * (size + 3)
         assert row == [(lin[i] + lin[i + size]) % p for i in range(size)]
@@ -433,21 +433,7 @@ def test_mul_trunc_t_is_transpose(mod101):
                 assert bwd[i][j] == fwd[j][i]
 
 
-def _counted_transforms(monkeypatch):
-    """A one-element list counting the _transform calls made from now on:
-    every transform enters through it."""
-    calls = [0]
-    transform = modfield._transform
-
-    def counted(*args):
-        calls[0] += 1
-        return transform(*args)
-
-    monkeypatch.setattr(modfield, "_transform", counted)
-    return calls
-
-
-def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, monkeypatch):
+def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, transforms):
     # the transpose reads P up to its degree e only: by (1 - t)^4 at n = 4096
     # it is a 4096 x 5 schoolbook product, given as a Poly or kept
     n = 4096
@@ -462,14 +448,14 @@ def test_mul_trunc_t_by_a_short_factor_transforms_nothing(mod, monkeypatch):
     want %= mod.p
     fixed = modfield._fixed_operand(mod, P.arr, n)
     assert isinstance(fixed, np.ndarray) and len(fixed) == 5
-    calls = _counted_transforms(monkeypatch)
+    transforms.clear()
     assert np.array_equal(mul_trunc_t(a, P, n).arr, want)
     assert np.array_equal(mul_trunc_t(a, fixed, n).arr, want)
-    assert calls[0] == 0
+    assert not transforms
 
 
 @pytest.mark.parametrize("n", [300, 4096, 16384])
-def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
+def test_fixed_operands_keep_their_image_at_every_size(mod, transforms, n):
     # a product by a kept operand, forward or transposed, makes one forward
     # and one inverse transform at every size, 768 KB of float image at 16384 too
     rng = np.random.default_rng(n)
@@ -478,11 +464,10 @@ def test_fixed_operands_keep_their_image_at_every_size(mod, monkeypatch, n):
     want = mul_trunc(a, P, n), mul_trunc_t(a, P, n)
     fixed = modfield._fixed_operand(mod, P.arr, n)
     assert fixed.image.ndim > 1
-    calls = _counted_transforms(monkeypatch)
     for product, ref in zip((mul_trunc, mul_trunc_t), want):
-        calls[0] = 0
+        transforms.clear()
         assert product(a, fixed, n) == ref
-        assert calls[0] == 2
+        assert transforms.counts() == (1, 1)
 
 
 def test_warm_products_by_a_kept_operand_stay_small(mod):
@@ -571,6 +556,28 @@ def _rounding_error(c):
     return np.abs(c, out=c).max()
 
 
+def _with_rounding_error(monkeypatch, product):
+    """(the rounding error of the class coefficients of the one float
+    product that product() makes, as they enter the inverse transform
+    (modfield._limb_coeffs), and what product() returns)."""
+    errors, limb_coeffs = [], modfield._limb_coeffs
+
+    def recorded(p, Z, size, *args):
+        errors.append(_rounding_error(np.fft.irfft(Z, size, axis=-1)))
+        return limb_coeffs(p, Z, size, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modfield, "_limb_coeffs", recorded)
+        out = product()
+    [error] = errors
+    return error, out
+
+
+def _middle_product(mod, a, b, out_len):
+    """The middle product of a by the one kept operand b."""
+    return _middle_products(mod, a, (b,), out_len)[0]
+
+
 @pytest.fixture
 def fresh_work(monkeypatch):
     """Work arrays of this test only, so that those of products past 2^19,
@@ -589,7 +596,7 @@ def fresh_work(monkeypatch):
     ]
     + [pytest.param(DEFAULT_PRIME, PAST_2_19, id=f"{DEFAULT_PRIME}-4x8")],
 )
-def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
+def test_float_kernel_exact_on_worst_operands(p, size, fresh_work, monkeypatch):
     # from the least size the float kernel takes on to the largest each limb
     # layout of at least 11 bits admits, and at 2^20 in four 8-bit limbs for
     # DEFAULT_PRIME, with the worst residue of the layout at that size (two
@@ -612,15 +619,15 @@ def test_float_kernel_exact_on_worst_operands(p, size, fresh_work):
     fixed = modfield._Kept(_image(mod, half[1:], size, (L, w)), size // 2)
     assert fixed.image.shape[:2] == (1, L)
     assert np.array_equal(_mul_fixed(mod, half[1], fixed, size - 1), want[1])
-    # a summed pair of product images of full rows: the largest norms, of
-    # charge 2 size
+    # a product of full rows and a summed pair of them: the largest norms,
+    # of charge size and 2 size
     X = _image(mod, full, size, (L, w))
-    got = _image_coeffs(mod, _image_mul(mod, X, X, 2 * size, X, X), size, 2 * size)
-    assert (got == 2 * size * values % p * values % p).all()
     for products in (1, 2):
-        c = np.fft.irfft(_image_mul(mod, X, X, products * size, *[X, X][: 2 * products - 2]),
-                         size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, products * size, L, w)
+        charge, pair = products * size, [X, X][: 2 * products - 2]
+        error, got = _with_rounding_error(
+            monkeypatch, lambda: _image_mul(mod, X, X, charge, size, *pair))
+        assert (got == charge * values % p * values % p).all()
+        assert error < fft_error_bound(size, charge, L, w)
 
 
 def test_work_arrays_bound_the_thread_total(fresh_work):
@@ -765,7 +772,7 @@ NO_WRAP_SIZES = [(DEFAULT_PRIME, 1 << 16), (DEFAULT_PRIME, 1 << 17), (DEFAULT_PR
 
 
 @pytest.mark.parametrize("p, size", [pytest.param(p, s, id=f"{p}-{s}") for p, s in NO_WRAP_SIZES])
-def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
+def test_linear_products_exact_on_worst_operands(p, size, fresh_work, monkeypatch):
     # a fixed operand of lb = size / 2 + 1 entries kept for products of
     # la = size / 2 entries, la + lb - 1 = size, keeps its image scaled for
     # their charge sqrt(la lb) (one variant per limb of the rows, as many as
@@ -790,12 +797,11 @@ def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
         assert fixed.length == la + 1 and fixed.image.shape[:3] == (1, Lx, L)
         row = np.full(la, x, dtype=mod.dtype)
         xy = x * y % p
-        assert np.array_equal(_mul_fixed(mod, row, fixed, size), terms * xy % p)
+        error, got = _with_rounding_error(monkeypatch, lambda: _mul_fixed(mod, row, fixed, size))
+        assert np.array_equal(got, terms * xy % p)
+        assert error < fft_error_bound(size, charge, Lx, wx, w)
         mid = np.arange(la, 0, -1).astype(mod.dtype) * xy % p
-        assert np.array_equal(_mul_fixed(mod, row, fixed, la, transposed=True), mid)
-        X = modfield._image_by(mod, row[None], fixed.image)
-        c = np.fft.irfft(_image_mul(mod, X, fixed.image, charge)[:, 0], size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, charge, Lx, wx, w)
+        assert np.array_equal(_middle_product(mod, row, fixed, la), mid)
 
 
 @pytest.mark.parametrize(
@@ -804,7 +810,8 @@ def test_linear_products_exact_on_worst_operands(p, size, fresh_work):
      for kind in ("newton", "level") for size in _largest_scaled_sizes(p, KEPT_CHARGES[kind])
      if size < 1 << 19],
 )
-def test_wrapping_and_summed_products_exact_on_worst_operands(p, size, kind, fresh_work):
+def test_wrapping_and_summed_products_exact_on_worst_operands(p, size, kind, fresh_work,
+                                                              monkeypatch):
     # at the largest size below 2^19 of each scaled layout of a Newton
     # step's operand and of a grid level (2^16 for DEFAULT_PRIME; P40: 2^9,
     # 2^18 and 2^9, 2^17): rows of the worst residue of the rows' layout and
@@ -828,12 +835,12 @@ def test_wrapping_and_summed_products_exact_on_worst_operands(p, size, kind, fre
     X = modfield._image_by(mod, np.repeat(xs, la, axis=1), Y)
     pair = [X, Y][: 2 * summed - 2]
     out_len = min(la + h - 1, size)
-    got = _image_coeffs(mod, _image_mul(mod, X, Y, charge, *pair), out_len, charge)
+    error, got = _with_rounding_error(
+        monkeypatch, lambda: _image_mul(mod, X, Y, charge, out_len, *pair))
     k = np.arange(out_len)
     terms = np.full(out_len, h) if kind == "newton" else 2 * np.minimum(k + 1, size - 1 - k)
     assert np.array_equal(got, xs * ys % p * terms.astype(mod.dtype) % p)
-    c = np.fft.irfft(_image_mul(mod, X, Y, charge, *pair)[:, 0], size, axis=-1)
-    assert _rounding_error(c) < fft_error_bound(size, charge, Lx, wx, w)
+    assert error < fft_error_bound(size, charge, Lx, wx, w)
 
 
 def test_products_that_wrap_are_charged_by_their_norms(mod):
@@ -869,9 +876,9 @@ def test_products_past_their_lengths_bound_fail_the_assertion(mod, monkeypatch):
     X = _image(mod, np.ones((1, 9), dtype=np.int64), 16, mod.layout(16))
     limit = fft_error_bound(16, math.sqrt(8 * 9), *mod.layout(16))
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", limit)
-    _image_mul(mod, X, X, math.sqrt(8 * 9))
+    _image_mul(mod, X, X, math.sqrt(8 * 9), 16)
     with pytest.raises(AssertionError):
-        _image_mul(mod, X, X, 9)
+        _image_mul(mod, X, X, 9, 16)
 
 
 @pytest.mark.parametrize(
@@ -880,7 +887,7 @@ def test_products_past_their_lengths_bound_fail_the_assertion(mod, monkeypatch):
      for size in _largest_scaled_sizes(p, lambda s: 2 * s) if size < 1 << 19]
     + [pytest.param(DEFAULT_PRIME, PAST_2_19, id=f"{DEFAULT_PRIME}-{PAST_2_19}")],
 )
-def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
+def test_scaled_products_exact_on_worst_operands(p, size, fresh_work, monkeypatch):
     # at the largest size of each layout of images kept for a summed pair
     # of products of full rows (2^15 and 2^20 for DEFAULT_PRIME; P40: 2^8 and
     # 2^16): rows of the worst residue of the rows' layout and of p - 1 times
@@ -901,7 +908,7 @@ def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
     assert Y.shape[:3] == (2, Lx, L)
     X = modfield._image_by(mod, np.repeat(xs, h, axis=1), Y)
     assert X.shape[:2] == (2, Lx)
-    assert np.array_equal(_image_coeffs(mod, _image_mul(mod, X, Y, h), size - 1, h), want)
+    assert np.array_equal(_image_mul(mod, X, Y, h, size - 1), want)
     # a product by a kept fixed operand, and its transpose, a correlation:
     # coefficient j of the middle product of h constants by h constants is
     # h - j
@@ -911,18 +918,19 @@ def test_scaled_products_exact_on_worst_operands(p, size, fresh_work):
         row = np.repeat(xs[i], h)
         assert np.array_equal(_mul_fixed(mod, row, fixed, size - 1), want[i])
         mid = xs[i] * ys[i] % p * np.arange(h, 0, -1).astype(mod.dtype) % p
-        assert np.array_equal(_mul_fixed(mod, row, fixed, h, transposed=True), mid)
-    # a summed pair of product images of full rows: the largest norms (the
-    # kept images above go first, 192 MB each at 2^20)
+        assert np.array_equal(_middle_product(mod, row, fixed, h), mid)
+    # a product of full rows and a summed pair of them: the largest norms
+    # (the kept images above go first, 192 MB each at 2^20); X is fresh, as
+    # the first product's inverse transform may write the work slot "image"
     del Y, fixed
     Y = modfield._kept_image(mod, np.repeat(ys, size, axis=1), size, 2 * size)
-    X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y)
-    got = _image_coeffs(mod, _image_mul(mod, X, Y, 2 * size, X, Y), size, 2 * size)
-    assert (got == 2 * size * xs % p * ys % p).all()
+    X = modfield._image_by(mod, np.repeat(xs, size, axis=1), Y, None)
     for products in (1, 2):
-        product = _image_mul(mod, X, Y, products * size, *[X, Y][: 2 * products - 2])
-        c = np.fft.irfft(product[:, 0], size, axis=-1)
-        assert _rounding_error(c) < fft_error_bound(size, products * size, Lx, wx, w)
+        charge, pair = products * size, [X, Y][: 2 * products - 2]
+        error, got = _with_rounding_error(
+            monkeypatch, lambda: _image_mul(mod, X, Y, charge, size, *pair))
+        assert (got == charge * xs % p * ys % p).all()
+        assert error < fft_error_bound(size, charge, Lx, wx, w)
 
 
 def test_products_by_scaled_images_equal_plain_ones(mod):
@@ -936,9 +944,9 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
         assert fixed.image.ndim == 4 and fixed.image.shape[1] == 2 and fixed.length == n
         plain = modfield._Kept(modfield._plain(fixed.image), n)
         assert np.shares_memory(plain.image, fixed.image)
-        for transposed in (False, True):
-            got = _mul_fixed(mod, a, fixed, n, transposed)
-            assert np.array_equal(got, _mul_fixed(mod, a, plain, n, transposed)), (n, transposed)
+        for product in (_mul_fixed, _middle_product):
+            got = product(mod, a, fixed, n)
+            assert np.array_equal(got, product(mod, a, plain, n)), (n, product.__name__)
         assert modfield._array_bytes([fixed, plain], set()) == fixed.image.nbytes
     # each image is kept for the charge sqrt(la lb) of its longest product,
     # here of rows of la entries by the lb = 2^14 of b, wrapping or not: two
@@ -993,9 +1001,8 @@ def test_products_by_scaled_images_equal_plain_ones(mod):
         assert all(X.ndim == 1 and not modfield._by_transform(conv, n, len(X)) for X in coeffs)
         for X in images:
             plain = modfield._Kept(modfield._plain(X.image), X.length)
-            for transposed in (False, True):
-                got = _mul_fixed(conv, a, X, n, transposed)
-                assert np.array_equal(got, _mul_fixed(conv, a, plain, n, transposed))
+            for product in (_mul_fixed, _middle_product):
+                assert np.array_equal(product(conv, a, X, n), product(conv, a, plain, n))
     assert any(isinstance(X, np.ndarray) for ops in kept.values() for X in ops)
 
 
@@ -1081,8 +1088,8 @@ def test_float_recombination_reduces_multiples_of_p(p):
 
 
 def test_float_kernel_dispatch(monkeypatch, fresh_work):
-    # a product at 2^20 makes one product image, of four 8-bit limbs of each
-    # operand; the bound is asserted wherever a float product image is made
+    # a product at 2^20 is one _image_mul call, of four 8-bit limbs of each
+    # operand; the bound is asserted in every float product
     mod = Modulus(DEFAULT_PRIME)
     calls, layouts = [0], []
     image_mul, limbs = modfield._image_mul, modfield._limbs
@@ -1110,7 +1117,7 @@ def test_float_kernel_dispatch(monkeypatch, fresh_work):
     X = _image(mod, np.ones((1, 4), dtype=np.int64), 16, mod.layout(16))
     monkeypatch.setattr(modfield, "FFT_ERROR_MAX", fft_error_bound(16, 4, *mod.layout(16)) / 2)
     with pytest.raises(AssertionError):
-        _image_mul(mod, X, X, 4)
+        _image_mul(mod, X, X, 4, 16)
 
 
 def test_image_past_every_layout_raises_capacity_exceeded(mod):
@@ -1150,3 +1157,43 @@ def test_a_product_by_a_constant_scales(p):
         for m in (25, 40, 60):
             assert mul_trunc(a, fixed, m) == mul_trunc(a, C, m)
             assert mul_trunc_t(a, fixed, m) == mul_trunc_t(a, C, m)
+
+
+def test_middle_products_over_mixed_operands(mod, monkeypatch, transforms):
+    # one list of every kind of kept operand: two images of one shape, a row
+    # of coefficients whose product with the long row a transforms (through
+    # the work slot that holds Rev(a)'s image), an image of the first shape
+    # again, one of another shape and a constant.  Each result equals its
+    # schoolbook middle product, and Rev(a) is transformed once per run of
+    # consecutive images of one shape: three times
+    p, n = mod.p, 1024
+    rng = np.random.default_rng(65)
+    a = rng.integers(0, p, n)
+    rows = [rng.integers(0, p, lb) for lb in (n, n, 64, n, 1500, 1)]
+    kept = [modfield._fixed_operand(mod, b, n) for b in rows[:2]]
+    kept += [rows[2], modfield._fixed_operand(mod, rows[3], n)]
+    kept += [modfield._fixed_operand(mod, rows[4], n), rows[5]]
+    shapes = [b.image.shape if isinstance(b, modfield._Kept) else None for b in kept]
+    assert shapes[0] == shapes[1] == shapes[3] != shapes[4]
+    assert shapes[2] is shapes[5] is None and modfield._by_transform(mod, n, 64)
+    images, image_by = [], modfield._image_by
+
+    def counted(mod, A, Y, *args):
+        images.append(Y.shape)
+        return image_by(mod, A, Y, *args)
+
+    monkeypatch.setattr(modfield, "_image_by", counted)
+    # warm: the work arrays have grown to the products' sizes, so that the
+    # row of coefficients' product writes over a stale image of Rev(a)
+    _middle_products(mod, a, kept, n)
+    images.clear()
+    transforms.clear()
+    got = _middle_products(mod, a, kept, n)
+    for b, row in zip(rows, got):
+        b = b[:n]
+        # coefficient k is sum_j a_(k+j) b_j
+        want = _convolve_schoolbook(a, b[::-1], p)[len(b) - 1 :]
+        assert np.array_equal(row, _fit(want, n))
+    assert images == [shapes[0], shapes[0], shapes[4]]
+    # and the row of coefficients' own product: two forward, one inverse
+    assert transforms.counts() == (3 + 2, 4 + 1)

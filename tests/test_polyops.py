@@ -13,7 +13,6 @@ from basisconv import (
 )
 from basisconv.oracle import horner_compose
 from basisconv.polyops import (
-    DENSE_MIN,
     LEAF_SIZE,
     diagonal,
     find_degrees,
@@ -96,16 +95,18 @@ def test_taylor_shift_matches_horner(mod101):
 
 def test_dense_shifts_past_the_modulus(mod101):
     # the Pascal product divides by nothing, so a shift of dimension m >= p
-    # on int64 rows with m <= LEAF_SIZE equals Horner's, both ways; the
-    # factorial kernel, which divides by i!, refuses m >= p
+    # on int64 rows with m <= LEAF_SIZE equals Horner's, both ways, over 101
+    # and over 13; the factorial kernel, which divides by i!, refuses m >= p
     rng = random.Random(18)
-    for m in (101, 150, LEAF_SIZE):
-        A = Poly(mod101, [rng.randrange(101) for _ in range(m)], m)
-        B = Poly(mod101, [rng.randrange(101) for _ in range(m)], m)
-        a = rng.randrange(1, 101)
-        shifted = taylor_shift(A, a)
-        assert shifted == horner_compose(A, Poly(mod101, [a, 1], 2), m), m
-        assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), m
+    for mod, ms in ((mod101, (101, 150, LEAF_SIZE)), (Modulus(13), (13, 20, 31))):
+        p = mod.p
+        for m in ms:
+            A = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
+            B = Poly(mod, [rng.randrange(p) for _ in range(m)], m)
+            a = rng.randrange(1, p)
+            shifted = taylor_shift(A, a)
+            assert shifted == horner_compose(A, Poly(mod, [a, 1], 2), m), (p, m)
+            assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), (p, m)
     A = Poly(mod101, [1] * (LEAF_SIZE + 1))
     for shift in (taylor_shift, taylor_shift_t):
         with pytest.raises(PrecisionExceedsModulus):
@@ -129,7 +130,7 @@ def test_taylor_shift_across_primes(p):
         assert lhs == sum(x * y for x, y in zip(A.coeffs, taylor_shift_t(B, a).coeffs)) % p
 
 
-def test_warm_shift_makes_two_transforms(monkeypatch):
+def test_warm_shift_makes_two_transforms(transforms):
     # the series P of a shift is fixed by a and the transform size, so a
     # warm shift keeps P's image: one forward and one inverse transform, no
     # new entry
@@ -137,22 +138,13 @@ def test_warm_shift_makes_two_transforms(monkeypatch):
     m = 4096
     rng = random.Random(17)
     A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
-    calls = [0]
-    transform = modfield._transform
-
-    def counted(*args):
-        calls[0] += 1
-        return transform(*args)
-
-    # every transform enters through _transform
-    monkeypatch.setattr(modfield, "_transform", counted)
     sizes = []
     for shift in (taylor_shift, taylor_shift_t):
         cold = shift(A, 12345)
         sizes.append(len(mod._cache))
-        calls[0] = 0
+        transforms.clear()
         assert shift(A, 12345) == cold
-        assert calls[0] == 2
+        assert transforms.counts() == (1, 1)
         assert len(mod._cache) == sizes[-1]
     # the cold transpose added nothing: it reads the forward shift's operand
     assert sizes[0] == sizes[1]
@@ -164,9 +156,9 @@ NO_ROOTS_PRIME, P40 = 1000003, 1099489607681
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, NO_ROOTS_PRIME, 101, P40])
 def test_dense_shift_across_the_cut(p, monkeypatch):
-    # shifts on int64 rows at DENSE_MIN <= m <= LEAF_SIZE are one product by
-    # the Pascal matrix, the others the factorial/convolution kernel: both
-    # sides of each cut equal Horner's rule, and each transpose passes
+    # shifts on int64 rows at m <= LEAF_SIZE are one product by the Pascal
+    # matrix, down to m = 1, the others the factorial/convolution kernel:
+    # both sides of the cut equal Horner's rule, and each transpose passes
     # <F x, y> = <x, F^t y>; dtype-object rows never take the dense product
     mod = Modulus(p)
     rng = random.Random(19)
@@ -178,7 +170,7 @@ def test_dense_shift_across_the_cut(p, monkeypatch):
         return dense_mul(*args)
 
     monkeypatch.setattr(polyops, "_dense_mul", counted)
-    for m in (DENSE_MIN - 1, DENSE_MIN, DENSE_MIN + 1, 255, 256, 257):
+    for m in (1, 2, 17, 32, 255, 256, 257):
         if m >= p:
             continue
         A, B = (Poly(mod, [rng.randrange(p) for _ in range(m)], m) for _ in range(2))
@@ -187,42 +179,40 @@ def test_dense_shift_across_the_cut(p, monkeypatch):
         shifted = taylor_shift(A, a)
         assert shifted == horner_compose(A, Poly(mod, [a, 1], 2), m), m
         assert _dot(shifted, B) == _dot(A, taylor_shift_t(B, a)), m
-        dense = mod.dtype is not object and DENSE_MIN <= m <= polyops.LEAF_SIZE
+        dense = mod.dtype is not object and m <= polyops.LEAF_SIZE
         assert calls[0] == 2 * dense, m
 
 
-def test_warm_dense_shift_makes_no_transform(monkeypatch):
+def test_warm_dense_shift_makes_no_transform(monkeypatch, transforms):
     # a warm dense shift reads the Pascal matrix and two power rows, all
     # kept: one GEMM, no transform and no new cache entry, both ways
     mod = Modulus(DEFAULT_PRIME)
     m = 128
     rng = random.Random(20)
     A = Poly(mod, [rng.randrange(mod.p) for _ in range(m)], m)
-    calls = {"_transform": 0, "_dense_mul": 0}
+    calls = [0]
+    dense_mul = polyops._dense_mul
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args):
+        calls[0] += 1
+        return dense_mul(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(modfield, "_transform", counted("_transform", modfield._transform))
-    monkeypatch.setattr(polyops, "_dense_mul", counted("_dense_mul", polyops._dense_mul))
+    monkeypatch.setattr(polyops, "_dense_mul", counted)
     for shift in (taylor_shift, taylor_shift_t):
         cold = shift(A, 12345)
         entries = len(mod._cache)
-        calls.update(_transform=0, _dense_mul=0)
+        calls[0] = 0
+        transforms.clear()
         assert shift(A, 12345) == cold
-        assert calls == {"_transform": 0, "_dense_mul": 1}
+        assert calls[0] == 1 and not transforms
         assert len(mod._cache) == entries
     assert [k for k in mod._cache if k[0] == "pascal"] == [("pascal", polyops.LEAF_SIZE)]
 
 
-def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
+def test_shifts_of_one_transform_size_share_one_operand(mod101):
     # the series sum x^d / d! is kept per transform size, built at the size's
     # longest m, at most p: every m and every shift value a of one size past
-    # LEAF_SIZE reads it, both ways; shifts at 33 <= m <= 64 are dense and
+    # LEAF_SIZE reads it, both ways; shifts at m <= LEAF_SIZE are dense and
     # keep no series
     mod = Modulus(DEFAULT_PRIME)
     rng = random.Random(18)
@@ -242,12 +232,10 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
     # shifts by 1, 7, 12345 and p - 1 keep one series per transform size and
     # two diagonal rows per a != 1 (at 1 the factorial tables serve): on the
     # default prime, on P40's object rows (scaled images up to size 2^8) and
-    # on p = 101 with the dense shifts off, where the series at size 256
-    # stops at x^100; _transpose_check runs at the smallest m, through the
-    # schoolbook on the default prime
-    monkeypatch.setattr(polyops, "DENSE_MIN", polyops.LEAF_SIZE + 1)
+    # on p = 1009, where the series at size 2048 stops at x^1008;
+    # _transpose_check runs at the smallest m
     for p, ms, small in ((DEFAULT_PRIME, (1024, 513), 20), (P40, (100, 65), 65),
-                         (101, (100, 65), 65)):
+                         (1009, (600, 513), 20)):
         mod = Modulus(p)
         values = (1, 7, 12345, p - 1)
         for a in values:
@@ -260,16 +248,13 @@ def test_shifts_of_one_transform_size_share_one_operand(mod101, monkeypatch):
                 lambda B: taylor_shift(B, a), lambda B: taylor_shift_t(B, a), small, small, mod
             )
         size = modfield._size(2 * ms[0] - 1)
-        assert ("shift", size) in mod._cache
-        assert [k for k in mod._cache if k[0] == "shift" and k[1] != size] == (
-            [("shift", 64)] if p == DEFAULT_PRIME else []
-        )
+        assert [k for k in mod._cache if k[0] == "shift"] == [("shift", size)]
         rows = [k for k in mod._cache if k[0] == "shiftrows" and k[2] == size]
         assert sorted(rows) == sorted(("shiftrows", a % p, size) for a in values[1:])
-        # one row; scaled but over 101, whose one limb admits no fewer
+        # one row; scaled but over 1009, whose one limb admits no fewer
         assert len(mod._cache["shift", size].image) == 1
-        assert mod._cache["shift", size].image.ndim == (3 if p == 101 else 4)
-    assert len(mod._cache["shiftrows", 7, 256][0]) == 101
+        assert mod._cache["shift", size].image.ndim == (3 if p == 1009 else 4)
+    assert mod._cache["shift", 2048].length == len(mod._cache["shiftrows", 7, 2048][0]) == 1009
 
 
 def test_taylor_shift_group_law(mod101):
@@ -355,25 +340,19 @@ def test_lincomb_and_transpose(mod101):
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, P40, 101])
-def test_lincomb_t_transforms_its_input_once(p, force_kernel, monkeypatch):
-    # by operands kept as images of one shape, lincomb_t transforms its input
-    # once for all of them; by any other operands it makes one transposed
-    # product each.  Both equal the per-term mul_trunc_t
+def test_lincomb_t_transforms_its_input_once(p, force_kernel, transforms):
+    # lincomb_t transforms its input once per run of operands kept as images
+    # of one shape: once for three images at size 128, and once more for the
+    # image of the series 1 that follows them, kept at size 64 (the forced
+    # kernel transforms even that).  Both equal the per-term mul_trunc_t
     force_kernel()
     mod, n = Modulus(p), 64
     rng = random.Random(p)
     full = [Poly(mod, [rng.randrange(p) for _ in range(n)], n) for _ in range(3)]
-    for G, forward in ((full, 1), (full + [Poly(mod, [1], n)], 4)):
+    for G, forward in ((full, 1), (full + [Poly(mod, [1], n)], 2)):
         A = Poly(mod, [rng.randrange(p) for _ in range(n)], n)
         kept = [modfield._fixed_operand(mod, g.arr, n) for g in G]
-        calls, transform = [], modfield._transform
-
-        def counted(mod, X, size, out_len=None, *rest):
-            calls.append(out_len is None)
-            return transform(mod, X, size, out_len, *rest)
-
-        monkeypatch.setattr(modfield, "_transform", counted)
+        transforms.clear()
         got = lincomb_t(A, kept)
-        monkeypatch.setattr(modfield, "_transform", transform)
+        assert transforms.counts() == (forward, len(G))
         assert list(got) == [modfield.mul_trunc_t(A, g, n) for g in G]
-        assert sum(calls) == forward and len(calls) - sum(calls) == len(G)

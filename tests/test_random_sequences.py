@@ -11,8 +11,8 @@ images.  Three primes cover the kernels: 101 (schoolbook products, one
 limb), DEFAULT_PRIME (two or three limbs on int64 rows) and a 40-bit prime
 (two to four limbs on dtype-object rows).  Every prime takes the sizes 3, 9
 and 40.  Over 101 the inverse's power substitutions, which multiply the
-dimension by k, make Taylor shifts of dimension m >= p; from DENSE_MIN to
-LEAF_SIZE those are dense Pascal products, which divide by nothing.
+dimension by k, make Taylor shifts of dimension m >= p; up to LEAF_SIZE
+those are dense Pascal products, which divide by nothing.
 """
 
 import random

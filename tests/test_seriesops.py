@@ -12,7 +12,6 @@ from basisconv import (
     Poly,
     PrecisionExceedsModulus,
     ZeroCoefficient,
-    modfield,
     mul_trunc,
     seriesops,
     series_exp,
@@ -145,22 +144,14 @@ def test_series_inv_matches_full_products(p, sizes):
         ), n
 
 
-def test_series_inv_transforms_at_its_precision(mod, monkeypatch):
+def test_series_inv_transforms_at_its_precision(mod, transforms):
     # each Newton step reads both its products mod x^L - 1, L >= prec, not
     # from linear products at twice that size
-    sizes = []
-    transform = modfield._transform
-
-    def recorded(m, X, size, *args):
-        sizes.append(size)
-        return transform(m, X, size, *args)
-
-    monkeypatch.setattr(modfield, "_transform", recorded)
     rng = random.Random(28)
     n = 4096
     g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     series_inv(g, n)
-    assert sizes and max(sizes) == n
+    assert transforms and max(size for _, _, size in transforms) == n
 
 
 def _by_exp_log(g, e, n):
@@ -247,36 +238,25 @@ def test_newton_square_root_past_the_modulus(mod101):
         assert mul_trunc(s, s, n) == g, n
 
 
-def test_binomial_power_takes_no_transform(mod, monkeypatch):
+def test_binomial_power_takes_no_transform(mod, transforms):
     # (c + t x^j)^e in closed form: prefix products of its term ratios
-    def refused(*args):
-        raise AssertionError("transform called")
-
-    monkeypatch.setattr(modfield, "_transform", refused)
     n = 4096
     for j in (1, 2, 5):
         g = Poly(mod, [7] + [0] * (j - 1) + [11], n)
         for e in (mod.inv(2), -1, 1 - n, 10**12 + 7):
             unit_pow(g, e, n)
         series_inv(g, n)
+    assert not transforms
 
 
-def test_square_root_transforms_at_its_precision(mod, monkeypatch):
+def test_square_root_transforms_at_its_precision(mod, transforms):
     # each Newton step reads s^2 mod x^L - 1, L >= its precision k, and 1/s
     # at k - m: no product transforms past the size of n
-    sizes = []
-    transform = modfield._transform
-
-    def recorded(m, X, size, *args):
-        sizes.append(size)
-        return transform(m, X, size, *args)
-
-    monkeypatch.setattr(modfield, "_transform", recorded)
     rng = random.Random(31)
     n = 4096
     g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     series_root(g, 2, 1, 0, n)
-    assert sizes and max(sizes) == n
+    assert transforms and max(size for _, _, size in transforms) == n
 
 
 def _kernel_digest(p, n):
@@ -328,25 +308,7 @@ def test_newton_kernels_match_the_previous_kernels(p, n, forced, force_kernel):
     assert _kernel_digest(p, n) == KERNEL_DIGESTS[p, n]
 
 
-def _transforms(monkeypatch):
-    """A list that records (forward or not) for each call of
-    modfield._transform from now on."""
-    calls = []
-    transform = modfield._transform
-
-    def recorded(m, X, size, out_len=None, *rest):
-        calls.append(out_len is None)
-        return transform(m, X, size, out_len, *rest)
-
-    monkeypatch.setattr(modfield, "_transform", recorded)
-    return calls
-
-
-def _counts(calls):
-    return sum(calls), len(calls) - sum(calls)
-
-
-def test_newton_steps_transform_each_operand_once(mod, monkeypatch):
+def test_newton_steps_transform_each_operand_once(mod, transforms):
     # (forward, inverse) transforms of one step at 4096: _newton_inv
     # transforms y once for g y and y e; a series_exp step takes that
     # _newton_inv step for 1/y, y g' and y d by one image of y, and
@@ -357,20 +319,20 @@ def test_newton_steps_transform_each_operand_once(mod, monkeypatch):
     g = Poly(mod, [1] + [rng.randrange(mod.p) for _ in range(n - 1)], n)
     g0 = Poly(mod, [0] + g.coeffs[1:], n)
     y = seriesops._newton_inv_series(g, n // 2)
-    calls = _transforms(monkeypatch)
+    transforms.clear()
     seriesops._newton_inv(g, y, n)
-    assert _counts(calls) == (3, 2)
+    assert transforms.counts() == (3, 2)
     for kernel, steps in [
         (lambda m: series_exp(g0, m), (8, 5)),
         (lambda m: series_root(g, 2, 1, 0, m), (6, 4)),
     ]:
         # the last step of a kernel at n: its steps at n / 2 less
-        calls.clear()
+        transforms.clear()
         kernel(n // 2)
-        before = _counts(calls)
-        calls.clear()
+        before = transforms.counts()
+        transforms.clear()
         kernel(n)
-        assert tuple(np.subtract(_counts(calls), before)) == steps
+        assert tuple(np.subtract(transforms.counts(), before)) == steps
 
 
 def _by_products(g, k, n):
